@@ -41,6 +41,7 @@ from __future__ import annotations
 import os
 import select
 import shutil
+import signal
 import socket
 import subprocess
 import sys
@@ -112,6 +113,22 @@ class RemoteShardError(RuntimeError):
         self.remote_traceback = remote_traceback
 
 
+def _kill_group(process: subprocess.Popen) -> None:
+    """SIGKILL an owned worker *and everything it started*, then reap it.
+
+    Owned workers lead their own process group (see
+    :meth:`RemoteShardPool.spawn`).  A signal to the worker alone leaves
+    its process-backend executor children and its resource tracker
+    behind: orphaned to pid 1, they block on the dead worker's task
+    queue forever.
+    """
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    process.wait(timeout=10.0)
+
+
 class RemoteWorker:
     """One remote shard worker endpoint (connection + owned process)."""
 
@@ -131,6 +148,7 @@ class RemoteWorker:
         #: is never picked as a failover target
         self.alive = True
         self.reconnects = 0
+        self._group_killed = False
 
     @property
     def connected(self) -> bool:
@@ -189,10 +207,12 @@ class RemoteWorker:
             self.disconnect()
 
     def kill(self) -> None:
-        """Chaos helper / teardown: SIGKILL the owned worker process."""
-        if self.process is not None and self.process.poll() is None:
-            self.process.kill()
-            self.process.wait(timeout=10.0)
+        """Chaos helper / teardown: SIGKILL the owned worker's process
+        group (the worker and its executor children), once — also when
+        the worker itself is already dead, since its children may not be."""
+        if self.process is not None and not self._group_killed:
+            self._group_killed = True
+            _kill_group(self.process)
         self.disconnect()
         self.sweep_shm()
 
@@ -243,7 +263,9 @@ class RemoteShardPool:
 
         ``kind="unix"`` binds one unix socket per worker under a fresh
         temp dir; ``kind="tcp"`` binds ephemeral localhost TCP ports
-        (each worker announces its real port on stdout).
+        (each worker announces its real port on stdout).  Every worker
+        starts its own session, so the pool can signal it together with
+        the executor processes it forks (:func:`_kill_group`).
         """
         if kind not in ("unix", "tcp"):
             raise ValueError(f"socket kind must be 'unix' or 'tcp', got {kind!r}")
@@ -263,6 +285,7 @@ class RemoteShardPool:
                     [python or sys.executable, "-m", "repro", "shard-worker",
                      "--listen", listen, "--announce"],
                     stdout=subprocess.PIPE, text=True, env=env,
+                    start_new_session=True,
                 )
                 procs.append(proc)
                 address = cls._read_announcement(proc, startup_timeout)
@@ -273,8 +296,7 @@ class RemoteShardPool:
         except BaseException:
             for proc in procs:
                 if proc.poll() is None:
-                    proc.kill()
-                    proc.wait(timeout=10.0)
+                    _kill_group(proc)
             shutil.rmtree(tmpdir, ignore_errors=True)
             raise
         return cls(workers, tmpdir=tmpdir, owns_processes=True)
@@ -354,8 +376,12 @@ class RemoteShardPool:
                         try:
                             w.process.wait(timeout=5.0)
                         except subprocess.TimeoutExpired:
-                            w.process.kill()
-                            w.process.wait(timeout=10.0)
+                            pass
+                    if w.process.returncode != 0:
+                        # only a worker that exited by itself stopped its
+                        # own executor children; one that was signalled
+                        # (here, or from outside) did not
+                        w.kill()
                     if w.process.stdout is not None:
                         w.process.stdout.close()
                     w.sweep_shm()

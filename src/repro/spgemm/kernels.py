@@ -4,9 +4,12 @@ One small interface fronts every accumulator the repo knows about so new
 kernels (and new group-selection heuristics) plug in without touching the
 engine, the process workers, or the CLI:
 
-* :data:`ACCUMULATORS` — registry of group accumulators, all sharing the
-  signature ``fn(a, b, rows, work, *, with_values, slice_cache)`` and
-  returning :class:`~repro.spgemm.accumulators.RowResults`;
+* :data:`ACCUMULATORS` — registry of the numpy group accumulators, all
+  sharing the signature ``fn(a, b, rows, work, *, with_values,
+  slice_cache)`` and returning
+  :class:`~repro.spgemm.accumulators.RowResults`.  ``native`` groups are
+  not in it: the pipeline runs them as a count pass and an in-place fill
+  pass (:mod:`repro.spgemm.native`), with no ``RowResults`` in between;
 * :class:`KernelSpec` — a frozen, string-codable kernel choice that rides
   on :class:`~repro.core.executor.plan.ChunkPlan` and crosses process
   boundaries as ``spec.encode()``;
@@ -51,7 +54,7 @@ from .groups import (
     RowGrouping,
     group_rows,
 )
-from .native import native_accumulate_rows, native_available, native_build_error
+from .native import native_available, native_build_error
 
 __all__ = [
     "KERNEL_KINDS",
@@ -68,8 +71,9 @@ __all__ = [
 KERNEL_KINDS = ("auto", "hash", "dense", "esc", "merge", "native")
 
 #: group methods that produce values during the symbolic pass (their
-#: symbolic run is cached and the numeric pass only scatters it)
-FUSED_METHODS = frozenset({"esc", "merge", "native"})
+#: symbolic run is cached and the numeric pass only scatters it).
+#: ``native`` is not one: it counts, then fills the exact allocation.
+FUSED_METHODS = frozenset({"esc", "merge"})
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,6 @@ ACCUMULATORS: Dict[str, Callable[..., RowResults]] = {
     "dense": _dense_adapter,
     "esc": esc_accumulate_rows,
     "merge": merge_accumulate_rows,
-    "native": native_accumulate_rows,
 }
 
 

@@ -1,12 +1,18 @@
-"""Optional runtime-compiled C Gustavson group kernel (``native``).
+"""Optional runtime-compiled C Gustavson kernel (``native``).
 
 The pure-numpy accumulators are bounded by sort/scatter throughput
 (~50M products/s on one core); a row-major Gustavson sweep with a dense
-sparse-accumulator (SPA) has no such bound — it touches each product
-once and each output column twice.  When a C compiler and :mod:`cffi`
-are available, this module compiles a tiny Gustavson kernel at runtime
+sparse-accumulator (SPA) has no such bound.  When a C compiler and
+:mod:`cffi` are available, this module compiles the kernel at runtime
 (ABI mode, no ``Python.h`` needed) and registers it as the ``native``
-accumulator kind; otherwise everything degrades to the numpy kernels.
+kernel kind; otherwise everything degrades to the numpy kernels.
+
+Two passes over a list of A row *ids* (nothing of A is copied), the
+paper's symbolic/numeric split: :func:`native_count_rows` returns exact
+per-row output nnz, the caller allocates the final CSR arrays once, and
+:func:`native_fill_rows` writes every row at its final offset, sorted
+without a comparison sort (see the kernel source).  Scratch is kept per
+thread and reused across calls.
 
 Bit-identity.  The SPA accumulates each output column's duplicates in
 ascending ``k`` order — exactly the expansion order every numpy
@@ -35,10 +41,14 @@ from typing import Optional
 
 import numpy as np
 
-from ..sparse.formats import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
-from ..sparse.ops import RowSliceCache, take_rows
+from ..sparse.formats import CSRMatrix
 
-__all__ = ["native_available", "native_accumulate_rows", "native_build_error"]
+__all__ = [
+    "native_available",
+    "native_build_error",
+    "native_count_rows",
+    "native_fill_rows",
+]
 
 #: environment switch: "0"/"off"/"false" disables the native kernel
 NATIVE_ENV = "REPRO_NATIVE"
@@ -47,89 +57,171 @@ NATIVE_ENV = "REPRO_NATIVE"
 NATIVE_CACHE_ENV = "REPRO_NATIVE_CACHE"
 
 _CDEF = """
-long long repro_gustavson_group(
-    long long n_rows,
+long long repro_spgemm_count(
+    long long n, const long long *rows,
+    const long long *a_indptr, const long long *a_cols,
+    const long long *b_indptr, const long long *b_cols,
+    long long *mark, long long cap, long long *gen,
+    long long *counts);
+long long repro_spgemm_fill(
+    long long n, const long long *rows,
     const long long *a_indptr, const long long *a_cols, const double *a_vals,
     const long long *b_indptr, const long long *b_cols, const double *b_vals,
-    long long width,
-    double *spa, long long *mark, long long *touched,
-    long long *counts, long long *out_cols, double *out_vals,
-    int with_values);
+    long long *mark, double *spa, long long *touched, long long *tmp,
+    long long cap, long long *gen,
+    const long long *c_indptr, long long out_cap,
+    long long *out_cols, double *out_vals);
 """
 
 _SOURCE = r"""
-#include <stdlib.h>
+#include <limits.h>
+#include <string.h>
 
-/* ascending insertion sort; the per-row touched set is usually small */
-static void isort64(long long *x, long long n) {
-    for (long long i = 1; i < n; i++) {
-        long long v = x[i];
-        long long j = i - 1;
-        while (j >= 0 && x[j] > v) { x[j + 1] = x[j]; j--; }
-        x[j + 1] = v;
-    }
-}
+typedef long long i64;
 
-static int cmp64(const void *pa, const void *pb) {
-    long long a = *(const long long *)pa, b = *(const long long *)pb;
-    return (a > b) - (a < b);
-}
-
-/* Gustavson SpGEMM over one row group.
+/* Gustavson SpGEMM over a list of A row ids, as two passes that share
+ * one per-thread scratch (`mark`, `spa`, `touched`, `tmp`: `cap` slots
+ * each, cap >= the panel width).
  *
- * `mark` must arrive filled with -1; it is left holding row ids, so a
- * buffer can only be reused across calls after re-initialization.  The
- * SPA (`spa`) needs no clearing at all: a column's slot is (re)written
- * on first touch per row (mark test) and only read for touched columns.
+ * `mark[j] == g` means column j was touched by the row stamped g.  The
+ * stamp `*gen` only ever grows, one per row across every call on the
+ * scratch, so `mark` is cleared when the scratch is made and again only
+ * if the stamp would run out.  `spa` needs no clearing at all: a slot is
+ * (re)written on a row's first touch and read for touched columns only.
+ */
+static i64 open_stamps(i64 *mark, i64 cap, i64 *gen, i64 n) {
+    if (*gen > LLONG_MAX - n - 1) {
+        memset(mark, 0, (size_t)cap * sizeof(i64));
+        *gen = 0;
+    }
+    return *gen;
+}
+
+/* pass 1: exact nnz of each listed output row; no values, no column
+ * list, no sort */
+i64 repro_spgemm_count(
+    i64 n, const i64 *rows,
+    const i64 *a_indptr, const i64 *a_cols,
+    const i64 *b_indptr, const i64 *b_cols,
+    i64 *mark, i64 cap, i64 *gen,
+    i64 *counts)
+{
+    i64 g = open_stamps(mark, cap, gen, n);
+    i64 total = 0;
+    for (i64 i = 0; i < n; i++) {
+        const i64 r = rows[i];
+        i64 t = 0;
+        g++;
+        for (i64 p = a_indptr[r]; p < a_indptr[r + 1]; p++) {
+            const i64 k = a_cols[p];
+            for (i64 q = b_indptr[k]; q < b_indptr[k + 1]; q++) {
+                const i64 j = b_cols[q];
+                t += mark[j] != g;
+                mark[j] = g;
+            }
+        }
+        counts[i] = t;
+        total += t;
+    }
+    *gen = g;
+    return total;
+}
+
+/* ascending LSD radix sort of x[0..t) by (x - lo), 8-bit digits, as many
+ * digits as (hi - lo) needs; returns whichever of x / tmp holds the
+ * result */
+static i64 *radix_sort(i64 *x, i64 *tmp, i64 t, i64 lo, i64 hi) {
+    for (int shift = 0; shift < 64 && ((hi - lo) >> shift) != 0; shift += 8) {
+        i64 start[256] = {0};
+        for (i64 s = 0; s < t; s++) start[((x[s] - lo) >> shift) & 255]++;
+        i64 at = 0;
+        for (int d = 0; d < 256; d++) { i64 c = start[d]; start[d] = at; at += c; }
+        for (i64 s = 0; s < t; s++) tmp[start[((x[s] - lo) >> shift) & 255]++] = x[s];
+        i64 *swap = x; x = tmp; tmp = swap;
+    }
+    return x;
+}
+
+/* pass 2: values, written in place.  Row r's columns (ascending) and
+ * values land at out_cols/out_vals[c_indptr[r] ..]; a row whose touched
+ * count differs from c_indptr[r+1] - c_indptr[r], or whose slot leaves
+ * [0, out_cap), is refused before anything of it is written: the return
+ * value is then -(i + 1) for list position i, otherwise the nnz written.
  *
  * Accumulation order per output column is ascending A-element order
  * (= ascending k), i.e. expansion order: `spa[j] += av * bv` runs once
  * per intermediate product in the order the products are enumerated.
  * Compile with -ffp-contract=off so this never becomes an FMA.
  *
- * Returns the total nonzeros written to out_cols/out_vals; `counts[i]`
- * is row i's share, rows in group order, columns ascending per row.
+ * The touched columns are put in order without a comparison sort:
+ * insertion sort below 32 of them; a scan of mark[jmin..jmax] when that
+ * range is at most 4x the touched count (hub rows); LSD radix otherwise.
  */
-long long repro_gustavson_group(
-    long long n_rows,
-    const long long *a_indptr, const long long *a_cols, const double *a_vals,
-    const long long *b_indptr, const long long *b_cols, const double *b_vals,
-    long long width,
-    double *spa, long long *mark, long long *touched,
-    long long *counts, long long *out_cols, double *out_vals,
-    int with_values)
+i64 repro_spgemm_fill(
+    i64 n, const i64 *rows,
+    const i64 *a_indptr, const i64 *a_cols, const double *a_vals,
+    const i64 *b_indptr, const i64 *b_cols, const double *b_vals,
+    i64 *mark, double *spa, i64 *touched, i64 *tmp,
+    i64 cap, i64 *gen,
+    const i64 *c_indptr, i64 out_cap,
+    i64 *out_cols, double *out_vals)
 {
-    (void)width;
-    long long out = 0;
-    for (long long i = 0; i < n_rows; i++) {
-        long long t = 0;
-        for (long long p = a_indptr[i]; p < a_indptr[i + 1]; p++) {
-            const long long k = a_cols[p];
-            const double av = with_values ? a_vals[p] : 0.0;
-            for (long long q = b_indptr[k]; q < b_indptr[k + 1]; q++) {
-                const long long j = b_cols[q];
-                if (mark[j] != i) {
-                    mark[j] = i;
+    i64 g = open_stamps(mark, cap, gen, n);
+    i64 total = 0;
+    for (i64 i = 0; i < n; i++) {
+        const i64 r = rows[i];
+        i64 t = 0;
+        g++;
+        for (i64 p = a_indptr[r]; p < a_indptr[r + 1]; p++) {
+            const i64 k = a_cols[p];
+            const double av = a_vals[p];
+            for (i64 q = b_indptr[k]; q < b_indptr[k + 1]; q++) {
+                const i64 j = b_cols[q];
+                if (mark[j] != g) {
+                    mark[j] = g;
                     touched[t++] = j;
-                    if (with_values) spa[j] = av * b_vals[q];
-                } else if (with_values) {
+                    spa[j] = av * b_vals[q];
+                } else {
                     spa[j] += av * b_vals[q];
                 }
             }
         }
-        if (t > 1) {
-            if (t < 48) isort64(touched, t);
-            else qsort(touched, (size_t)t, sizeof(long long), cmp64);
+        const i64 at = c_indptr[r];
+        if (t != c_indptr[r + 1] - at || at < 0 || at > out_cap - t) {
+            *gen = g;
+            return -(i + 1);
         }
-        counts[i] = t;
-        for (long long s = 0; s < t; s++) {
-            const long long j = touched[s];
-            out_cols[out] = j;
-            if (with_values) out_vals[out] = spa[j];
-            out++;
+        i64 *oc = out_cols + at;
+        double *ov = out_vals + at;
+        if (t < 32) {
+            for (i64 s = 1; s < t; s++) {
+                const i64 v = touched[s];
+                i64 u = s - 1;
+                while (u >= 0 && touched[u] > v) { touched[u + 1] = touched[u]; u--; }
+                touched[u + 1] = v;
+            }
+            for (i64 s = 0; s < t; s++) { oc[s] = touched[s]; ov[s] = spa[touched[s]]; }
+        } else {
+            i64 lo = touched[0], hi = touched[0];
+            for (i64 s = 1; s < t; s++) {
+                const i64 j = touched[s];
+                if (j < lo) lo = j;
+                if (j > hi) hi = j;
+            }
+            if (hi - lo < 4 * t) {
+                i64 s = 0;
+                for (i64 j = lo; j <= hi; j++) {
+                    if (mark[j] == g) { oc[s] = j; ov[s] = spa[j]; s++; }
+                }
+            } else {
+                const i64 *sorted = radix_sort(touched, tmp, t, lo, hi);
+                for (i64 s = 0; s < t; s++) { oc[s] = sorted[s]; ov[s] = spa[sorted[s]]; }
+            }
         }
+        total += t;
     }
-    return out;
+    *gen = g;
+    return total;
 }
 """
 
@@ -241,85 +333,116 @@ def native_build_error() -> Optional[str]:
     return _STATE["error"]
 
 
-def _as_i64(arr: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(arr, dtype=np.int64)
+class _Scratch:
+    """One thread's kernel scratch: ``cap`` slots each of ``mark``,
+    ``spa``, ``touched`` and the radix ``tmp``, plus the generation stamp
+    the C side advances (see the kernel source).  ``mark`` is zeroed here,
+    once; nothing else is ever cleared."""
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self.mark = np.zeros(cap, dtype=np.int64)
+        self.spa = np.empty(cap, dtype=np.float64)
+        self.touched = np.empty(cap, dtype=np.int64)
+        self.tmp = np.empty(cap, dtype=np.int64)
+        self.gen = np.zeros(1, dtype=np.int64)
 
 
-def _as_f64(arr: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(arr, dtype=np.float64)
+# per-thread: the thread backend runs chunks concurrently with the GIL
+# released inside the kernel, so scratch can never be shared
+_LOCAL = threading.local()
 
 
-def native_accumulate_rows(
-    a: CSRMatrix,
-    b: CSRMatrix,
-    rows: np.ndarray,
-    work: np.ndarray,
-    *,
-    with_values: bool = True,
-    slice_cache: Optional[RowSliceCache] = None,
-) -> "RowResults":
-    """Accumulate the given A rows through the compiled Gustavson kernel.
+def _scratch(width: int) -> _Scratch:
+    """This thread's scratch, regrown when a wider panel arrives (a
+    narrower one uses a prefix: stale stamps are below the current one)."""
+    scratch = getattr(_LOCAL, "scratch", None)
+    if scratch is None or scratch.cap < width:
+        scratch = _LOCAL.scratch = _Scratch(width)
+    return scratch
 
-    Same contract as :func:`~repro.spgemm.accumulators.hash_accumulate_rows`:
-    ``work`` is a per-row output upper bound (upper-bound products for the
-    symbolic pass, exact counts for the numeric pass) used only to size
-    the output buffers.  Raises :class:`RuntimeError` when the kernel is
-    unavailable — callers gate on :func:`native_available`.
-    """
-    from .accumulators import RowResults, _empty_results
 
+def _ptr(ffi, arr: np.ndarray):
+    ctype = "double *" if arr.dtype == np.float64 else "long long *"
+    return ffi.cast(ctype, arr.ctypes.data)
+
+
+def _enter(a: CSRMatrix, b: CSRMatrix, rows: np.ndarray):
+    """Shared argument checks; returns ``(ffi, lib, rows as int64)``."""
     if not native_available():
         raise RuntimeError(
             f"native kernel unavailable: {native_build_error()}"
         )
-    ffi, lib = _STATE["ffi"], _STATE["lib"]
+    if a.n_cols != b.n_rows:
+        raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    if rows.size and (rows.min() < 0 or rows.max() >= a.n_rows):
+        raise IndexError("row id out of range for A")
+    return _STATE["ffi"], _STATE["lib"], rows
 
-    rows = np.asarray(rows, dtype=INDEX_DTYPE)
-    width = int(b.n_cols)
-    if rows.size == 0 or width == 0:
-        return _empty_results(rows, with_values)
-    sub = slice_cache.take(rows) if slice_cache is not None else take_rows(a, rows)
 
-    cap = int(np.minimum(np.asarray(work, dtype=np.int64), width).sum())
+def native_count_rows(a: CSRMatrix, b: CSRMatrix, rows: np.ndarray) -> np.ndarray:
+    """Exact output nnz of the listed rows of ``A x B`` (the count pass).
+
+    ``rows`` are row ids of ``a`` — nothing of A is copied.  Raises
+    :class:`RuntimeError` when the kernel is unavailable — callers gate
+    on :func:`native_available`.
+    """
+    ffi, lib, rows = _enter(a, b, rows)
     counts = np.zeros(rows.size, dtype=np.int64)
-    out_cols = np.empty(max(cap, 1), dtype=np.int64)
-    out_vals = np.empty(max(cap, 1) if with_values else 1, dtype=np.float64)
-    spa = np.empty(width if with_values else 1, dtype=np.float64)
-    mark = np.full(width, -1, dtype=np.int64)
-    touched = np.empty(width, dtype=np.int64)
-
-    a_indptr = _as_i64(sub.row_offsets)
-    a_cols = _as_i64(sub.col_ids)
-    a_vals = _as_f64(sub.data)
-    b_indptr = _as_i64(b.row_offsets)
-    b_cols = _as_i64(b.col_ids)
-    b_vals = _as_f64(b.data)
-
-    def ptr(ctype, arr):
-        return ffi.cast(ctype, arr.ctypes.data)
-
-    total = lib.repro_gustavson_group(
-        rows.size,
-        ptr("long long *", a_indptr), ptr("long long *", a_cols),
-        ptr("double *", a_vals),
-        ptr("long long *", b_indptr), ptr("long long *", b_cols),
-        ptr("double *", b_vals),
-        width,
-        ptr("double *", spa), ptr("long long *", mark),
-        ptr("long long *", touched),
-        ptr("long long *", counts), ptr("long long *", out_cols),
-        ptr("double *", out_vals),
-        1 if with_values else 0,
+    s = _scratch(b.n_cols)
+    lib.repro_spgemm_count(
+        rows.size, _ptr(ffi, rows),
+        _ptr(ffi, a.row_offsets), _ptr(ffi, a.col_ids),
+        _ptr(ffi, b.row_offsets), _ptr(ffi, b.col_ids),
+        _ptr(ffi, s.mark), s.cap, _ptr(ffi, s.gen),
+        _ptr(ffi, counts),
     )
-    total = int(total)
-    if total > cap:
-        raise RuntimeError(
-            f"native kernel overflow: wrote {total} > capacity {cap}"
+    return counts
+
+
+def native_fill_rows(
+    a: CSRMatrix,
+    b: CSRMatrix,
+    rows: np.ndarray,
+    c_indptr: np.ndarray,
+    col_ids: np.ndarray,
+    data: np.ndarray,
+) -> None:
+    """Write the listed rows of ``A x B`` in place (the fill pass).
+
+    Row ``r`` lands at ``col_ids/data[c_indptr[r]:c_indptr[r + 1]]``,
+    columns ascending; ``c_indptr`` (one entry per row of ``a``, plus one)
+    must come from :func:`native_count_rows`.  The kernel checks every
+    row against its slot *before* writing it: a row that does not fit
+    exactly raises :class:`RuntimeError` and nothing is written out of
+    bounds, whatever ``c_indptr`` holds.
+    """
+    ffi, lib, rows = _enter(a, b, rows)
+    if (c_indptr.dtype != np.int64 or c_indptr.shape != (a.n_rows + 1,)
+            or not c_indptr.flags.c_contiguous):
+        raise ValueError(
+            "c_indptr must be contiguous int64, one entry per A row plus one"
         )
-    return RowResults(
-        rows=rows,
-        counts=counts.astype(INDEX_DTYPE, copy=False),
-        col_ids=out_cols[:total].astype(INDEX_DTYPE, copy=True),
-        values=(out_vals[:total].astype(VALUE_DTYPE, copy=True)
-                if with_values else None),
+    for out, dtype in ((col_ids, np.int64), (data, np.float64)):
+        if (out.dtype != dtype or out.shape != col_ids.shape or out.ndim != 1
+                or not out.flags.c_contiguous or not out.flags.writeable):
+            raise ValueError(
+                "col_ids/data must be writable contiguous int64/float64 "
+                "arrays of one length"
+            )
+    s = _scratch(b.n_cols)
+    code = lib.repro_spgemm_fill(
+        rows.size, _ptr(ffi, rows),
+        _ptr(ffi, a.row_offsets), _ptr(ffi, a.col_ids), _ptr(ffi, a.data),
+        _ptr(ffi, b.row_offsets), _ptr(ffi, b.col_ids), _ptr(ffi, b.data),
+        _ptr(ffi, s.mark), _ptr(ffi, s.spa), _ptr(ffi, s.touched),
+        _ptr(ffi, s.tmp), s.cap, _ptr(ffi, s.gen),
+        _ptr(ffi, c_indptr), col_ids.size,
+        _ptr(ffi, col_ids), _ptr(ffi, data),
     )
+    if code < 0:
+        raise RuntimeError(
+            f"native kernel overflow: row {int(rows[-code - 1])} does not "
+            f"fit its slot in c_indptr"
+        )

@@ -19,6 +19,7 @@ from ..sparse.formats import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.ops import RowSliceCache
 from .accumulators import RowResults
 from .groups import RowGrouping, group_rows
+from .native import native_fill_rows
 
 __all__ = ["numeric_grouped", "numeric_phase"]
 
@@ -42,8 +43,10 @@ def numeric_grouped(
 
     ``precomputed`` (parallel to ``grouping.groups``) supplies cached
     :class:`RowResults` for *fused* groups whose symbolic pass already
-    produced values (esc/merge/native kernels); those groups only scatter
-    here instead of recomputing.  ``None`` entries run normally.
+    produced values (esc/merge kernels); those groups only scatter here
+    instead of recomputing.  ``None`` entries run normally.  ``native``
+    groups fill their rows of the output arrays in place — no
+    :class:`RowResults`, no scatter.
     """
     row_nnz = np.asarray(row_nnz, dtype=INDEX_DTYPE)
     if row_nnz.size != a.n_rows:
@@ -65,6 +68,10 @@ def numeric_grouped(
             continue
         res = precomputed[gi] if precomputed is not None else None
         if res is None:
+            if g.method == "native":
+                # the kernel itself refuses a row that disagrees with row_nnz
+                native_fill_rows(a, b, g.rows, row_offsets, col_ids, data)
+                continue
             # exact counts are the tightest possible table/buffer sizing
             res = accumulate(
                 g.method, a, b, g.rows, row_nnz[g.rows],

@@ -13,10 +13,13 @@ Which accumulator runs per group is decided by a
 :class:`~repro.spgemm.kernels.KernelSpec` (``--kernel`` on the CLI): the
 classic spECK split (dense rows dense, sparse rows hashed), the
 vectorized ESC or BRMerge batch kernels, or the compiled ``native``
-Gustavson kernel.  The *fused* kernels (esc/merge/native) produce values
-already during the symbolic pass; their results are cached and the
-numeric stage only scatters them into the exact allocation, halving the
-work while keeping the two-phase structure (and its stats/spans) intact.
+Gustavson kernel.  ``native`` runs the stages as the paper draws them:
+its symbolic stage is a count pass, the output is allocated once from
+the exact counts, and its numeric stage fills that allocation in place.
+The *fused* numpy kernels (esc/merge) produce values already during the
+symbolic pass; their results are cached and the numeric stage only
+scatters them into the exact allocation, halving the work while keeping
+the two-phase structure (and its stats/spans) intact.
 
 Alongside the result we return :class:`TwoPhaseStats` — everything the
 out-of-core scheduler and the simulated-device cost model need: flops,
@@ -38,6 +41,7 @@ from ..sparse.ops import RowSliceCache
 from .flops import compression_ratio
 from .groups import RowGrouping
 from .kernels import FUSED_METHODS, KernelSpec, accumulate, plan_groups, resolve_kernel
+from .native import native_count_rows
 from .numeric import numeric_grouped
 from .rowanalysis import RowAnalysis, analyze_rows
 
@@ -59,7 +63,10 @@ class TwoPhaseStats:
     input_nnz: int              # nnz(A panel) + nnz(B panel)
     kernel: str = ""            # KernelSpec wire form that produced this
     # measured wall seconds per stage; -1 marks "not measured" (merged
-    # stats of resplit subchunks, or records from before these fields)
+    # stats of resplit subchunks, or records from before these fields).
+    # For the native kernel symbolic = count pass and numeric = fill
+    # pass; for the fused numpy kernels (esc/merge) symbolic holds the
+    # whole accumulation and numeric only the scatter.
     analysis_seconds: float = field(default=-1.0, compare=False)
     symbolic_seconds: float = field(default=-1.0, compare=False)
     numeric_seconds: float = field(default=-1.0, compare=False)
@@ -117,15 +124,16 @@ def spgemm_twophase(
 
     ``kernel`` selects the accumulator family — ``None``, a wire string
     (``"esc"``, ``"hash@0.25"``), or a :class:`KernelSpec`.  The default
-    ``auto`` uses the compiled Gustavson kernel when available and the
-    vectorized dense/ESC split otherwise.  All kernels produce the same
+    ``auto`` uses the compiled Gustavson kernel (count pass, exact
+    allocation, in-place fill pass) when available and the vectorized
+    dense/ESC split otherwise.  All kernels produce the same
     matrix; see :mod:`repro.spgemm.kernels` for the bit-identity contract.
 
     ``slice_cache`` (a :class:`~repro.sparse.ops.RowSliceCache` over ``a``)
     lets the symbolic and numeric passes — and sibling invocations sharing
     the same A panel, as the out-of-core chunk executor arranges — reuse
     row-group gathers instead of re-slicing A.  One is created locally when
-    not supplied.
+    not supplied.  The native kernel reads A by row id and never touches it.
 
     ``tracer`` (:mod:`repro.observability`) records the three phase
     boundaries as spans named ``analysis[label]`` / ``symbolic[label]`` /
@@ -186,9 +194,10 @@ def spgemm_twophase(
         group_work = np.where(work > 0, np.clip(hint, 1, work), 0)
     sym_grouping = plan_groups(group_work, b.n_cols, spec)
 
-    # stage 2: symbolic execution — exact nnz per output row.  Fused
-    # kernels (esc/merge/native) compute values in the same pass; their
-    # RowResults are cached so the numeric stage only has to scatter.
+    # stage 2: symbolic execution — exact nnz per output row.  The native
+    # kernel only counts.  Fused kernels (esc/merge) compute values in the
+    # same pass; their RowResults are cached so the numeric stage only has
+    # to scatter.
     if fault_hook is not None:
         fault_hook("symbolic")
     t0 = time.perf_counter()
@@ -200,17 +209,16 @@ def spgemm_twophase(
         for g in sym_grouping:
             if len(g) == 0:
                 continue
-            if g.method in FUSED_METHODS:
-                res = accumulate(
-                    g.method, a, b, g.rows, work[g.rows],
-                    with_values=True, slice_cache=slice_cache,
-                )
+            if g.method == "native":
+                row_nnz[g.rows] = native_count_rows(a, b, g.rows)
+                continue
+            is_fused = g.method in FUSED_METHODS
+            res = accumulate(
+                g.method, a, b, g.rows, work[g.rows],
+                with_values=is_fused, slice_cache=slice_cache,
+            )
+            if is_fused:
                 fused.append((g, res))
-            else:
-                res = accumulate(
-                    g.method, a, b, g.rows, work[g.rows],
-                    with_values=False, slice_cache=slice_cache,
-                )
             row_nnz[g.rows] = res.counts
     symbolic_seconds = time.perf_counter() - t0
 

@@ -12,7 +12,8 @@ Pins the cross-kernel contract documented in docs/KERNELS.md:
   on integer-valued data (where float addition is exact), ``allclose``
   otherwise;
 * the contract survives the execution engine: every backend x kernel
-  combination of :func:`execute_chunk_grid` matches the serial ``hash``
+  combination of :func:`execute_chunk_grid` (the reference kernels
+  ``dense`` and ``merge`` serially only) matches the serial ``hash``
   run bitwise, including under injected chaos faults with retries.
 """
 
@@ -57,6 +58,17 @@ EXACT_KERNELS = [
     "auto",
     pytest.param("native", marks=needs_native),
 ]
+
+
+#: kernel x backend cases of the engine equivalence test.  `dense` and
+#: `merge` lose on every bench row and stay as paper-faithful reference
+#: kernels: one serial run each, not the whole backend product.
+ENGINE_CASES = [
+    pytest.param(kernel, backend,
+                 marks=needs_native if kernel == "native" else ())
+    for kernel in ("hash", "esc", "native")
+    for backend in ("serial", "thread", "process")
+] + [("dense", "serial"), ("merge", "serial")]
 
 
 def _with_integer_values(m: CSRMatrix) -> CSRMatrix:
@@ -237,9 +249,8 @@ class TestPlanGroups:
         assert {grp.method for grp in g.groups} == {"hash", "dense"}
 
     def test_fused_methods_are_fused(self):
-        assert FUSED_METHODS >= {"esc", "merge"}
-        assert "hash" not in FUSED_METHODS
-        assert "dense" not in FUSED_METHODS
+        # native is not: its symbolic pass only counts
+        assert FUSED_METHODS == {"esc", "merge"}
 
     @needs_native
     def test_auto_prefers_native(self):
@@ -261,9 +272,8 @@ class TestPlanGroups:
 
 class TestEngineKernelEquivalence:
     """The serial hash product is the golden answer; every backend x
-    kernel combination must reproduce it bitwise (merge included — the
-    engine runs whole row groups per chunk, so tree order is a function
-    of the chunking, which is identical across backends)."""
+    kernel combination in :data:`ENGINE_CASES` must reproduce it bitwise
+    (merge to rounding: its tree order is not expansion order)."""
 
     @pytest.fixture(scope="class")
     def setup(self):
@@ -285,8 +295,7 @@ class TestEngineKernelEquivalence:
                     np.testing.assert_allclose(g.data, o.data,
                                                rtol=1e-10, atol=1e-12)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    @pytest.mark.parametrize("kernel,backend", ENGINE_CASES)
     def test_backend_kernel_grid(self, setup, backend, kernel):
         a, grid, golden = setup
         workers = 1 if backend == "serial" else 2
