@@ -21,12 +21,18 @@ Cleanup: a created-but-not-yet-handed-off result segment is tracked in
 if the worker dies before handoff.  Hard crashes (``os._exit``,
 ``SIGKILL``) skip both — those are covered by the parent's run-prefix
 sweep (:func:`repro.sparse.shm.cleanup_segments`).
+
+Orphans: "daemonic" only covers a parent that exits cleanly.  A
+SIGKILLed parent sends no shutdown sentinel, so the worker watches
+``os.getppid()`` — between queue polls and from the heartbeat thread —
+and, once reparented, sweeps the dead run's segments and leaves.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
+import queue
 import threading
 import time
 import traceback
@@ -49,15 +55,33 @@ KILL_CHUNK_ENV = "REPRO_TEST_KILL_CHUNK"
 KILL_AFTER_RESULT_ENV = "REPRO_TEST_KILL_AFTER_RESULT"
 
 
-def _start_heartbeat(claims, beat_slot: int, interval: float) -> None:
+#: seconds an idle worker blocks on its task queue between checks that
+#: the parent which spawned it is still alive
+ORPHAN_POLL_SECONDS = 1.0
+
+
+def _leave_if_orphaned(parent_pid: int, out_prefix: str) -> None:
+    """Exit once the spawning parent is gone (we were reparented): no
+    task or sentinel will ever arrive, and the run's segments — operands
+    and results alike live under ``out_prefix`` — have no owner left."""
+    if os.getppid() != parent_pid:
+        cleanup_segments(out_prefix)
+        os._exit(0)
+
+
+def _start_heartbeat(claims, beat_slot: int, interval: float,
+                     parent_pid: int, out_prefix: str) -> None:
     """Advance this worker's shared heartbeat counter from a daemon
     thread, twice per interval — proof of scheduler-level liveness that
     a chunk stuck in a kernel (or a ``SIGSTOP``-frozen process) stops
-    producing, which is exactly what the parent watchdog looks for."""
+    producing, which is exactly what the parent watchdog looks for.
+    The same thread notices a dead parent while the main thread is
+    inside a chunk."""
 
     def beat() -> None:
         while True:
             claims[beat_slot] = (claims[beat_slot] + 1) % (2 ** 30)
+            _leave_if_orphaned(parent_pid, out_prefix)
             time.sleep(interval / 2.0)
 
     threading.Thread(target=beat, daemon=True,
@@ -165,6 +189,7 @@ def worker_main(
     from ...spgemm.twophase import spgemm_twophase
     from .faults import FaultInjector
 
+    parent_pid = os.getppid()
     kernel = resolve_kernel(kernel_spec)
     injector = (FaultInjector.from_string(faults_spec) if faults_spec
                 else FaultInjector.from_env())
@@ -173,7 +198,7 @@ def worker_main(
     if (claims is not None and claim_slot is not None
             and heartbeat_interval is not None):
         _start_heartbeat(claims, claim_slot + len(claims) // 2,
-                         heartbeat_interval)
+                         heartbeat_interval, parent_pid, out_prefix)
     atexit.register(_cleanup_pending)
     attached: List[SharedCSR] = []
     try:
@@ -196,7 +221,11 @@ def worker_main(
         result_q.put(("ready", worker_name))
 
         while True:
-            task = task_q.get()
+            try:
+                task = task_q.get(timeout=ORPHAN_POLL_SECONDS)
+            except queue.Empty:
+                _leave_if_orphaned(parent_pid, out_prefix)
+                continue
             if task is None:
                 break
             cid, rp, cp, t_submit_raw, attempt = task

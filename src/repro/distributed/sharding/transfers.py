@@ -17,10 +17,9 @@ A sharded run's data motion has exactly three legs:
 
 NIC and device are distinct resources per shard, so broadcasts overlap
 other shards' compute exactly the way the node simulator overlaps PCIe
-with kernels.  The resulting :class:`~repro.device.trace.Timeline` is
-what ``repro shard-bench`` turns into the 1 -> N scaling curve; the
-function also backfills each record's ``transfer_bytes`` and
-``utilization`` (device busy fraction over the makespan).
+with kernels.  Building the :class:`~repro.device.trace.Timeline` also
+backfills each record's ``transfer_bytes`` and ``utilization`` (device
+busy fraction over the makespan).
 """
 
 from __future__ import annotations

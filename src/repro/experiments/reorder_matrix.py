@@ -19,10 +19,9 @@ from typing import List, Sequence
 
 from ..core.api import simulate_hybrid, simulate_out_of_core
 from ..core.chunks import ChunkProfile
-from ..core.profilecache import profile_for
 from ..metrics.report import format_table, write_result
 from ..sparse.reordering import degree_order, permute_symmetric, rcm_order
-from .runner import cache_dir, get_matrix, get_node
+from .runner import cache_dir, get_matrix, get_node, profile_for
 
 __all__ = ["ReorderRow", "ORDERINGS", "collect", "run"]
 

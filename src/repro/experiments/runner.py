@@ -25,9 +25,8 @@ from typing import Callable, Dict, TypeVar
 
 T = TypeVar("T")
 
-from ..core.chunks import ChunkProfile, csr_bytes
-from ..core.planner import working_set_bytes
-from ..core.profilecache import profile_for
+from ..core.chunks import ChunkGrid, ChunkProfile, csr_bytes, profile_chunks
+from ..core.planner import plan_grid, working_set_bytes
 from ..device.specs import NodeSpec, v100_node
 from ..spgemm.kernels import resolved_wire
 from ..sparse.formats import CSRMatrix
@@ -177,6 +176,28 @@ def get_node(abbr: str) -> NodeSpec:
     return v100_node(device_memory_for(abbr))
 
 
+def profile_for(
+    a: CSRMatrix,
+    b: CSRMatrix,
+    node: NodeSpec,
+    *,
+    name: str = "",
+    kernel=None,
+) -> ChunkProfile:
+    """Plan the grid for ``node`` and execute/profile every chunk.
+
+    ``kernel`` selects the accumulator family (``None`` = auto).  Disk
+    caches storing these profiles must key on the *resolved* kernel wire
+    form (:func:`repro.spgemm.kernels.resolved_wire`) — measured stage
+    times are meaningless under a different kernel.
+    """
+    report = plan_grid(a, b, node)
+    profile, _ = profile_chunks(
+        a, b, report.grid, keep_outputs=False, name=name, kernel=kernel
+    )
+    return profile
+
+
 def get_profile(abbr: str, kernel=None) -> ChunkProfile:
     """Planned + executed chunk profile for ``C = A x A`` (cached).
 
@@ -219,8 +240,6 @@ def get_profile_for_grid(abbr: str, rows: int, cols: int, kernel=None) -> ChunkP
         except _CorruptCacheEntry:
             profile = None
     if profile is None:
-        from ..core.chunks import ChunkGrid, profile_chunks
-
         a = get_matrix(abbr)
         grid = ChunkGrid.regular(a.n_rows, a.n_cols, rows, cols)
         profile, _ = profile_chunks(a, a, grid, name=key, kernel=kernel)

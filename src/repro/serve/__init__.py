@@ -18,10 +18,6 @@ estimate_row_nnz` footprints into the governor's host-memory ledger —
   overcommit the node, with per-tenant quotas and weights deciding who
   runs next.
 
-``repro serve-bench`` (:mod:`.bench`) is the load-test harness: it
-drives hundreds of concurrent jobs through a real socket and records
-p50/p99 latency, throughput, and cache hit rate to ``BENCH_serve.json``.
-
 See ``docs/SERVING.md`` for the API and the tenancy/quota model.
 """
 

@@ -28,7 +28,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -212,6 +212,7 @@ class JobRecord:
     cache_hits: Dict[str, bool] = field(default_factory=dict)
     chunks_done: int = 0
     chunks_total: int = 0
+    grid: Tuple[int, int] = (1, 1)     # (row_panels, col_panels) the run uses
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
@@ -219,6 +220,16 @@ class JobRecord:
         if self.finished_at is None:
             return None
         return self.finished_at - self.submitted_at
+
+    def drop_payload(self) -> None:
+        """Release the result matrix and inline operand bodies (~1 MB a
+        job, all Python lists); the scalar record stays answerable."""
+        with self.lock:
+            self.result.pop("matrix", None)
+            for side in ("a_spec", "b_spec"):
+                op_spec = getattr(self.spec, side)
+                if isinstance(op_spec, dict) and "inline" in op_spec:
+                    setattr(self.spec, side, {"inline": None})
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe view for ``GET /v1/jobs/<id>`` and event payloads."""

@@ -34,6 +34,7 @@ inlines the product arrays (the oracle path of the load test).
 from __future__ import annotations
 
 import asyncio
+import collections
 import json
 import time
 from dataclasses import dataclass, field
@@ -53,6 +54,12 @@ from .scheduler import DEFAULT_HOST_BUDGET, JobScheduler, TenantQuota
 __all__ = ["ServerConfig", "SpgemmServer"]
 
 _TERMINAL = (JobState.DONE, JobState.FAILED, JobState.REJECTED)
+
+#: terminal jobs whose result matrix / inline operands stay fetchable
+#: through ``GET /v1/jobs/<id>`` when no connection was waiting for them
+#: (``"wait": false``, or a stream client that left); older ones keep
+#: only the scalar record
+RETAINED_PAYLOADS = 16
 
 
 @dataclass
@@ -93,6 +100,7 @@ class SpgemmServer:
             shards=self.config.shards,
         )
         self._records: Dict[int, JobRecord] = {}
+        self._retained: collections.deque = collections.deque()
         self._leases: Dict[int, Tuple[OperandLease, ...]] = {}
         self._operands: Dict[int, Tuple[Any, Any]] = {}
         self._event_queues: Dict[int, asyncio.Queue] = {}
@@ -166,6 +174,7 @@ class SpgemmServer:
                 rp, cp = spec.grid
             else:
                 rp, cp = min(4, max(1, a.n_rows // 256)), 1
+            record.grid = (rp, cp)
             record.chunks_total = rp * cp
             self._leases[record.job_id] = tuple(leases)
             self._operands[record.job_id] = (a, b)
@@ -210,11 +219,7 @@ class SpgemmServer:
             with record.lock:
                 record.state = JobState.RUNNING
                 record.started_at = time.monotonic()
-            if spec.grid is not None:
-                rp, cp = spec.grid
-            else:
-                rp, cp = min(4, max(1, a.n_rows // 256)), 1
-            grid = ChunkGrid.regular(a.n_rows, b.n_cols, rp, cp)
+            grid = ChunkGrid.regular(a.n_rows, b.n_cols, *record.grid)
 
             def on_chunk(cid, stats):
                 with record.lock:
@@ -285,15 +290,20 @@ class SpgemmServer:
         if loop is None or loop.is_closed():
             return
         terminal = event.get("event") in ("done", "failed", "rejected")
-        queue = self._event_queues.get(record.job_id)
 
         def deliver() -> None:
+            queue = self._event_queues.get(record.job_id)
             if queue is not None:
                 queue.put_nowait(event)
             if terminal:
                 done = self._done_events.get(record.job_id)
                 if done is not None:
                     done.set()
+                elif queue is None:
+                    # no connection is waiting for this result
+                    self._retained.append(record)
+                    if len(self._retained) > RETAINED_PAYLOADS:
+                        self._retained.popleft().drop_payload()
 
         try:
             loop.call_soon_threadsafe(deliver)
@@ -402,36 +412,42 @@ class SpgemmServer:
         self._records[record.job_id] = record
         if stream:
             self._event_queues[record.job_id] = asyncio.Queue()
-        done = asyncio.Event()
-        self._done_events[record.job_id] = done
-        try:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self._prepare_job, spec, record
-            )
-        except Exception as exc:
-            with record.lock:
-                record.state = JobState.REJECTED
-                record.error = f"{type(exc).__name__}: {exc}"
-            self._finish_streams(record)
-            await self._respond(writer, 400, record.snapshot())
-            return
-        accepted, reason = self.scheduler.submit(record)
-        if not accepted:
-            for lease in self._leases.pop(record.job_id, ()):
-                lease.release()
-            self._operands.pop(record.job_id, None)
-            self._finish_streams(record)
-            await self._respond(writer, 429, record.snapshot())
-            return
-        queued_event = {"event": "queued", **record.snapshot()}
-        if stream:
-            await self._stream_events(writer, record, queued_event)
         elif wait:
-            await done.wait()
-            await self._respond(writer, 200, record.snapshot())
-        else:
-            await self._respond(writer, 202, queued_event)
-        self._done_events.pop(record.job_id, None)
+            self._done_events[record.job_id] = asyncio.Event()
+        try:
+            try:
+                await asyncio.get_running_loop().run_in_executor(
+                    None, self._prepare_job, spec, record
+                )
+            except Exception as exc:
+                with record.lock:
+                    record.state = JobState.REJECTED
+                    record.error = f"{type(exc).__name__}: {exc}"
+                await self._respond(writer, 400, record.snapshot())
+                return
+            accepted, reason = self.scheduler.submit(record)
+            if not accepted:
+                for lease in self._leases.pop(record.job_id, ()):
+                    lease.release()
+                self._operands.pop(record.job_id, None)
+                await self._respond(writer, 429, record.snapshot())
+                return
+            queued_event = {"event": "queued", **record.snapshot()}
+            if stream:
+                await self._stream_events(writer, record, queued_event)
+            elif wait:
+                await self._done_events[record.job_id].wait()
+                await self._respond(writer, 200, record.snapshot())
+            else:
+                await self._respond(writer, 202, queued_event)
+        finally:
+            self._event_queues.pop(record.job_id, None)
+            self._done_events.pop(record.job_id, None)
+            answered = stream or wait or record.state is JobState.REJECTED
+            if answered and record.state in _TERMINAL:
+                # the final snapshot went to this connection (or its
+                # client left): nothing will ask for the payload again
+                record.drop_payload()
 
     async def _stream_events(self, writer: asyncio.StreamWriter,
                              record: JobRecord, first: Dict[str, Any]) -> None:
@@ -456,14 +472,6 @@ class SpgemmServer:
                     break
         except (ConnectionError, RuntimeError):
             pass  # client went away; the job itself keeps running
-        finally:
-            self._event_queues.pop(record.job_id, None)
-
-    def _finish_streams(self, record: JobRecord) -> None:
-        self._event_queues.pop(record.job_id, None)
-        done = self._done_events.get(record.job_id)
-        if done is not None:
-            done.set()
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        obj: Dict[str, Any]) -> None:

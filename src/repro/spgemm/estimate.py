@@ -22,8 +22,8 @@ Downstream consumers:
 - `core/executor/engine.py` gates the governor's device-OOM pre-check
   and host admission on estimated chunk bytes, and feeds per-row
   density hints to kernel dispatch.
-- `repro bench --autotune` picks grid + kernel + hybrid ratio from the
-  estimate (see `core.planner.plan_autotuned`).
+- `core.planner.plan_autotuned` picks grid + kernel + hybrid ratio
+  from the estimate.
 """
 
 from __future__ import annotations

@@ -8,7 +8,12 @@ shared-memory segment — even when a worker is hard-killed mid-chunk.
 """
 
 import glob
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +26,7 @@ from repro.core.executor import (
     plan_hybrid_lanes,
     resolve_backend_name,
 )
-from repro.core.executor.procworker import KILL_CHUNK_ENV
+from repro.core.executor.procworker import KILL_CHUNK_ENV, ORPHAN_POLL_SECONDS
 from repro.sparse.generators import rmat
 
 PARALLEL_BACKENDS = ("thread", "process")
@@ -210,6 +215,89 @@ class TestCrashCleanup:
         a, grid = problem
         execute_chunk_grid(a, a, grid, workers=2, backend="process")
         assert not leaked_shm()
+
+
+# chunk 0 hangs in its kernel, so one worker sits inside a chunk (only
+# its heartbeat thread can notice the parent died) while the other goes
+# idle on the task queue
+_GRID_PARENT = """
+from repro.core.chunks import ChunkGrid
+from repro.core.executor import execute_chunk_grid
+from repro.core.governor import Governor, GovernorConfig
+from repro.sparse.generators import rmat
+
+a = rmat(8, 8.0, seed=5)
+execute_chunk_grid(
+    a, a, ChunkGrid.regular(a.n_rows, a.n_cols, 2, 2),
+    workers=2, backend="process", faults="numeric:hang:chunk=0:delay=120",
+    governor=Governor(GovernorConfig(heartbeat_interval=0.2)))
+"""
+
+
+def _state_and_ppid(pid):
+    """``(state, ppid)`` from ``/proc/<pid>/stat``; ``("Z", -1)`` once
+    the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            # "pid (comm) state ppid ...": comm may hold spaces
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return "Z", -1
+    return fields[0], int(fields[1])
+
+
+def _children_of(pid):
+    return {int(entry) for entry in os.listdir("/proc")
+            if entry.isdigit() and _state_and_ppid(entry)[1] == pid}
+
+
+def _alive(pids):
+    # a zombie (an unreaped orphan under a pid 1 that does not wait) has exited
+    return {pid for pid in pids if _state_and_ppid(pid)[0] != "Z"}
+
+
+@pytest.fixture
+def sigkilled_grid_parent():
+    """A process-backend run whose parent was SIGKILLed mid-grid: yields
+    ``(parent pid, pids of the children it left)``; whatever outlives
+    the test is killed and its segments swept, so a failure leaks
+    nothing into the next test."""
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _GRID_PARENT], env=dict(
+            os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    children = set()
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(children) < 2 and time.monotonic() < deadline:
+            assert parent.poll() is None, "grid parent exited on its own"
+            time.sleep(0.05)
+            children = _children_of(parent.pid)
+        time.sleep(0.5)  # let chunk 0 reach its hang and the rest drain
+        children |= _children_of(parent.pid)
+        parent.send_signal(signal.SIGKILL)
+        parent.wait(10)
+        yield parent.pid, children
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait(10)
+        for pid in _alive(children):
+            os.kill(pid, signal.SIGKILL)
+        for path in glob.glob(f"/dev/shm/repro-{parent.pid}-*"):
+            os.unlink(path)
+
+
+class TestOrphanedWorkers:
+    def test_sigkilled_parent_leaves_no_worker_or_segment(
+            self, sigkilled_grid_parent):
+        pid, children = sigkilled_grid_parent
+        assert len(children) >= 2
+        deadline = time.monotonic() + 2 * ORPHAN_POLL_SECONDS
+        while _alive(children) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(children), "workers outlived their killed parent"
+        assert not glob.glob(f"/dev/shm/repro-{pid}-*")
 
 
 class TestPublicThreading:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.chunks import ChunkGrid, chunk_flops, profile_chunks
-from repro.core.parallel import (
+from repro.core.executor import (
     default_window,
     execute_chunk_grid,
     flops_desc_order,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.chunks import ChunkGrid
-from repro.core.parallel import execute_chunk_grid
+from repro.core.executor import execute_chunk_grid
 from repro.observability import (
     MEASURED_PID,
     NULL_TRACER,

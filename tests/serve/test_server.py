@@ -2,12 +2,13 @@
 
 Each test spins a real server on an ephemeral TCP port inside one
 ``asyncio.run`` and talks to it with the hand-rolled client — the same
-wire path ``repro serve-bench`` and the CI smoke job exercise.
+wire path the ``serve-warm`` / ``serve-inline`` benchmark workloads use.
 """
 
 import asyncio
 import glob
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -19,8 +20,15 @@ from repro.core.governor.integrity import crc32_matrix
 from repro.core.verify import verify_product
 from repro.observability import validate_chrome_trace
 from repro.sparse.formats import CSRMatrix
-from repro.serve import ServeClient, ServeError, ServerConfig, SpgemmServer
+from repro.serve import (
+    ServeClient,
+    ServeError,
+    ServerConfig,
+    SpgemmServer,
+    TenantQuota,
+)
 from repro.serve.jobs import resolve_operand
+from repro.serve.server import RETAINED_PAYLOADS
 
 A_SPEC = {"gen": {"family": "banded", "n": 256, "bandwidth": 4, "seed": 1}}
 B_SPEC = {"gen": {"family": "banded", "n": 256, "bandwidth": 4, "seed": 2}}
@@ -40,6 +48,13 @@ def serve(coro_fn, config=None):
             await server.stop()
 
     return asyncio.run(main())
+
+
+async def drained(server):
+    """Wait until the scheduler's queue and slots are empty."""
+    assert await asyncio.get_running_loop().run_in_executor(
+        None, server.scheduler.wait_idle, 30.0
+    )
 
 
 def job_payload(**overrides):
@@ -70,9 +85,7 @@ class TestEndToEnd:
             )
             # the done event fires before the scheduler's bookkeeping
             # finishes; drain it so the counters below are final
-            await asyncio.get_running_loop().run_in_executor(
-                None, server.scheduler.wait_idle, 10.0
-            )
+            await drained(server)
             stats = await client.stats()
             return snapshots, stats
 
@@ -216,6 +229,106 @@ class TestValidation:
             assert exc_info.value.status == 404
 
         serve(run)
+
+
+def inline_spec(matrix):
+    return {"inline": {
+        "shape": list(matrix.shape),
+        "row_offsets": matrix.row_offsets.tolist(),
+        "col_ids": matrix.col_ids.tolist(),
+        "data": matrix.data.tolist(),
+    }}
+
+
+def held_payloads(server):
+    """Job ids whose record still pins a result matrix or an inline
+    operand body."""
+    return sorted(
+        job_id for job_id, record in server._records.items()
+        if "matrix" in record.result
+        or any(op.get("inline") for op in (record.spec.a_spec,
+                                           record.spec.b_spec))
+    )
+
+
+class TestRetention:
+    def test_delivered_jobs_keep_only_the_scalar_record(self):
+        inline = inline_spec(resolve_operand(A_SPEC))
+
+        async def run(server, client):
+            snaps = await asyncio.gather(*(
+                client.submit_job({"a": inline, "b": inline,
+                                   "return_result": True})
+                for _ in range(50)
+            ))
+            polled = [await client.job(s["job_id"]) for s in snaps]
+            return snaps, polled, held_payloads(server)
+
+        snaps, polled, held = serve(run)
+        assert all("matrix" in s["result"] for s in snaps)
+        assert held == []
+        for delivered, later in zip(snaps, polled):
+            assert later["state"] == "done"
+            assert "matrix" not in later["result"]
+            assert later["result"]["crc32"] == delivered["result"]["crc32"]
+            assert later["result"]["nnz"] == delivered["result"]["nnz"]
+
+    def test_streamed_job_drops_its_payload(self):
+        async def run(server, client):
+            # small enough for one NDJSON line of the stream client
+            tiny = {"gen": {"family": "banded", "n": 32, "bandwidth": 4}}
+            events = [e async for e in client.stream_job(
+                {"a": tiny, "b": tiny, "return_result": True})]
+            await client.health()  # the handler finishes after its last write
+            return events[-1], held_payloads(server)
+
+        done, held = serve(run)
+        assert "matrix" in done["result"]
+        assert held == []
+
+    def test_unattended_jobs_keep_the_most_recent_payloads(self):
+        extra = 3
+
+        async def run(server, client):
+            ids = []
+            for _ in range(RETAINED_PAYLOADS + extra):
+                queued = await client.submit_job(
+                    job_payload(wait=False, return_result=True))
+                ids.append(queued["job_id"])
+            await drained(server)
+            await client.health()  # let the last terminal event land
+            newest = await client.job(ids[-1])
+            return ids, newest, held_payloads(server)
+
+        ids, newest, held = serve(run, ServerConfig(slots=1))
+        assert held == ids[extra:]
+        assert "matrix" in newest["result"]
+
+    def test_rejected_and_refused_submits_leave_no_done_event(self):
+        gate = threading.Event()
+
+        async def run(server, client):
+            run_job = server.scheduler._runner
+            server.scheduler._runner = \
+                lambda record: (gate.wait(30.0), run_job(record))
+            try:
+                bad_b = {"gen": {"family": "banded", "n": 128}}
+                with pytest.raises(ServeError) as rejected:
+                    await client.submit_job(job_payload(b=bad_b))
+                # one job held on the only slot, one queued: the tenant's
+                # backlog is full and the next submit is refused
+                with pytest.raises(ServeError) as refused:
+                    for _ in range(3):
+                        await client.submit_job(job_payload(wait=False))
+            finally:
+                gate.set()
+            await drained(server)
+            return (rejected.value.status, refused.value.status,
+                    dict(server._done_events))
+
+        config = ServerConfig(slots=1,
+                              default_quota=TenantQuota(max_queued=1))
+        assert serve(run, config) == (400, 429, {})
 
 
 class TestObservability:

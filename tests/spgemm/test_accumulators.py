@@ -250,7 +250,7 @@ class TestTwoPhaseParallelIdentity:
         """End-to-end: the same chunked product, serial and threaded, must
         agree bitwise in both phases' outputs."""
         from repro.core.chunks import ChunkGrid
-        from repro.core.parallel import execute_chunk_grid
+        from repro.core.executor import execute_chunk_grid
         from repro.sparse.generators import rmat
 
         a = rmat(9, 6.0, seed=21)

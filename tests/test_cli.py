@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,21 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_subcommands_are_exactly_these(self):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == {
+            "info", "suite", "gen", "multiply", "run", "trace",
+            "experiment", "serve", "shard-worker"}
+        assert sub.choices["run"] is sub.choices["multiply"]
+
+    @pytest.mark.parametrize("retired", ["", "kernel-", "serve-", "shard-"])
+    def test_retired_bench_commands_exit_2(self, retired):
+        # bench/run.py is the one benchmark; see bench/README.md
+        with pytest.raises(SystemExit) as exc:
+            main([retired + "bench"])
+        assert exc.value.code == 2
 
 
 class TestInfo:
@@ -172,223 +189,3 @@ class TestMultiplySuiteName:
     def test_suite_operand(self, capsys):
         assert main(["multiply", "stokes", "--mode", "async"]) == 0
         assert "GFLOPS" in capsys.readouterr().out
-
-
-class TestBench:
-    def test_smoke_writes_json(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--matrices", "stokes", "--workers", "2",
-                     "--grid", "2", "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["bench"] == "parallel_chunk_execution"
-        assert payload["cpu_count"] >= 1
-        (run,) = payload["runs"]
-        assert run["matrix"] == "stokes"
-        assert run["workers"] == 2
-        assert run["identical"] is True
-        assert run["serial_seconds"] > 0 and run["parallel_seconds"] > 0
-        assert "speedup" in run and "model_correlation" in run
-        # model errors are documented dimensionless fractions
-        assert "fraction" in payload["units"]["model_mean_abs_rel_error"]
-        assert run["model_median_abs_rel_error"] >= 0
-        # single-core hosts are flagged: their "speedup" is overhead only
-        assert payload["single_core_host"] == (payload["cpu_count"] <= 1)
-        printed = capsys.readouterr().out
-        assert "wrote" in printed
-        if payload["single_core_host"]:
-            assert "single-core host" in printed
-
-    def test_rejects_single_worker(self, tmp_path):
-        with pytest.raises(SystemExit, match="workers"):
-            main(["bench", "--matrices", "stokes", "--workers", "1",
-                  "--out", str(tmp_path / "b.json")])
-
-
-class TestBenchRepeats:
-    def test_repeats_reuse_one_profile_per_config(self, tmp_path, monkeypatch):
-        """``--repeats N`` re-measures the wall clock only: exactly one
-        outputs-kept profiled run per (matrix, config), plus ``N - 1``
-        timing-only repeats — not N full output-keeping runs."""
-        import repro.core.chunks as chunks_mod
-
-        calls = []
-        real = chunks_mod.profile_chunks
-
-        def counting(*args, **kwargs):
-            calls.append(bool(kwargs.get("keep_outputs")))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(chunks_mod, "profile_chunks", counting)
-        repeats = 3
-        assert main(["bench", "--matrices", "stokes", "--workers", "2",
-                     "--grid", "2", "--repeats", str(repeats),
-                     "--out", str(tmp_path / "b.json")]) == 0
-        # one keep_outputs=True run per config (serial + thread +
-        # process), then repeats-1 timing-only runs each, plus exactly
-        # one governed robustness run per matrix (keep_outputs=False,
-        # chunk-sink into the spillable store)
-        configs = calls.count(True)
-        assert configs == 3
-        assert calls.count(False) == configs * (repeats - 1) + 1
-
-    def test_missing_baseline_is_tolerated(self, tmp_path, capsys):
-        """The first bench on a fresh clone has no previous record at
-        --out; it must write a baseline instead of failing."""
-        out = tmp_path / "bench.json"
-        assert not out.exists()
-        assert main(["bench", "--matrices", "stokes", "--workers", "2",
-                     "--grid", "2", "--out", str(out)]) == 0
-        printed = capsys.readouterr().out
-        assert "fresh baseline" in printed
-        assert out.exists()
-
-    def test_existing_baseline_comparison_printed(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        args = ["bench", "--matrices", "stokes", "--workers", "2",
-                "--grid", "2", "--out", str(out)]
-        assert main(args) == 0
-        capsys.readouterr()
-        assert main(args) == 0  # second run compares against the first
-        assert "speedup vs previous record" in capsys.readouterr().out
-
-    def test_corrupt_baseline_is_tolerated(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        out.write_text("{not json")
-        assert main(["bench", "--matrices", "stokes", "--workers", "2",
-                     "--grid", "2", "--out", str(out)]) == 0
-        assert "fresh baseline" in capsys.readouterr().out
-
-    def test_gflops_delta_printed_against_baseline(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        args = ["bench", "--matrices", "stokes", "--workers", "2",
-                "--grid", "2", "--out", str(out)]
-        assert main(args) == 0
-        capsys.readouterr()
-        assert main(args) == 0
-        assert "GFLOP/s vs previous record" in capsys.readouterr().out
-
-    def test_record_carries_kernel_stage_and_outlier_fields(self, tmp_path):
-        import json
-
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--matrices", "stokes", "--workers", "2",
-                     "--grid", "2", "--kernel", "esc",
-                     "--out", str(out)]) == 0
-        (run,) = json.loads(out.read_text())["runs"]
-        assert run["kernel"] == "esc"
-        assert set(run["serial_stage_seconds"]) == {
-            "analysis", "symbolic", "numeric"}
-        assert set(run["serial_stage_gflops"]) == {
-            "analysis", "symbolic", "numeric"}
-        assert run["model_p95_abs_rel_error"] >= 0
-        assert run["model_outliers"] >= 0
-
-
-class TestKernelBench:
-    @pytest.fixture
-    def tiny(self, tmp_path):
-        path = tmp_path / "tiny.npz"
-        assert main(["gen", "banded", "--n", "120", "--bandwidth", "4",
-                     "--seed", "3", "--out", str(path)]) == 0
-        return str(path)
-
-    def test_smoke_writes_json_and_passes_equivalence(self, tiny, tmp_path,
-                                                      capsys):
-        import json
-
-        out = tmp_path / "kernels.json"
-        assert main(["kernel-bench", "--matrices", tiny, "--repeats", "1",
-                     "--kernels", "hash,esc,merge",
-                     "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["bench"] == "kernel_shootout"
-        (run,) = payload["runs"]
-        assert set(run["kernels"]) == {"hash", "esc", "merge"}
-        for kind, rec in run["kernels"].items():
-            assert rec["equivalent"] is True
-            assert rec["min_seconds"] > 0
-            expected = "allclose" if kind == "merge" else "bit_identical"
-            assert rec["equivalence_policy"] == expected
-        assert "wrote" in capsys.readouterr().out
-
-    def test_rejects_unknown_kernel(self, tiny, tmp_path):
-        with pytest.raises(SystemExit, match="unknown kernel"):
-            main(["kernel-bench", "--matrices", tiny,
-                  "--kernels", "hash,warp", "--out",
-                  str(tmp_path / "k.json")])
-
-
-class TestBenchEstimation:
-    """--autotune, the estimation-fed governed run, and the model gate."""
-
-    def test_autotune_smoke(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--matrices", "stokes", "--workers", "2",
-                     "--backend", "thread", "--autotune",
-                     "--out", str(out)]) == 0
-        (run,) = json.loads(out.read_text())["runs"]
-        at = run["autotune"]
-        assert at["identical"] is True
-        assert 0.0 <= at["hybrid_ratio"] <= 1.0
-        assert at["sampled_rows"] > 0
-        assert at["estimated_nnz"] > 0
-        assert at["estimate_rel_error"] >= 0
-        assert isinstance(at["beats_default"], bool)
-        assert "autotune" in capsys.readouterr().out
-
-    def test_governed_run_reports_estimation(self, tmp_path):
-        import json
-
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--matrices", "stokes", "--workers", "2",
-                     "--backend", "thread", "--out", str(out)]) == 0
-        (run,) = json.loads(out.read_text())["runs"]
-        gov = run["governed"]
-        assert gov["estimated"] is True
-        assert gov["identical"] is True
-        assert gov["avoided_resplits"] >= 0
-        assert gov["resplits"] == 0
-
-    def test_no_estimate_flag_disables_estimation(self, tmp_path):
-        import json
-
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--matrices", "stokes", "--workers", "2",
-                     "--backend", "thread", "--no-estimate",
-                     "--out", str(out)]) == 0
-        (run,) = json.loads(out.read_text())["runs"]
-        assert run["governed"]["estimated"] is False
-        assert run["governed"]["identical"] is True
-
-    def test_primary_backend_is_measured_best(self, tmp_path):
-        import json
-
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--matrices", "stokes", "--workers", "2",
-                     "--backend", "thread", "--grid", "2",
-                     "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        (run,) = payload["runs"]
-        # single requested backend: it is trivially the measured best
-        assert run["backend"] == "thread"
-        assert payload["primary_backend"] == "thread"
-
-    def test_gate_passes_on_calibrated_model(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--matrices", "stokes", "--workers", "2",
-                     "--backend", "thread",
-                     "--gate-model-error", "0.25",
-                     "--out", str(out)]) == 0
-        assert "gate passed" in capsys.readouterr().out
-
-    def test_gate_failure_sets_exit_code(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--matrices", "stokes", "--workers", "2",
-                     "--backend", "thread",
-                     "--gate-model-error", "0.0000001",
-                     "--out", str(out)]) == 1
-        assert "MODEL-ERROR GATE FAILED" in capsys.readouterr().out
