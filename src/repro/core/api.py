@@ -222,38 +222,6 @@ def simulate_cpu_baseline(
     )
 
 
-def _verify_resumed_chunks(manifest, store, resume_stats):
-    """The ``--resume`` integrity gate: re-read each checkpointed chunk
-    from the store and verify it against the manifest's CRC.  Returns
-    ``(verified_stats, dropped)`` — dropped chunks (corrupt, mismatched,
-    or missing) are evicted from the store so the executor recomputes
-    them; the recompute re-checkpoints with a fresh CRC."""
-    from .governor.integrity import ChunkCorruption, crc32_matrix
-
-    verified = {}
-    dropped = 0
-    for cid, stats in resume_stats.items():
-        rp, cp = stats.row_panel, stats.col_panel
-        try:
-            matrix = store.get(rp, cp)
-        except KeyError:
-            dropped += 1  # vanished from the store: recompute
-            continue
-        except ChunkCorruption:
-            store.discard(rp, cp)
-            dropped += 1
-            continue
-        expected = manifest.chunk_crc(cid)
-        if expected is not None and crc32_matrix(matrix) != expected:
-            # the store's copy parses but is not the chunk the manifest
-            # checkpointed (e.g. silently overwritten) — recompute
-            store.discard(rp, cp)
-            dropped += 1
-            continue
-        verified[cid] = stats
-    return verified, dropped
-
-
 # ----------------------------------------------------------------------
 # full runs: real kernels + simulation
 # ----------------------------------------------------------------------
@@ -345,12 +313,10 @@ def run_out_of_core(
                 "over the original spill directory)"
             )
         if resume_stats and chunk_store is not None:
-            # integrity gate: re-read every checkpointed chunk, verify
-            # its CRC against the manifest, and evict anything corrupt
-            # or missing so it recomputes instead of poisoning the result
-            resume_stats, corrupt_recomputed = _verify_resumed_chunks(
-                manifest, chunk_store, resume_stats
-            )
+            # integrity gate: anything corrupt or missing recomputes
+            # instead of poisoning the result
+            resume_stats, corrupt_recomputed = manifest.verified_stats(
+                chunk_store)
     elif checkpoint is not None:
         if grid is None:
             grid = plan_grid(a, b, node).grid

@@ -17,11 +17,12 @@ per-chunk workload statistics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..sparse.codec import csr_nbytes as csr_bytes  # the planners' name for it
 from ..sparse.formats import CSRMatrix
 from ..sparse.partition import build_col_offsets, panel_boundaries
 from ..spgemm.flops import compression_ratio
@@ -35,26 +36,8 @@ __all__ = [
     "profile_chunks",
 ]
 
-#: the serialized fields of :class:`ChunkStats`, in order — shared by the
-#: profile disk cache and the checkpoint run manifest
-STAT_FIELDS = (
-    "chunk_id", "row_panel", "col_panel", "rows", "width",
-    "flops", "a_panel_bytes", "b_panel_bytes", "input_nnz",
-    "nnz_out", "output_bytes", "analysis_bytes",
-    "symbolic_bytes", "symbolic_kernels", "numeric_kernels",
-    "measured_seconds", "kernel",
-    "analysis_seconds", "symbolic_seconds", "numeric_seconds",
-)
-
 #: bytes per CSR element (int64 column id + float64 value)
 BYTES_PER_ELEM = 16
-#: bytes per row offset entry
-BYTES_PER_ROW = 8
-
-
-def csr_bytes(n_rows: int, nnz: int) -> int:
-    """Storage of a CSR block: offsets + column ids + values."""
-    return (n_rows + 1) * BYTES_PER_ROW + nnz * BYTES_PER_ELEM
 
 
 @dataclass(frozen=True)
@@ -144,6 +127,28 @@ class ChunkStats:
             raise ValueError("chunk not profiled yet")
         return compression_ratio(self.flops, self.nnz_out)
 
+    def to_record(self) -> dict:
+        """JSON-safe dict of every field, in :data:`STAT_FIELDS` order —
+        the one encoding the profile cache, the checkpoint manifest and
+        the shard wire protocol share."""
+        record = {}
+        for f in STAT_FIELDS:
+            v = getattr(self, f)
+            record[f] = v.item() if isinstance(v, np.generic) else v
+        return record
+
+    @classmethod
+    def from_record(cls, record: dict) -> "ChunkStats":
+        """Inverse of :meth:`to_record`.  Keys that are not fields (the
+        manifest's per-chunk ``crc32``) are ignored; fields a record
+        written before they existed lacks take their "unmeasured"
+        defaults."""
+        return cls(**{f: record[f] for f in STAT_FIELDS if f in record})
+
+
+#: the serialized fields of :class:`ChunkStats`, in order
+STAT_FIELDS = tuple(f.name for f in fields(ChunkStats))
+
 
 @dataclass(frozen=True)
 class ChunkProfile:
@@ -209,10 +214,7 @@ class ChunkProfile:
             "row_bounds": self.grid.row_bounds.tolist(),
             "col_bounds": self.grid.col_bounds.tolist(),
             "measured_wall_seconds": self.measured_wall_seconds,
-            "chunks": [
-                {f: getattr(c, f) for f in STAT_FIELDS}
-                for c in self.chunks
-            ],
+            "chunks": [c.to_record() for c in self.chunks],
         }
 
     @classmethod
@@ -221,9 +223,7 @@ class ChunkProfile:
             row_bounds=np.asarray(payload["row_bounds"], dtype=np.int64),
             col_bounds=np.asarray(payload["col_bounds"], dtype=np.int64),
         )
-        # profiles cached before timing landed lack the measured fields;
-        # ChunkStats defaults fill them with the "unmeasured" sentinel
-        chunks = tuple(ChunkStats(**c) for c in payload["chunks"])
+        chunks = tuple(ChunkStats.from_record(c) for c in payload["chunks"])
         return cls(
             grid=grid, chunks=chunks, name=payload.get("name", ""),
             measured_wall_seconds=payload.get("measured_wall_seconds", -1.0),

@@ -14,16 +14,19 @@ chunk (chunks are deterministic, so the redo is bit-identical).
 
 CRC32 (:func:`zlib.crc32`) is deliberate: this is a *storage integrity*
 check against torn writes and media corruption, not an authenticity
-check, and it adds negligible cost next to the ``.npz`` compression the
-chunks already pay.
+check.  The checksum is fed from the matrix's buffers in place
+(:func:`repro.sparse.codec.csr_buffers`), and the chunk file's frame
+carries a second CRC32 over its own bytes — see "Byte layout" in
+DESIGN.md for which carrier adds what.
 """
 
 from __future__ import annotations
 
-import zlib
 from typing import Optional
 
 import numpy as np
+
+from ...sparse.codec import crc32_bytes, csr_buffers
 
 __all__ = ["ChunkCorruption", "crc32_matrix", "crc32_bytes"]
 
@@ -50,25 +53,8 @@ class ChunkCorruption(RuntimeError):
         self.col_panel = col_panel
 
 
-def crc32_bytes(*parts: bytes) -> int:
-    """CRC32 over a sequence of byte strings (a single rolling checksum)."""
-    crc = 0
-    for part in parts:
-        crc = zlib.crc32(part, crc)
-    return crc & 0xFFFFFFFF
-
-
 def crc32_matrix(matrix) -> int:
-    """CRC32 fingerprint of a CSR matrix: shape, structure, and values.
-
-    Covers everything :func:`repro.sparse.io.save_npz` persists, in a
-    fixed order, so the checksum of a stored chunk is reproducible from
-    the in-memory matrix alone.
-    """
-    shape = np.asarray(matrix.shape, dtype=np.int64)
-    return crc32_bytes(
-        shape.tobytes(),
-        np.ascontiguousarray(matrix.row_offsets).tobytes(),
-        np.ascontiguousarray(matrix.col_ids).tobytes(),
-        np.ascontiguousarray(matrix.data).tobytes(),
-    )
+    """CRC32 fingerprint of a CSR matrix: shape, structure, and values,
+    in a fixed order, so the checksum of a stored chunk is reproducible
+    from the in-memory matrix alone."""
+    return crc32_bytes(np.asarray(matrix.shape, dtype=np.int64), *csr_buffers(matrix))

@@ -7,11 +7,13 @@ next rung of the out-of-core ladder.  Two stores share one interface:
 ``MemoryChunkStore``
     the paper's behaviour: chunks held as CSR matrices in host memory.
 ``DiskChunkStore``
-    each chunk written to a compressed ``.npz`` as it "arrives" and
-    re-loaded lazily; peak host memory stays at one chunk.  A store
-    pointed at a directory that already holds chunk files *adopts* them
-    — which is how a resumed run finds the chunks a previous (killed)
-    run already produced.
+    each chunk written to its own file as it "arrives" — one CRC'd
+    frame of :mod:`repro.sparse.codec` (DESIGN.md, "Byte layout"),
+    deflated on its way to the disk as the ``.npz`` files it replaces
+    were — and re-loaded lazily; peak host memory stays at one chunk.
+    A store pointed at a directory that already holds chunk files
+    *adopts* them — which is how a resumed run finds the chunks a
+    previous (killed) run already produced.
 
 Both assemble into the full matrix on demand, and both are accepted by
 :func:`repro.core.api.run_out_of_core` via the ``chunk_store`` argument.
@@ -35,7 +37,6 @@ import os
 import tempfile
 import threading
 import uuid
-import zipfile
 import zlib
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple
@@ -43,9 +44,16 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from ..observability import as_tracer
+from ..sparse.codec import (
+    FrameError,
+    csr_arrays,
+    csr_buffers,
+    csr_from_arrays,
+    frame_parts,
+    unpack_frame,
+)
 from ..sparse.formats import CSRMatrix
-from ..sparse.io import load_npz, save_npz
-from .chunks import STAT_FIELDS, ChunkGrid, ChunkStats
+from .chunks import ChunkGrid, ChunkStats
 from .governor.integrity import ChunkCorruption, crc32_matrix
 
 __all__ = [
@@ -56,10 +64,6 @@ __all__ = [
     "ManifestMismatch",
     "operand_grid_hash",
 ]
-
-#: archive key carrying a chunk file's CRC32 (structure + values).
-#: Stored as an extra, so archives remain readable by plain loaders.
-CHUNK_CRC_KEY = "crc32"
 
 
 class MemoryChunkStore:
@@ -115,7 +119,7 @@ class MemoryChunkStore:
         return self._held_bytes
 
     def __len__(self) -> int:
-        return len(self._chunks)
+        return sum(1 for _ in self.keys())
 
     def keys(self) -> Iterator[Tuple[int, int]]:
         return iter(sorted(self._chunks))
@@ -130,9 +134,10 @@ class MemoryChunkStore:
         from .assemble import assemble_chunks
 
         rows, cols = self.grid_shape()
+        have = set(self.keys())
         missing = [
             (i, j) for i in range(rows) for j in range(cols)
-            if (i, j) not in self._chunks
+            if (i, j) not in have
         ]
         if missing:
             raise ValueError(f"incomplete chunk grid; missing {missing[:4]}...")
@@ -149,7 +154,7 @@ class MemoryChunkStore:
 
 
 class DiskChunkStore(MemoryChunkStore):
-    """Chunks spilled to per-chunk ``.npz`` files under a directory.
+    """Chunks spilled to per-chunk (deflated) frame files under a directory.
 
     ``put`` writes and releases the chunk immediately; ``get`` re-loads.
     The directory is created on demand (a temporary one when not given)
@@ -168,7 +173,7 @@ class DiskChunkStore(MemoryChunkStore):
         self._dir = Path(directory) if directory else Path(tempfile.mkdtemp(prefix="repro-chunks-"))
         self._dir.mkdir(parents=True, exist_ok=True)
         self._paths: Dict[Tuple[int, int], Path] = {}
-        for path in sorted(self._dir.glob("chunk_*_*.npz")):
+        for path in sorted(self._dir.glob("chunk_*_*.frame")):
             try:
                 rp, cp = map(int, path.stem.split("_")[1:3])
             except ValueError:
@@ -182,16 +187,20 @@ class DiskChunkStore(MemoryChunkStore):
         return self._dir
 
     def _path(self, row_panel: int, col_panel: int) -> Path:
-        return self._dir / f"chunk_{row_panel}_{col_panel}.npz"
+        return self._dir / f"chunk_{row_panel}_{col_panel}.frame"
 
     def put(self, row_panel: int, col_panel: int, chunk: CSRMatrix) -> None:
         path = self._path(row_panel, col_panel)
         with self._tracer.span(f"store_put[{row_panel},{col_panel}]", "store",
                                bytes=chunk.nbytes() if self._tracer.enabled else 0):
-            # every chunk at rest carries its CRC32, verified on get()
-            crc = np.array([crc32_matrix(chunk)], dtype=np.uint32)
-            save_npz(path, chunk,  # distinct per-chunk file; write needs no lock
-                     extra={CHUNK_CRC_KEY: crc})
+            # every chunk at rest carries its frame's CRC32, verified on
+            # get(); distinct per-chunk file, so the write needs no lock.
+            # Deflated part by part: no joined copy of the chunk is made
+            deflate = zlib.compressobj(zlib.Z_BEST_SPEED)
+            with open(path, "wb") as fh:
+                for part in frame_parts("chunk", *csr_arrays(chunk)):
+                    fh.write(deflate.compress(part))
+                fh.write(deflate.flush())
             with self._lock:
                 self._paths[(row_panel, col_panel)] = path
                 self._grow_shape(row_panel, col_panel)
@@ -202,26 +211,19 @@ class DiskChunkStore(MemoryChunkStore):
         path = self._paths[(row_panel, col_panel)]
         with self._tracer.span(f"store_get[{row_panel},{col_panel}]", "store"):
             try:
-                matrix, extras = load_npz(path, with_extras=True)
-            except (ValueError, KeyError, OSError, EOFError,
-                    zipfile.BadZipFile) as exc:
-                # truncated / unparseable file -> typed corruption with
-                # the path and panel coords, never a raw numpy error
+                inflate = zlib.decompressobj()
+                frame = inflate.decompress(path.read_bytes())
+                if not inflate.eof or inflate.unused_data:
+                    raise FrameError("file is not exactly one deflate stream")
+                _, meta, arrays = unpack_frame(frame)
+                return csr_from_arrays(meta, arrays)
+            except (FrameError, zlib.error, OSError) as exc:
+                # truncated / garbage / bit-flipped file -> typed
+                # corruption with the path and panel coords
                 raise ChunkCorruption(
-                    f"chunk file unreadable ({type(exc).__name__}: {exc})",
+                    f"chunk file corrupt: {exc}",
                     path=path, row_panel=row_panel, col_panel=col_panel,
                 ) from exc
-            stored = extras.get(CHUNK_CRC_KEY)
-            if stored is not None:  # legacy adopted files carry no CRC
-                expected = int(np.asarray(stored).ravel()[0])
-                actual = crc32_matrix(matrix)
-                if actual != expected:
-                    raise ChunkCorruption(
-                        f"chunk checksum mismatch (stored {expected:#010x}, "
-                        f"recomputed {actual:#010x})",
-                        path=path, row_panel=row_panel, col_panel=col_panel,
-                    )
-            return matrix
 
     def discard(self, row_panel: int, col_panel: int) -> None:
         with self._lock:
@@ -229,28 +231,11 @@ class DiskChunkStore(MemoryChunkStore):
         if path is not None:
             Path(path).unlink(missing_ok=True)
 
-    def __len__(self) -> int:
-        return len(self._paths)
-
     def keys(self) -> Iterator[Tuple[int, int]]:
         return iter(sorted(self._paths))
 
-    def assemble(self) -> CSRMatrix:
-        from .assemble import assemble_chunks
-
-        rows, cols = self.grid_shape()
-        missing = [
-            (i, j) for i in range(rows) for j in range(cols)
-            if (i, j) not in self._paths
-        ]
-        if missing:
-            raise ValueError(f"incomplete chunk grid; missing {missing[:4]}...")
-        return assemble_chunks(
-            [[self.get(i, j) for j in range(cols)] for i in range(rows)]
-        )
-
     def nbytes(self) -> int:
-        """Bytes on disk (compressed)."""
+        """Bytes on disk (deflated)."""
         return sum(p.stat().st_size for p in self._paths.values())
 
     def close(self) -> None:
@@ -345,35 +330,12 @@ class SpillableChunkStore(MemoryChunkStore):
         if self._disk is not None:
             self._disk.discard(row_panel, col_panel)
 
-    def _keys(self):
-        keys = set(self._chunks)
-        if self._disk is not None:
-            keys |= set(self._disk.keys())
-        return keys
-
     def keys(self) -> Iterator[Tuple[int, int]]:
-        return iter(sorted(self._keys()))
-
-    def __len__(self) -> int:
-        return len(self._keys())
-
-    def assemble(self) -> CSRMatrix:
-        from .assemble import assemble_chunks
-
-        rows, cols = self.grid_shape()
-        have = self._keys()
-        missing = [
-            (i, j) for i in range(rows) for j in range(cols)
-            if (i, j) not in have
-        ]
-        if missing:
-            raise ValueError(f"incomplete chunk grid; missing {missing[:4]}...")
-        return assemble_chunks(
-            [[self.get(i, j) for j in range(cols)] for i in range(rows)]
-        )
+        on_disk = self._disk.keys() if self._disk is not None else ()
+        return iter(sorted({*self._chunks, *on_disk}))
 
     def nbytes(self) -> int:
-        """Total stored bytes: host memory plus (compressed) disk."""
+        """Total stored bytes: host memory plus (deflated) disk."""
         disk = self._disk.nbytes() if self._disk is not None else 0
         return super().nbytes() + disk
 
@@ -401,8 +363,8 @@ def operand_grid_hash(a: CSRMatrix, b: CSRMatrix, grid: ChunkGrid) -> str:
     h = hashlib.sha256()
     for mat in (a, b):
         h.update(repr(mat.shape).encode())
-        for arr in (mat.row_offsets, mat.col_ids, mat.data):
-            h.update(arr.tobytes())
+        for buf in csr_buffers(mat):
+            h.update(buf)
     h.update(grid.row_bounds.tobytes())
     h.update(grid.col_bounds.tobytes())
     return h.hexdigest()
@@ -492,11 +454,9 @@ class RunManifest:
         completed = {}
         chunk_crcs = {}
         for cid, record in payload.get("chunks", {}).items():
-            record = dict(record)
-            crc = record.pop("crc32", None)
-            if crc is not None:
-                chunk_crcs[int(cid)] = int(crc)
-            completed[int(cid)] = ChunkStats(**record)
+            if record.get("crc32") is not None:
+                chunk_crcs[int(cid)] = int(record["crc32"])
+            completed[int(cid)] = ChunkStats.from_record(record)
         return cls(path, header, completed, chunk_crcs)
 
     @staticmethod
@@ -567,6 +527,32 @@ class RunManifest:
         with self._lock:
             return self._chunk_crcs.get(chunk_id)
 
+    def verified_stats(self, store) -> Tuple[Dict[int, ChunkStats], int]:
+        """The resume integrity gate: re-read each checkpointed chunk
+        from ``store`` and verify it against the CRC recorded at sink
+        time.  Returns ``(verified_stats, dropped)`` — dropped chunks
+        (corrupt, mismatched, or missing) are evicted from the store so
+        the executor recomputes them; the recompute re-checkpoints with
+        a fresh CRC."""
+        verified = {}
+        dropped = 0
+        for cid, stats in self.completed_stats().items():
+            rp, cp = stats.row_panel, stats.col_panel
+            try:
+                matrix = store.get(rp, cp)
+                expected = self.chunk_crc(cid)
+                if expected is not None and crc32_matrix(matrix) != expected:
+                    # parses, but is not the chunk the manifest
+                    # checkpointed (e.g. silently overwritten)
+                    raise ChunkCorruption("chunk does not match its manifest CRC",
+                                          row_panel=rp, col_panel=cp)
+            except (KeyError, ChunkCorruption):
+                store.discard(rp, cp)  # no-op for one that vanished
+                dropped += 1
+            else:
+                verified[cid] = stats
+        return verified, dropped
+
     @property
     def completed_count(self) -> int:
         with self._lock:
@@ -583,7 +569,7 @@ class RunManifest:
         payload = dict(self._header)
         chunks = {}
         for cid, st in sorted(self._completed.items()):
-            record = {f: getattr(st, f) for f in STAT_FIELDS}
+            record = st.to_record()
             if cid in self._chunk_crcs:
                 record["crc32"] = self._chunk_crcs[cid]
             chunks[str(cid)] = record

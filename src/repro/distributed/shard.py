@@ -368,13 +368,6 @@ def _sub_grid(grid: ChunkGrid, span: ShardSpan) -> ChunkGrid:
     return ChunkGrid(row_bounds=sub_bounds, col_bounds=grid.col_bounds)
 
 
-def _verify_resumed(manifest, store, resume_stats):
-    # the same CRC gate api.run_out_of_core applies on --resume
-    from ..core.api import _verify_resumed_chunks
-
-    return _verify_resumed_chunks(manifest, store, resume_stats)
-
-
 def run_sharded(
     a: CSRMatrix,
     b: CSRMatrix,
@@ -681,9 +674,8 @@ def run_sharded(
             if resume and manifest_path.exists():
                 manifest = RunManifest.load(manifest_path)
                 manifest.validate(a_shard, b, sub)
-                resume_stats = manifest.completed_stats()
-                resume_stats, dropped = _verify_resumed(
-                    manifest, store, resume_stats)
+                # the same CRC gate run_out_of_core applies on --resume
+                resume_stats, dropped = manifest.verified_stats(store)
                 rec.resumed_chunks = len(resume_stats)
                 rec.corrupt_recomputed = dropped
             else:

@@ -39,8 +39,6 @@ from .worker import (
     DEFAULT_HEARTBEAT_INTERVAL,
     ShardWorker,
     shard_worker_main,
-    stats_from_record,
-    stats_record,
 )
 
 __all__ = [
@@ -69,6 +67,4 @@ __all__ = [
     "run_remote_span",
     "send_frame",
     "shard_worker_main",
-    "stats_from_record",
-    "stats_record",
 ]

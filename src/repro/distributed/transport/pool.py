@@ -66,7 +66,7 @@ from .wire import (
     recv_frame,
     send_frame,
 )
-from .worker import DEFAULT_HEARTBEAT_INTERVAL, stats_from_record, stats_record
+from .worker import DEFAULT_HEARTBEAT_INTERVAL
 
 __all__ = [
     "DEFAULT_RECONNECT",
@@ -490,7 +490,7 @@ def _drive_once(worker, run_meta, run_arrays, completed, on_chunk,
     sock = worker.sock
     meta = dict(run_meta)
     meta["heartbeat_interval"] = heartbeat_interval
-    meta["skip"] = [stats_record(st) for st in completed.values()]
+    meta["skip"] = [st.to_record() for st in completed.values()]
     if not include_chaos:
         meta.pop("faults", None)
         meta.pop("debug", None)
@@ -517,7 +517,7 @@ def _drive_once(worker, run_meta, run_arrays, completed, on_chunk,
         elif frame.kind == "chunk":
             result.bytes_received += frame.nbytes
             result.gather_seconds += frame.wire_seconds
-            stats = stats_from_record(frame.meta["stats"])
+            stats = ChunkStats.from_record(frame.meta["stats"])
             matrix = csr_from_arrays(frame.meta, frame.arrays, prefix="c_")
             crc = frame.meta.get("crc32")
             try:

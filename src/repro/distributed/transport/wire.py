@@ -1,29 +1,19 @@
-"""Length-prefixed socket framing for shard transport messages.
+"""Socket carrier for shard transport messages.
 
-One frame carries one protocol message between the node and a remote
-shard worker:
+One frame of :mod:`repro.sparse.codec` carries one protocol message
+between the node and a remote shard worker — CSR operands and result
+chunks travel as their raw ``row_offsets`` / ``col_ids`` / ``data``
+buffers, never pickled.  The frame format, its CRC32 and every decode
+check live in the codec (DESIGN.md, "Byte layout"); this module adds
+what a *stream* needs: exact reads, the typed failures the node's
+reconnect logic keys on, and addresses.
 
-```
-+--------+------------+-------------+---------+----------------+---------+
-| magic  | header len | payload len | crc32   | header (JSON)  | payload |
-| 4 B    | u32 BE     | u64 BE      | u32 BE  | header_len B   | raw B   |
-+--------+------------+-------------+---------+----------------+---------+
-```
-
-The JSON header names the message ``kind``, its scalar ``meta`` fields,
-and the dtype/shape manifest of the binary arrays concatenated in the
-payload — CSR operands and result chunks travel as their raw
-``row_offsets`` / ``col_ids`` / ``data`` buffers, never pickled.  The
-CRC32 (:func:`repro.core.governor.integrity.crc32_bytes` — the same
-integrity layer that stamps spilled and checkpointed chunks) covers
-header *and* payload, so a torn write, a truncated stream, or a
-bit-flip on the wire surfaces as a typed :class:`FrameCorruption`
-instead of a silently wrong operand.
-
-A clean EOF between frames is a normal connection end; an EOF *inside*
-a frame is a severed connection and raises :class:`TransportClosed` —
-callers (the node-side pool) treat both as reconnectable transport
-faults, never as data.
+A frame that fails to decode — a torn write, a bit-flip on the wire —
+surfaces as a typed :class:`FrameCorruption` instead of a silently
+wrong operand.  A clean EOF between frames is a normal connection end;
+an EOF or a timeout *inside* a frame is a severed connection and raises
+:class:`TransportClosed` — callers (the node-side pool) treat all of
+these as reconnectable transport faults, never as data.
 
 Addresses are strings — ``tcp:HOST:PORT`` or ``unix:PATH`` — so the
 same worker binary, CLI flag, and test can run over localhost TCP or a
@@ -32,17 +22,16 @@ unix domain socket.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
-import struct
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ...core.governor.integrity import crc32_bytes
+from ...sparse import codec
+from ...sparse.codec import FrameError, csr_arrays, pack_frame
 from ...sparse.formats import CSRMatrix
 
 __all__ = [
@@ -66,11 +55,9 @@ __all__ = [
 #: and the node refuses a worker speaking a different version.
 PROTOCOL_VERSION = 1
 
-_MAGIC = b"RSW1"
-_HEADER = struct.Struct(">4sIQI")  # magic, header_len, payload_len, crc32
-#: sanity caps — a corrupted length field must fail fast, not allocate
-_MAX_HEADER_BYTES = 64 << 20
-_MAX_PAYLOAD_BYTES = 1 << 40
+#: once a frame has started arriving, the rest of it gets at least this
+#: long (seconds) however short the caller's idle-poll timeout is
+_MID_FRAME_TIMEOUT = 30.0
 
 
 class TransportError(RuntimeError):
@@ -97,7 +84,7 @@ class Frame:
     kind: str
     meta: dict = field(default_factory=dict)
     arrays: Dict[str, np.ndarray] = field(default_factory=dict)
-    #: total framed size (header struct + header + payload)
+    #: total framed size (prefix struct + header + payload)
     nbytes: int = 0
     #: wall seconds spent reading the frame *after* its first bytes
     #: arrived — the measured wire time, excluding the wait for the
@@ -105,13 +92,21 @@ class Frame:
     wire_seconds: float = 0.0
 
 
-def _recv_exact(sock: socket.socket, n: int, *, mid_frame: bool) -> bytes:
-    """Read exactly ``n`` bytes; raise :class:`TransportClosed` on EOF."""
+def _recv_exact(sock: socket.socket, n: int, *, mid_frame: bool) -> bytearray:
+    """Read exactly ``n`` bytes; raise :class:`TransportClosed` on EOF,
+    reset, or a timeout once part of a frame has been consumed.  Memory
+    grows with what actually arrives, never with what a (possibly
+    corrupted) length field announced."""
     chunks = []
     remaining = n
     while remaining > 0:
         try:
             part = sock.recv(min(remaining, 1 << 20))
+        except socket.timeout as exc:
+            if not (mid_frame or chunks):
+                raise  # nothing consumed: the caller's idle poll
+            # the bytes already read are gone — the stream is desynchronised
+            raise TransportClosed(f"timed out mid-frame: {exc}") from exc
         except (ConnectionError, BrokenPipeError) as exc:
             raise TransportClosed(f"connection reset mid-read: {exc}") from exc
         if not part:
@@ -119,27 +114,7 @@ def _recv_exact(sock: socket.socket, n: int, *, mid_frame: bool) -> bytes:
             raise TransportClosed(f"peer closed the connection {where}")
         chunks.append(part)
         remaining -= len(part)
-    return b"".join(chunks)
-
-
-def pack_frame(kind: str, meta: Optional[dict] = None,
-               arrays: Optional[Dict[str, np.ndarray]] = None) -> bytes:
-    """The full wire encoding of one message (header struct included)."""
-    payload_parts = []
-    manifest = []
-    for name, arr in (arrays or {}).items():
-        buf = np.ascontiguousarray(arr)
-        manifest.append({"name": name, "dtype": buf.dtype.str,
-                         "shape": list(buf.shape)})
-        payload_parts.append(buf.tobytes())
-    header = json.dumps(
-        {"kind": kind, "meta": meta or {}, "arrays": manifest},
-        separators=(",", ":"),
-    ).encode("utf-8")
-    payload = b"".join(payload_parts)
-    crc = crc32_bytes(header, payload)
-    prefix = _HEADER.pack(_MAGIC, len(header), len(payload), crc)
-    return prefix + header + payload
+    return bytearray().join(chunks)  # writable: decoded arrays alias it
 
 
 def send_frame(sock: socket.socket, kind: str, meta: Optional[dict] = None,
@@ -162,72 +137,30 @@ def recv_frame(sock: socket.socket) -> Frame:
 
     A ``socket.timeout`` while waiting for the *first* byte propagates
     to the caller (that is the heartbeat-lease poll); once a frame has
-    started arriving the read runs to completion.
+    started arriving the read runs to completion, and a timeout from
+    then on is a :class:`TransportClosed`.  The decoded arrays own
+    their memory (they alias the receive buffer, which nothing else
+    holds).
     """
-    prefix = _recv_exact(sock, _HEADER.size, mid_frame=False)
+    prefix = _recv_exact(sock, codec.FRAME_PREFIX.size, mid_frame=False)
     t0 = time.perf_counter()
-    magic, header_len, payload_len, crc = _HEADER.unpack(prefix)
-    if magic != _MAGIC:
-        raise FrameCorruption(f"bad frame magic {magic!r}")
-    if header_len > _MAX_HEADER_BYTES or payload_len > _MAX_PAYLOAD_BYTES:
-        raise FrameCorruption(
-            f"implausible frame lengths (header {header_len}, "
-            f"payload {payload_len}) — corrupted stream"
-        )
-    # the frame has started: finish it even under a short poll timeout
-    timeout = sock.gettimeout()
-    if timeout is not None:
-        sock.settimeout(max(timeout, 30.0))
     try:
-        header = _recv_exact(sock, header_len, mid_frame=True)
-        payload = _recv_exact(sock, payload_len, mid_frame=True)
-    finally:
-        sock.settimeout(timeout)
-    actual = crc32_bytes(header, payload)
-    if actual != crc:
-        raise FrameCorruption(
-            f"frame checksum mismatch (stored {crc:#010x}, "
-            f"recomputed {actual:#010x})"
-        )
-    try:
-        decoded = json.loads(header.decode("utf-8"))
-        kind = decoded["kind"]
-        meta = decoded.get("meta", {})
-        manifest = decoded.get("arrays", [])
-    except (ValueError, KeyError) as exc:
-        raise FrameCorruption(f"unparseable frame header: {exc}") from exc
-    arrays: Dict[str, np.ndarray] = {}
-    offset = 0
-    for entry in manifest:
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * dtype.itemsize
-        if offset + nbytes > len(payload):
-            raise FrameCorruption(
-                f"array {entry['name']!r} overruns the frame payload"
-            )
-        arrays[entry["name"]] = np.frombuffer(
-            payload, dtype=dtype, count=count, offset=offset
-        ).reshape(shape).copy()  # own the memory; payload buffer dies here
-        offset += nbytes
-    total = _HEADER.size + header_len + payload_len
-    return Frame(kind=kind, meta=meta, arrays=arrays, nbytes=total,
+        header_len, payload_len, crc = codec.unpack_prefix(prefix)
+        # the frame has started: finish it even under a short poll timeout
+        timeout = sock.gettimeout()
+        if timeout is not None:
+            sock.settimeout(max(timeout, _MID_FRAME_TIMEOUT))
+        try:
+            header = _recv_exact(sock, header_len, mid_frame=True)
+            payload = _recv_exact(sock, payload_len, mid_frame=True)
+        finally:
+            sock.settimeout(timeout)
+        kind, meta, arrays = codec.unpack_body(header, payload, crc)
+    except FrameError as exc:
+        raise FrameCorruption(str(exc)) from exc
+    return Frame(kind=kind, meta=meta, arrays=arrays,
+                 nbytes=len(prefix) + header_len + payload_len,
                  wire_seconds=time.perf_counter() - t0)
-
-
-# ----------------------------------------------------------------------
-# CSR codec — binary, never pickled
-# ----------------------------------------------------------------------
-def csr_arrays(mat: CSRMatrix, prefix: str = "") -> Tuple[dict, Dict[str, np.ndarray]]:
-    """``(meta, arrays)`` encoding of a CSR matrix for one frame."""
-    meta = {f"{prefix}shape": [int(mat.n_rows), int(mat.n_cols)]}
-    arrays = {
-        f"{prefix}row_offsets": mat.row_offsets,
-        f"{prefix}col_ids": mat.col_ids,
-        f"{prefix}data": mat.data,
-    }
-    return meta, arrays
 
 
 def csr_from_arrays(meta: dict, arrays: Dict[str, np.ndarray],
@@ -235,18 +168,9 @@ def csr_from_arrays(meta: dict, arrays: Dict[str, np.ndarray],
     """Decode a CSR matrix framed by :func:`csr_arrays` (validated —
     a corrupt structure raises before it can reach a kernel)."""
     try:
-        shape = meta[f"{prefix}shape"]
-        return CSRMatrix(
-            int(shape[0]), int(shape[1]),
-            arrays[f"{prefix}row_offsets"],
-            arrays[f"{prefix}col_ids"],
-            arrays[f"{prefix}data"],
-            check=True,
-        )
-    except (KeyError, ValueError, IndexError) as exc:
-        raise FrameCorruption(
-            f"framed CSR matrix (prefix {prefix!r}) failed validation: {exc}"
-        ) from exc
+        return codec.csr_from_arrays(meta, arrays, prefix)
+    except FrameError as exc:
+        raise FrameCorruption(str(exc)) from exc
 
 
 # ----------------------------------------------------------------------

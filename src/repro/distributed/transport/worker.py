@@ -46,7 +46,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ...core.chunks import STAT_FIELDS, ChunkGrid, ChunkStats
+from ...core.chunks import ChunkGrid, ChunkStats
 from ...core.executor import execute_chunk_grid
 from ...core.executor.faults import RetryPolicy
 from ...core.governor import Governor, GovernorConfig
@@ -64,25 +64,10 @@ from .wire import (
     send_frame,
 )
 
-__all__ = ["ShardWorker", "shard_worker_main", "stats_record", "stats_from_record"]
+__all__ = ["ShardWorker", "shard_worker_main"]
 
 #: default wire heartbeat period (seconds) when a run does not set one
 DEFAULT_HEARTBEAT_INTERVAL = 0.25
-
-
-def stats_record(stats: ChunkStats) -> dict:
-    """JSON-safe dict of one :class:`ChunkStats` (the manifest encoding)."""
-    record = {}
-    for f in STAT_FIELDS:
-        v = getattr(stats, f)
-        if isinstance(v, np.generic):
-            v = v.item()
-        record[f] = v
-    return record
-
-
-def stats_from_record(record: dict) -> ChunkStats:
-    return ChunkStats(**{f: record[f] for f in STAT_FIELDS})
 
 
 class _Shutdown(Exception):
@@ -111,7 +96,7 @@ class _StreamingSink:
     def mark_done(self, stats: ChunkStats, crc32: Optional[int] = None) -> None:
         matrix = self._pending.pop((stats.row_panel, stats.col_panel))
         meta, arrays = csr_arrays(matrix, prefix="c_")
-        meta["stats"] = stats_record(stats)
+        meta["stats"] = stats.to_record()
         meta["crc32"] = int(crc32) if crc32 is not None else None
         self._connection.send_chunk("chunk", meta, arrays)
 
@@ -294,7 +279,7 @@ class ShardWorker:
             col_bounds=np.asarray(meta["grid"]["col_bounds"], dtype=np.int64),
         )
         cfg = meta.get("config") or {}
-        skip = {int(rec["chunk_id"]): stats_from_record(rec)
+        skip = {int(rec["chunk_id"]): ChunkStats.from_record(rec)
                 for rec in meta.get("skip", [])}
         retries = int(cfg.get("retries") or 1)
         retry = None

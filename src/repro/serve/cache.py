@@ -44,8 +44,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
+from ..sparse.codec import csr_buffers
 from ..sparse.formats import CSRMatrix
 from ..sparse.shm import (
     SharedCSR,
@@ -70,10 +69,9 @@ def content_hash(matrix: CSRMatrix) -> str:
     to — so equal hashes mean bit-identical operands and two matrices
     differing only in values still address different cache entries.
     """
-    h = hashlib.sha256()
-    h.update(repr(matrix.shape).encode())
-    for arr in (matrix.row_offsets, matrix.col_ids, matrix.data):
-        h.update(np.ascontiguousarray(arr).tobytes())
+    h = hashlib.sha256(repr(matrix.shape).encode())
+    for buf in csr_buffers(matrix):
+        h.update(buf)
     return h.hexdigest()
 
 

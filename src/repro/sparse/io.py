@@ -90,37 +90,22 @@ def write_matrix_market(path: PathLike, mat: CSRMatrix, comment: str = "") -> No
             fh.write(f"{r + 1} {c + 1} {float(v)!r}\n")
 
 
-def save_npz(path: PathLike, mat: CSRMatrix, *, extra=None) -> None:
-    """Save a CSR matrix as a compressed numpy archive.
-
-    ``extra`` adds named arrays alongside the CSR fields (e.g. the chunk
-    stores' integrity checksum); names must not collide with the CSR
-    keys.  Plain :func:`load_npz` ignores extras, so archives written
-    with them stay readable by older loaders.
-    """
-    extra = dict(extra or {})
-    reserved = {"shape", "row_offsets", "col_ids", "data"} & set(extra)
-    if reserved:
-        raise ValueError(f"extra keys collide with CSR fields: {sorted(reserved)}")
+def save_npz(path: PathLike, mat: CSRMatrix) -> None:
+    """Save a CSR matrix as a compressed numpy archive."""
     np.savez_compressed(
         path,
         shape=np.array(mat.shape, dtype=INDEX_DTYPE),
         row_offsets=mat.row_offsets,
         col_ids=mat.col_ids,
         data=mat.data,
-        **extra,
     )
 
 
-def load_npz(path: PathLike, *, with_extras: bool = False):
-    """Load a CSR matrix saved by :func:`save_npz`.
-
-    With ``with_extras`` returns ``(matrix, extras)`` where ``extras``
-    holds any non-CSR arrays stored in the archive.
-    """
+def load_npz(path: PathLike) -> CSRMatrix:
+    """Load a CSR matrix saved by :func:`save_npz`."""
     with np.load(path) as archive:
         shape = archive["shape"]
-        mat = CSRMatrix(
+        return CSRMatrix(
             int(shape[0]),
             int(shape[1]),
             archive["row_offsets"],
@@ -128,10 +113,3 @@ def load_npz(path: PathLike, *, with_extras: bool = False):
             archive["data"],
             check=True,
         )
-        if not with_extras:
-            return mat
-        extras = {
-            key: archive[key] for key in archive.files
-            if key not in ("shape", "row_offsets", "col_ids", "data")
-        }
-        return mat, extras

@@ -10,11 +10,9 @@ copy, once per run — and workers reconstruct read-only
 from a tiny :class:`SharedCSRDescriptor`.  Attachment is zero-copy: the
 numpy arrays alias the shared mapping directly.
 
-Layout of one segment (one CSR matrix)::
-
-    [ row_offsets : (n_rows + 1) x int64 ]
-    [ col_ids     :  nnz x int64        ]
-    [ data        :  nnz x float64      ]
+One segment holds one CSR matrix in the layout of
+:mod:`repro.sparse.codec` (DESIGN.md, "Byte layout"); this module adds
+only the segment's name and lifetime.
 
 Lifecycle rules (see ``docs/EXECUTORS.md``):
 
@@ -42,9 +40,8 @@ from multiprocessing import shared_memory
 from pathlib import Path
 from typing import List, Optional
 
-import numpy as np
-
-from .formats import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
+from .codec import csr_buffers, csr_from_buffer, csr_nbytes
+from .formats import CSRMatrix
 
 __all__ = [
     "SharedCSRDescriptor",
@@ -54,9 +51,6 @@ __all__ = [
     "register_cleanup_prefix",
     "unregister_cleanup_prefix",
 ]
-
-_INDEX_ITEMSIZE = np.dtype(INDEX_DTYPE).itemsize
-_VALUE_ITEMSIZE = np.dtype(VALUE_DTYPE).itemsize
 
 
 @dataclass(frozen=True)
@@ -72,9 +66,7 @@ class SharedCSRDescriptor:
 
     @property
     def nbytes(self) -> int:
-        return (self.n_rows + 1) * _INDEX_ITEMSIZE + self.nnz * (
-            _INDEX_ITEMSIZE + _VALUE_ITEMSIZE
-        )
+        return csr_nbytes(self.n_rows, self.nnz)
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -124,27 +116,14 @@ class SharedCSR:
             name=name, create=True, size=max(desc.nbytes, 1)
         )
         shared = cls(shm, desc, owner=True)
-        ro, ci, da = shared._views()
-        ro[:] = matrix.row_offsets
-        ci[:] = matrix.col_ids
-        da[:] = matrix.data
+        for dst, src in zip(csr_buffers(shared.matrix), csr_buffers(matrix)):
+            dst[:] = src
         return shared
 
     @classmethod
     def attach(cls, descriptor: SharedCSRDescriptor) -> "SharedCSR":
         """Map an existing segment; ``.matrix`` gives zero-copy views."""
         return cls(_attach_untracked(descriptor.name), descriptor, owner=False)
-
-    def _views(self):
-        d = self._descriptor
-        buf = self._shm.buf
-        off_ro = 0
-        off_ci = (d.n_rows + 1) * _INDEX_ITEMSIZE
-        off_da = off_ci + d.nnz * _INDEX_ITEMSIZE
-        ro = np.ndarray(d.n_rows + 1, dtype=INDEX_DTYPE, buffer=buf, offset=off_ro)
-        ci = np.ndarray(d.nnz, dtype=INDEX_DTYPE, buffer=buf, offset=off_ci)
-        da = np.ndarray(d.nnz, dtype=VALUE_DTYPE, buffer=buf, offset=off_da)
-        return ro, ci, da
 
     # ------------------------------------------------------------------
     # access
@@ -164,20 +143,14 @@ class SharedCSR:
         The returned matrix must be treated as read-only and must not
         outlive this object — its arrays alias the mapping."""
         if self._matrix is None:
-            ro, ci, da = self._views()
-            self._matrix = CSRMatrix(
-                self._descriptor.n_rows, self._descriptor.n_cols,
-                ro, ci, da, check=False,
-            )
+            d = self._descriptor
+            self._matrix = csr_from_buffer(
+                self._shm.buf, d.n_rows, d.n_cols, d.nnz, check=False)
         return self._matrix
 
     def copy_matrix(self) -> CSRMatrix:
         """An independent (heap-allocated) copy of the stored matrix."""
-        ro, ci, da = self._views()
-        return CSRMatrix(
-            self._descriptor.n_rows, self._descriptor.n_cols,
-            ro.copy(), ci.copy(), da.copy(), check=False,
-        )
+        return self.matrix.copy()
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -1,13 +1,13 @@
 """Tests for the chunk stores (host-side spill)."""
 
-import numpy as np
+import zlib
+
 import pytest
 
 from repro.core.api import run_out_of_core
 from repro.core.chunks import ChunkGrid
 from repro.core.governor.integrity import ChunkCorruption
 from repro.core.spill import (
-    CHUNK_CRC_KEY,
     DiskChunkStore,
     MemoryChunkStore,
     SpillableChunkStore,
@@ -71,10 +71,10 @@ class TestDiskSpecifics:
     def test_files_created_and_removed(self, tmp_path):
         store = DiskChunkStore(tmp_path / "spill")
         store.put(0, 0, random_csr(8, 8, 10, seed=8))
-        files = list((tmp_path / "spill").glob("*.npz"))
+        files = list((tmp_path / "spill").glob("chunk_*"))
         assert len(files) == 1
         store.close()
-        assert not list((tmp_path / "spill").glob("*.npz"))
+        assert not list((tmp_path / "spill").glob("chunk_*"))
 
     def test_temp_dir_default(self):
         store = DiskChunkStore()
@@ -105,28 +105,81 @@ class TestIntegrity:
 
     def test_garbage_file_raises_typed_corruption(self, tmp_path):
         store, path = self._stored(tmp_path)
-        path.write_bytes(b"not a zip archive at all")
+        path.write_bytes(b"not a frame at all, but long enough to hold a prefix")
         with pytest.raises(ChunkCorruption):
             store.get(1, 2)
 
     def test_silent_bit_flip_caught_by_crc(self, tmp_path):
-        # the file stays perfectly parseable — only the checksum can
-        # tell the payload is not the chunk that was checkpointed
+        # same length, same header, one value bit flipped — only the
+        # checksum can tell the payload is not the chunk that was written
         store, path = self._stored(tmp_path)
-        with np.load(path) as archive:
-            arrays = {k: archive[k].copy() for k in archive.files}
-        arrays["data"][0] += 1.0
-        np.savez_compressed(path, **arrays)
+        raw = bytearray(zlib.decompress(path.read_bytes()))
+        raw[-1] ^= 0x01
+        path.write_bytes(zlib.compress(raw))
         with pytest.raises(ChunkCorruption, match="checksum mismatch"):
             store.get(1, 2)
 
-    def test_legacy_file_without_crc_still_loads(self, tmp_path):
+    def test_bit_flip_in_the_deflate_stream_is_typed(self, tmp_path):
         store, path = self._stored(tmp_path)
-        with np.load(path) as archive:
-            arrays = {k: archive[k].copy() for k in archive.files
-                      if k != CHUNK_CRC_KEY}
-        np.savez_compressed(path, **arrays)
-        assert store.get(1, 2) == self.chunk
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ChunkCorruption):
+            store.get(1, 2)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        # a valid frame followed by anything is not a chunk file, inside
+        # the deflate stream or after it
+        store, path = self._stored(tmp_path)
+        intact = path.read_bytes()
+        path.write_bytes(zlib.compress(zlib.decompress(intact) + b"\0"))
+        with pytest.raises(ChunkCorruption, match="do not add up"):
+            store.get(1, 2)
+        path.write_bytes(intact + b"\0")
+        with pytest.raises(ChunkCorruption, match="one deflate stream"):
+            store.get(1, 2)
+
+    def test_structurally_invalid_chunk_rejected(self, tmp_path):
+        # a well-formed frame (valid CRC) whose CSR breaks an invariant
+        from repro.sparse.codec import csr_arrays, pack_frame
+
+        store, path = self._stored(tmp_path)
+        meta, arrays = csr_arrays(self.chunk)
+        arrays["col_ids"] = arrays["col_ids"].copy()
+        arrays["col_ids"][0] = 10_000  # column outside the matrix
+        path.write_bytes(zlib.compress(pack_frame("chunk", meta, arrays)))
+        with pytest.raises(ChunkCorruption, match="validation"):
+            store.get(1, 2)
+
+    def test_pre_frame_npz_chunks_are_recomputed_on_resume(self, tmp_path):
+        # a checkpoint directory written before chunk files were frames
+        # holds only chunk_R_C.npz files: none is adopted, so resume
+        # recomputes every chunk and still returns the bit-identical C
+        from repro.core.spill import RunManifest
+        from repro.sparse.io import save_npz
+
+        a = random_csr(40, 40, 160, seed=16)
+        node = v100_node(1 << 30)
+        grid = ChunkGrid.regular(40, 40, 2, 2)
+        chunks = tmp_path / "chunks"
+        manifest = tmp_path / "run.json"
+        store = DiskChunkStore(chunks)
+        reference = run_out_of_core(
+            a, a, node, grid=grid, chunk_store=store, checkpoint=manifest,
+        ).matrix
+        for rp, cp in list(store.keys()):
+            save_npz(chunks / f"chunk_{rp}_{cp}.npz", store.get(rp, cp))
+            store.discard(rp, cp)
+
+        legacy = DiskChunkStore(chunks)
+        assert len(legacy) == 0
+        result = run_out_of_core(
+            a, a, node, chunk_store=legacy, resume=RunManifest.load(manifest),
+        )
+        assert result.meta["resumed_chunks"] == 0
+        assert result.meta["corrupt_recomputed"] == grid.num_chunks
+        assert result.matrix == reference
+        assert len(legacy) == grid.num_chunks
 
 
 class TestSpillableStore:

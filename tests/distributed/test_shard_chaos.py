@@ -157,7 +157,7 @@ class TestResumeSpliceEdges:
         err = exc_info.value
         assert set(err.failures) == {1}
         # shard 1's store really is empty — zero completed chunks
-        assert not list((tmp_path / "ckpt" / "shard1.chunks").glob("*.npz"))
+        assert not list((tmp_path / "ckpt" / "shard1.chunks").glob("chunk_*"))
 
         res = run_sharded(a, b, proc_config(),
                           checkpoint_dir=tmp_path / "ckpt", resume=True)
@@ -177,7 +177,7 @@ class TestResumeSpliceEdges:
         a, b = operands
         run_sharded(a, b, proc_config(), checkpoint_dir=tmp_path / "ckpt")
         chunk_files = sorted(
-            (tmp_path / "ckpt" / "shard0.chunks").glob("chunk_*.npz"))
+            (tmp_path / "ckpt" / "shard0.chunks").glob("chunk_*.frame"))
         assert chunk_files
         victim = chunk_files[0]
         blob = bytearray(victim.read_bytes())

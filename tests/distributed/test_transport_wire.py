@@ -13,6 +13,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro.distributed.transport import wire
 from repro.distributed.transport.wire import (
     FrameCorruption,
     TransportClosed,
@@ -107,6 +108,36 @@ class TestFrameFailures:
             with pytest.raises(TransportClosed, match="mid-frame"):
                 recv_frame(right)
         finally:
+            right.close()
+
+    def test_idle_timeout_propagates(self):
+        # nothing consumed: this is the pool's heartbeat-lease poll
+        left, right = pair()
+        right.settimeout(0.02)
+        try:
+            with pytest.raises(socket.timeout):
+                recv_frame(right)
+        finally:
+            left.close()
+            right.close()
+
+    @pytest.mark.parametrize("sent", [5, 16 + 3])
+    def test_timeout_mid_frame_is_severed(self, monkeypatch, sent):
+        # part of a frame arrived (a torn prefix, or a whole prefix
+        # announcing a payload that never comes) and then the peer went
+        # silent: the consumed bytes are gone, so the stream cannot be
+        # polled again — it must tear like any other mid-frame loss
+        monkeypatch.setattr(wire, "_MID_FRAME_TIMEOUT", 0.05)
+        left, right = pair()
+        frame = pack_frame("chunk", {"stats": {}}, {"x": np.zeros(100)})
+        left.sendall(frame[:sent])
+        right.settimeout(0.02)
+        try:
+            with pytest.raises(TransportClosed, match="timed out mid-frame"):
+                recv_frame(right)
+            assert right.gettimeout() == 0.02  # caller's poll restored
+        finally:
+            left.close()
             right.close()
 
     def test_crc_flip_detected(self):
