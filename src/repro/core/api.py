@@ -396,15 +396,18 @@ def run_hybrid(
         from .executor.plan import ChunkPlan
 
         if grid is None:
-            grid = plan_grid(a, b, node).grid
-        hybrid = plan_hybrid_lanes(chunk_flops(a, b, grid), workers, ratio)
+            report = plan_grid(a, b, node)
+            grid, flops = report.grid, report.flops
+        else:
+            flops = chunk_flops(a, b, grid)
+        hybrid = plan_hybrid_lanes(flops, workers, ratio)
         plan = ChunkPlan.from_hybrid(hybrid, kernel=resolve_kernel(kernel))
         profile, outputs = execute_chunk_grid(
             a, b, grid, keep_outputs=keep_output, name=name,
             window=window, plan=plan, tracer=tracer,
             backend=backend,
             retry=retry, crash_budget=crash_budget, faults=faults,
-            governor=governor,
+            governor=governor, flops=flops,
         )
     else:
         profile, outputs = make_profile(

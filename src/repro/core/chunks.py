@@ -32,6 +32,7 @@ __all__ = [
     "ChunkGrid",
     "ChunkStats",
     "ChunkProfile",
+    "ProductTable",
     "chunk_flops",
     "profile_chunks",
 ]
@@ -230,24 +231,46 @@ class ChunkProfile:
         )
 
 
-def chunk_flops(a: CSRMatrix, b: CSRMatrix, grid: ChunkGrid) -> np.ndarray:
-    """Flops of every chunk, vectorized (``GetFlops`` for the whole grid).
+class ProductTable:
+    """Row-prefix product counts of ``A x B`` for one column split.
 
-    Result is a ``(num_row_panels, num_col_panels)`` int64 matrix.  Uses
-    the ``col_offset`` split structure: nnz of each B row restricted to
-    each column panel, gathered per A element, segment-summed per row
-    panel.
+    ``prefix[i, p]`` is the number of intermediate products rows
+    ``[0, i)`` of A form with column panel ``p`` of B, so the count of
+    *any* row range x panel is one subtraction.  Built from the paper's
+    ``col_offset`` structure (Section III.D) in one pass over B and one
+    cumulative sum per panel over ``A.col_ids``; every grid sharing
+    these ``col_bounds`` is then answered without touching A or B
+    again.  Holds ``(n_rows_A + 1) x c`` int64, never ``nnz_A x c``.
     """
-    splits = build_col_offsets(b, grid.col_bounds)
-    per_row_per_panel = np.diff(splits, axis=1)  # (n_rows_B, num_col_panels)
-    per_elem = per_row_per_panel[a.col_ids, :]   # (nnz_A, num_col_panels)
 
-    out = np.zeros((grid.num_row_panels, grid.num_col_panels), dtype=np.int64)
-    for rp in range(grid.num_row_panels):
-        lo = int(a.row_offsets[grid.row_bounds[rp]])
-        hi = int(a.row_offsets[grid.row_bounds[rp + 1]])
-        out[rp, :] = per_elem[lo:hi, :].sum(axis=0)
-    return 2 * out
+    def __init__(self, a: CSRMatrix, b: CSRMatrix, col_bounds: np.ndarray):
+        if a.n_cols != b.n_rows:
+            raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
+        splits = build_col_offsets(b, col_bounds)
+        # (c, n_rows_B): nnz of each B row inside each column panel
+        per_panel = np.ascontiguousarray(np.diff(splits, axis=1).T)
+        self.col_bounds = np.asarray(col_bounds, dtype=np.int64)
+        self.prefix = np.empty((a.n_rows + 1, per_panel.shape[0]), dtype=np.int64)
+        running = np.zeros(a.nnz + 1, dtype=np.int64)
+        for p, b_row_nnz in enumerate(per_panel):
+            np.cumsum(b_row_nnz[a.col_ids], out=running[1:])
+            self.prefix[:, p] = running[a.row_offsets]
+
+    def row_products(self) -> np.ndarray:
+        """``(n_rows_A, c)`` products of each single row of A."""
+        return np.diff(self.prefix, axis=0)
+
+    def products(self, row_bounds: np.ndarray) -> np.ndarray:
+        """``(r, c)`` products of every chunk of the grid these row
+        bounds cut (flops are twice that)."""
+        return np.diff(self.prefix[row_bounds], axis=0)
+
+
+def chunk_flops(a: CSRMatrix, b: CSRMatrix, grid: ChunkGrid) -> np.ndarray:
+    """Flops of every chunk (``GetFlops`` for the whole grid): a
+    ``(num_row_panels, num_col_panels)`` int64 matrix read off the
+    grid's :class:`ProductTable`."""
+    return 2 * ProductTable(a, b, grid.col_bounds).products(grid.row_bounds)
 
 
 def profile_chunks(

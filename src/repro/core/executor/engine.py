@@ -655,6 +655,7 @@ def execute_chunk_grid(
     estimate=None,
     chunk_events=None,
     col_panels: Optional[PanelSet] = None,
+    flops: Optional[np.ndarray] = None,
 ) -> Tuple[ChunkProfile, Optional[List[List[CSRMatrix]]]]:
     """Execute every chunk of ``C = A x B`` and profile it, concurrently.
 
@@ -773,6 +774,11 @@ def execute_chunk_grid(
         :mod:`repro.distributed.shard`).  Must describe this exact
         ``b``; the bounds are validated, the content is the caller's
         contract.  ``None`` (default) partitions here.
+    flops:
+        The grid's :func:`~repro.core.chunks.chunk_flops` matrix when
+        the caller already holds it (a ``PlanReport.flops``, a sharded
+        run's row slice); it orders dispatch and bounds the governor's
+        checks, and is derived here, once, only if those need it.
 
     This function is re-entrant: all per-run state lives on the
     :class:`GridJob` (a fresh tracer/governor pair per call), cooperative
@@ -819,6 +825,16 @@ def execute_chunk_grid(
         col_panels.boundaries, grid.col_bounds
     ):
         raise ValueError("grid boundaries disagree with panel partitioning")
+    grid_shape = (grid.num_row_panels, grid.num_col_panels)
+    if flops is not None and flops.shape != grid_shape:
+        raise ValueError(
+            f"flops has shape {flops.shape}, the grid is {grid_shape}")
+
+    def grid_flops() -> np.ndarray:
+        nonlocal flops
+        if flops is None:
+            flops = chunk_flops(a, b, grid)
+        return flops
 
     num_chunks = grid.num_chunks
     if lanes is None:
@@ -827,7 +843,7 @@ def execute_chunk_grid(
         elif workers <= 1 and backend_name == "thread":
             lanes = [(list(range(num_chunks)), 1)]
         else:
-            order = flops_desc_order(chunk_flops(a, b, grid))
+            order = flops_desc_order(grid_flops())
             lanes = [(order, workers)]
     else:
         seen = sorted(cid for ids, _ in lanes for cid in ids)
@@ -862,13 +878,16 @@ def execute_chunk_grid(
 
             chunk_est = estimate_chunks(a, b, grid, estimate)
         if gov.device_pool_bytes is not None:
-            # flops = 2 x products (chunk_flops convention)
-            chunk_products = (chunk_flops(a, b, grid).reshape(-1) // 2)
             if chunk_est is not None:
+                chunk_products = chunk_est.products.reshape(-1)
                 est_device_bytes = chunk_est.device_bytes()
+            else:
+                # flops = 2 x products (chunk_flops convention)
+                chunk_products = grid_flops().reshape(-1) // 2
         if gov.hostmem is not None:
             host_estimates = (chunk_est.host_bytes() if chunk_est is not None
-                              else chunk_output_estimates(a, b, grid))
+                              else chunk_output_estimates(
+                                  a, b, grid, flops=grid_flops()))
 
     job = GridJob(
         grid, row_panels, col_panels,

@@ -82,7 +82,7 @@ def filter_lanes(lanes, lane_names, skip) -> Tuple[list, list]:
     return kept_lanes, kept_names
 
 
-def chunk_output_estimates(a, b, grid, estimate=None) -> List[int]:
+def chunk_output_estimates(a, b, grid, estimate=None, *, flops=None) -> List[int]:
     """Pre-execution upper bound on each chunk's host-side output bytes.
 
     ``nnz_out <= min(products, rows x width)``: a chunk cannot produce
@@ -94,26 +94,23 @@ def chunk_output_estimates(a, b, grid, estimate=None) -> List[int]:
     ``estimate`` (a :class:`~repro.spgemm.estimate.RowNnzEstimate`)
     replaces the bound with sampled upper-confidence chunk bytes — much
     tighter on high-compression matrices, so admission control stops
-    reserving for outputs that cannot materialize.
+    reserving for outputs that cannot materialize.  ``flops`` is the
+    grid's :func:`~repro.core.chunks.chunk_flops` when the caller
+    already holds it.
     """
     from ..chunks import chunk_flops, csr_bytes  # deferred: chunks imports engine
 
     if estimate is not None:
         from ...spgemm.estimate import estimate_chunks  # deferred: cycle
 
-        return [int(x) for x in estimate_chunks(a, b, grid, estimate).host_bytes()]
+        return estimate_chunks(a, b, grid, estimate).host_bytes().tolist()
 
-    products = chunk_flops(a, b, grid) // 2  # flops = 2 x products
-    row_counts = np.diff(grid.row_bounds)
-    col_widths = np.diff(grid.col_bounds)
-    estimates = []
-    for rp in range(grid.num_row_panels):
-        rows = int(row_counts[rp])
-        for cp in range(grid.num_col_panels):
-            dense = rows * int(col_widths[cp])
-            nnz_bound = min(int(products[rp, cp]), dense)
-            estimates.append(csr_bytes(rows, nnz_bound))
-    return estimates
+    if flops is None:
+        flops = chunk_flops(a, b, grid)
+    rows = np.diff(grid.row_bounds)[:, None]
+    dense = rows * np.diff(grid.col_bounds)[None, :]
+    nnz_bound = np.minimum(flops // 2, dense)  # flops = 2 x products
+    return csr_bytes(rows, nnz_bound).ravel().tolist()
 
 
 def flops_desc_order(flops_flat: np.ndarray) -> List[int]:

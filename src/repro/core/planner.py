@@ -15,14 +15,16 @@ so the chunk budget is halved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+import functools
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..device.specs import NodeSpec
 from ..sparse.formats import CSRMatrix
-from .chunks import BYTES_PER_ELEM, ChunkGrid, chunk_flops, csr_bytes
+from ..sparse.partition import panel_boundaries
+from .chunks import BYTES_PER_ELEM, ChunkGrid, ProductTable, csr_bytes
 
 __all__ = [
     "PlanReport",
@@ -52,6 +54,10 @@ class PlanReport:
     #: True when chunk footprints were sized from a sampled estimate
     #: (UB-ceilinged) rather than the raw flops upper bound
     estimated: bool = False
+    #: flops of every chunk of ``grid`` (``chunk_flops`` of it), so the
+    #: executor's ordering, the governor's bounds and the hybrid/shard
+    #: splits need not derive them again
+    flops: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @property
     def fits(self) -> bool:
@@ -61,7 +67,8 @@ class PlanReport:
 def chunk_footprint_bytes(rows: int, flops: int) -> int:
     """Worst-case device bytes needed to produce one chunk, beyond the
     resident input panels: intermediates (hash tables over all products)
-    plus the worst-case output (every product distinct)."""
+    plus the worst-case output (every product distinct).  Arrays
+    broadcast, pricing a whole grid at once."""
     products = flops // 2
     out_upper = csr_bytes(rows, products)
     intermediates = products * INTERMEDIATE_BYTES_PER_PRODUCT
@@ -97,33 +104,109 @@ def working_set_bytes(n: int, nnz_in: int, flops: int, nnz_out: int) -> int:
 def estimated_chunk_footprint_bytes(rows: int, nnz_hi: float) -> int:
     """Device bytes to produce one chunk when intermediates and output
     are sized from a sampled nnz estimate (OCEAN) instead of the flops
-    upper bound.  Callers must still apply the UB ceiling."""
-    nnz = int(np.ceil(nnz_hi))
+    upper bound.  Callers must still apply the UB ceiling.  Arrays
+    broadcast, like :func:`chunk_footprint_bytes`."""
+    nnz = np.ceil(nnz_hi).astype(np.int64)
     return nnz * INTERMEDIATE_BYTES_PER_PRODUCT + csr_bytes(rows, nnz)
 
 
-def _worst_chunk(a: CSRMatrix, b: CSRMatrix, grid: ChunkGrid, estimate=None) -> int:
-    flops = chunk_flops(a, b, grid)
-    chunk_est = None
-    if estimate is not None:
-        from ..spgemm.estimate import estimate_chunks  # deferred: cycle
+@functools.lru_cache(maxsize=8)
+def _candidate_shapes(max_panels: int) -> Tuple[Tuple[int, int], ...]:
+    """Grid shapes ``(r, c)`` in increasing chunk count; among equal
+    counts the most balanced shape first.  Rectangular shapes matter:
+    for band-structured matrices, splitting rows harder than columns
+    shrinks the worst chunk at the same chunk count (off-band chunks are
+    empty anyway)."""
+    ranked = sorted(
+        (r * c, abs(r - c), r, c)
+        for r in range(1, max_panels + 1)
+        for c in range(1, max_panels + 1)
+        if max(r, c) <= 4 * min(r, c)  # keep panel grids balanced
+    )
+    return tuple((r, c) for _, _, r, c in ranked)
 
-        chunk_est = estimate_chunks(a, b, grid, estimate)
-    worst = 0
-    for rp in range(grid.num_row_panels):
-        rows = int(grid.row_bounds[rp + 1] - grid.row_bounds[rp])
-        for cp in range(grid.num_col_panels):
-            footprint = chunk_footprint_bytes(rows, int(flops[rp, cp]))
-            if chunk_est is not None:
-                # the estimate only ever *tightens* the upper bound
-                footprint = min(
-                    footprint,
-                    estimated_chunk_footprint_bytes(
-                        rows, float(chunk_est.nnz_hi[rp, cp])
-                    ),
-                )
-            worst = max(worst, footprint)
-    return worst
+
+class _GridPricer:
+    """Prices candidate grid shapes of one ``(A, B, node)`` problem.
+
+    Keeps one :class:`~repro.core.chunks.ProductTable` (plus, with an
+    estimate, its ratio-weighted companion) per column count, so every
+    candidate sharing ``c`` costs O(r x c) and no further pass over A or
+    B — the paper's ``GetFlops`` computed once, not once per shape.
+    """
+
+    def __init__(self, a: CSRMatrix, b: CSRMatrix, node: NodeSpec, *,
+                 safety: float, buffers: int, estimate=None):
+        if not 0 < safety <= 1:
+            raise ValueError("safety must be in (0, 1]")
+        self.a, self.b = a, b
+        self.device_memory = node.gpu.device_memory_bytes
+        self.safety, self.buffers = safety, buffers
+        self.estimate = estimate
+        self._tables: Dict[int, ProductTable] = {}
+        self._est_tables: Dict[int, "EstimateTable"] = {}  # noqa: F821
+
+    def budget(self, c: int) -> int:
+        """Per-chunk device bytes left once the inputs, B cut into ``c``
+        column panels, are resident (<= 0: the inputs alone overflow)."""
+        free = self.device_memory - resident_input_bytes(self.a, self.b, c)
+        return int(free * self.safety) // max(self.buffers, 1)
+
+    def _table(self, c: int) -> ProductTable:
+        if c not in self._tables:
+            self._tables[c] = ProductTable(
+                self.a, self.b, panel_boundaries(self.b.n_cols, c))
+        return self._tables[c]
+
+    def _est_table(self, c: int) -> "EstimateTable":  # noqa: F821
+        if c not in self._est_tables:
+            from ..spgemm.estimate import EstimateTable  # deferred: cycle
+
+            self._est_tables[c] = EstimateTable(self._table(c), self.estimate)
+        return self._est_tables[c]
+
+    def price(self, r: int, c: int, *, estimated: bool) -> PlanReport:
+        """The regular ``r x c`` grid with its worst chunk footprint;
+        ``estimated`` tightens the flops upper bound by the pricer's
+        estimate (which only ever lowers a footprint)."""
+        table = self._table(c)
+        grid = ChunkGrid(panel_boundaries(self.a.n_rows, r), table.col_bounds)
+        rows = np.diff(grid.row_bounds)[:, None]
+        flops = 2 * table.products(grid.row_bounds)
+        footprint = chunk_footprint_bytes(rows, flops)
+        if estimated:
+            footprint = np.minimum(footprint, estimated_chunk_footprint_bytes(
+                rows, self._est_table(c).chunks(grid).nnz_hi))
+        return PlanReport(
+            grid=grid,
+            worst_chunk_bytes=int(footprint.max()),
+            budget_bytes=self.budget(c),
+            device_memory=self.device_memory,
+            buffers=self.buffers,
+            safety=self.safety,
+            estimated=estimated,
+            flops=flops,
+        )
+
+    def first_fit(self, max_panels: int, *, estimated: bool) -> PlanReport:
+        """The first shape of :func:`_candidate_shapes` that fits."""
+        if self.budget(1) <= 0:  # and a finer column split only adds to it
+            raise ValueError(
+                f"no grid fits: the resident inputs (resident_input_bytes, "
+                f"{resident_input_bytes(self.a, self.b, 1)} bytes) exceed "
+                f"device memory ({self.device_memory} bytes)"
+            )
+        last_report = None
+        for r, c in _candidate_shapes(max_panels):
+            if r > self.a.n_rows or c > self.b.n_cols or self.budget(c) <= 0:
+                continue
+            last_report = self.price(r, c, estimated=estimated)
+            if last_report.fits:
+                return last_report
+        raise ValueError(
+            f"no grid up to {max_panels}x{max_panels} fits the device budget; "
+            f"last candidate: {last_report}"
+        )
 
 
 def plan_grid(
@@ -149,46 +232,9 @@ def plan_grid(
     much coarser grid than the UB alone would (Section IV.B's complaint
     about loose bounds).
     """
-    if not 0 < safety <= 1:
-        raise ValueError("safety must be in (0, 1]")
-
-    # try grids in increasing chunk count; among equal counts prefer the
-    # most balanced shape.  Rectangular shapes matter: for band-structured
-    # matrices, splitting rows harder than columns shrinks the worst chunk
-    # at the same chunk count (off-band chunks are empty anyway).
-    candidates = sorted(
-        (r * c, abs(r - c), r, c)
-        for r in range(1, max_panels + 1)
-        for c in range(1, max_panels + 1)
-        if max(r, c) <= 4 * min(r, c)  # keep panel grids balanced
-    )
-
-    last_report = None
-    for _, _, r, c in candidates:
-        if r > a.n_rows or c > b.n_cols:
-            continue
-        resident = resident_input_bytes(a, b, c)
-        free = node.gpu.device_memory_bytes - resident
-        budget = int(free * safety) // max(buffers, 1)
-        if budget <= 0:
-            continue
-        grid = ChunkGrid.regular(a.n_rows, b.n_cols, r, c)
-        worst = _worst_chunk(a, b, grid, estimate)
-        last_report = PlanReport(
-            grid=grid,
-            worst_chunk_bytes=worst,
-            budget_bytes=budget,
-            device_memory=node.gpu.device_memory_bytes,
-            buffers=buffers,
-            safety=safety,
-            estimated=estimate is not None,
-        )
-        if worst <= budget:
-            return last_report
-    raise ValueError(
-        f"no grid up to {max_panels}x{max_panels} fits the device budget; "
-        f"last candidate: {last_report}"
-    )
+    pricer = _GridPricer(a, b, node, safety=safety, buffers=buffers,
+                         estimate=estimate)
+    return pricer.first_fit(max_panels, estimated=estimate is not None)
 
 
 @dataclass(frozen=True)
@@ -206,36 +252,6 @@ class AutotunePlan:
     @property
     def grid(self) -> ChunkGrid:
         return self.report.grid
-
-
-def _report_for_grid(
-    a: CSRMatrix,
-    b: CSRMatrix,
-    node: NodeSpec,
-    grid: ChunkGrid,
-    estimate,
-    *,
-    safety: float,
-    buffers: int,
-) -> Optional[PlanReport]:
-    """Price an explicit grid shape; None when it misses the budget."""
-    resident = resident_input_bytes(a, b, grid.num_col_panels)
-    free = node.gpu.device_memory_bytes - resident
-    budget = int(free * safety) // max(buffers, 1)
-    if budget <= 0:
-        return None
-    worst = _worst_chunk(a, b, grid, estimate)
-    if worst > budget:
-        return None
-    return PlanReport(
-        grid=grid,
-        worst_chunk_bytes=worst,
-        budget_bytes=budget,
-        device_memory=node.gpu.device_memory_bytes,
-        buffers=buffers,
-        safety=safety,
-        estimated=estimate is not None,
-    )
 
 
 def _candidate_reports(
@@ -257,44 +273,37 @@ def _candidate_reports(
     first fit, the UB-planned default (the baseline to beat), and a
     row-only ladder (r x 1, 2r x 1, 4r x 1) — row splits share the
     resident B panel and avoid re-walking A per column panel, so they
-    dominate serial wall time whenever the whole of B fits.
+    dominate serial wall time whenever the whole of B fits.  One pricer
+    serves all of them, so the shapes share their per-``c`` tables.
     """
+    pricer = _GridPricer(a, b, node, safety=safety, buffers=buffers,
+                         estimate=estimate)
     reports: List[PlanReport] = []
     shapes = set()
 
-    def add(report: Optional[PlanReport]) -> None:
-        if report is None:
-            return
+    def add(report: PlanReport) -> None:
         shape = (report.grid.num_row_panels, report.grid.num_col_panels)
         if shape not in shapes:
             shapes.add(shape)
             reports.append(report)
 
-    add(plan_grid(a, b, node, safety=safety, buffers=buffers,
-                  max_panels=max_panels, estimate=estimate))
+    add(pricer.first_fit(max_panels, estimated=True))
     try:
-        ub = plan_grid(a, b, node, safety=safety, buffers=buffers,
-                       max_panels=max_panels)
+        add(pricer.first_fit(max_panels, estimated=False))
     except ValueError:
-        ub = None
-    add(ub)
+        pass
     # row-only ladder from the smallest fitting row count
-    r0 = None
-    for r in range(1, min(max_panels, a.n_rows) + 1):
-        grid = ChunkGrid.regular(a.n_rows, b.n_cols, r, 1)
-        report = _report_for_grid(a, b, node, grid, estimate,
-                                  safety=safety, buffers=buffers)
-        if report is not None:
-            r0 = r
-            add(report)
-            break
-    if r0 is not None:
+    max_rows = min(max_panels, a.n_rows)
+    ladder = (pricer.price(r, 1, estimated=True) for r in range(1, max_rows + 1))
+    first = next((report for report in ladder if report.fits), None)
+    if first is not None:
+        add(first)
+        r0 = first.grid.num_row_panels
         for r in (2 * r0, 4 * r0):
-            if r > min(max_panels, a.n_rows):
-                continue
-            grid = ChunkGrid.regular(a.n_rows, b.n_cols, r, 1)
-            add(_report_for_grid(a, b, node, grid, estimate,
-                                 safety=safety, buffers=buffers))
+            if r <= max_rows:
+                report = pricer.price(r, 1, estimated=True)
+                if report.fits:
+                    add(report)
     return reports
 
 

@@ -649,6 +649,7 @@ def run_sharded(
             resume_stats=completed or None,
             governor=make_governor(t), kernel=cfg.kernel,
             col_panels=shared_col_panels,
+            flops=flops[span.rp_lo:span.rp_hi],
         )
         if keep_output:
             for lrp in range(sub.num_row_panels):
@@ -709,6 +710,7 @@ def run_sharded(
                 resume_stats=resume_stats or None,
                 governor=gov, kernel=cfg.kernel,
                 col_panels=shared_col_panels,
+                flops=flops[span.rp_lo:span.rp_hi],
             )
             if keep_output and resume_stats:
                 # the engine skipped these; serve them from the checkpoint

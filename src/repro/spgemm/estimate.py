@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sparse.formats import CSRMatrix
-from ..sparse.partition import build_col_offsets
 from .flops import flops_per_row
 from .groups import DENSE_THRESHOLD
 from .kernels import KernelSpec, accumulate
@@ -43,6 +42,7 @@ __all__ = [
     "DEFAULT_SAMPLE_FRACTION",
     "RowNnzEstimate",
     "ChunkEstimates",
+    "EstimateTable",
     "estimate_row_nnz",
     "estimate_chunks",
     "choose_kernel",
@@ -206,73 +206,69 @@ class ChunkEstimates:
     products: np.ndarray  # (R, C) exact product counts (UB)
     panel_rows: np.ndarray  # rows per row panel
 
-    def _chunk(self, cid: int) -> tuple[int, float, int]:
-        rp, cp = self.grid.panel_of(cid)
-        rows = int(self.panel_rows[rp])
-        return rows, float(self.nnz_hi[rp, cp]), int(self.products[rp, cp])
+    def _nnz_ceiling(self) -> np.ndarray:
+        return np.ceil(self.nnz_hi).astype(np.int64)
 
     def host_bytes(self) -> np.ndarray:
         """Estimated CSR bytes of each chunk's output (row-major cids)."""
         from ..core.chunks import csr_bytes
 
-        out = np.empty(self.nnz.size, dtype=np.int64)
-        for cid in range(out.size):
-            rows, hi, _ = self._chunk(cid)
-            out[cid] = csr_bytes(rows, int(np.ceil(hi)))
-        return out
+        return csr_bytes(self.panel_rows[:, None], self._nnz_ceiling()).ravel()
 
     def device_bytes(self) -> np.ndarray:
         """Estimated device footprint per chunk: hash tables sized from
         the estimate (the OCEAN move) instead of the product count."""
         from ..core.memcheck import chunk_device_bytes
 
-        out = np.empty(self.nnz.size, dtype=np.int64)
-        for cid in range(out.size):
-            rows, hi, _ = self._chunk(cid)
-            out[cid] = chunk_device_bytes(rows, int(np.ceil(hi)))
-        return out
+        return chunk_device_bytes(
+            self.panel_rows[:, None], self._nnz_ceiling()).ravel()
+
+
+class EstimateTable:
+    """The per-row estimate spread over one column split, as row-prefix
+    tables beside the exact :class:`~repro.core.chunks.ProductTable`.
+
+    A row's products split across column panels exactly; its estimated
+    nnz splits proportionally — ``ratio_i * products_i[cp]``.  Both
+    ratio-weighted sums are kept as ``(n_rows_A + 1, c)`` float64 prefix
+    tables, so the estimate of any grid over these column bounds is a
+    subtraction per chunk (:meth:`chunks`).  The sums accumulate row by
+    row down the table rather than element by element inside a chunk, so
+    they can differ from a direct per-chunk sum in the last digits.
+    """
+
+    def __init__(self, table: "ProductTable", est: RowNnzEstimate):
+        self.table = table
+        row_products = table.row_products()
+        zero = np.zeros((1, row_products.shape[1]))
+        self._nnz, self._nnz_hi = (
+            np.concatenate([zero, np.cumsum(row_products * ratio[:, None], axis=0)])
+            for ratio in (est.ratio(), est.ratio_hi()))
+
+    def chunks(self, grid: "ChunkGrid") -> ChunkEstimates:
+        """Estimates of every chunk of ``grid`` (whose column bounds are
+        the table's), each clamped to the chunk's dense extent and
+        product count."""
+        row_bounds = grid.row_bounds
+        products = self.table.products(row_bounds)
+        panel_rows = np.diff(row_bounds).astype(np.int64)
+        col_widths = np.diff(grid.col_bounds).astype(np.int64)
+        dense_extent = panel_rows[:, None] * col_widths[None, :]
+        ceiling = np.minimum(products, dense_extent).astype(np.float64)
+        nnz = np.minimum(np.diff(self._nnz[row_bounds], axis=0), ceiling)
+        nnz_hi = np.diff(self._nnz_hi[row_bounds], axis=0)
+        nnz_hi = np.minimum(np.maximum(nnz_hi, nnz), ceiling)
+        return ChunkEstimates(grid, nnz, nnz_hi, products, panel_rows)
 
 
 def estimate_chunks(
     a: CSRMatrix, b: CSRMatrix, grid: "ChunkGrid", est: RowNnzEstimate
 ) -> ChunkEstimates:
-    """Distribute the per-row estimate over a chunk grid.
+    """Distribute the per-row estimate over a chunk grid (one
+    :class:`EstimateTable` lookup)."""
+    from ..core.chunks import ProductTable  # deferred: core imports spgemm
 
-    A row's products split across column panels exactly (via B's column
-    offsets); its estimated nnz splits proportionally — each chunk gets
-    ``ratio_i * products_i[cp]``, clamped to the chunk's dense extent and
-    product count.
-    """
-    row_bounds = grid.row_bounds
-    col_bounds = grid.col_bounds
-    n_r, n_c = grid.num_row_panels, grid.num_col_panels
-    splits = build_col_offsets(b, col_bounds)
-    per_row_per_panel = np.diff(splits, axis=1)  # (n_rows_B, C)
-    per_elem = per_row_per_panel[a.col_ids, :]  # (nnz_A, C)
-    row_ids = a.expand_row_ids()
-    ratio = est.ratio()[row_ids]
-    ratio_hi = est.ratio_hi()[row_ids]
-
-    nnz = np.zeros((n_r, n_c), dtype=np.float64)
-    nnz_hi = np.zeros((n_r, n_c), dtype=np.float64)
-    products = np.zeros((n_r, n_c), dtype=np.int64)
-    panel_rows = np.diff(row_bounds).astype(np.int64)
-    for rp in range(n_r):
-        e_lo = int(a.row_offsets[row_bounds[rp]])
-        e_hi = int(a.row_offsets[row_bounds[rp + 1]])
-        if e_hi == e_lo:
-            continue
-        block = per_elem[e_lo:e_hi, :]
-        products[rp, :] = block.sum(axis=0)
-        nnz[rp, :] = (block * ratio[e_lo:e_hi, None]).sum(axis=0)
-        nnz_hi[rp, :] = (block * ratio_hi[e_lo:e_hi, None]).sum(axis=0)
-
-    col_widths = np.diff(col_bounds).astype(np.int64)
-    dense_extent = panel_rows[:, None] * col_widths[None, :]
-    ceiling = np.minimum(products, dense_extent).astype(np.float64)
-    nnz = np.minimum(nnz, ceiling)
-    nnz_hi = np.minimum(np.maximum(nnz_hi, nnz), ceiling)
-    return ChunkEstimates(grid, nnz, nnz_hi, products, panel_rows)
+    return EstimateTable(ProductTable(a, b, grid.col_bounds), est).chunks(grid)
 
 
 def choose_kernel(est: RowNnzEstimate) -> KernelSpec:

@@ -78,18 +78,18 @@ class TestEstimatedPlanning:
         return estimate_row_nnz(m, m, seed=0)
 
     def test_estimate_never_coarsens_past_ub_ceiling(self):
-        """Estimated worst-chunk bytes are capped by the UB footprint."""
-        from repro.core.planner import (
-            _worst_chunk,
-            estimated_chunk_footprint_bytes,
-        )
-        from repro.core.chunks import ChunkGrid
+        """Estimated worst-chunk bytes are capped by the UB footprint of
+        the same grid, whatever grid the estimate admits."""
+        from tests.core import planner_oracle as oracle
 
         m = rmat(10, 8.0, seed=91)
-        grid = ChunkGrid.regular(m.n_rows, m.n_cols, 3, 3)
-        with_est = _worst_chunk(m, m, grid, self._est(m))
-        without = _worst_chunk(m, m, grid)
-        assert with_est <= without
+        est = self._est(m)
+        for device in (16 << 20, 24 << 20, 1 << 30):
+            report = plan_grid(m, m, v100_node(device), estimate=est)
+            ub_worst = oracle.worst_chunk(m, m, report.grid)
+            assert report.worst_chunk_bytes <= ub_worst
+            assert report.worst_chunk_bytes == oracle.worst_chunk(
+                m, m, report.grid, est)
 
     def test_estimated_grid_no_finer_than_ub_grid(self):
         m = rmat(11, 8.0, seed=91)

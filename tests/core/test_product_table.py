@@ -1,0 +1,289 @@
+"""The planner's row-prefix product table.
+
+``ProductTable`` answers every chunk's product count from one table per
+column split.  Three contracts are pinned here: the table equals brute
+force on generated operands and grids; ``plan_grid`` / ``estimate_chunks``
+built on it reproduce the per-candidate implementation they replaced
+(kept verbatim in ``planner_oracle.py``); and planning builds at most one
+table per column count without ever materialising ``nnz_A x c``.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.core.chunks as chunks_mod
+import repro.core.executor.engine as engine_mod
+from repro.core.api import run_hybrid
+from repro.core.chunks import ChunkGrid, ProductTable, chunk_flops, csr_bytes
+from repro.core.executor import execute_chunk_grid
+from repro.core.governor import GovernorConfig
+from repro.core.memcheck import chunk_device_bytes
+from repro.core.planner import (
+    chunk_footprint_bytes,
+    plan_autotuned,
+    plan_grid,
+    resident_input_bytes,
+)
+from repro.device.specs import v100_node
+from repro.sparse.formats import CSRMatrix
+from repro.sparse.generators import banded, rmat
+from repro.sparse.partition import panel_boundaries
+from repro.sparse.suite import build_matrix
+from repro.spgemm.estimate import estimate_chunks, estimate_row_nnz
+from repro.spgemm.flops import total_flops
+from tests.core import planner_oracle as oracle
+
+
+# ----------------------------------------------------------------------
+# generated operands: the table equals brute force
+# ----------------------------------------------------------------------
+@st.composite
+def bounds(draw, n, regular):
+    """Panel boundaries of ``[0, n)``: near-equal, or any strictly
+    increasing cut."""
+    if regular:
+        return panel_boundaries(n, draw(st.integers(1, min(n, 5))))
+    cuts = draw(st.sets(st.integers(1, n - 1), max_size=4)) if n > 1 else set()
+    return np.array([0, *sorted(cuts), n], dtype=np.int64)
+
+
+@st.composite
+def problems(draw):
+    """Rectangular ``A (m x k)``, ``B (k x n)`` and a grid over ``A x B``,
+    with empty rows and columns, all-empty operands and hub rows."""
+    m, k, n = (draw(st.integers(1, 24)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def operand(rows, cols):
+        shape = draw(st.sampled_from(["empty", "sparse", "hub"]))
+        if shape == "empty":
+            return np.zeros((rows, cols), dtype=bool)
+        mask = rng.random((rows, cols)) < draw(st.floats(0.02, 0.4))
+        mask[rng.random(rows) < 0.3, :] = False   # empty rows
+        mask[:, rng.random(cols) < 0.3] = False   # empty columns
+        if shape == "hub":
+            mask[rng.integers(rows), :] = True
+        return mask
+
+    a_mask, b_mask = operand(m, k), operand(k, n)
+    regular = draw(st.booleans())
+    grid = ChunkGrid(draw(bounds(m, regular)), draw(bounds(n, regular)))
+    return a_mask, b_mask, grid
+
+
+def from_mask(mask) -> CSRMatrix:
+    return CSRMatrix.from_scipy(sp.csr_matrix(mask.astype(np.float64)))
+
+
+def rectangle_sums(pattern_product, grid) -> np.ndarray:
+    rb, cb = grid.row_bounds, grid.col_bounds
+    return np.array([[pattern_product[rb[i]:rb[i + 1], cb[j]:cb[j + 1]].sum()
+                      for j in range(cb.size - 1)] for i in range(rb.size - 1)])
+
+
+class TestTableEqualsBruteForce:
+    @given(problem=problems())
+    @settings(max_examples=200, deadline=None)
+    def test_chunk_flops_is_twice_the_pattern_product(self, problem):
+        a_mask, b_mask, grid = problem
+        pattern = (sp.csr_matrix(a_mask.astype(np.int64))
+                   @ sp.csr_matrix(b_mask.astype(np.int64))).toarray()
+        flops = chunk_flops(from_mask(a_mask), from_mask(b_mask), grid)
+        assert flops.dtype == np.int64
+        assert np.array_equal(flops, 2 * rectangle_sums(pattern, grid))
+
+    @given(problem=problems())
+    @settings(max_examples=100, deadline=None)
+    def test_estimate_chunks_matches_per_chunk_sums(self, problem):
+        a_mask, b_mask, grid = problem
+        a, b = from_mask(a_mask), from_mask(b_mask)
+        est = estimate_row_nnz(a, b, seed=0)
+        assert_chunk_estimates_match(estimate_chunks(a, b, grid, est),
+                                     oracle.estimate_chunks(a, b, grid, est))
+
+
+def assert_chunk_estimates_match(new, old):
+    """Counts are integers and must be equal.  The two float sums changed
+    order — per row down a prefix table, then one subtraction, instead of
+    per element inside the chunk — so they agree to a rounding error of
+    the prefix they were cut from: 1e-12, relative to the column total.
+    (Bytes are ``ceil`` of those sums: where a sum is an integer but for
+    rounding noise — every row sampled — old and new may sit one nnz
+    apart, so bytes are checked against the new sums, not the old bytes.)
+    """
+    assert np.array_equal(new.products, old.products)
+    assert np.array_equal(new.panel_rows, old.panel_rows)
+    atol = 1e-12 * np.maximum(old.products.sum(axis=0), 1)
+    for field in ("nnz", "nnz_hi"):
+        got, want = getattr(new, field), getattr(old, field)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + atol), field
+    # the vectorised byte formulae against the per-chunk loop they replaced
+    sized = [(int(new.panel_rows[rp]), int(np.ceil(new.nnz_hi[rp, cp])))
+             for rp, cp in map(new.grid.panel_of, range(new.grid.num_chunks))]
+    assert new.host_bytes().tolist() == [csr_bytes(*s) for s in sized]
+    assert new.device_bytes().tolist() == [chunk_device_bytes(*s) for s in sized]
+
+
+# ----------------------------------------------------------------------
+# suite operands: plans are the per-candidate planner's, bit for bit
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module", params=["stokes", "uk-2002", "wiki0206"])
+def operand(request):
+    m = build_matrix(request.param)
+    return m, estimate_row_nnz(m, m, seed=0)
+
+
+def device_for(m, fraction) -> int:
+    """A device holding the inputs plus ``fraction`` of the footprint
+    the whole product would need as one chunk."""
+    whole = chunk_footprint_bytes(m.n_rows, total_flops(m, m))
+    return int(1.2 * resident_input_bytes(m, m, 1) + fraction * whole)
+
+
+class TestPlansMatchOracle:
+    @pytest.mark.parametrize("fraction", [0.5, 0.2])
+    @pytest.mark.parametrize("buffers", [1, 2])
+    @pytest.mark.parametrize("estimated", [False, True])
+    def test_same_grid_worst_chunk_and_budget(self, operand, fraction,
+                                              buffers, estimated):
+        m, est = operand
+        node = v100_node(device_for(m, fraction))
+        kwargs = dict(buffers=buffers, estimate=est if estimated else None)
+        grid, worst, budget = oracle.plan_grid(m, m, node, **kwargs)
+        report = plan_grid(m, m, node, **kwargs)
+        assert np.array_equal(report.grid.row_bounds, grid.row_bounds)
+        assert np.array_equal(report.grid.col_bounds, grid.col_bounds)
+        assert report.worst_chunk_bytes == worst
+        assert report.budget_bytes == budget
+        assert report.estimated == estimated
+        assert np.array_equal(report.flops, oracle.chunk_flops(m, m, grid))
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.2])
+    def test_autotune_shortlist(self, operand, fraction):
+        """``plan_autotuned(trial=)`` offers the trial the oracle's
+        shortlist, in its order, and returns the trial's pick."""
+        m, est = operand
+        node = v100_node(device_for(m, fraction))
+        want = oracle.candidate_reports(m, m, node, est)
+        seen = []
+
+        def trial(grid, kernel):
+            seen.append(grid)
+            return -len(seen)  # the last one offered wins
+
+        plan = plan_autotuned(m, m, node, seed=0, trial=trial)
+        assert [(g.num_row_panels, g.num_col_panels) for g in seen] == [
+            (g.num_row_panels, g.num_col_panels) for g, _, _ in want]
+        assert plan.grid is seen[-1]
+        assert (plan.report.worst_chunk_bytes, plan.report.budget_bytes) == want[-1][1:]
+
+    def test_estimate_chunks_matches_oracle(self, operand):
+        m, est = operand
+        grid = ChunkGrid.regular(m.n_rows, m.n_cols, 7, 5)
+        assert_chunk_estimates_match(estimate_chunks(m, m, grid, est),
+                                     oracle.estimate_chunks(m, m, grid, est))
+
+
+# ----------------------------------------------------------------------
+# regression guard: one table per column count, no nnz_A x c temporary
+# ----------------------------------------------------------------------
+@pytest.fixture(params=["banded", "rmat"])
+def guarded(request, monkeypatch):
+    """An operand dense enough per row (~70 / ~22 nnz) that ``nnz_A x c``
+    dwarfs ``n_rows x c``, a device that forces a plan of several column
+    panels, and a counter on the one function that scans B."""
+    m = (banded(3000, 40, seed=5, fill=0.9) if request.param == "banded"
+         else rmat(11, 32.0, seed=5))
+    node = v100_node(device_for(m, 0.3))
+    visited = []
+    real = chunks_mod.build_col_offsets
+
+    def counting(b, boundaries):
+        visited.append(len(boundaries) - 1)
+        return real(b, boundaries)
+
+    monkeypatch.setattr(chunks_mod, "build_col_offsets", counting)
+    return m, node, visited
+
+
+class TestPlannerWorkIsBounded:
+    def test_one_scan_of_b_per_column_count(self, guarded):
+        m, node, visited = guarded
+        report = plan_grid(m, m, node)
+        assert report.grid.num_col_panels >= 8      # many shapes were priced
+        assert len(visited) == len(set(visited)), sorted(visited)
+
+    def test_peak_memory_is_rows_by_panels_not_nnz_by_panels(self, guarded):
+        m, node, visited = guarded
+
+        def peak(plan) -> int:
+            tracemalloc.start()
+            try:
+                plan(m, m, node)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        new_peak = peak(plan_grid)
+        bound = 6 * 8 * (m.n_rows * max(visited) + m.nnz)
+        assert new_peak <= bound
+        # and the bound is tight enough to notice the gather coming back
+        assert peak(oracle.plan_grid) > bound
+
+
+class TestEngineTakesFlops:
+    def test_given_flops_the_engine_derives_none(self, monkeypatch):
+        """Ordering and both governor bounds come from the matrix passed
+        in; ``run_hybrid`` hands over the plan's."""
+        m = rmat(8, 8.0, seed=3)
+        grid = ChunkGrid.regular(m.n_rows, m.n_cols, 3, 2)
+        flops = chunk_flops(m, m, grid)
+        monkeypatch.setattr(engine_mod, "chunk_flops", None)  # calling it fails
+        gov = GovernorConfig(device_pool_bytes=1 << 30,
+                             host_mem_budget_bytes=1 << 30)
+        profile, _ = execute_chunk_grid(m, m, grid, workers=2, backend="thread",
+                                        governor=gov, flops=flops)
+        assert [c.flops for c in profile.chunks] == flops.ravel().tolist()
+        run_hybrid(m, m, v100_node(1 << 30), workers=2)
+
+    def test_flops_of_another_grid_are_refused(self):
+        m = rmat(8, 8.0, seed=3)
+        grid = ChunkGrid.regular(m.n_rows, m.n_cols, 3, 2)
+        with pytest.raises(ValueError, match=r"flops has shape \(2, 3\)"):
+            execute_chunk_grid(m, m, grid, flops=np.zeros((2, 3), dtype=np.int64))
+
+
+# ----------------------------------------------------------------------
+# refusals
+# ----------------------------------------------------------------------
+class TestRefusals:
+    @pytest.mark.parametrize("b_rows", [30, 50])  # B shorter / taller than A is wide
+    def test_shape_mismatch_is_refused(self, b_rows):
+        a = from_mask(np.ones((20, 40), dtype=bool))
+        b = from_mask(np.ones((b_rows, 10), dtype=bool))
+        grid = ChunkGrid.regular(20, 10, 2, 2)
+        message = r"dimension mismatch: A is \(20, 40\), B is \(%d, 10\)" % b_rows
+        with pytest.raises(ValueError, match=message):
+            ProductTable(a, b, grid.col_bounds)
+        with pytest.raises(ValueError, match=message):
+            chunk_flops(a, b, grid)
+        with pytest.raises(ValueError, match=message):
+            plan_grid(a, b, v100_node(1 << 30))
+        est = estimate_row_nnz(a, from_mask(np.ones((40, 10), dtype=bool)))
+        with pytest.raises(ValueError, match=message):
+            estimate_chunks(a, b, grid, est)
+
+    def test_inputs_larger_than_device_says_so(self):
+        m = rmat(10, 8.0, seed=91)
+        device = 1 << 10
+        resident = resident_input_bytes(m, m, 1)
+        with pytest.raises(ValueError, match="no grid") as err:
+            plan_grid(m, m, v100_node(device))
+        assert "resident_input_bytes" in str(err.value)
+        assert f"{resident} bytes" in str(err.value)
+        assert f"{device} bytes" in str(err.value)
