@@ -1,7 +1,6 @@
 """The paper's contribution: out-of-core, asynchronous, hybrid SpGEMM."""
 
 from .api import (
-    make_profile,
     run_hybrid,
     run_out_of_core,
     simulate_cpu_baseline,
@@ -10,7 +9,7 @@ from .api import (
     spgemm,
 )
 from .assemble import assemble_chunks
-from .chunks import ChunkGrid, ChunkProfile, ChunkStats, chunk_flops, profile_chunks
+from .chunks import ChunkGrid, ChunkProfile, ChunkStats, chunk_flops
 from .executor import (
     EXECUTOR_BACKENDS,
     BackendDegradedWarning,
@@ -56,7 +55,6 @@ from .verify import verify_product, verify_run, verify_store
 from .schedule import build_async_schedule, build_sync_schedule
 
 __all__ = [
-    "make_profile",
     "run_hybrid",
     "run_out_of_core",
     "simulate_cpu_baseline",
@@ -68,7 +66,6 @@ __all__ = [
     "ChunkProfile",
     "ChunkStats",
     "chunk_flops",
-    "profile_chunks",
     "EXECUTOR_BACKENDS",
     "BackendDegradedWarning",
     "BackendUnavailable",

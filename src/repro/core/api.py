@@ -23,9 +23,12 @@ from typing import Optional, Sequence, Union
 from ..device.kernels import CostModel, default_cost_model
 from ..device.specs import NodeSpec, v100_node
 from ..sparse.formats import CSRMatrix
+from ..spgemm.kernels import resolve_kernel
 from ..spgemm.twophase import spgemm_twophase
 from .assemble import assemble_chunks
-from .chunks import ChunkGrid, ChunkProfile, profile_chunks
+from .chunks import ChunkGrid, ChunkProfile, chunk_flops
+from .executor import ChunkPlan, execute_chunk_grid, plan_hybrid_lanes
+from .governor import as_governor
 from .hybrid import DEFAULT_RATIO, assign_chunks, build_hybrid_engine
 from .planner import plan_grid
 from .results import RunResult
@@ -33,7 +36,6 @@ from .schedule import CPU, build_async_schedule, build_sync_schedule, new_engine
 
 __all__ = [
     "spgemm",
-    "make_profile",
     "simulate_out_of_core",
     "simulate_hybrid",
     "simulate_cpu_baseline",
@@ -56,71 +58,6 @@ def spgemm(a: CSRMatrix, b: CSRMatrix, *, kernel=None) -> CSRMatrix:
     :mod:`repro.spgemm.kernels`) — the product is the same either way.
     """
     return spgemm_twophase(a, b, kernel=kernel).matrix
-
-
-def make_profile(
-    a: CSRMatrix,
-    b: CSRMatrix,
-    node: Optional[NodeSpec] = None,
-    *,
-    grid: Optional[ChunkGrid] = None,
-    keep_outputs: bool = False,
-    chunk_store=None,
-    name: str = "",
-    workers: int = 1,
-    window: Optional[int] = None,
-    tracer=None,
-    backend: Optional[str] = None,
-    retry=None,
-    crash_budget: int = 0,
-    faults=None,
-    manifest=None,
-    resume_stats=None,
-    governor=None,
-    kernel=None,
-):
-    """Plan the chunk grid (unless given) and execute/profile every chunk.
-
-    Returns ``(profile, outputs_or_None)``.  ``chunk_store`` streams the
-    chunks into a :mod:`repro.core.spill` store as they are produced.
-
-    ``workers`` > 1 executes the chunks concurrently through the chunk
-    execution engine (:mod:`repro.core.executor`) with a bounded
-    in-flight ``window``; results are bit-identical to serial execution
-    and the profile carries measured per-chunk and end-to-end wall times.
-    ``backend`` selects where the chunk kernels run: ``"serial"``,
-    ``"thread"``, or ``"process"`` (worker processes with shared-memory
-    operand transport — escapes the GIL); ``None`` keeps the legacy
-    resolution (serial when ``workers == 1``, else threads).
-
-    ``tracer`` (:mod:`repro.observability`) records every chunk's
-    lifecycle as spans; the default null tracer records nothing and adds
-    no overhead.
-
-    ``retry`` / ``crash_budget`` / ``faults`` configure fault tolerance,
-    ``manifest`` / ``resume_stats`` checkpoint/resume, ``governor`` the
-    runtime deadline / memory-pressure / integrity limits, ``kernel`` the
-    accumulator family every chunk runs with — see
-    :func:`repro.core.executor.execute_chunk_grid`.
-    """
-    from .governor import as_governor
-
-    node = _resolve_node(node)
-    if grid is None:
-        grid = plan_grid(a, b, node).grid
-    sink = chunk_store.put if chunk_store is not None else None
-    governor = as_governor(governor)
-    if governor is not None and chunk_store is not None:
-        # the store's held bytes join the host-memory ledger, and the
-        # governor may squeeze it (spill-under-pressure) when it can
-        governor.attach_store(chunk_store)
-    return profile_chunks(
-        a, b, grid, keep_outputs=keep_outputs, chunk_sink=sink, name=name,
-        workers=workers, window=window, tracer=tracer, backend=backend,
-        retry=retry, crash_budget=crash_budget, faults=faults,
-        manifest=manifest, resume_stats=resume_stats, governor=governor,
-        kernel=kernel,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +200,8 @@ def run_out_of_core(
     simulated timeline is unaffected); the product is bit-identical for
     any worker count and measured wall times land in ``result.profile``.
     ``backend`` selects the executor (``serial`` / ``thread`` /
-    ``process``); see :func:`make_profile`.
+    ``process``; ``None`` = serial when ``workers == 1``, else threads);
+    see :func:`~repro.core.executor.execute_chunk_grid`.
 
     ``tracer`` (:mod:`repro.observability`) records the real execution's
     spans — queue wait, kernel phases, sink writes — for Chrome-trace
@@ -317,19 +255,27 @@ def run_out_of_core(
             # instead of poisoning the result
             resume_stats, corrupt_recomputed = manifest.verified_stats(
                 chunk_store)
-    elif checkpoint is not None:
-        if grid is None:
-            grid = plan_grid(a, b, node).grid
+    flops = None
+    if grid is None:
+        report = plan_grid(a, b, node)
+        grid, flops = report.grid, report.flops
+    if resume is None and checkpoint is not None:
         store_dir = getattr(chunk_store, "directory", None)
         manifest = RunManifest.create(checkpoint, a, b, grid,
                                       store_dir=store_dir)
-    profile, outputs = make_profile(
-        a, b, node, grid=grid, keep_outputs=keep_output,
-        chunk_store=chunk_store, name=name, workers=workers, window=window,
+    governor = as_governor(governor)
+    if governor is not None and chunk_store is not None:
+        # the store's held bytes join the host-memory ledger, and the
+        # governor may squeeze it (spill-under-pressure) when it can
+        governor.attach_store(chunk_store)
+    profile, outputs = execute_chunk_grid(
+        a, b, grid, keep_outputs=keep_output,
+        chunk_sink=chunk_store.put if chunk_store is not None else None,
+        name=name, workers=workers, window=window,
         tracer=tracer, backend=backend,
         retry=retry, crash_budget=crash_budget, faults=faults,
         manifest=manifest, resume_stats=resume_stats, governor=governor,
-        kernel=kernel,
+        kernel=kernel, flops=flops,
     )
     if keep_output and resume_stats:
         # the executor skipped these chunks; serve them from the store
@@ -389,33 +335,22 @@ def run_hybrid(
     ``tracer`` records both lanes' spans under their lane names
     ("gpu" / "cpu")."""
     node = _resolve_node(node)
+    flops = None
+    if grid is None:
+        report = plan_grid(a, b, node)
+        grid, flops = report.grid, report.flops
+    plan = ChunkPlan(kernel=resolve_kernel(kernel))  # one lane, inline
     if workers > 1:
-        from ..core.chunks import chunk_flops
-        from ..spgemm.kernels import resolve_kernel
-        from .executor import execute_chunk_grid, plan_hybrid_lanes
-        from .executor.plan import ChunkPlan
-
-        if grid is None:
-            report = plan_grid(a, b, node)
-            grid, flops = report.grid, report.flops
-        else:
+        if flops is None:
             flops = chunk_flops(a, b, grid)
-        hybrid = plan_hybrid_lanes(flops, workers, ratio)
-        plan = ChunkPlan.from_hybrid(hybrid, kernel=resolve_kernel(kernel))
-        profile, outputs = execute_chunk_grid(
-            a, b, grid, keep_outputs=keep_output, name=name,
-            window=window, plan=plan, tracer=tracer,
-            backend=backend,
-            retry=retry, crash_budget=crash_budget, faults=faults,
-            governor=governor, flops=flops,
-        )
-    else:
-        profile, outputs = make_profile(
-            a, b, node, grid=grid, keep_outputs=keep_output, name=name,
-            tracer=tracer, backend=backend,
-            retry=retry, crash_budget=crash_budget, faults=faults,
-            governor=governor, kernel=kernel,
-        )
+        plan = ChunkPlan.from_hybrid(
+            plan_hybrid_lanes(flops, workers, ratio), kernel=plan.kernel)
+    profile, outputs = execute_chunk_grid(
+        a, b, grid, keep_outputs=keep_output, name=name,
+        window=window, plan=plan, tracer=tracer, backend=backend,
+        retry=retry, crash_budget=crash_budget, faults=faults,
+        governor=governor, flops=flops,
+    )
     result = simulate_hybrid(profile, node, ratio=ratio, reorder=reorder, cost=cost)
     matrix = assemble_chunks(outputs) if keep_output else None
     meta = dict(result.meta)

@@ -1,8 +1,12 @@
-"""Executor backends: serial, thread, and process chunk execution.
+"""Executor backends: the serial, thread, and process lane runners.
 
-All three drive the same :class:`~repro.core.executor.engine.GridJob`
-and therefore produce bit-identical outputs and identical profiles (up
-to wall-clock fields).  They differ only in *where* chunk kernels run:
+Every backend drains its lanes through the one loop in
+:func:`~repro.core.executor.engine.drain_lane` over the same
+:class:`~repro.core.executor.engine.GridJob`, and therefore produces
+bit-identical outputs and identical profiles (up to wall-clock fields).
+A backend contributes only the *runner* that loop drives —
+``submit(cid, attempt, resplit)`` / ``next() -> (cid, attempt, outcome)``
+— i.e. *where* chunk kernels run:
 
 ========  ==========================================  =====================
 backend   chunk kernels run on                        operand transport
@@ -12,19 +16,12 @@ thread    a bounded-window ``ThreadPoolExecutor``     shared by reference
 process   persistent daemon worker *processes*        shared memory, 1 copy
 ========  ==========================================  =====================
 
-The process backend's data path, per run:
-
-1. the parent copies each CSR panel of ``A`` and ``B`` into one
-   :class:`~repro.sparse.shm.SharedCSR` segment (once per run);
-2. each worker attaches every segment at initialization and rebuilds
-   zero-copy ``CSRMatrix`` views — no per-chunk operand pickling;
-3. per chunk, the worker writes the result CSR into a fresh shared
-   segment sized from the kernel's exact (symbolic) allocation and sends
-   back a small descriptor tuple;
-4. the parent attaches the result segment, copies the chunk out (one
-   memcpy — a deterministic lifetime beats a borrowed mapping), unlinks
-   it, and merges the worker's locally-recorded trace spans.
-
+The process backend copies each CSR panel of ``A`` and ``B`` into one
+:class:`~repro.sparse.shm.SharedCSR` segment once per run; workers
+attach them zero-copy at startup, write each chunk's result into a
+fresh segment sized from the kernel's exact (symbolic) allocation, and
+send back a small descriptor; the parent copies the chunk out and
+unlinks the segment (``docs/EXECUTORS.md`` has the full lifecycle).
 Cleanup is crash-proof by construction: every segment of a run shares a
 :func:`~repro.sparse.shm.run_prefix`, unlinked in ``finally`` here,
 guarded by ``atexit`` hooks in both parent and workers, and — for hard
@@ -33,9 +30,12 @@ worker crashes — reclaimed by a prefix sweep of ``/dev/shm``.
 
 from __future__ import annotations
 
+import queue
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from typing import Callable, List, Optional, Sequence, Tuple
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from typing import Callable, List, Sequence, Tuple
 
 from ...device.memory import DeviceOutOfMemory
 from ...sparse.ops import DEFAULT_CACHE_BYTES
@@ -47,7 +47,7 @@ from ...sparse.shm import (
     unregister_cleanup_prefix,
 )
 from ..governor.watchdog import ChunkTimeout
-from .engine import GridJob, run_lanes_concurrently
+from .engine import GridJob, drain_lane, run_lanes_concurrently
 from .faults import BackendUnavailable, ChunkExecutionError
 from .procpool import ProcessLanePool, WorkerCrashed, resolve_mp_context
 
@@ -66,24 +66,66 @@ def make_backend(name: str):
         raise ValueError(f"unknown backend {name!r}") from None
 
 
+class _InlineRunner:
+    """Lane runner of the serial backend: ``next`` runs the one pending
+    attempt on the calling thread."""
+
+    def __init__(self, job: GridJob) -> None:
+        self._job = job
+        self._pending = None
+
+    def submit(self, cid: int, attempt: int, resplit: bool) -> None:
+        self._pending = (cid, attempt, resplit)
+
+    def next(self):
+        cid, attempt, resplit = self._pending
+        return cid, attempt, self._job.attempt(cid, resplit)
+
+
 class SerialBackend:
     """Chunks inline on the calling thread — the reference path.
 
-    Explicit lanes are honored but drained sequentially, in lane order
-    (the single-worker hybrid semantics of ``plan_hybrid_lanes``)."""
+    One chunk in flight at a time whatever the window; explicit lanes
+    are honored but drained sequentially, in lane order (the
+    single-worker hybrid semantics of ``plan_hybrid_lanes``)."""
 
     name = "serial"
 
     def execute(self, job: GridJob, lanes: Sequence[LaneSpec],
                 lane_names: Sequence[str],
                 window_of: Callable[[int], int]) -> None:
-        tracer = job.tracer
         for (ids, _w), lane in zip(lanes, lane_names):
-            for i, cid in enumerate(ids):
-                if tracer.enabled:
-                    tracer.gauge(f"lane[{lane}]",
-                                 queue_depth=len(ids) - i - 1, in_flight=1)
-                job.run_chunk_with_retry(cid)
+            drain_lane(job, _InlineRunner(job), ids, 1, lane)
+
+
+class _ThreadRunner:
+    """Lane runner over a ``ThreadPoolExecutor``: attempts (whole or
+    re-split) run on the pool's threads and post their outcome to a
+    queue ``next`` blocks on.  With a tracer, each attempt records a
+    ``queue_wait`` span (submit-to-start latency) on its worker's
+    track."""
+
+    def __init__(self, job: GridJob, pool: ThreadPoolExecutor,
+                 lane: str) -> None:
+        self._job = job
+        self._pool = pool
+        self._lane = lane
+        self._finished: queue.SimpleQueue = queue.SimpleQueue()
+
+    def submit(self, cid: int, attempt: int, resplit: bool) -> None:
+        tracer = self._job.tracer
+        self._pool.submit(self._run, cid, attempt, resplit,
+                          tracer.now() if tracer.enabled else None)
+
+    def _run(self, cid: int, attempt: int, resplit: bool, t_submit) -> None:
+        if t_submit is not None:
+            tracer = self._job.tracer
+            tracer.add_span(f"queue_wait[{cid}]", "queue", t_submit,
+                            tracer.now(), chunk=cid, lane=self._lane)
+        self._finished.put((cid, attempt, self._job.attempt(cid, resplit)))
+
+    def next(self):
+        return self._finished.get()
 
 
 class ThreadBackend:
@@ -92,114 +134,116 @@ class ThreadBackend:
     numpy's vectorized kernels release the GIL, so threads overlap the
     heavy loops; the pure-python glue still serializes.  Cheapest to
     start — the right backend for tracing runs, small grids, and hosts
-    where process startup dominates."""
+    where process startup dominates.  Completion handling runs on the
+    lane thread only; cross-lane races are handled by the job's sink
+    lock."""
 
     name = "thread"
 
     def execute(self, job: GridJob, lanes: Sequence[LaneSpec],
                 lane_names: Sequence[str],
                 window_of: Callable[[int], int]) -> None:
-        runners = [
-            self._lane_runner(job, ids, lane_workers, window_of(lane_workers),
-                              lane_names[i])
-            for i, (ids, lane_workers) in enumerate(lanes)
-        ]
-        run_lanes_concurrently(runners, lane_names)
+        run_lanes_concurrently(
+            [partial(self._lane, job, ids, w, window_of(w), lane_names[i])
+             for i, (ids, w) in enumerate(lanes)],
+            lane_names)
 
-    def _lane_runner(self, job: GridJob, order: Sequence[int], workers: int,
-                     window: int, lane: str) -> Callable[[], None]:
-        return lambda: self._run_lane(job, order, workers, window, lane)
-
-    def _run_lane(self, job: GridJob, order: Sequence[int], workers: int,
-                  window: int, lane: str) -> None:
-        """Drain one lane's chunks through a bounded-window worker pool.
-
-        ``on_done`` is invoked from this (lane) thread only — completion
-        handling is serialized per lane; cross-lane races are handled by
-        the job's sink lock.  ``tracer`` records a ``queue_wait`` span
-        per chunk (submit-to-start latency on the worker's track) and
-        samples the lane's queue depth / in-flight occupancy as gauges.
-        """
-        tracer = job.tracer
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if workers <= 1:
-            for i, cid in enumerate(order):
-                if tracer.enabled:
-                    tracer.gauge(f"lane[{lane}]",
-                                 queue_depth=len(order) - i - 1, in_flight=1)
-                job.run_chunk_with_retry(cid)
-            return
-        queue = list(order)
-        pos = 0
+    @staticmethod
+    def _lane(job: GridJob, order: Sequence[int], workers: int,
+              window: int, lane: str) -> None:
         try:
             pool = ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix=f"{lane}-w"
             )
         except (RuntimeError, OSError) as exc:  # e.g. thread limit reached
             raise BackendUnavailable("thread", str(exc)) from exc
-        with pool:
-            in_flight = {}  # future -> (chunk id, attempt number)
+        try:
+            drain_lane(job, _ThreadRunner(job, pool, lane), order, window,
+                       lane)
+        finally:
+            # a failed lane drops its queued attempts; running ones finish
+            pool.shutdown(wait=True, cancel_futures=True)
 
-            def submit(cid: int, attempt: int):
-                # chunks whose worst-case working set overflows the
-                # device pool go straight to the re-split path
-                run = (job.run_chunk_resplit if job.needs_resplit(cid)
-                       else job.run_chunk_local)
-                if not tracer.enabled:
-                    in_flight[pool.submit(run, cid)] = (cid, attempt)
-                    return
-                t_submit = tracer.now()
 
-                def traced():
-                    tracer.add_span(f"queue_wait[{cid}]", "queue",
-                                    t_submit, tracer.now(), chunk=cid, lane=lane)
-                    return run(cid)
+class _ProcessRunner:
+    """Lane runner over a :class:`ProcessLanePool`: turns the pool's
+    result messages into lane outcomes.
 
-                in_flight[pool.submit(traced)] = (cid, attempt)
+    The window caps outstanding result segments as well as in-flight
+    compute: a segment exists from kernel completion in the worker until
+    ``next`` consumes it, and at most ``window`` chunks can be past
+    submission and unconsumed."""
 
-            try:
-                while pos < len(queue) or in_flight:
-                    while pos < len(queue) and len(in_flight) < window:
-                        cid = queue[pos]
-                        # host-memory admission: block only when nothing
-                        # is in flight (otherwise wait for a completion
-                        # to free budget before dispatching more)
-                        if not job.admit_host(cid, may_wait=not in_flight):
-                            break
-                        submit(cid, 1)
-                        pos += 1
-                    if tracer.enabled:
-                        tracer.gauge(f"lane[{lane}]",
-                                     queue_depth=len(queue) - pos,
-                                     in_flight=len(in_flight))
-                    done, _pending = wait(in_flight, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        cid, attempt = in_flight.pop(fut)
-                        try:
-                            job.on_done(*fut.result())
-                            job.release_host(cid)
-                        except DeviceOutOfMemory:
-                            # the kernel overflowed the device pool:
-                            # recover via adaptive re-splitting
-                            job.on_done(*job.run_chunk_resplit(cid))
-                            job.release_host(cid)
-                        except BaseException as exc:
-                            if isinstance(exc, ChunkTimeout):
-                                job.note_timeout(cid, attempt)
-                            # a failed attempt (kernel or sink) re-enters
-                            # the window after the policy's backoff
-                            delay = job.next_retry(cid, attempt, exc)
-                            if delay is None:
-                                job.release_host(cid)
-                                raise
-                            if delay > 0:
-                                time.sleep(delay)
-                            submit(cid, attempt + 1)
-            except BaseException:
-                for fut in in_flight:
-                    fut.cancel()
-                raise
+    def __init__(self, job: GridJob, pool: ProcessLanePool,
+                 lane: str) -> None:
+        self._job = job
+        self._pool = pool
+        self._lane = lane
+        self._parent_side: deque = deque()
+        self._shipped = 0  # attempts owed by the workers
+
+    def submit(self, cid: int, attempt: int, resplit: bool) -> None:
+        if resplit:
+            # oversized for the device pool: computed parent-side (in
+            # ``next``) through the re-split path instead of shipping a
+            # chunk to a worker that is known to overflow
+            self._parent_side.append((cid, attempt))
+            return
+        job = self._job
+        rp, cp = job.grid.panel_of(cid)
+        self._pool.submit(cid, rp, cp,
+                          time.perf_counter() if job.tracer.enabled else None,
+                          attempt)
+        self._shipped += 1
+
+    def next(self):
+        job = self._job
+        if self._parent_side:
+            cid, attempt = self._parent_side.popleft()
+            return cid, attempt, job.attempt(cid, True)
+        payload = self._pool.next_result()
+        self._shipped -= 1
+        if payload[0] == "hung":
+            # the watchdog killed a worker whose heartbeat stalled (or
+            # whose chunk overran its deadline)
+            _tag, cid, attempt = payload
+            return cid, attempt, ChunkTimeout(
+                cid, attempt=attempt, deadline=job.deadline_seconds,
+                reason="worker hung; killed by watchdog")
+        if payload[0] == "err":
+            _tag, cid, tb, attempt, ekind = payload
+            if ekind == "DeviceOutOfMemory":
+                return cid, attempt, DeviceOutOfMemory(
+                    f"chunk {cid} overflowed the device pool in a worker")
+            return cid, attempt, ChunkExecutionError(cid, attempt, tb)
+        cid, desc, attempt = payload[1], payload[3], payload[7]
+        if job.tracer.enabled:
+            job.tracer.gauge(f"shm[{self._lane}]", result_bytes=desc.nbytes,
+                             in_flight=self._shipped)
+        try:
+            return cid, attempt, self._consume(payload)
+        except BaseException as exc:
+            return cid, attempt, exc
+
+    def _consume(self, payload):
+        """Turn one worker result descriptor into ``on_done`` arguments:
+        attach the shared result segment, copy the chunk out, unlink the
+        segment, and merge the worker's trace spans/gauges."""
+        _tag, cid, stats, desc, elapsed, spans, gauges, _attempt = payload
+        shared = SharedCSR.attach(desc)
+        try:
+            matrix = shared.copy_matrix()
+        finally:
+            shared.close()
+            shared.unlink()  # ownership transferred on handoff
+        tracer = self._job.tracer
+        if tracer.enabled:
+            for name, cat, lane, raw_s, raw_e, args in spans:
+                tracer.add_span(name, cat, tracer.rebase_raw(raw_s),
+                                tracer.rebase_raw(raw_e), lane=lane, **args)
+            for name, raw_ts, values in gauges:
+                tracer.add_gauge(name, tracer.rebase_raw(raw_ts), **values)
+        return cid, stats, matrix, elapsed
 
 
 class ProcessBackend:
@@ -210,11 +254,6 @@ class ProcessBackend:
     process risks cloning held locks into the child."""
 
     name = "process"
-
-    def __init__(self, *, mp_context: Optional[str] = None,
-                 cache_max_bytes: Optional[int] = DEFAULT_CACHE_BYTES) -> None:
-        self._mp_context = mp_context
-        self._cache_max_bytes = cache_max_bytes
 
     def execute(self, job: GridJob, lanes: Sequence[LaneSpec],
                 lane_names: Sequence[str],
@@ -231,25 +270,24 @@ class ProcessBackend:
             # instead of failing the run.
             try:
                 # operand panels into shared memory, once per run
-                a_descs = []
-                for rp in range(job.grid.num_row_panels):
-                    seg = SharedCSR.create(job.row_panels[rp], f"{prefix}-a{rp}")
-                    segments.append(seg)
-                    a_descs.append(seg.descriptor)
-                b_descs = []
-                for cp in range(job.grid.num_col_panels):
-                    seg = SharedCSR.create(job.col_panels[cp], f"{prefix}-b{cp}")
-                    segments.append(seg)
-                    b_descs.append(seg.descriptor)
+                def share(panels, count: int, tag: str) -> list:
+                    descs = []
+                    for i in range(count):
+                        seg = SharedCSR.create(panels[i], f"{prefix}-{tag}{i}")
+                        segments.append(seg)
+                        descs.append(seg.descriptor)
+                    return descs
 
-                ctx = resolve_mp_context(self._mp_context)
+                a_descs = share(job.row_panels, job.grid.num_row_panels, "a")
+                b_descs = share(job.col_panels, job.grid.num_col_panels, "b")
+                ctx = resolve_mp_context()
                 faults_spec = job.faults.encode() if job.faults.enabled else None
                 gov = job.governor
                 heartbeat = gov.heartbeat_interval if gov is not None else None
                 for i, (_ids, lane_workers) in enumerate(lanes):
                     pools.append(ProcessLanePool(
                         ctx, lane_workers, lane_names[i], a_descs, b_descs,
-                        prefix, tracer.enabled, self._cache_max_bytes,
+                        prefix, tracer.enabled, DEFAULT_CACHE_BYTES,
                         kernel_spec=job.kernel.encode(),
                         crash_budget=job.crash_budget,
                         faults_spec=faults_spec,
@@ -263,12 +301,12 @@ class ProcessBackend:
             except (WorkerCrashed, OSError) as exc:
                 raise BackendUnavailable("process", str(exc)) from exc
 
-            runners = [
-                self._lane_runner(job, pools[i], ids,
-                                  window_of(lane_workers), lane_names[i])
-                for i, (ids, lane_workers) in enumerate(lanes)
-            ]
-            run_lanes_concurrently(runners, lane_names)
+            run_lanes_concurrently(
+                [partial(drain_lane, job,
+                         _ProcessRunner(job, pools[i], lane_names[i]),
+                         ids, window_of(w), lane_names[i])
+                 for i, (ids, w) in enumerate(lanes)],
+                lane_names)
         finally:
             for pool in pools:
                 pool.shutdown()
@@ -279,143 +317,3 @@ class ProcessBackend:
             # KeyboardInterrupt mid-drain, sink exception, ...)
             cleanup_segments(prefix)
             unregister_cleanup_prefix(prefix)
-
-    def _lane_runner(self, job: GridJob, pool: ProcessLanePool,
-                     order: Sequence[int], window: int,
-                     lane: str) -> Callable[[], None]:
-        return lambda: self._drain_lane(job, pool, order, window, lane)
-
-    def _drain_lane(self, job: GridJob, pool: ProcessLanePool,
-                    order: Sequence[int], window: int, lane: str) -> None:
-        """Submit up to ``window`` chunks to the lane's workers and funnel
-        completions — shared-memory result segments — into the job.
-
-        The window caps outstanding result segments as well as in-flight
-        compute: a segment exists from kernel completion in the worker
-        until consumption here, and at most ``window`` chunks can be past
-        submission and unconsumed."""
-        tracer = job.tracer
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        order = list(order)
-        pos = 0
-        in_flight = 0
-        result_bytes_live = 0
-        while pos < len(order) or in_flight:
-            while pos < len(order) and in_flight < window:
-                cid = order[pos]
-                if not job.admit_host(cid, may_wait=not in_flight):
-                    break
-                if job.needs_resplit(cid):
-                    # oversized for the device pool: computed parent-side
-                    # through the re-split path instead of shipping a
-                    # chunk to a worker that is known to overflow
-                    job.run_chunk_with_retry(cid)
-                    pos += 1
-                    continue
-                rp, cp = job.grid.panel_of(cid)
-                pool.submit(cid, rp, cp,
-                            time.perf_counter() if tracer.enabled else None)
-                pos += 1
-                in_flight += 1
-            if tracer.enabled:
-                tracer.gauge(f"lane[{lane}]",
-                             queue_depth=len(order) - pos,
-                             in_flight=in_flight)
-            if not in_flight:
-                # every remaining chunk was computed parent-side (inline
-                # re-split) — no worker owes a result to wait on
-                continue
-            payload = pool.next_result()
-            if payload[0] == "hung":
-                # the watchdog killed a worker whose heartbeat stalled
-                # (or whose chunk overran its deadline): account the
-                # timeout, then let the retry policy decide whether the
-                # chunk re-enters the queue
-                _tag, cid, attempt = payload
-                exc = ChunkTimeout(cid, attempt=attempt,
-                                   deadline=job.deadline_seconds,
-                                   reason="worker hung; killed by watchdog")
-                job.note_timeout(cid, attempt)
-                delay = job.next_retry(cid, attempt, exc)
-                if delay is None:
-                    raise exc
-                if delay > 0:
-                    time.sleep(delay)
-                rp, cp = job.grid.panel_of(cid)
-                pool.submit(cid, rp, cp,
-                            time.perf_counter() if tracer.enabled else None,
-                            attempt + 1)
-                continue
-            if payload[0] == "err":
-                # a chunk failed inside a worker: consult the retry
-                # policy, back off, and resubmit (the chunk stays
-                # in flight — the redo owes us exactly one result)
-                _tag, cid, tb, attempt, ekind = payload
-                if ekind == "DeviceOutOfMemory":
-                    # the worker's kernel overflowed the device pool:
-                    # recover parent-side by re-splitting the row panel
-                    job.on_done(*job.run_chunk_resplit(cid))
-                    job.release_host(cid)
-                    in_flight -= 1
-                    continue
-                exc = ChunkExecutionError(cid, attempt, tb)
-                delay = job.next_retry(cid, attempt, exc)
-                if delay is None:
-                    raise exc
-                if delay > 0:
-                    time.sleep(delay)
-                rp, cp = job.grid.panel_of(cid)
-                pool.submit(cid, rp, cp,
-                            time.perf_counter() if tracer.enabled else None,
-                            attempt + 1)
-                continue
-            in_flight -= 1
-            desc = payload[3]
-            result_bytes_live += desc.nbytes
-            if tracer.enabled:
-                tracer.gauge(f"shm[{lane}]", result_bytes=result_bytes_live,
-                             in_flight=in_flight)
-            try:
-                try:
-                    job.on_done(*self._consume(job, payload))
-                    job.release_host(payload[1])
-                except BaseException as exc:
-                    # the kernel succeeded but the parent-side sink
-                    # failed: the retry policy decides whether the chunk
-                    # is recomputed (the segment is already consumed, so
-                    # a redo goes through the full kernel again)
-                    cid, attempt = payload[1], payload[7]
-                    delay = job.next_retry(cid, attempt, exc)
-                    if delay is None:
-                        job.release_host(cid)
-                        raise
-                    if delay > 0:
-                        time.sleep(delay)
-                    rp, cp = job.grid.panel_of(cid)
-                    pool.submit(cid, rp, cp,
-                                time.perf_counter() if tracer.enabled else None,
-                                attempt + 1)
-                    in_flight += 1
-            finally:
-                result_bytes_live -= desc.nbytes
-
-    def _consume(self, job: GridJob, payload):
-        """Turn one worker result descriptor into ``on_done`` arguments:
-        attach the shared result segment, copy the chunk out, unlink the
-        segment, and merge the worker's trace spans/gauges."""
-        _tag, cid, stats, desc, elapsed, spans, gauges, _attempt = payload
-        shared = SharedCSR.attach(desc)
-        try:
-            matrix = shared.copy_matrix()
-        finally:
-            shared.close()
-            shared.unlink()  # ownership transferred on handoff
-        tracer = job.tracer
-        if tracer.enabled:
-            for name, cat, lane, raw_s, raw_e, args in spans:
-                tracer.add_span(name, cat, tracer.rebase_raw(raw_s),
-                                tracer.rebase_raw(raw_e), lane=lane, **args)
-            for name, raw_ts, values in gauges:
-                tracer.add_gauge(name, tracer.rebase_raw(raw_ts), **values)
-        return cid, stats, matrix, elapsed

@@ -1,26 +1,14 @@
-"""The pluggable chunk-execution engine: one driver, three backends.
+"""The chunk-execution engine: one grid driver, one lane loop.
 
 ``execute_chunk_grid`` executes every chunk of ``C = A x B`` and
-profiles it.  The *driver* here owns everything backend-independent —
-operand partitioning, lane planning and validation, bounded-window
-semantics, profile assembly, sink serialization — and delegates the
-actual chunk runs to an executor backend
-(:mod:`repro.core.executor.backends`):
-
-``serial``
-    the chunks inline on the calling thread, natural (row-major) order —
-    the reference path every other backend must reproduce bit-exactly.
-``thread``
-    a bounded-window thread pool per lane.  numpy releases the GIL in
-    its heavy vectorized loops, so threads overlap partially; dispatch
-    and the pure-python kernel glue still serialize on the GIL.  Lowest
-    overhead — the right choice for tracing runs and small grids.
-``process``
-    worker *processes* that own their cores outright (no GIL).  Operand
-    panels travel through shared memory once per run
-    (:class:`~repro.sparse.shm.SharedCSR`); per-chunk results come back
-    through per-chunk shared segments; only small descriptor tuples are
-    ever pickled.
+profiles it.  This module owns everything backend-independent: operand
+partitioning, lane planning and validation, the run's shared state and
+completion path (:class:`GridJob` — sink serialization, retry decisions,
+recovery telemetry), profile assembly, and :func:`drain_lane` — the one
+dispatch / admit / retry / release loop every lane of every backend
+runs.  A backend (:mod:`repro.core.executor.backends`: ``serial``
+inline, ``thread`` pool, ``process`` workers over shared memory) only
+supplies the runner that loop drives.
 
 Guarantees (all backends):
 
@@ -317,29 +305,46 @@ class GridJob:
         hint = np.ceil(ratio * products).astype(np.int64)
         return np.minimum(hint, products)
 
-    def run_chunk_local(
-        self, cid: int
+    def run_chunk(
+        self, cid: int, resplit: bool = False
     ) -> Tuple[int, TwoPhaseStats, CSRMatrix, float]:
+        """One in-process attempt of chunk ``cid`` — the ``on_done``
+        arguments.
+
+        ``resplit`` computes it as recursively halved row sub-panels, the
+        device-OOM path.  Row slices partition the panel, each
+        sub-product is deterministic, and :func:`vstack` restores row
+        order, so the assembled chunk is bit-identical to the unsplit
+        computation."""
         rp, cp = self.grid.panel_of(cid)
+        a_panel, b_panel = self.row_panels[rp], self.col_panels[cp]
+        if resplit and a_panel.n_rows <= 1:
+            raise DeviceOutOfMemory(
+                f"chunk {cid}: a single-row panel still exceeds the "
+                "device pool — cannot re-split further"
+            )
         tracer = self.tracer
         deadline = self.deadline_seconds
         t0 = time.perf_counter()
         if deadline is not None:
             arm_deadline(cid, deadline)
         try:
-            result = spgemm_twophase(
-                self.row_panels[rp], self.col_panels[cp],
-                kernel=self.kernel,
-                slice_cache=self.caches[rp], tracer=tracer,
-                trace_label=str(cid),
-                fault_hook=self._stage_hook(cid),
-                density_hint=self.density_hint(cid),
-            )
+            if resplit:
+                matrix, st = self._halve(cid, a_panel, b_panel, depth=1)
+            else:
+                result = spgemm_twophase(
+                    a_panel, b_panel, kernel=self.kernel,
+                    slice_cache=self.caches[rp], tracer=tracer,
+                    trace_label=str(cid),
+                    fault_hook=self._stage_hook(cid),
+                    density_hint=self.density_hint(cid),
+                )
+                matrix, st = result.matrix, result.stats
         finally:
             if deadline is not None:
                 disarm_deadline(cid)
         elapsed = time.perf_counter() - t0
-        if tracer.enabled:
+        if tracer.enabled and not resplit:
             # cumulative per-row-panel slice-cache behaviour, sampled at
             # each chunk completion (hit/miss/eviction counters + bytes)
             cache = self.caches[rp]
@@ -347,7 +352,16 @@ class GridJob:
                          hits=cache.hits, misses=cache.misses,
                          evictions=cache.evictions,
                          held_bytes=cache.held_bytes)
-        return cid, result.stats, result.matrix, elapsed
+        return cid, st, matrix, elapsed
+
+    def attempt(self, cid: int, resplit: bool):
+        """:meth:`run_chunk` as a lane *outcome*: its result, or the
+        exception it raised (returned, not raised — :func:`drain_lane`
+        rules on it)."""
+        try:
+            return self.run_chunk(cid, resplit)
+        except BaseException as exc:
+            return exc
 
     # ------------------------------------------------------------------
     # completion (every backend funnels through here)
@@ -407,6 +421,18 @@ class GridJob:
     # ------------------------------------------------------------------
     # fault tolerance (retry decisions + recovery telemetry)
     # ------------------------------------------------------------------
+    def note(self, counter: str, name: str, cat: str, *,
+             seconds: float = 0.0, **args) -> None:
+        """Record one recovery action: bump its ``fault_counters`` entry
+        and, when tracing, add its span and ``faults`` counter."""
+        with self._fault_lock:
+            self.fault_counters[counter] += 1
+        tracer = self.tracer
+        if tracer.enabled:
+            now = tracer.now()
+            tracer.add_span(name, cat, now, now + seconds, **args)
+            tracer.bump("faults", **{counter: 1})
+
     def next_retry(self, cid: int, attempt: int,
                    exc: BaseException) -> Optional[float]:
         """Decide whether attempt ``attempt`` of chunk ``cid`` failing
@@ -416,52 +442,10 @@ class GridJob:
         if not self.retry.should_retry(exc, attempt):
             return None
         delay = self.retry.delay_for(attempt, salt=cid)
-        with self._fault_lock:
-            self.fault_counters["retries"] += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            now = tracer.now()
-            # the span covers the backoff window before the next attempt
-            tracer.add_span(f"retry[{cid}]", "retry", now, now + delay,
-                            chunk=cid, attempt=attempt,
-                            error=type(exc).__name__)
-            tracer.bump("faults", retries=1)
+        # the span covers the backoff window before the next attempt
+        self.note("retries", f"retry[{cid}]", "retry", seconds=delay,
+                  chunk=cid, attempt=attempt, error=type(exc).__name__)
         return delay
-
-    def run_chunk_with_retry(self, cid: int) -> None:
-        """Run one chunk to completion (kernel + sink), retrying failed
-        attempts per the policy — the in-process (serial/thread
-        single-worker) execution path.
-
-        Host-memory admission brackets the whole chunk lifetime; a
-        device-memory overflow (predicted or raised) diverts the chunk
-        through the adaptive re-split path instead of a plain retry."""
-        self.admit_host(cid, may_wait=True)
-        try:
-            attempt = 1
-            while True:
-                try:
-                    if self.needs_resplit(cid):
-                        self.on_done(*self.run_chunk_resplit(cid))
-                    else:
-                        self.on_done(*self.run_chunk_local(cid))
-                    return
-                except DeviceOutOfMemory:
-                    # the kernel itself overflowed the pool: recover by
-                    # re-splitting rather than re-running the same shape
-                    self.on_done(*self.run_chunk_resplit(cid))
-                    return
-                except BaseException as exc:
-                    if isinstance(exc, ChunkTimeout):
-                        self.note_timeout(cid, attempt)
-                    delay = self.next_retry(cid, attempt, exc)
-                    if delay is None:
-                        raise
-                    if delay > 0:
-                        time.sleep(delay)
-                    attempt += 1
-        finally:
-            self.release_host(cid)
 
     def note_respawn(self, lane: str, worker: str, cid: Optional[int],
                      exitcode, kind: str = "crash") -> None:
@@ -469,42 +453,20 @@ class GridJob:
         ``"crash"`` (hard death, chunk requeued), ``"timeout"`` (watchdog
         kill of a hung worker) or ``"stale"`` (death after its chunk was
         already delivered/checkpointed — nothing to requeue)."""
-        with self._fault_lock:
-            self.fault_counters["respawns"] += 1
-            if kind == "stale":
+        self.note("respawns", f"respawn[{worker}]", "respawn",
+                  lane=lane, worker=worker, kind=kind,
+                  chunk=-1 if cid is None else cid,
+                  exitcode=-1 if exitcode is None else exitcode)
+        if kind == "stale":
+            with self._fault_lock:
                 self.fault_counters["stale"] += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            now = tracer.now()
-            tracer.add_span(f"respawn[{worker}]", "respawn", now, now,
-                            lane=lane, worker=worker, kind=kind,
-                            chunk=-1 if cid is None else cid,
-                            exitcode=-1 if exitcode is None else exitcode)
-            tracer.bump("faults", respawns=1)
-            if kind == "stale":
-                tracer.bump("faults", stale=1)
+            if self.tracer.enabled:
+                self.tracer.bump("faults", stale=1)
 
     def note_timeout(self, cid: int, attempt: int) -> None:
         """Record one chunk deadline expiry (cooperative or watchdog)."""
-        with self._fault_lock:
-            self.fault_counters["timeouts"] += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            now = tracer.now()
-            tracer.add_span(f"timeout[{cid}]", "timeout", now, now,
-                            chunk=cid, attempt=attempt)
-            tracer.bump("faults", timeouts=1)
-
-    def note_resplit(self, cid: int, depth: int, rows: int) -> None:
-        """Record one device-OOM row-panel halving."""
-        with self._fault_lock:
-            self.fault_counters["resplits"] += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            now = tracer.now()
-            tracer.add_span(f"resplit[{cid}]", "resplit", now, now,
-                            chunk=cid, depth=depth, rows=rows)
-            tracer.bump("faults", resplits=1)
+        self.note("timeouts", f"timeout[{cid}]", "timeout",
+                  chunk=cid, attempt=attempt)
 
     # ------------------------------------------------------------------
     # device-OOM recovery: adaptive row-panel re-splitting
@@ -542,52 +504,14 @@ class GridJob:
 
     def _halve(self, cid: int, a_sub: CSRMatrix, b_panel: CSRMatrix,
                depth: int):
-        self.note_resplit(cid, depth, a_sub.n_rows)
+        self.note("resplits", f"resplit[{cid}]", "resplit",
+                  chunk=cid, depth=depth, rows=a_sub.n_rows)
         mid = a_sub.n_rows // 2
         top_m, top_s = self._run_subchunk(
             cid, a_sub.row_slice(0, mid), b_panel, depth + 1)
         bot_m, bot_s = self._run_subchunk(
             cid, a_sub.row_slice(mid, a_sub.n_rows), b_panel, depth + 1)
         return vstack([top_m, bot_m]), _merge_twophase(top_s, bot_s)
-
-    def run_chunk_resplit(
-        self, cid: int
-    ) -> Tuple[int, TwoPhaseStats, CSRMatrix, float]:
-        """Recompute chunk ``cid`` as recursively halved row sub-panels
-        — the device-OOM recovery path.  Row slices partition the panel,
-        each sub-product is deterministic, and :func:`vstack` restores
-        row order, so the assembled chunk is bit-identical to the
-        unsplit computation."""
-        rp, cp = self.grid.panel_of(cid)
-        a_panel = self.row_panels[rp]
-        b_panel = self.col_panels[cp]
-        if a_panel.n_rows <= 1:
-            raise DeviceOutOfMemory(
-                f"chunk {cid}: a single-row panel still exceeds the "
-                "device pool — cannot re-split further"
-            )
-        deadline = self.deadline_seconds
-        t0 = time.perf_counter()
-        if deadline is not None:
-            arm_deadline(cid, deadline)
-        try:
-            matrix, st = self._halve(cid, a_panel, b_panel, depth=1)
-        finally:
-            if deadline is not None:
-                disarm_deadline(cid)
-        return cid, st, matrix, time.perf_counter() - t0
-
-    def note_degrade(self, from_backend: str, to_backend: str,
-                     reason: str) -> None:
-        """Record one graceful backend degradation step."""
-        with self._fault_lock:
-            self.fault_counters["degraded"] += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            now = tracer.now()
-            tracer.add_span(f"degrade[{from_backend}->{to_backend}]",
-                            "degrade", now, now, reason=reason)
-            tracer.bump("faults", degraded=1)
 
     def note_resume(self, skipped: int, remaining: int) -> None:
         """Record how much work a checkpoint resume skipped."""
@@ -597,6 +521,83 @@ class GridJob:
             tracer.add_span("resume", "resume", now, now,
                             skipped=skipped, remaining=remaining)
             tracer.gauge("resume", skipped=skipped, remaining=remaining)
+
+
+def drain_lane(job: GridJob, runner, order: Sequence[int], window: int,
+               lane: str) -> None:
+    """Drain one lane's chunks through ``runner`` — the one dispatch /
+    admit / retry loop every backend shares (the paper's device loop,
+    Alg. 4: next chunk in order, run it, hand the result to the sink).
+
+    ``runner`` is all that differs per backend, two methods:
+
+    ``submit(cid, attempt, resplit)``
+        start one attempt of a chunk without blocking.  ``resplit``: the
+        pre-dispatch check found the chunk oversized for the device
+        pool, so it must be computed through the re-split path.
+    ``next() -> (cid, attempt, outcome)``
+        block for the next finished attempt; ``outcome`` is the
+        ``on_done`` argument tuple, or the exception the attempt died
+        of.  An exception *raised* by ``next`` is the backend failing,
+        not a chunk (``WorkerCrashed``): it ends the lane unretried.
+
+    Per chunk: host admission (blocking only while the lane has nothing
+    in flight — otherwise a completion of its own will free budget) →
+    re-split check → submit → outcome → sink (``on_done``) → release.
+    A ``DeviceOutOfMemory`` outcome recovers on this thread through the
+    re-split path; any other failure (kernel, worker, sink) is put to
+    the retry policy here, once: back off and resubmit under the next
+    attempt number, keeping the reservation, or propagate.  However the
+    lane exits, every host reservation it still holds is released, so a
+    failed lane cannot starve the peers sharing its ledger (kernels a
+    dying lane already started may still be running at that point —
+    their results are dropped by the backend's teardown).
+    """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    tracer = job.tracer
+    pos = 0
+    in_flight = 0
+    held = set()  # chunk ids whose host reservation this lane holds
+    try:
+        while pos < len(order) or in_flight:
+            while pos < len(order) and in_flight < window:
+                cid = order[pos]
+                if not job.admit_host(cid, may_wait=not in_flight):
+                    break
+                held.add(cid)
+                runner.submit(cid, 1, job.needs_resplit(cid))
+                pos += 1
+                in_flight += 1
+            if tracer.enabled:
+                tracer.gauge(f"lane[{lane}]", queue_depth=len(order) - pos,
+                             in_flight=in_flight)
+            cid, attempt, outcome = runner.next()
+            in_flight -= 1
+            try:
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                job.on_done(*outcome)
+            except DeviceOutOfMemory:
+                # the kernel itself overflowed the pool: recover by
+                # re-splitting rather than re-running the same shape
+                job.on_done(*job.run_chunk(cid, resplit=True))
+            except BaseException as exc:
+                if isinstance(exc, ChunkTimeout):
+                    job.note_timeout(cid, attempt)
+                delay = job.next_retry(cid, attempt, exc)
+                if delay is None:
+                    raise
+                if delay > 0:
+                    time.sleep(delay)
+                runner.submit(cid, attempt + 1, job.needs_resplit(cid))
+                in_flight += 1
+                continue
+            held.discard(cid)
+            job.release_host(cid)
+    finally:
+        for cid in held:
+            job.release_host(cid)
 
 
 def run_lanes_concurrently(
@@ -677,12 +678,14 @@ def execute_chunk_grid(
         two-buffer analog).  Bounds peak memory held by unconsumed chunk
         outputs — under the process backend this also caps the
         outstanding shared-memory result segments.  Must be >= 1 when
-        given: ``0`` would admit nothing (and silently falling back to
-        the default hid exactly that), and a negative window would spin
-        the dispatch loop forever.
+        given (``0`` would admit nothing).
     keep_outputs / chunk_sink:
-        As in :func:`repro.core.chunks.profile_chunks`; sink calls are
-        serialized under a lock, in completion order.
+        ``keep_outputs`` returns the chunk matrices as
+        ``outputs[row_panel][col_panel]``; ``chunk_sink(row_panel,
+        col_panel, matrix)`` streams each chunk out as it is produced
+        (e.g. into a :class:`~repro.core.spill.DiskChunkStore`) without
+        retaining it.  Sink calls are serialized under a lock, in
+        completion order.
     lanes:
         Optional explicit ``[(chunk_ids, lane_workers), ...]`` partition of
         the grid (the hybrid split).  Lanes drain concurrently, each with
@@ -838,13 +841,11 @@ def execute_chunk_grid(
 
     num_chunks = grid.num_chunks
     if lanes is None:
-        if backend_name == "serial":
-            lanes = [(list(range(num_chunks)), 1)]
-        elif workers <= 1 and backend_name == "thread":
+        if backend_name == "serial" or (workers <= 1
+                                        and backend_name == "thread"):
             lanes = [(list(range(num_chunks)), 1)]
         else:
-            order = flops_desc_order(grid_flops())
-            lanes = [(order, workers)]
+            lanes = [(flops_desc_order(grid_flops()), workers)]
     else:
         seen = sorted(cid for ids, _ in lanes for cid in ids)
         if seen != list(range(num_chunks)):
@@ -939,7 +940,8 @@ def execute_chunk_grid(
         except BackendUnavailable as exc:
             if step + 1 >= len(chain):
                 raise
-            job.note_degrade(candidate, chain[step + 1], str(exc))
+            job.note("degraded", f"degrade[{candidate}->{chain[step + 1]}]",
+                     "degrade", reason=str(exc))
             warnings.warn(
                 f"executor backend {candidate!r} unavailable "
                 f"({exc.reason}); degrading to {chain[step + 1]!r}",

@@ -140,6 +140,11 @@ class RetryPolicy:
     The default retries any ``Exception`` (transient kernel faults,
     injected chaos, worker-side errors) but never ``KeyboardInterrupt``
     / ``SystemExit``.
+
+    :meth:`to_record` / :meth:`from_record` carry the five numeric
+    fields across the shard wire; ``retryable`` is a callable and does
+    not travel — a remote worker classifies failures with the default
+    predicate.
     """
 
     max_attempts: int = 1
@@ -159,6 +164,17 @@ class RetryPolicy:
         if not 0.0 <= self.jitter:
             raise ValueError("jitter must be >= 0")
 
+    def to_record(self) -> dict:
+        """JSON-safe dict of the numeric fields (not ``retryable``)."""
+        return {f: getattr(self, f) for f in _RETRY_RECORD_FIELDS}
+
+    @classmethod
+    def from_record(cls, record: dict) -> "RetryPolicy":
+        """Inverse of :meth:`to_record`; absent fields keep their
+        defaults, unknown keys are ignored."""
+        return cls(**{f: record[f] for f in _RETRY_RECORD_FIELDS
+                      if f in record})
+
     def should_retry(self, exc: BaseException, attempt: int) -> bool:
         """Whether attempt ``attempt`` failing with ``exc`` warrants another."""
         return attempt < self.max_attempts and bool(self.retryable(exc))
@@ -173,6 +189,9 @@ class RetryPolicy:
         mix = (attempt * 0x9E3779B1 + (salt + 1) * 0x85EBCA77) & 0xFFFFFFFF
         return delay * (1.0 + self.jitter * (mix / 2 ** 32))
 
+
+_RETRY_RECORD_FIELDS = ("max_attempts", "base_delay", "max_delay", "backoff",
+                        "jitter")
 
 #: the no-retry policy every entry point defaults to
 NO_RETRY = RetryPolicy(max_attempts=1)

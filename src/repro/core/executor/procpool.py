@@ -61,6 +61,7 @@ from multiprocessing import resource_tracker as _resource_tracker
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ...sparse.shm import cleanup_segments
+from ..governor.watchdog import HeartbeatLease
 from .procworker import worker_main
 
 __all__ = ["WorkerCrashed", "ProcessLanePool", "resolve_mp_context"]
@@ -153,7 +154,9 @@ class ProcessLanePool:
     thread in the worker.  Between result polls the parent kills any
     worker that (a) has held one claim longer than ``deadline`` seconds
     or (b) whose heartbeat has not advanced for ``HEARTBEAT_GRACE x
-    heartbeat_interval`` while claimed.  A timeout kill charges the
+    heartbeat_interval`` while claimed (a
+    :class:`~repro.core.governor.watchdog.HeartbeatLease` per claim).
+    A timeout kill charges the
     crash budget and surfaces as a ``("hung", cid, attempt)`` message
     from :meth:`next_result` — the caller's retry policy, not the pool,
     decides whether the chunk is requeued.
@@ -222,8 +225,9 @@ class ProcessLanePool:
         self._tasks: Dict[int, Tuple] = {}
         #: watchdog kills waiting to surface via next_result
         self._hung: Deque[Tuple[int, int]] = deque()
-        #: worker name -> (cid, claim seen at, beat value, beat changed at)
-        self._watch: Dict[str, List] = {}
+        #: worker name -> (claimed cid, claim first seen at, heartbeat
+        #: lease or None when only the deadline is watched)
+        self._watch: Dict[str, Tuple] = {}
         # crash-proof in-flight claims, doubled for heartbeats: slot i
         # holds the chunk id worker-slot i is processing (-1 = idle),
         # slot i + half its heartbeat counter.  Dead workers' slots are
@@ -436,18 +440,18 @@ class ProcessLanePool:
             if cid < 0:
                 self._watch.pop(proc.name, None)
                 continue
-            beat = self._claims[slot + half]
             st = self._watch.get(proc.name)
             if st is None or st[0] != cid:
-                self._watch[proc.name] = [cid, now, beat, now]
-                continue
-            if beat != st[2]:
-                st[2] = beat
-                st[3] = now
+                lease = None if self._heartbeat is None else HeartbeatLease(
+                    self._heartbeat, grace=HEARTBEAT_GRACE)
+                st = self._watch[proc.name] = (cid, now, lease)
+            _cid, claimed_at, lease = st
+            beat = self._claims[slot + half]
+            if lease is not None and beat > lease.counter:
+                lease.beat(beat)
             overdue = (self._deadline is not None
-                       and now - st[1] >= self._deadline)
-            stalled = (self._heartbeat is not None
-                       and now - st[3] >= HEARTBEAT_GRACE * self._heartbeat)
+                       and now - claimed_at >= self._deadline)
+            stalled = lease is not None and lease.expired(now)
             if overdue or stalled:
                 self._kill_hung(proc, slot, cid,
                                 "deadline" if overdue else "heartbeat")

@@ -34,7 +34,7 @@ inside kernels with no handle on the engine.  Chunk ids are only unique
 *within* a run, though — and the job server executes many runs
 concurrently in one process — so entries are keyed by ``(executing
 thread ident, chunk id)``.  Arming, checking, and disarming all happen
-on the thread running the chunk's kernel (``run_chunk_local`` arms
+on the thread running the chunk's kernel (``GridJob.run_chunk`` arms
 immediately before the kernel call on the same lane thread that
 executes it), so the thread ident disambiguates runs without any handle
 being passed through the kernel stack.
@@ -112,25 +112,25 @@ def check_deadline(chunk_id: int) -> None:
 
 
 class HeartbeatLease:
-    """Liveness lease over pushed heartbeats — the shared-memory
-    heartbeat slot of the process-backend claims array, generalized to
-    peers the parent cannot share memory with (remote shard workers
-    over a socket).
+    """Liveness lease over observed heartbeats — the one stall rule for
+    both kinds of watched peer: a pool worker, whose counter the parent
+    *reads* from its shared-memory claims slot
+    (:mod:`repro.core.executor.procpool`), and a remote shard worker,
+    which *pushes* ``hb`` frames over its socket
+    (:mod:`repro.distributed.transport.pool`).
 
-    The watched peer *pushes* beats (any observed activity counts — a
-    heartbeat frame, a result chunk); the watcher calls :meth:`beat` on
-    each and :meth:`expired` whenever its read polls time out.  A lease
-    silent for longer than ``interval x grace`` is expired: the peer is
-    presumed stalled (stopped, swapping, wedged mid-send) even though
-    its connection may still be open — the same "counter unchanged for
-    2x the interval" rule the in-process watchdog applies to worker
-    heartbeat slots.
+    The watcher calls :meth:`beat` on each sign of life (an advanced
+    counter, a heartbeat frame, a result chunk) and :meth:`expired`
+    whenever its polls come back empty.  A lease silent for longer than
+    ``interval x grace`` is expired: the peer is presumed stalled
+    (stopped, swapping, wedged mid-send) even though its process or
+    connection may still be there.
 
     ``beat`` optionally takes the peer's monotonically increasing
     counter; a regression (a stale frame from before a reconnect)
     renews the lease — bytes did arrive — but is counted in
     ``regressions`` for diagnostics.  Not thread-safe: one lease
-    belongs to the single thread driving its peer's connection.
+    belongs to the single thread watching its peer.
     """
 
     def __init__(self, interval_seconds: float, *, grace: float = 3.0) -> None:
@@ -143,7 +143,7 @@ class HeartbeatLease:
         self.deadline_seconds = float(interval_seconds) * float(grace)
         self.beats = 0
         self.regressions = 0
-        self._counter = 0
+        self.counter = 0  # highest peer counter seen
         self._last = time.monotonic()
 
     def beat(self, counter: Optional[int] = None) -> None:
@@ -151,9 +151,9 @@ class HeartbeatLease:
         self._last = time.monotonic()
         self.beats += 1
         if counter is not None:
-            if counter <= self._counter:
+            if counter <= self.counter:
                 self.regressions += 1
-            self._counter = max(self._counter, int(counter))
+            self.counter = max(self.counter, int(counter))
 
     def remaining(self, now: Optional[float] = None) -> float:
         """Seconds of lease left (negative once expired)."""

@@ -67,6 +67,7 @@ from .transport import (
     csr_arrays,
     run_remote_span,
 )
+from .transport.worker import encode_run_config
 
 __all__ = [
     "ShardConfig",
@@ -88,10 +89,7 @@ class ShardConfig:
     its own worker processes).  ``device_pool_bytes`` and the deadline
     fields configure each shard's private governor;
     ``host_mem_budget_bytes`` is the **node-global** ledger all shards
-    share.  ``balance`` picks how row panels map to shards:
-    ``"flops"`` cuts at near-equal cumulative flops (LPT-style load
-    balance on contiguous spans), ``"panels"`` at near-equal panel
-    counts.
+    share.
     """
 
     num_shards: int = 2
@@ -104,7 +102,6 @@ class ShardConfig:
     heartbeat_interval: Optional[float] = None
     host_mem_budget_bytes: Optional[int] = None
     max_resplit_depth: int = 8
-    balance: str = "flops"
     network: NetworkModel = field(default_factory=NetworkModel)
     #: ``"local"`` runs every shard in-process (PR 9 behavior);
     #: ``"socket"`` ships each span to a ``repro shard-worker`` process
@@ -133,10 +130,6 @@ class ShardConfig:
             raise ValueError("num_shards must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1 per shard")
-        if self.balance not in ("flops", "panels"):
-            raise ValueError(
-                f"balance must be 'flops' or 'panels', got {self.balance!r}"
-            )
         if self.transport not in ("local", "socket"):
             raise ValueError(
                 f"transport must be 'local' or 'socket', got {self.transport!r}"
@@ -315,19 +308,20 @@ class ShardedResult:
 
 
 def plan_shards(grid: ChunkGrid, num_shards: int,
-                flops: Optional[np.ndarray] = None,
-                balance: str = "flops") -> List[ShardSpan]:
+                flops: Optional[np.ndarray] = None) -> List[ShardSpan]:
     """Cut the grid's row panels into contiguous shard spans.
 
     ``flops`` is the per-chunk matrix from
-    :func:`~repro.core.chunks.chunk_flops`; with ``balance="flops"``
-    the cuts land at near-equal cumulative flops so a skewed (power-law)
-    grid does not pile all the work on one shard.  Spans are always
-    non-empty: ``num_shards`` is clamped to the panel count.
+    :func:`~repro.core.chunks.chunk_flops`; the cuts land at near-equal
+    cumulative flops (LPT-style load balance on contiguous spans) so a
+    skewed (power-law) grid does not pile all the work on one shard.
+    Without it (or with all-zero flops) panels are split near-equally by
+    count.  Spans are always non-empty: ``num_shards`` is clamped to the
+    panel count.
     """
     parts = max(1, min(int(num_shards), grid.num_row_panels))
     n = grid.num_row_panels
-    if balance == "flops" and flops is not None and flops.sum() > 0:
+    if flops is not None and flops.sum() > 0:
         weights = flops.sum(axis=1).astype(float)
         prefix = np.cumsum(weights)
         total = float(prefix[-1])
@@ -418,7 +412,7 @@ def run_sharded(
         grid = ChunkGrid.regular(a.n_rows, b.n_cols, rp, cp)
 
     flops = chunk_flops(a, b, grid)
-    spans = plan_shards(grid, cfg.num_shards, flops, cfg.balance)
+    spans = plan_shards(grid, cfg.num_shards, flops)
     num_shards = len(spans)
     shard_faults = dict(shard_faults or {})
     shard_debug = dict(shard_debug or {})
@@ -463,18 +457,21 @@ def run_sharded(
     failures: Dict[int, BaseException] = {}
     rb = grid.row_bounds
 
+    def governor_config(host_budget: Optional[int]) -> GovernorConfig:
+        return GovernorConfig(
+            deadline_seconds=cfg.deadline_seconds,
+            heartbeat_interval=cfg.heartbeat_interval,
+            device_pool_bytes=cfg.device_pool_bytes,
+            max_resplit_depth=cfg.max_resplit_depth,
+            host_mem_budget_bytes=host_budget,
+        )
+
     def make_governor(t: int) -> Governor:
+        # the scoped view supplies host admission; a per-shard private
+        # budget beside it would double-govern
         return Governor(
-            GovernorConfig(
-                deadline_seconds=cfg.deadline_seconds,
-                heartbeat_interval=cfg.heartbeat_interval,
-                device_pool_bytes=cfg.device_pool_bytes,
-                max_resplit_depth=cfg.max_resplit_depth,
-                # the scoped view below supplies host admission; a
-                # per-shard private budget here would double-govern
-                host_mem_budget_bytes=(
-                    cfg.host_mem_budget_bytes if ledger is None else None),
-            ),
+            governor_config(
+                cfg.host_mem_budget_bytes if ledger is None else None),
             hostmem=None if ledger is None else ledger.scoped(f"shard{t}"),
         )
 
@@ -483,20 +480,12 @@ def run_sharded(
         share = None
         if cfg.host_mem_budget_bytes is not None:
             share = max(1, int(cfg.host_mem_budget_bytes) // num_shards)
-        return {
-            "workers": 1 if cfg.backend == "serial" else cfg.workers,
-            "window": cfg.window,
-            "backend": cfg.backend,
-            "kernel": cfg.kernel,
-            "retries": getattr(retry, "max_attempts", 1) if retry else 1,
-            "retry_delay": getattr(retry, "base_delay", 0.05) if retry else 0.05,
-            "crash_budget": crash_budget,
-            "deadline_seconds": cfg.deadline_seconds,
-            "heartbeat_interval_governor": cfg.heartbeat_interval,
-            "device_pool_bytes": cfg.device_pool_bytes,
-            "max_resplit_depth": cfg.max_resplit_depth,
-            "host_mem_budget_bytes": share,
-        }
+        return encode_run_config(
+            workers=1 if cfg.backend == "serial" else cfg.workers,
+            window=cfg.window, backend=cfg.backend, kernel=cfg.kernel,
+            retry=retry, crash_budget=crash_budget,
+            governor=governor_config(share),
+        )
 
     def run_span_socket(span, rec, shard_tracer, a_shard, sub,
                         store, manifest, resume_stats):

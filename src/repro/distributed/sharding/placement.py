@@ -30,31 +30,12 @@ class ShardPlacement:
         self._running: List[int] = [0] * self.num_shards
         self._reserved: List[int] = [0] * self.num_shards
         self._placed: List[int] = [0] * self.num_shards
-        self._down: List[bool] = [False] * self.num_shards
-
-    def mark_down(self, shard: int) -> None:
-        """Steer new placements away from a shard whose remote worker is
-        lost (the transport pool's ``on_worker_lost`` hook)."""
-        with self._lock:
-            self._down[int(shard)] = True
-
-    def mark_up(self, shard: int) -> None:
-        with self._lock:
-            self._down[int(shard)] = False
 
     def pick(self, cost_bytes: int = 0) -> int:
-        """Choose a shard for a job and charge it there immediately.
-
-        Down shards are skipped; with *every* shard down placement falls
-        back to all of them (jobs degrade in-process rather than queue
-        forever)."""
+        """Choose a shard for a job and charge it there immediately."""
         with self._lock:
-            candidates = [t for t in range(self.num_shards)
-                          if not self._down[t]]
-            if not candidates:
-                candidates = list(range(self.num_shards))
             shard = min(
-                candidates,
+                range(self.num_shards),
                 key=lambda t: (self._running[t], self._reserved[t], t),
             )
             self._running[shard] += 1
@@ -75,6 +56,4 @@ class ShardPlacement:
                 "running": list(self._running),
                 "reserved_bytes": list(self._reserved),
                 "placed_total": list(self._placed),
-                "down": [t for t in range(self.num_shards)
-                         if self._down[t]],
             }

@@ -246,10 +246,6 @@ class RemoteShardPool:
         self.workers: List[RemoteWorker] = list(workers)
         self._tmpdir = tmpdir
         self._owns = owns_processes
-        #: observer called with (worker_id, reason) when a worker is
-        #: declared permanently lost — the serve scheduler hooks this to
-        #: steer new jobs away from the dead shard
-        self.on_worker_lost: Optional[Callable[[int, str], None]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -349,11 +345,6 @@ class RemoteShardPool:
     def mark_lost(self, worker: RemoteWorker, reason: str) -> None:
         worker.alive = False
         worker.disconnect()
-        if self.on_worker_lost is not None:
-            try:
-                self.on_worker_lost(worker.worker_id, reason)
-            except Exception:
-                pass
 
     # ------------------------------------------------------------------
     # chaos / lifecycle

@@ -48,8 +48,8 @@ import numpy as np
 
 from ...core.chunks import ChunkGrid, ChunkStats
 from ...core.executor import execute_chunk_grid
-from ...core.executor.faults import RetryPolicy
-from ...core.governor import Governor, GovernorConfig
+from ...core.executor.faults import NO_RETRY, RetryPolicy
+from ...core.governor import GovernorConfig
 from ...sparse.formats import CSRMatrix
 from .wire import (
     PROTOCOL_VERSION,
@@ -64,10 +64,64 @@ from .wire import (
     send_frame,
 )
 
-__all__ = ["ShardWorker", "shard_worker_main"]
+__all__ = ["ShardWorker", "shard_worker_main", "encode_run_config",
+           "decode_run_config"]
 
 #: default wire heartbeat period (seconds) when a run does not set one
 DEFAULT_HEARTBEAT_INTERVAL = 0.25
+
+
+def encode_run_config(*, workers: int, window: Optional[int],
+                      backend: Optional[str], kernel: Optional[str],
+                      retry: Optional[RetryPolicy], crash_budget: int,
+                      governor: GovernorConfig) -> dict:
+    """The ``config`` object of a run frame: how the remote worker must
+    drive its executor.  JSON-safe; :func:`decode_run_config` is the
+    inverse, and the two are the only places that know the key names.
+    ``retries`` / ``retry_delay`` duplicate two ``retry`` fields for
+    workers that predate the full record."""
+    retry = retry if retry is not None else NO_RETRY
+    return {
+        "workers": workers,
+        "window": window,
+        "backend": backend,
+        "kernel": kernel,
+        "retries": retry.max_attempts,
+        "retry_delay": retry.base_delay,
+        "retry": retry.to_record(),
+        "crash_budget": crash_budget,
+        "deadline_seconds": governor.deadline_seconds,
+        "heartbeat_interval_governor": governor.heartbeat_interval,
+        "device_pool_bytes": governor.device_pool_bytes,
+        "max_resplit_depth": governor.max_resplit_depth,
+        "host_mem_budget_bytes": governor.host_mem_budget_bytes,
+    }
+
+
+def decode_run_config(cfg: dict) -> dict:
+    """A run frame's ``config`` as ``execute_chunk_grid`` keyword
+    arguments (``governor`` is ``None`` when no limit is set).  Missing
+    keys take the engine's defaults; unknown keys are ignored."""
+    retry = cfg.get("retry") or {  # a node that predates the record
+        "max_attempts": cfg.get("retries") or 1,
+        "base_delay": cfg.get("retry_delay", NO_RETRY.base_delay),
+    }
+    governor = GovernorConfig(
+        deadline_seconds=cfg.get("deadline_seconds"),
+        heartbeat_interval=cfg.get("heartbeat_interval_governor"),
+        device_pool_bytes=cfg.get("device_pool_bytes"),
+        max_resplit_depth=int(cfg.get("max_resplit_depth") or 8),
+        host_mem_budget_bytes=cfg.get("host_mem_budget_bytes"),
+    )
+    return {
+        "workers": int(cfg.get("workers") or 1),
+        "window": cfg.get("window"),
+        "backend": cfg.get("backend"),
+        "kernel": cfg.get("kernel"),
+        "retry": RetryPolicy.from_record(retry),
+        "crash_budget": int(cfg.get("crash_budget") or 0),
+        "governor": governor if governor.enabled else None,
+    }
 
 
 class _Shutdown(Exception):
@@ -278,44 +332,21 @@ class ShardWorker:
             row_bounds=np.asarray(meta["grid"]["row_bounds"], dtype=np.int64),
             col_bounds=np.asarray(meta["grid"]["col_bounds"], dtype=np.int64),
         )
-        cfg = meta.get("config") or {}
         skip = {int(rec["chunk_id"]): ChunkStats.from_record(rec)
                 for rec in meta.get("skip", [])}
-        retries = int(cfg.get("retries") or 1)
-        retry = None
-        if retries > 1:
-            retry = RetryPolicy(max_attempts=retries,
-                                base_delay=float(cfg.get("retry_delay", 0.05)))
-        governor = None
-        if any(cfg.get(k) is not None for k in
-               ("deadline_seconds", "heartbeat_interval_governor",
-                "device_pool_bytes", "host_mem_budget_bytes")):
-            governor = Governor(GovernorConfig(
-                deadline_seconds=cfg.get("deadline_seconds"),
-                heartbeat_interval=cfg.get("heartbeat_interval_governor"),
-                device_pool_bytes=cfg.get("device_pool_bytes"),
-                max_resplit_depth=int(cfg.get("max_resplit_depth") or 8),
-                host_mem_budget_bytes=cfg.get("host_mem_budget_bytes"),
-            ))
         streamer = _StreamingSink(conn)
         conn.send("run-ack", {"chunks": grid.num_chunks,
                               "skipped": len(skip)})
         t0 = time.perf_counter()
         execute_chunk_grid(
             a, b, grid,
-            workers=int(cfg.get("workers") or 1),
-            window=cfg.get("window"),
             keep_outputs=False,
             chunk_sink=streamer.sink,
             manifest=streamer,
             name=str(meta.get("name") or "remote-shard"),
-            backend=cfg.get("backend"),
-            kernel=cfg.get("kernel"),
-            retry=retry,
-            crash_budget=int(cfg.get("crash_budget") or 0),
             faults=meta.get("faults") or None,
             resume_stats=skip or None,
-            governor=governor,
+            **decode_run_config(meta.get("config") or {}),
         )
         conn.send("done", {
             "wall_seconds": time.perf_counter() - t0,

@@ -25,7 +25,8 @@ from typing import Callable, Dict, TypeVar
 
 T = TypeVar("T")
 
-from ..core.chunks import ChunkGrid, ChunkProfile, csr_bytes, profile_chunks
+from ..core.chunks import ChunkGrid, ChunkProfile, csr_bytes
+from ..core.executor import execute_chunk_grid
 from ..core.planner import plan_grid, working_set_bytes
 from ..device.specs import NodeSpec, v100_node
 from ..spgemm.kernels import resolved_wire
@@ -192,9 +193,7 @@ def profile_for(
     times are meaningless under a different kernel.
     """
     report = plan_grid(a, b, node)
-    profile, _ = profile_chunks(
-        a, b, report.grid, keep_outputs=False, name=name, kernel=kernel
-    )
+    profile, _ = execute_chunk_grid(a, b, report.grid, name=name, kernel=kernel)
     return profile
 
 
@@ -242,7 +241,7 @@ def get_profile_for_grid(abbr: str, rows: int, cols: int, kernel=None) -> ChunkP
     if profile is None:
         a = get_matrix(abbr)
         grid = ChunkGrid.regular(a.n_rows, a.n_cols, rows, cols)
-        profile, _ = profile_chunks(a, a, grid, name=key, kernel=kernel)
+        profile, _ = execute_chunk_grid(a, a, grid, name=key, kernel=kernel)
         path.write_text(json.dumps({"kernel": wire, **profile.to_dict()}))
     _profile_cache[key] = profile
     return profile

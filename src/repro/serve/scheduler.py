@@ -171,8 +171,6 @@ class JobScheduler:
         self._running: Dict[int, JobRecord] = {}
         self._running_by_tenant: Dict[str, int] = {}
         self.placement = ShardPlacement(self.shards)
-        # wired to a transport pool's on_worker_lost: a remote shard
-        # whose worker died stops receiving new jobs until marked up
         per_shard = max(1, self.slots // self.shards)
         self._pools = [
             ThreadPoolExecutor(
@@ -311,20 +309,6 @@ class JobScheduler:
     # ------------------------------------------------------------------
     # introspection / lifecycle
     # ------------------------------------------------------------------
-    def set_shard_health(self, shard: int, up: bool) -> None:
-        """Mark one shard placeable (``up=True``) or not.
-
-        The remote-transport hook: bind a pool's ``on_worker_lost`` to
-        ``lambda wid, reason: scheduler.set_shard_health(wid, False)``
-        and new jobs steer away from the dead worker's shard while
-        running jobs drain normally."""
-        if not 0 <= int(shard) < self.shards:
-            raise ValueError(f"shard {shard} outside 0..{self.shards - 1}")
-        if up:
-            self.placement.mark_up(shard)
-        else:
-            self.placement.mark_down(shard)
-
     def stats(self) -> Dict[str, Any]:
         with self._cond:
             return {

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.api import (
-    make_profile,
     run_hybrid,
     run_out_of_core,
     simulate_cpu_baseline,
@@ -114,13 +113,27 @@ class TestSimulationConsistency:
 
 class TestMakeProfile:
     def test_plans_when_no_grid(self, matrix, node):
-        profile, outputs = make_profile(matrix, matrix, node, keep_outputs=True)
-        assert profile.total_flops > 0
-        assert outputs is not None
+        from repro.core.planner import plan_grid
+
+        result = run_out_of_core(matrix, matrix, node)
+        planned = plan_grid(matrix, matrix, node).grid
+        assert result.profile.total_flops > 0
+        assert result.profile.grid.row_bounds.tolist() == planned.row_bounds.tolist()
+        assert result.profile.grid.col_bounds.tolist() == planned.col_bounds.tolist()
+        assert result.matrix is not None
 
     def test_no_outputs_by_default(self, matrix, node):
-        _, outputs = make_profile(matrix, matrix, node)
-        assert outputs is None
+        """``keep_output=False`` retains nothing, and a store handed to a
+        governed run joins that governor's host-memory ledger."""
+        from repro.core.governor import Governor, GovernorConfig
+        from repro.core.spill import MemoryChunkStore
+
+        store = MemoryChunkStore()
+        gov = Governor(GovernorConfig(host_mem_budget_bytes=1 << 30))
+        result = run_out_of_core(matrix, matrix, node, keep_output=False,
+                                 chunk_store=store, governor=gov)
+        assert result.matrix is None
+        assert gov.hostmem.held_bytes() == store.nbytes() > 0
 
 
 class TestParallelWorkers:
@@ -148,6 +161,6 @@ class TestParallelWorkers:
         assert_equals_scipy_product(par.matrix, matrix, matrix)
 
     def test_make_profile_records_measurements(self, matrix, node):
-        profile, _ = make_profile(matrix, matrix, node, workers=2)
+        profile = run_out_of_core(matrix, matrix, node, workers=2).profile
         assert profile.has_measured_times
         assert all(c.measured for c in profile.chunks)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.chunks import ChunkGrid, ChunkProfile, chunk_flops, csr_bytes, profile_chunks
+from repro.core.chunks import ChunkGrid, ChunkProfile, chunk_flops, csr_bytes
 from repro.sparse.generators import random_csr
 from repro.spgemm.flops import total_flops
 from repro.spgemm.reference import spgemm_scipy

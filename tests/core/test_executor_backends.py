@@ -302,12 +302,10 @@ class TestOrphanedWorkers:
 
 class TestPublicThreading:
     def test_profile_chunks_backend_param(self, problem, serial):
-        from repro.core.chunks import profile_chunks
-
         a, grid = problem
         _, serial_out = serial
-        _, out = profile_chunks(a, a, grid, keep_outputs=True, workers=2,
-                                backend="process")
+        _, out = execute_chunk_grid(a, a, grid, keep_outputs=True, workers=2,
+                                    backend="process")
         assert_outputs_identical(serial_out, out)
 
     def test_run_hybrid_backend_param(self, problem):

@@ -32,7 +32,7 @@ from repro.core import (
     SpillableChunkStore,
     assemble_chunks,
     execute_chunk_grid,
-    make_profile,
+    run_out_of_core,
 )
 from repro.core.chunks import chunk_flops
 from repro.core.executor import RetryPolicy
@@ -476,10 +476,10 @@ class TestHostBudgetEndToEnd:
                                     tracer=tracer)
         gov = Governor(GovernorConfig(host_mem_budget_bytes=budget))
         workers = 2
-        profile, _ = make_profile(
-            a, b, grid=grid, chunk_store=store, workers=workers,
-            backend=backend, tracer=tracer, governor=gov,
-        )
+        profile = run_out_of_core(
+            a, b, grid=grid, chunk_store=store, keep_output=False,
+            workers=workers, backend=backend, tracer=tracer, governor=gov,
+        ).profile
         assert len(profile.chunks) == grid.num_chunks
         # the budget held: every ledger sample stayed under it, with no
         # overcommit escape hatch taken

@@ -100,7 +100,7 @@ class TestReplayDynamic:
 class TestPlannerConsistency:
     def test_planner_grid_passes_replay(self):
         """End-to-end: a grid the planner accepts must fit the replay."""
-        from repro.core.chunks import profile_chunks
+        from repro.core.executor import execute_chunk_grid
         from repro.core.planner import plan_grid
         from repro.device.specs import v100_node
         from repro.sparse.generators import rmat
@@ -108,6 +108,6 @@ class TestPlannerConsistency:
         a = rmat(9, 8.0, seed=13)
         node = v100_node(48 << 20)
         report = plan_grid(a, a, node)
-        profile, _ = profile_chunks(a, a, report.grid)
+        profile, _ = execute_chunk_grid(a, a, report.grid)
         replay = replay_pool(profile, node.gpu.device_memory_bytes)
         assert replay.fits, (report, replay)

@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.chunks import ChunkGrid, chunk_flops, profile_chunks
+from repro.core.chunks import ChunkGrid, chunk_flops
 from repro.core.executor import (
     default_window,
     execute_chunk_grid,
@@ -273,10 +273,10 @@ class TestProfileChunksDelegation:
     def test_profile_chunks_parallel_matches_serial(self, problem):
         """The public profiling entry point threads workers through."""
         a, grid = problem
-        serial_profile, serial_out = profile_chunks(
+        serial_profile, serial_out = execute_chunk_grid(
             a, a, grid, keep_outputs=True, name="x"
         )
-        par_profile, par_out = profile_chunks(
+        par_profile, par_out = execute_chunk_grid(
             a, a, grid, keep_outputs=True, name="x", workers=4
         )
         assert_outputs_identical(serial_out, par_out)

@@ -134,15 +134,15 @@ class TestPlanAutotuned:
         import numpy as np
 
         from repro.core.assemble import assemble_chunks
-        from repro.core.chunks import profile_chunks
+        from repro.core.executor import execute_chunk_grid
         from repro.core.planner import plan_autotuned, plan_grid
 
         m = rmat(9, 8.0, seed=92)
         node = v100_node(24 << 20)
         default_grid = plan_grid(m, m, node).grid
         at = plan_autotuned(m, m, node, seed=0)
-        _, base_out = profile_chunks(m, m, default_grid, keep_outputs=True)
-        _, at_out = profile_chunks(
+        _, base_out = execute_chunk_grid(m, m, default_grid, keep_outputs=True)
+        _, at_out = execute_chunk_grid(
             m, m, at.grid, keep_outputs=True, kernel=at.kernel.encode()
         )
         c0 = assemble_chunks(base_out)

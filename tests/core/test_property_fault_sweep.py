@@ -4,7 +4,9 @@ Every (workload shape) x (backend) x (execution mode) combination must
 produce exactly ``A x B`` per the scipy oracle — including degenerate
 shapes (empty rows, empty panels, all-zero, duplicate-entry COO inputs)
 and adversarial modes (fault injection mid-run, resume from a partial
-checkpoint).  All randomness derives from the session seed printed in
+checkpoint) — or, for a fault that outlasts the retry policy
+(``terminal``), raise its typed error holding no host-memory
+reservation.  All randomness derives from the session seed printed in
 the pytest header, so any failure replays with ``REPRO_TEST_SEED``.
 """
 
@@ -13,7 +15,14 @@ import pytest
 
 from repro.core.api import run_out_of_core
 from repro.core.chunks import ChunkGrid
-from repro.core.executor import RetryPolicy
+from repro.core.executor import (
+    ChunkExecutionError,
+    InjectedFault,
+    RetryPolicy,
+    WorkerCrashed,
+    execute_chunk_grid,
+)
+from repro.core.governor import Governor, GovernorConfig
 from repro.core.spill import DiskChunkStore, RunManifest
 from repro.sparse.coo import COOMatrix
 from repro.sparse.formats import CSRMatrix
@@ -21,7 +30,7 @@ from repro.sparse.generators import banded
 from tests.conftest import assert_equals_scipy_product
 
 BACKENDS = ("serial", "thread", "process")
-MODES = ("plain", "faults", "resume")
+MODES = ("plain", "faults", "resume", "terminal")
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.01)
 
@@ -71,11 +80,26 @@ CASES = ("dense_ish", "very_sparse", "empty_rows", "empty_panels",
          "duplicate_coo", "all_zero")
 
 
+def governed():
+    """A governor whose host budget never binds: only the ledger's
+    bookkeeping is under test."""
+    return Governor(GovernorConfig(host_mem_budget_bytes=1 << 30))
+
+
 def run_mode(a, b, grid, backend, mode, tmp_path):
     workers = 1 if backend == "serial" else 2
     common = dict(grid=grid, workers=workers, backend=backend)
     if mode == "plain":
         return run_out_of_core(a, b, **common)
+    if mode == "terminal":
+        # every attempt of every chunk fails: the run must end in its
+        # typed error with the lane's reservations handed back
+        gov = governed()
+        with pytest.raises((InjectedFault, ChunkExecutionError)):
+            run_out_of_core(a, b, retry=FAST_RETRY, governor=gov,
+                            faults="numeric:raise:times=-1", **common)
+        assert gov.hostmem._reserved == {}
+        return None
     if mode == "faults":
         latch = tmp_path / "fault.latch"
         return run_out_of_core(
@@ -106,7 +130,21 @@ def test_equivalence_sweep(make_rng, tmp_path, case, mode, backend):
     a, b = make_case(case, rng)
     grid = ChunkGrid.regular(a.n_rows, b.n_cols, 3, 3)
     result = run_mode(a, b, grid, backend, mode, tmp_path)
-    assert_equals_scipy_product(result.matrix, a, b)
+    if mode != "terminal":
+        assert_equals_scipy_product(result.matrix, a, b)
+
+
+def test_worker_crash_beyond_budget_releases_reservations(make_rng):
+    """``WorkerCrashed`` is the backend failing, not a chunk: it ends
+    the lane unretried — and still with an empty ledger."""
+    a, b = make_case("dense_ish", make_rng("sweep:crash"))
+    grid = ChunkGrid.regular(a.n_rows, b.n_cols, 3, 3)
+    gov = governed()
+    with pytest.raises(WorkerCrashed):
+        execute_chunk_grid(a, b, grid, workers=2, backend="process",
+                           crash_budget=0, governor=gov, retry=FAST_RETRY,
+                           faults="numeric:kill:chunk=4")
+    assert gov.hostmem._reserved == {}
 
 
 @pytest.mark.slow

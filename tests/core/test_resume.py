@@ -13,7 +13,8 @@ import pytest
 
 from repro.core.api import run_out_of_core
 from repro.core.assemble import assemble_chunks
-from repro.core.chunks import ChunkGrid, profile_chunks
+from repro.core.chunks import ChunkGrid
+from repro.core.executor import execute_chunk_grid
 from repro.core.spill import (
     DiskChunkStore,
     ManifestMismatch,
@@ -64,7 +65,7 @@ def test_manifest_roundtrip(problem, tmp_path):
     assert path.exists()
     assert manifest.completed_count == 0 and not manifest.is_complete
 
-    profile, _ = profile_chunks(a, b, grid)
+    profile, _ = execute_chunk_grid(a, b, grid)
     for stats in profile.chunks[:2]:
         manifest.mark_done(stats)
 
@@ -110,7 +111,7 @@ def test_manifest_updates_are_atomic(problem, tmp_path):
     a, b, grid = problem
     path = tmp_path / "m.json"
     manifest = RunManifest.create(path, a, b, grid)
-    profile, _ = profile_chunks(a, b, grid)
+    profile, _ = execute_chunk_grid(a, b, grid)
     for i, stats in enumerate(profile.chunks, 1):
         manifest.mark_done(stats)
         assert RunManifest.load(path).completed_count == i
@@ -218,8 +219,8 @@ def test_resume_grid_defaults_to_manifest_grid(problem, tmp_path):
 def test_disk_store_adopts_existing_chunks(problem, tmp_path):
     a, b, grid = problem
     first = DiskChunkStore(tmp_path / "chunks")
-    _, outputs = profile_chunks(a, b, grid, keep_outputs=True,
-                                chunk_sink=first.put)
+    _, outputs = execute_chunk_grid(a, b, grid, keep_outputs=True,
+                                    chunk_sink=first.put)
 
     adopted = DiskChunkStore(tmp_path / "chunks")
     assert adopted.grid_shape() == (grid.num_row_panels, grid.num_col_panels)

@@ -143,7 +143,7 @@ class TestModelErrorIntegration:
     def test_calibrated_fit_beats_analytic_on_real_profile(self):
         """In-sample recalibration drives the model-error report below
         the 0.25 gate with zero outliers — the acceptance criterion."""
-        from repro.core.chunks import profile_chunks
+        from repro.core.executor import execute_chunk_grid
         from repro.core.planner import plan_grid
         from repro.metrics.modelerror import model_error_report
         from repro.sparse.generators import rmat
@@ -152,8 +152,8 @@ class TestModelErrorIntegration:
         node = v100_node(64 << 20)
         grid = plan_grid(a, a, node).grid
         # warm run first: the cold run absorbs one-time process costs
-        profile_chunks(a, a, grid, keep_outputs=False, name="warm")
-        profile, _ = profile_chunks(a, a, grid, keep_outputs=False, name="x")
+        execute_chunk_grid(a, a, grid, keep_outputs=False, name="warm")
+        profile, _ = execute_chunk_grid(a, a, grid, keep_outputs=False, name="x")
         cost = fit_cost_model([profile], node=v100_node())
         err = model_error_report(profile, cost)
         assert err.mean_abs_rel_error < 0.25

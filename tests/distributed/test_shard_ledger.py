@@ -13,9 +13,15 @@ import threading
 
 import pytest
 
+from repro.core.chunks import ChunkGrid
+from repro.core.executor import (
+    ChunkExecutionError,
+    InjectedFault,
+    execute_chunk_grid,
+)
 from repro.core.governor import Governor, GovernorConfig, HostMemoryGovernor
 from repro.core.governor.hostmem import ScopedLedger
-from repro.distributed.shard import ShardConfig, run_sharded
+from repro.distributed.shard import ShardConfig, ShardedRunError, run_sharded
 from repro.observability import Tracer
 from repro.sparse.generators import random_csr, rmat
 from tests.conftest import assert_equals_scipy_product
@@ -157,3 +163,70 @@ class TestSharedBudgetUnderConcurrency:
         )
         assert_equals_scipy_product(res.matrix, a, a)
         assert res.ledger_overcommits > 0
+
+
+def run_bounded(fn, timeout=20.0):
+    """Run ``fn`` on a daemon thread: a peer starved of admission waits
+    in ``HostMemoryGovernor.admit`` forever, which must fail the test
+    rather than hang the suite.  Returns ``fn``'s result or exception."""
+    box = []
+
+    def main():
+        try:
+            box.append(fn())
+        except BaseException as exc:
+            box.append(exc)
+
+    th = threading.Thread(target=main, daemon=True)
+    th.start()
+    th.join(timeout=timeout)
+    assert not th.is_alive(), f"still blocked after {timeout:.0f}s"
+    return box[0]
+
+
+class TestFailedRunReleasesSharedLedger:
+    """A run that dies for good hands back every reservation it holds on
+    a ledger it shares — the peers it would otherwise starve finish."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        a = rmat(9, 8, seed=1)
+        return a, ChunkGrid.regular(a.n_rows, a.n_cols, 8, 1)
+
+    def test_failed_shard_does_not_hang_its_peer(self, problem):
+        """Shard 1 fails terminally while holding most of a budget that
+        fits barely one of shard 0's chunks beside it."""
+        a, grid = problem
+        outcome = run_bounded(lambda: run_sharded(
+            a, a,
+            ShardConfig(num_shards=2, workers=2, backend="thread",
+                        host_mem_budget_bytes=785_000),
+            grid=grid,
+            shard_faults={1: "symbolic:raise:chunk=0:times=-1;"
+                             "symbolic:delay:chunk=1:delay=0.3"},
+        ))
+        assert isinstance(outcome, ShardedRunError), outcome
+        assert sorted(outcome.failures) == [1]
+        assert isinstance(outcome.failures[1], InjectedFault)
+        assert outcome.completed == [0]
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_next_run_on_the_ledger_is_admitted(self, problem, backend):
+        """Order-independent form: run 1 fails, *then* run 2 needs the
+        budget run 1 was holding."""
+        a, grid = problem
+        ledger = HostMemoryGovernor(600_000)
+
+        def run(scope, **kwargs):
+            gov = Governor(GovernorConfig(), hostmem=ledger.scoped(scope))
+            return execute_chunk_grid(a, a, grid, governor=gov, **kwargs)
+
+        with pytest.raises((InjectedFault, ChunkExecutionError)):
+            run("run1", workers=2, backend=backend,
+                faults="symbolic:raise:chunk=3:times=-1")
+        assert ledger.held_bytes() == 0
+        outcome = run_bounded(lambda: run("run2"))
+        assert not isinstance(outcome, BaseException), outcome
+        profile, _ = outcome
+        assert len(profile.chunks) == grid.num_chunks
+        assert ledger.overcommits == 0

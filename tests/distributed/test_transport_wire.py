@@ -27,6 +27,12 @@ from repro.distributed.transport.wire import (
     recv_frame,
     send_frame,
 )
+from repro.core.executor import RetryPolicy
+from repro.core.governor import GovernorConfig
+from repro.distributed.transport.worker import (
+    decode_run_config,
+    encode_run_config,
+)
 from repro.sparse.generators import random_csr
 
 
@@ -269,3 +275,54 @@ class TestAddresses:
             peer.close()
         finally:
             sock2.close()
+
+
+class TestRunConfig:
+    """The run frame's ``config``: what the caller passed is what the
+    remote executor gets — every numeric retry field included."""
+
+    DEFAULTS = dict(workers=1, window=None, backend=None, kernel=None,
+                    crash_budget=0)
+    EVERYTHING = dict(workers=3, window=5, backend="process", kernel="hash",
+                      crash_budget=2)
+
+    @staticmethod
+    def over_the_wire(config):
+        left, right = pair()
+        try:
+            send_frame(left, "run", {"config": config})
+            return recv_frame(right).meta["config"]
+        finally:
+            left.close()
+            right.close()
+
+    @pytest.mark.parametrize("plain,retry,governor", [
+        (DEFAULTS, None, GovernorConfig()),
+        (DEFAULTS, RetryPolicy(), GovernorConfig()),
+        (EVERYTHING,
+         RetryPolicy(max_attempts=4, base_delay=0.003, max_delay=0.7,
+                     backoff=1.0, jitter=0.0),
+         GovernorConfig(deadline_seconds=1.5, heartbeat_interval=0.2,
+                        host_mem_budget_bytes=1 << 20,
+                        device_pool_bytes=1 << 16, max_resplit_depth=3)),
+    ])
+    def test_roundtrip_is_exact(self, plain, retry, governor):
+        sent = encode_run_config(retry=retry, governor=governor, **plain)
+        got = decode_run_config(self.over_the_wire(sent))
+        assert got.pop("retry") == (retry or RetryPolicy())
+        assert got.pop("governor") == (governor if governor.enabled else None)
+        assert got == plain
+
+    def test_a_node_without_the_retry_record_still_decodes(self):
+        """Frames from before the full record carried two retry fields."""
+        got = decode_run_config({"retries": 3, "retry_delay": 0.01})
+        assert got["retry"] == RetryPolicy(max_attempts=3, base_delay=0.01)
+        assert decode_run_config({})["retry"] == RetryPolicy()
+
+    def test_retry_record_is_the_numeric_fields(self):
+        policy = RetryPolicy(max_attempts=2, retryable=lambda exc: False)
+        record = policy.to_record()
+        assert sorted(record) == ["backoff", "base_delay", "jitter",
+                                  "max_attempts", "max_delay"]
+        # the predicate does not travel: the far side gets the default
+        assert RetryPolicy.from_record(record) == RetryPolicy(max_attempts=2)

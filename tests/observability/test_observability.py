@@ -223,11 +223,10 @@ class TestChromeExport:
 
     def test_simulated_timeline_as_sibling_process(self, problem):
         from repro.core.api import simulate_out_of_core
-        from repro.core.chunks import profile_chunks
         from repro.core.schedule import export_chrome_events
 
         a, grid = problem
-        profile, _ = profile_chunks(a, a, grid, name="sim")
+        profile, _ = execute_chunk_grid(a, a, grid, name="sim")
         result = simulate_out_of_core(profile)
         events = export_chrome_events(result.timeline)
         validate_chrome_trace(events)

@@ -324,63 +324,3 @@ class TestShardPlacement:
             JobScheduler(lambda r: None, host_budget_bytes=1 << 20,
                          shards=0)
 
-
-class TestShardHealth:
-    def test_mark_down_steers_pick_away(self):
-        from repro.distributed.sharding import ShardPlacement
-
-        p = ShardPlacement(3)
-        p.mark_down(1)
-        picks = [p.pick(0) for _ in range(6)]
-        assert 1 not in picks
-        assert set(picks) == {0, 2}
-        assert p.snapshot()["down"] == [1]
-
-    def test_mark_up_restores_placement(self):
-        from repro.distributed.sharding import ShardPlacement
-
-        p = ShardPlacement(2)
-        p.mark_down(0)
-        assert p.pick(0) == 1
-        p.mark_up(0)
-        assert p.snapshot()["down"] == []
-        # shard 0 is back and less loaded than 1
-        assert p.pick(0) == 0
-
-    def test_all_down_falls_back_to_everyone(self):
-        from repro.distributed.sharding import ShardPlacement
-
-        p = ShardPlacement(2)
-        p.mark_down(0)
-        p.mark_down(1)
-        # jobs must not queue forever: with no healthy shard, place
-        # anywhere (callers degrade those spans in-process)
-        assert {p.pick(0), p.pick(0)} == {0, 1}
-
-    def test_scheduler_set_shard_health(self):
-        seen = []
-        lock = threading.Lock()
-
-        def runner(record):
-            with lock:
-                seen.append(record.shard)
-            with record.lock:
-                record.state = JobState.DONE
-
-        sched = JobScheduler(runner, slots=2, shards=2,
-                             host_budget_bytes=1 << 20)
-        with pytest.raises(ValueError):
-            sched.set_shard_health(2, False)
-        # the transport pool's on_worker_lost hook shape
-        sched.set_shard_health(1, False)
-        sched.start()
-        try:
-            for r in [make_record(cost=10) for _ in range(4)]:
-                accepted, reason = sched.submit(r)
-                assert accepted, reason
-            assert sched.wait_idle(10.0)
-        finally:
-            sched.stop()
-        assert seen and set(seen) == {0}       # shard 1 never placed
-        sched.set_shard_health(1, True)
-        assert sched.stats()["placement"]["down"] == []
