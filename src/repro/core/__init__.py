@@ -8,7 +8,7 @@ from .api import (
     simulate_out_of_core,
     spgemm,
 )
-from .assemble import assemble_chunks
+from .assemble import OutputLayout, assemble_chunks
 from .chunks import ChunkGrid, ChunkProfile, ChunkStats, chunk_flops
 from .executor import (
     EXECUTOR_BACKENDS,
@@ -61,6 +61,7 @@ __all__ = [
     "simulate_hybrid",
     "simulate_out_of_core",
     "spgemm",
+    "OutputLayout",
     "assemble_chunks",
     "ChunkGrid",
     "ChunkProfile",

@@ -268,8 +268,11 @@ def run_out_of_core(
         # the store's held bytes join the host-memory ledger, and the
         # governor may squeeze it (spill-under-pressure) when it can
         governor.attach_store(chunk_store)
-    profile, outputs = execute_chunk_grid(
-        a, b, grid, keep_outputs=keep_output,
+    # the chunks a resume skips come back from the store, so that run
+    # takes chunk objects; any other asks the engine for the product
+    spliced = keep_output and bool(resume_stats)
+    profile, out = execute_chunk_grid(
+        a, b, grid, keep_outputs=spliced, assemble=keep_output and not spliced,
         chunk_sink=chunk_store.put if chunk_store is not None else None,
         name=name, workers=workers, window=window,
         tracer=tracer, backend=backend,
@@ -277,17 +280,17 @@ def run_out_of_core(
         manifest=manifest, resume_stats=resume_stats, governor=governor,
         kernel=kernel, flops=flops,
     )
-    if keep_output and resume_stats:
-        # the executor skipped these chunks; serve them from the store
+    matrix = out
+    if spliced:
         for cid in resume_stats:
             rp, cp = profile.grid.panel_of(cid)
-            if outputs[rp][cp] is None:
-                outputs[rp][cp] = chunk_store.get(rp, cp)
+            if out[rp][cp] is None:
+                out[rp][cp] = chunk_store.get(rp, cp)
+        matrix = assemble_chunks(out)
     result = simulate_out_of_core(
         profile, node, mode=mode, order=order,
         divided_transfers=divided_transfers, allocator=allocator, cost=cost,
     )
-    matrix = assemble_chunks(outputs) if keep_output else None
     meta = dict(result.meta)
     meta["workers"] = workers
     if resume_stats is not None:
@@ -345,14 +348,13 @@ def run_hybrid(
             flops = chunk_flops(a, b, grid)
         plan = ChunkPlan.from_hybrid(
             plan_hybrid_lanes(flops, workers, ratio), kernel=plan.kernel)
-    profile, outputs = execute_chunk_grid(
-        a, b, grid, keep_outputs=keep_output, name=name,
+    profile, matrix = execute_chunk_grid(
+        a, b, grid, assemble=keep_output, name=name,
         window=window, plan=plan, tracer=tracer, backend=backend,
         retry=retry, crash_budget=crash_budget, faults=faults,
         governor=governor, flops=flops,
     )
     result = simulate_hybrid(profile, node, ratio=ratio, reorder=reorder, cost=cost)
-    matrix = assemble_chunks(outputs) if keep_output else None
     meta = dict(result.meta)
     meta["workers"] = workers
     return RunResult(

@@ -26,6 +26,13 @@ Guarantees (all backends):
 Hybrid execution (paper Algorithm 4) maps onto *lanes*: the flop-densest
 chunk prefix — the "GPU" set — gets one slice of the pool, the remainder
 — the "CPU" set — the other, and both lanes drain concurrently.
+
+A caller that wants the assembled product (``assemble=True``) and needs
+no chunk *objects* gets it filled in place: the lanes drain twice, a
+count pass (analysis + symbolic per chunk, exact row counts into an
+:class:`~repro.core.assemble.OutputLayout`) and, after the layout's one
+allocation, a fill pass (numeric per chunk, straight into its slots) —
+DESIGN.md, "Output layout".
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 import threading
 import time
 import warnings
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,7 +50,14 @@ from ...sparse.formats import CSRMatrix
 from ...sparse.ops import RowSliceCache, vstack
 from ...sparse.partition import PanelSet, partition_columns, partition_rows
 from ...spgemm.kernels import KernelSpec, resolve_kernel
-from ...spgemm.twophase import TwoPhaseStats, spgemm_twophase
+from ...spgemm.twophase import (
+    SymbolicPhase,
+    TwoPhaseStats,
+    spgemm_numeric,
+    spgemm_symbolic,
+    spgemm_twophase,
+)
+from ..assemble import OutputLayout, assemble_chunks
 from ..chunks import ChunkGrid, ChunkProfile, ChunkStats, chunk_flops, csr_bytes
 from ..governor import as_governor
 from ..governor.integrity import crc32_matrix
@@ -123,6 +137,19 @@ def _merge_twophase(a: TwoPhaseStats, b: TwoPhaseStats) -> TwoPhaseStats:
     )
 
 
+class _Counted(NamedTuple):
+    """A chunk between the two passes of an in-place run: its kernel
+    stopped at the symbolic/numeric boundary, or — for a chunk that had
+    to be computed whole (re-split) — the finished matrix and its stats,
+    held until the layout has an address for it."""
+
+    row_nnz: np.ndarray
+    symbolic: Optional[SymbolicPhase]
+    matrix: Optional[CSRMatrix]
+    stats: Optional[TwoPhaseStats]
+    seconds: float
+
+
 class GridJob:
     """Backend-independent shared state of one ``execute_chunk_grid`` run:
     the partitioned operands, per-row-panel slice caches, the stats/output
@@ -148,8 +175,15 @@ class GridJob:
         est_device_bytes: Optional[Sequence[int]] = None,
         row_ratio=None,
         chunk_events=None,
+        layout: Optional[OutputLayout] = None,
     ) -> None:
         self.grid = grid
+        #: the in-place run's output (``None``: chunks are handed to the
+        #: sink as matrices).  ``counting`` is true during its first
+        #: pass; ``counted[cid]`` holds a chunk between the passes.
+        self.layout = layout
+        self.counting = False
+        self.counted: List[Optional[_Counted]] = [None] * grid.num_chunks
         #: optional ``fn(chunk_id, ChunkStats)`` called after each chunk
         #: lands durably (post-sink) — the job server streams these as
         #: progress events.  Called from lane/consumer threads; must be
@@ -305,11 +339,53 @@ class GridJob:
         hint = np.ceil(ratio * products).astype(np.int64)
         return np.minimum(hint, products)
 
+    def _kernel_args(self, cid: int) -> dict:
+        rp, _cp = self.grid.panel_of(cid)
+        return dict(
+            kernel=self.kernel, slice_cache=self.caches[rp],
+            tracer=self.tracer, trace_label=str(cid),
+            fault_hook=self._stage_hook(cid),
+            density_hint=self.density_hint(cid),
+        )
+
+    def _timed(self, cid: int, body: Callable[[], object]):
+        """``body()`` as one attempt of chunk ``cid`` — under the chunk
+        deadline — and the seconds it took."""
+        deadline = self.deadline_seconds
+        t0 = time.perf_counter()
+        if deadline is not None:
+            arm_deadline(cid, deadline)
+        try:
+            out = body()
+        finally:
+            if deadline is not None:
+                disarm_deadline(cid)
+        return out, time.perf_counter() - t0
+
+    def count_chunk(self, cid: int, resplit: bool = False
+                    ) -> Tuple[int, _Counted]:
+        """One attempt of chunk ``cid`` in an in-place run's count pass —
+        the ``on_counted`` arguments: analysis and symbolic stages only,
+        so the layout learns the chunk's exact row counts.  A chunk that
+        must be re-split is computed whole here and held as a matrix."""
+        rp, cp = self.grid.panel_of(cid)
+        a_panel, b_panel = self.row_panels[rp], self.col_panels[cp]
+        if resplit:
+            (matrix, st), seconds = self._timed(
+                cid, lambda: self._halve(cid, a_panel, b_panel, depth=1))
+            return cid, _Counted(matrix.row_nnz(), None, matrix, st, seconds)
+        sym, seconds = self._timed(cid, lambda: spgemm_symbolic(
+            a_panel, b_panel, **self._kernel_args(cid)))
+        return cid, _Counted(sym.row_nnz, sym, None, None, seconds)
+
     def run_chunk(
         self, cid: int, resplit: bool = False
-    ) -> Tuple[int, TwoPhaseStats, CSRMatrix, float]:
+    ) -> Tuple[int, TwoPhaseStats, Optional[CSRMatrix], float]:
         """One in-process attempt of chunk ``cid`` — the ``on_done``
-        arguments.
+        arguments.  In an in-place run this is the fill pass: the numeric
+        stage of the chunk's :class:`SymbolicPhase`, written straight into
+        its slots of the layout (no matrix comes back), or the matrix the
+        count pass had to hold.
 
         ``resplit`` computes it as recursively halved row sub-panels, the
         device-OOM path.  Row slices partition the panel, each
@@ -318,32 +394,25 @@ class GridJob:
         computation."""
         rp, cp = self.grid.panel_of(cid)
         a_panel, b_panel = self.row_panels[rp], self.col_panels[cp]
-        if resplit and a_panel.n_rows <= 1:
-            raise DeviceOutOfMemory(
-                f"chunk {cid}: a single-row panel still exceeds the "
-                "device pool — cannot re-split further"
-            )
-        tracer = self.tracer
-        deadline = self.deadline_seconds
-        t0 = time.perf_counter()
-        if deadline is not None:
-            arm_deadline(cid, deadline)
-        try:
+        counted = self.counted[cid]
+
+        def body():
             if resplit:
-                matrix, st = self._halve(cid, a_panel, b_panel, depth=1)
+                return self._halve(cid, a_panel, b_panel, depth=1)
+            if counted is None:
+                result = spgemm_twophase(a_panel, b_panel,
+                                         **self._kernel_args(cid))
+            elif counted.symbolic is None:
+                return counted.matrix, counted.stats
             else:
-                result = spgemm_twophase(
-                    a_panel, b_panel, kernel=self.kernel,
-                    slice_cache=self.caches[rp], tracer=tracer,
-                    trace_label=str(cid),
-                    fault_hook=self._stage_hook(cid),
-                    density_hint=self.density_hint(cid),
-                )
-                matrix, st = result.matrix, result.stats
-        finally:
-            if deadline is not None:
-                disarm_deadline(cid)
-        elapsed = time.perf_counter() - t0
+                result = spgemm_numeric(counted.symbolic,
+                                        dest=self.layout.slots(rp, cp))
+            return result.matrix, result.stats
+
+        (matrix, st), elapsed = self._timed(cid, body)
+        if counted is not None:
+            elapsed += counted.seconds
+        tracer = self.tracer
         if tracer.enabled and not resplit:
             # cumulative per-row-panel slice-cache behaviour, sampled at
             # each chunk completion (hit/miss/eviction counters + bytes)
@@ -354,20 +423,36 @@ class GridJob:
                          held_bytes=cache.held_bytes)
         return cid, st, matrix, elapsed
 
+    def run(self, cid: int, resplit: bool = False) -> tuple:
+        """One in-process attempt of chunk ``cid`` in the current pass —
+        the arguments :meth:`land` takes."""
+        run = self.count_chunk if self.counting else self.run_chunk
+        return run(cid, resplit)
+
     def attempt(self, cid: int, resplit: bool):
-        """:meth:`run_chunk` as a lane *outcome*: its result, or the
-        exception it raised (returned, not raised — :func:`drain_lane`
-        rules on it)."""
+        """:meth:`run` as a lane *outcome*: its result, or the exception
+        it raised (returned, not raised — :func:`drain_lane` rules on
+        it)."""
         try:
-            return self.run_chunk(cid, resplit)
+            return self.run(cid, resplit)
         except BaseException as exc:
             return exc
 
     # ------------------------------------------------------------------
     # completion (every backend funnels through here)
     # ------------------------------------------------------------------
-    def on_done(self, cid: int, st: TwoPhaseStats, matrix: CSRMatrix,
-                elapsed: float) -> None:
+    def land(self, outcome: tuple) -> None:
+        """Complete one successful attempt, on the lane thread."""
+        (self.on_counted if self.counting else self.on_done)(*outcome)
+
+    def on_counted(self, cid: int, counted: _Counted) -> None:
+        """Count-pass completion: the chunk's exact row counts go into
+        the layout; the chunk itself waits for the fill pass."""
+        self.layout.set_counts(*self.grid.panel_of(cid), counted.row_nnz)
+        self.counted[cid] = counted
+
+    def on_done(self, cid: int, st: TwoPhaseStats,
+                matrix: Optional[CSRMatrix], elapsed: float) -> None:
         rp, cp = self.grid.panel_of(cid)
         stats = ChunkStats(
             chunk_id=cid,
@@ -393,7 +478,15 @@ class GridJob:
         )
         if self.faults.enabled:
             self.faults.fire("sink", cid)
-        if (self.chunk_sink is not None or self.keep_outputs
+        if self.layout is not None:
+            # in place: the kernel already wrote the chunk's slots; only a
+            # chunk that arrived as a matrix is copied there (no lock:
+            # slots are disjoint)
+            with self.tracer.span(f"sink[{cid}]", "sink", chunk=cid,
+                                  bytes=st.output_bytes):
+                if matrix is not None:
+                    self.layout.place(rp, cp, matrix)
+        elif (self.chunk_sink is not None or self.keep_outputs
                 or self.manifest is not None):
             with self.tracer.span(f"sink[{cid}]", "sink", chunk=cid,
                                   bytes=st.output_bytes), self.sink_lock:
@@ -412,6 +505,7 @@ class GridJob:
         # only filled after a successful sink — a sink-stage failure
         # leaves the chunk marked as remaining work
         self.stats_by_id[cid] = stats
+        self.counted[cid] = None  # landed: nothing left to re-fill from
         if self.chunk_events is not None:
             try:
                 self.chunk_events(cid, stats)
@@ -504,6 +598,11 @@ class GridJob:
 
     def _halve(self, cid: int, a_sub: CSRMatrix, b_panel: CSRMatrix,
                depth: int):
+        if a_sub.n_rows <= 1:
+            raise DeviceOutOfMemory(
+                f"chunk {cid}: a single-row panel still exceeds the "
+                "device pool — cannot re-split further"
+            )
         self.note("resplits", f"resplit[{cid}]", "resplit",
                   chunk=cid, depth=depth, rows=a_sub.n_rows)
         mid = a_sub.n_rows // 2
@@ -537,13 +636,15 @@ def drain_lane(job: GridJob, runner, order: Sequence[int], window: int,
         pool, so it must be computed through the re-split path.
     ``next() -> (cid, attempt, outcome)``
         block for the next finished attempt; ``outcome`` is the
-        ``on_done`` argument tuple, or the exception the attempt died
-        of.  An exception *raised* by ``next`` is the backend failing,
-        not a chunk (``WorkerCrashed``): it ends the lane unretried.
+        argument tuple :meth:`GridJob.land` completes the chunk from
+        (``on_done``'s — or, in an in-place run's count pass,
+        ``on_counted``'s), or the exception the attempt died of.  An
+        exception *raised* by ``next`` is the backend failing, not a
+        chunk (``WorkerCrashed``): it ends the lane unretried.
 
     Per chunk: host admission (blocking only while the lane has nothing
     in flight — otherwise a completion of its own will free budget) →
-    re-split check → submit → outcome → sink (``on_done``) → release.
+    re-split check → submit → outcome → sink (``land``) → release.
     A ``DeviceOutOfMemory`` outcome recovers on this thread through the
     re-split path; any other failure (kernel, worker, sink) is put to
     the retry policy here, once: back off and resubmit under the next
@@ -577,11 +678,11 @@ def drain_lane(job: GridJob, runner, order: Sequence[int], window: int,
             try:
                 if isinstance(outcome, BaseException):
                     raise outcome
-                job.on_done(*outcome)
+                job.land(outcome)
             except DeviceOutOfMemory:
                 # the kernel itself overflowed the pool: recover by
                 # re-splitting rather than re-running the same shape
-                job.on_done(*job.run_chunk(cid, resplit=True))
+                job.land(job.run(cid, resplit=True))
             except BaseException as exc:
                 if isinstance(exc, ChunkTimeout):
                     job.note_timeout(cid, attempt)
@@ -638,6 +739,7 @@ def execute_chunk_grid(
     workers: int = 1,
     window: Optional[int] = None,
     keep_outputs: bool = False,
+    assemble: bool = False,
     chunk_sink=None,
     name: str = "",
     lanes: Optional[Sequence[Tuple[Sequence[int], int]]] = None,
@@ -657,7 +759,7 @@ def execute_chunk_grid(
     chunk_events=None,
     col_panels: Optional[PanelSet] = None,
     flops: Optional[np.ndarray] = None,
-) -> Tuple[ChunkProfile, Optional[List[List[CSRMatrix]]]]:
+) -> Tuple[ChunkProfile, Union[None, List[List[CSRMatrix]], CSRMatrix]]:
     """Execute every chunk of ``C = A x B`` and profile it, concurrently.
 
     Parameters
@@ -679,13 +781,27 @@ def execute_chunk_grid(
         outputs — under the process backend this also caps the
         outstanding shared-memory result segments.  Must be >= 1 when
         given (``0`` would admit nothing).
-    keep_outputs / chunk_sink:
+    keep_outputs / assemble / chunk_sink:
+        The return form — at most one of the first two.
         ``keep_outputs`` returns the chunk matrices as
-        ``outputs[row_panel][col_panel]``; ``chunk_sink(row_panel,
+        ``outputs[row_panel][col_panel]``; ``assemble`` returns the
+        product itself, one :class:`CSRMatrix`.  ``chunk_sink(row_panel,
         col_panel, matrix)`` streams each chunk out as it is produced
         (e.g. into a :class:`~repro.core.spill.DiskChunkStore`) without
         retaining it.  Sink calls are serialized under a lock, in
         completion order.
+
+        An assembled product is filled *in place* — counted over the
+        whole grid, allocated once, every chunk's numeric stage writing
+        at its final address (module docstring) — whenever nothing about
+        the call needs chunk objects: no ``chunk_sink``, no ``manifest``,
+        no governor host-memory budget (admission is priced per chunk
+        held), and an in-process backend.  Otherwise the chunks are
+        produced as matrices and copied once into the same layout
+        (:func:`~repro.core.assemble.assemble_chunks`).  Both give the
+        same bytes and the same profile.  ``assemble`` cannot be combined
+        with ``resume_stats``: the skipped chunks live in the caller's
+        store.
     lanes:
         Optional explicit ``[(chunk_ids, lane_workers), ...]`` partition of
         the grid (the hybrid split).  Lanes drain concurrently, each with
@@ -790,9 +906,10 @@ def execute_chunk_grid(
     run many grids concurrently through one process (see
     :mod:`repro.serve`).
 
-    Returns ``(profile, outputs_or_None)``.  The profile's chunks are in
-    chunk-id order with per-chunk measured wall times filled in, and the
-    profile records the end-to-end measured wall time of the whole grid.
+    Returns ``(profile, outputs_or_None)`` — ``(profile, matrix)`` under
+    ``assemble``.  The profile's chunks are in chunk-id order with
+    per-chunk measured wall times filled in, and the profile records the
+    end-to-end measured wall time of the whole grid.
     """
     from .backends import make_backend  # deferred: backends import engine
 
@@ -811,6 +928,12 @@ def execute_chunk_grid(
         kernel_spec = resolve_kernel(kernel)
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if assemble and (keep_outputs or resume_stats):
+        raise ValueError(
+            "assemble=True returns the product, not chunks: it excludes "
+            "keep_outputs, and resume_stats (the skipped chunks are in the "
+            "caller's store — keep the outputs and splice them)"
+        )
     if window is not None and window < 1:
         raise ValueError(
             f"window must be >= 1 (or None for the default), got {window}"
@@ -890,15 +1013,22 @@ def execute_chunk_grid(
                               else chunk_output_estimates(
                                   a, b, grid, flops=grid_flops()))
 
+    # fill in place when nothing needs the chunks as objects
+    in_place = (assemble and chunk_sink is None and manifest is None
+                and (gov is None or gov.hostmem is None)
+                and backend_name != "process")
     job = GridJob(
         grid, row_panels, col_panels,
-        keep_outputs=keep_outputs, chunk_sink=chunk_sink, tracer=tracer,
+        keep_outputs=keep_outputs or (assemble and not in_place),
+        chunk_sink=chunk_sink, tracer=tracer,
         retry=retry, faults=faults, manifest=manifest,
         crash_budget=crash_budget, governor=gov,
         chunk_products=chunk_products, host_estimates=host_estimates,
         kernel=kernel_spec,
         est_device_bytes=est_device_bytes, row_ratio=row_ratio,
         chunk_events=chunk_events,
+        layout=(OutputLayout(grid.row_bounds, grid.col_bounds)
+                if in_place else None),
     )
 
     # checkpoint resume: splice the recorded stats of already-completed
@@ -924,30 +1054,43 @@ def execute_chunk_grid(
         return default_window(lane_workers) if window is None else window
 
     chain = DEGRADATION_CHAIN[backend_name] if degrade else (backend_name,)
+
+    def drain(landed: List[Optional[object]]) -> None:
+        """One pass of every lane over the chunks ``landed`` does not
+        hold yet, degrading along the chain."""
+        nonlocal chain
+        while True:
+            # re-plan only the not-yet-completed chunks: after a partial
+            # degradation (some lanes ran before the failing backend gave
+            # up) the fallback must not re-run finished work
+            done = {i for i, s in enumerate(landed) if s is not None}
+            run_lanes, run_names = filter_lanes(lanes, lane_names, done)
+            if not run_lanes:
+                return
+            try:
+                make_backend(chain[0]).execute(job, run_lanes, run_names,
+                                               lane_window)
+                return
+            except BackendUnavailable as exc:
+                if len(chain) == 1:
+                    raise
+                job.note("degraded", f"degrade[{chain[0]}->{chain[1]}]",
+                         "degrade", reason=str(exc))
+                warnings.warn(
+                    f"executor backend {chain[0]!r} unavailable "
+                    f"({exc.reason}); degrading to {chain[1]!r}",
+                    BackendDegradedWarning,
+                    stacklevel=3,
+                )
+                chain = chain[1:]
+
     wall_start = time.perf_counter()
-    for step, candidate in enumerate(chain):
-        # re-plan only the not-yet-completed chunks: after a partial
-        # degradation (some lanes ran before the failing backend gave
-        # up) the fallback must not re-run finished work
-        done = {i for i, s in enumerate(job.stats_by_id) if s is not None}
-        run_lanes, run_names = filter_lanes(lanes, lane_names, done)
-        if not run_lanes:
-            break
-        try:
-            make_backend(candidate).execute(job, run_lanes, run_names,
-                                            lane_window)
-            break
-        except BackendUnavailable as exc:
-            if step + 1 >= len(chain):
-                raise
-            job.note("degraded", f"degrade[{candidate}->{chain[step + 1]}]",
-                     "degrade", reason=str(exc))
-            warnings.warn(
-                f"executor backend {candidate!r} unavailable "
-                f"({exc.reason}); degrading to {chain[step + 1]!r}",
-                BackendDegradedWarning,
-                stacklevel=2,
-            )
+    if in_place:
+        job.counting = True
+        drain(job.counted)
+        job.counting = False
+        job.layout.seal()
+    drain(job.stats_by_id)
     wall = time.perf_counter() - wall_start
 
     missing = [i for i, s in enumerate(job.stats_by_id) if s is None]
@@ -959,4 +1102,11 @@ def execute_chunk_grid(
         name=name,
         measured_wall_seconds=wall,
     )
-    return profile, job.outputs
+    if in_place:
+        return profile, job.layout.matrix()
+    outputs = job.outputs
+    if assemble:
+        # chunks + C is this path's peak: the operand panels go first
+        del job, row_panels, col_panels
+        outputs = assemble_chunks(outputs)
+    return profile, outputs

@@ -34,10 +34,11 @@ inside kernels with no handle on the engine.  Chunk ids are only unique
 *within* a run, though — and the job server executes many runs
 concurrently in one process — so entries are keyed by ``(executing
 thread ident, chunk id)``.  Arming, checking, and disarming all happen
-on the thread running the chunk's kernel (``GridJob.run_chunk`` arms
+on the thread running the chunk's kernel (``GridJob._timed`` arms
 immediately before the kernel call on the same lane thread that
-executes it), so the thread ident disambiguates runs without any handle
-being passed through the kernel stack.
+executes it — once per attempt, so each pass of an in-place run gets
+the full budget), so the thread ident disambiguates runs without any
+handle being passed through the kernel stack.
 """
 
 from __future__ import annotations

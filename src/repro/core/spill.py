@@ -77,6 +77,9 @@ class MemoryChunkStore:
     def __init__(self, *, tracer=None) -> None:
         self._chunks: Dict[Tuple[int, int], CSRMatrix] = {}
         self._shape: Optional[Tuple[int, int]] = None  # (row panels, col panels)
+        # what assemble() needs to lay C out before touching a chunk
+        # again: each put chunk's (column count, per-row nnz), 8 B a row
+        self._counts: Dict[Tuple[int, int], Tuple[int, np.ndarray]] = {}
         # the parallel chunk executor streams arrivals from worker threads
         self._lock = threading.Lock()
         self._tracer = as_tracer(tracer)
@@ -91,7 +94,7 @@ class MemoryChunkStore:
                     self._held_bytes -= prev.nbytes()
                 self._chunks[(row_panel, col_panel)] = chunk
                 self._held_bytes += chunk.nbytes()
-                self._grow_shape(row_panel, col_panel)
+                self._note_put(row_panel, col_panel, chunk)
         if self._tracer.enabled:
             self._tracer.gauge("chunk_store_bytes", held=self._held_bytes)
 
@@ -99,6 +102,13 @@ class MemoryChunkStore:
         rs = max(row_panel + 1, self._shape[0] if self._shape else 0)
         cs = max(col_panel + 1, self._shape[1] if self._shape else 0)
         self._shape = (rs, cs)
+
+    def _note_put(self, row_panel: int, col_panel: int,
+                  chunk: CSRMatrix) -> None:
+        """Bookkeeping of one ``put`` (under the lock): the grid extent
+        and the chunk's row counts."""
+        self._grow_shape(row_panel, col_panel)
+        self._counts[(row_panel, col_panel)] = (chunk.n_cols, chunk.row_nnz())
 
     def get(self, row_panel: int, col_panel: int) -> CSRMatrix:
         with self._tracer.span(f"store_get[{row_panel},{col_panel}]", "store"):
@@ -111,6 +121,7 @@ class MemoryChunkStore:
             prev = self._chunks.pop((row_panel, col_panel), None)
             if prev is not None:
                 self._held_bytes -= prev.nbytes()
+            self._counts.pop((row_panel, col_panel), None)
 
     @property
     def held_bytes(self) -> int:
@@ -130,8 +141,16 @@ class MemoryChunkStore:
         return self._shape
 
     def assemble(self) -> CSRMatrix:
-        """The full output matrix (requires a complete grid)."""
-        from .assemble import assemble_chunks
+        """The full output matrix (requires a complete grid).
+
+        Holds one chunk at a time beside the product: C is laid out
+        (:class:`~repro.core.assemble.OutputLayout`) from the row counts
+        remembered at ``put``, then each chunk is fetched, copied into
+        place and dropped.  A chunk this store never ``put`` — a file
+        adopted from an earlier run — has no remembered counts and is
+        read one extra time, up front, just to count it.
+        """
+        from .assemble import OutputLayout
 
         rows, cols = self.grid_shape()
         have = set(self.keys())
@@ -141,9 +160,23 @@ class MemoryChunkStore:
         ]
         if missing:
             raise ValueError(f"incomplete chunk grid; missing {missing[:4]}...")
-        return assemble_chunks(
-            [[self.get(i, j) for j in range(cols)] for i in range(rows)]
+
+        def counts(i: int, j: int) -> Tuple[int, np.ndarray]:
+            known = self._counts.get((i, j))
+            if known is None:
+                chunk = self.get(i, j)
+                known = (chunk.n_cols, chunk.row_nnz())
+            return known
+
+        grid = [[counts(i, j) for j in range(cols)] for i in range(rows)]
+        layout = OutputLayout.from_counts(
+            [[row_nnz for _, row_nnz in row] for row in grid],
+            [[width for width, _ in row] for row in grid],
         )
+        for i in range(rows):
+            for j in range(cols):
+                layout.place(i, j, self.get(i, j))
+        return layout.matrix()
 
     def nbytes(self) -> int:
         """Host memory held by the stored chunks."""
@@ -151,6 +184,7 @@ class MemoryChunkStore:
 
     def close(self) -> None:  # symmetry with the disk store
         self._chunks.clear()
+        self._counts.clear()
 
 
 class DiskChunkStore(MemoryChunkStore):
@@ -203,7 +237,7 @@ class DiskChunkStore(MemoryChunkStore):
                 fh.write(deflate.flush())
             with self._lock:
                 self._paths[(row_panel, col_panel)] = path
-                self._grow_shape(row_panel, col_panel)
+                self._note_put(row_panel, col_panel, chunk)
         if self._tracer.enabled:
             self._tracer.gauge("chunk_store_bytes", held=self.nbytes())
 
@@ -228,6 +262,7 @@ class DiskChunkStore(MemoryChunkStore):
     def discard(self, row_panel: int, col_panel: int) -> None:
         with self._lock:
             path = self._paths.pop((row_panel, col_panel), None)
+            self._counts.pop((row_panel, col_panel), None)
         if path is not None:
             Path(path).unlink(missing_ok=True)
 
@@ -242,6 +277,7 @@ class DiskChunkStore(MemoryChunkStore):
         for p in self._paths.values():
             p.unlink(missing_ok=True)
         self._paths.clear()
+        self._counts.clear()
         if self._own_dir:
             try:
                 self._dir.rmdir()

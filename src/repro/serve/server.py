@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
-from ..core.assemble import assemble_chunks
 from ..core.chunks import ChunkGrid, csr_bytes
 from ..core.executor import execute_chunk_grid
 from ..core.governor.integrity import crc32_matrix
@@ -231,17 +230,16 @@ class SpgemmServer:
                 })
 
             t0 = time.perf_counter()
-            profile, outputs = execute_chunk_grid(
+            profile, matrix = execute_chunk_grid(
                 a, b, grid,
                 workers=spec.workers,
                 backend=spec.backend,
-                keep_outputs=True,
+                assemble=True,
                 name=f"job{record.job_id}",
                 kernel=spec.kernel,
                 tracer=job_tracer,
                 chunk_events=on_chunk,
             )
-            matrix = assemble_chunks(outputs)
             wall = time.perf_counter() - t0
             result = {
                 "crc32": crc32_matrix(matrix),

@@ -78,9 +78,11 @@ def drop_explicit_zeros(a: CSRMatrix, tol: float = 0.0) -> CSRMatrix:
 def hstack(mats: Sequence[CSRMatrix]) -> CSRMatrix:
     """Concatenate matrices horizontally ``[M0 | M1 | ...]``.
 
-    This is exactly how the out-of-core framework stitches the chunks
-    ``C[row][0..num_col_panels)`` of one output row panel back together
-    (column panels are contiguous column ranges).
+    The definition of how the chunks ``C[row][0..num_col_panels)`` of one
+    output row panel sit side by side (column panels are contiguous
+    column ranges).  The product path no longer calls it — chunks are
+    written straight into :class:`repro.core.assemble.OutputLayout` —
+    but the tests keep ``vstack`` of ``hstack`` as that layout's oracle.
     """
     if not mats:
         raise ValueError("hstack of zero matrices")
@@ -131,7 +133,7 @@ def vstack(mats: Sequence[CSRMatrix]) -> CSRMatrix:
         row_offsets[pos : pos + m.n_rows] = m.row_offsets[1:] + base
         base += m.nnz
         pos += m.n_rows
-    col_ids = np.concatenate([m.col_ids for m in mats]) if mats else np.empty(0)
+    col_ids = np.concatenate([m.col_ids for m in mats])
     data = np.concatenate([m.data for m in mats])
     return CSRMatrix(n_rows, n_cols, row_offsets, col_ids, data, check=False)
 

@@ -12,13 +12,20 @@ from .kernels import (
     resolve_kernel,
 )
 from .native import native_available, native_build_error
-from .numeric import numeric_grouped, numeric_phase
+from .numeric import RowSlots, numeric_grouped, numeric_phase, place_rows
 from .reference import assert_same_product, spgemm_scipy
 from .rmerge import spgemm_rmerge
 from .rowanalysis import RowAnalysis, analyze_rows
 from .semiring import MAX_MIN, MIN_PLUS, OR_AND, PLUS_TIMES, Semiring, spgemm_semiring
 from .symbolic import symbolic_grouped, symbolic_row_nnz, symbolic_sort
-from .twophase import TwoPhaseResult, TwoPhaseStats, spgemm_twophase
+from .twophase import (
+    SymbolicPhase,
+    TwoPhaseResult,
+    TwoPhaseStats,
+    spgemm_numeric,
+    spgemm_symbolic,
+    spgemm_twophase,
+)
 from .upperbound import row_upper_bound, row_upper_bound_cols, tightness
 
 __all__ = [
@@ -35,8 +42,10 @@ __all__ = [
     "resolve_kernel",
     "native_available",
     "native_build_error",
+    "RowSlots",
     "numeric_grouped",
     "numeric_phase",
+    "place_rows",
     "assert_same_product",
     "spgemm_scipy",
     "spgemm_rmerge",
@@ -51,8 +60,11 @@ __all__ = [
     "symbolic_grouped",
     "symbolic_row_nnz",
     "symbolic_sort",
+    "SymbolicPhase",
     "TwoPhaseResult",
     "TwoPhaseStats",
+    "spgemm_numeric",
+    "spgemm_symbolic",
     "spgemm_twophase",
     "row_upper_bound",
     "row_upper_bound_cols",

@@ -10,9 +10,15 @@ kernel kind; otherwise everything degrades to the numpy kernels.
 Two passes over a list of A row *ids* (nothing of A is copied), the
 paper's symbolic/numeric split: :func:`native_count_rows` returns exact
 per-row output nnz, the caller allocates the final CSR arrays once, and
-:func:`native_fill_rows` writes every row at its final offset, sorted
-without a comparison sort (see the kernel source).  Scratch is kept per
-thread and reused across calls.
+:func:`native_fill_slots` writes every row into its slot — a per-row
+``(start, count)`` in arrays the caller owns, column ids plus a
+``shift`` — sorted without a comparison sort (see the kernel source).
+The slot may be chunk-local (``start = c_indptr[r]``, ``shift = 0``:
+:func:`native_fill_rows`) or lie in the assembled product
+(:class:`repro.core.assemble.OutputLayout`); the kernel does not know
+the difference.  :func:`native_place_rows` copies already-computed rows
+into slots under the same per-row refusal.  Scratch is kept per thread
+and reused across calls.
 
 Bit-identity.  The SPA accumulates each output column's duplicates in
 ascending ``k`` order — exactly the expansion order every numpy
@@ -47,7 +53,9 @@ __all__ = [
     "native_available",
     "native_build_error",
     "native_count_rows",
+    "native_fill_slots",
     "native_fill_rows",
+    "native_place_rows",
 ]
 
 #: environment switch: "0"/"off"/"false" disables the native kernel
@@ -69,8 +77,13 @@ long long repro_spgemm_fill(
     const long long *b_indptr, const long long *b_cols, const double *b_vals,
     long long *mark, double *spa, long long *touched, long long *tmp,
     long long cap, long long *gen,
-    const long long *c_indptr, long long out_cap,
-    long long *out_cols, double *out_vals);
+    const long long *starts, const long long *counts, long long shift,
+    long long out_cap, long long *out_cols, double *out_vals);
+long long repro_place_rows(
+    long long n, const long long *src_indptr, long long src_cap,
+    const long long *src_cols, const double *src_vals,
+    const long long *starts, const long long *counts, long long shift,
+    long long out_cap, long long *out_cols, double *out_vals);
 """
 
 _SOURCE = r"""
@@ -142,11 +155,15 @@ static i64 *radix_sort(i64 *x, i64 *tmp, i64 t, i64 lo, i64 hi) {
     return x;
 }
 
-/* pass 2: values, written in place.  Row r's columns (ascending) and
- * values land at out_cols/out_vals[c_indptr[r] ..]; a row whose touched
- * count differs from c_indptr[r+1] - c_indptr[r], or whose slot leaves
+/* pass 2: values, written in place.  Row r's slot is
+ * out_cols/out_vals[starts[r] .. starts[r] + counts[r]): its columns
+ * (ascending, each plus `shift`) and values land there.  A row whose
+ * touched count differs from counts[r], or whose slot leaves
  * [0, out_cap), is refused before anything of it is written: the return
  * value is then -(i + 1) for list position i, otherwise the nnz written.
+ * The slots may be a chunk's own rows back to back (starts = its
+ * c_indptr, shift 0) or that chunk's share of the assembled product's
+ * rows (shift = the column panel's first column).
  *
  * Accumulation order per output column is ascending A-element order
  * (= ascending k), i.e. expansion order: `spa[j] += av * bv` runs once
@@ -163,8 +180,8 @@ i64 repro_spgemm_fill(
     const i64 *b_indptr, const i64 *b_cols, const double *b_vals,
     i64 *mark, double *spa, i64 *touched, i64 *tmp,
     i64 cap, i64 *gen,
-    const i64 *c_indptr, i64 out_cap,
-    i64 *out_cols, double *out_vals)
+    const i64 *starts, const i64 *counts, i64 shift,
+    i64 out_cap, i64 *out_cols, double *out_vals)
 {
     i64 g = open_stamps(mark, cap, gen, n);
     i64 total = 0;
@@ -186,8 +203,8 @@ i64 repro_spgemm_fill(
                 }
             }
         }
-        const i64 at = c_indptr[r];
-        if (t != c_indptr[r + 1] - at || at < 0 || at > out_cap - t) {
+        const i64 at = starts[r];
+        if (t != counts[r] || at < 0 || at > out_cap - t) {
             *gen = g;
             return -(i + 1);
         }
@@ -200,7 +217,7 @@ i64 repro_spgemm_fill(
                 while (u >= 0 && touched[u] > v) { touched[u + 1] = touched[u]; u--; }
                 touched[u + 1] = v;
             }
-            for (i64 s = 0; s < t; s++) { oc[s] = touched[s]; ov[s] = spa[touched[s]]; }
+            for (i64 s = 0; s < t; s++) { oc[s] = touched[s] + shift; ov[s] = spa[touched[s]]; }
         } else {
             i64 lo = touched[0], hi = touched[0];
             for (i64 s = 1; s < t; s++) {
@@ -211,16 +228,46 @@ i64 repro_spgemm_fill(
             if (hi - lo < 4 * t) {
                 i64 s = 0;
                 for (i64 j = lo; j <= hi; j++) {
-                    if (mark[j] == g) { oc[s] = j; ov[s] = spa[j]; s++; }
+                    if (mark[j] == g) { oc[s] = j + shift; ov[s] = spa[j]; s++; }
                 }
             } else {
                 const i64 *sorted = radix_sort(touched, tmp, t, lo, hi);
-                for (i64 s = 0; s < t; s++) { oc[s] = sorted[s]; ov[s] = spa[sorted[s]]; }
+                for (i64 s = 0; s < t; s++) { oc[s] = sorted[s] + shift; ov[s] = spa[sorted[s]]; }
             }
         }
         total += t;
     }
     *gen = g;
+    return total;
+}
+
+/* rows that already exist, copied once into their slots: source row i is
+ * src_cols/src_vals[src_indptr[i] .. src_indptr[i + 1]), its slot starts
+ * at starts[i] and holds counts[i].  The fill's two refusals, plus the
+ * source range: a row whose length is not counts[i], or whose source or
+ * slot leaves its array, returns -(i + 1) with nothing of it written. */
+i64 repro_place_rows(
+    i64 n, const i64 *src_indptr, i64 src_cap,
+    const i64 *src_cols, const double *src_vals,
+    const i64 *starts, const i64 *counts, i64 shift,
+    i64 out_cap, i64 *out_cols, double *out_vals)
+{
+    i64 total = 0;
+    for (i64 i = 0; i < n; i++) {
+        const i64 from = src_indptr[i];
+        const i64 t = src_indptr[i + 1] - from;
+        const i64 at = starts[i];
+        if (t != counts[i] || t < 0 || from < 0 || from > src_cap - t
+                || at < 0 || at > out_cap - t)
+            return -(i + 1);
+        memcpy(out_vals + at, src_vals + from, (size_t)t * sizeof(double));
+        if (shift == 0) {
+            memcpy(out_cols + at, src_cols + from, (size_t)t * sizeof(i64));
+        } else {
+            for (i64 s = 0; s < t; s++) out_cols[at + s] = src_cols[from + s] + shift;
+        }
+        total += t;
+    }
     return total;
 }
 """
@@ -367,18 +414,24 @@ def _ptr(ffi, arr: np.ndarray):
     return ffi.cast(ctype, arr.ctypes.data)
 
 
-def _enter(a: CSRMatrix, b: CSRMatrix, rows: np.ndarray):
-    """Shared argument checks; returns ``(ffi, lib, rows as int64)``."""
+def _library():
+    """``(ffi, lib)`` of the compiled kernel, or the reason there is none."""
     if not native_available():
         raise RuntimeError(
             f"native kernel unavailable: {native_build_error()}"
         )
+    return _STATE["ffi"], _STATE["lib"]
+
+
+def _enter(a: CSRMatrix, b: CSRMatrix, rows: np.ndarray):
+    """Shared argument checks; returns ``(ffi, lib, rows as int64)``."""
+    ffi, lib = _library()
     if a.n_cols != b.n_rows:
         raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     if rows.size and (rows.min() < 0 or rows.max() >= a.n_rows):
         raise IndexError("row id out of range for A")
-    return _STATE["ffi"], _STATE["lib"], rows
+    return ffi, lib, rows
 
 
 def native_count_rows(a: CSRMatrix, b: CSRMatrix, rows: np.ndarray) -> np.ndarray:
@@ -401,6 +454,64 @@ def native_count_rows(a: CSRMatrix, b: CSRMatrix, rows: np.ndarray) -> np.ndarra
     return counts
 
 
+def _check_slots(n: int, starts: np.ndarray, counts: np.ndarray,
+                 col_ids: np.ndarray, data: np.ndarray) -> None:
+    """What the C side cannot check for itself: that the pointers it is
+    handed are ``n`` int64 slots and two writable arrays of one length."""
+    for arr in (starts, counts):
+        if (arr.dtype != np.int64 or arr.shape != (n,)
+                or not arr.flags.c_contiguous):
+            raise ValueError(
+                f"slot starts/counts must be contiguous int64 of length {n}"
+            )
+    for out, dtype in ((col_ids, np.int64), (data, np.float64)):
+        if (out.dtype != dtype or out.shape != col_ids.shape or out.ndim != 1
+                or not out.flags.c_contiguous or not out.flags.writeable):
+            raise ValueError(
+                "col_ids/data must be writable contiguous int64/float64 "
+                "arrays of one length"
+            )
+
+
+def native_fill_slots(
+    a: CSRMatrix,
+    b: CSRMatrix,
+    rows: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    shift: int,
+    col_ids: np.ndarray,
+    data: np.ndarray,
+) -> None:
+    """Write the listed rows of ``A x B`` into their slots (the fill pass).
+
+    Row ``r`` lands at ``col_ids/data[starts[r]:starts[r] + counts[r]]``,
+    columns ascending and each plus ``shift``; ``starts`` / ``counts``
+    hold one entry per row of ``a``, the counts from
+    :func:`native_count_rows`.  The kernel checks every row against its
+    slot *before* writing it: a row whose nnz is not ``counts[r]``, or
+    whose slot leaves the arrays, raises :class:`RuntimeError` naming the
+    row, and nothing is written out of bounds whatever the slots hold.
+    """
+    ffi, lib, rows = _enter(a, b, rows)
+    _check_slots(a.n_rows, starts, counts, col_ids, data)
+    s = _scratch(b.n_cols)
+    code = lib.repro_spgemm_fill(
+        rows.size, _ptr(ffi, rows),
+        _ptr(ffi, a.row_offsets), _ptr(ffi, a.col_ids), _ptr(ffi, a.data),
+        _ptr(ffi, b.row_offsets), _ptr(ffi, b.col_ids), _ptr(ffi, b.data),
+        _ptr(ffi, s.mark), _ptr(ffi, s.spa), _ptr(ffi, s.touched),
+        _ptr(ffi, s.tmp), s.cap, _ptr(ffi, s.gen),
+        _ptr(ffi, starts), _ptr(ffi, counts), int(shift),
+        col_ids.size, _ptr(ffi, col_ids), _ptr(ffi, data),
+    )
+    if code < 0:
+        raise RuntimeError(
+            f"native kernel overflow: row {int(rows[-code - 1])} does not "
+            f"fit its slot"
+        )
+
+
 def native_fill_rows(
     a: CSRMatrix,
     b: CSRMatrix,
@@ -409,40 +520,44 @@ def native_fill_rows(
     col_ids: np.ndarray,
     data: np.ndarray,
 ) -> None:
-    """Write the listed rows of ``A x B`` in place (the fill pass).
+    """:func:`native_fill_slots` for rows stored back to back: row ``r``
+    lands at ``col_ids/data[c_indptr[r]:c_indptr[r + 1]]`` (``c_indptr``:
+    one entry per row of ``a``, plus one — the slot checks refuse any
+    other shape or dtype)."""
+    native_fill_slots(a, b, rows, c_indptr[:-1], np.diff(c_indptr), 0,
+                      col_ids, data)
 
-    Row ``r`` lands at ``col_ids/data[c_indptr[r]:c_indptr[r + 1]]``,
-    columns ascending; ``c_indptr`` (one entry per row of ``a``, plus one)
-    must come from :func:`native_count_rows`.  The kernel checks every
-    row against its slot *before* writing it: a row that does not fit
-    exactly raises :class:`RuntimeError` and nothing is written out of
-    bounds, whatever ``c_indptr`` holds.
+
+def native_place_rows(
+    src_indptr: np.ndarray,
+    src_cols: np.ndarray,
+    src_vals: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    shift: int,
+    col_ids: np.ndarray,
+    data: np.ndarray,
+) -> int:
+    """Copy finished rows into their slots, once (the ``place`` helper).
+
+    Source row ``i`` is ``src_cols/src_vals[src_indptr[i]:src_indptr[i +
+    1]]``; it lands at ``starts[i]`` with ``shift`` added to its column
+    ids.  Returns ``-1`` when every row was placed, else the position of
+    the first row refused — its length is not ``counts[i]``, or its
+    source or slot leaves its array — with nothing of that row written.
     """
-    ffi, lib, rows = _enter(a, b, rows)
-    if (c_indptr.dtype != np.int64 or c_indptr.shape != (a.n_rows + 1,)
-            or not c_indptr.flags.c_contiguous):
-        raise ValueError(
-            "c_indptr must be contiguous int64, one entry per A row plus one"
-        )
-    for out, dtype in ((col_ids, np.int64), (data, np.float64)):
-        if (out.dtype != dtype or out.shape != col_ids.shape or out.ndim != 1
-                or not out.flags.c_contiguous or not out.flags.writeable):
-            raise ValueError(
-                "col_ids/data must be writable contiguous int64/float64 "
-                "arrays of one length"
-            )
-    s = _scratch(b.n_cols)
-    code = lib.repro_spgemm_fill(
-        rows.size, _ptr(ffi, rows),
-        _ptr(ffi, a.row_offsets), _ptr(ffi, a.col_ids), _ptr(ffi, a.data),
-        _ptr(ffi, b.row_offsets), _ptr(ffi, b.col_ids), _ptr(ffi, b.data),
-        _ptr(ffi, s.mark), _ptr(ffi, s.spa), _ptr(ffi, s.touched),
-        _ptr(ffi, s.tmp), s.cap, _ptr(ffi, s.gen),
-        _ptr(ffi, c_indptr), col_ids.size,
-        _ptr(ffi, col_ids), _ptr(ffi, data),
+    ffi, lib = _library()
+    n = src_indptr.size - 1
+    _check_slots(n, starts, counts, col_ids, data)
+    for arr, dtype in ((src_indptr, np.int64), (src_cols, np.int64),
+                       (src_vals, np.float64)):
+        if (arr.dtype != dtype or arr.ndim != 1
+                or not arr.flags.c_contiguous):
+            raise ValueError("source arrays must be contiguous int64/float64")
+    code = lib.repro_place_rows(
+        n, _ptr(ffi, src_indptr), min(src_cols.size, src_vals.size),
+        _ptr(ffi, src_cols), _ptr(ffi, src_vals),
+        _ptr(ffi, starts), _ptr(ffi, counts), int(shift),
+        col_ids.size, _ptr(ffi, col_ids), _ptr(ffi, data),
     )
-    if code < 0:
-        raise RuntimeError(
-            f"native kernel overflow: row {int(rows[-code - 1])} does not "
-            f"fit its slot in c_indptr"
-        )
+    return -1 if code >= 0 else -code - 1

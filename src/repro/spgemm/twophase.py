@@ -21,6 +21,13 @@ symbolic pass; their results are cached and the numeric stage only
 scatters them into the exact allocation, halving the work while keeping
 the two-phase structure (and its stats/spans) intact.
 
+The pipeline can be cut where the paper's Fig. 3 ships the exact nnz to
+the host: :func:`spgemm_symbolic` runs stages 1-2 and returns a
+:class:`SymbolicPhase`, :func:`spgemm_numeric` runs stage 3 from it —
+into its own exact allocation, or into slots of a larger product the
+caller laid out from the counts (:class:`~repro.spgemm.numeric.RowSlots`).
+:func:`spgemm_twophase` is the two composed.
+
 Alongside the result we return :class:`TwoPhaseStats` — everything the
 out-of-core scheduler and the simulated-device cost model need: flops,
 output nnz/bytes, per-stage kernel-launch counts and wall seconds, and
@@ -32,20 +39,29 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
+from ..sparse.codec import csr_nbytes
 from ..sparse.formats import CSRMatrix, INDEX_DTYPE
 from ..sparse.ops import RowSliceCache
+from .accumulators import RowResults
 from .flops import compression_ratio
-from .groups import RowGrouping
+from .groups import RowGroup, RowGrouping
 from .kernels import FUSED_METHODS, KernelSpec, accumulate, plan_groups, resolve_kernel
 from .native import native_count_rows
-from .numeric import numeric_grouped
+from .numeric import RowSlots, numeric_grouped
 from .rowanalysis import RowAnalysis, analyze_rows
 
-__all__ = ["TwoPhaseStats", "TwoPhaseResult", "spgemm_twophase"]
+__all__ = [
+    "TwoPhaseStats",
+    "TwoPhaseResult",
+    "SymbolicPhase",
+    "spgemm_symbolic",
+    "spgemm_numeric",
+    "spgemm_twophase",
+]
 
 
 @dataclass(frozen=True)
@@ -78,7 +94,9 @@ class TwoPhaseStats:
 
 @dataclass(frozen=True)
 class TwoPhaseResult:
-    matrix: CSRMatrix
+    #: the product; ``None`` when the numeric stage wrote it into a
+    #: destination the caller supplied
+    matrix: Optional[CSRMatrix]
     stats: TwoPhaseStats
     analysis: RowAnalysis
     symbolic_grouping: RowGrouping
@@ -107,6 +125,183 @@ def _stage_gauges(tracer, trace_label: str, stats: TwoPhaseStats) -> None:
                 f"{stage}_bytes_per_s": nbytes / seconds,
             },
         )
+
+
+@dataclass(frozen=True)
+class SymbolicPhase:
+    """One multiplication at the paper's D2H point (Fig. 3): analysis
+    and symbolic stages done, exact ``row_nnz`` known, nothing of the
+    output allocated yet.  Holds what :func:`spgemm_numeric` needs to
+    finish the same invocation — operands, cache, tracing and fault
+    context included — and may be finished more than once (a retry
+    re-fills the same slots)."""
+
+    a: CSRMatrix
+    b: CSRMatrix
+    spec: KernelSpec
+    slice_cache: RowSliceCache
+    analysis: RowAnalysis
+    grouping: RowGrouping          # the symbolic stage's row groups
+    row_nnz: np.ndarray            # exact nnz per output row
+    #: fused groups' values, computed during the symbolic pass
+    fused: Tuple[Tuple[RowGroup, RowResults], ...]
+    analysis_seconds: float
+    symbolic_seconds: float
+    tracer: object
+    trace_label: str
+    fault_hook: Optional[Callable[[str], None]]
+
+
+def spgemm_symbolic(
+    a: CSRMatrix,
+    b: CSRMatrix,
+    *,
+    kernel: Union[None, str, KernelSpec] = None,
+    slice_cache: Optional[RowSliceCache] = None,
+    tracer=None,
+    trace_label: str = "",
+    fault_hook=None,
+    density_hint: Optional[np.ndarray] = None,
+) -> SymbolicPhase:
+    """Stages 1-2 of :func:`spgemm_twophase` (same parameters): row
+    analysis, then exact nnz per output row."""
+    from ..observability import as_tracer  # deferred: avoid import cycles
+
+    tracer = as_tracer(tracer)
+    spec = resolve_kernel(kernel)
+    if a.n_cols != b.n_rows:
+        raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
+    if slice_cache is None:
+        slice_cache = RowSliceCache(a)
+    elif slice_cache.matrix is not a:
+        raise ValueError("slice_cache was built for a different matrix")
+
+    # stage 1: row analysis (flops per row; the host receives this)
+    if fault_hook is not None:
+        fault_hook("analysis")
+    t0 = time.perf_counter()
+    with tracer.span(f"analysis[{trace_label}]", "analysis"):
+        analysis = analyze_rows(a, b)
+    analysis_seconds = time.perf_counter() - t0
+    work = analysis.flops // 2  # upper-bound products per row
+
+    # host: bin rows for dispatch — by estimated density when a hint is
+    # available (OCEAN-style), by upper-bound work otherwise.  The hint
+    # is clamped into [1, work] on productive rows so no row can drop
+    # out of (or join) the grouping by estimation error alone.
+    group_work = work
+    if density_hint is not None:
+        hint = np.asarray(density_hint, dtype=np.int64)
+        if hint.shape != work.shape:
+            raise ValueError(
+                f"density_hint has shape {hint.shape}, expected {work.shape}"
+            )
+        group_work = np.where(work > 0, np.clip(hint, 1, work), 0)
+    sym_grouping = plan_groups(group_work, b.n_cols, spec)
+
+    # stage 2: symbolic execution — exact nnz per output row.  The native
+    # kernel only counts.  Fused kernels (esc/merge) compute values in the
+    # same pass; their RowResults are cached so the numeric stage only has
+    # to copy them into place.
+    if fault_hook is not None:
+        fault_hook("symbolic")
+    t0 = time.perf_counter()
+    row_nnz = np.zeros(a.n_rows, dtype=INDEX_DTYPE)
+    fused = []  # [(RowGroup, RowResults)] in symbolic-group order
+    with tracer.span(f"symbolic[{trace_label}]", "symbolic",
+                     kernels=sym_grouping.num_kernels(),
+                     kernel=spec.resolved().encode()):
+        for g in sym_grouping:
+            if len(g) == 0:
+                continue
+            if g.method == "native":
+                row_nnz[g.rows] = native_count_rows(a, b, g.rows)
+                continue
+            is_fused = g.method in FUSED_METHODS
+            res = accumulate(
+                g.method, a, b, g.rows, work[g.rows],
+                with_values=is_fused, slice_cache=slice_cache,
+            )
+            if is_fused:
+                fused.append((g, res))
+            row_nnz[g.rows] = res.counts
+    symbolic_seconds = time.perf_counter() - t0
+
+    return SymbolicPhase(
+        a=a, b=b, spec=spec, slice_cache=slice_cache, analysis=analysis,
+        grouping=sym_grouping, row_nnz=row_nnz, fused=tuple(fused),
+        analysis_seconds=analysis_seconds, symbolic_seconds=symbolic_seconds,
+        tracer=tracer, trace_label=trace_label, fault_hook=fault_hook,
+    )
+
+
+def spgemm_numeric(
+    sym: SymbolicPhase, dest: Optional[RowSlots] = None
+) -> TwoPhaseResult:
+    """Stage 3 of :func:`spgemm_twophase`: values, from a finished
+    :class:`SymbolicPhase`.
+
+    Without ``dest`` the product is allocated here, exactly, and returned
+    as ``result.matrix``.  With it, row ``r`` is written into the slot
+    ``dest`` names for it — ``dest.counts`` must equal ``sym.row_nnz``,
+    and the kernels refuse any row that does not fit — and
+    ``result.matrix`` is ``None``.  The stats are the same either way.
+    """
+    a, b, spec, row_nnz = sym.a, sym.b, sym.spec, sym.row_nnz
+    tracer, trace_label = sym.tracer, sym.trace_label
+    # record the *resolved* wire form ("auto" is a policy, not a kernel)
+    # so stats and caches never alias timings from different kernels
+    wire = spec.resolved().encode()
+
+    # host: re-group on exact counts (global load balance again) — only
+    # the rows whose values are *not* already cached need a new group
+    regroup_work = row_nnz.copy()
+    for g, _ in sym.fused:
+        regroup_work[g.rows] = 0
+    classic = plan_groups(regroup_work, b.n_cols, spec)
+    num_grouping = RowGrouping(
+        groups=tuple(g for g, _ in sym.fused) + classic.groups,
+        n_rows=a.n_rows,
+    )
+    precomputed = [res for _, res in sym.fused] + [None] * len(classic.groups)
+
+    # stage 3: numeric execution into the exact allocation
+    if sym.fault_hook is not None:
+        sym.fault_hook("numeric")
+    t0 = time.perf_counter()
+    with tracer.span(f"numeric[{trace_label}]", "numeric",
+                     kernels=num_grouping.num_kernels(),
+                     kernel=wire):
+        c = numeric_grouped(
+            a, b, row_nnz, num_grouping,
+            slice_cache=sym.slice_cache, precomputed=precomputed, dest=dest,
+        )
+    numeric_seconds = time.perf_counter() - t0
+
+    nnz_out = int(row_nnz.sum())
+    stats = TwoPhaseStats(
+        flops=sym.analysis.total_flops,
+        nnz_out=nnz_out,
+        rows_out=a.n_rows,
+        analysis_bytes=sym.analysis.transfer_bytes(),
+        symbolic_bytes=int(row_nnz.nbytes),
+        output_bytes=csr_nbytes(a.n_rows, nnz_out),
+        symbolic_kernels=sym.grouping.num_kernels(),
+        numeric_kernels=num_grouping.num_kernels(),
+        input_nnz=a.nnz + b.nnz,
+        kernel=wire,
+        analysis_seconds=sym.analysis_seconds,
+        symbolic_seconds=sym.symbolic_seconds,
+        numeric_seconds=numeric_seconds,
+    )
+    _stage_gauges(tracer, trace_label, stats)
+    return TwoPhaseResult(
+        matrix=c,
+        stats=stats,
+        analysis=sym.analysis,
+        symbolic_grouping=sym.grouping,
+        numeric_grouping=num_grouping,
+    )
 
 
 def spgemm_twophase(
@@ -157,116 +352,8 @@ def spgemm_twophase(
     still uses the hard upper bound, and results are bit-identical with
     or without it.
     """
-    from ..observability import as_tracer  # deferred: avoid import cycles
-
-    tracer = as_tracer(tracer)
-    spec = resolve_kernel(kernel)
-    # record the *resolved* wire form ("auto" is a policy, not a kernel)
-    # so stats and caches never alias timings from different kernels
-    wire = spec.resolved().encode()
-    if a.n_cols != b.n_rows:
-        raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
-    if slice_cache is None:
-        slice_cache = RowSliceCache(a)
-    elif slice_cache.matrix is not a:
-        raise ValueError("slice_cache was built for a different matrix")
-
-    # stage 1: row analysis (flops per row; the host receives this)
-    if fault_hook is not None:
-        fault_hook("analysis")
-    t0 = time.perf_counter()
-    with tracer.span(f"analysis[{trace_label}]", "analysis"):
-        analysis = analyze_rows(a, b)
-    analysis_seconds = time.perf_counter() - t0
-    work = analysis.flops // 2  # upper-bound products per row
-
-    # host: bin rows for dispatch — by estimated density when a hint is
-    # available (OCEAN-style), by upper-bound work otherwise.  The hint
-    # is clamped into [1, work] on productive rows so no row can drop
-    # out of (or join) the grouping by estimation error alone.
-    group_work = work
-    if density_hint is not None:
-        hint = np.asarray(density_hint, dtype=np.int64)
-        if hint.shape != work.shape:
-            raise ValueError(
-                f"density_hint has shape {hint.shape}, expected {work.shape}"
-            )
-        group_work = np.where(work > 0, np.clip(hint, 1, work), 0)
-    sym_grouping = plan_groups(group_work, b.n_cols, spec)
-
-    # stage 2: symbolic execution — exact nnz per output row.  The native
-    # kernel only counts.  Fused kernels (esc/merge) compute values in the
-    # same pass; their RowResults are cached so the numeric stage only has
-    # to scatter.
-    if fault_hook is not None:
-        fault_hook("symbolic")
-    t0 = time.perf_counter()
-    row_nnz = np.zeros(a.n_rows, dtype=INDEX_DTYPE)
-    fused = []  # [(RowGroup, RowResults)] in symbolic-group order
-    with tracer.span(f"symbolic[{trace_label}]", "symbolic",
-                     kernels=sym_grouping.num_kernels(),
-                     kernel=wire):
-        for g in sym_grouping:
-            if len(g) == 0:
-                continue
-            if g.method == "native":
-                row_nnz[g.rows] = native_count_rows(a, b, g.rows)
-                continue
-            is_fused = g.method in FUSED_METHODS
-            res = accumulate(
-                g.method, a, b, g.rows, work[g.rows],
-                with_values=is_fused, slice_cache=slice_cache,
-            )
-            if is_fused:
-                fused.append((g, res))
-            row_nnz[g.rows] = res.counts
-    symbolic_seconds = time.perf_counter() - t0
-
-    # host: re-group on exact counts (global load balance again) — only
-    # the rows whose values are *not* already cached need a new group
-    regroup_work = row_nnz.copy()
-    for g, _ in fused:
-        regroup_work[g.rows] = 0
-    classic = plan_groups(regroup_work, b.n_cols, spec)
-    num_grouping = RowGrouping(
-        groups=tuple(g for g, _ in fused) + classic.groups,
-        n_rows=a.n_rows,
-    )
-    precomputed = [res for _, res in fused] + [None] * len(classic.groups)
-
-    # stage 3: numeric execution into the exact allocation
-    if fault_hook is not None:
-        fault_hook("numeric")
-    t0 = time.perf_counter()
-    with tracer.span(f"numeric[{trace_label}]", "numeric",
-                     kernels=num_grouping.num_kernels(),
-                     kernel=wire):
-        c = numeric_grouped(
-            a, b, row_nnz, num_grouping,
-            slice_cache=slice_cache, precomputed=precomputed,
-        )
-    numeric_seconds = time.perf_counter() - t0
-
-    stats = TwoPhaseStats(
-        flops=analysis.total_flops,
-        nnz_out=c.nnz,
-        rows_out=c.n_rows,
-        analysis_bytes=analysis.transfer_bytes(),
-        symbolic_bytes=int(row_nnz.nbytes),
-        output_bytes=c.nbytes(),
-        symbolic_kernels=sym_grouping.num_kernels(),
-        numeric_kernels=num_grouping.num_kernels(),
-        input_nnz=a.nnz + b.nnz,
-        kernel=wire,
-        analysis_seconds=analysis_seconds,
-        symbolic_seconds=symbolic_seconds,
-        numeric_seconds=numeric_seconds,
-    )
-    _stage_gauges(tracer, trace_label, stats)
-    return TwoPhaseResult(
-        matrix=c,
-        stats=stats,
-        analysis=analysis,
-        symbolic_grouping=sym_grouping,
-        numeric_grouping=num_grouping,
-    )
+    return spgemm_numeric(spgemm_symbolic(
+        a, b, kernel=kernel, slice_cache=slice_cache, tracer=tracer,
+        trace_label=trace_label, fault_hook=fault_hook,
+        density_hint=density_hint,
+    ))

@@ -92,6 +92,16 @@ def random_csr_dense(rng, n_rows=12, n_cols=15, density=0.3):
     return dense, CSRMatrix.from_dense(dense)
 
 
+def assert_same_bytes(got: CSRMatrix, ref: CSRMatrix) -> None:
+    """Assert two matrices are the same stored bytes: shape, structure
+    and the raw bits of every value (-0.0 vs 0.0 and nan payloads
+    count)."""
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(got.row_offsets, ref.row_offsets)
+    np.testing.assert_array_equal(got.col_ids, ref.col_ids)
+    np.testing.assert_array_equal(got.data.view(np.int64), ref.data.view(np.int64))
+
+
 def assert_equals_scipy_product(candidate: CSRMatrix, a: CSRMatrix, b: CSRMatrix) -> None:
     """Assert ``candidate == A x B`` structurally and numerically."""
     expected = spgemm_scipy(a, b)

@@ -6,14 +6,17 @@ shapes (empty rows, empty panels, all-zero, duplicate-entry COO inputs)
 and adversarial modes (fault injection mid-run, resume from a partial
 checkpoint) — or, for a fault that outlasts the retry policy
 (``terminal``), raise its typed error holding no host-memory
-reservation.  All randomness derives from the session seed printed in
-the pytest header, so any failure replays with ``REPRO_TEST_SEED``.
+reservation.  The in-place return form (``assemble=True``, DESIGN.md
+"Output layout") runs the same cases and modes against the chunk path's
+bytes.  All randomness derives from the session seed printed in the
+pytest header, so any failure replays with ``REPRO_TEST_SEED``.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.api import run_out_of_core
+from repro.core.assemble import assemble_chunks
 from repro.core.chunks import ChunkGrid
 from repro.core.executor import (
     ChunkExecutionError,
@@ -24,10 +27,11 @@ from repro.core.executor import (
 )
 from repro.core.governor import Governor, GovernorConfig
 from repro.core.spill import DiskChunkStore, RunManifest
+from repro.observability import Tracer
 from repro.sparse.coo import COOMatrix
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import banded
-from tests.conftest import assert_equals_scipy_product
+from tests.conftest import assert_equals_scipy_product, assert_same_bytes
 
 BACKENDS = ("serial", "thread", "process")
 MODES = ("plain", "faults", "resume", "terminal")
@@ -132,6 +136,52 @@ def test_equivalence_sweep(make_rng, tmp_path, case, mode, backend):
     result = run_mode(a, b, grid, backend, mode, tmp_path)
     if mode != "terminal":
         assert_equals_scipy_product(result.matrix, a, b)
+
+
+@pytest.mark.parametrize("backend", ("serial", "thread"))
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("case", CASES)
+def test_in_place_sweep(make_rng, tmp_path, case, mode, backend):
+    """The product filled in place is the chunk path's, byte for byte,
+    whatever fails on the way; a fault that outlasts the retries raises
+    its typed error and no matrix — partial or not — comes back."""
+    a, b = make_case(case, make_rng(f"sweep:{case}"))
+    grid = ChunkGrid.regular(a.n_rows, b.n_cols, 3, 3)
+    chunk_profile, outputs = execute_chunk_grid(a, b, grid, keep_outputs=True)
+
+    def in_place(**kwargs):
+        return execute_chunk_grid(
+            a, b, grid, assemble=True, backend=backend,
+            workers=1 if backend == "serial" else 2, retry=FAST_RETRY, **kwargs)
+
+    if mode == "terminal":
+        # the sink hook fires in place too, though there is no sink
+        for stage in ("numeric", "sink"):
+            with pytest.raises(InjectedFault, match=f"stage={stage}"):
+                in_place(faults=f"{stage}:raise:times=-1")
+        return
+    if mode == "resume":
+        # the engine does not hold the chunks a resume skips
+        with pytest.raises(ValueError, match="resume_stats"):
+            in_place(resume_stats={0: chunk_profile.chunks[0]})
+        return
+    tracer = Tracer()
+    faults = ""
+    if mode == "faults":
+        # one failure mid-fill, one at the sink hook: each retry re-fills
+        # the same slots
+        faults = (f"numeric:raise:latch={tmp_path / 'numeric.latch'};"
+                  f"sink:raise:latch={tmp_path / 'sink.latch'}")
+    profile, c = in_place(faults=faults, tracer=tracer)
+    assert_same_bytes(c, assemble_chunks(outputs))
+    assert profile == chunk_profile
+    assert tracer.counters("faults").get("retries", 0) == (2 if faults else 0)
+    # each stage still leaves one span per chunk — and the chunk whose
+    # sink hook failed was filled a second time
+    for stage in ("analysis", "symbolic", "numeric", "sink"):
+        again = 1 if faults and stage == "numeric" else 0
+        assert (sum(s.cat == stage for s in tracer.spans)
+                == grid.num_chunks + again), stage
 
 
 def test_worker_crash_beyond_budget_releases_reservations(make_rng):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.sparse.generators import random_csr
 from repro.spgemm.groups import group_rows
-from repro.spgemm.numeric import numeric_grouped, numeric_phase
+from repro.spgemm.numeric import RowSlots, numeric_grouped, numeric_phase
 from repro.spgemm.symbolic import symbolic_row_nnz
 from tests.conftest import assert_equals_scipy_product
 
@@ -45,6 +45,25 @@ class TestNumericPhase:
         assert all(g.method == "hash" for g in all_hash)
         via_hash = numeric_grouped(a, a, row_nnz, all_hash)
         assert via_hash == numeric_phase(a, a, row_nnz)
+
+    def test_destination_slots(self, sample_matrix):
+        """The same rows written into a caller's arrays — behind an
+        offset, column ids shifted — instead of a fresh allocation."""
+        a = sample_matrix
+        row_nnz = symbolic_row_nnz(a, a)
+        ref = numeric_phase(a, a, row_nnz)
+        pad = 5
+        cols = np.full(ref.nnz + 2 * pad, -1, dtype=np.int64)
+        vals = np.full(ref.nnz + 2 * pad, np.nan)
+        dest = RowSlots(ref.row_offsets[:-1] + pad, row_nnz, 100, cols, vals)
+        grouping = group_rows(row_nnz, a.n_cols)
+        assert numeric_grouped(a, a, row_nnz, grouping, dest=dest) is None
+        np.testing.assert_array_equal(cols[pad:-pad], ref.col_ids + 100)
+        np.testing.assert_array_equal(vals[pad:-pad], ref.data)
+        assert np.all(cols[:pad] == -1) and np.all(cols[-pad:] == -1)
+        lying = RowSlots(dest.starts, row_nnz + 1, 100, cols, vals)
+        with pytest.raises(RuntimeError, match="row 0 does not fit its slot"):
+            numeric_grouped(a, a, row_nnz, grouping, dest=lying)
 
     def test_bad_counts_length(self, sample_matrix):
         with pytest.raises(ValueError, match="length"):
