@@ -314,9 +314,11 @@ def _cmd_multiply(args) -> int:
         store = None
         checkpoint = resume = None
         if args.resume:
-            from .core.spill import DiskChunkStore, RunManifest
+            from .core.spill import Checkpoint, DiskChunkStore
 
-            resume = RunManifest.load(args.resume)
+            # the manifest says where the run spilled its chunks
+            resume = Checkpoint.open(a, b, None, path=args.resume,
+                                     resume=True).manifest
             if resume.store_dir is not None:
                 store = DiskChunkStore(resume.store_dir)
             elif keep:
@@ -368,9 +370,8 @@ def _cmd_trace(args) -> int:
     sink writes, lane gauges) as pid 0, the cost-model schedule of the
     same workload as pid 1 — loadable side by side in Perfetto.  Prints
     the per-lane utilization and critical-path summary."""
-    from .core.api import run_hybrid, run_out_of_core
-    from .core.schedule import export_chrome_events
-    from .observability import Tracer, render_summary, tracer_events, write_chrome_trace
+    from .observability import (Tracer, render_summary, timeline_events,
+                                tracer_events, write_chrome_trace)
 
     a = _load_matrix(args.matrix)
     if args.device_mem is not None:
@@ -405,7 +406,7 @@ def _cmd_trace(args) -> int:
             workers=args.workers, window=args.window, tracer=tracer,
             chunk_store=store, backend=args.backend, kernel=args.kernel,
         )
-    events = tracer_events(tracer) + export_chrome_events(result.timeline)
+    events = tracer_events(tracer) + timeline_events(result.timeline)
     write_chrome_trace(args.trace_out, events, metadata={
         "matrix": args.matrix, "mode": result.mode, "workers": args.workers,
         "backend": args.backend or "auto", "kernel": args.kernel or "auto",

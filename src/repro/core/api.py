@@ -23,12 +23,9 @@ from typing import Optional, Sequence, Union
 from ..device.kernels import CostModel, default_cost_model
 from ..device.specs import NodeSpec, v100_node
 from ..sparse.formats import CSRMatrix
-from ..spgemm.kernels import resolve_kernel
 from ..spgemm.twophase import spgemm_twophase
-from .assemble import assemble_chunks
 from .chunks import ChunkGrid, ChunkProfile, chunk_flops
-from .executor import ChunkPlan, execute_chunk_grid, plan_hybrid_lanes
-from .governor import as_governor
+from .executor import execute_chunk_grid, plan_hybrid_lanes
 from .hybrid import DEFAULT_RATIO, assign_chunks, build_hybrid_engine
 from .planner import plan_grid
 from .results import RunResult
@@ -215,15 +212,17 @@ def run_out_of_core(
     injects chaos-testing failures (see :mod:`repro.core.executor.\
     faults`).  ``checkpoint=PATH`` writes a :class:`~repro.core.spill.\
     RunManifest` recording every completed chunk as the run progresses.
-    ``resume=PATH_OR_MANIFEST`` loads such a manifest, validates it
-    against the operands/grid, recomputes **only** the unfinished
-    chunks, and keeps extending the same manifest — the result is
-    bit-identical to an uninterrupted run.  Resuming with
-    ``keep_output=True`` requires ``chunk_store`` to hold the previous
-    run's chunks (e.g. a :class:`~repro.core.spill.DiskChunkStore` over
-    the original spill directory).  Resumed chunks are re-read and
-    CRC-verified against the manifest; corrupt or missing ones are
-    evicted and recomputed (``meta["corrupt_recomputed"]`` counts them).
+    ``resume=PATH_OR_MANIFEST`` (instead of ``checkpoint``, not beside
+    it) loads such a manifest, validates it against the operands/grid,
+    recomputes **only** the unfinished chunks, and keeps extending the
+    same manifest — the result is bit-identical to an uninterrupted
+    run.  Resuming with ``keep_output=True`` requires ``chunk_store`` to
+    hold the previous run's chunks (e.g. a :class:`~repro.core.spill.\
+    DiskChunkStore` over the original spill directory).  Resumed chunks
+    are re-read and CRC-verified against the manifest; corrupt or
+    missing ones are evicted and recomputed
+    (``meta["corrupt_recomputed"]`` counts them) — the protocol is
+    :class:`~repro.core.spill.Checkpoint`'s.
 
     ``governor`` (a :class:`~repro.core.governor.Governor` /
     :class:`~repro.core.governor.GovernorConfig`) adds runtime limits:
@@ -231,75 +230,46 @@ def run_out_of_core(
     with spill-under-pressure, and device-OOM re-splitting — see
     :mod:`repro.core.governor`.
     """
-    from .spill import RunManifest
+    from .spill import Checkpoint
 
+    if resume is not None and checkpoint is not None:
+        raise ValueError(
+            "resume= keeps extending the manifest it resumes from; "
+            "pass it or checkpoint=, not both"
+        )
     node = _resolve_node(node)
-    manifest = None
-    resume_stats = None
-    corrupt_recomputed = 0
-    if resume is not None:
-        manifest = (resume if isinstance(resume, RunManifest)
-                    else RunManifest.load(resume))
-        if grid is None:
-            grid = manifest.grid
-        manifest.validate(a, b, grid)
-        resume_stats = manifest.completed_stats()
-        if resume_stats and keep_output and chunk_store is None:
-            raise ValueError(
-                "resuming with keep_output=True requires the chunk_store "
-                "holding the previous run's chunks (e.g. a DiskChunkStore "
-                "over the original spill directory)"
-            )
-        if resume_stats and chunk_store is not None:
-            # integrity gate: anything corrupt or missing recomputes
-            # instead of poisoning the result
-            resume_stats, corrupt_recomputed = manifest.verified_stats(
-                chunk_store)
     flops = None
-    if grid is None:
+    if grid is None and resume is None:
         report = plan_grid(a, b, node)
         grid, flops = report.grid, report.flops
-    if resume is None and checkpoint is not None:
-        store_dir = getattr(chunk_store, "directory", None)
-        manifest = RunManifest.create(checkpoint, a, b, grid,
-                                      store_dir=store_dir)
-    governor = as_governor(governor)
-    if governor is not None and chunk_store is not None:
-        # the store's held bytes join the host-memory ledger, and the
-        # governor may squeeze it (spill-under-pressure) when it can
-        governor.attach_store(chunk_store)
-    # the chunks a resume skips come back from the store, so that run
-    # takes chunk objects; any other asks the engine for the product
-    spliced = keep_output and bool(resume_stats)
-    profile, out = execute_chunk_grid(
-        a, b, grid, keep_outputs=spliced, assemble=keep_output and not spliced,
-        chunk_sink=chunk_store.put if chunk_store is not None else None,
+    ckpt = None
+    if resume is not None or checkpoint is not None or chunk_store is not None:
+        ckpt = Checkpoint.open(
+            a, b, grid, store=chunk_store, resume=resume is not None,
+            path=checkpoint if resume is None else resume)
+        if grid is None:
+            grid = ckpt.manifest.grid
+    profile, matrix = execute_chunk_grid(
+        a, b, grid, assemble=keep_output, checkpoint=ckpt,
         name=name, workers=workers, window=window,
         tracer=tracer, backend=backend,
         retry=retry, crash_budget=crash_budget, faults=faults,
-        manifest=manifest, resume_stats=resume_stats, governor=governor,
-        kernel=kernel, flops=flops,
+        governor=governor, kernel=kernel, flops=flops,
     )
-    matrix = out
-    if spliced:
-        for cid in resume_stats:
-            rp, cp = profile.grid.panel_of(cid)
-            if out[rp][cp] is None:
-                out[rp][cp] = chunk_store.get(rp, cp)
-        matrix = assemble_chunks(out)
     result = simulate_out_of_core(
         profile, node, mode=mode, order=order,
         divided_transfers=divided_transfers, allocator=allocator, cost=cost,
     )
     meta = dict(result.meta)
     meta["workers"] = workers
-    if resume_stats is not None:
-        meta["resumed_chunks"] = len(resume_stats)
-    if corrupt_recomputed:
-        meta["corrupt_recomputed"] = corrupt_recomputed
-    if manifest is not None:
-        meta["manifest"] = str(manifest.path)
-        meta["run_id"] = manifest.run_id
+    if ckpt is not None:
+        if resume is not None:
+            meta["resumed_chunks"] = ckpt.resumed
+        if ckpt.dropped:
+            meta["corrupt_recomputed"] = ckpt.dropped
+        if ckpt.manifest is not None:
+            meta["manifest"] = str(ckpt.manifest.path)
+            meta["run_id"] = ckpt.manifest.run_id
     return RunResult(
         name=result.name, mode=result.mode, timeline=result.timeline,
         profile=profile, matrix=matrix, meta=meta,
@@ -342,15 +312,17 @@ def run_hybrid(
     if grid is None:
         report = plan_grid(a, b, node)
         grid, flops = report.grid, report.flops
-    plan = ChunkPlan(kernel=resolve_kernel(kernel))  # one lane, inline
+    lanes = lane_names = None  # one lane, inline
     if workers > 1:
         if flops is None:
             flops = chunk_flops(a, b, grid)
-        plan = ChunkPlan.from_hybrid(
-            plan_hybrid_lanes(flops, workers, ratio), kernel=plan.kernel)
+        hybrid = plan_hybrid_lanes(flops, workers, ratio)
+        lanes = [(ids, lane_workers) for ids, lane_workers, _ in hybrid]
+        lane_names = [lane for _, _, lane in hybrid]
     profile, matrix = execute_chunk_grid(
-        a, b, grid, assemble=keep_output, name=name,
-        window=window, plan=plan, tracer=tracer, backend=backend,
+        a, b, grid, assemble=keep_output, name=name, window=window,
+        lanes=lanes, lane_names=lane_names, kernel=kernel,
+        tracer=tracer, backend=backend,
         retry=retry, crash_budget=crash_budget, faults=faults,
         governor=governor, flops=flops,
     )

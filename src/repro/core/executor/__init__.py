@@ -36,7 +36,6 @@ from .faults import (
 )
 from .plan import (
     BUFFERS_PER_WORKER,
-    ChunkPlan,
     default_window,
     filter_lanes,
     flops_desc_order,
@@ -63,7 +62,6 @@ __all__ = [
     "BackendUnavailable",
     "ChunkCorruption",
     "ChunkExecutionError",
-    "ChunkPlan",
     "ChunkTimeout",
     "Governor",
     "GovernorConfig",

@@ -3,8 +3,9 @@
 ``execute_chunk_grid`` executes every chunk of ``C = A x B`` and
 profiles it.  This module owns everything backend-independent: operand
 partitioning, lane planning and validation, the run's shared state and
-completion path (:class:`GridJob` — sink serialization, retry decisions,
-recovery telemetry), profile assembly, and :func:`drain_lane` — the one
+completion path (:class:`GridJob` — sink serialization, landing in the
+run's :class:`~repro.core.spill.Checkpoint`, retry decisions, recovery
+telemetry), profile assembly, and :func:`drain_lane` — the one
 dispatch / admit / retry / release loop every lane of every backend
 runs.  A backend (:mod:`repro.core.executor.backends`: ``serial``
 inline, ``thread`` pool, ``process`` workers over shared memory) only
@@ -40,7 +41,7 @@ from __future__ import annotations
 import threading
 import time
 import warnings
-from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,7 +61,6 @@ from ...spgemm.twophase import (
 from ..assemble import OutputLayout, assemble_chunks
 from ..chunks import ChunkGrid, ChunkProfile, ChunkStats, chunk_flops, csr_bytes
 from ..governor import as_governor
-from ..governor.integrity import crc32_matrix
 from ..governor.watchdog import (
     ChunkTimeout,
     arm_deadline,
@@ -161,12 +161,12 @@ class GridJob:
         row_panels: PanelSet,
         col_panels: PanelSet,
         *,
-        keep_outputs: bool,
+        outputs: Optional[List[List[Optional[CSRMatrix]]]],
         chunk_sink,
         tracer,
         retry: Optional[RetryPolicy] = None,
         faults=None,
-        manifest=None,
+        checkpoint=None,
         crash_budget: int = 0,
         governor=None,
         chunk_products: Optional[Sequence[int]] = None,
@@ -195,10 +195,11 @@ class GridJob:
         self.col_panels = col_panels
         self.tracer = tracer
         self.chunk_sink = chunk_sink
-        self.keep_outputs = keep_outputs
+        #: ``outputs[row_panel][col_panel]`` when the run keeps its chunks
+        self.outputs = outputs
         self.retry = retry if retry is not None else NO_RETRY
         self.faults = as_injector(faults)
-        self.manifest = manifest
+        self.checkpoint = checkpoint
         self.crash_budget = crash_budget
         self.governor = governor
         # per-chunk upper-bound intermediate products (device admission)
@@ -232,11 +233,6 @@ class GridJob:
             for cp in range(grid.num_col_panels)
         ]
         self.stats_by_id: List[Optional[ChunkStats]] = [None] * grid.num_chunks
-        self.outputs: Optional[List[List[Optional[CSRMatrix]]]] = None
-        if keep_outputs:
-            self.outputs = [
-                [None] * grid.num_col_panels for _ in range(grid.num_row_panels)
-            ]
         self.sink_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -486,23 +482,19 @@ class GridJob:
                                   bytes=st.output_bytes):
                 if matrix is not None:
                     self.layout.place(rp, cp, matrix)
-        elif (self.chunk_sink is not None or self.keep_outputs
-                or self.manifest is not None):
+        elif (self.chunk_sink is not None or self.outputs is not None
+                or self.checkpoint is not None):
             with self.tracer.span(f"sink[{cid}]", "sink", chunk=cid,
                                   bytes=st.output_bytes), self.sink_lock:
                 if self.chunk_sink is not None:
                     self.chunk_sink(rp, cp, matrix)
-                if self.keep_outputs:
+                if self.outputs is not None:
                     self.outputs[rp][cp] = matrix
-                # record completion only after the chunk is durably in
-                # the sink — the manifest must never point at data that
-                # was not written.  The CRC stamped here is what --resume
-                # verifies the checkpointed chunk against.
-                if self.manifest is not None:
-                    self.manifest.mark_done(stats, crc32=crc32_matrix(matrix))
+                if self.checkpoint is not None:
+                    self.checkpoint.land(stats, matrix)
         # the stats slot doubles as the chunk's "completed" flag (for the
         # degradation re-plan and the final missing check), so it too is
-        # only filled after a successful sink — a sink-stage failure
+        # only filled after a successful landing — a sink-stage failure
         # leaves the chunk marked as remaining work
         self.stats_by_id[cid] = stats
         self.counted[cid] = None  # landed: nothing left to re-fill from
@@ -611,15 +603,6 @@ class GridJob:
         bot_m, bot_s = self._run_subchunk(
             cid, a_sub.row_slice(mid, a_sub.n_rows), b_panel, depth + 1)
         return vstack([top_m, bot_m]), _merge_twophase(top_s, bot_s)
-
-    def note_resume(self, skipped: int, remaining: int) -> None:
-        """Record how much work a checkpoint resume skipped."""
-        tracer = self.tracer
-        if tracer.enabled:
-            now = tracer.now()
-            tracer.add_span("resume", "resume", now, now,
-                            skipped=skipped, remaining=remaining)
-            tracer.gauge("resume", skipped=skipped, remaining=remaining)
 
 
 def drain_lane(job: GridJob, runner, order: Sequence[int], window: int,
@@ -749,12 +732,10 @@ def execute_chunk_grid(
     retry: Optional[RetryPolicy] = None,
     crash_budget: int = 0,
     faults=None,
-    manifest=None,
-    resume_stats: Optional[Mapping[int, ChunkStats]] = None,
+    checkpoint=None,
     degrade: bool = True,
     governor=None,
     kernel=None,
-    plan=None,
     estimate=None,
     chunk_events=None,
     col_panels: Optional[PanelSet] = None,
@@ -794,14 +775,12 @@ def execute_chunk_grid(
         An assembled product is filled *in place* — counted over the
         whole grid, allocated once, every chunk's numeric stage writing
         at its final address (module docstring) — whenever nothing about
-        the call needs chunk objects: no ``chunk_sink``, no ``manifest``,
-        no governor host-memory budget (admission is priced per chunk
-        held), and an in-process backend.  Otherwise the chunks are
-        produced as matrices and copied once into the same layout
-        (:func:`~repro.core.assemble.assemble_chunks`).  Both give the
-        same bytes and the same profile.  ``assemble`` cannot be combined
-        with ``resume_stats``: the skipped chunks live in the caller's
-        store.
+        the call needs chunk objects: no ``chunk_sink``, no
+        ``checkpoint``, no governor host-memory budget (admission is
+        priced per chunk held), and an in-process backend.  Otherwise the
+        chunks are produced as matrices and copied once into the same
+        layout (:func:`~repro.core.assemble.assemble_chunks`).  Both give
+        the same bytes and the same profile.
     lanes:
         Optional explicit ``[(chunk_ids, lane_workers), ...]`` partition of
         the grid (the hybrid split).  Lanes drain concurrently, each with
@@ -834,13 +813,16 @@ def execute_chunk_grid(
         string) for chaos testing; ``None`` reads the ``REPRO_FAULTS``
         environment variable, so fault injection also reaches worker
         processes.
-    manifest:
-        A :class:`~repro.core.spill.RunManifest` recording each chunk's
-        completion (after its sink write) for checkpoint/resume.
-    resume_stats:
-        ``{chunk_id: ChunkStats}`` of already-completed chunks (from a
-        manifest).  Those chunks are skipped — their recorded stats are
-        spliced into the profile — and only the remainder executes.
+    checkpoint:
+        A :class:`~repro.core.spill.Checkpoint`.  The chunks it already
+        holds (``checkpoint.completed``) are skipped, their recorded
+        stats spliced into the profile; every chunk computed here lands
+        in it (``checkpoint.land``, under the sink lock, after
+        ``chunk_sink``); and when the call returns chunks or the product,
+        the skipped ones come back from it (``checkpoint.chunk`` — which
+        needs its store).  With nothing left to compute the call
+        partitions nothing and starts no backend.  Its store joins the
+        governor's host-memory ledger.
     degrade:
         When the selected backend cannot be established (e.g. the
         process pool fails to spawn), fall back process -> thread ->
@@ -863,10 +845,6 @@ def execute_chunk_grid(
         :class:`~repro.spgemm.kernels.KernelSpec`.  Threaded through
         every backend including process workers; results are identical
         across kernels (see :mod:`repro.spgemm.kernels`).
-    plan:
-        A :class:`~repro.core.executor.plan.ChunkPlan` bundling lanes,
-        lane names, and the kernel spec.  Mutually exclusive with
-        passing ``lanes`` / ``lane_names`` / ``kernel`` separately.
     estimate:
         A :class:`~repro.spgemm.estimate.RowNnzEstimate` for ``A x B``.
         When given, the governor's host admission and device-OOM
@@ -914,25 +892,13 @@ def execute_chunk_grid(
     from .backends import make_backend  # deferred: backends import engine
 
     tracer = as_tracer(tracer)
-    if plan is not None:
-        if lanes is not None or lane_names is not None or kernel is not None:
-            raise ValueError(
-                "pass either plan= or lanes/lane_names/kernel, not both"
-            )
-        lanes = None if plan.lanes is None else [
-            (list(ids), w) for ids, w in plan.lanes
-        ]
-        lane_names = None if plan.lane_names is None else list(plan.lane_names)
-        kernel_spec = plan.kernel
-    else:
-        kernel_spec = resolve_kernel(kernel)
+    kernel_spec = resolve_kernel(kernel)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if assemble and (keep_outputs or resume_stats):
+    if assemble and keep_outputs:
         raise ValueError(
-            "assemble=True returns the product, not chunks: it excludes "
-            "keep_outputs, and resume_stats (the skipped chunks are in the "
-            "caller's store — keep the outputs and splice them)"
+            "assemble=True returns the product, keep_outputs=True its "
+            "chunks: pass one"
         )
     if window is not None and window < 1:
         raise ValueError(
@@ -944,6 +910,67 @@ def execute_chunk_grid(
             "the serial backend runs exactly one worker; use "
             "backend='thread' or 'process' for workers > 1"
         )
+    grid_shape = (grid.num_row_panels, grid.num_col_panels)
+    if flops is not None and flops.shape != grid_shape:
+        raise ValueError(
+            f"flops has shape {flops.shape}, the grid is {grid_shape}")
+    num_chunks = grid.num_chunks
+
+    # the chunks the checkpoint already holds: skipped, their recorded
+    # stats spliced into the profile
+    skip = {} if checkpoint is None else dict(checkpoint.completed)
+    for cid, stats in skip.items():
+        if not 0 <= cid < num_chunks:
+            raise ValueError(
+                f"checkpoint holds chunk {cid} outside the "
+                f"{num_chunks}-chunk grid"
+            )
+        if (stats.row_panel, stats.col_panel) != grid.panel_of(cid):
+            raise ValueError(
+                f"checkpoint stats for chunk {cid} disagree with the grid "
+                "layout — wrong manifest for this run?"
+            )
+    if skip and (keep_outputs or assemble) and checkpoint.store is None:
+        raise ValueError(
+            "returning chunks or the product of a resumed run needs the "
+            "checkpoint's store (run_out_of_core: the chunk_store holding "
+            "the previous run's chunks, e.g. a DiskChunkStore over the "
+            "original spill directory)"
+        )
+    if skip and tracer.enabled:
+        now = tracer.now()
+        progress = dict(skipped=len(skip), remaining=num_chunks - len(skip))
+        tracer.add_span("resume", "resume", now, now, **progress)
+        tracer.gauge("resume", **progress)
+
+    gov = as_governor(governor)
+    # fill in place when nothing needs the chunks as objects
+    in_place = (assemble and chunk_sink is None and checkpoint is None
+                and (gov is None or gov.hostmem is None)
+                and backend_name != "process")
+    outputs: Optional[List[List[Optional[CSRMatrix]]]] = None
+    if keep_outputs or (assemble and not in_place):
+        outputs = [[None] * grid.num_col_panels
+                   for _ in range(grid.num_row_panels)]
+
+    def finish(stats: Sequence[ChunkStats], wall: float):
+        """The profile and the chunk path's return form; the chunks the
+        run skipped come back from the checkpoint here."""
+        profile = ChunkProfile(grid=grid, chunks=tuple(stats), name=name,
+                               measured_wall_seconds=wall)
+        out = outputs
+        if out is not None:
+            for cid in skip:
+                rp, cp = grid.panel_of(cid)
+                out[rp][cp] = checkpoint.chunk(rp, cp)
+            if assemble:
+                out = assemble_chunks(out)
+        return profile, out
+
+    if skip and len(skip) == num_chunks:
+        # nothing left to compute: partition nothing, start no backend
+        return finish([skip[cid] for cid in range(num_chunks)], 0.0)
+
     row_panels: PanelSet = partition_rows(a, grid.num_row_panels)
     if col_panels is None:
         col_panels = partition_columns(b, grid.num_col_panels)
@@ -951,10 +978,6 @@ def execute_chunk_grid(
         col_panels.boundaries, grid.col_bounds
     ):
         raise ValueError("grid boundaries disagree with panel partitioning")
-    grid_shape = (grid.num_row_panels, grid.num_col_panels)
-    if flops is not None and flops.shape != grid_shape:
-        raise ValueError(
-            f"flops has shape {flops.shape}, the grid is {grid_shape}")
 
     def grid_flops() -> np.ndarray:
         nonlocal flops
@@ -962,7 +985,6 @@ def execute_chunk_grid(
             flops = chunk_flops(a, b, grid)
         return flops
 
-    num_chunks = grid.num_chunks
     if lanes is None:
         if backend_name == "serial" or (workers <= 1
                                         and backend_name == "thread"):
@@ -985,7 +1007,6 @@ def execute_chunk_grid(
     elif len(lane_names) != len(lanes):
         raise ValueError("lane_names must match lanes in length")
 
-    gov = as_governor(governor)
     chunk_products = None
     host_estimates = None
     est_device_bytes = None
@@ -994,6 +1015,10 @@ def execute_chunk_grid(
         row_ratio = estimate.ratio()
     if gov is not None:
         gov.bind_tracer(tracer)
+        if checkpoint is not None and checkpoint.store is not None:
+            # the store's held bytes join the host-memory ledger, and the
+            # governor may squeeze it (spill-under-pressure) when it can
+            gov.attach_store(checkpoint.store)
         chunk_est = None
         if estimate is not None and (
             gov.device_pool_bytes is not None or gov.hostmem is not None
@@ -1013,15 +1038,10 @@ def execute_chunk_grid(
                               else chunk_output_estimates(
                                   a, b, grid, flops=grid_flops()))
 
-    # fill in place when nothing needs the chunks as objects
-    in_place = (assemble and chunk_sink is None and manifest is None
-                and (gov is None or gov.hostmem is None)
-                and backend_name != "process")
     job = GridJob(
         grid, row_panels, col_panels,
-        keep_outputs=keep_outputs or (assemble and not in_place),
-        chunk_sink=chunk_sink, tracer=tracer,
-        retry=retry, faults=faults, manifest=manifest,
+        outputs=outputs, chunk_sink=chunk_sink, tracer=tracer,
+        retry=retry, faults=faults, checkpoint=checkpoint,
         crash_budget=crash_budget, governor=gov,
         chunk_products=chunk_products, host_estimates=host_estimates,
         kernel=kernel_spec,
@@ -1031,24 +1051,8 @@ def execute_chunk_grid(
                 if in_place else None),
     )
 
-    # checkpoint resume: splice the recorded stats of already-completed
-    # chunks into the job and execute only the remainder
-    if resume_stats:
-        for cid, stats in resume_stats.items():
-            if not 0 <= cid < num_chunks:
-                raise ValueError(
-                    f"resume stats reference chunk {cid} outside the "
-                    f"{num_chunks}-chunk grid"
-                )
-            if (stats.row_panel, stats.col_panel) != grid.panel_of(cid):
-                raise ValueError(
-                    f"resume stats for chunk {cid} disagree with the grid "
-                    "layout — wrong manifest for this run?"
-                )
-            job.stats_by_id[cid] = stats
-        lanes, lane_names = filter_lanes(lanes, lane_names, set(resume_stats))
-        job.note_resume(skipped=len(resume_stats),
-                        remaining=num_chunks - len(resume_stats))
+    for cid, stats in skip.items():
+        job.stats_by_id[cid] = stats
 
     def lane_window(lane_workers: int) -> int:
         return default_window(lane_workers) if window is None else window
@@ -1096,17 +1100,9 @@ def execute_chunk_grid(
     missing = [i for i, s in enumerate(job.stats_by_id) if s is None]
     if missing:
         raise RuntimeError(f"chunks never completed: {missing[:4]}...")
-    profile = ChunkProfile(
-        grid=grid,
-        chunks=tuple(job.stats_by_id),
-        name=name,
-        measured_wall_seconds=wall,
-    )
+    stats = job.stats_by_id
     if in_place:
-        return profile, job.layout.matrix()
-    outputs = job.outputs
-    if assemble:
-        # chunks + C is this path's peak: the operand panels go first
-        del job, row_panels, col_panels
-        outputs = assemble_chunks(outputs)
-    return profile, outputs
+        return finish(stats, wall)[0], job.layout.matrix()
+    # chunks + C is the chunk path's peak: the operand panels go first
+    del job, row_panels, col_panels
+    return finish(stats, wall)

@@ -2,23 +2,17 @@
 
 These helpers are backend-independent — the same flops-descending order,
 bounded in-flight window, and hybrid lane split (paper Algorithm 4)
-drive the serial, thread, and process backends alike.  A complete plan —
-lanes plus the :class:`~repro.spgemm.kernels.KernelSpec` every chunk
-runs with — travels as one :class:`ChunkPlan`.
+drive the serial, thread, and process backends alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from ...spgemm.kernels import KernelSpec
-
 __all__ = [
     "BUFFERS_PER_WORKER",
-    "ChunkPlan",
     "default_window",
     "chunk_output_estimates",
     "filter_lanes",
@@ -28,34 +22,6 @@ __all__ = [
     "plan_hybrid_lanes",
 ]
 
-
-@dataclass(frozen=True)
-class ChunkPlan:
-    """A complete dispatch plan for one chunk grid.
-
-    Bundles the hybrid lane partition (``[(chunk_ids, lane_workers), ...]``
-    with display names) with the :class:`KernelSpec` every chunk runs
-    under, so the whole "what runs where, with which accumulator"
-    decision is one value that can be passed to
-    :func:`~repro.core.executor.execute_chunk_grid`, logged, or compared.
-    ``lanes=None`` keeps the engine's default single-lane planning.
-    """
-
-    lanes: Optional[Tuple[Tuple[Tuple[int, ...], int], ...]] = None
-    lane_names: Optional[Tuple[str, ...]] = None
-    kernel: KernelSpec = field(default_factory=KernelSpec)
-
-    @staticmethod
-    def from_hybrid(
-        hybrid: Sequence[Tuple[Sequence[int], int, str]],
-        kernel: Optional[KernelSpec] = None,
-    ) -> "ChunkPlan":
-        """Wrap :func:`plan_hybrid_lanes` output into a plan."""
-        return ChunkPlan(
-            lanes=tuple((tuple(ids), w) for ids, w, _ in hybrid),
-            lane_names=tuple(name for _, _, name in hybrid),
-            kernel=kernel if kernel is not None else KernelSpec(),
-        )
 
 #: per worker, mirror the paper's two device chunk buffers: one chunk in
 #: compute, one queued — so the default in-flight window is 2 x workers

@@ -46,7 +46,6 @@ __all__ = [
     "build_sync_schedule",
     "build_async_schedule",
     "add_cpu_chunks",
-    "export_chrome_events",
 ]
 
 GPU = "gpu"
@@ -339,24 +338,3 @@ def add_cpu_chunks(
         eng.submit(f"cpu_chunk[{cid}]", CPU,
                    cm.t_cpu_chunk(ch.flops, ch.nnz_out, cr=global_cr),
                    stream="cpu", chunk=cid, kind="cpu")
-
-
-# ----------------------------------------------------------------------
-# trace export
-# ----------------------------------------------------------------------
-def export_chrome_events(timeline, *, pid: Optional[int] = None,
-                         process_name: str = "simulated (cost model)") -> List[dict]:
-    """Export a simulated timeline in the observability layer's
-    Chrome-trace-event format.
-
-    Simulated schedules become their own *process* of the trace (default
-    ``pid`` = :data:`~repro.observability.SIMULATED_PID`), so a measured
-    run (pid 0) and its cost-model schedule — e.g. the Fig. 6 divided
-    transfers — load side by side in one Perfetto window.
-    """
-    from ..observability import SIMULATED_PID, timeline_events
-
-    return timeline_events(
-        timeline, pid=SIMULATED_PID if pid is None else pid,
-        process_name=process_name,
-    )

@@ -18,15 +18,17 @@ next rung of the out-of-core ladder.  Two stores share one interface:
 Both assemble into the full matrix on demand, and both are accepted by
 :func:`repro.core.api.run_out_of_core` via the ``chunk_store`` argument.
 
-:class:`RunManifest` is the checkpoint: a JSON file recording the run's
-identity (a fresh run id plus a SHA-256 hash of the operands and the
-chunk grid) and, incrementally, the full :class:`~repro.core.chunks.\
-ChunkStats` record of every completed chunk.  The executor's sink marks
-a chunk done only *after* its store write, so the manifest never points
-at data that was not durably written; every rewrite is atomic (temp file
-+ ``os.replace``), so a kill mid-write leaves the previous good
-manifest.  ``run_out_of_core(..., resume=manifest)`` validates the hash
-and recomputes only the chunks the manifest does not record.
+:class:`RunManifest` is the checkpoint's file: a JSON record of the
+run's identity (a fresh run id plus a SHA-256 hash of the operands and
+the chunk grid) and, incrementally, the full :class:`~repro.core.chunks.\
+ChunkStats` record of every completed chunk; every rewrite is atomic
+(temp file + ``os.replace``), so a kill mid-write leaves the previous
+good manifest.  :class:`Checkpoint` pairs it with a store and is the one
+place their protocol is written down — how a finished chunk *lands*
+(store write, CRC, manifest mark, in that order, so the manifest never
+points at data that was not durably written) and how a resume is
+verified — for the engine, the shard node and the remote worker alike
+(docs/FAULT_TOLERANCE.md, "Checkpoint and resume").
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ __all__ = [
     "DiskChunkStore",
     "SpillableChunkStore",
     "RunManifest",
+    "Checkpoint",
     "ManifestMismatch",
     "operand_grid_hash",
 ]
@@ -409,15 +412,14 @@ def operand_grid_hash(a: CSRMatrix, b: CSRMatrix, grid: ChunkGrid) -> str:
 class RunManifest:
     """Incremental JSON checkpoint of one chunk-grid execution.
 
-    Created by :meth:`create` at run start and handed to the executor,
-    which calls :meth:`mark_done` *after* each chunk's durable sink
-    write.  Every update rewrites the file atomically, so the manifest on
-    disk is always a consistent prefix of the run.  :meth:`load` +
-    :meth:`validate` + :meth:`completed_stats` drive the resume path.
+    Written and read back through a :class:`Checkpoint`, which calls
+    :meth:`mark_done` *after* each chunk's durable store write.  Every
+    update rewrites the file atomically, so the manifest on disk is
+    always a consistent prefix of the run.
 
     Thread-safe: lane threads complete chunks concurrently (the executor
-    additionally serializes sink writes, but the manifest does not rely
-    on that).
+    additionally serializes landings, but the manifest does not rely on
+    that).
     """
 
     VERSION = 1
@@ -542,8 +544,8 @@ class RunManifest:
                   crc32: Optional[int] = None) -> None:
         """Record one completed chunk and persist the manifest atomically.
 
-        The executor calls this after the chunk's sink write, under the
-        sink lock — completion on disk implies the data is on disk.
+        :meth:`Checkpoint.land` calls this after the chunk's store
+        write — completion on disk implies the data is on disk.
         ``crc32`` (the chunk matrix's integrity checksum) lets a resume
         verify the stored chunk before trusting it."""
         with self._lock:
@@ -615,3 +617,72 @@ class RunManifest:
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)
         os.replace(tmp, self.path)
+
+
+class Checkpoint:
+    """Where a run's finished chunks land and a resume picks them up: an
+    optional chunk store, an optional :class:`RunManifest`, and the one
+    statement of the protocol between them.
+
+    ``completed`` is the live ``{chunk_id: ChunkStats}`` of the chunks a
+    run may skip — what a resume verified, plus everything :meth:`land`
+    has taken since.  :func:`~repro.core.executor.execute_chunk_grid`
+    (``checkpoint=``) skips it, lands each chunk it computes and fetches
+    the skipped ones back through :meth:`chunk`; a shard node lands the
+    chunks its remote worker streams home through the same method.
+    ``resumed`` / ``dropped`` count the recorded chunks a resume kept and
+    the ones that failed its CRC gate (evicted; they recompute).
+    """
+
+    def __init__(self, store=None, manifest: Optional[RunManifest] = None,
+                 completed: Optional[Dict[int, ChunkStats]] = None,
+                 dropped: int = 0) -> None:
+        self.store = store
+        self.manifest = manifest
+        self.completed: Dict[int, ChunkStats] = dict(completed or {})
+        self.resumed = len(self.completed)
+        self.dropped = dropped
+
+    @classmethod
+    def open(cls, a: CSRMatrix, b: CSRMatrix, grid: Optional[ChunkGrid], *,
+             store=None, path=None, resume: bool = False) -> "Checkpoint":
+        """The checkpoint of ``C = A x B`` over ``grid``.
+
+        ``resume`` loads the manifest at ``path`` (a path, or a loaded
+        :class:`RunManifest`), validates it against the operands and the
+        grid (``None``: the grid it recorded) and CRC-checks every chunk
+        it records against ``store``: what is corrupt or missing is
+        evicted and left to recompute.  Without a store the recorded
+        chunks are skipped unverified — there is nothing to verify, and
+        nothing to fetch them back from.  Otherwise a fresh manifest is
+        created at ``path`` (``None``: a store alone), recording the
+        store's directory."""
+        if not resume:
+            manifest = None if path is None else RunManifest.create(
+                path, a, b, grid,
+                store_dir=getattr(store, "directory", None))
+            return cls(store, manifest)
+        manifest = (path if isinstance(path, RunManifest)
+                    else RunManifest.load(path))
+        manifest.validate(a, b, grid if grid is not None else manifest.grid)
+        if store is None:
+            return cls(store, manifest, manifest.completed_stats())
+        return cls(store, manifest, *manifest.verified_stats(store))
+
+    def land(self, stats: ChunkStats, matrix: CSRMatrix,
+             crc: Optional[int] = None) -> None:
+        """Take one finished chunk: store write, then the manifest mark
+        (with the chunk's CRC — ``crc`` when the caller already computed
+        it), then ``completed`` — a crash between any two leaves the
+        manifest a subset of what is durably stored.  Callers serialize
+        landings (the engine's sink lock; one connection per span)."""
+        if self.store is not None:
+            self.store.put(stats.row_panel, stats.col_panel, matrix)
+        if self.manifest is not None:
+            self.manifest.mark_done(
+                stats, crc32=crc32_matrix(matrix) if crc is None else crc)
+        self.completed[stats.chunk_id] = stats
+
+    def chunk(self, row_panel: int, col_panel: int) -> CSRMatrix:
+        """A landed chunk, back from the store."""
+        return self.store.get(row_panel, col_panel)

@@ -112,28 +112,6 @@ class Timeline:
             raise KeyError(f"labels not in timeline: {missing}")
         return sorted(labels, key=lambda l: (by_label[l].start, by_label[l].end))
 
-    def to_chrome_trace(self) -> list:
-        """Export as Chrome-tracing events (load via chrome://tracing or
-        https://ui.perfetto.dev).  Resources map to rows (tids); times are
-        microseconds."""
-        events = []
-        tids = {}
-        for r in sorted(self.records, key=lambda r: (r.resource, r.start)):
-            tid = tids.setdefault(r.resource, len(tids))
-            events.append(
-                {
-                    "name": r.label,
-                    "cat": r.stream or "none",
-                    "ph": "X",
-                    "ts": r.start * 1e6,
-                    "dur": r.duration * 1e6,
-                    "pid": 0,
-                    "tid": tid,
-                    "args": dict(r.meta),
-                }
-            )
-        return events
-
     def as_text(self, max_rows: int = 60) -> str:
         """Human-readable dump, ordered by start time."""
         rows = sorted(self.records, key=lambda r: (r.start, r.end))

@@ -27,19 +27,22 @@ the same alpha-beta :class:`~repro.distributed.summa.NetworkModel` the
 SUMMA simulator uses, producing a per-shard transfer/compute timeline
 (:mod:`repro.distributed.sharding.transfers`).
 
-Fault tolerance composes per shard: each shard may checkpoint to its
-own :class:`~repro.core.spill.RunManifest` + :class:`~repro.core.spill.\
-DiskChunkStore` under one ``checkpoint_dir``, so killing one shard's
-worker pool mid-run loses only that shard's unfinished chunks —
-``resume=True`` re-validates every shard manifest, CRC-checks the
-stored chunks, recomputes only what is missing, and the assembled
-product is bit-identical to an uninterrupted run.
+Fault tolerance composes per shard: each shard lands its chunks in its
+own :class:`~repro.core.spill.Checkpoint` (a manifest + a
+:class:`~repro.core.spill.DiskChunkStore` under one ``checkpoint_dir``),
+so killing one shard's worker pool mid-run loses only that shard's
+unfinished chunks — ``resume=True`` reopens every shard's checkpoint,
+recomputes only what it does not hold, and the assembled product is
+bit-identical to an uninterrupted run.  A socket span fills the same
+checkpoint from its remote worker; whatever the transport could not
+deliver is then simply what the shard's local run finds left to do.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
+import time
 import traceback as _tb
 import warnings
 from dataclasses import dataclass, field
@@ -52,12 +55,11 @@ from ..core.assemble import assemble_chunks
 from ..core.chunks import ChunkGrid, ChunkProfile, ChunkStats, chunk_flops
 from ..core.executor import execute_chunk_grid
 from ..core.governor import Governor, GovernorConfig, HostMemoryGovernor
-from ..core.governor.integrity import ChunkCorruption, crc32_matrix
-from ..core.spill import DiskChunkStore, RunManifest
+from ..core.spill import Checkpoint, DiskChunkStore, MemoryChunkStore
 from ..observability import Tracer
 from ..observability.chrome import multi_tracer_events, timeline_events
 from ..sparse.formats import CSRMatrix
-from ..sparse.partition import PanelSet, panel_boundaries, partition_columns
+from ..sparse.partition import panel_boundaries, partition_columns
 from .summa import NetworkModel
 from .transport import (
     RemoteShardPool,
@@ -440,13 +442,16 @@ def run_sharded(
                 connect_timeout=cfg.connect_timeout)
         owns_pool = True
 
-    # partition B's column panels once; every shard reads the same
-    # panels (the in-process stage broadcast — see execute_chunk_grid)
-    shared_col_panels: PanelSet = partition_columns(b, grid.num_col_panels)
+    # partition B's column panels once; every local shard reads the same
+    # panels (the in-process stage broadcast — see execute_chunk_grid).
+    # A socket node ships B whole and partitions only for a span it has
+    # to finish itself
+    shared_col_panels = (None if use_socket
+                         else partition_columns(b, grid.num_col_panels))
 
-    ckpt = Path(checkpoint_dir) if checkpoint_dir is not None else None
-    if ckpt is not None:
-        ckpt.mkdir(parents=True, exist_ok=True)
+    ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
+    if ckpt_dir is not None:
+        ckpt_dir.mkdir(parents=True, exist_ok=True)
 
     records = [ShardRecord(shard_id=s.shard_id, rp_lo=s.rp_lo, rp_hi=s.rp_hi)
                for s in spans]
@@ -487,24 +492,12 @@ def run_sharded(
             governor=governor_config(share),
         )
 
-    def run_span_socket(span, rec, shard_tracer, a_shard, sub,
-                        store, manifest, resume_stats):
-        """Drive one span over the pool, with failover re-placement.
-
-        Returns ``(profile, outputs)`` shaped exactly like the local
-        :func:`~repro.core.executor.execute_chunk_grid` return, so the
-        merge/assembly epilogue cannot tell the transports apart.
-        """
-        t = span.shard_id
-        run_name = f"{name}.shard{t}" if name else f"shard{t}"
-        completed: Dict[int, ChunkStats] = dict(resume_stats or {})
-        outputs: List[List[Optional[CSRMatrix]]] = [
-            [None] * sub.num_col_panels for _ in range(sub.num_row_panels)]
-        if keep_output and store is not None:
-            for cid in completed:
-                lrp, cp = sub.panel_of(cid)
-                outputs[lrp][cp] = store.get(lrp, cp)
-
+    def run_span_remote(t, rec, shard_tracer, a_shard, sub, checkpoint,
+                        run_name) -> None:
+        """Fill ``checkpoint`` with shard ``t``'s chunks from the pool,
+        re-placing the span on a survivor when its worker is lost.  With
+        no live worker left it returns degraded: what never arrived is
+        what the shard's local run finds left to do."""
         a_meta, a_arrays = csr_arrays(a_shard, prefix="a_")
         b_meta, b_arrays = csr_arrays(b, prefix="b_")
         run_meta = {
@@ -512,9 +505,12 @@ def run_sharded(
             "grid": {"row_bounds": sub.row_bounds.tolist(),
                      "col_bounds": sub.col_bounds.tolist()},
             "config": worker_config(),
+            **a_meta, **b_meta,
         }
-        run_meta.update(a_meta)
-        run_meta.update(b_meta)
+        run_arrays = {**a_arrays, **b_arrays}
+        # chaos hooks ride the first request only (the transport drops
+        # them at the first fault, for reconnects and re-placements alike)
+        chaos = {}
         fault = shard_faults.get(t)
         if fault is not None:
             if not isinstance(fault, str):
@@ -522,55 +518,28 @@ def run_sharded(
                     f"shard {t}: socket transport needs an encoded fault "
                     f"spec string, got {type(fault).__name__}"
                 )
-            run_meta["faults"] = fault
-        dbg = shard_debug.get(t)
-        if dbg:
-            run_meta["debug"] = dict(dbg)
-        run_arrays = dict(a_arrays)
-        run_arrays.update(b_arrays)
-
-        def on_chunk(stats: ChunkStats, matrix: CSRMatrix,
-                     crc: Optional[int]) -> None:
-            actual = crc32_matrix(matrix)
-            if crc is not None and int(crc) != actual:
-                raise ChunkCorruption(
-                    f"shard {t} chunk {stats.chunk_id}: worker-side CRC "
-                    f"{int(crc):#010x} != node-side {actual:#010x}"
-                )
-            if store is not None:
-                store.put(stats.row_panel, stats.col_panel, matrix)
-            if manifest is not None:
-                manifest.mark_done(stats, crc32=actual)
-            completed[stats.chunk_id] = stats
-            if keep_output:
-                outputs[stats.row_panel][stats.col_panel] = matrix
+            chaos["faults"] = fault
+        if shard_debug.get(t):
+            chaos["debug"] = dict(shard_debug[t])
 
         tried: Set[int] = set()
         worker = pool.worker_for(t)
-        chaos = True
-        last_result = None
         while True:
             tried.add(worker.worker_id)
-            meta = dict(run_meta)
-            if not chaos:
-                # chaos hooks fired on (or died with) the original
-                # worker; a re-placed run must not re-inject them
-                meta.pop("faults", None)
-                meta.pop("debug", None)
             try:
                 with worker.lock, shard_tracer.span(
                         f"remote[shard{t}]", "transport",
                         worker=worker.worker_id):
-                    last_result = run_remote_span(
-                        worker, run_meta=meta, run_arrays=run_arrays,
-                        completed=completed, on_chunk=on_chunk,
+                    result = run_remote_span(
+                        worker, run_meta=run_meta, run_arrays=run_arrays,
+                        chaos=chaos, checkpoint=checkpoint,
                         heartbeat_interval=cfg.transport_heartbeat,
                         lease_grace=cfg.lease_grace,
                         reconnect=cfg.reconnect, salt=t,
                         mark_lost=pool.mark_lost,
                     )
+                break
             except TransportWorkerLost as lost:
-                chaos = False
                 candidates = pool.failover_targets(tried)
                 if candidates:
                     worker = candidates[0]
@@ -582,70 +551,29 @@ def run_sharded(
                     "re-placing the remaining span in-process"
                 ))
                 rec.failover = "local"
-                return run_span_degraded(span, rec, shard_tracer, a_shard,
-                                         sub, store, manifest, completed,
-                                         outputs, run_name)
-            rec.bcast_seconds += last_result.bcast_seconds
-            rec.gather_seconds += last_result.gather_seconds
-            rec.bytes_sent += last_result.bytes_sent
-            rec.bytes_received += last_result.bytes_received
-            rec.reconnects += last_result.reconnects
-            break
+                return
+        rec.bcast_seconds += result.bcast_seconds
+        rec.gather_seconds += result.gather_seconds
+        rec.bytes_sent += result.bytes_sent
+        rec.bytes_received += result.bytes_received
+        rec.reconnects += result.reconnects
 
         missing = [cid for cid in range(sub.num_chunks)
-                   if cid not in completed]
+                   if cid not in checkpoint.completed]
         if missing:
             raise TransportError(
                 f"shard {t}: worker reported done but chunks {missing} "
                 "never arrived"
             )
         now = shard_tracer.now()
-        span_wall = last_result.wall_seconds
+        started = max(0.0, now - result.wall_seconds)
         shard_tracer.add_span(
             f"bcast-B[shard{t}]", "transport",
-            max(0.0, now - span_wall),
-            max(0.0, now - span_wall) + rec.bcast_seconds,
-            bytes=rec.bytes_sent)
+            started, started + rec.bcast_seconds, bytes=rec.bytes_sent)
         shard_tracer.add_span(
             f"gather-C[shard{t}]", "transport",
             max(0.0, now - rec.gather_seconds), now,
             bytes=rec.bytes_received)
-        profile = ChunkProfile(
-            grid=sub,
-            chunks=tuple(completed[cid] for cid in range(sub.num_chunks)),
-            name=run_name,
-            measured_wall_seconds=span_wall,
-        )
-        return profile, outputs
-
-    def run_span_degraded(span, rec, shard_tracer, a_shard, sub,
-                          store, manifest, completed, outputs, run_name):
-        """Local fallback: finish the span in-process, splicing the
-        CRC-verified chunks already received/checkpointed as a resume
-        set — the same skip semantics a reconnect would use, so the
-        result stays bit-identical."""
-        t = span.shard_id
-        profile, outs = execute_chunk_grid(
-            a_shard, b, sub,
-            workers=1 if cfg.backend == "serial" else cfg.workers,
-            window=cfg.window,
-            keep_outputs=keep_output,
-            chunk_sink=None if store is None else store.put,
-            name=run_name,
-            tracer=shard_tracer, backend=cfg.backend,
-            retry=retry, crash_budget=crash_budget,
-            manifest=manifest,
-            resume_stats=completed or None,
-            governor=make_governor(t), kernel=cfg.kernel,
-            col_panels=shared_col_panels,
-            flops=flops[span.rp_lo:span.rp_hi],
-        )
-        if keep_output:
-            for lrp in range(sub.num_row_panels):
-                for cp in range(sub.num_col_panels):
-                    if outs[lrp][cp] is None:
-                        outs[lrp][cp] = outputs[lrp][cp]
-        return profile, outs
 
     def shard_main(span: ShardSpan) -> None:
         t = span.shard_id
@@ -655,59 +583,45 @@ def run_sharded(
         tracers[f"shard{t}"] = shard_tracer
         a_shard = a.row_slice(int(rb[span.rp_lo]), int(rb[span.rp_hi]))
         sub = _sub_grid(grid, span)
-        store = None
-        manifest = None
-        resume_stats = None
-        if ckpt is not None:
-            store = DiskChunkStore(ckpt / f"shard{t}.chunks")
-            manifest_path = ckpt / f"shard{t}.manifest.json"
-            if resume and manifest_path.exists():
-                manifest = RunManifest.load(manifest_path)
-                manifest.validate(a_shard, b, sub)
-                # the same CRC gate run_out_of_core applies on --resume
-                resume_stats, dropped = manifest.verified_stats(store)
-                rec.resumed_chunks = len(resume_stats)
-                rec.corrupt_recomputed = dropped
-            else:
-                manifest = RunManifest.create(
-                    manifest_path, a_shard, b, sub,
-                    store_dir=store.directory)
-        import time as _time
+        run_name = f"{name}.shard{t}" if name else f"shard{t}"
+        store = path = None
+        if ckpt_dir is not None:
+            store = DiskChunkStore(ckpt_dir / f"shard{t}.chunks")
+            path = ckpt_dir / f"shard{t}.manifest.json"
+        elif use_socket and keep_output:
+            store = MemoryChunkStore()  # received chunks wait here for assembly
+        checkpoint = Checkpoint.open(
+            a_shard, b, sub, store=store, path=path,
+            resume=resume and path is not None and path.exists())
+        rec.resumed_chunks = checkpoint.resumed
+        rec.corrupt_recomputed = checkpoint.dropped
 
-        t0 = _time.perf_counter()
-        if use_socket:
-            profile, outputs = run_span_socket(
-                span, rec, shard_tracer, a_shard, sub,
-                store, manifest, resume_stats)
-        else:
-            gov = make_governor(t)
-            if store is not None and gov.hostmem is not None:
-                gov.attach_store(store)
-            profile, outputs = execute_chunk_grid(
-                a_shard, b, sub,
-                # the serial backend is single-worker by definition; a
-                # lane-budget of N means "N per shard" only where a pool exists
-                workers=1 if cfg.backend == "serial" else cfg.workers,
-                window=cfg.window,
-                keep_outputs=keep_output,
-                chunk_sink=None if store is None else store.put,
-                name=f"{name}.shard{t}" if name else f"shard{t}",
-                tracer=shard_tracer, backend=cfg.backend,
-                retry=retry, crash_budget=crash_budget,
-                faults=shard_faults.get(t),
-                manifest=manifest,
-                resume_stats=resume_stats or None,
-                governor=gov, kernel=cfg.kernel,
-                col_panels=shared_col_panels,
-                flops=flops[span.rp_lo:span.rp_hi],
-            )
-            if keep_output and resume_stats:
-                # the engine skipped these; serve them from the checkpoint
-                for cid in resume_stats:
-                    lrp, cp = sub.panel_of(cid)
-                    if outputs[lrp][cp] is None:
-                        outputs[lrp][cp] = store.get(lrp, cp)
-        rec.wall_seconds = _time.perf_counter() - t0
+        t0 = time.perf_counter()
+        if use_socket and len(checkpoint.completed) < sub.num_chunks:
+            run_span_remote(t, rec, shard_tracer, a_shard, sub, checkpoint,
+                            run_name)
+        # the shard's own run computes what its checkpoint does not hold
+        # yet — everything (local), nothing (a delivered socket span), or
+        # the chunks a lost transport never delivered — and returns the
+        # whole strip
+        profile, outputs = execute_chunk_grid(
+            a_shard, b, sub,
+            # the serial backend is single-worker by definition; a
+            # lane-budget of N means "N per shard" only where a pool exists
+            workers=1 if cfg.backend == "serial" else cfg.workers,
+            window=cfg.window,
+            keep_outputs=keep_output,
+            name=run_name,
+            tracer=shard_tracer, backend=cfg.backend,
+            retry=retry, crash_budget=crash_budget,
+            # a socket span's chaos went to its worker, once
+            faults=None if use_socket else shard_faults.get(t),
+            checkpoint=checkpoint,
+            governor=make_governor(t), kernel=cfg.kernel,
+            col_panels=shared_col_panels,
+            flops=flops[span.rp_lo:span.rp_hi],
+        )
+        rec.wall_seconds = time.perf_counter() - t0
         shard_profiles[t] = profile
         shard_outputs[t] = outputs
         rec.chunks = len(profile.chunks)
@@ -722,9 +636,7 @@ def run_sharded(
         except BaseException as exc:  # collected; peers keep running
             failures[span.shard_id] = exc
 
-    import time as _time
-
-    wall0 = _time.perf_counter()
+    wall0 = time.perf_counter()
     try:
         if num_shards == 1:
             shard_guard(spans[0])
@@ -741,7 +653,7 @@ def run_sharded(
     finally:
         if owns_pool:
             pool.close()
-    wall = _time.perf_counter() - wall0
+    wall = time.perf_counter() - wall0
 
     if failures:
         completed = [t for t in range(num_shards) if shard_profiles[t]]

@@ -10,8 +10,9 @@ strip over one of them:
   shard's *B-broadcast transfer wall* (what the alpha-beta model used
   to guess);
 * **chunk gather** — every finished chunk streams back as a CRC-stamped
-  frame; per-frame wire seconds accumulate into the shard's measured
-  *C-gather wall*;
+  frame, is checked end to end against the worker's CRC and lands in the
+  shard's :class:`~repro.core.spill.Checkpoint`; per-frame wire seconds
+  accumulate into the shard's measured *C-gather wall*;
 * **liveness** — a :class:`~repro.core.governor.watchdog.HeartbeatLease`
   is renewed by every received frame (heartbeats and chunks alike) and
   polled between reads; an expired lease means the worker is stalled
@@ -21,19 +22,21 @@ strip over one of them:
   exponential-backoff :class:`~repro.core.executor.faults.RetryPolicy`
   whose jitter is deterministic in ``(attempt, shard id)`` — chaos runs
   replay byte-identically.  A successful reconnect re-sends the run
-  request with every chunk the node already holds listed in ``skip``,
-  so the worker recomputes only what was in flight — bit-identical by
-  chunk determinism;
+  request with every chunk the checkpoint already holds listed in
+  ``skip``, so the worker recomputes only what was in flight —
+  bit-identical by chunk determinism.  A failure of the *node's own*
+  landing (its store, its manifest) is not a transport fault: it ends
+  the span with that exception, the worker still alive;
 * **permanent loss** — a worker whose reconnect budget is exhausted is
   marked dead and surfaces as :class:`TransportWorkerLost`; the caller
   (``run_sharded``) re-places the span's remaining chunks on a
   surviving worker or degrades to an in-process shard under a
   :class:`TransportDegradedWarning`.
 
-Chaos injection (``faults`` / ``debug`` in the run request) is sent on
-the *first* attempt only: a re-sent request after a transport fault
-must not re-kill the replacement, mirroring the latch rule of
-:class:`~repro.core.executor.faults.FaultSpec`.
+Chaos injection (``faults`` / ``debug`` in the run request) is sent
+until the *first* transport fault only: a request re-sent after it — to
+the same worker or a replacement — must not re-kill the recovered run,
+mirroring the latch rule of :class:`~repro.core.executor.faults.FaultSpec`.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ...core.chunks import ChunkStats
 from ...core.executor.faults import RetryPolicy
-from ...core.governor.integrity import ChunkCorruption
+from ...core.governor.integrity import crc32_matrix
 from ...core.governor.watchdog import HeartbeatLease
 from ...sparse.shm import cleanup_segments
 from .wire import (
@@ -409,8 +412,8 @@ def run_remote_span(
     *,
     run_meta: dict,
     run_arrays: Dict[str, object],
-    completed: Dict[int, ChunkStats],
-    on_chunk: Callable[[ChunkStats, object, Optional[int]], None],
+    chaos: dict,
+    checkpoint,
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
     lease_grace: float = 3.0,
     reconnect: Optional[RetryPolicy] = None,
@@ -419,32 +422,33 @@ def run_remote_span(
 ) -> RemoteRunResult:
     """Drive one shard span to completion on ``worker``.
 
-    ``completed`` maps local chunk id -> stats the node already holds
-    (checkpoint-resumed chunks plus chunks received on earlier
-    attempts); it is read on every (re)send to build the skip list and
-    **mutated by the caller's** ``on_chunk``.  ``on_chunk(stats, matrix,
-    crc)`` is invoked per received chunk and must raise
-    :class:`~repro.core.governor.integrity.ChunkCorruption` if the
-    chunk fails its end-to-end CRC — the driver converts that into a
-    transport fault so the chunk is recomputed, never trusted.
+    ``checkpoint`` (a :class:`~repro.core.spill.Checkpoint`) is the
+    span's state on the node: its ``completed`` — resumed chunks plus
+    chunks received on earlier attempts — is read on every (re)send to
+    build the skip list, and every received chunk whose CRC matches the
+    worker's lands in it.  A mismatch is a transport fault: the stream
+    is dropped and the chunk recomputed, never trusted.  ``chaos`` holds
+    the run request's ``faults`` / ``debug`` hooks and is **emptied** at
+    the first transport fault, so neither this worker's re-sent request
+    nor a re-placement the caller makes with the same dict re-injects
+    them.
 
     Raises :class:`TransportWorkerLost` when the reconnect budget runs
-    out and :class:`RemoteShardError` when the remote run itself fails.
+    out, :class:`RemoteShardError` when the remote run itself fails, and
+    whatever ``checkpoint.land`` raised when the node cannot take a
+    chunk (the connection is dropped mid-run; the worker stays alive).
     """
     policy = reconnect if reconnect is not None else DEFAULT_RECONNECT
     result = RemoteRunResult()
     t0 = time.perf_counter()
     attempt = 0
-    include_chaos = True
     while True:
         try:
             if worker.sock is None:
                 worker.connect()
-            _drive_once(worker, run_meta, run_arrays, completed, on_chunk,
-                        heartbeat_interval, lease_grace, result,
-                        include_chaos=include_chaos)
-            result.wall_seconds = time.perf_counter() - t0
-            return result
+            refused = _drive_once(
+                worker, {**run_meta, **chaos}, run_arrays, checkpoint,
+                heartbeat_interval, lease_grace, result)
         except RemoteShardError:
             raise
         except (TransportError, OSError) as exc:
@@ -453,7 +457,7 @@ def run_remote_span(
             attempt += 1
             # chaos already fired (or the fault predates it) — a re-sent
             # request must not re-inject it into the recovered worker
-            include_chaos = False
+            chaos.clear()
             while True:
                 if not policy.should_retry(failure, attempt):
                     reason = f"{type(failure).__name__}: {failure}"
@@ -473,18 +477,27 @@ def run_remote_span(
                 except (TransportError, OSError) as retry_exc:
                     failure = retry_exc
                     attempt += 1
+            continue
+        if refused is not None:
+            # the node's own store or manifest failed, not the transport
+            # (raised here, clear of the handler its OSError would match):
+            # another attempt or another worker would fail the same way
+            worker.disconnect()
+            raise refused
+        result.wall_seconds = time.perf_counter() - t0
+        return result
 
 
-def _drive_once(worker, run_meta, run_arrays, completed, on_chunk,
-                heartbeat_interval, lease_grace, result, *,
-                include_chaos: bool) -> None:
+def _drive_once(worker, meta, run_arrays, checkpoint,
+                heartbeat_interval, lease_grace, result
+                ) -> Optional[Exception]:
+    """One request (``meta``, the caller's to fill in) and its response
+    stream; transport faults raise.  Returns
+    ``None`` at the worker's ``done``, or — at once — the exception with
+    which ``checkpoint`` refused a received chunk."""
     sock = worker.sock
-    meta = dict(run_meta)
     meta["heartbeat_interval"] = heartbeat_interval
-    meta["skip"] = [st.to_record() for st in completed.values()]
-    if not include_chaos:
-        meta.pop("faults", None)
-        meta.pop("debug", None)
+    meta["skip"] = [st.to_record() for st in checkpoint.completed.values()]
     sock.settimeout(60.0)
     t_send = time.perf_counter()
     result.bytes_sent += send_frame(sock, "run", meta, run_arrays)
@@ -511,17 +524,21 @@ def _drive_once(worker, run_meta, run_arrays, completed, on_chunk,
             stats = ChunkStats.from_record(frame.meta["stats"])
             matrix = csr_from_arrays(frame.meta, frame.arrays, prefix="c_")
             crc = frame.meta.get("crc32")
-            try:
-                on_chunk(stats, matrix,
-                         int(crc) if crc is not None else None)
-            except ChunkCorruption as exc:
+            actual = crc32_matrix(matrix)
+            if crc is not None and int(crc) != actual:
                 # a chunk that fails its end-to-end CRC poisons the
                 # stream: reconnect and let the worker recompute it
                 raise FrameCorruption(
-                    f"received chunk failed integrity check: {exc}"
-                ) from exc
+                    f"chunk {stats.chunk_id} failed its end-to-end check: "
+                    f"worker-side CRC {int(crc):#010x} != node-side "
+                    f"{actual:#010x}"
+                )
+            try:
+                checkpoint.land(stats, matrix, crc=actual)
+            except Exception as exc:
+                return exc
         elif frame.kind == "done":
-            return
+            return None
         elif frame.kind == "error":
             raise RemoteShardError(
                 frame.meta.get("exc_type", "Exception"),

@@ -7,7 +7,8 @@ connection at a time, answers ``run`` requests by executing the framed
 :func:`~repro.core.executor.execute_chunk_grid` — its own backend,
 worker pool, kernel dispatch, and governor, exactly as an in-process
 shard would — and streams every finished chunk straight back as a
-CRC-stamped binary frame.  All durable state (checkpoint manifests,
+CRC-stamped binary frame — the executor's ``checkpoint`` here is the
+node's, reached over the wire.  All durable state (checkpoint manifests,
 chunk stores, resume decisions) lives on the *node*: a worker that dies
 loses nothing but its in-flight chunks, and a reconnecting node simply
 re-sends the run request with the chunks it already holds listed in
@@ -50,6 +51,8 @@ from ...core.chunks import ChunkGrid, ChunkStats
 from ...core.executor import execute_chunk_grid
 from ...core.executor.faults import NO_RETRY, RetryPolicy
 from ...core.governor import GovernorConfig
+from ...core.governor.integrity import crc32_matrix
+from ...core.spill import Checkpoint
 from ...sparse.formats import CSRMatrix
 from .wire import (
     PROTOCOL_VERSION,
@@ -128,30 +131,22 @@ class _Shutdown(Exception):
     """Internal: the node asked this worker process to exit."""
 
 
-class _StreamingSink:
-    """Chunk sink + manifest shim that streams finished chunks back.
-
-    The engine calls ``chunk_sink(rp, cp, matrix)`` and then —
-    still under its sink lock — ``manifest.mark_done(stats, crc32=...)``
-    for the same chunk.  The sink buffers the matrix; ``mark_done``
-    marries it to its stats and sends one combined ``chunk`` frame.  A
-    send failure raises out of the engine's sink stage, aborting the
-    run — the node drives all recovery.
+class _NodeCheckpoint(Checkpoint):
+    """The node's checkpoint as this worker sees it: ``completed`` is the
+    run frame's ``skip`` list, and a chunk lands by going home — its CRC
+    and one ``chunk`` frame.  A send failure raises out of the engine's
+    sink stage, aborting the run — the node drives all recovery.
     """
 
-    def __init__(self, connection: "_Connection") -> None:
+    def __init__(self, connection: "_Connection",
+                 skip: Dict[int, ChunkStats]) -> None:
+        super().__init__(completed=skip)
         self._connection = connection
-        self._pending: Dict[tuple, CSRMatrix] = {}
 
-    def sink(self, row_panel: int, col_panel: int, matrix: CSRMatrix) -> None:
-        self._pending[(row_panel, col_panel)] = matrix
-
-    # the engine treats this object as a RunManifest
-    def mark_done(self, stats: ChunkStats, crc32: Optional[int] = None) -> None:
-        matrix = self._pending.pop((stats.row_panel, stats.col_panel))
+    def land(self, stats: ChunkStats, matrix: CSRMatrix) -> None:
         meta, arrays = csr_arrays(matrix, prefix="c_")
         meta["stats"] = stats.to_record()
-        meta["crc32"] = int(crc32) if crc32 is not None else None
+        meta["crc32"] = crc32_matrix(matrix)
         self._connection.send_chunk("chunk", meta, arrays)
 
 
@@ -334,18 +329,14 @@ class ShardWorker:
         )
         skip = {int(rec["chunk_id"]): ChunkStats.from_record(rec)
                 for rec in meta.get("skip", [])}
-        streamer = _StreamingSink(conn)
         conn.send("run-ack", {"chunks": grid.num_chunks,
                               "skipped": len(skip)})
         t0 = time.perf_counter()
         execute_chunk_grid(
             a, b, grid,
-            keep_outputs=False,
-            chunk_sink=streamer.sink,
-            manifest=streamer,
+            checkpoint=_NodeCheckpoint(conn, skip),
             name=str(meta.get("name") or "remote-shard"),
             faults=meta.get("faults") or None,
-            resume_stats=skip or None,
             **decode_run_config(meta.get("config") or {}),
         )
         conn.send("done", {

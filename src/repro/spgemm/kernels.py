@@ -10,9 +10,8 @@ engine, the process workers, or the CLI:
   :class:`~repro.spgemm.accumulators.RowResults`.  ``native`` groups are
   not in it: the pipeline runs them as a count pass and an in-place fill
   pass (:mod:`repro.spgemm.native`), with no ``RowResults`` in between;
-* :class:`KernelSpec` — a frozen, string-codable kernel choice that rides
-  on :class:`~repro.core.executor.plan.ChunkPlan` and crosses process
-  boundaries as ``spec.encode()``;
+* :class:`KernelSpec` — a frozen, string-codable kernel choice that
+  crosses process boundaries as ``spec.encode()``;
 * :func:`plan_groups` — maps row-analysis statistics (upper-bound work or
   exact counts) to a :class:`~repro.spgemm.groups.RowGrouping` whose
   group methods name registry entries.

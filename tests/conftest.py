@@ -4,11 +4,23 @@ Randomized tests derive their RNGs from one session seed so every run is
 reproducible: the seed is printed in the pytest header, defaults to
 :data:`DEFAULT_TEST_SEED`, and can be overridden with the
 ``REPRO_TEST_SEED`` environment variable to replay a failure.
+
+Every test — the fault, hang, corruption, resume, serve and CLI
+batteries included — must leave behind none of: a ``repro-*``
+shared-memory segment, a ``repro-chunks-*`` spill directory or
+``repro-transport-*`` socket directory under the temp dir, a ``repro
+shard-worker`` process (the worker itself or an executor child it
+forked, which keeps the worker's command line and, once orphaned, lives
+on under pid 1) — whatever was killed or raised on the way
+(:func:`no_residue`).
 """
 
 from __future__ import annotations
 
+import glob
 import os
+import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +40,40 @@ def _session_seed() -> int:
 def pytest_report_header(config):
     return (f"repro test seed: {_session_seed()} "
             "(override with REPRO_TEST_SEED=<int>)")
+
+
+def _residue() -> set:
+    left = set(glob.glob("/dev/shm/repro-*"))
+    for pattern in ("repro-chunks-*", "repro-transport-*"):
+        left.update(glob.glob(os.path.join(tempfile.gettempdir(), pattern)))
+    for entry in os.listdir("/proc") if os.path.isdir("/proc") else ():
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                argv = fh.read().split(b"\0")
+        except OSError:
+            continue  # exited while we were looking
+        if b"repro" in argv and b"shard-worker" in argv:
+            left.add(f"shard-worker pid {entry}")
+    return left
+
+
+@pytest.fixture(autouse=True)
+def no_residue():
+    """Fail the test that leaks (module docstring).  Pools and servers
+    held by wider fixtures exist before the snapshot and are not
+    counted."""
+    before = _residue()
+    yield
+    # a killed worker's sweep, a reaped worker's children: a moment later
+    deadline = time.monotonic() + 2.0
+    while True:
+        left = _residue() - before
+        if not left or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert not left, f"left behind: {sorted(left)}"
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,4 @@
-"""Fixtures for out-of-core framework tests: a small out-of-core workload,
-and the residue check.
-
-Every test here — the fault, hang, corruption and resume batteries
-included — must leave behind neither a ``repro-*`` shared-memory
-segment nor a ``repro-chunks-*`` spill directory under the temp dir,
-whatever was killed or raised on the way.
-"""
-
-import glob
-import os
-import tempfile
-import time
+"""Fixtures for out-of-core framework tests: a small out-of-core workload."""
 
 import pytest
 
@@ -19,24 +7,6 @@ from repro.core.executor import execute_chunk_grid
 from repro.device.kernels import default_cost_model
 from repro.device.specs import v100_node
 from repro.sparse.generators import rmat
-
-
-def _residue():
-    return set(glob.glob("/dev/shm/repro-*")) | set(
-        glob.glob(os.path.join(tempfile.gettempdir(), "repro-chunks-*")))
-
-
-@pytest.fixture(autouse=True)
-def no_engine_residue():
-    before = _residue()
-    yield
-    deadline = time.monotonic() + 2.0  # a killed worker's sweep runs a moment later
-    while True:
-        left = _residue() - before
-        if not left or time.monotonic() > deadline:
-            break
-        time.sleep(0.05)
-    assert not left, f"shm segments / spill directories left behind: {sorted(left)}"
 
 
 @pytest.fixture(scope="package")

@@ -8,25 +8,37 @@ checkpoint) — or, for a fault that outlasts the retry policy
 (``terminal``), raise its typed error holding no host-memory
 reservation.  The in-place return form (``assemble=True``, DESIGN.md
 "Output layout") runs the same cases and modes against the chunk path's
-bytes.  All randomness derives from the session seed printed in the
-pytest header, so any failure replays with ``REPRO_TEST_SEED``.
+bytes.  The checkpoint protocol (docs/FAULT_TOLERANCE.md, "Checkpoint
+and resume") is checked once for every way a chunk can arrive — the
+three backends and ``run_sharded`` over both transports (``WAYS``).  All
+randomness derives from the session seed printed in the pytest header,
+so any failure replays with ``REPRO_TEST_SEED``.
 """
+
+import collections
 
 import numpy as np
 import pytest
 
 from repro.core.api import run_out_of_core
 from repro.core.assemble import assemble_chunks
-from repro.core.chunks import ChunkGrid
+from repro.core.chunks import ChunkGrid, chunk_flops
 from repro.core.executor import (
     ChunkExecutionError,
     InjectedFault,
     RetryPolicy,
     WorkerCrashed,
     execute_chunk_grid,
+    flops_desc_order,
 )
 from repro.core.governor import Governor, GovernorConfig
-from repro.core.spill import DiskChunkStore, RunManifest
+from repro.core.spill import Checkpoint, DiskChunkStore, RunManifest
+from repro.distributed import (
+    RemoteShardPool,
+    ShardConfig,
+    ShardedRunError,
+    run_sharded,
+)
 from repro.observability import Tracer
 from repro.sparse.coo import COOMatrix
 from repro.sparse.formats import CSRMatrix
@@ -35,6 +47,8 @@ from tests.conftest import assert_equals_scipy_product, assert_same_bytes
 
 BACKENDS = ("serial", "thread", "process")
 MODES = ("plain", "faults", "resume", "terminal")
+#: every way a finished chunk reaches a checkpoint
+WAYS = BACKENDS + ("shard-local", "shard-socket")
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.01)
 
@@ -117,13 +131,144 @@ def run_mode(a, b, grid, backend, mode, tmp_path):
     run_out_of_core(a, b, keep_output=False,
                     chunk_store=DiskChunkStore(store_dir),
                     checkpoint=manifest_path, **common)
-    full = RunManifest.load(manifest_path)
-    keep = dict(sorted(full.completed_stats().items())[: full.num_chunks // 2])
-    RunManifest(manifest_path, full._header, keep)._write()
+    kept = halve_manifest(manifest_path)
     result = run_out_of_core(a, b, chunk_store=DiskChunkStore(store_dir),
                              resume=manifest_path, **common)
-    assert result.resumed_chunks == len(keep)
+    assert result.resumed_chunks == kept
     return result
+
+
+def halve_manifest(path):
+    """Truncate a complete manifest to its first half (a manifest is
+    always a consistent prefix of its run, so this is an interrupt);
+    returns how many chunks it still records."""
+    full = RunManifest.load(path)
+    assert full.is_complete
+    keep = dict(sorted(full.completed_stats().items())[: full.num_chunks // 2])
+    crcs = {cid: full.chunk_crc(cid) for cid in keep}
+    RunManifest(path, full._header, keep, crcs)._write()
+    return len(keep)
+
+
+@pytest.fixture(scope="module")
+def socket_pool():
+    with RemoteShardPool.spawn(2, kind="unix") as pool:
+        yield pool
+
+
+def run_way(a, b, grid, way, ckpt, *, resume=False, keep_output=True,
+            pool=None, faults=None):
+    """``C = A x B`` checkpointed under ``ckpt`` by one of :data:`WAYS`;
+    returns ``(C, resumed_chunks, chunks computed here or None)``."""
+    if way in BACKENDS:
+        tracer = Tracer()
+        path = ckpt / "run.manifest.json"  # laid out as a shard's is
+        result = run_out_of_core(
+            a, b, grid=grid, backend=way, workers=1 if way == "serial" else 2,
+            keep_output=keep_output,
+            chunk_store=DiskChunkStore(ckpt / "run.chunks"),
+            tracer=tracer, faults=faults,
+            **({"resume": path} if resume else {"checkpoint": path}))
+        return (result.matrix, result.resumed_chunks,
+                sum(s.cat == "numeric" for s in tracer.spans))
+    socket = way == "shard-socket"
+    result = run_sharded(
+        a, b, ShardConfig(num_shards=2, backend="serial",
+                          transport="socket" if socket else "local"),
+        grid=grid, checkpoint_dir=ckpt, resume=resume,
+        keep_output=keep_output, worker_pool=pool if socket else None,
+        shard_faults={t: faults for t in range(2)} if faults else None)
+    computed = None if socket else sum(  # a socket span computes remotely
+        s.cat == "numeric" for t in result.tracers.values() for s in t.spans)
+    return result.matrix, result.resumed_chunks, computed
+
+
+def manifests_of(ckpt):
+    """``[(manifest path, its store's directory)]`` under ``ckpt``."""
+    return [(p, p.with_name(p.name.replace("manifest.json", "chunks")))
+            for p in sorted(ckpt.glob("*.manifest.json"))]
+
+
+@pytest.mark.parametrize("way", WAYS)
+def test_resume_protocol(make_rng, tmp_path, monkeypatch, socket_pool, way):
+    """Resume from a half-complete checkpoint, whatever way the chunks
+    arrive: the uninterrupted run's bytes, and each missing chunk is
+    computed, stored, CRC'd and marked exactly once — each kept one read
+    and CRC'd once, by the gate."""
+    a, b = make_case("dense_ish", make_rng("sweep:protocol"))
+    grid = ChunkGrid.regular(a.n_rows, b.n_cols, 4, 2)
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    want, _, _ = run_way(a, b, grid, way, ckpt, pool=socket_pool)
+    kept = sum(halve_manifest(path) for path, _ in manifests_of(ckpt))
+    assert 0 < kept < grid.num_chunks
+
+    calls = collections.Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(DiskChunkStore, "put")
+    counted(DiskChunkStore, "get")
+    counted(RunManifest, "mark_done")
+    import repro.core.spill
+    import repro.distributed.transport.pool
+    for module in (repro.core.spill, repro.distributed.transport.pool):
+        counted(module, "crc32_matrix")
+
+    got, resumed, computed = run_way(a, b, grid, way, ckpt, resume=True,
+                                     keep_output=False, pool=socket_pool)
+    todo = grid.num_chunks - kept
+    assert resumed == kept
+    assert calls["put"] == calls["mark_done"] == todo
+    assert computed in (todo, None)
+    assert calls["get"] == kept                   # the gate's one read each
+    assert calls["crc32_matrix"] == grid.num_chunks  # nothing CRC'd twice
+    monkeypatch.undo()
+    for path, _ in manifests_of(ckpt):
+        assert RunManifest.load(path).is_complete
+    # ... and the chunks a resume skips splice back into the same bytes
+    got, resumed, _ = run_way(a, b, grid, way, ckpt, resume=True,
+                              pool=socket_pool)
+    assert resumed == grid.num_chunks
+    assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("way", WAYS)
+def test_manifest_never_ahead_of_store(make_rng, tmp_path, socket_pool, way):
+    """A sink-stage failure mid-run: whatever the manifest records by
+    then is durably in the store, and intact."""
+    a, b = make_case("dense_ish", make_rng("sweep:protocol"))
+    grid = ChunkGrid.regular(a.n_rows, b.n_cols, 4, 2)
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    # the victim lands after others have: last in the way's dispatch
+    # order (a shard's local chunk 1 exists in every shard, after its 0)
+    victim = {"serial": grid.num_chunks - 1, "shard-local": 1,
+              "shard-socket": 1}.get(
+                  way, flops_desc_order(chunk_flops(a, b, grid))[-1])
+    with pytest.raises((InjectedFault, ShardedRunError)):
+        run_way(a, b, grid, way, ckpt, pool=socket_pool,
+                faults=f"sink:raise:chunk={victim}:times=-1")
+    recorded = 0
+    for path, store_dir in manifests_of(ckpt):
+        manifest = RunManifest.load(path)
+        verified, dropped = manifest.verified_stats(DiskChunkStore(store_dir))
+        assert dropped == 0 and len(verified) == manifest.completed_count
+        recorded += len(verified)
+    assert 0 < recorded < grid.num_chunks
+
+
+def test_resume_and_checkpoint_are_exclusive(make_rng, tmp_path):
+    a, b = make_case("very_sparse", make_rng("sweep:protocol"))
+    with pytest.raises(ValueError, match="not both"):
+        run_out_of_core(a, b, checkpoint=tmp_path / "new.json",
+                        resume=tmp_path / "old.json")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -138,13 +283,28 @@ def test_equivalence_sweep(make_rng, tmp_path, case, mode, backend):
         assert_equals_scipy_product(result.matrix, a, b)
 
 
-@pytest.mark.parametrize("backend", ("serial", "thread"))
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("case", CASES)
+def half_checkpoint(a, b, grid, tmp_path):
+    """A checkpoint of ``A x B`` interrupted half way, reopened."""
+    store_dir, path = tmp_path / "half.chunks", tmp_path / "half.json"
+    execute_chunk_grid(a, b, grid, checkpoint=Checkpoint.open(
+        a, b, grid, store=DiskChunkStore(store_dir), path=path))
+    kept = halve_manifest(path)
+    checkpoint = Checkpoint.open(a, b, grid, store=DiskChunkStore(store_dir),
+                                 path=path, resume=True)
+    assert checkpoint.resumed == len(checkpoint.completed) == kept
+    return checkpoint
+
+
+@pytest.mark.parametrize("case,mode,backend", [
+    (case, mode, backend) for case in CASES for mode in MODES
+    for backend in ("serial", "thread")
+] + [("dense_ish", "resume", "process")])
 def test_in_place_sweep(make_rng, tmp_path, case, mode, backend):
     """The product filled in place is the chunk path's, byte for byte,
     whatever fails on the way; a fault that outlasts the retries raises
-    its typed error and no matrix — partial or not — comes back."""
+    its typed error and no matrix — partial or not — comes back.  Asked
+    of a half-complete checkpoint, the product is assembled from its
+    chunks and the rest — the same bytes again."""
     a, b = make_case(case, make_rng(f"sweep:{case}"))
     grid = ChunkGrid.regular(a.n_rows, b.n_cols, 3, 3)
     chunk_profile, outputs = execute_chunk_grid(a, b, grid, keep_outputs=True)
@@ -161,9 +321,9 @@ def test_in_place_sweep(make_rng, tmp_path, case, mode, backend):
                 in_place(faults=f"{stage}:raise:times=-1")
         return
     if mode == "resume":
-        # the engine does not hold the chunks a resume skips
-        with pytest.raises(ValueError, match="resume_stats"):
-            in_place(resume_stats={0: chunk_profile.chunks[0]})
+        profile, c = in_place(checkpoint=half_checkpoint(a, b, grid, tmp_path))
+        assert_same_bytes(c, assemble_chunks(outputs))
+        assert profile == chunk_profile
         return
     tracer = Tracer()
     faults = ""

@@ -166,16 +166,20 @@ def test_resume_recomputes_only_missing_chunks(problem, tmp_path):
     assert RunManifest.load(manifest_path).is_complete
 
 
-def test_resume_of_complete_run_recomputes_nothing(problem, tmp_path):
+def test_resume_of_complete_run_recomputes_nothing(problem, tmp_path,
+                                                   monkeypatch):
     a, b, grid = problem
     manifest_path = tmp_path / "m.json"
     store = DiskChunkStore(tmp_path / "chunks")
     run_out_of_core(a, b, grid=grid, keep_output=False, chunk_store=store,
                     checkpoint=manifest_path)
     tracer = Tracer()
-    resumed = run_out_of_core(a, b, grid=grid,
-                              chunk_store=DiskChunkStore(tmp_path / "chunks"),
-                              resume=manifest_path, tracer=tracer)
+    with monkeypatch.context() as patch:
+        # ... and sets nothing up to recompute it with
+        patch.delattr("repro.core.executor.engine.partition_columns")
+        resumed = run_out_of_core(
+            a, b, grid=grid, chunk_store=DiskChunkStore(tmp_path / "chunks"),
+            resume=manifest_path, tracer=tracer)
     assert resumed.resumed_chunks == grid.num_chunks
     assert numeric_spans(tracer) == []
     ref = run_out_of_core(a, b, grid=grid)
@@ -294,6 +298,70 @@ def test_resume_recomputes_corrupt_checkpoints(problem, tmp_path):
     assert len(numeric_spans(tracer)) == 2  # only the evicted pair re-ran
     np.testing.assert_array_equal(resumed.matrix.data, ref.matrix.data)
     assert RunManifest.load(manifest_path).is_complete
+
+
+# ----------------------------------------------------------------------
+# a checkpoint outlives the code that wrote it
+# ----------------------------------------------------------------------
+def test_checkpoint_written_by_previous_commit_resumes(tmp_path):
+    """``tests/fixtures/parent_checkpoint`` was written by the commit
+    before :class:`~repro.core.spill.Checkpoint` existed (5b5b82c, PR 18)
+    and interrupted half way: a ``run_out_of_core`` checkpoint
+    (``ooc.manifest.json`` + ``ooc.chunks/``, grid 2x2) and a two-shard
+    ``checkpoint_dir`` (``sharded/``, grid 4x2), both of ``a.npz``
+    squared.  They resume here to the uninterrupted bytes — and a
+    checkpoint written here has the same file names and the same
+    manifest keys, which is what lets that commit read it back."""
+    import shutil
+    from pathlib import Path
+
+    from repro.distributed import ShardConfig, run_sharded
+    from repro.sparse.io import load_npz
+
+    old = tmp_path / "old"
+    shutil.copytree(Path(__file__).parents[1] / "fixtures" / "parent_checkpoint",
+                    old)
+    a = load_npz(old / "a.npz")
+    grid = ChunkGrid.regular(a.n_rows, a.n_cols, 2, 2)
+    shard_grid = ChunkGrid.regular(a.n_rows, a.n_cols, 4, 2)
+    want = run_out_of_core(a, a, grid=grid).matrix
+
+    def keys(root):
+        """Every manifest's top-level and per-chunk key sets."""
+        out = {}
+        for path in sorted(root.rglob("*.manifest.json")):
+            payload = json.loads(path.read_text())
+            out[str(path.relative_to(root))] = (
+                sorted(payload),
+                sorted({k for rec in payload["chunks"].values() for k in rec}))
+        return out
+
+    old_keys = keys(old)
+    resumed = run_out_of_core(a, a, grid=grid, resume=old / "ooc.manifest.json",
+                              chunk_store=DiskChunkStore(old / "ooc.chunks"))
+    assert resumed.resumed_chunks == 2
+    assert "corrupt_recomputed" not in resumed.meta
+    assert resumed.matrix == want
+    sharded = run_sharded(a, a, ShardConfig(num_shards=2), grid=shard_grid,
+                          checkpoint_dir=old / "sharded", resume=True)
+    assert [r.resumed_chunks for r in sharded.records] == [1, 3]
+    assert not any(r.corrupt_recomputed for r in sharded.records)
+    assert sharded.matrix == want
+
+    new = tmp_path / "new"
+    new.mkdir()
+    run_out_of_core(a, a, grid=grid, keep_output=False,
+                    checkpoint=new / "ooc.manifest.json",
+                    chunk_store=DiskChunkStore(new / "ooc.chunks"))
+    run_sharded(a, a, ShardConfig(num_shards=2), grid=shard_grid,
+                checkpoint_dir=new / "sharded", keep_output=False)
+
+    def files(root):
+        return sorted(str(p.relative_to(root)) for p in root.rglob("*")
+                      if p.is_file() and p.name != "a.npz")
+
+    assert files(new) == files(old)  # both complete by now
+    assert keys(new) == keys(old) == old_keys
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.device.trace import Timeline, TraceRecord
+from repro.observability import timeline_events
 
 
 def rec(label, resource, start, end, stream=None):
@@ -93,20 +94,22 @@ class TestQueries:
 
 
 class TestChromeTrace:
+    """A timeline through the one exporter
+    (:func:`repro.observability.timeline_events`)."""
+
     def test_events_complete(self, timeline):
-        events = timeline.to_chrome_trace()
-        assert len(events) == len(timeline.records)
-        for e in events:
-            assert e["ph"] == "X"
+        spans = [e for e in timeline_events(timeline) if e["ph"] == "X"]
+        assert len(spans) == len(timeline.records)
+        for e in spans:
             assert e["dur"] >= 0
 
     def test_resources_map_to_tids(self, timeline):
-        events = timeline.to_chrome_trace()
-        by_name = {e["name"]: e["tid"] for e in events}
+        by_name = {e["name"]: e["tid"] for e in timeline_events(timeline)
+                   if e["ph"] == "X"}
         assert by_name["k0"] == by_name["k1"]
         assert by_name["k0"] != by_name["x0"]
 
     def test_json_serializable(self, timeline):
         import json
 
-        json.dumps(timeline.to_chrome_trace())
+        json.dumps(timeline_events(timeline))

@@ -143,6 +143,36 @@ class TestMeasuredTransfers:
             assert "bcast_seconds" not in rec.as_dict()
 
 
+class TestCheckpointedSpans:
+    def test_complete_checkpoint_ships_nothing(self, operands, oracle,
+                                               unix_pool, tmp_path,
+                                               monkeypatch):
+        """Resuming over a complete checkpoint asks once whether anything
+        is left: no connection is used, no operand broadcast, nothing
+        partitioned — the strips come back from the shards' stores."""
+        a, b = operands
+        cfg = ShardConfig(num_shards=2, transport="socket")
+        first = run_sharded(a, b, cfg, checkpoint_dir=tmp_path / "ckpt",
+                            worker_pool=unix_pool)
+        assert all(r.bytes_sent > 0 for r in first.records)
+
+        import repro.core.executor.engine as engine
+        import repro.distributed.shard as shard
+
+        def partitioned(*args, **kwargs):
+            raise AssertionError("partitioned B with nothing left to run")
+        monkeypatch.setattr(engine, "partition_columns", partitioned)
+        monkeypatch.setattr(shard, "partition_columns", partitioned)
+        res = run_sharded(a, b, cfg, checkpoint_dir=tmp_path / "ckpt",
+                          resume=True, worker_pool=unix_pool)
+        assert res.resumed_chunks == len(res.profile.chunks)
+        for rec in res.records:
+            assert rec.bytes_sent == 0 and rec.bytes_received == 0
+        assert not [s.name for t in res.tracers.values() for s in t.spans
+                    if s.name.startswith("remote[shard")]
+        assert res.matrix == oracle == first.matrix
+
+
 class TestRemoteFailurePath:
     def test_remote_compute_error_carries_traceback(self, operands,
                                                     unix_pool):

@@ -18,16 +18,24 @@ run and scipy:
 Chaos hooks are stripped from any re-sent or re-placed run, so a
 recovered worker is never re-killed — each scenario injects exactly
 one failure and must converge.
+
+A fourth family is *not* the transport's: the node failing to take a
+chunk it received (its own store, its own manifest) ends that shard with
+the original exception, the workers unblamed.
 """
 
+import errno
 import threading
 import time
+import warnings
 
 import pytest
 
+from repro.core.spill import DiskChunkStore
 from repro.distributed import (
     RemoteShardPool,
     ShardConfig,
+    ShardedRunError,
     run_sharded,
 )
 from repro.distributed.transport import TransportDegradedWarning
@@ -151,3 +159,40 @@ class TestStalledHeartbeat:
         assert by_id[0].reconnects >= 1
         assert res.matrix == oracle
         assert_equals_scipy_product(res.matrix, a, b)
+
+
+class TestNodeSideLandingFailure:
+    def test_full_disk_is_not_blamed_on_the_workers(self, operands, oracle,
+                                                    tmp_path, monkeypatch):
+        """The node's checkpoint store hits ``ENOSPC`` on the first chunk
+        it receives: no reconnect, no failover, no degraded re-run — one
+        ``put`` per shard, the ``OSError`` itself in the run's error, and
+        the caller's pool as alive as before."""
+        a, b = operands
+        puts = []
+
+        def full_disk(self, row_panel, col_panel, chunk):
+            puts.append(self.directory.name)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with RemoteShardPool.spawn(2, kind="unix") as pool:
+            with monkeypatch.context() as patch, \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                patch.setattr(DiskChunkStore, "put", full_disk)
+                with pytest.raises(ShardedRunError) as exc_info:
+                    run_sharded(a, b, socket_config(),
+                                checkpoint_dir=tmp_path / "ckpt",
+                                worker_pool=pool)
+            failures = exc_info.value.failures
+            assert set(failures) == {0, 1}
+            for exc in failures.values():
+                assert type(exc) is OSError and exc.errno == errno.ENOSPC
+            assert sorted(puts) == ["shard0.chunks", "shard1.chunks"]
+            assert not [w for w in caught
+                        if issubclass(w.category, TransportDegradedWarning)]
+            assert [w.alive for w in pool.workers] == [True, True]
+            # the dropped connections come back: the pool is as usable
+            res = run_sharded(a, b, socket_config(), worker_pool=pool)
+            assert res.matrix == oracle
+            assert all(r.failover == "" for r in res.records)
