@@ -269,17 +269,13 @@ def _cmd_multiply(args) -> int:
     if args.device_mem is not None:
         node = v100_node(args.device_mem << 20)
     else:
-        from .core.planner import working_set_bytes
-        from .spgemm.flops import total_flops
-        from .spgemm.symbolic import symbolic_sort
-
-        flops = total_flops(a, b)
-        nnz_out = int(symbolic_sort(a, b).sum())
         from .core.chunks import csr_bytes
+        from .core.planner import default_device_bytes
+        from .spgemm.flops import total_flops
 
         inputs = csr_bytes(a.n_rows, a.nnz) + csr_bytes(b.n_rows, b.nnz)
-        rest = working_set_bytes(a.n_rows, max(a.nnz, b.nnz), flops, nnz_out) - inputs
-        node = v100_node(inputs + max(rest // 2, 8 << 20))
+        node = v100_node(
+            default_device_bytes(inputs, a.n_rows, total_flops(a, b)))
 
     keep = args.out is not None
     retry = None

@@ -9,7 +9,7 @@ from .api import (
     spgemm,
 )
 from .assemble import OutputLayout, assemble_chunks
-from .chunks import ChunkGrid, ChunkProfile, ChunkStats, chunk_flops
+from .chunks import ChunkGrid, ChunkProfile, ChunkStats, GridSizing, chunk_flops
 from .executor import (
     EXECUTOR_BACKENDS,
     BackendDegradedWarning,
@@ -36,13 +36,7 @@ from .hybrid import (
     build_hybrid_engine,
 )
 from .memcheck import MemoryReplay, replay_dynamic, replay_pool
-from .multigpu import (
-    MultiGPUAssignment,
-    assign_lpt,
-    build_multi_gpu_engine,
-    simulate_multi_gpu,
-)
-from .planner import PlanReport, chunk_footprint_bytes, plan_grid, working_set_bytes
+from .planner import PlanReport, plan_grid, working_set_bytes
 from .results import RunResult
 from .spill import (
     DiskChunkStore,
@@ -66,6 +60,7 @@ __all__ = [
     "ChunkGrid",
     "ChunkProfile",
     "ChunkStats",
+    "GridSizing",
     "chunk_flops",
     "EXECUTOR_BACKENDS",
     "BackendDegradedWarning",
@@ -89,16 +84,11 @@ __all__ = [
     "best_gpu_chunk_count",
     "build_hybrid_engine",
     "PlanReport",
-    "chunk_footprint_bytes",
     "plan_grid",
     "working_set_bytes",
     "MemoryReplay",
     "replay_dynamic",
     "replay_pool",
-    "MultiGPUAssignment",
-    "assign_lpt",
-    "build_multi_gpu_engine",
-    "simulate_multi_gpu",
     "RunResult",
     "DiskChunkStore",
     "ManifestMismatch",

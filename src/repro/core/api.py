@@ -24,7 +24,7 @@ from ..device.kernels import CostModel, default_cost_model
 from ..device.specs import NodeSpec, v100_node
 from ..sparse.formats import CSRMatrix
 from ..spgemm.twophase import spgemm_twophase
-from .chunks import ChunkGrid, ChunkProfile, chunk_flops
+from .chunks import ChunkGrid, ChunkProfile, GridSizing
 from .executor import execute_chunk_grid, plan_hybrid_lanes
 from .hybrid import DEFAULT_RATIO, assign_chunks, build_hybrid_engine
 from .planner import plan_grid
@@ -238,10 +238,10 @@ def run_out_of_core(
             "pass it or checkpoint=, not both"
         )
     node = _resolve_node(node)
-    flops = None
+    sizing = None
     if grid is None and resume is None:
         report = plan_grid(a, b, node)
-        grid, flops = report.grid, report.flops
+        grid, sizing = report.grid, report.sizing
     ckpt = None
     if resume is not None or checkpoint is not None or chunk_store is not None:
         ckpt = Checkpoint.open(
@@ -254,7 +254,7 @@ def run_out_of_core(
         name=name, workers=workers, window=window,
         tracer=tracer, backend=backend,
         retry=retry, crash_budget=crash_budget, faults=faults,
-        governor=governor, kernel=kernel, flops=flops,
+        governor=governor, kernel=kernel, sizing=sizing,
     )
     result = simulate_out_of_core(
         profile, node, mode=mode, order=order,
@@ -308,15 +308,15 @@ def run_hybrid(
     ``tracer`` records both lanes' spans under their lane names
     ("gpu" / "cpu")."""
     node = _resolve_node(node)
-    flops = None
+    sizing = None
     if grid is None:
         report = plan_grid(a, b, node)
-        grid, flops = report.grid, report.flops
+        grid, sizing = report.grid, report.sizing
     lanes = lane_names = None  # one lane, inline
     if workers > 1:
-        if flops is None:
-            flops = chunk_flops(a, b, grid)
-        hybrid = plan_hybrid_lanes(flops, workers, ratio)
+        if sizing is None:
+            sizing = GridSizing(a, b, grid)
+        hybrid = plan_hybrid_lanes(sizing.flops, workers, ratio)
         lanes = [(ids, lane_workers) for ids, lane_workers, _ in hybrid]
         lane_names = [lane for _, _, lane in hybrid]
     profile, matrix = execute_chunk_grid(
@@ -324,7 +324,7 @@ def run_hybrid(
         lanes=lanes, lane_names=lane_names, kernel=kernel,
         tracer=tracer, backend=backend,
         retry=retry, crash_budget=crash_budget, faults=faults,
-        governor=governor, flops=flops,
+        governor=governor, sizing=sizing,
     )
     result = simulate_hybrid(profile, node, ratio=ratio, reorder=reorder, cost=cost)
     meta = dict(result.meta)

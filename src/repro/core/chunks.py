@@ -7,8 +7,10 @@ ordering (Section IV.C), hybrid assignment (Algorithm 4) — are made on
 per-chunk workload statistics:
 
 * ``flops`` is computable *before* any SpGEMM runs (Algorithm 4 lines
-  6-13, ``GetFlops``), and :func:`chunk_flops` computes the whole grid's
-  flop matrix in one vectorized pass;
+  6-13, ``GetFlops``).  :class:`GridSizing` holds them for a whole grid,
+  with everything else the host decides from the same row analysis —
+  the flops-descending order, the ``Ratio`` split, and what a chunk
+  costs on the device and on the host (DESIGN.md Section 8);
 * output nnz/bytes are known only after the chunk's kernel has executed;
   :func:`~repro.core.executor.execute_chunk_grid` runs the real kernels
   once and records everything, so that every scheduling variant
@@ -17,15 +19,16 @@ per-chunk workload statistics:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..sparse.codec import csr_nbytes as csr_bytes  # the planners' name for it
 from ..sparse.formats import CSRMatrix
 from ..sparse.partition import build_col_offsets, panel_boundaries
-from ..spgemm.flops import compression_ratio
+from ..spgemm.flops import compression_ratio, product_prefix
 
 __all__ = [
     "STAT_FIELDS",
@@ -33,11 +36,83 @@ __all__ = [
     "ChunkStats",
     "ChunkProfile",
     "ProductTable",
+    "GridSizing",
     "chunk_flops",
+    "flops_desc_order",
+    "split_by_flop_ratio",
+    "intermediate_bytes",
+    "host_bytes_of",
+    "device_bytes_of",
 ]
 
 #: bytes per CSR element (int64 column id + float64 value)
 BYTES_PER_ELEM = 16
+
+#: bytes of intermediate state per intermediate product (hash-table slot:
+#: key + value at load factor 1/2)
+INTERMEDIATE_BYTES_PER_PRODUCT = 32
+
+
+def intermediate_bytes(count):
+    """Device bytes of the symbolic structures (hash tables) over
+    ``count`` products."""
+    return count * INTERMEDIATE_BYTES_PER_PRODUCT
+
+
+def host_bytes_of(rows, count):
+    """Host bytes of one chunk's output held as CSR, ``count`` bounding
+    (or estimating) its nnz — what host admission reserves.  Scalars or
+    arrays (arrays broadcast, pricing a whole grid at once)."""
+    return csr_bytes(rows, count)
+
+
+def device_bytes_of(rows, count):
+    """Device bytes to produce one chunk beyond the resident input
+    panels: intermediates over ``count`` products plus the worst-case
+    output (every one of them a distinct nonzero) — Section IV.B's pool
+    bound.  ``count`` is the chunk's product count (the upper bound) or
+    an nnz ceiling from a sampled estimate.  The ``rows x 8`` analysis
+    result is not in it: the planner's ``safety`` margin covers that.
+    Scalars or arrays, like :func:`host_bytes_of`."""
+    return intermediate_bytes(count) + host_bytes_of(rows, count)
+
+
+def flops_desc_order(flops_flat) -> List[int]:
+    """Chunk ids by decreasing flops, ties broken by id (Section IV.C /
+    Alg. 4 line 14).  Needs no executed profile — chunk flops are
+    computable before any kernel runs, which is what lets the executor
+    dispatch heavy chunks first on a cold start."""
+    flops_flat = np.asarray(flops_flat).ravel()
+    return sorted(range(flops_flat.size), key=lambda i: (-int(flops_flat[i]), i))
+
+
+def split_by_flop_ratio(
+    flops_flat, ratio: float, order: Optional[Sequence[int]] = None
+) -> Tuple[List[int], List[int]]:
+    """Algorithm 4's split (lines 16-24): the shortest prefix of
+    ``order`` holding at least ``ratio`` of total flops (the "GPU" set)
+    and the remainder (the "CPU" set).  ``order`` defaults to
+    flops-descending; Fig. 9's "default implementation" passes the
+    natural order.
+
+    Empty work (``total flops == 0``) has defined semantics: no chunk is
+    flop-dense, so the "GPU" prefix is empty and *everything* goes to the
+    "CPU" set, for any ratio — an all-zero grid never produces a spurious
+    split.
+    """
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError("ratio must be in [0, 1]")
+    flops_flat = np.asarray(flops_flat).ravel()
+    order = flops_desc_order(flops_flat) if order is None else list(order)
+    total = int(flops_flat.sum())
+    if ratio == 0.0 or total == 0:
+        return [], order
+    acc = 0
+    for n, cid in enumerate(order):
+        acc += int(flops_flat[cid])
+        if acc / total >= ratio:
+            return order[: n + 1], order[n + 1 :]
+    return order, []
 
 
 @dataclass(frozen=True)
@@ -197,9 +272,8 @@ class ChunkProfile:
         return compression_ratio(self.total_flops, self.total_nnz_out)
 
     def order_by_flops_desc(self) -> List[int]:
-        """Chunk ids sorted by decreasing flops (Section IV.C / Alg. 4
-        line 14).  Ties broken by chunk id for determinism."""
-        return sorted(range(len(self.chunks)), key=lambda i: (-self.chunks[i].flops, i))
+        """:func:`flops_desc_order` of the executed chunks."""
+        return flops_desc_order([c.flops for c in self.chunks])
 
     def natural_order(self) -> List[int]:
         return list(range(len(self.chunks)))
@@ -237,36 +311,179 @@ class ProductTable:
     ``[0, i)`` of A form with column panel ``p`` of B, so the count of
     *any* row range x panel is one subtraction.  Built from the paper's
     ``col_offset`` structure (Section III.D) in one pass over B and one
-    cumulative sum per panel over ``A.col_ids``; every grid sharing
-    these ``col_bounds`` is then answered without touching A or B
-    again.  Holds ``(n_rows_A + 1) x c`` int64, never ``nnz_A x c``.
+    :func:`~repro.spgemm.flops.product_prefix` per panel over
+    ``A.col_ids``; every grid sharing these ``col_bounds`` is then
+    answered without touching A or B again.  Holds ``(n_rows_A + 1) x c``
+    int64, never ``nnz_A x c``.
+
+    ``estimate`` (a :class:`~repro.spgemm.estimate.RowNnzEstimate` of the
+    same product) adds the sampled output sizes: a row's products split
+    across column panels exactly, its estimated nnz proportionally —
+    ``ratio_i * products_i[p]`` — kept as two more ``(n_rows_A + 1, c)``
+    float64 prefix tables, built on first use.
     """
 
-    def __init__(self, a: CSRMatrix, b: CSRMatrix, col_bounds: np.ndarray):
-        if a.n_cols != b.n_rows:
-            raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
-        splits = build_col_offsets(b, col_bounds)
+    def __init__(self, a: CSRMatrix, b: CSRMatrix, col_bounds: np.ndarray,
+                 estimate=None):
+        self.col_bounds = np.asarray(col_bounds, dtype=np.int64)
+        self.estimate = estimate
+        self.prefix = np.empty((a.n_rows + 1, self.col_bounds.size - 1),
+                               dtype=np.int64)
+        splits = build_col_offsets(b, self.col_bounds)
         # (c, n_rows_B): nnz of each B row inside each column panel
         per_panel = np.ascontiguousarray(np.diff(splits, axis=1).T)
-        self.col_bounds = np.asarray(col_bounds, dtype=np.int64)
-        self.prefix = np.empty((a.n_rows + 1, per_panel.shape[0]), dtype=np.int64)
         running = np.zeros(a.nnz + 1, dtype=np.int64)
         for p, b_row_nnz in enumerate(per_panel):
-            np.cumsum(b_row_nnz[a.col_ids], out=running[1:])
-            self.prefix[:, p] = running[a.row_offsets]
+            self.prefix[:, p] = product_prefix(a, b, b_row_nnz, scratch=running)
 
-    def row_products(self) -> np.ndarray:
-        """``(n_rows_A, c)`` products of each single row of A."""
-        return np.diff(self.prefix, axis=0)
+    @functools.cached_property
+    def ratio(self) -> np.ndarray:
+        """The estimate's per-row compression ratio nnz / products."""
+        return self.estimate.ratio()
 
-    def products(self, row_bounds: np.ndarray) -> np.ndarray:
-        """``(r, c)`` products of every chunk of the grid these row
-        bounds cut (flops are twice that)."""
-        return np.diff(self.prefix[row_bounds], axis=0)
+    @functools.cached_property
+    def nnz_prefixes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Row prefixes of the estimated nnz (point, upper confidence)
+        per column panel.  The sums accumulate row by row down the table
+        rather than element by element inside a chunk, so they can
+        differ from a direct per-chunk sum in the last digits."""
+        row_products = np.diff(self.prefix, axis=0)
+        zero = np.zeros((1, row_products.shape[1]))
+        return tuple(
+            np.concatenate([zero, np.cumsum(row_products * ratio[:, None], axis=0)])
+            for ratio in (self.ratio, self.estimate.ratio_hi()))
+
+
+class GridSizing:
+    """What one grid of ``C = A x B`` costs, chunk by chunk, before any
+    kernel runs — read off a :class:`ProductTable`, the paper's row
+    analysis (Fig. 3) summed once.
+
+    The planner prices candidate grids with it, the executor orders
+    dispatch by its ``flops``, the governor admits on ``host_bytes`` and
+    re-splits on ``device_bytes``, a re-split sizes its sub-panels
+    with ``range_products``, kernels get ``density_hint``s, and a shard
+    takes its ``span``.  With an estimate on the table, ``nnz`` /
+    ``nnz_hi`` are the sampled sizes clamped to the hard ceiling
+    ``min(products, rows x width)``; without one they *are* that
+    ceiling, so the flops upper bound stays the ceiling of every number
+    here.  Chunk-indexed results are flat, in row-major chunk-id order.
+    """
+
+    def __init__(self, a: CSRMatrix, b: CSRMatrix, grid: ChunkGrid,
+                 estimate=None):
+        self._bind(ProductTable(a, b, grid.col_bounds, estimate), grid, 0)
+
+    @classmethod
+    def over(cls, table: ProductTable, grid: ChunkGrid,
+             first_row: int = 0) -> "GridSizing":
+        """The sizing of ``grid`` over an existing table (whose column
+        bounds are the grid's).  ``first_row`` is the table row of the
+        grid's row 0 — nonzero for a :meth:`span`."""
+        self = cls.__new__(cls)
+        self._bind(table, grid, first_row)
+        return self
+
+    def _bind(self, table: ProductTable, grid: ChunkGrid, first_row: int):
+        self.table, self.grid = table, grid
+        #: table rows of the grid's row-panel boundaries
+        self._cuts = grid.row_bounds + first_row
+        #: (r, c) exact intermediate products per chunk
+        self.products = np.diff(table.prefix[self._cuts], axis=0)
+        self.panel_rows = np.diff(grid.row_bounds).astype(np.int64)
+
+    @property
+    def estimated(self) -> bool:
+        return self.table.estimate is not None
+
+    @property
+    def flops(self) -> np.ndarray:
+        """``(r, c)`` flops per chunk (``GetFlops`` for the whole grid)."""
+        return 2 * self.products
+
+    @functools.cached_property
+    def _nnz_pair(self) -> Tuple[np.ndarray, np.ndarray]:
+        widths = np.diff(self.grid.col_bounds).astype(np.int64)
+        # no chunk holds more nonzeros than its products, nor than its
+        # dense extent
+        ceiling = np.minimum(self.products, self.panel_rows[:, None] * widths)
+        if not self.estimated:
+            return ceiling, ceiling
+        nnz, nnz_hi = (np.diff(prefix[self._cuts], axis=0)
+                       for prefix in self.table.nnz_prefixes)
+        nnz = np.minimum(nnz, ceiling)
+        return nnz, np.minimum(np.maximum(nnz_hi, nnz), ceiling)
+
+    @property
+    def nnz(self) -> np.ndarray:
+        """``(r, c)`` output nnz per chunk, point estimate."""
+        return self._nnz_pair[0]
+
+    @property
+    def nnz_hi(self) -> np.ndarray:
+        """``(r, c)`` output nnz per chunk, the bound sizing reserves for
+        (upper confidence estimate, or the ceiling itself)."""
+        return self._nnz_pair[1]
+
+    @functools.cached_property
+    def _nnz_bound(self) -> np.ndarray:
+        return np.ceil(self.nnz_hi).astype(np.int64)
+
+    @functools.cached_property
+    def host_bytes(self) -> np.ndarray:
+        """Bound on each chunk's output bytes held on the host."""
+        return host_bytes_of(self.panel_rows[:, None], self._nnz_bound).ravel()
+
+    @functools.cached_property
+    def device_bytes_ub(self) -> np.ndarray:
+        """Each chunk's device footprint sized from its product count."""
+        return device_bytes_of(self.panel_rows[:, None], self.products).ravel()
+
+    @functools.cached_property
+    def device_bytes(self) -> np.ndarray:
+        """Each chunk's device footprint: sized from the estimate when
+        there is one (the OCEAN move), else :attr:`device_bytes_ub`."""
+        if not self.estimated:
+            return self.device_bytes_ub
+        return device_bytes_of(self.panel_rows[:, None], self._nnz_bound).ravel()
+
+    def _chunk_rows(self, cid: int) -> Tuple[int, np.ndarray]:
+        """Chunk ``cid``'s first table row and the prefix over its rows
+        (``rows + 1`` entries of its column panel)."""
+        rp, cp = self.grid.panel_of(cid)
+        lo, hi = int(self._cuts[rp]), int(self._cuts[rp + 1])
+        return lo, self.table.prefix[lo:hi + 1, cp]
+
+    def row_products(self, cid: int) -> np.ndarray:
+        """Products of each row of chunk ``cid``."""
+        return np.diff(self._chunk_rows(cid)[1])
+
+    def range_products(self, cid: int, lo: int, hi: int) -> int:
+        """Products of rows ``[lo, hi)`` of chunk ``cid``'s row panel."""
+        prefix = self._chunk_rows(cid)[1]
+        return int(prefix[hi] - prefix[lo])
+
+    def density_hint(self, cid: int) -> Optional[np.ndarray]:
+        """Estimated output nnz per row of one chunk (``None`` without an
+        estimate): the chunk's exact per-row products scaled by the
+        sampled per-row compression ratio."""
+        if not self.estimated:
+            return None
+        first, prefix = self._chunk_rows(cid)
+        products = np.diff(prefix)
+        ratio = self.table.ratio[first:first + products.size]
+        return np.minimum(np.ceil(ratio * products).astype(np.int64), products)
+
+    def span(self, rp_lo: int, rp_hi: int) -> "GridSizing":
+        """The sizing of row panels ``[rp_lo, rp_hi)`` as a grid of their
+        own (row bounds rebased to 0) — a shard's share, read off the
+        same table."""
+        rb = self.grid.row_bounds
+        sub = ChunkGrid(rb[rp_lo:rp_hi + 1] - rb[rp_lo], self.grid.col_bounds)
+        return GridSizing.over(self.table, sub, int(self._cuts[rp_lo]))
 
 
 def chunk_flops(a: CSRMatrix, b: CSRMatrix, grid: ChunkGrid) -> np.ndarray:
     """Flops of every chunk (``GetFlops`` for the whole grid): a
-    ``(num_row_panels, num_col_panels)`` int64 matrix read off the
-    grid's :class:`ProductTable`."""
-    return 2 * ProductTable(a, b, grid.col_bounds).products(grid.row_bounds)
+    ``(num_row_panels, num_col_panels)`` int64 matrix."""
+    return GridSizing(a, b, grid).flops

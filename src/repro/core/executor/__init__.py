@@ -38,11 +38,10 @@ from .plan import (
     BUFFERS_PER_WORKER,
     default_window,
     filter_lanes,
-    flops_desc_order,
     plan_hybrid_lanes,
-    split_by_flop_ratio,
     split_workers,
 )
+from ..chunks import flops_desc_order, split_by_flop_ratio
 from .procpool import WorkerCrashed, resolve_mp_context
 from ..governor import (
     ChunkCorruption,

@@ -59,7 +59,15 @@ from ...spgemm.twophase import (
     spgemm_twophase,
 )
 from ..assemble import OutputLayout, assemble_chunks
-from ..chunks import ChunkGrid, ChunkProfile, ChunkStats, chunk_flops, csr_bytes
+from ..chunks import (
+    ChunkGrid,
+    ChunkProfile,
+    ChunkStats,
+    GridSizing,
+    csr_bytes,
+    device_bytes_of,
+    flops_desc_order,
+)
 from ..governor import as_governor
 from ..governor.watchdog import (
     ChunkTimeout,
@@ -74,7 +82,7 @@ from .faults import (
     RetryPolicy,
     as_injector,
 )
-from .plan import chunk_output_estimates, default_window, filter_lanes, flops_desc_order
+from .plan import default_window, filter_lanes
 
 __all__ = ["EXECUTOR_BACKENDS", "resolve_backend_name", "execute_chunk_grid"]
 
@@ -169,11 +177,8 @@ class GridJob:
         checkpoint=None,
         crash_budget: int = 0,
         governor=None,
-        chunk_products: Optional[Sequence[int]] = None,
-        host_estimates: Optional[Sequence[int]] = None,
+        sizing: Optional[GridSizing] = None,
         kernel: Optional[KernelSpec] = None,
-        est_device_bytes: Optional[Sequence[int]] = None,
-        row_ratio=None,
         chunk_events=None,
         layout: Optional[OutputLayout] = None,
     ) -> None:
@@ -202,17 +207,11 @@ class GridJob:
         self.checkpoint = checkpoint
         self.crash_budget = crash_budget
         self.governor = governor
-        # per-chunk upper-bound intermediate products (device admission)
-        # and output-byte estimates (host admission); None when the
-        # governor does not police that axis
-        self.chunk_products = chunk_products
-        self.host_estimates = host_estimates
-        # sampled-estimate refinements (spgemm/estimate.py): per-chunk
-        # estimated device bytes gate the resplit pre-check (the UB
-        # stays the fallback), and the per-row compression-ratio vector
-        # feeds density hints to kernel dispatch
-        self.est_device_bytes = est_device_bytes
-        self.row_ratio = row_ratio
+        #: what each chunk costs (``None``: nothing asked — an ungoverned
+        #: run in natural order).  A governor that polices host or device
+        #: memory reads its bounds here; with a sampled estimate on it,
+        #: estimated bytes gate both checks and kernels get density hints
+        self.sizing = sizing
         # recovery bookkeeping: cumulative counters plus per-chunk
         # attempt numbers, shared by every lane thread
         self._fault_lock = threading.Lock()
@@ -262,9 +261,9 @@ class GridJob:
         """Reserve chunk ``cid``'s estimated host output bytes under the
         governor's budget; ``True`` when dispatch may proceed."""
         gov = self.governor
-        if gov is None or gov.hostmem is None or self.host_estimates is None:
+        if gov is None or gov.hostmem is None:
             return True
-        return gov.hostmem.admit(cid, int(self.host_estimates[cid]),
+        return gov.hostmem.admit(cid, int(self.sizing.host_bytes[cid]),
                                  may_wait=may_wait)
 
     def release_host(self, cid: int) -> None:
@@ -285,18 +284,13 @@ class GridJob:
         re-split path, so a wrong estimate costs a retry, not
         correctness."""
         gov = self.governor
-        if (gov is None or gov.device_pool_bytes is None
-                or self.chunk_products is None):
+        if gov is None or gov.device_pool_bytes is None:
             return False
-        rp, _cp = self.grid.panel_of(cid)
-        ub_fits = gov.device_fits(self.row_panels[rp].n_rows,
-                                  int(self.chunk_products[cid]))
-        if self.est_device_bytes is None:
-            return not ub_fits
-        est_fits = gov.device_fits_bytes(int(self.est_device_bytes[cid]))
-        if est_fits and not ub_fits:
+        fits = gov.fits(int(self.sizing.device_bytes[cid]))
+        if (fits and self.sizing.estimated
+                and not gov.fits(int(self.sizing.device_bytes_ub[cid]))):
             self.note_avoided_resplit(cid)
-        return not est_fits
+        return not fits
 
     def note_avoided_resplit(self, cid: int) -> None:
         """Record one chunk the UB pre-check would have re-split but the
@@ -315,33 +309,17 @@ class GridJob:
     # ------------------------------------------------------------------
     # in-process chunk execution (serial + thread backends)
     # ------------------------------------------------------------------
-    def density_hint(self, cid: int):
-        """Estimated output nnz per row of one chunk (or ``None``).
-
-        Scales the chunk's exact per-row product counts by the sampled
-        per-row compression ratio — the dispatch hint
-        :func:`~repro.spgemm.twophase.spgemm_twophase` uses to bin rows
-        by estimated density instead of the upper bound.  In-process
-        backends only; it never crosses to process workers (pure perf
-        hint, results are bit-identical either way)."""
-        if self.row_ratio is None:
-            return None
-        from ..memcheck import panel_row_products  # deferred: import cost
-
-        rp, cp = self.grid.panel_of(cid)
-        products = panel_row_products(self.row_panels[rp], self.col_panels[cp])
-        lo = int(self.grid.row_bounds[rp])
-        ratio = np.asarray(self.row_ratio)[lo:lo + products.size]
-        hint = np.ceil(ratio * products).astype(np.int64)
-        return np.minimum(hint, products)
-
     def _kernel_args(self, cid: int) -> dict:
         rp, _cp = self.grid.panel_of(cid)
         return dict(
             kernel=self.kernel, slice_cache=self.caches[rp],
             tracer=self.tracer, trace_label=str(cid),
             fault_hook=self._stage_hook(cid),
-            density_hint=self.density_hint(cid),
+            # a dispatch hint (rows binned by estimated density instead
+            # of the upper bound): in-process backends only, and results
+            # are bit-identical either way
+            density_hint=(None if self.sizing is None
+                          else self.sizing.density_hint(cid)),
         )
 
     def _timed(self, cid: int, body: Callable[[], object]):
@@ -557,24 +535,26 @@ class GridJob:
     # ------------------------------------------------------------------
     # device-OOM recovery: adaptive row-panel re-splitting
     # ------------------------------------------------------------------
-    def _sub_fits(self, a_sub: CSRMatrix, b_panel: CSRMatrix) -> bool:
+    def _sub_fits(self, cid: int, lo: int, rows: int) -> bool:
+        """Whether ``rows`` rows of chunk ``cid``'s row panel, from its
+        row ``lo``, fit the device pool (priced on their products: an
+        estimate says nothing of a sub-range)."""
         gov = self.governor
         if gov is None or gov.device_pool_bytes is None:
             return True
-        from ..memcheck import panel_row_products
-
-        products = int(panel_row_products(a_sub, b_panel).sum())
-        return gov.device_fits(a_sub.n_rows, products)
+        products = self.sizing.range_products(cid, lo, lo + rows)
+        return gov.fits(device_bytes_of(rows, products))
 
     def _run_subchunk(self, cid: int, a_sub: CSRMatrix,
-                      b_panel: CSRMatrix, depth: int):
-        """Run one sub-panel, halving further while the device bound (or
-        the kernel itself) says it still does not fit."""
+                      b_panel: CSRMatrix, lo: int, depth: int):
+        """Run one sub-panel (the rows from ``lo`` of the chunk's row
+        panel), halving further while the device bound (or the kernel
+        itself) says it still does not fit."""
         gov = self.governor
         max_depth = gov.max_resplit_depth if gov is not None else 1
         can_split = a_sub.n_rows > 1 and depth < max_depth
-        if can_split and not self._sub_fits(a_sub, b_panel):
-            return self._halve(cid, a_sub, b_panel, depth)
+        if can_split and not self._sub_fits(cid, lo, a_sub.n_rows):
+            return self._halve(cid, a_sub, b_panel, lo, depth)
         deadline = self.deadline_seconds
         hook = (lambda stage: check_deadline(cid)) if deadline else None
         try:
@@ -585,11 +565,11 @@ class GridJob:
         except DeviceOutOfMemory:
             if not can_split:
                 raise
-            return self._halve(cid, a_sub, b_panel, depth)
+            return self._halve(cid, a_sub, b_panel, lo, depth)
         return result.matrix, result.stats
 
     def _halve(self, cid: int, a_sub: CSRMatrix, b_panel: CSRMatrix,
-               depth: int):
+               lo: int = 0, depth: int = 1):
         if a_sub.n_rows <= 1:
             raise DeviceOutOfMemory(
                 f"chunk {cid}: a single-row panel still exceeds the "
@@ -599,9 +579,10 @@ class GridJob:
                   chunk=cid, depth=depth, rows=a_sub.n_rows)
         mid = a_sub.n_rows // 2
         top_m, top_s = self._run_subchunk(
-            cid, a_sub.row_slice(0, mid), b_panel, depth + 1)
+            cid, a_sub.row_slice(0, mid), b_panel, lo, depth + 1)
         bot_m, bot_s = self._run_subchunk(
-            cid, a_sub.row_slice(mid, a_sub.n_rows), b_panel, depth + 1)
+            cid, a_sub.row_slice(mid, a_sub.n_rows), b_panel, lo + mid,
+            depth + 1)
         return vstack([top_m, bot_m]), _merge_twophase(top_s, bot_s)
 
 
@@ -736,10 +717,9 @@ def execute_chunk_grid(
     degrade: bool = True,
     governor=None,
     kernel=None,
-    estimate=None,
     chunk_events=None,
     col_panels: Optional[PanelSet] = None,
-    flops: Optional[np.ndarray] = None,
+    sizing: Optional[GridSizing] = None,
 ) -> Tuple[ChunkProfile, Union[None, List[List[CSRMatrix]], CSRMatrix]]:
     """Execute every chunk of ``C = A x B`` and profile it, concurrently.
 
@@ -836,23 +816,16 @@ def execute_chunk_grid(
         host-memory byte budget gating dispatch (with spill-under-
         pressure when the sink store supports it), and a device-pool
         bound that re-splits oversized chunks instead of submitting
-        them.  ``None`` (default) disables all governing — the legacy
-        behaviour.  Recovery never changes results: re-split chunks
-        reassemble bit-identically via row ``vstack``.
+        them — both priced by ``sizing``.  ``None`` (default) disables
+        all governing — the legacy behaviour.  Recovery never changes
+        results: re-split chunks reassemble bit-identically via row
+        ``vstack``.
     kernel:
         Accumulator family every chunk runs with — ``None`` (auto), a
         wire string (``"esc"``), or a
         :class:`~repro.spgemm.kernels.KernelSpec`.  Threaded through
         every backend including process workers; results are identical
         across kernels (see :mod:`repro.spgemm.kernels`).
-    estimate:
-        A :class:`~repro.spgemm.estimate.RowNnzEstimate` for ``A x B``.
-        When given, the governor's host admission and device-OOM
-        pre-check consume *estimated* chunk bytes (upper bound as
-        fallback ceiling; spurious UB-only resplits are counted as
-        ``avoided_resplits``), and in-process backends pass per-row
-        density hints to kernel dispatch.  Purely a sizing/dispatch
-        refinement — results are bit-identical with or without it.
     chunk_events:
         Optional ``fn(chunk_id, ChunkStats)`` progress callback fired
         after each chunk lands durably (post-sink, in completion order
@@ -871,11 +844,19 @@ def execute_chunk_grid(
         :mod:`repro.distributed.shard`).  Must describe this exact
         ``b``; the bounds are validated, the content is the caller's
         contract.  ``None`` (default) partitions here.
-    flops:
-        The grid's :func:`~repro.core.chunks.chunk_flops` matrix when
-        the caller already holds it (a ``PlanReport.flops``, a sharded
-        run's row slice); it orders dispatch and bounds the governor's
-        checks, and is derived here, once, only if those need it.
+    sizing:
+        The grid's :class:`~repro.core.chunks.GridSizing` when the
+        caller already holds it (a ``PlanReport.sizing``, a sharded
+        run's ``span``): it orders dispatch and prices the governor's
+        host admission and device pre-check, and is built here, once,
+        only if those need it.  One built over a
+        :class:`~repro.spgemm.estimate.RowNnzEstimate` makes both checks
+        consume *estimated* chunk bytes (the upper bound stays the
+        ceiling; re-splits only the bound would have asked for are
+        counted as ``avoided_resplits``) and in-process backends pass
+        per-row density hints to kernel dispatch.  Purely a
+        sizing/dispatch refinement — results are bit-identical with or
+        without it.
 
     This function is re-entrant: all per-run state lives on the
     :class:`GridJob` (a fresh tracer/governor pair per call), cooperative
@@ -910,10 +891,10 @@ def execute_chunk_grid(
             "the serial backend runs exactly one worker; use "
             "backend='thread' or 'process' for workers > 1"
         )
-    grid_shape = (grid.num_row_panels, grid.num_col_panels)
-    if flops is not None and flops.shape != grid_shape:
-        raise ValueError(
-            f"flops has shape {flops.shape}, the grid is {grid_shape}")
+    if sizing is not None and not (
+            np.array_equal(sizing.grid.row_bounds, grid.row_bounds)
+            and np.array_equal(sizing.grid.col_bounds, grid.col_bounds)):
+        raise ValueError("sizing is of another grid than the one to run")
     num_chunks = grid.num_chunks
 
     # the chunks the checkpoint already holds: skipped, their recorded
@@ -979,18 +960,20 @@ def execute_chunk_grid(
     ):
         raise ValueError("grid boundaries disagree with panel partitioning")
 
-    def grid_flops() -> np.ndarray:
-        nonlocal flops
-        if flops is None:
-            flops = chunk_flops(a, b, grid)
-        return flops
+    natural = backend_name == "serial" or (workers <= 1
+                                           and backend_name == "thread")
+    polices_memory = gov is not None and (
+        gov.device_pool_bytes is not None or gov.hostmem is not None)
+    if sizing is None and (polices_memory or (lanes is None and not natural)):
+        # built once, and only when a memory limit or the
+        # flops-descending order asks what a chunk costs
+        sizing = GridSizing(a, b, grid)
 
     if lanes is None:
-        if backend_name == "serial" or (workers <= 1
-                                        and backend_name == "thread"):
+        if natural:
             lanes = [(list(range(num_chunks)), 1)]
         else:
-            lanes = [(flops_desc_order(grid_flops()), workers)]
+            lanes = [(flops_desc_order(sizing.flops), workers)]
     else:
         seen = sorted(cid for ids, _ in lanes for cid in ids)
         if seen != list(range(num_chunks)):
@@ -1007,46 +990,19 @@ def execute_chunk_grid(
     elif len(lane_names) != len(lanes):
         raise ValueError("lane_names must match lanes in length")
 
-    chunk_products = None
-    host_estimates = None
-    est_device_bytes = None
-    row_ratio = None
-    if estimate is not None:
-        row_ratio = estimate.ratio()
     if gov is not None:
         gov.bind_tracer(tracer)
         if checkpoint is not None and checkpoint.store is not None:
             # the store's held bytes join the host-memory ledger, and the
             # governor may squeeze it (spill-under-pressure) when it can
             gov.attach_store(checkpoint.store)
-        chunk_est = None
-        if estimate is not None and (
-            gov.device_pool_bytes is not None or gov.hostmem is not None
-        ):
-            from ...spgemm.estimate import estimate_chunks  # deferred: cycle
-
-            chunk_est = estimate_chunks(a, b, grid, estimate)
-        if gov.device_pool_bytes is not None:
-            if chunk_est is not None:
-                chunk_products = chunk_est.products.reshape(-1)
-                est_device_bytes = chunk_est.device_bytes()
-            else:
-                # flops = 2 x products (chunk_flops convention)
-                chunk_products = grid_flops().reshape(-1) // 2
-        if gov.hostmem is not None:
-            host_estimates = (chunk_est.host_bytes() if chunk_est is not None
-                              else chunk_output_estimates(
-                                  a, b, grid, flops=grid_flops()))
 
     job = GridJob(
         grid, row_panels, col_panels,
         outputs=outputs, chunk_sink=chunk_sink, tracer=tracer,
         retry=retry, faults=faults, checkpoint=checkpoint,
-        crash_budget=crash_budget, governor=gov,
-        chunk_products=chunk_products, host_estimates=host_estimates,
-        kernel=kernel_spec,
-        est_device_bytes=est_device_bytes, row_ratio=row_ratio,
-        chunk_events=chunk_events,
+        crash_budget=crash_budget, governor=gov, sizing=sizing,
+        kernel=kernel_spec, chunk_events=chunk_events,
         layout=(OutputLayout(grid.row_bounds, grid.col_bounds)
                 if in_place else None),
     )

@@ -1,8 +1,9 @@
-"""Dispatch planning for the chunk executor: ordering, windows, lanes.
+"""Dispatch planning for the chunk executor: windows and lanes.
 
-These helpers are backend-independent — the same flops-descending order,
-bounded in-flight window, and hybrid lane split (paper Algorithm 4)
-drive the serial, thread, and process backends alike.
+These helpers are backend-independent — the same bounded in-flight
+window and hybrid lane split (paper Algorithm 4; its flops-descending
+order and ``Ratio`` prefix live in :mod:`repro.core.chunks`) drive the
+serial, thread, and process backends alike.
 """
 
 from __future__ import annotations
@@ -11,13 +12,12 @@ from typing import List, Tuple
 
 import numpy as np
 
+from ..chunks import split_by_flop_ratio
+
 __all__ = [
     "BUFFERS_PER_WORKER",
     "default_window",
-    "chunk_output_estimates",
     "filter_lanes",
-    "flops_desc_order",
-    "split_by_flop_ratio",
     "split_workers",
     "plan_hybrid_lanes",
 ]
@@ -46,75 +46,6 @@ def filter_lanes(lanes, lane_names, skip) -> Tuple[list, list]:
             kept_lanes.append((remaining, lane_workers))
             kept_names.append(name)
     return kept_lanes, kept_names
-
-
-def chunk_output_estimates(a, b, grid, estimate=None, *, flops=None) -> List[int]:
-    """Pre-execution upper bound on each chunk's host-side output bytes.
-
-    ``nnz_out <= min(products, rows x width)``: a chunk cannot produce
-    more nonzeros than its intermediate products, nor more than its
-    dense extent.  The host-memory governor reserves these bounds at
-    dispatch time, so in-flight + stored chunk bytes stay under budget
-    even before the exact symbolic sizes are known.
-
-    ``estimate`` (a :class:`~repro.spgemm.estimate.RowNnzEstimate`)
-    replaces the bound with sampled upper-confidence chunk bytes — much
-    tighter on high-compression matrices, so admission control stops
-    reserving for outputs that cannot materialize.  ``flops`` is the
-    grid's :func:`~repro.core.chunks.chunk_flops` when the caller
-    already holds it.
-    """
-    from ..chunks import chunk_flops, csr_bytes  # deferred: chunks imports engine
-
-    if estimate is not None:
-        from ...spgemm.estimate import estimate_chunks  # deferred: cycle
-
-        return estimate_chunks(a, b, grid, estimate).host_bytes().tolist()
-
-    if flops is None:
-        flops = chunk_flops(a, b, grid)
-    rows = np.diff(grid.row_bounds)[:, None]
-    dense = rows * np.diff(grid.col_bounds)[None, :]
-    nnz_bound = np.minimum(flops // 2, dense)  # flops = 2 x products
-    return csr_bytes(rows, nnz_bound).ravel().tolist()
-
-
-def flops_desc_order(flops_flat: np.ndarray) -> List[int]:
-    """Chunk ids by decreasing flops, ties broken by id (Alg. 4 line 14).
-
-    Unlike :meth:`ChunkProfile.order_by_flops_desc` this needs no executed
-    profile — chunk flops are computable before any kernel runs, which is
-    what lets the executor dispatch heavy chunks first on a cold start.
-    """
-    flops_flat = np.asarray(flops_flat).ravel()
-    return sorted(range(flops_flat.size), key=lambda i: (-int(flops_flat[i]), i))
-
-
-def split_by_flop_ratio(
-    flops_flat: np.ndarray, ratio: float
-) -> Tuple[List[int], List[int]]:
-    """Algorithm 4's pre-execution split: the flop-densest prefix holding at
-    least ``ratio`` of total flops (the "GPU" set, in flops-descending
-    order) and the remainder (the "CPU" set).
-
-    Empty work (``total flops == 0``) has defined semantics: no chunk is
-    flop-dense, so the "GPU" prefix is empty and *everything* goes to the
-    "CPU" set, for any ratio — an all-zero grid never produces a spurious
-    split.
-    """
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError("ratio must be in [0, 1]")
-    order = flops_desc_order(flops_flat)
-    flops_flat = np.asarray(flops_flat).ravel()
-    total = int(flops_flat.sum())
-    if ratio == 0.0 or total == 0:
-        return [], order
-    acc = 0
-    for n, cid in enumerate(order):
-        acc += int(flops_flat[cid])
-        if acc / total >= ratio:
-            return order[: n + 1], order[n + 1 :]
-    return order, []
 
 
 def split_workers(workers: int, ratio: float, *, both_nonempty: bool) -> Tuple[int, int]:

@@ -78,8 +78,9 @@ class GovernorConfig:
         dispatch blocks (and the chunk store spills) under pressure.
     ``device_pool_bytes``
         device memory pool available to one chunk's working set
-        (analysis + symbolic intermediates + output).  A chunk whose
-        upper-bound footprint exceeds it is re-split by row halving
+        (symbolic intermediates + worst-case output,
+        :func:`~repro.core.chunks.device_bytes_of`).  A chunk whose
+        footprint bound exceeds it is re-split by row halving
         before/after dispatch until its pieces fit.
     ``max_resplit_depth``
         halving levels a single chunk may undergo (2^depth sub-chunks)
@@ -160,21 +161,12 @@ class Governor:
         if self.hostmem is not None:
             self.hostmem.attach_store(store)
 
-    def device_fits(self, rows: int, products: int) -> bool:
-        """Whether one chunk's upper-bound footprint fits the device pool."""
-        if self.config.device_pool_bytes is None:
-            return True
-        from ..memcheck import chunk_device_bytes  # deferred: import cost
-
-        return (chunk_device_bytes(rows, products)
-                <= self.config.device_pool_bytes)
-
-    def device_fits_bytes(self, nbytes: int) -> bool:
-        """Whether a pre-computed chunk footprint (e.g. the sampled
-        estimate from :mod:`repro.spgemm.estimate`) fits the pool."""
-        if self.config.device_pool_bytes is None:
-            return True
-        return nbytes <= self.config.device_pool_bytes
+    def fits(self, nbytes: int) -> bool:
+        """Whether a chunk's device footprint (``GridSizing.device_bytes``
+        of it) fits the device pool; with no pool configured, anything
+        does."""
+        pool = self.config.device_pool_bytes
+        return pool is None or nbytes <= pool
 
 
 def as_governor(

@@ -13,12 +13,13 @@ taken in natural (row-major) order until the flop ratio is reached — the
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..device.engine import SimEngine
 from ..device.kernels import CostModel
-from .chunks import ChunkProfile
+from .chunks import ChunkProfile, split_by_flop_ratio
 from .schedule import add_cpu_chunks, build_async_schedule
 
 __all__ = [
@@ -55,40 +56,28 @@ class HybridAssignment:
         return self.gpu_flops / self.total_flops if self.total_flops else 0.0
 
 
-def _prefix_until_ratio(
-    profile: ChunkProfile, order: Sequence[int], ratio: float
-) -> int:
-    """Algorithm 4 lines 16-24: smallest prefix reaching the flop ratio."""
-    total = profile.total_flops
-    acc = 0
-    for n, cid in enumerate(order):
-        acc += profile.chunks[cid].flops
-        if total == 0 or acc / total >= ratio:
-            return n + 1
-    return len(order)
+def _assignment(profile: ChunkProfile, gpu: Sequence[int],
+                cpu: Sequence[int], ratio: float,
+                reorder: bool) -> HybridAssignment:
+    return HybridAssignment(
+        gpu_chunks=tuple(gpu), cpu_chunks=tuple(cpu), ratio=ratio,
+        reordered=reorder,
+        gpu_flops=sum(profile.chunks[c].flops for c in gpu),
+        total_flops=profile.total_flops,
+    )
 
 
 def assign_chunks(
     profile: ChunkProfile, ratio: float = DEFAULT_RATIO, *, reorder: bool = True
 ) -> HybridAssignment:
-    """Split chunks between GPU and CPU at the given flop ratio."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError("ratio must be in [0, 1]")
-    order = profile.order_by_flops_desc() if reorder else profile.natural_order()
-    if ratio == 0.0:
-        num_gpu = 0
-    else:
-        num_gpu = _prefix_until_ratio(profile, order, ratio)
-    gpu = tuple(order[:num_gpu])
-    cpu = tuple(order[num_gpu:])
-    return HybridAssignment(
-        gpu_chunks=gpu,
-        cpu_chunks=cpu,
-        ratio=ratio,
-        reordered=reorder,
-        gpu_flops=sum(profile.chunks[c].flops for c in gpu),
-        total_flops=profile.total_flops,
-    )
+    """Split chunks between GPU and CPU at the given flop ratio — the
+    split the executor's hybrid lanes run
+    (:func:`~repro.core.chunks.split_by_flop_ratio`), over the executed
+    profile's flops."""
+    gpu, cpu = split_by_flop_ratio(
+        [c.flops for c in profile.chunks], ratio,
+        None if reorder else profile.natural_order())
+    return _assignment(profile, gpu, cpu, ratio, reorder)
 
 
 def assign_first_n(profile: ChunkProfile, num_gpu: int, *, reorder: bool = True) -> HybridAssignment:
@@ -96,18 +85,8 @@ def assign_first_n(profile: ChunkProfile, num_gpu: int, *, reorder: bool = True)
     order = profile.order_by_flops_desc() if reorder else profile.natural_order()
     if not 0 <= num_gpu <= len(order):
         raise ValueError(f"num_gpu must be in [0, {len(order)}]")
-    gpu = tuple(order[:num_gpu])
-    cpu = tuple(order[num_gpu:])
-    gpu_flops = sum(profile.chunks[c].flops for c in gpu)
-    total = profile.total_flops
-    return HybridAssignment(
-        gpu_chunks=gpu,
-        cpu_chunks=cpu,
-        ratio=gpu_flops / total if total else 0.0,
-        reordered=reorder,
-        gpu_flops=gpu_flops,
-        total_flops=total,
-    )
+    asn = _assignment(profile, order[:num_gpu], order[num_gpu:], 0.0, reorder)
+    return dataclasses.replace(asn, ratio=asn.gpu_flop_share)
 
 
 def build_hybrid_engine(

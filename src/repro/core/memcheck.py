@@ -12,7 +12,7 @@ Replay protocol per chunk (mirroring Fig. 3's allocation points):
 
 1. analysis result (``rows * 8`` bytes);
 2. group info + symbolic structures (hash tables over the upper-bound
-   products: ``INTERMEDIATE_BYTES_PER_PRODUCT`` each);
+   products: :func:`~repro.core.chunks.intermediate_bytes`);
 3. the exactly-sized output (known only after the symbolic phase);
 4. everything released when the chunk's transfer completes.
 
@@ -25,49 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from ..device.memory import Allocation, DeviceOutOfMemory, DynamicAllocator, MemoryPool
 from ..observability import as_tracer
-from .chunks import ChunkProfile, ChunkStats, csr_bytes
-from .planner import INTERMEDIATE_BYTES_PER_PRODUCT
+from .chunks import ChunkProfile, ChunkStats, csr_bytes, intermediate_bytes
 
 __all__ = [
     "MemoryReplay",
     "replay_pool",
     "replay_dynamic",
-    "chunk_device_bytes",
-    "panel_row_products",
 ]
-
-
-def chunk_device_bytes(rows: int, products: int) -> int:
-    """Upper-bound device working set of one chunk, pre-execution.
-
-    The same three allocations :func:`_chunk_allocs` replays (analysis
-    result, symbolic intermediates, output CSR), with the output bounded
-    by its worst case — ``nnz_out <= products`` — since the exact size
-    is only known after the symbolic phase.  This is what the runtime
-    governor checks a chunk against before dispatch: a chunk whose bound
-    exceeds the device pool is re-split rather than submitted.
-    """
-    return (rows * 8
-            + products * INTERMEDIATE_BYTES_PER_PRODUCT
-            + csr_bytes(rows, products))
-
-
-def panel_row_products(a_panel, b_panel) -> np.ndarray:
-    """Per-row multiply products of ``a_panel @ b_panel`` (``GetFlops``
-    row-resolved): for each row of the A panel, the sum over its
-    elements of the matching B-panel row's nnz.  Drives the governor's
-    re-split decisions — halving a row panel halves this array, not
-    necessarily the work, so the split recurses on the actual bound.
-    """
-    b_row_nnz = np.diff(b_panel.row_offsets)
-    gathered = b_row_nnz[a_panel.col_ids]
-    csum = np.concatenate([[0], np.cumsum(gathered, dtype=np.int64)])
-    return (csum[a_panel.row_offsets[1:]]
-            - csum[a_panel.row_offsets[:-1]]).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -90,7 +56,7 @@ def _chunk_allocs(ch: ChunkStats) -> List[tuple]:
     products = ch.flops // 2
     return [
         ("analysis", ch.rows * 8),
-        ("symbolic", products * INTERMEDIATE_BYTES_PER_PRODUCT),
+        ("symbolic", intermediate_bytes(products)),
         ("output", csr_bytes(ch.rows, max(ch.nnz_out, 0))),
     ]
 

@@ -24,21 +24,29 @@ import numpy as np
 from ..device.specs import NodeSpec
 from ..sparse.formats import CSRMatrix
 from ..sparse.partition import panel_boundaries
-from .chunks import BYTES_PER_ELEM, ChunkGrid, ProductTable, csr_bytes
+from .chunks import (
+    BYTES_PER_ELEM,
+    ChunkGrid,
+    GridSizing,
+    ProductTable,
+    csr_bytes,
+    device_bytes_of,
+    host_bytes_of,
+    intermediate_bytes,
+)
 
 __all__ = [
     "PlanReport",
     "AutotunePlan",
-    "chunk_footprint_bytes",
-    "estimated_chunk_footprint_bytes",
     "working_set_bytes",
+    "default_device_bytes",
     "plan_grid",
     "plan_autotuned",
 ]
 
-#: bytes of intermediate state per intermediate product (hash-table slot:
-#: key + value at load factor 1/2)
-INTERMEDIATE_BYTES_PER_PRODUCT = 32
+#: floor of :func:`default_device_bytes`, so tiny matrices still get a
+#: non-degenerate pool
+MIN_DEVICE_MEMORY = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -54,25 +62,19 @@ class PlanReport:
     #: True when chunk footprints were sized from a sampled estimate
     #: (UB-ceilinged) rather than the raw flops upper bound
     estimated: bool = False
-    #: flops of every chunk of ``grid`` (``chunk_flops`` of it), so the
-    #: executor's ordering, the governor's bounds and the hybrid/shard
-    #: splits need not derive them again
-    flops: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    #: the sizing of ``grid`` the plan was priced from — hand it to the
+    #: run, so ordering, admission, re-splits and the hybrid/shard splits
+    #: read the planner's tables instead of deriving their own
+    sizing: Optional[GridSizing] = field(default=None, compare=False, repr=False)
 
     @property
     def fits(self) -> bool:
         return self.worst_chunk_bytes <= self.budget_bytes
 
-
-def chunk_footprint_bytes(rows: int, flops: int) -> int:
-    """Worst-case device bytes needed to produce one chunk, beyond the
-    resident input panels: intermediates (hash tables over all products)
-    plus the worst-case output (every product distinct).  Arrays
-    broadcast, pricing a whole grid at once."""
-    products = flops // 2
-    out_upper = csr_bytes(rows, products)
-    intermediates = products * INTERMEDIATE_BYTES_PER_PRODUCT
-    return intermediates + out_upper
+    @property
+    def flops(self) -> np.ndarray:
+        """Flops of every chunk of ``grid``."""
+        return self.sizing.flops
 
 
 def resident_input_bytes(a: CSRMatrix, b: CSRMatrix, num_col_panels: int) -> int:
@@ -94,20 +96,21 @@ def working_set_bytes(n: int, nnz_in: int, flops: int, nnz_out: int) -> int:
     """
     products = flops // 2
     inputs = 2 * csr_bytes(n, nnz_in)
-    intermediates = products * INTERMEDIATE_BYTES_PER_PRODUCT
     # the output allocation is sized from the worst case (= products),
-    # matching chunk_footprint_bytes; nnz_out bounds it from below
-    output = csr_bytes(n, max(products, nnz_out))
-    return inputs + intermediates + output
+    # matching device_bytes_of; nnz_out bounds it from below
+    output = host_bytes_of(n, max(products, nnz_out))
+    return inputs + intermediate_bytes(products) + output
 
 
-def estimated_chunk_footprint_bytes(rows: int, nnz_hi: float) -> int:
-    """Device bytes to produce one chunk when intermediates and output
-    are sized from a sampled nnz estimate (OCEAN) instead of the flops
-    upper bound.  Callers must still apply the UB ceiling.  Arrays
-    broadcast, like :func:`chunk_footprint_bytes`."""
-    nnz = np.ceil(nnz_hi).astype(np.int64)
-    return nnz * INTERMEDIATE_BYTES_PER_PRODUCT + csr_bytes(rows, nnz)
+def default_device_bytes(input_bytes: int, n_rows: int, flops: int) -> int:
+    """The simulated device a run gets when none is given: the inputs
+    resident plus half of the remaining working set (intermediates +
+    worst-case output of the product run as one chunk), floor 8 MiB —
+    so the output cannot fit and the planner must chunk, the paper's
+    regime (its inputs, <= 7 GB, fit the 16 GB device; the output plus
+    the per-chunk intermediates do not)."""
+    rest = device_bytes_of(n_rows, flops // 2)
+    return input_bytes + max(rest // 2, MIN_DEVICE_MEMORY)
 
 
 @functools.lru_cache(maxsize=8)
@@ -129,10 +132,10 @@ def _candidate_shapes(max_panels: int) -> Tuple[Tuple[int, int], ...]:
 class _GridPricer:
     """Prices candidate grid shapes of one ``(A, B, node)`` problem.
 
-    Keeps one :class:`~repro.core.chunks.ProductTable` (plus, with an
-    estimate, its ratio-weighted companion) per column count, so every
-    candidate sharing ``c`` costs O(r x c) and no further pass over A or
-    B — the paper's ``GetFlops`` computed once, not once per shape.
+    Keeps one :class:`~repro.core.chunks.ProductTable` (carrying the
+    estimate, when there is one) per column count, so every candidate
+    sharing ``c`` costs O(r x c) and no further pass over A or B — the
+    paper's ``GetFlops`` computed once, not once per shape.
     """
 
     def __init__(self, a: CSRMatrix, b: CSRMatrix, node: NodeSpec, *,
@@ -144,7 +147,6 @@ class _GridPricer:
         self.safety, self.buffers = safety, buffers
         self.estimate = estimate
         self._tables: Dict[int, ProductTable] = {}
-        self._est_tables: Dict[int, "EstimateTable"] = {}  # noqa: F821
 
     def budget(self, c: int) -> int:
         """Per-chunk device bytes left once the inputs, B cut into ``c``
@@ -155,15 +157,9 @@ class _GridPricer:
     def _table(self, c: int) -> ProductTable:
         if c not in self._tables:
             self._tables[c] = ProductTable(
-                self.a, self.b, panel_boundaries(self.b.n_cols, c))
+                self.a, self.b, panel_boundaries(self.b.n_cols, c),
+                self.estimate)
         return self._tables[c]
-
-    def _est_table(self, c: int) -> "EstimateTable":  # noqa: F821
-        if c not in self._est_tables:
-            from ..spgemm.estimate import EstimateTable  # deferred: cycle
-
-            self._est_tables[c] = EstimateTable(self._table(c), self.estimate)
-        return self._est_tables[c]
 
     def price(self, r: int, c: int, *, estimated: bool) -> PlanReport:
         """The regular ``r x c`` grid with its worst chunk footprint;
@@ -171,12 +167,8 @@ class _GridPricer:
         estimate (which only ever lowers a footprint)."""
         table = self._table(c)
         grid = ChunkGrid(panel_boundaries(self.a.n_rows, r), table.col_bounds)
-        rows = np.diff(grid.row_bounds)[:, None]
-        flops = 2 * table.products(grid.row_bounds)
-        footprint = chunk_footprint_bytes(rows, flops)
-        if estimated:
-            footprint = np.minimum(footprint, estimated_chunk_footprint_bytes(
-                rows, self._est_table(c).chunks(grid).nnz_hi))
+        sizing = GridSizing.over(table, grid)
+        footprint = sizing.device_bytes if estimated else sizing.device_bytes_ub
         return PlanReport(
             grid=grid,
             worst_chunk_bytes=int(footprint.max()),
@@ -185,7 +177,7 @@ class _GridPricer:
             buffers=self.buffers,
             safety=self.safety,
             estimated=estimated,
-            flops=flops,
+            sizing=sizing,
         )
 
     def first_fit(self, max_panels: int, *, estimated: bool) -> PlanReport:

@@ -52,7 +52,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..core.assemble import assemble_chunks
-from ..core.chunks import ChunkGrid, ChunkProfile, ChunkStats, chunk_flops
+from ..core.chunks import ChunkGrid, ChunkProfile, ChunkStats, GridSizing
 from ..core.executor import execute_chunk_grid
 from ..core.governor import Governor, GovernorConfig, HostMemoryGovernor
 from ..core.spill import Checkpoint, DiskChunkStore, MemoryChunkStore
@@ -413,8 +413,8 @@ def run_sharded(
         cp = min(b.n_cols, 2)
         grid = ChunkGrid.regular(a.n_rows, b.n_cols, rp, cp)
 
-    flops = chunk_flops(a, b, grid)
-    spans = plan_shards(grid, cfg.num_shards, flops)
+    sizing = GridSizing(a, b, grid)
+    spans = plan_shards(grid, cfg.num_shards, sizing.flops)
     num_shards = len(spans)
     shard_faults = dict(shard_faults or {})
     shard_debug = dict(shard_debug or {})
@@ -619,7 +619,7 @@ def run_sharded(
             checkpoint=checkpoint,
             governor=make_governor(t), kernel=cfg.kernel,
             col_panels=shared_col_panels,
-            flops=flops[span.rp_lo:span.rp_hi],
+            sizing=sizing.span(span.rp_lo, span.rp_hi),
         )
         rec.wall_seconds = time.perf_counter() - t0
         shard_profiles[t] = profile

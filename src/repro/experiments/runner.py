@@ -27,7 +27,7 @@ T = TypeVar("T")
 
 from ..core.chunks import ChunkGrid, ChunkProfile, csr_bytes
 from ..core.executor import execute_chunk_grid
-from ..core.planner import plan_grid, working_set_bytes
+from ..core.planner import default_device_bytes, plan_grid
 from ..device.specs import NodeSpec, v100_node
 from ..spgemm.kernels import resolved_wire
 from ..sparse.formats import CSRMatrix
@@ -43,10 +43,6 @@ __all__ = [
     "get_profile_for_grid",
     "all_abbrs",
 ]
-
-#: floor for the simulated device memory, so tiny matrices still get a
-#: non-degenerate pool
-MIN_DEVICE_MEMORY = 8 << 20
 
 _matrix_cache: Dict[str, CSRMatrix] = {}
 _features_cache: Dict[str, MatrixFeatures] = {}
@@ -158,18 +154,12 @@ def get_features(abbr: str) -> MatrixFeatures:
 
 
 def device_memory_for(abbr: str) -> int:
-    """Inputs resident + one third of the output-side working set.
-
-    The paper's inputs (<= 7 GB) fit its 16 GB device; the output plus the
-    per-chunk intermediates do not.  We mirror that regime: the simulated
-    device holds the inputs entirely, plus half of the remaining
-    working set (intermediates + worst-case output), which forces grids of
-    a few panels per side — the chunk-count regime of Table III.
-    """
+    """The suite matrix's simulated device — ``default_device_bytes``
+    for ``A x A``, which forces grids of a few panels per side: the
+    chunk-count regime of Table III."""
     feat = get_features(abbr)
-    inputs = 2 * csr_bytes(feat.n, feat.nnz)
-    rest = working_set_bytes(feat.n, feat.nnz, feat.flops, feat.nnz_out) - inputs
-    return inputs + max(rest // 2, MIN_DEVICE_MEMORY)
+    return default_device_bytes(
+        2 * csr_bytes(feat.n, feat.nnz), feat.n, feat.flops)
 
 
 def get_node(abbr: str) -> NodeSpec:

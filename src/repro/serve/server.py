@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
-from ..core.chunks import ChunkGrid, csr_bytes
+from ..core.chunks import ChunkGrid, csr_bytes, host_bytes_of
 from ..core.executor import execute_chunk_grid
 from ..core.governor.integrity import crc32_matrix
 from ..observability import Tracer, tracer_events, write_chrome_trace
@@ -83,11 +83,7 @@ class SpgemmServer:
 
     def __init__(self, config: Optional[ServerConfig] = None) -> None:
         self.config = config or ServerConfig()
-        #: server-lifetime tracer: carries the cross-job ``host_mem``
-        #: gauge stream (the no-overcommit evidence) and cache gauges
-        self.tracer = Tracer(stream="server")
-        self.cache = OperandCache(self.config.cache_bytes, run_id="serve",
-                                  tracer=self.tracer)
+        self.cache = OperandCache(self.config.cache_bytes, run_id="serve")
         self.scheduler = JobScheduler(
             self._run_job,
             slots=self.config.slots,
@@ -95,7 +91,6 @@ class SpgemmServer:
             quotas=self.config.quotas,
             default_quota=self.config.default_quota,
             on_event=self._on_event,
-            tracer=self.tracer,
             shards=self.config.shards,
         )
         self._records: Dict[int, JobRecord] = {}
@@ -164,9 +159,8 @@ class SpgemmServer:
                     f"operand shapes do not chain: {a.shape} x {b.shape}"
                 )
             est = estimate_row_nnz(a, b)
-            out_bytes = csr_bytes(a.n_rows, max(int(est.total_nnz), 1))
             record.cost_bytes = (
-                out_bytes
+                host_bytes_of(a.n_rows, max(int(est.total_nnz), 1))
                 + csr_bytes(a.n_rows, a.nnz) + csr_bytes(b.n_rows, b.nnz)
             )
             if spec.grid is not None:
@@ -329,7 +323,14 @@ class SpgemmServer:
                     break
                 key, _, value = line.decode("latin-1").partition(":")
                 headers[key.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", 0) or 0)
+            try:
+                length = int(headers.get("content-length") or 0)
+                if length < 0:
+                    raise ValueError(length)
+            except ValueError:
+                await self._respond(writer, 400,
+                                    {"error": "bad Content-Length"})
+                return
             if length > self.config.max_body_bytes:
                 await self._respond(writer, 413, {"error": "body too large"})
                 return
@@ -496,11 +497,11 @@ class SpgemmServer:
         by_state: Dict[str, int] = {}
         for record in self._records.values():
             by_state[record.state.value] = by_state.get(record.state.value, 0) + 1
-        peak = self.tracer.gauge_max("host_mem", "reserved")
+        scheduler = self.scheduler.stats()
         return {
             "uptime_seconds": time.monotonic() - self._started,
             "cache": self.cache.stats(),
-            "scheduler": self.scheduler.stats(),
+            "scheduler": scheduler,
             "jobs_by_state": by_state,
-            "host_mem_peak_reserved": peak if peak is not None else 0,
+            "host_mem_peak_reserved": scheduler["host_peak_bytes"],
         }

@@ -15,15 +15,11 @@ always clamped to the hard per-row ceiling ``min(ub, n_cols)``.  The
 upper bound therefore remains a correctness ceiling; the estimate only
 tightens it.
 
-Downstream consumers:
-
-- `core/planner.py` sizes the chunk grid from estimated footprints
-  (UB fallback ceiling).
-- `core/executor/engine.py` gates the governor's device-OOM pre-check
-  and host admission on estimated chunk bytes, and feeds per-row
-  density hints to kernel dispatch.
-- `core.planner.plan_autotuned` picks grid + kernel + hybrid ratio
-  from the estimate.
+Downstream, :class:`~repro.core.chunks.GridSizing` spreads the per-row
+estimate over a chunk grid — the one place the planner, the governor's
+admission and re-split checks and the kernels' density hints read it —
+and :func:`~repro.core.planner.plan_autotuned` picks grid + kernel +
+hybrid ratio from it.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sparse.formats import CSRMatrix
-from .flops import flops_per_row
+from .flops import product_prefix
 from .groups import DENSE_THRESHOLD
 from .kernels import KernelSpec, accumulate
 from .native import native_available
@@ -41,10 +37,7 @@ from .native import native_available
 __all__ = [
     "DEFAULT_SAMPLE_FRACTION",
     "RowNnzEstimate",
-    "ChunkEstimates",
-    "EstimateTable",
     "estimate_row_nnz",
-    "estimate_chunks",
     "choose_kernel",
     "hybrid_ratio_from_estimate",
 ]
@@ -137,7 +130,7 @@ def estimate_row_nnz(
     """
     if not 0.0 < sample_fraction <= 1.0:
         raise ValueError(f"sample_fraction must be in (0, 1], got {sample_fraction}")
-    ub = (flops_per_row(a, b) // 2).astype(np.int64)
+    ub = np.diff(product_prefix(a, b))
     width = int(b.n_cols)
     n = int(a.n_rows)
     nnz = np.zeros(n, dtype=np.float64)
@@ -194,81 +187,6 @@ def estimate_row_nnz(
     lo = np.minimum(_clamp(lo, ub, width), nnz)
     hi = np.maximum(hi, nnz)
     return RowNnzEstimate(nnz, lo, hi, ub, width, sampled, int(labels.size), seed)
-
-
-@dataclass(frozen=True)
-class ChunkEstimates:
-    """Per-chunk output-nnz estimates over a chunk grid (row-major ids)."""
-
-    grid: "ChunkGrid"
-    nnz: np.ndarray  # (R, C) point estimates
-    nnz_hi: np.ndarray  # (R, C) upper confidence estimates
-    products: np.ndarray  # (R, C) exact product counts (UB)
-    panel_rows: np.ndarray  # rows per row panel
-
-    def _nnz_ceiling(self) -> np.ndarray:
-        return np.ceil(self.nnz_hi).astype(np.int64)
-
-    def host_bytes(self) -> np.ndarray:
-        """Estimated CSR bytes of each chunk's output (row-major cids)."""
-        from ..core.chunks import csr_bytes
-
-        return csr_bytes(self.panel_rows[:, None], self._nnz_ceiling()).ravel()
-
-    def device_bytes(self) -> np.ndarray:
-        """Estimated device footprint per chunk: hash tables sized from
-        the estimate (the OCEAN move) instead of the product count."""
-        from ..core.memcheck import chunk_device_bytes
-
-        return chunk_device_bytes(
-            self.panel_rows[:, None], self._nnz_ceiling()).ravel()
-
-
-class EstimateTable:
-    """The per-row estimate spread over one column split, as row-prefix
-    tables beside the exact :class:`~repro.core.chunks.ProductTable`.
-
-    A row's products split across column panels exactly; its estimated
-    nnz splits proportionally — ``ratio_i * products_i[cp]``.  Both
-    ratio-weighted sums are kept as ``(n_rows_A + 1, c)`` float64 prefix
-    tables, so the estimate of any grid over these column bounds is a
-    subtraction per chunk (:meth:`chunks`).  The sums accumulate row by
-    row down the table rather than element by element inside a chunk, so
-    they can differ from a direct per-chunk sum in the last digits.
-    """
-
-    def __init__(self, table: "ProductTable", est: RowNnzEstimate):
-        self.table = table
-        row_products = table.row_products()
-        zero = np.zeros((1, row_products.shape[1]))
-        self._nnz, self._nnz_hi = (
-            np.concatenate([zero, np.cumsum(row_products * ratio[:, None], axis=0)])
-            for ratio in (est.ratio(), est.ratio_hi()))
-
-    def chunks(self, grid: "ChunkGrid") -> ChunkEstimates:
-        """Estimates of every chunk of ``grid`` (whose column bounds are
-        the table's), each clamped to the chunk's dense extent and
-        product count."""
-        row_bounds = grid.row_bounds
-        products = self.table.products(row_bounds)
-        panel_rows = np.diff(row_bounds).astype(np.int64)
-        col_widths = np.diff(grid.col_bounds).astype(np.int64)
-        dense_extent = panel_rows[:, None] * col_widths[None, :]
-        ceiling = np.minimum(products, dense_extent).astype(np.float64)
-        nnz = np.minimum(np.diff(self._nnz[row_bounds], axis=0), ceiling)
-        nnz_hi = np.diff(self._nnz_hi[row_bounds], axis=0)
-        nnz_hi = np.minimum(np.maximum(nnz_hi, nnz), ceiling)
-        return ChunkEstimates(grid, nnz, nnz_hi, products, panel_rows)
-
-
-def estimate_chunks(
-    a: CSRMatrix, b: CSRMatrix, grid: "ChunkGrid", est: RowNnzEstimate
-) -> ChunkEstimates:
-    """Distribute the per-row estimate over a chunk grid (one
-    :class:`EstimateTable` lookup)."""
-    from ..core.chunks import ProductTable  # deferred: core imports spgemm
-
-    return EstimateTable(ProductTable(a, b, grid.col_bounds), est).chunks(grid)
 
 
 def choose_kernel(est: RowNnzEstimate) -> KernelSpec:

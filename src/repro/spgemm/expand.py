@@ -18,15 +18,14 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from ..sparse.formats import CSRMatrix, INDEX_DTYPE
+from .flops import product_prefix
 
 __all__ = ["expand_products", "num_products", "products_per_row", "row_batches"]
 
 
 def num_products(a: CSRMatrix, b: CSRMatrix) -> int:
     """Number of intermediate products of ``A x B`` (= flops / 2)."""
-    if a.nnz == 0:
-        return 0
-    return int(b.row_nnz()[a.col_ids].sum())
+    return int(product_prefix(a, b)[-1])
 
 
 def products_per_row(a: CSRMatrix, b: CSRMatrix) -> np.ndarray:
@@ -35,10 +34,7 @@ def products_per_row(a: CSRMatrix, b: CSRMatrix) -> np.ndarray:
     One O(nnz) pass; this is what sizes expansion batches so peak memory
     stays bounded no matter how the caller groups rows.
     """
-    per_elem = b.row_nnz()[a.col_ids]
-    cum = np.zeros(a.nnz + 1, dtype=np.int64)
-    np.cumsum(per_elem, out=cum[1:])
-    return cum[a.row_offsets[1:]] - cum[a.row_offsets[:-1]]
+    return np.diff(product_prefix(a, b))
 
 
 def row_batches(products_per_row: np.ndarray, budget: int) -> Iterator[Tuple[int, int]]:

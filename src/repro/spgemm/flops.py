@@ -12,46 +12,56 @@ scheduler (``GetFlops`` in Algorithm 4) sorts on.  The *compression ratio*
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..sparse.formats import CSRMatrix
 
 __all__ = [
+    "product_prefix",
     "flops_per_row",
     "total_flops",
     "compression_ratio",
 ]
 
 
-def flops_per_row(a: CSRMatrix, b: CSRMatrix) -> np.ndarray:
-    """Flops contributed by each row of ``A`` in ``A x B`` (int64 array).
+def product_prefix(
+    a: CSRMatrix,
+    b: CSRMatrix,
+    b_row_nnz: Optional[np.ndarray] = None,
+    *,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Intermediate products of ``A x B`` as a row prefix: ``prefix[i]``
+    counts the products rows ``[0, i)`` of A form, so any row range is
+    one subtraction (int64, length ``n_rows_A + 1``).
 
-    Vectorized: gather nnz of the referenced B rows and segment-sum them
-    back onto A's rows.  A multiply-add counts as 2 flops.
+    The one product count in the package: nnz of the referenced B rows
+    gathered over ``A.col_ids``, segment-summed by ``A.row_offsets``.
+    ``b_row_nnz`` restricts B's rows to part of their columns (one
+    column panel's nnz per row; default: the whole rows);  ``scratch``
+    is a reusable ``nnz_A + 1`` int64 buffer whose first element is 0.
     """
     if a.n_cols != b.n_rows:
-        raise ValueError(
-            f"dimension mismatch: A is {a.shape}, B is {b.shape}"
-        )
-    if a.nnz == 0:
-        return np.zeros(a.n_rows, dtype=np.int64)
-    b_row_nnz = b.row_nnz()
-    per_element = b_row_nnz[a.col_ids]
-    out = np.zeros(a.n_rows, dtype=np.int64)
-    # segment sum: reduceat over row boundaries (empty rows handled via diff)
-    np.add.at(out, a.expand_row_ids(), per_element)
-    return 2 * out
+        raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
+    if b_row_nnz is None:
+        b_row_nnz = b.row_nnz()
+    if scratch is None:
+        scratch = np.zeros(a.nnz + 1, dtype=np.int64)
+    np.cumsum(b_row_nnz[a.col_ids], out=scratch[1:])
+    return scratch[a.row_offsets]
+
+
+def flops_per_row(a: CSRMatrix, b: CSRMatrix) -> np.ndarray:
+    """Flops contributed by each row of ``A`` in ``A x B`` (int64 array).
+    A multiply-add counts as 2 flops."""
+    return 2 * np.diff(product_prefix(a, b))
 
 
 def total_flops(a: CSRMatrix, b: CSRMatrix) -> int:
     """Total flops of ``A x B`` (2 x number of intermediate products)."""
-    if a.n_cols != b.n_rows:
-        raise ValueError(
-            f"dimension mismatch: A is {a.shape}, B is {b.shape}"
-        )
-    if a.nnz == 0:
-        return 0
-    return int(2 * b.row_nnz()[a.col_ids].sum())
+    return 2 * int(product_prefix(a, b)[-1])
 
 
 def compression_ratio(flops: int, nnz_out: int) -> float:

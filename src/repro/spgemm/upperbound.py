@@ -21,14 +21,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse.formats import CSRMatrix
-from .flops import flops_per_row
+from .flops import product_prefix
 
 __all__ = ["row_upper_bound", "row_upper_bound_cols", "tightness"]
 
 
 def row_upper_bound(a: CSRMatrix, b: CSRMatrix) -> np.ndarray:
     """Flops-based per-row upper bound on nnz of ``(A x B)[i, *]``."""
-    return flops_per_row(a, b) // 2
+    return np.diff(product_prefix(a, b))
 
 
 def row_upper_bound_cols(a: CSRMatrix, b: CSRMatrix) -> np.ndarray:

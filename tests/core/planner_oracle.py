@@ -2,15 +2,31 @@
 verbatim as a test-only reference: every candidate grid re-runs
 ``build_col_offsets`` on B, gathers an ``nnz_A x c`` matrix and sums it
 row panel by row panel in a Python loop.  ``test_product_table.py``
-requires the table-based planner to reproduce it."""
+requires the table-based planner and ``GridSizing`` to reproduce it.
+(``ChunkEstimates`` is the record ``estimate_chunks`` returned then.)"""
+
+from collections import namedtuple
 
 import numpy as np
 
 from repro.core.chunks import BYTES_PER_ELEM, ChunkGrid, csr_bytes
 from repro.sparse.partition import build_col_offsets
-from repro.spgemm.estimate import ChunkEstimates
 
 INTERMEDIATE_BYTES_PER_PRODUCT = 32
+
+ChunkEstimates = namedtuple(
+    "ChunkEstimates", "grid nnz nnz_hi products panel_rows")
+
+
+def panel_row_products(a_panel, b_panel):
+    """Per-row products of ``a_panel @ b_panel`` by a direct gather on
+    the sliced panels — what the governor's re-split and the density
+    hints ran per chunk before ``GridSizing`` (``core/memcheck.py``)."""
+    b_row_nnz = np.diff(b_panel.row_offsets)
+    gathered = b_row_nnz[a_panel.col_ids]
+    csum = np.concatenate([[0], np.cumsum(gathered, dtype=np.int64)])
+    return (csum[a_panel.row_offsets[1:]]
+            - csum[a_panel.row_offsets[:-1]]).astype(np.int64)
 
 
 def chunk_flops(a, b, grid):

@@ -34,20 +34,21 @@ from repro.core import (
     execute_chunk_grid,
     run_out_of_core,
 )
-from repro.core.chunks import chunk_flops
+from repro.core.chunks import GridSizing
 from repro.core.executor import RetryPolicy
-from repro.core.executor.plan import chunk_output_estimates
 from repro.core.executor.procpool import ProcessLanePool, resolve_mp_context
 from repro.core.executor.procworker import KILL_AFTER_RESULT_ENV
 from repro.core.governor import as_governor
 from repro.core.governor.hostmem import HostMemoryGovernor
 from repro.core.governor.watchdog import ChunkTimeout
-from repro.core.memcheck import chunk_device_bytes
+from repro.core.planner import plan_grid
+from repro.device.specs import v100_node
 from repro.observability.tracer import Tracer
 from repro.sparse.generators import rmat
 from repro.sparse.shm import SharedCSR, cleanup_segments, run_prefix
 
 from .test_executor_backends import assert_outputs_identical, leaked_shm
+from .test_product_table import device_for
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.01)
 
@@ -126,11 +127,10 @@ class TestGovernorConfig:
 
     def test_device_fits(self):
         gov = Governor(GovernorConfig(device_pool_bytes=1 << 30))
-        assert gov.device_fits(10, 100)
-        tight = Governor(GovernorConfig(device_pool_bytes=64))
-        assert not tight.device_fits(10, 100)
+        assert gov.fits(1 << 30)
+        assert not gov.fits((1 << 30) + 1)
         # no pool configured -> everything "fits" (no re-split pressure)
-        assert Governor(GovernorConfig()).device_fits(10 ** 6, 10 ** 9)
+        assert Governor(GovernorConfig()).fits(1 << 60)
 
 
 # ----------------------------------------------------------------------
@@ -426,15 +426,7 @@ class TestResplit:
     def test_undersized_pool_resplits_bit_identical(self, problem, baseline,
                                                     backend):
         a, b, grid = problem
-        products = (chunk_flops(a, b, grid) // 2).ravel()
-        import numpy as np
-
-        rows = np.diff(grid.row_bounds)
-        per_chunk = sorted(
-            chunk_device_bytes(int(rows[cid // grid.num_col_panels]),
-                               int(products[cid]))
-            for cid in range(grid.num_chunks)
-        )
+        per_chunk = sorted(GridSizing(a, b, grid).device_bytes.tolist())
         # pool below the largest chunk's footprint: at least one chunk
         # must re-split, smaller ones still run whole
         pool_bytes = max(per_chunk[len(per_chunk) // 2], 256)
@@ -459,6 +451,69 @@ class TestResplit:
 
 
 # ----------------------------------------------------------------------
+# The planner and the governor price a chunk with one function
+# ----------------------------------------------------------------------
+def _suite_problem(abbr, fraction):
+    """A planner-oracle suite operand and device."""
+    from repro.sparse.suite import build_matrix
+
+    m = build_matrix(abbr)
+    return m, v100_node(device_for(m, fraction))
+
+
+def _reproducer():
+    """The operand on which the parent's governor re-split a chunk the
+    planner had just said fits (device by the runner's rule)."""
+    from repro.core.chunks import csr_bytes
+    from repro.core.planner import default_device_bytes
+    from repro.spgemm.flops import total_flops
+
+    m = rmat(11, 14, seed=1)
+    return m, v100_node(default_device_bytes(
+        2 * csr_bytes(m.n_rows, m.nnz), m.n_rows, total_flops(m, m)))
+
+
+PLANNED = [pytest.param(_reproducer, id="rmat11")] + [
+    pytest.param(lambda abbr=abbr, f=f: _suite_problem(abbr, f),
+                 id=f"{abbr}-{f}")
+    for abbr in ("stokes", "uk-2002", "wiki0206") for f in (0.5, 0.2)]
+
+
+class TestPlannerAndGovernorAgree:
+    """A pool of exactly the plan's worst chunk re-splits nothing; one
+    byte less re-splits the worst chunk(s) and no other."""
+
+    @staticmethod
+    def resplit_chunks(m, report, pool):
+        tracer = Tracer()
+        profile, _ = execute_chunk_grid(
+            m, m, report.grid, sizing=report.sizing, tracer=tracer,
+            governor=Governor(GovernorConfig(device_pool_bytes=pool)))
+        assert profile.total_flops == int(report.flops.sum())
+        split = {int(s.name[len("resplit["):-1]) for s in tracer.spans
+                 if s.name.startswith("resplit[")}
+        return split, tracer.counters("faults").get("avoided_resplits", 0)
+
+    @pytest.mark.parametrize("make", PLANNED)
+    @pytest.mark.parametrize("estimated", [False, True], ids=["ub", "est"])
+    def test_the_plans_worst_chunk_is_the_governors(self, make, estimated):
+        from repro.spgemm.estimate import estimate_row_nnz
+
+        m, node = make()
+        est = estimate_row_nnz(m, m, seed=0) if estimated else None
+        report = plan_grid(m, m, node, estimate=est)
+        sizing, worst = report.sizing, report.worst_chunk_bytes
+        assert worst == sizing.device_bytes.max() <= report.budget_bytes
+        for pool in (worst, worst - 1):
+            split, avoided = self.resplit_chunks(m, report, pool)
+            over = sizing.device_bytes > pool
+            assert split == set(over.nonzero()[0].tolist()), pool
+            assert over.any() == (pool < worst)
+            # chunks only the loose bound would have split
+            assert avoided == int((~over & (sizing.device_bytes_ub > pool)).sum())
+
+
+# ----------------------------------------------------------------------
 # Host-memory budget end to end
 # ----------------------------------------------------------------------
 class TestHostBudgetEndToEnd:
@@ -466,7 +521,7 @@ class TestHostBudgetEndToEnd:
     def test_run_completes_under_budget_via_spill(self, problem, baseline,
                                                   tmp_path, backend):
         a, b, grid = problem
-        estimates = chunk_output_estimates(a, b, grid)
+        estimates = GridSizing(a, b, grid).host_bytes.tolist()
         # room for the two largest chunks in flight, far below the total
         # output: completing at all requires spilling the store
         budget = 2 * max(estimates)
@@ -532,27 +587,17 @@ class TestEstimatedPrecheck:
     """A sampled estimate between the true footprint and the UB lets
     chunks that *would* have been spuriously re-split run whole."""
 
-    def _est(self, problem):
-        from repro.spgemm.estimate import estimate_chunks, estimate_row_nnz
+    def _sizing(self, problem):
+        from repro.spgemm.estimate import estimate_row_nnz
 
         a, b, grid = problem
-        est = estimate_row_nnz(a, b, seed=0)
-        return est, estimate_chunks(a, b, grid, est)
+        return GridSizing(a, b, grid, estimate_row_nnz(a, b, seed=0))
 
     def test_pool_between_estimate_and_ub_avoids_resplits(self, problem,
                                                           baseline):
-        import numpy as np
-
         a, b, grid = problem
-        est, chunk_est = self._est(problem)
-        products = (chunk_flops(a, b, grid) // 2).ravel()
-        rows = np.diff(grid.row_bounds)
-        ub_dev = np.array([
-            chunk_device_bytes(int(rows[cid // grid.num_col_panels]),
-                               int(products[cid]))
-            for cid in range(grid.num_chunks)
-        ])
-        est_dev = chunk_est.device_bytes()
+        sizing = self._sizing(problem)
+        ub_dev, est_dev = sizing.device_bytes_ub, sizing.device_bytes
         assert est_dev.max() < ub_dev.max(), "fixture must compress"
         # pool admits every estimated footprint but not every UB one
         pool = int(est_dev.max())
@@ -561,7 +606,7 @@ class TestEstimatedPrecheck:
         tracer = Tracer()
         _, outputs = execute_chunk_grid(
             a, b, grid, keep_outputs=True, retry=FAST_RETRY,
-            tracer=tracer, governor=gov, estimate=est,
+            tracer=tracer, governor=gov, sizing=sizing,
         )
         assert_outputs_identical(outputs, baseline)
         faults = tracer.counters("faults")
@@ -569,14 +614,14 @@ class TestEstimatedPrecheck:
         assert faults.get("avoided_resplits", 0) >= 1
 
     def test_pool_below_estimate_still_resplits(self, problem, baseline):
-        est, chunk_est = self._est(problem)
+        sizing = self._sizing(problem)
         a, b, grid = problem
-        pool = max(int(chunk_est.device_bytes().max()) // 2, 256)
+        pool = max(int(sizing.device_bytes.max()) // 2, 256)
         gov = Governor(GovernorConfig(device_pool_bytes=pool))
         tracer = Tracer()
         _, outputs = execute_chunk_grid(
             a, b, grid, keep_outputs=True, retry=FAST_RETRY,
-            tracer=tracer, governor=gov, estimate=est,
+            tracer=tracer, governor=gov, sizing=sizing,
         )
         assert_outputs_identical(outputs, baseline)
         assert tracer.counters("faults").get("resplits", 0) >= 1
@@ -584,12 +629,9 @@ class TestEstimatedPrecheck:
     def test_estimated_run_is_bit_identical_without_governor(self, problem,
                                                              baseline):
         """Density hints refine dispatch only — never the product."""
-        from repro.spgemm.estimate import estimate_row_nnz
-
         a, b, grid = problem
-        est = estimate_row_nnz(a, b, seed=0)
         _, outputs = execute_chunk_grid(
-            a, b, grid, keep_outputs=True, estimate=est,
+            a, b, grid, keep_outputs=True, sizing=self._sizing(problem),
         )
         assert_outputs_identical(outputs, baseline)
 

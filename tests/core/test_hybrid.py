@@ -1,7 +1,13 @@
 """Tests for the hybrid CPU-GPU assignment (Algorithm 4)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.api import run_hybrid
+from repro.core.chunks import ChunkGrid, ChunkProfile, ChunkStats
+from repro.core.executor import plan_hybrid_lanes
 from repro.core.hybrid import (
     DEFAULT_RATIO,
     assign_chunks,
@@ -10,6 +16,8 @@ from repro.core.hybrid import (
     build_hybrid_engine,
 )
 from repro.core.schedule import CPU, D2H, GPU
+from repro.sparse.formats import CSRMatrix
+from repro.sparse.generators import banded
 
 
 class TestAssignChunks:
@@ -63,6 +71,40 @@ class TestAssignChunks:
 
     def test_default_ratio_is_65(self):
         assert DEFAULT_RATIO == 0.65
+
+
+class TestSimulatedSplitIsTheExecutedSplit:
+    """Algorithm 4's split exists once: what the DES simulates
+    (``assign_chunks``) is what the lanes execute (``plan_hybrid_lanes``)."""
+
+    @given(
+        flops=st.lists(st.sampled_from([0, 0, 2, 2, 6, 10, 40, 1000]),
+                       min_size=1, max_size=9),
+        ratio=st.sampled_from([0.0, 0.3, 0.65, 1.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gpu_chunks_equal_the_gpu_lane(self, flops, ratio):
+        grid = ChunkGrid(np.arange(len(flops) + 1), np.array([0, 1]))
+        profile = ChunkProfile(grid, tuple(
+            ChunkStats(chunk_id=i, row_panel=i, col_panel=0, rows=1, width=1,
+                       flops=f, a_panel_bytes=0, b_panel_bytes=0, input_nnz=0)
+            for i, f in enumerate(flops)))
+        lanes = {name: ids for ids, _, name in
+                 plan_hybrid_lanes(np.array(flops), 2, ratio)}
+        asn = assign_chunks(profile, ratio)
+        assert list(asn.gpu_chunks) == lanes.get("gpu", [])
+        assert list(asn.cpu_chunks) == lanes.get("cpu", [])
+
+    def test_all_zero_flops_run_reports_no_gpu_chunks(self):
+        """No chunk is flop-dense, so none is a "GPU" chunk — in the
+        lanes and in the reported assignment alike."""
+        a = banded(64, 2, seed=0)
+        empty = CSRMatrix(64, 64, np.zeros(65, dtype=np.int64),
+                          np.zeros(0, dtype=np.int64), np.zeros(0))
+        result = run_hybrid(a, empty, grid=ChunkGrid.regular(64, 64, 2, 2),
+                            workers=2)
+        assert result.meta["num_gpu_chunks"] == 0
+        assert result.matrix.nnz == 0
 
 
 class TestAssignFirstN:

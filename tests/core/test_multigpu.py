@@ -1,62 +1,23 @@
-"""Tests for the multi-GPU scaling extension."""
+"""Tests for the multi-device scaling curve (``experiments/scaling.py``):
+the async pipeline over ``plan_shards``' row spans on one simulated
+engine."""
 
 import pytest
 
-from repro.core.multigpu import (
-    MultiGPUAssignment,
-    assign_lpt,
-    build_multi_gpu_engine,
-    estimate_chunk_gpu_time,
-    simulate_multi_gpu,
-)
-
-
-class TestAssignLPT:
-    def test_partition_complete(self, workload, cost):
-        _, _, profile, _ = workload
-        asn = assign_lpt(profile, cost, 3)
-        seen = sorted(c for bucket in asn.per_gpu for c in bucket)
-        assert seen == profile.natural_order()
-        assert asn.cpu_chunks == ()
-
-    def test_loads_balanced(self, workload, cost):
-        _, _, profile, _ = workload
-        asn = assign_lpt(profile, cost, 2)
-        loads = [
-            sum(estimate_chunk_gpu_time(cost, profile.chunks[c]) for c in bucket)
-            for bucket in asn.per_gpu
-        ]
-        assert max(loads) <= 2.0 * min(loads)
-
-    def test_cpu_share_peels_sparsest(self, workload, cost):
-        _, _, profile, _ = workload
-        asn = assign_lpt(profile, cost, 2, cpu_share=0.2)
-        assert asn.cpu_chunks
-        cpu_max = max(profile.chunks[c].flops for c in asn.cpu_chunks)
-        gpu_min = min(
-            profile.chunks[c].flops for b in asn.per_gpu for c in b
-        )
-        assert cpu_max <= gpu_min
-
-    def test_invalid_args(self, workload, cost):
-        _, _, profile, _ = workload
-        with pytest.raises(ValueError):
-            assign_lpt(profile, cost, 0)
-        with pytest.raises(ValueError):
-            assign_lpt(profile, cost, 2, cpu_share=1.0)
+from repro.experiments.scaling import simulate_devices
 
 
 class TestMultiGPURun:
     def test_two_gpus_faster_than_one(self, workload, cost):
         _, _, profile, _ = workload
-        one = simulate_multi_gpu(profile, cost, 1)
-        two = simulate_multi_gpu(profile, cost, 2)
+        one = simulate_devices(profile, cost, 1)
+        two = simulate_devices(profile, cost, 2)
         assert two.makespan() < one.makespan()
 
     def test_scaling_is_sublinear(self, workload, cost):
         _, _, profile, _ = workload
-        one = simulate_multi_gpu(profile, cost, 1)
-        four = simulate_multi_gpu(profile, cost, 4)
+        one = simulate_devices(profile, cost, 1)
+        four = simulate_devices(profile, cost, 4)
         speedup = one.makespan() / four.makespan()
         assert 1.0 < speedup <= 4.0
 
@@ -66,28 +27,24 @@ class TestMultiGPURun:
 
         _, _, profile, _ = workload
         single = build_async_schedule(profile, cost).run()
-        multi = simulate_multi_gpu(profile, cost, 1)
+        multi = simulate_devices(profile, cost, 1)
         assert multi.makespan() == pytest.approx(single.makespan())
 
     def test_all_devices_busy(self, workload, cost):
         _, _, profile, _ = workload
-        tl = simulate_multi_gpu(profile, cost, 2)
+        tl = simulate_devices(profile, cost, 2)
         assert tl.busy_time("gpu0") > 0
         assert tl.busy_time("gpu1") > 0
         assert tl.busy_time("d2h0") > 0
         assert tl.busy_time("d2h1") > 0
 
-    def test_cpu_participates_when_shared(self, workload, cost):
-        _, _, profile, _ = workload
-        tl = simulate_multi_gpu(profile, cost, 2, cpu_share=0.2)
-        assert tl.busy_time("cpu") > 0
-
     def test_more_gpus_than_chunks(self, workload, cost):
+        """Spans are whole row panels: devices beyond the panel count
+        stay idle, and every chunk still runs exactly once."""
         _, _, profile, _ = workload
         n = len(profile.chunks)
-        tl = simulate_multi_gpu(profile, cost, n + 3)
+        tl = simulate_devices(profile, cost, n + 3)
         assert tl.makespan() > 0
-
-    def test_assignment_dataclass(self):
-        asn = MultiGPUAssignment(per_gpu=((0, 1), (2,)), cpu_chunks=())
-        assert asn.num_gpus == 2
+        ran = sorted(r.meta["chunk"] for r in tl.records
+                     if r.meta.get("kind") == "numeric")
+        assert ran == profile.natural_order()

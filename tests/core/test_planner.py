@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.core.chunks import device_bytes_of
 from repro.core.planner import (
-    chunk_footprint_bytes,
     plan_grid,
     resident_input_bytes,
     working_set_bytes,
@@ -19,7 +19,7 @@ def matrix():
 
 class TestFootprints:
     def test_chunk_footprint_grows_with_flops(self):
-        assert chunk_footprint_bytes(100, 2_000_000) > chunk_footprint_bytes(100, 1_000_000)
+        assert device_bytes_of(100, 1_000_000) > device_bytes_of(100, 500_000)
 
     def test_resident_inputs_grow_with_panels(self, matrix):
         assert resident_input_bytes(matrix, matrix, 8) > resident_input_bytes(matrix, matrix, 1)
@@ -106,11 +106,7 @@ class TestEstimatedPlanning:
         assert report.worst_chunk_bytes <= report.budget_bytes
 
     def test_footprint_helper_monotone(self):
-        from repro.core.planner import estimated_chunk_footprint_bytes
-
-        assert estimated_chunk_footprint_bytes(10, 100.0) < (
-            estimated_chunk_footprint_bytes(10, 10_000.0)
-        )
+        assert device_bytes_of(10, 100) < device_bytes_of(10, 10_000)
 
 
 class TestPlanAutotuned:

@@ -1,11 +1,15 @@
-"""The planner's row-prefix product table.
+"""The row-prefix product table and the grid sizing read off it.
 
 ``ProductTable`` answers every chunk's product count from one table per
-column split.  Three contracts are pinned here: the table equals brute
-force on generated operands and grids; ``plan_grid`` / ``estimate_chunks``
-built on it reproduce the per-candidate implementation they replaced
-(kept verbatim in ``planner_oracle.py``); and planning builds at most one
-table per column count without ever materialising ``nnz_A x c``.
+column split, and ``GridSizing`` prices a grid from it for the planner,
+the executor, the governor and the shards.  Contracts pinned here: the
+sizing equals independent arithmetic on generated operands and grids
+(scipy's pattern product, a direct gather on sliced panels, the scalar
+byte formulas); ``plan_grid`` and the estimated sizing reproduce the
+per-candidate implementation they replaced (kept verbatim in
+``planner_oracle.py``); planning builds at most one table per column
+count without ever materialising ``nnz_A x c``; and a run handed the
+plan's sizing builds no table of its own.
 """
 
 import tracemalloc
@@ -17,24 +21,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.chunks as chunks_mod
-import repro.core.executor.engine as engine_mod
-from repro.core.api import run_hybrid
-from repro.core.chunks import ChunkGrid, ProductTable, chunk_flops, csr_bytes
+from repro.core.api import run_hybrid, run_out_of_core
+from repro.core.chunks import (
+    ChunkGrid,
+    GridSizing,
+    ProductTable,
+    chunk_flops,
+    csr_bytes,
+    device_bytes_of,
+)
 from repro.core.executor import execute_chunk_grid
 from repro.core.governor import GovernorConfig
-from repro.core.memcheck import chunk_device_bytes
-from repro.core.planner import (
-    chunk_footprint_bytes,
-    plan_autotuned,
-    plan_grid,
-    resident_input_bytes,
-)
+from repro.core.planner import plan_autotuned, plan_grid, resident_input_bytes
 from repro.device.specs import v100_node
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import banded, rmat
 from repro.sparse.partition import panel_boundaries
 from repro.sparse.suite import build_matrix
-from repro.spgemm.estimate import estimate_chunks, estimate_row_nnz
+from repro.spgemm.estimate import estimate_row_nnz
 from repro.spgemm.flops import total_flops
 from tests.core import planner_oracle as oracle
 
@@ -103,8 +107,82 @@ class TestTableEqualsBruteForce:
         a_mask, b_mask, grid = problem
         a, b = from_mask(a_mask), from_mask(b_mask)
         est = estimate_row_nnz(a, b, seed=0)
-        assert_chunk_estimates_match(estimate_chunks(a, b, grid, est),
+        assert_chunk_estimates_match(GridSizing(a, b, grid, est),
                                      oracle.estimate_chunks(a, b, grid, est))
+
+    @given(problem=problems(), estimated=st.booleans(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sizing_equals_independent_arithmetic(self, problem, estimated,
+                                                  data):
+        """Everything a reader takes from the sizing, against arithmetic
+        that shares no code with it."""
+        a_mask, b_mask, grid = problem
+        a, b = from_mask(a_mask), from_mask(b_mask)
+        est = estimate_row_nnz(a, b, seed=0) if estimated else None
+        sizing = GridSizing(a, b, grid, est)
+        pattern = (sp.csr_matrix(a_mask.astype(np.int64))
+                   @ sp.csr_matrix(b_mask.astype(np.int64))).toarray()
+        assert np.array_equal(sizing.flops, 2 * rectangle_sums(pattern, grid))
+
+        # the upper bound is the ceiling of every estimate
+        rows, widths = np.diff(grid.row_bounds), np.diff(grid.col_bounds)
+        ceiling = np.minimum(sizing.products, rows[:, None] * widths[None, :])
+        assert np.all(sizing.nnz <= sizing.nnz_hi)
+        assert np.all(sizing.nnz_hi <= ceiling)
+        if not estimated:
+            assert np.array_equal(sizing.nnz_hi, ceiling)
+
+        # bytes: the scalar formulas, chunk by chunk
+        INTERMEDIATE = oracle.INTERMEDIATE_BYTES_PER_PRODUCT
+        for cid in range(grid.num_chunks):
+            rp, cp = grid.panel_of(cid)
+            n, bound = int(rows[rp]), int(np.ceil(sizing.nnz_hi[rp, cp]))
+            products = int(sizing.products[rp, cp])
+            assert sizing.host_bytes[cid] == csr_bytes(n, bound)
+            assert sizing.device_bytes_ub[cid] == (
+                products * INTERMEDIATE + csr_bytes(n, products))
+            assert sizing.device_bytes[cid] == (
+                bound * INTERMEDIATE + csr_bytes(n, bound) if estimated
+                else sizing.device_bytes_ub[cid])
+
+        # rows of one chunk, and any sub-range of them: a direct gather
+        # on the sliced panels
+        cid = data.draw(st.integers(0, grid.num_chunks - 1))
+        rp, cp = grid.panel_of(cid)
+        r0, r1 = (int(x) for x in grid.row_bounds[rp:rp + 2])
+        c0, c1 = (int(x) for x in grid.col_bounds[cp:cp + 2])
+        direct = oracle.panel_row_products(
+            from_mask(a_mask[r0:r1]), from_mask(b_mask[:, c0:c1]))
+        assert np.array_equal(sizing.row_products(cid), direct)
+        lo = data.draw(st.integers(0, r1 - r0))
+        hi = data.draw(st.integers(lo, r1 - r0))
+        assert sizing.range_products(cid, lo, hi) == int(direct[lo:hi].sum())
+        if estimated:
+            hint = sizing.density_hint(cid)
+            want = np.minimum(np.ceil(est.ratio()[r0:r1] * direct), direct)
+            assert np.array_equal(hint, want.astype(np.int64))
+        else:
+            assert sizing.density_hint(cid) is None
+
+        # a shard's span: the sizing of the sliced operands
+        lo_p = data.draw(st.integers(0, grid.num_row_panels - 1))
+        hi_p = data.draw(st.integers(lo_p + 1, grid.num_row_panels))
+        span = sizing.span(lo_p, hi_p)
+        s0, s1 = (int(x) for x in grid.row_bounds[[lo_p, hi_p]])
+        alone = GridSizing(from_mask(a_mask[s0:s1]), b, span.grid)
+        assert np.array_equal(span.grid.row_bounds,
+                              grid.row_bounds[lo_p:hi_p + 1] - s0)
+        assert np.array_equal(span.flops, alone.flops)
+        assert np.array_equal(span.device_bytes_ub, alone.device_bytes_ub)
+        if not estimated:
+            assert np.array_equal(span.host_bytes, alone.host_bytes)
+        else:  # the span keeps the whole product's estimate, row for row
+            width = grid.num_col_panels
+            assert np.array_equal(
+                span.host_bytes, sizing.host_bytes[lo_p * width:hi_p * width])
+        for local in range(span.grid.num_chunks):
+            assert np.array_equal(span.row_products(local),
+                                  alone.row_products(local))
 
 
 def assert_chunk_estimates_match(new, old):
@@ -125,8 +203,8 @@ def assert_chunk_estimates_match(new, old):
     # the vectorised byte formulae against the per-chunk loop they replaced
     sized = [(int(new.panel_rows[rp]), int(np.ceil(new.nnz_hi[rp, cp])))
              for rp, cp in map(new.grid.panel_of, range(new.grid.num_chunks))]
-    assert new.host_bytes().tolist() == [csr_bytes(*s) for s in sized]
-    assert new.device_bytes().tolist() == [chunk_device_bytes(*s) for s in sized]
+    assert new.host_bytes.tolist() == [csr_bytes(*s) for s in sized]
+    assert new.device_bytes.tolist() == [device_bytes_of(*s) for s in sized]
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +219,7 @@ def operand(request):
 def device_for(m, fraction) -> int:
     """A device holding the inputs plus ``fraction`` of the footprint
     the whole product would need as one chunk."""
-    whole = chunk_footprint_bytes(m.n_rows, total_flops(m, m))
+    whole = device_bytes_of(m.n_rows, total_flops(m, m) // 2)
     return int(1.2 * resident_input_bytes(m, m, 1) + fraction * whole)
 
 
@@ -185,7 +263,7 @@ class TestPlansMatchOracle:
     def test_estimate_chunks_matches_oracle(self, operand):
         m, est = operand
         grid = ChunkGrid.regular(m.n_rows, m.n_cols, 7, 5)
-        assert_chunk_estimates_match(estimate_chunks(m, m, grid, est),
+        assert_chunk_estimates_match(GridSizing(m, m, grid, est),
                                      oracle.estimate_chunks(m, m, grid, est))
 
 
@@ -236,26 +314,93 @@ class TestPlannerWorkIsBounded:
         assert peak(oracle.plan_grid) > bound
 
 
+@pytest.fixture
+def tables_built(monkeypatch):
+    """The column count of every ``ProductTable`` constructed."""
+    built = []
+    real = ProductTable.__init__
+
+    def counting(self, a, b, col_bounds, estimate=None):
+        built.append(len(col_bounds) - 1)
+        real(self, a, b, col_bounds, estimate)
+
+    monkeypatch.setattr(ProductTable, "__init__", counting)
+    return built
+
+
+class TestRunReadsThePlannersTables:
+    """A planned run constructs the planner's tables and no other: the
+    engine's ordering, both admissions, the re-split check and the
+    density hints read the sizing the plan was priced from."""
+
+    LIMITS = dict(host_mem_budget_bytes=1 << 30)
+
+    @pytest.fixture(scope="class")
+    def planned(self):
+        m = rmat(10, 12.0, seed=5)
+        return m, v100_node(device_for(m, 0.3)), estimate_row_nnz(m, m, seed=0)
+
+    def test_governed_estimated_grid_run_builds_no_table(self, planned,
+                                                         tables_built):
+        m, node, est = planned
+        report = plan_grid(m, m, node, estimate=est)
+        by_planner = list(tables_built)
+        assert len(by_planner) > 1                       # several c were priced
+        assert len(by_planner) == len(set(by_planner))   # each once
+        gov = GovernorConfig(device_pool_bytes=report.worst_chunk_bytes,
+                             **self.LIMITS)
+        profile, _ = execute_chunk_grid(
+            m, m, report.grid, sizing=report.sizing, governor=gov,
+            workers=2, backend="thread")
+        assert tables_built == by_planner
+        assert [c.flops for c in profile.chunks] == report.flops.ravel().tolist()
+
+    def test_governed_run_out_of_core_builds_the_planners_tables(
+            self, planned, tables_built):
+        m, node, _ = planned
+        report = plan_grid(m, m, node)
+        by_planner = list(tables_built)
+        del tables_built[:]
+        gov = GovernorConfig(device_pool_bytes=report.worst_chunk_bytes,
+                             **self.LIMITS)
+        run_out_of_core(m, m, node, governor=gov, workers=2)
+        assert tables_built == by_planner
+
+    def test_ungoverned_serial_run_builds_no_sizing(self, planned,
+                                                    tables_built):
+        m, node, _ = planned
+        execute_chunk_grid(m, m, ChunkGrid.regular(m.n_rows, m.n_cols, 3, 2))
+        assert tables_built == []
+        plan_grid(m, m, node)
+        by_planner = list(tables_built)
+        del tables_built[:]
+        run_out_of_core(m, m, node)
+        assert tables_built == by_planner
+
+
 class TestEngineTakesFlops:
-    def test_given_flops_the_engine_derives_none(self, monkeypatch):
-        """Ordering and both governor bounds come from the matrix passed
+    def test_given_flops_the_engine_derives_none(self, tables_built):
+        """Ordering and both governor bounds come from the sizing passed
         in; ``run_hybrid`` hands over the plan's."""
         m = rmat(8, 8.0, seed=3)
         grid = ChunkGrid.regular(m.n_rows, m.n_cols, 3, 2)
-        flops = chunk_flops(m, m, grid)
-        monkeypatch.setattr(engine_mod, "chunk_flops", None)  # calling it fails
+        sizing = GridSizing(m, m, grid)
+        del tables_built[:]
         gov = GovernorConfig(device_pool_bytes=1 << 30,
                              host_mem_budget_bytes=1 << 30)
         profile, _ = execute_chunk_grid(m, m, grid, workers=2, backend="thread",
-                                        governor=gov, flops=flops)
-        assert [c.flops for c in profile.chunks] == flops.ravel().tolist()
+                                        governor=gov, sizing=sizing)
+        assert tables_built == []
+        assert [c.flops for c in profile.chunks] == sizing.flops.ravel().tolist()
         run_hybrid(m, m, v100_node(1 << 30), workers=2)
+        assert len(tables_built) == len(set(tables_built))  # the planner's
 
     def test_flops_of_another_grid_are_refused(self):
         m = rmat(8, 8.0, seed=3)
         grid = ChunkGrid.regular(m.n_rows, m.n_cols, 3, 2)
-        with pytest.raises(ValueError, match=r"flops has shape \(2, 3\)"):
-            execute_chunk_grid(m, m, grid, flops=np.zeros((2, 3), dtype=np.int64))
+        other = GridSizing(m, m, ChunkGrid.regular(m.n_rows, m.n_cols, 2, 3))
+        with pytest.raises(ValueError, match="sizing is of another grid"):
+            execute_chunk_grid(m, m, grid, sizing=other)
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +421,7 @@ class TestRefusals:
             plan_grid(a, b, v100_node(1 << 30))
         est = estimate_row_nnz(a, from_mask(np.ones((40, 10), dtype=bool)))
         with pytest.raises(ValueError, match=message):
-            estimate_chunks(a, b, grid, est)
+            GridSizing(a, b, grid, est)
 
     def test_inputs_larger_than_device_says_so(self):
         m = rmat(10, 8.0, seed=91)

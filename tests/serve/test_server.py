@@ -6,6 +6,7 @@ wire path the ``serve-warm`` / ``serve-inline`` benchmark workloads use.
 """
 
 import asyncio
+import collections
 import glob
 import json
 import threading
@@ -230,6 +231,40 @@ class TestValidation:
 
         serve(run)
 
+    def test_malformed_heads_get_400_not_a_dead_handler(self):
+        """A head the parser cannot size must be answered (or the
+        connection closed) by ``_handle`` itself — never by an exception
+        escaping into the event loop."""
+        heads = {
+            "not-a-number": b"POST /v1/jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+            "negative": b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            # EOF before the blank line, and before the promised body
+            "truncated": b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 10\r\n",
+        }
+
+        async def run(server, client):
+            escaped = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: escaped.append(context))
+            replies = {}
+            for name, head in heads.items():
+                reader, writer = await asyncio.open_connection(*server.address)
+                writer.write(head)
+                writer.write_eof()
+                replies[name] = await asyncio.wait_for(reader.read(), 10.0)
+                writer.close()
+                await writer.wait_closed()
+            await client.health()  # the server still answers
+            return replies, escaped
+
+        replies, escaped = serve(run)
+        assert escaped == []
+        for name in ("not-a-number", "negative"):
+            head, _, body = replies[name].partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 "), replies[name]
+            assert "Content-Length" in json.loads(body)["error"]
+        assert replies["truncated"] == b""  # a clean close
+
 
 def inline_spec(matrix):
     return {"inline": {
@@ -251,7 +286,54 @@ def held_payloads(server):
     )
 
 
+def container_sizes(server):
+    """``len()`` of every container reachable from the server through
+    the attributes of the package's own objects, by attribute path —
+    job records aside, whose count is the job count by design."""
+    sizes, seen = {}, set()
+    stack = [("server", server)]
+    while stack:
+        path, obj = stack.pop()
+        if id(obj) in seen or path == "server._records":
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (list, tuple, set, frozenset, dict,
+                            collections.deque)):
+            sizes[path] = sizes.get(path, 0) + len(obj)
+            members = obj.values() if isinstance(obj, dict) else obj
+            stack.extend((path + "[]", m) for m in members)
+        elif (type(obj).__module__.startswith("repro.")
+              and hasattr(obj, "__dict__")):  # enums and slotted records: no
+            stack.extend((f"{path}.{k}", v) for k, v in vars(obj).items())
+    return sizes
+
+
 class TestRetention:
+    def test_only_the_scalar_records_grow_with_the_job_count(self):
+        """No per-job sample, span or handle outlives its job: between
+        100 and 200 served jobs the only container that gets longer is
+        ``_records`` — and the peak ``/v1/stats`` reports is the
+        ledger's own, held incrementally."""
+        async def run(server, client):
+            sizes = []
+            for _ in range(2):
+                for _ in range(10):
+                    await asyncio.gather(*(
+                        client.submit_job(job_payload(tenant=f"t{i % 3}"))
+                        for i in range(10)))
+                await drained(server)
+                sizes.append(container_sizes(server))
+            return (sizes, len(server._records), await client.stats(),
+                    server.scheduler.hostmem.peak_bytes, held_payloads(server))
+
+        sizes, records, stats, ledger_peak, held = serve(run)
+        assert records == 200 and held == []
+        assert len(sizes[0]) > 10  # the walk reached scheduler, ledger, cache
+        assert sizes[1] == sizes[0]
+        assert stats["scheduler"]["completed"] == 200
+        assert 0 < stats["host_mem_peak_reserved"] == ledger_peak
+        assert ledger_peak <= stats["scheduler"]["host_budget_bytes"]
+
     def test_delivered_jobs_keep_only_the_scalar_record(self):
         inline = inline_spec(resolve_operand(A_SPEC))
 

@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.chunks import ChunkGrid
+from repro.core.chunks import ChunkGrid, GridSizing
 from repro.device.kernels import default_cost_model
 from repro.device.specs import v100_node
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import banded, random_csr, rmat
 from repro.spgemm.estimate import (
-    ChunkEstimates,
     RowNnzEstimate,
     choose_kernel,
-    estimate_chunks,
     estimate_row_nnz,
     hybrid_ratio_from_estimate,
 )
@@ -124,7 +122,7 @@ class TestChunkEstimates:
         a = rmat(9, 8.0, seed=2)
         est = estimate_row_nnz(a, a, seed=0)
         grid = ChunkGrid.regular(a.n_rows, a.n_cols, 3, 4)
-        ce = estimate_chunks(a, a, grid, est)
+        ce = GridSizing(a, a, grid, est)
         # products split exactly; estimates split proportionally
         assert int(ce.products.sum()) == total_flops(a, a) // 2
         assert ce.nnz.sum() <= est.total_nnz + 1e-6
@@ -134,7 +132,7 @@ class TestChunkEstimates:
         a = rmat(9, 8.0, seed=2)
         est = estimate_row_nnz(a, a, seed=0)
         grid = ChunkGrid.regular(a.n_rows, a.n_cols, 4, 4)
-        ce = estimate_chunks(a, a, grid, est)
+        ce = GridSizing(a, a, grid, est)
         rows = np.diff(grid.row_bounds).astype(np.int64)
         cols = np.diff(grid.col_bounds).astype(np.int64)
         dense = rows[:, None] * cols[None, :]
@@ -143,25 +141,24 @@ class TestChunkEstimates:
     def test_estimated_bytes_below_upper_bound_bytes(self):
         """The whole point: estimated footprints undercut UB footprints
         on a compressing matrix."""
-        from repro.core.chunks import csr_bytes
-        from repro.core.memcheck import chunk_device_bytes
+        from repro.core.chunks import csr_bytes, device_bytes_of
 
         a = rmat(11, 8.0, seed=3)
         est = estimate_row_nnz(a, a, seed=0)
         grid = ChunkGrid.regular(a.n_rows, a.n_cols, 2, 2)
-        ce = estimate_chunks(a, a, grid, est)
+        ce = GridSizing(a, a, grid, est)
         rows = np.diff(grid.row_bounds).astype(np.int64)
         cols = np.diff(grid.col_bounds).astype(np.int64)
         dense = rows[:, None] * cols[None, :]
         ub_nnz = np.minimum(ce.products, dense)
-        est_dev = ce.device_bytes()
-        est_host = ce.host_bytes()
+        est_dev = ce.device_bytes
+        est_host = ce.host_bytes
         cid = 0
         ub_dev = np.empty_like(est_dev)
         ub_host = np.empty_like(est_host)
         for rp in range(grid.num_row_panels):
             for cp in range(grid.num_col_panels):
-                ub_dev[cid] = chunk_device_bytes(int(rows[rp]), int(ce.products[rp, cp]))
+                ub_dev[cid] = device_bytes_of(int(rows[rp]), int(ce.products[rp, cp]))
                 ub_host[cid] = csr_bytes(int(rows[rp]), int(ub_nnz[rp, cp]))
                 cid += 1
         assert np.all(est_dev <= ub_dev)
@@ -173,7 +170,7 @@ class TestChunkEstimates:
         a = banded(300, 5, seed=4)
         est = estimate_row_nnz(a, a, seed=0)
         grid = ChunkGrid.regular(a.n_rows, a.n_cols, 3, 3)
-        ce = estimate_chunks(a, a, grid, est)
+        ce = GridSizing(a, a, grid, est)
         truth = float(true_row_nnz(a, a).sum())
         assert truth <= ce.nnz_hi.sum() + 1e-6
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.device.specs import v100_node
 from repro.sparse.io import load_npz
 
 
@@ -114,6 +115,39 @@ class TestMultiply:
               "--out", str(b_path)])
         assert main(["multiply", str(a_path), str(b_path),
                      "--device-mem", "16"]) == 0
+
+
+    @pytest.mark.parametrize("gen", [
+        ["rmat", "--n", "4096", "--degree", "12", "--seed", "3"],
+        ["banded", "--n", "20000", "--bandwidth", "12", "--seed", "4"],
+        ["erdos-renyi", "--n", "8000", "--degree", "10", "--seed", "5"],
+    ], ids=lambda gen: gen[0])
+    def test_default_device_is_sized_without_multiplying(self, gen, tmp_path,
+                                                         monkeypatch):
+        """Without ``--device-mem`` the device is "inputs resident + half
+        the remaining working set" of ``A x A`` — the experiment runner's
+        rule, to the byte — from the flop count alone."""
+        import repro.cli as cli
+        import repro.spgemm.symbolic as symbolic
+        from repro.core.chunks import csr_bytes
+        from repro.core.planner import working_set_bytes
+        from repro.spgemm.reference import spgemm_scipy
+
+        src = tmp_path / "a.npz"
+        main(["gen", *gen, "--out", str(src)])
+        a = load_npz(src)
+        flops = 2 * int(a.row_nnz()[a.col_ids].sum())
+        inputs = 2 * csr_bytes(a.n_rows, a.nnz)
+        rest = working_set_bytes(a.n_rows, a.nnz, flops,
+                                 spgemm_scipy(a, a).nnz) - inputs
+        assert rest // 2 > 8 << 20  # the floor is not what is compared
+
+        sized = []
+        monkeypatch.setattr(cli, "v100_node", lambda nbytes=None: (
+            sized.append(nbytes), v100_node(nbytes))[1])
+        monkeypatch.setattr(symbolic, "symbolic_sort", None)  # calling it fails
+        assert main(["multiply", str(src)]) == 0
+        assert sized == [inputs + rest // 2]
 
 
 class TestExperiment:

@@ -48,11 +48,6 @@ class TestExamples:
         with pytest.raises(SystemExit):
             run_example("schedule_explorer.py", ["nope"])
 
-    def test_multi_gpu_scaling(self, capsys):
-        run_example("multi_gpu_scaling.py", ["stokes"])
-        out = capsys.readouterr().out
-        assert "efficiency" in out
-
     def test_community_detection(self, capsys):
         run_example("community_detection.py")
         out = capsys.readouterr().out
