@@ -11,12 +11,14 @@ performance mechanisms carry the throughput story:
   shared-memory CSR segments on matrix content hash, so repeated
   operands across jobs attach zero-copy instead of being re-materialized
   per job;
-* **estimation-driven admission + weighted fair queueing**
-  (:mod:`.scheduler`) feeds :func:`~repro.spgemm.estimate.\
-estimate_row_nnz` footprints into the governor's host-memory ledger —
-  shared across *jobs* instead of chunks — so N concurrent jobs never
-  overcommit the node, with per-tenant quotas and weights deciding who
-  runs next.
+* **priced admission + weighted fair queueing** (:mod:`.scheduler`)
+  feeds each job's footprint — its output ceiling, or a sampled
+  :func:`~repro.spgemm.estimate.estimate_row_nnz` total when that
+  ceiling is large against the budget
+  (:func:`~repro.serve.server.price_job`) — into the governor's
+  host-memory ledger, shared across *jobs* instead of chunks, so N
+  concurrent jobs never overcommit the node, with per-tenant quotas and
+  weights deciding who runs next.
 
 See ``docs/SERVING.md`` for the API and the tenancy/quota model.
 """

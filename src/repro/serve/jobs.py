@@ -30,11 +30,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..sparse import generators
-from ..sparse.formats import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
-from ..sparse.io import load_npz, read_matrix_market
+from ..sparse.formats import CSRMatrix
+from ..sparse.io import canonical_csr, load_npz, read_matrix_market
 from ..sparse.suite import SUITE, build_matrix
 
 __all__ = [
@@ -98,13 +96,10 @@ def _build_gen(params: Dict[str, Any]) -> CSRMatrix:
 
 def _build_inline(payload: Dict[str, Any]) -> CSRMatrix:
     try:
-        n_rows, n_cols = (int(x) for x in payload["shape"])
-        ro = np.asarray(payload["row_offsets"], dtype=INDEX_DTYPE)
-        ci = np.asarray(payload["col_ids"], dtype=INDEX_DTYPE)
-        da = np.asarray(payload["data"], dtype=VALUE_DTYPE)
+        return canonical_csr(payload["shape"], payload["row_offsets"],
+                             payload["col_ids"], payload["data"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed inline operand: {exc}") from exc
-    return CSRMatrix(n_rows, n_cols, ro, ci, da)
 
 
 def resolve_operand(spec: Dict[str, Any]) -> CSRMatrix:
@@ -203,10 +198,14 @@ class JobRecord:
     job_id: int = field(default_factory=lambda: next(_job_counter))
     state: JobState = JobState.QUEUED
     error: Optional[str] = None
+    # monotonic stamps, in the order a job passes them (see ``stages``)
     submitted_at: float = field(default_factory=time.monotonic)
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
-    cost_bytes: int = 0                # estimated footprint charged
+    enqueued_at: Optional[float] = None     # prepared, handed to the queue
+    started_at: Optional[float] = None      # admitted and on a slot thread
+    engine_done_at: Optional[float] = None  # the product exists
+    finished_at: Optional[float] = None     # CRC'd, serialized, terminal
+    cost_bytes: int = 0                # footprint admission charges
+    priced: Optional[str] = None       # "ceiling" | "sampled" (docs/SERVING.md)
     shard: Optional[int] = None        # device shard placement (shards > 1)
     result: Dict[str, Any] = field(default_factory=dict)
     cache_hits: Dict[str, bool] = field(default_factory=dict)
@@ -220,6 +219,20 @@ class JobRecord:
         if self.finished_at is None:
             return None
         return self.finished_at - self.submitted_at
+
+    @property
+    def stages(self) -> Optional[Dict[str, float]]:
+        """Where :attr:`latency_seconds` went, as back-to-back intervals
+        between the stamps (so they sum to it): ``prepare`` (operands
+        resolved, job priced), ``queued`` (fair queue, admission, slot
+        pickup), ``engine`` (the multiply), ``finish`` (CRC, result
+        arrays, trace).  A job that died in the engine ends there."""
+        marks = (self.submitted_at, self.enqueued_at, self.started_at,
+                 self.engine_done_at or self.finished_at, self.finished_at)
+        if None in marks:
+            return None
+        names = ("prepare", "queued", "engine", "finish")
+        return {n: t1 - t0 for n, t0, t1 in zip(names, marks, marks[1:])}
 
     def drop_payload(self) -> None:
         """Release the result matrix and inline operand bodies (~1 MB a
@@ -247,8 +260,13 @@ class JobRecord:
                 out["shard"] = self.shard
             if self.error is not None:
                 out["error"] = self.error
+            if self.priced is not None:
+                out["priced"] = self.priced
             if self.latency_seconds is not None:
                 out["latency_seconds"] = self.latency_seconds
+            stages = self.stages
+            if stages is not None:
+                out["stages"] = stages
             if self.result:
                 out["result"] = dict(self.result)
             return out

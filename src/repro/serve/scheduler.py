@@ -5,8 +5,9 @@ the same discipline one level up, across concurrent *jobs*:
 
 * **admission** reuses :class:`~repro.core.governor.hostmem.\
 HostMemoryGovernor` verbatim as a jobs-keyed byte ledger.  Each job is
-  charged its estimated peak footprint — operands plus the
-  :func:`~repro.spgemm.estimate.estimate_row_nnz`-predicted output —
+  charged its peak footprint — operands plus the output at its ceiling,
+  or at a sampled estimate when the ceiling is large against the budget
+  (:func:`~repro.serve.server.price_job`) —
   before it may start, so N concurrent jobs can never overcommit the
   node's host-memory budget.  The governor's ``host_mem`` gauge stream
   is emitted on the scheduler's tracer, which is how the no-overcommit
@@ -17,7 +18,7 @@ HostMemoryGovernor` verbatim as a jobs-keyed byte ledger.  Each job is
   a :class:`TenantQuota` with a *weight*; a job's virtual finish time is
   ``max(queue vtime, tenant's last finish) + cost / weight``, and the
   dispatch loop always starts the eligible job with the smallest
-  virtual finish.  Cost is the same estimated footprint admission
+  virtual finish.  Cost is the same ``cost_bytes`` admission
   charges, so a tenant submitting huge jobs advances its virtual clock
   faster and yields the node to lighter tenants — weighted max-min
   fairness in bytes, not job counts.  Per-tenant ``max_concurrent``
@@ -248,7 +249,7 @@ class JobScheduler:
                 if item is None:
                     continue
                 record = item[2]
-                # jobs-keyed ledger: reserve the estimated footprint.
+                # jobs-keyed ledger: reserve the priced footprint.
                 # Non-blocking — the loop must keep serving other
                 # tenants — with the minimum-progress escape when the
                 # node is idle (ledger empty => may_wait=True returns

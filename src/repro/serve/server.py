@@ -46,6 +46,7 @@ from ..core.executor import execute_chunk_grid
 from ..core.governor.integrity import crc32_matrix
 from ..observability import Tracer, tracer_events, write_chrome_trace
 from ..spgemm.estimate import estimate_row_nnz
+from ..spgemm.flops import product_prefix
 from .cache import DEFAULT_CACHE_BYTES, OperandCache, OperandLease, content_hash
 from .jobs import JobRecord, JobSpec, JobState, canonical_spec, resolve_operand
 from .scheduler import DEFAULT_HOST_BUDGET, JobScheduler, TenantQuota
@@ -59,6 +60,49 @@ _TERMINAL = (JobState.DONE, JobState.FAILED, JobState.REJECTED)
 #: (``"wait": false``, or a stream client that left); older ones keep
 #: only the scalar record
 RETAINED_PAYLOADS = 16
+
+#: a job whose whole product count is under this is one chunk's worth of
+#: kernel time (~10 ms of the native kernel) and runs on a 1 x 1 grid
+#: unless the request names one; larger jobs get a row panel per 256 rows
+ONE_CHUNK_PRODUCTS = 1 << 20
+
+#: a job is reserved at its output *ceiling* while that ceiling is at most
+#: ``host_mem_bytes // (CEILING_SHARE * slots)``: at most ``slots`` jobs
+#: hold reservations at once, so everything the ceilings over-reserve
+#: stays under ``1 / CEILING_SHARE`` of the budget.  Only a larger job
+#: pays for a sampled estimate (docs/SERVING.md)
+CEILING_SHARE = 4
+
+#: bounds on a request head (request line + headers); the body has
+#: ``ServerConfig.max_body_bytes``
+MAX_HEAD_BYTES = 32 << 10
+MAX_HEAD_LINES = 128
+HEAD_TIMEOUT_S = 10.0
+
+
+def price_job(a, b, products: int, sample_above: int) -> Tuple[int, str]:
+    """Host bytes admission charges (and the fair queue bills) for
+    ``A x B`` -> ``(cost_bytes, "ceiling" | "sampled")``.
+
+    Operands plus the output held as CSR.  The output is priced at
+    ``min(products, rows x cols)`` nonzeros, which it can never exceed;
+    only when that price is above ``sample_above`` is it worth a sampled
+    estimate, and the job is charged the point estimate instead."""
+    operands = csr_bytes(a.n_rows, a.nnz) + csr_bytes(b.n_rows, b.nnz)
+    ceiling = host_bytes_of(a.n_rows, min(products, a.n_rows * b.n_cols))
+    if ceiling <= sample_above:
+        return operands + ceiling, "ceiling"
+    est = estimate_row_nnz(a, b)
+    return (operands + host_bytes_of(a.n_rows, max(int(est.total_nnz), 1)),
+            "sampled")
+
+
+class _Refused(Exception):
+    """A request head ``_handle`` answers with an error status."""
+
+    def __init__(self, status: int, error: str) -> None:
+        super().__init__(error)
+        self.status, self.error = status, error
 
 
 @dataclass
@@ -139,7 +183,8 @@ class SpgemmServer:
     # job pipeline
     # ------------------------------------------------------------------
     def _prepare_job(self, spec: JobSpec, record: JobRecord) -> None:
-        """Materialize/lease both operands and estimate the footprint.
+        """Materialize/lease both operands, price the job and pick its
+        grid — all from one product count.
 
         Runs on an executor thread (generator runs, file parses, and
         sampling are real CPU work).  Leases are held from here until
@@ -158,13 +203,16 @@ class SpgemmServer:
                 raise ValueError(
                     f"operand shapes do not chain: {a.shape} x {b.shape}"
                 )
-            est = estimate_row_nnz(a, b)
-            record.cost_bytes = (
-                host_bytes_of(a.n_rows, max(int(est.total_nnz), 1))
-                + csr_bytes(a.n_rows, a.nnz) + csr_bytes(b.n_rows, b.nnz)
+            products = int(product_prefix(a, b)[-1])
+            record.cost_bytes, record.priced = price_job(
+                a, b, products,
+                self.config.host_mem_bytes
+                // (CEILING_SHARE * self.config.slots),
             )
             if spec.grid is not None:
                 rp, cp = spec.grid
+            elif products < ONE_CHUNK_PRODUCTS:
+                rp, cp = 1, 1
             else:
                 rp, cp = min(4, max(1, a.n_rows // 256)), 1
             record.grid = (rp, cp)
@@ -235,6 +283,7 @@ class SpgemmServer:
                 chunk_events=on_chunk,
             )
             wall = time.perf_counter() - t0
+            record.engine_done_at = time.monotonic()
             result = {
                 "crc32": crc32_matrix(matrix),
                 "nnz": matrix.nnz,
@@ -282,6 +331,8 @@ class SpgemmServer:
         if loop is None or loop.is_closed():
             return
         terminal = event.get("event") in ("done", "failed", "rejected")
+        if not terminal and record.job_id not in self._event_queues:
+            return  # progress events have one reader: the NDJSON stream
 
         def deliver() -> None:
             queue = self._event_queues.get(record.job_id)
@@ -308,34 +359,24 @@ class SpgemmServer:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         try:
-            request = await reader.readline()
-            if not request:
-                return
             try:
-                method, path, _ = request.decode("latin-1").split(" ", 2)
-            except ValueError:
-                await self._respond(writer, 400, {"error": "bad request line"})
+                head = await asyncio.wait_for(self._read_head(reader),
+                                              HEAD_TIMEOUT_S)
+            except asyncio.TimeoutError:
+                # a stalled peer: nothing in flight to hear out
+                await self._respond(writer, 408, {
+                    "error": f"request head unfinished after {HEAD_TIMEOUT_S} s"
+                })
                 return
-            headers: Dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                key, _, value = line.decode("latin-1").partition(":")
-                headers[key.strip().lower()] = value.strip()
-            try:
-                length = int(headers.get("content-length") or 0)
-                if length < 0:
-                    raise ValueError(length)
-            except ValueError:
-                await self._respond(writer, 400,
-                                    {"error": "bad Content-Length"})
+            if head is None:
                 return
-            if length > self.config.max_body_bytes:
-                await self._respond(writer, 413, {"error": "body too large"})
-                return
+            method, path, length = head
             body = await reader.readexactly(length) if length else b""
             await self._route(method.upper(), path, body, writer)
+        except _Refused as refusal:
+            await self._respond(writer, refusal.status,
+                                {"error": refusal.error})
+            await self._hear_out(reader)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -344,6 +385,60 @@ class SpgemmServer:
                 await writer.wait_closed()
             except Exception:
                 pass
+
+    @staticmethod
+    async def _hear_out(reader: asyncio.StreamReader) -> None:
+        """Drop what a refused peer is still sending, until it stops or
+        the head deadline passes: closing on unread input resets the
+        connection, and the reset can overtake the refusal."""
+        async def discard() -> None:
+            while await reader.read(1 << 16):
+                pass
+
+        try:
+            await asyncio.wait_for(discard(), HEAD_TIMEOUT_S)
+        except (asyncio.TimeoutError, ConnectionError):
+            pass
+
+    async def _read_head(self, reader: asyncio.StreamReader
+                         ) -> Optional[Tuple[str, str, int]]:
+        """Request line and headers -> ``(method, path, body length)``;
+        ``None`` when the peer closed before the blank line.  Bounded in
+        bytes and lines; whatever cannot be sized raises
+        :class:`_Refused`."""
+        too_large = _Refused(431, "request head too large")
+        lines = []
+        room = MAX_HEAD_BYTES
+        while True:
+            try:
+                line = await reader.readline()
+            except ValueError:  # longer than the stream's own line limit
+                raise too_large from None
+            room -= len(line)
+            if room < 0 or len(lines) > MAX_HEAD_LINES:
+                raise too_large
+            if not line.endswith(b"\n"):
+                return None
+            if line in (b"\r\n", b"\n"):
+                break
+            lines.append(line.decode("latin-1"))
+        try:
+            method, path, _ = lines[0].split(" ", 2)
+        except (IndexError, ValueError):
+            raise _Refused(400, "bad request line") from None
+        headers: Dict[str, str] = {}
+        for line in lines[1:]:
+            key, _, value = line.partition(":")
+            headers[key.strip().lower()] = value.strip()
+        try:
+            length = int(headers.get("content-length") or 0)
+            if length < 0:
+                raise ValueError(length)
+        except ValueError:
+            raise _Refused(400, "bad Content-Length") from None
+        if length > self.config.max_body_bytes:
+            raise _Refused(413, "body too large")
+        return method, path, length
 
     async def _route(self, method: str, path: str, body: bytes,
                      writer: asyncio.StreamWriter) -> None:
@@ -424,6 +519,7 @@ class SpgemmServer:
                     record.error = f"{type(exc).__name__}: {exc}"
                 await self._respond(writer, 400, record.snapshot())
                 return
+            record.enqueued_at = time.monotonic()
             accepted, reason = self.scheduler.submit(record)
             if not accepted:
                 for lease in self._leases.pop(record.job_id, ()):
@@ -475,8 +571,9 @@ class SpgemmServer:
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        obj: Dict[str, Any]) -> None:
         reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                  404: "Not Found", 413: "Payload Too Large",
-                  429: "Too Many Requests"}.get(status, "OK")
+                  404: "Not Found", 408: "Request Timeout",
+                  413: "Payload Too Large", 429: "Too Many Requests",
+                  431: "Request Header Fields Too Large"}.get(status, "OK")
         body = json.dumps(obj).encode()
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"
@@ -495,13 +592,17 @@ class SpgemmServer:
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
         by_state: Dict[str, int] = {}
+        by_pricing: Dict[str, int] = {}
         for record in self._records.values():
             by_state[record.state.value] = by_state.get(record.state.value, 0) + 1
+            if record.priced is not None:
+                by_pricing[record.priced] = by_pricing.get(record.priced, 0) + 1
         scheduler = self.scheduler.stats()
         return {
             "uptime_seconds": time.monotonic() - self._started,
             "cache": self.cache.stats(),
             "scheduler": scheduler,
             "jobs_by_state": by_state,
+            "jobs_by_pricing": by_pricing,
             "host_mem_peak_reserved": scheduler["host_peak_bytes"],
         }

@@ -13,10 +13,11 @@ from typing import Union
 
 import numpy as np
 
-from .coo import coo_to_csr_arrays
+from .coo import COOMatrix
 from .formats import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
 
 __all__ = [
+    "canonical_csr",
     "read_matrix_market",
     "write_matrix_market",
     "save_npz",
@@ -24,6 +25,42 @@ __all__ = [
 ]
 
 PathLike = Union[str, os.PathLike]
+
+
+def _outside_array(values, name: str, kinds: str) -> np.ndarray:
+    """``values`` as the 1-D array numpy reads it as, refused unless its
+    dtype kind is one of ``kinds`` — a later cast can then only widen,
+    never truncate ``1.7`` or parse ``"1e3"``."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in kinds):
+        wanted = "integers" if kinds == "i" else "numbers"
+        raise ValueError(f"{name} must be a flat list of {wanted}")
+    return arr
+
+
+def canonical_csr(shape, row_offsets, col_ids, data) -> CSRMatrix:
+    """The door for CSR arrays that arrive from outside the program (a
+    request body, a file): integral shape and indices, numeric values,
+    the CSR invariants, and column ids *strictly increasing within every
+    row* — no unsorted row, no duplicate entry.  Column partitioning and
+    the kernels assume that form and do not re-check it per run
+    (:func:`~repro.sparse.partition.partition_columns`), so an operand
+    that is not in it is refused here, once, with ``ValueError``."""
+    dims = _outside_array(shape, "shape", "i")
+    if dims.shape != (2,):
+        raise ValueError("shape must be [n_rows, n_cols]")
+    mat = CSRMatrix(
+        int(dims[0]), int(dims[1]),
+        _outside_array(row_offsets, "row_offsets", "i"),
+        _outside_array(col_ids, "col_ids", "i"),
+        _outside_array(data, "data", "iuf"),
+    )
+    if not mat.has_sorted_rows():
+        raise ValueError(
+            "column ids must be strictly increasing within every row "
+            "(an unsorted row or a duplicate entry)"
+        )
+    return mat
 
 
 def read_matrix_market(path: PathLike) -> CSRMatrix:
@@ -73,8 +110,9 @@ def read_matrix_market(path: PathLike) -> CSRMatrix:
         data = np.concatenate([data, sign * data[off_diag]])
         cols = cols_full
 
-    row_offsets, col_ids, vals = coo_to_csr_arrays(n_rows, rows, cols, data)
-    return CSRMatrix(n_rows, n_cols, row_offsets, col_ids, vals, check=False)
+    # the triplets are range-checked, then sorted by (row, col) with
+    # duplicates summed: canonical by construction
+    return COOMatrix(n_rows, n_cols, rows, cols, data).to_csr()
 
 
 def write_matrix_market(path: PathLike, mat: CSRMatrix, comment: str = "") -> None:
@@ -102,14 +140,8 @@ def save_npz(path: PathLike, mat: CSRMatrix) -> None:
 
 
 def load_npz(path: PathLike) -> CSRMatrix:
-    """Load a CSR matrix saved by :func:`save_npz`."""
+    """Load a CSR matrix saved by :func:`save_npz`; whatever else the
+    file holds is refused by :func:`canonical_csr`."""
     with np.load(path) as archive:
-        shape = archive["shape"]
-        return CSRMatrix(
-            int(shape[0]),
-            int(shape[1]),
-            archive["row_offsets"],
-            archive["col_ids"],
-            archive["data"],
-            check=True,
-        )
+        return canonical_csr(archive["shape"], archive["row_offsets"],
+                             archive["col_ids"], archive["data"])

@@ -179,8 +179,18 @@ def partition_columns(b: CSRMatrix, num_panels: int) -> PanelSet:
     Because rows are sorted by column id, each panel's elements occupy a
     contiguous sub-range of every row; the split matrix gives the ranges
     and one gather per panel copies them — total work O(nnz + rows·panels).
+
+    Precondition: ``b``'s column ids are strictly increasing within every
+    row (:meth:`CSRMatrix.has_sorted_rows`).  The panels are built
+    unchecked, so an unsorted row would put ids outside ``[0, width)``
+    into them — every loader of outside input refuses such an operand
+    (:func:`repro.sparse.io.canonical_csr`).
+
+    One panel *is* ``b``: the same object, no split matrix, no gather.
     """
     bounds = panel_boundaries(b.n_cols, num_panels)
+    if num_panels == 1:
+        return PanelSet(panels=(b,), boundaries=bounds, axis="cols")
     splits = build_col_offsets(b, bounds)
 
     panels: List[CSRMatrix] = []

@@ -4,7 +4,7 @@ The flops upper bound (`upperbound.py`) is cheap but loose: PAPER.md
 Section IV.B rejects sizing from it because "the gap between upper
 bounds and the actual sizes are really large".  OCEAN replaces the
 bound with a sampled estimate: pick k rows of A, compute their *exact*
-output nnz with the symbolic kernel, and extrapolate the observed
+output nnz with the count kernel, and extrapolate the observed
 compression ratio to the unsampled rows.
 
 This module implements that estimator with stratified sampling
@@ -32,7 +32,7 @@ from ..sparse.formats import CSRMatrix
 from .flops import product_prefix
 from .groups import DENSE_THRESHOLD
 from .kernels import KernelSpec, accumulate
-from .native import native_available
+from .native import native_available, native_count_rows
 
 __all__ = [
     "DEFAULT_SAMPLE_FRACTION",
@@ -122,11 +122,12 @@ def estimate_row_nnz(
     Rows are stratified by ``floor(log2(products))`` so the sample covers
     the whole work distribution; each stratum gets ``sample_fraction`` of
     its rows (at least ``min_rows_per_stratum``, at most
-    ``max_sample_rows``).  The sampled rows' exact nnz comes from the ESC
-    symbolic accumulator; unsampled rows extrapolate their stratum's mean
-    compression ratio with a z-scaled standard-error band (finite
-    population corrected, so sampling every row collapses the band to the
-    exact answer).
+    ``max_sample_rows``).  The sampled rows' exact nnz comes from the
+    native count pass when there is one, else from the ESC symbolic
+    accumulator — the same integers either way; unsampled rows
+    extrapolate their stratum's mean compression ratio with a z-scaled
+    standard-error band (finite population corrected, so sampling every
+    row collapses the band to the exact answer).
     """
     if not 0.0 < sample_fraction <= 1.0:
         raise ValueError(f"sample_fraction must be in (0, 1], got {sample_fraction}")
@@ -152,7 +153,10 @@ def estimate_row_nnz(
         picked.append(rng.choice(rows_s, size=k, replace=False))
     sampled = np.sort(np.concatenate(picked))
 
-    exact = accumulate("esc", a, b, sampled, ub[sampled], with_values=False).counts
+    if native_available():
+        exact = native_count_rows(a, b, sampled)
+    else:
+        exact = accumulate("esc", a, b, sampled, ub[sampled], with_values=False).counts
     exact = exact.astype(np.float64)
     nnz[sampled] = exact
     lo[sampled] = exact

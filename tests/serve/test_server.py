@@ -13,9 +13,13 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+import repro.core.chunks as chunks_mod
+import repro.serve.server as server_mod
+import repro.sparse.partition as partition_mod
 from repro.core.assemble import assemble_chunks
-from repro.core.chunks import ChunkGrid
+from repro.core.chunks import ChunkGrid, csr_bytes
 from repro.core.executor import execute_chunk_grid
 from repro.core.governor.integrity import crc32_matrix
 from repro.core.verify import verify_product
@@ -29,7 +33,16 @@ from repro.serve import (
     TenantQuota,
 )
 from repro.serve.jobs import resolve_operand
-from repro.serve.server import RETAINED_PAYLOADS
+from repro.serve.server import (
+    CEILING_SHARE,
+    MAX_HEAD_BYTES,
+    MAX_HEAD_LINES,
+    RETAINED_PAYLOADS,
+    price_job,
+)
+from repro.spgemm.flops import product_prefix
+from repro.spgemm.twophase import spgemm_twophase
+from tests.core.test_product_table import from_mask, problems
 
 A_SPEC = {"gen": {"family": "banded", "n": 256, "bandwidth": 4, "seed": 1}}
 B_SPEC = {"gen": {"family": "banded", "n": 256, "bandwidth": 4, "seed": 2}}
@@ -432,3 +445,377 @@ class TestObservability:
 
         prefix = serve(run)
         assert not glob.glob(f"/dev/shm/{prefix}*")
+
+
+# ----------------------------------------------------------------------
+# the small-job fast path: guarded by counts, not by a clock
+# ----------------------------------------------------------------------
+@pytest.fixture
+def counted(monkeypatch):
+    """Call counts of what a small served job must not pay for."""
+    calls = collections.Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(server_mod, "estimate_row_nnz")
+    counting(partition_mod, "build_col_offsets")
+    counting(chunks_mod, "build_col_offsets")
+    return calls
+
+
+def count_job_thread_wakeups(server, calls):
+    """Count ``call_soon_threadsafe`` calls made from the scheduler's
+    threads (executor futures wake the loop from ``asyncio_*`` ones)."""
+    real = server._loop.call_soon_threadsafe
+
+    def wrapper(callback, *args, **kwargs):
+        if threading.current_thread().name.startswith("serve-"):
+            calls["wakeups"] += 1
+        return real(callback, *args, **kwargs)
+
+    server._loop.call_soon_threadsafe = wrapper
+
+
+async def by_hash_payload(client):
+    key = (await client.upload_operand(A_SPEC))["hash"]
+    return {"a": {"hash": key}, "b": {"hash": key}}
+
+
+class TestSmallJobFastPath:
+    def test_wait_mode_job_samples_nothing_copies_nothing_wakes_once(
+            self, counted):
+        async def run(server, client):
+            payload = await by_hash_payload(client)
+            count_job_thread_wakeups(server, counted)
+            snap = await client.submit_job(payload)
+            await drained(server)
+            return snap, await client.stats()
+
+        snap, stats = serve(run)
+        assert snap["state"] == "done"
+        assert snap["priced"] == "ceiling"
+        assert snap["chunks_done"] == snap["chunks_total"] == 1
+        assert counted["estimate_row_nnz"] == 0
+        assert counted["build_col_offsets"] == 0
+        assert counted["wakeups"] == 1
+        assert stats["jobs_by_pricing"] == {"ceiling": 1}
+        a = resolve_operand(A_SPEC)
+        assert snap["result"]["crc32"] == crc32_matrix(
+            spgemm_twophase(a, a).matrix)
+
+    def test_streamed_job_still_sees_every_event_in_order(self, counted):
+        async def run(server, client):
+            payload = await by_hash_payload(client)
+            return [e async for e in client.stream_job(payload)]
+
+        events = serve(run)
+        total = events[-1]["chunks_total"]
+        assert total == 1  # the work-based default grid
+        assert [e["event"] for e in events] == (
+            ["queued", "admitted", "started"] + ["chunk"] * total + ["done"])
+        assert counted["estimate_row_nnz"] == 0
+
+    def test_explicit_grid_is_untouched(self):
+        async def run(server, client):
+            return [e async for e in client.stream_job(job_payload())]
+
+        events = serve(run)
+        assert [e["event"] for e in events].count("chunk") == 2
+        assert events[-1]["chunks_total"] == GRID[0] * GRID[1]
+
+    def test_a_ceiling_that_matters_is_sampled_once(self, counted):
+        async def run(server, client):
+            snap = await client.submit_job(await by_hash_payload(client))
+            return snap, await client.stats()
+
+        # 1 MiB // (CEILING_SHARE x 4 slots) = 64 KiB, under the ~330 KB
+        # ceiling price of this product
+        snap, stats = serve(run, ServerConfig(slots=4, host_mem_bytes=1 << 20))
+        assert snap["state"] == "done"
+        assert snap["priced"] == "sampled"
+        assert counted["estimate_row_nnz"] == 1
+        assert stats["jobs_by_pricing"] == {"sampled": 1}
+        assert stats["scheduler"]["overcommits"] == 0
+
+
+class TestPricing:
+    @given(problem=problems())
+    @settings(max_examples=60, deadline=None)
+    def test_ceiling_price_covers_the_product(self, problem):
+        a, b = from_mask(problem[0]), from_mask(problem[1])
+        products = int(product_prefix(a, b)[-1])
+        cost, priced = price_job(a, b, products, sample_above=1 << 40)
+        assert priced == "ceiling"
+        operands = csr_bytes(a.n_rows, a.nnz) + csr_bytes(b.n_rows, b.nnz)
+        assert cost - operands >= spgemm_twophase(a, b).matrix.nbytes()
+
+    def test_ten_concurrent_ceiling_priced_jobs_fit_the_budget(self):
+        a = resolve_operand(A_SPEC)
+        products = int(product_prefix(a, a)[-1])
+        cost, _ = price_job(a, a, products, sample_above=1 << 40)
+        ceiling = cost - 2 * csr_bytes(a.n_rows, a.nnz)
+        slots = 4
+        # the smallest budget that still prices this job at its ceiling
+        budget = ceiling * CEILING_SHARE * slots
+
+        async def run(server, client):
+            payload = await by_hash_payload(client)
+            snaps = await asyncio.gather(
+                *(client.submit_job(payload) for _ in range(10)))
+            await drained(server)
+            return snaps, await client.stats()
+
+        snaps, stats = serve(run, ServerConfig(slots=slots,
+                                               host_mem_bytes=budget))
+        assert [s["state"] for s in snaps] == ["done"] * 10
+        assert {s["priced"] for s in snaps} == {"ceiling"}
+        assert {s["cost_bytes"] for s in snaps} == {cost}
+        assert stats["scheduler"]["overcommits"] == 0
+        assert (0 < stats["host_mem_peak_reserved"]
+                <= stats["scheduler"]["host_budget_bytes"] == budget)
+
+
+class TestStages:
+    def test_stages_sum_to_the_latency(self):
+        async def run(server, client):
+            return await client.submit_job(await by_hash_payload(client))
+
+        snap = serve(run)
+        stages = snap["stages"]
+        assert list(stages) == ["prepare", "queued", "engine", "finish"]
+        assert all(seconds >= 0.0 for seconds in stages.values())
+        assert abs(sum(stages.values()) - snap["latency_seconds"]) < 1e-3
+        assert snap["priced"] == "ceiling"
+        assert stages["prepare"] < stages["engine"]
+        # the engine stage is the wall the result has always reported
+        assert abs(stages["engine"] - snap["result"]["wall_seconds"]) < 1e-3
+
+    def test_a_rejected_job_has_no_stages(self):
+        async def run(server, client):
+            with pytest.raises(ServeError) as exc_info:
+                await client.submit_job(job_payload(a={"hash": "f" * 64}))
+            return exc_info.value.payload
+
+        snap = serve(run)
+        assert "stages" not in snap and "priced" not in snap
+
+
+# ----------------------------------------------------------------------
+# the operand door: canonical CSR or 400
+# ----------------------------------------------------------------------
+def shuffled_rows(matrix, seed=0):
+    """``matrix`` with the stored entries of every row in shuffled order
+    (same values, same row_offsets): valid by range, not by order."""
+    rng = np.random.default_rng(seed)
+    col_ids, data = matrix.col_ids.copy(), matrix.data.copy()
+    for r in range(matrix.n_rows):
+        lo, hi = matrix.row_offsets[r], matrix.row_offsets[r + 1]
+        order = lo + rng.permutation(hi - lo)
+        col_ids[lo:hi], data[lo:hi] = matrix.col_ids[order], matrix.data[order]
+    return CSRMatrix(matrix.n_rows, matrix.n_cols, matrix.row_offsets,
+                     col_ids, data)
+
+
+class TestOperandDoor:
+    @pytest.mark.parametrize("grid", [[1, 2], [2, 3]])
+    def test_unsorted_rows_are_refused_and_the_server_lives(self, grid,
+                                                             tmp_path):
+        rng = np.random.default_rng(5)
+        good = CSRMatrix.from_dense(
+            (rng.random((64, 64)) < 0.2) * rng.random((64, 64)))
+        bad = shuffled_rows(good)
+        assert not bad.has_sorted_rows()
+        bad.validate()  # the range check alone lets it through
+        path = tmp_path / "shuffled.npz"
+        np.savez(path, shape=np.array(bad.shape), row_offsets=bad.row_offsets,
+                 col_ids=bad.col_ids, data=bad.data)
+
+        async def run(server, client):
+            refused = []
+            for spec in (inline_spec(bad), {"path": str(path)}):
+                with pytest.raises(ServeError) as exc_info:
+                    await client.submit_job(
+                        {"a": inline_spec(good), "b": spec, "grid": grid})
+                refused.append(exc_info.value)
+            with pytest.raises(ServeError) as exc_info:
+                await client.upload_operand(inline_spec(bad))
+            refused.append(exc_info.value)
+            ok = await client.submit_job(
+                {"a": inline_spec(good), "b": inline_spec(good), "grid": grid})
+            return refused, ok
+
+        refused, ok = serve(run)
+        for err in refused:
+            assert err.status == 400
+            assert "strictly increasing" in err.payload["error"]
+        assert ok["state"] == "done"
+        assert ok["result"]["crc32"] == crc32_matrix(
+            CSRMatrix.from_scipy(good.to_scipy() @ good.to_scipy()))
+
+    @pytest.mark.parametrize("field,value", [
+        ("row_offsets", [0, 1.7, 2]),
+        ("col_ids", [0.9, 1.2]),
+        ("shape", [2.9, 3]),
+        ("shape", [2, 3, 1]),
+        ("data", ["1e3", True]),
+        ("data", [[1.0, 2.0]]),
+        ("col_ids", [1, 1]),   # a duplicate entry
+        ("col_ids", [2, 0]),   # an unsorted row
+    ])
+    def test_truncating_and_non_canonical_inline_fields_answer_400(
+            self, field, value):
+        inline = {"shape": [2, 3], "row_offsets": [0, 2, 2],
+                  "col_ids": [0, 1], "data": [1.0, 2.0]}
+        resolve_operand({"inline": inline})  # the base form is accepted
+        inline[field] = value
+
+        async def run(server, client):
+            with pytest.raises(ServeError) as exc_info:
+                await client.upload_operand({"inline": inline})
+            return exc_info.value
+
+        err = serve(run)
+        assert err.status == 400
+        assert "malformed inline operand" in err.payload["error"]
+
+
+# ----------------------------------------------------------------------
+# the request head: bounded, deadlined, and fuzzed
+# ----------------------------------------------------------------------
+async def raw_exchange(server, request: bytes) -> bytes:
+    """Send ``request`` and EOF on a fresh connection; the whole reply."""
+    reader, writer = await asyncio.open_connection(*server.address)
+    try:
+        writer.write(request)
+        await writer.drain()
+        writer.write_eof()
+        return await asyncio.wait_for(reader.read(), 10.0)
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+def parse_reply(reply: bytes):
+    """``(status, JSON body)`` of a complete HTTP reply."""
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, json.loads(body)
+
+
+def watch_loop_exceptions():
+    escaped = []
+    asyncio.get_running_loop().set_exception_handler(
+        lambda loop, context: escaped.append(context))
+    return escaped
+
+
+class TestRequestHead:
+    def test_oversized_heads_are_refused_with_431(self):
+        heads = {
+            "long request line": b"GET /" + b"a" * 100_000,
+            "long header line": (b"GET /v1/health HTTP/1.1\r\nX-Pad: "
+                                 + b"a" * 100_000 + b"\r\n\r\n"),
+            "many header lines": (b"GET /v1/health HTTP/1.1\r\n"
+                                  + b"X-Pad: 1\r\n" * 200_000 + b"\r\n"),
+            "just over the line count": (
+                b"GET /v1/health HTTP/1.1\r\n"
+                + b"X: 1\r\n" * (MAX_HEAD_LINES + 1) + b"\r\n"),
+            "just over the byte count": (
+                b"GET /v1/health HTTP/1.1\r\nX-Pad: "
+                + b"a" * MAX_HEAD_BYTES + b"\r\n\r\n"),
+        }
+
+        async def run(server, client):
+            escaped = watch_loop_exceptions()
+            replies = {name: await raw_exchange(server, head)
+                       for name, head in heads.items()}
+            await client.health()
+            return replies, escaped
+
+        replies, escaped = serve(run)
+        assert escaped == []
+        for name, reply in replies.items():
+            status, body = parse_reply(reply)
+            assert status == 431, name
+            assert "too large" in body["error"]
+
+    def test_a_head_under_the_bounds_is_served(self):
+        head = (b"GET /v1/health HTTP/1.1\r\n"
+                + b"X: 1\r\n" * (MAX_HEAD_LINES - 2) + b"\r\n")
+        assert len(head) < MAX_HEAD_BYTES
+
+        async def run(server, client):
+            return await raw_exchange(server, head)
+
+        status, body = parse_reply(serve(run))
+        assert status == 200 and body["ok"] is True
+
+    def test_an_unfinished_head_meets_a_deadline(self, monkeypatch):
+        monkeypatch.setattr(server_mod, "HEAD_TIMEOUT_S", 0.2)
+
+        async def run(server, client):
+            escaped = watch_loop_exceptions()
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 2\r\n")
+            await writer.drain()  # no blank line, no EOF: the peer stalls
+            reply = await asyncio.wait_for(reader.read(), 10.0)
+            writer.close()
+            await writer.wait_closed()
+            await client.health()
+            return reply, escaped
+
+        reply, escaped = serve(run)
+        assert escaped == []
+        status, body = parse_reply(reply)
+        assert status == 408 and "unfinished" in body["error"]
+
+    def test_every_truncation_and_byte_flip_of_a_valid_request(self):
+        """ROADMAP 3(b): the malformed heads are generated.  Every prefix
+        of a valid job request and every single-byte substitution in its
+        head is answered with a complete JSON reply that is not a 5xx
+        (a substitution may leave the request valid) or a clean close;
+        nothing reaches the loop's exception handler and the server keeps
+        serving."""
+        tiny = {"gen": {"family": "banded", "n": 16, "bandwidth": 2}}
+        body = json.dumps({"a": tiny, "b": tiny}).encode()
+        head = (b"POST /v1/jobs HTTP/1.1\r\nHost: fuzz\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body))
+        request = head + body
+        rng = np.random.default_rng(20)
+        cases = [request[:cut] for cut in range(len(request))]
+        for at in range(len(head)):
+            for flip in (0x00, 0x0A, 0x20, 0x3A, int(rng.integers(256))):
+                if flip != head[at]:
+                    cases.append(head[:at] + bytes([flip]) + head[at + 1:]
+                                 + body)
+
+        async def run(server, client):
+            escaped = watch_loop_exceptions()
+            replies = [await raw_exchange(server, case) for case in cases]
+            snap = await client.submit_job({"a": tiny, "b": tiny})
+            return replies, escaped, snap
+
+        replies, escaped, snap = serve(run)
+        assert escaped == []
+        assert snap["state"] == "done"
+        statuses = collections.Counter()
+        for case, reply in zip(cases, replies):
+            if reply == b"":
+                statuses["closed"] += 1
+                continue
+            status, payload = parse_reply(reply)
+            assert status == 200 or 400 <= status < 500, (case, reply)
+            assert isinstance(payload, dict)
+            statuses[status] += 1
+        # a truncated request is never served; both outcomes occur
+        assert all(reply == b"" or parse_reply(reply)[0] >= 400
+                   for reply in replies[:len(request)])
+        assert statuses["closed"] and statuses[400] and statuses[200]

@@ -98,3 +98,33 @@ class TestNpz:
         save_npz(path, CSRMatrix.empty(5, 7))
         back = load_npz(path)
         assert back.shape == (5, 7) and back.nnz == 0
+
+    def test_unsorted_rows_and_float_indices_are_refused(self, tmp_path):
+        # in range, so the CSR invariants hold; the loader is the door
+        unsorted = CSRMatrix(1, 4, [0, 2], [3, 0], [1.0, 2.0])
+        path = tmp_path / "u.npz"
+        save_npz(path, unsorted)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            load_npz(path)
+        np.savez(path, shape=np.array([1, 4]), row_offsets=np.array([0, 2]),
+                 col_ids=np.array([0.9, 1.2]), data=np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="col_ids must be a flat list of integers"):
+            load_npz(path)
+
+
+class TestMatrixMarketRanges:
+    @pytest.mark.parametrize("entry", ["3 1 1.0", "1 5 1.0", "0 1 1.0", "1 0 1.0"])
+    def test_out_of_range_entries_are_refused(self, tmp_path, entry):
+        path = tmp_path / "r.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        f"2 4 1\n{entry}\n")
+        with pytest.raises(ValueError, match="out of range"):
+            read_matrix_market(path)
+
+    def test_unsorted_duplicated_entries_come_out_canonical(self, tmp_path):
+        path = tmp_path / "d.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "1 4 3\n1 4 1.0\n1 1 2.0\n1 4 0.5\n")
+        m = read_matrix_market(path)
+        assert m.has_sorted_rows()
+        assert m == CSRMatrix(1, 4, [0, 2], [0, 3], [2.0, 1.5])

@@ -126,3 +126,93 @@ class TestProperties:
     def test_banded_partition_roundtrip(self, seed, panels):
         m = banded(40, 4, seed=seed, fill=0.6)
         assert hstack(list(partition_columns(m, panels).panels)) == m
+
+
+class TestOnePanel:
+    def test_one_panel_is_the_matrix_itself(self, sample_matrix):
+        ps = partition_columns(sample_matrix, 1)
+        assert len(ps) == 1 and ps.axis == "cols"
+        assert ps.panels[0] is sample_matrix
+        np.testing.assert_array_equal(ps.boundaries,
+                                      [0, sample_matrix.n_cols])
+
+    def test_one_panel_scans_nothing(self, sample_matrix, monkeypatch):
+        import repro.sparse.partition as partition_mod
+
+        def refuse(b, boundaries):
+            raise AssertionError("one panel needs no split matrix")
+
+        monkeypatch.setattr(partition_mod, "build_col_offsets", refuse)
+        assert partition_columns(sample_matrix, 1).panels[0] is sample_matrix
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_one_panel_product_equals_two_panel_product(self, backend):
+        from repro.core.chunks import ChunkGrid
+        from repro.core.executor import execute_chunk_grid
+
+        a = rmat(8, 6.0, seed=4)
+        b = random_csr(a.n_cols, 90, 700, seed=5)
+        kept = (b.row_offsets.copy(), b.col_ids.copy(), b.data.copy())
+        products = [
+            execute_chunk_grid(
+                a, b, ChunkGrid.regular(a.n_rows, b.n_cols, 2, c),
+                assemble=True, backend=backend,
+                workers=1 if backend == "serial" else 2)[1]
+            for c in (1, 2)
+        ]
+        for one, two in zip(*[(p.row_offsets, p.col_ids, p.data)
+                              for p in products]):
+            assert one.tobytes() == two.tobytes()
+        # the run read B through the panel that *is* B and left it alone
+        for before, after in zip(kept, (b.row_offsets, b.col_ids, b.data)):
+            np.testing.assert_array_equal(before, after)
+
+
+@st.composite
+def disordered_csr(draw):
+    """CSR arrays whose rows were permuted and given duplicate entries:
+    what an outside caller can send and ``validate()`` alone accepts."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    row_cols = []
+    for _ in range(rows):
+        ids = np.flatnonzero(rng.random(cols) < 0.4)
+        if ids.size and draw(st.booleans()):
+            ids = np.concatenate([ids, rng.choice(ids, size=rng.integers(1, 3))])
+        row_cols.append(rng.permutation(ids) if draw(st.booleans()) else ids)
+    col_ids = np.concatenate(row_cols).astype(np.int64)
+    row_offsets = np.concatenate([[0], np.cumsum([r.size for r in row_cols])])
+    panels = draw(st.integers(1, cols))
+    return (rows, cols), row_offsets, col_ids, rng.random(col_ids.size), panels
+
+
+class TestDisorderedOperands:
+    def test_the_reproducer(self):
+        from repro.sparse.io import canonical_csr
+
+        # in range, so validate() accepts it; a two-way split of it held
+        # col ids [3] and [-2] in width-2 panels before the loaders refused
+        b = CSRMatrix(1, 4, [0, 2], [3, 0], [1.0, 2.0])
+        assert not b.has_sorted_rows()
+        with pytest.raises(ValueError, match="strictly increasing"):
+            canonical_csr(b.shape, b.row_offsets, b.col_ids, b.data)
+
+    @given(case=disordered_csr())
+    @settings(max_examples=150, deadline=None)
+    def test_no_panel_id_leaves_its_panel(self, case):
+        """Through the loaders' door, a permuted or duplicated row is
+        refused, and whatever is admitted partitions in range."""
+        from repro.sparse.io import canonical_csr
+
+        shape, row_offsets, col_ids, data, panels = case
+        raw = CSRMatrix(*shape, row_offsets, col_ids, data)  # range-valid
+        try:
+            m = canonical_csr(shape, row_offsets, col_ids, data)
+        except ValueError:
+            assert not raw.has_sorted_rows()
+            return
+        assert raw.has_sorted_rows()
+        for panel in partition_columns(m, panels).panels:
+            if panel.nnz:
+                assert 0 <= panel.col_ids.min()
+                assert panel.col_ids.max() < panel.n_cols

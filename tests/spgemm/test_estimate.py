@@ -15,6 +15,7 @@ from repro.spgemm.estimate import (
     hybrid_ratio_from_estimate,
 )
 from repro.spgemm.flops import flops_per_row, total_flops
+from repro.spgemm.native import native_available
 from repro.spgemm.twophase import spgemm_twophase
 
 
@@ -115,6 +116,45 @@ class TestEstimatorBounds:
         assert np.all(est.ratio() >= 0.0)
         assert np.all(est.ratio() <= 1.0 + 1e-9)
         assert np.all(est.ratio_hi() <= 1.0 + 1e-9)
+
+
+def hub_pair(seed):
+    """Rectangular A != B with a few hub rows in each."""
+    rng = np.random.default_rng(seed)
+    a = (rng.random((300, 180)) < 0.03) * rng.random((300, 180))
+    b = (rng.random((180, 240)) < 0.04) * rng.random((180, 240))
+    a[rng.integers(300, size=3), :] = 1.0
+    b[rng.integers(180, size=3), :] = 1.0
+    return CSRMatrix.from_dense(a), CSRMatrix.from_dense(b)
+
+
+@pytest.mark.skipif(not native_available(), reason="native kernel not built")
+class TestCountKernel:
+    """The sampled rows are counted by the native count pass when there
+    is one and by ESC otherwise: the same integers, so the same estimate."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("fraction", [0.05, 1.0])
+    def test_native_and_esc_counts_give_identical_estimates(
+            self, seed, fraction, monkeypatch):
+        import repro.spgemm.estimate as est_mod
+
+        a, b = hub_pair(seed)
+        counted = []
+        real = est_mod.native_count_rows
+        monkeypatch.setattr(
+            est_mod, "native_count_rows",
+            lambda a, b, rows: counted.append(rows.size) or real(a, b, rows))
+        native = estimate_row_nnz(a, b, sample_fraction=fraction, seed=seed)
+        assert counted == [native.sampled_rows.size]
+        monkeypatch.setattr(est_mod, "native_available", lambda: False)
+        esc = estimate_row_nnz(a, b, sample_fraction=fraction, seed=seed)
+        assert len(counted) == 1  # the ESC leg never reached the kernel
+        for field in ("row_nnz", "row_nnz_lo", "row_nnz_hi", "sampled_rows",
+                      "ub"):
+            np.testing.assert_array_equal(getattr(native, field),
+                                          getattr(esc, field), err_msg=field)
+        assert native.strata == esc.strata
 
 
 class TestChunkEstimates:
