@@ -11,7 +11,6 @@ from repro.cpu.nagasaka import spgemm_nagasaka
 from repro.sparse.generators import rmat
 from repro.sparse.partition import partition_columns, partition_columns_naive
 from repro.spgemm.esc import spgemm_esc
-from repro.spgemm.rmerge import spgemm_rmerge
 from repro.spgemm.twophase import spgemm_twophase
 
 
@@ -30,13 +29,6 @@ def test_bench_twophase(benchmark, matrix):
 def test_bench_esc(benchmark, matrix):
     result = benchmark.pedantic(
         lambda: spgemm_esc(matrix, matrix), rounds=3, iterations=1
-    )
-    assert result.nnz > 0
-
-
-def test_bench_rmerge(benchmark, matrix):
-    result = benchmark.pedantic(
-        lambda: spgemm_rmerge(matrix, matrix), rounds=3, iterations=1
     )
     assert result.nnz > 0
 

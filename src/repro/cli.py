@@ -183,9 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--cache-mem", type=int, default=256, metavar="MiB",
                        help="content-addressed operand cache budget "
                             "(default 256 MiB)")
-    p_srv.add_argument("--shards", type=_positive_int, default=1,
-                       help="device shards jobs are placed across "
-                            "(least-loaded placement; default 1)")
     p_srv.add_argument("--trace-dir", default=None, metavar="DIR",
                        help="write one Chrome trace per traced job here")
 
@@ -448,7 +445,7 @@ def _cmd_serve(args) -> int:
 
     config = ServerConfig(
         host=args.host, port=args.port, unix_socket=args.unix_socket,
-        slots=args.slots, shards=args.shards,
+        slots=args.slots,
         host_mem_bytes=args.host_mem << 20,
         cache_bytes=args.cache_mem << 20,
         trace_dir=args.trace_dir,
@@ -460,7 +457,7 @@ def _cmd_serve(args) -> int:
         host, port = server.address
         print(f"repro serve: listening on http://{host}:{port}"
               + (f" and {config.unix_socket}" if config.unix_socket else ""))
-        print(f"  slots={config.slots} shards={config.shards} host-mem="
+        print(f"  slots={config.slots} host-mem="
               f"{config.host_mem_bytes >> 20}MiB "
               f"cache={config.cache_bytes >> 20}MiB")
         try:

@@ -170,7 +170,6 @@ class GridJob:
         col_panels: PanelSet,
         *,
         outputs: Optional[List[List[Optional[CSRMatrix]]]],
-        chunk_sink,
         tracer,
         retry: Optional[RetryPolicy] = None,
         faults=None,
@@ -199,7 +198,6 @@ class GridJob:
         self.row_panels = row_panels
         self.col_panels = col_panels
         self.tracer = tracer
-        self.chunk_sink = chunk_sink
         #: ``outputs[row_panel][col_panel]`` when the run keeps its chunks
         self.outputs = outputs
         self.retry = retry if retry is not None else NO_RETRY
@@ -460,12 +458,9 @@ class GridJob:
                                   bytes=st.output_bytes):
                 if matrix is not None:
                     self.layout.place(rp, cp, matrix)
-        elif (self.chunk_sink is not None or self.outputs is not None
-                or self.checkpoint is not None):
+        elif self.outputs is not None or self.checkpoint is not None:
             with self.tracer.span(f"sink[{cid}]", "sink", chunk=cid,
                                   bytes=st.output_bytes), self.sink_lock:
-                if self.chunk_sink is not None:
-                    self.chunk_sink(rp, cp, matrix)
                 if self.outputs is not None:
                     self.outputs[rp][cp] = matrix
                 if self.checkpoint is not None:
@@ -704,7 +699,6 @@ def execute_chunk_grid(
     window: Optional[int] = None,
     keep_outputs: bool = False,
     assemble: bool = False,
-    chunk_sink=None,
     name: str = "",
     lanes: Optional[Sequence[Tuple[Sequence[int], int]]] = None,
     lane_names: Optional[Sequence[str]] = None,
@@ -742,22 +736,20 @@ def execute_chunk_grid(
         outputs — under the process backend this also caps the
         outstanding shared-memory result segments.  Must be >= 1 when
         given (``0`` would admit nothing).
-    keep_outputs / assemble / chunk_sink:
-        The return form — at most one of the first two.
-        ``keep_outputs`` returns the chunk matrices as
-        ``outputs[row_panel][col_panel]``; ``assemble`` returns the
-        product itself, one :class:`CSRMatrix`.  ``chunk_sink(row_panel,
-        col_panel, matrix)`` streams each chunk out as it is produced
-        (e.g. into a :class:`~repro.core.spill.DiskChunkStore`) without
-        retaining it.  Sink calls are serialized under a lock, in
-        completion order.
+    keep_outputs / assemble:
+        The return form — at most one.  ``keep_outputs`` returns the
+        chunk matrices as ``outputs[row_panel][col_panel]``; ``assemble``
+        returns the product itself, one :class:`CSRMatrix`.  With
+        neither, chunks are not retained; a ``checkpoint`` over a store
+        (e.g. a :class:`~repro.core.spill.DiskChunkStore`) is how they
+        stream out as they are produced.
 
         An assembled product is filled *in place* — counted over the
         whole grid, allocated once, every chunk's numeric stage writing
         at its final address (module docstring) — whenever nothing about
-        the call needs chunk objects: no ``chunk_sink``, no
-        ``checkpoint``, no governor host-memory budget (admission is
-        priced per chunk held), and an in-process backend.  Otherwise the
+        the call needs chunk objects: no ``checkpoint``, no governor
+        host-memory budget (admission is priced per chunk held), and an
+        in-process backend.  Otherwise the
         chunks are produced as matrices and copied once into the same
         layout (:func:`~repro.core.assemble.assemble_chunks`).  Both give
         the same bytes and the same profile.
@@ -797,8 +789,8 @@ def execute_chunk_grid(
         A :class:`~repro.core.spill.Checkpoint`.  The chunks it already
         holds (``checkpoint.completed``) are skipped, their recorded
         stats spliced into the profile; every chunk computed here lands
-        in it (``checkpoint.land``, under the sink lock, after
-        ``chunk_sink``); and when the call returns chunks or the product,
+        in it (``checkpoint.land``, serialized under the sink lock, in
+        completion order); and when the call returns chunks or the product,
         the skipped ones come back from it (``checkpoint.chunk`` — which
         needs its store).  With nothing left to compute the call
         partitions nothing and starts no backend.  Its store joins the
@@ -926,7 +918,7 @@ def execute_chunk_grid(
 
     gov = as_governor(governor)
     # fill in place when nothing needs the chunks as objects
-    in_place = (assemble and chunk_sink is None and checkpoint is None
+    in_place = (assemble and checkpoint is None
                 and (gov is None or gov.hostmem is None)
                 and backend_name != "process")
     outputs: Optional[List[List[Optional[CSRMatrix]]]] = None
@@ -999,7 +991,7 @@ def execute_chunk_grid(
 
     job = GridJob(
         grid, row_panels, col_panels,
-        outputs=outputs, chunk_sink=chunk_sink, tracer=tracer,
+        outputs=outputs, tracer=tracer,
         retry=retry, faults=faults, checkpoint=checkpoint,
         crash_budget=crash_budget, governor=gov, sizing=sizing,
         kernel=kernel_spec, chunk_events=chunk_events,

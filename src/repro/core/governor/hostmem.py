@@ -107,14 +107,19 @@ class HostMemoryGovernor:
             total += int(held) if held is not None else int(store.nbytes())
         return total
 
+    def reserved_bytes(self) -> int:
+        """Bytes held by admitted, not yet released reservations."""
+        with self._cond:
+            return sum(self._reserved.values())
+
     def held_bytes(self) -> int:
         """Bytes currently charged against the budget."""
         with self._cond:
-            return sum(self._reserved.values()) + self._stored_bytes()
+            return self.reserved_bytes() + self._stored_bytes()
 
     def _note(self) -> None:
         # called with the condition held
-        reserved = sum(self._reserved.values())
+        reserved = self.reserved_bytes()
         stored = self._stored_bytes()
         self.peak_bytes = max(self.peak_bytes, reserved + stored)
         if self._tracer.enabled:

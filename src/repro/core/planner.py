@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -37,11 +37,9 @@ from .chunks import (
 
 __all__ = [
     "PlanReport",
-    "AutotunePlan",
     "working_set_bytes",
     "default_device_bytes",
     "plan_grid",
-    "plan_autotuned",
 ]
 
 #: floor of :func:`default_device_bytes`, so tiny matrices still get a
@@ -161,26 +159,25 @@ class _GridPricer:
                 self.estimate)
         return self._tables[c]
 
-    def price(self, r: int, c: int, *, estimated: bool) -> PlanReport:
-        """The regular ``r x c`` grid with its worst chunk footprint;
-        ``estimated`` tightens the flops upper bound by the pricer's
-        estimate (which only ever lowers a footprint)."""
+    def price(self, r: int, c: int) -> PlanReport:
+        """The regular ``r x c`` grid with its worst chunk footprint: the
+        flops upper bound, tightened by the pricer's estimate when it has
+        one (which only ever lowers a footprint)."""
         table = self._table(c)
         grid = ChunkGrid(panel_boundaries(self.a.n_rows, r), table.col_bounds)
         sizing = GridSizing.over(table, grid)
-        footprint = sizing.device_bytes if estimated else sizing.device_bytes_ub
         return PlanReport(
             grid=grid,
-            worst_chunk_bytes=int(footprint.max()),
+            worst_chunk_bytes=int(sizing.device_bytes.max()),
             budget_bytes=self.budget(c),
             device_memory=self.device_memory,
             buffers=self.buffers,
             safety=self.safety,
-            estimated=estimated,
+            estimated=self.estimate is not None,
             sizing=sizing,
         )
 
-    def first_fit(self, max_panels: int, *, estimated: bool) -> PlanReport:
+    def first_fit(self, max_panels: int) -> PlanReport:
         """The first shape of :func:`_candidate_shapes` that fits."""
         if self.budget(1) <= 0:  # and a finer column split only adds to it
             raise ValueError(
@@ -189,10 +186,12 @@ class _GridPricer:
                 f"device memory ({self.device_memory} bytes)"
             )
         last_report = None
+        # an empty dimension is one (empty) panel, as panel_boundaries has it
+        max_r, max_c = max(self.a.n_rows, 1), max(self.b.n_cols, 1)
         for r, c in _candidate_shapes(max_panels):
-            if r > self.a.n_rows or c > self.b.n_cols or self.budget(c) <= 0:
+            if r > max_r or c > max_c or self.budget(c) <= 0:
                 continue
-            last_report = self.price(r, c, estimated=estimated)
+            last_report = self.price(r, c)
             if last_report.fits:
                 return last_report
         raise ValueError(
@@ -226,128 +225,4 @@ def plan_grid(
     """
     pricer = _GridPricer(a, b, node, safety=safety, buffers=buffers,
                          estimate=estimate)
-    return pricer.first_fit(max_panels, estimated=estimate is not None)
-
-
-@dataclass(frozen=True)
-class AutotunePlan:
-    """Everything ``--autotune`` derives from one sampled estimate:
-    the chunk grid (estimated footprints), the accumulator kernel
-    (estimated density), and the hybrid CPU/GPU split ratio
-    (estimated output size)."""
-
-    report: PlanReport
-    estimate: "RowNnzEstimate"  # noqa: F821 — forward ref, see estimate.py
-    kernel: "KernelSpec"  # noqa: F821
-    ratio: float
-
-    @property
-    def grid(self) -> ChunkGrid:
-        return self.report.grid
-
-
-def _candidate_reports(
-    a: CSRMatrix,
-    b: CSRMatrix,
-    node: NodeSpec,
-    estimate,
-    *,
-    safety: float,
-    buffers: int,
-    max_panels: int,
-) -> List[PlanReport]:
-    """The autotune shortlist: estimate-admissible grid shapes worth
-    trial-timing.
-
-    The sampled estimate is what makes the shortlist small — only
-    shapes whose worst *estimated* chunk fits the budget qualify.  It
-    spans the shapes that matter in practice: the estimate-planned
-    first fit, the UB-planned default (the baseline to beat), and a
-    row-only ladder (r x 1, 2r x 1, 4r x 1) — row splits share the
-    resident B panel and avoid re-walking A per column panel, so they
-    dominate serial wall time whenever the whole of B fits.  One pricer
-    serves all of them, so the shapes share their per-``c`` tables.
-    """
-    pricer = _GridPricer(a, b, node, safety=safety, buffers=buffers,
-                         estimate=estimate)
-    reports: List[PlanReport] = []
-    shapes = set()
-
-    def add(report: PlanReport) -> None:
-        shape = (report.grid.num_row_panels, report.grid.num_col_panels)
-        if shape not in shapes:
-            shapes.add(shape)
-            reports.append(report)
-
-    add(pricer.first_fit(max_panels, estimated=True))
-    try:
-        add(pricer.first_fit(max_panels, estimated=False))
-    except ValueError:
-        pass
-    # row-only ladder from the smallest fitting row count
-    max_rows = min(max_panels, a.n_rows)
-    ladder = (pricer.price(r, 1, estimated=True) for r in range(1, max_rows + 1))
-    first = next((report for report in ladder if report.fits), None)
-    if first is not None:
-        add(first)
-        r0 = first.grid.num_row_panels
-        for r in (2 * r0, 4 * r0):
-            if r <= max_rows:
-                report = pricer.price(r, 1, estimated=True)
-                if report.fits:
-                    add(report)
-    return reports
-
-
-def plan_autotuned(
-    a: CSRMatrix,
-    b: CSRMatrix,
-    node: NodeSpec,
-    *,
-    cost=None,
-    sample_fraction: Optional[float] = None,
-    seed: int = 0,
-    safety: float = 0.85,
-    buffers: int = 2,
-    max_panels: int = 64,
-    trial=None,
-) -> AutotunePlan:
-    """One-stop estimation-driven tuning: sample A once, then derive
-    grid + kernel + hybrid ratio from that single estimate.
-
-    ``trial`` enables empirical grid selection: a callable
-    ``trial(grid, kernel) -> seconds`` (e.g. one quick serial run) is
-    invoked once per shortlisted candidate — the sampled estimate prunes
-    the shape space to a handful of admissible grids, the measured trial
-    picks the winner.  Without ``trial`` the estimate-planned first fit
-    is used directly.
-    """
-    from ..device.kernels import default_cost_model  # deferred: cycle
-    from ..spgemm.estimate import (
-        DEFAULT_SAMPLE_FRACTION,
-        choose_kernel,
-        estimate_row_nnz,
-        hybrid_ratio_from_estimate,
-    )
-    from ..spgemm.flops import total_flops
-
-    if sample_fraction is None:
-        sample_fraction = DEFAULT_SAMPLE_FRACTION
-    est = estimate_row_nnz(a, b, sample_fraction=sample_fraction, seed=seed)
-    kernel = choose_kernel(est)
-    if trial is not None:
-        candidates = _candidate_reports(
-            a, b, node, est,
-            safety=safety, buffers=buffers, max_panels=max_panels,
-        )
-        report = min(candidates, key=lambda rep: trial(rep.grid, kernel))
-    else:
-        report = plan_grid(
-            a, b, node,
-            safety=safety, buffers=buffers, max_panels=max_panels,
-            estimate=est,
-        )
-    if cost is None:
-        cost = default_cost_model(node)
-    ratio = hybrid_ratio_from_estimate(est, total_flops(a, b), cost)
-    return AutotunePlan(report=report, estimate=est, kernel=kernel, ratio=ratio)
+    return pricer.first_fit(max_panels)

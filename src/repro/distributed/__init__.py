@@ -5,8 +5,7 @@ Two layers (see ``docs/SHARDING.md``):
 * :func:`run_sharded` — the out-of-core chunk grid across N simulated
   devices under one global scheduler and one shared host-memory ledger;
 * :func:`sparse_summa` — the related-work Sparse SUMMA on a simulated
-  ``q x q`` process grid, optionally executed for real
-  (:class:`SummaExecution`).
+  ``q x q`` process grid, the comparison EXPERIMENTS.md quotes.
 """
 
 from .shard import (
@@ -19,14 +18,12 @@ from .shard import (
     run_sharded,
 )
 from .sharding import (
-    ShardPlacement,
+    NetworkModel,
     measured_transfer_timeline,
     shard_transfer_timeline,
 )
 from .summa import (
     BlockGrid,
-    NetworkModel,
-    SummaExecution,
     SummaResult,
     distribute_blocks,
     sparse_summa,
@@ -49,13 +46,11 @@ __all__ = [
     "RemoteShardPool",
     "RemoteWorker",
     "ShardConfig",
-    "ShardPlacement",
     "ShardRecord",
     "ShardSpan",
     "ShardWorker",
     "ShardedResult",
     "ShardedRunError",
-    "SummaExecution",
     "SummaResult",
     "TransportDegradedWarning",
     "TransportError",

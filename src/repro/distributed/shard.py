@@ -23,8 +23,9 @@ path uses.
 the same panel objects (the in-process analog of SUMMA's stage
 broadcast); the cost the real network would charge for that broadcast —
 and for gathering the shard outputs back to the host — is modeled with
-the same alpha-beta :class:`~repro.distributed.summa.NetworkModel` the
-SUMMA simulator uses, producing a per-shard transfer/compute timeline
+the same alpha-beta
+:class:`~repro.distributed.sharding.transfers.NetworkModel` the SUMMA
+simulator uses, producing a per-shard transfer/compute timeline
 (:mod:`repro.distributed.sharding.transfers`).
 
 Fault tolerance composes per shard: each shard lands its chunks in its
@@ -60,7 +61,11 @@ from ..observability import Tracer
 from ..observability.chrome import multi_tracer_events, timeline_events
 from ..sparse.formats import CSRMatrix
 from ..sparse.partition import panel_boundaries, partition_columns
-from .summa import NetworkModel
+from .sharding.transfers import (
+    NetworkModel,
+    measured_transfer_timeline,
+    shard_transfer_timeline,
+)
 from .transport import (
     RemoteShardPool,
     TransportDegradedWarning,
@@ -383,8 +388,9 @@ def run_sharded(
 ) -> ShardedResult:
     """Run ``C = A x B`` across N simulated devices (see module docs).
 
-    ``grid`` defaults to a regular split with at least one row panel per
-    shard.  ``checkpoint_dir`` enables per-shard manifests + disk chunk
+    ``grid`` defaults to a regular split with two row panels per shard,
+    clamped to the rows ``A`` has (fewer rows than shards run on fewer
+    shards).  ``checkpoint_dir`` enables per-shard manifests + disk chunk
     stores under that directory; ``resume=True`` reloads them and
     recomputes only unfinished chunks.  ``shard_faults`` maps shard id
     -> a fault spec/injector delivered to that shard's run only (chaos
@@ -409,8 +415,10 @@ def run_sharded(
         raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
     cfg = config if config is not None else ShardConfig()
     if grid is None:
-        rp = max(cfg.num_shards, min(a.n_rows, 2 * cfg.num_shards))
-        cp = min(b.n_cols, 2)
+        # two row panels a shard, clamped to the rows and columns that
+        # exist (an empty dimension is one empty panel)
+        rp = max(1, min(a.n_rows, 2 * cfg.num_shards))
+        cp = max(1, min(b.n_cols, 2))
         grid = ChunkGrid.regular(a.n_rows, b.n_cols, rp, cp)
 
     sizing = GridSizing(a, b, grid)
@@ -663,12 +671,8 @@ def run_sharded(
     # socket runs carry *measured* walls; local runs price the in-process
     # broadcast/gather with the alpha-beta model
     if use_socket:
-        from .sharding.transfers import measured_transfer_timeline
-
         timeline = measured_transfer_timeline(records)
     else:
-        from .sharding.transfers import shard_transfer_timeline
-
         timeline = shard_transfer_timeline(
             records, b_bytes=b.nbytes(), network=cfg.network)
 

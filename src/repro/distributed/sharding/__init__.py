@@ -1,17 +1,16 @@
-"""Glue for sharded execution: transfer modeling and job placement.
+"""Transfer modeling for sharded execution.
 
 :mod:`.transfers` prices a sharded run's inter-device traffic (B-panel
-broadcast out, C-strip gather back) with the same alpha-beta
-:class:`~repro.distributed.summa.NetworkModel` the SUMMA simulator
-uses, producing a :class:`~repro.device.trace.Timeline` per run.
-:mod:`.placement` is the serve-scheduler side: a least-loaded
-:class:`ShardPlacement` that spreads admitted jobs across shard worker
-pools ("many jobs placed across shards", where
-:func:`~repro.distributed.shard.run_sharded` is "one job sharded wide").
+broadcast out, C-strip gather back) with the alpha-beta
+:class:`NetworkModel` the SUMMA simulator also uses, producing a
+:class:`~repro.device.trace.Timeline` per run.
 """
 
-from .placement import ShardPlacement
-from .transfers import measured_transfer_timeline, shard_transfer_timeline
+from .transfers import (
+    NetworkModel,
+    measured_transfer_timeline,
+    shard_transfer_timeline,
+)
 
-__all__ = ["ShardPlacement", "measured_transfer_timeline",
+__all__ = ["NetworkModel", "measured_transfer_timeline",
            "shard_transfer_timeline"]

@@ -5,7 +5,7 @@ A sharded run's data motion has exactly three legs:
 * **broadcast** — every shard needs all of ``B``'s column panels; shards
   other than shard 0 (which is co-located with the host copy) receive
   them over the interconnect.  Priced as one binomial-tree broadcast
-  (:meth:`~repro.distributed.summa.NetworkModel.t_broadcast`) landing on
+  (:meth:`NetworkModel.t_broadcast`) landing on
   each receiving shard's NIC — the staged inter-shard broadcast of the
   SUMMA simulator, collapsed to one stage because the chunk engine
   streams column panels internally;
@@ -24,13 +24,37 @@ busy fraction over the makespan).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from ...device.engine import SimEngine
 from ...device.trace import Timeline
-from ..summa import NetworkModel
 
-__all__ = ["shard_transfer_timeline", "measured_transfer_timeline"]
+__all__ = ["NetworkModel", "shard_transfer_timeline",
+           "measured_transfer_timeline"]
+
+
+@dataclass(frozen=True)
+class NetworkModel:
+    """Alpha-beta point-to-point model with a tree broadcast."""
+
+    latency: float = 5e-6          # alpha, per message
+    bandwidth: float = 10.0e9      # beta⁻¹, bytes/s
+    #: local SpGEMM rate of one process (flops/s); SUMMA nodes are CPUs
+    compute_rate: float = 2.0e9
+
+    def t_broadcast(self, nbytes: int, fanout: int) -> float:
+        """Binomial-tree broadcast to ``fanout`` peers (log2 rounds)."""
+        if fanout <= 0:
+            return 0.0
+        rounds = int(np.ceil(np.log2(fanout + 1)))
+        return rounds * (self.latency + nbytes / self.bandwidth)
+
+    def t_compute(self, flops: int) -> float:
+        return flops / self.compute_rate
+
 
 
 def shard_transfer_timeline(

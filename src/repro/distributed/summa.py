@@ -23,52 +23,25 @@ communication/computation-overlap idea the paper applies to PCIe.
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.chunks import csr_bytes
-from ..core.governor.hostmem import HostMemoryGovernor
 from ..device.engine import SimEngine
 from ..device.trace import Timeline
-from ..observability import Tracer
 from ..sparse.formats import CSRMatrix
 from ..sparse.ops import add, extract_columns
 from ..sparse.partition import panel_boundaries
-from ..spgemm.flops import total_flops
 from ..spgemm.twophase import spgemm_twophase
+from .sharding.transfers import NetworkModel
 
 __all__ = [
-    "NetworkModel",
     "BlockGrid",
-    "SummaExecution",
     "SummaResult",
     "distribute_blocks",
     "sparse_summa",
 ]
-
-
-@dataclass(frozen=True)
-class NetworkModel:
-    """Alpha-beta point-to-point model with a tree broadcast."""
-
-    latency: float = 5e-6          # alpha, per message
-    bandwidth: float = 10.0e9      # beta⁻¹, bytes/s
-    #: local SpGEMM rate of one process (flops/s); SUMMA nodes are CPUs
-    compute_rate: float = 2.0e9
-
-    def t_broadcast(self, nbytes: int, fanout: int) -> float:
-        """Binomial-tree broadcast to ``fanout`` peers (log2 rounds)."""
-        if fanout <= 0:
-            return 0.0
-        rounds = int(np.ceil(np.log2(fanout + 1)))
-        return rounds * (self.latency + nbytes / self.bandwidth)
-
-    def t_compute(self, flops: int) -> float:
-        return flops / self.compute_rate
 
 
 @dataclass(frozen=True)
@@ -103,37 +76,6 @@ def distribute_blocks(m: CSRMatrix, q: int) -> BlockGrid:
 
 
 @dataclass(frozen=True)
-class SummaExecution:
-    """Run SUMMA's local multiplies for real instead of only pricing them.
-
-    The executed path keeps the algorithm and the simulated network
-    identical to the pure simulation, but the per-process ``gemm`` ops
-    take their durations from *measured* kernel walls: every grid cell
-    runs concurrently on its own thread (``workers`` caps the pool;
-    ``0`` means one thread per cell), its ``q`` stage multiplies run
-    sequentially in ``k`` order — which is what makes the accumulated
-    ``C`` blocks bit-identical to the serial path — through the chunk
-    pipeline's kernel dispatch (``kernel`` wire spec, ``None`` = auto).
-
-    ``host_mem_budget_bytes`` arms one shared
-    :class:`~repro.core.governor.HostMemoryGovernor` that every process
-    admits its stage output against (keys ``(i, j, k)``), modeling the
-    node-memory ceiling a real gather node would impose.  ``trace``
-    gives each process a tracer stream ``p{i}.{j}``, merged by
-    :meth:`SummaResult.trace_events`.
-    """
-
-    workers: int = 0
-    kernel: Optional[str] = None
-    host_mem_budget_bytes: Optional[int] = None
-    trace: bool = True
-
-    def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0 (0 = one per cell)")
-
-
-@dataclass(frozen=True)
 class SummaResult:
     """Distributed product: per-process C blocks + the simulated timeline."""
 
@@ -141,13 +83,6 @@ class SummaResult:
     timeline: Timeline
     total_flops: int
     pipelined: bool
-    #: real-execution extras (``sparse_summa(..., execution=...)``):
-    #: per-process tracer streams, and the shared ledger's high-water
-    #: mark / forced admissions.  All inert on the pure simulation.
-    executed: bool = False
-    tracers: Optional[Dict[str, Tracer]] = None
-    ledger_peak_bytes: int = 0
-    ledger_overcommits: int = 0
 
     @property
     def elapsed(self) -> float:
@@ -163,20 +98,6 @@ class SummaResult:
 
         return assemble_chunks([list(row) for row in self.c_blocks])
 
-    def trace_events(self) -> List[dict]:
-        """Chrome events: one process per ``p{i}.{j}`` tracer stream plus
-        the simulated grid timeline as a sibling process."""
-        from ..observability.chrome import multi_tracer_events, timeline_events
-
-        events: List[dict] = []
-        n = 0
-        if self.tracers:
-            events.extend(multi_tracer_events(self.tracers))
-            n = len(self.tracers)
-        events.extend(timeline_events(
-            self.timeline, pid=n + 1, process_name="simulated (summa grid)"))
-        return events
-
 
 def sparse_summa(
     a: CSRMatrix,
@@ -185,17 +106,11 @@ def sparse_summa(
     *,
     network: Optional[NetworkModel] = None,
     pipelined: bool = True,
-    execution: Optional[SummaExecution] = None,
 ) -> SummaResult:
     """Run Sparse SUMMA on a simulated ``q x q`` process grid.
 
     Computes the exact product (block-wise, with sparse accumulation) and
-    the simulated distributed timeline.  With ``execution`` the local
-    multiplies run for real — concurrently across processes, through the
-    kernel-dispatch pipeline, against an optional shared host-memory
-    ledger — and the timeline's ``gemm`` durations are measured, not
-    modeled (see :class:`SummaExecution`); the product stays
-    bit-identical either way.
+    the simulated distributed timeline.
     """
     if a.n_cols != b.n_rows:
         raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
@@ -203,8 +118,6 @@ def sparse_summa(
 
     ga = distribute_blocks(a, q)
     gb = distribute_blocks(b, q)
-    if execution is not None:
-        return _sparse_summa_executed(ga, gb, q, net, pipelined, execution)
 
     eng = SimEngine()
     for i in range(q):
@@ -259,115 +172,4 @@ def sparse_summa(
         timeline=timeline,
         total_flops=flops_total,
         pipelined=pipelined,
-    )
-
-
-def _sparse_summa_executed(
-    ga: BlockGrid,
-    gb: BlockGrid,
-    q: int,
-    net: NetworkModel,
-    pipelined: bool,
-    exe: SummaExecution,
-) -> SummaResult:
-    """The real-execution path behind ``sparse_summa(execution=...)``.
-
-    Concurrency model: one thread per grid cell ``(i, j)``, each running
-    its ``q`` stage multiplies *sequentially in k order* and accumulating
-    as it goes.  Accumulation order is therefore identical to the serial
-    simulation loop, which is the whole bit-identity argument — floating
-    point addition is not associative, so the stages of one cell must
-    never be reordered; only whole cells (which share no state) run in
-    parallel.  The simulated schedule is built afterwards, serially, in
-    the same ``(k, i, j)`` submission order the serial path uses, so the
-    two paths differ in exactly one way: measured gemm durations.
-    """
-    ledger = None
-    if exe.host_mem_budget_bytes is not None:
-        ledger = HostMemoryGovernor(exe.host_mem_budget_bytes)
-    tracers: Dict[str, Tracer] = {}
-    c_blocks: List[List[Optional[CSRMatrix]]] = [[None] * q for _ in range(q)]
-    #: (i, j, k) -> (flops, measured gemm seconds)
-    stages: Dict[Tuple[int, int, int], Tuple[int, float]] = {}
-
-    def cell_main(i: int, j: int) -> None:
-        tracer = Tracer(stream=f"p{i}.{j}") if exe.trace else None
-        if tracer is not None:
-            tracers[f"p{i}.{j}"] = tracer
-        acc: Optional[CSRMatrix] = None
-        for k in range(q):
-            a_blk = ga.block(i, k)
-            b_blk = gb.block(k, j)
-            key = (i, j, k)
-            if ledger is not None:
-                # worst case one nonzero per product: the same UB the
-                # chunk engine admits with
-                ub = csr_bytes(a_blk.n_rows, total_flops(a_blk, b_blk))
-                ledger.admit(key, ub, may_wait=True)
-            try:
-                t0 = time.perf_counter()
-                partial = spgemm_twophase(
-                    a_blk, b_blk, kernel=exe.kernel,
-                    tracer=tracer, trace_label=f"gemm[{i}.{j}@{k}]",
-                )
-                dt = time.perf_counter() - t0
-                acc = (partial.matrix if acc is None
-                       else add(acc, partial.matrix))
-            finally:
-                if ledger is not None:
-                    ledger.release(key)
-            stages[key] = (partial.stats.flops, dt)
-        c_blocks[i][j] = acc
-
-    cells = [(i, j) for i in range(q) for j in range(q)]
-    max_workers = exe.workers if exe.workers > 0 else len(cells)
-    if max_workers == 1 or len(cells) == 1:
-        for i, j in cells:
-            cell_main(i, j)
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(cell_main, i, j) for i, j in cells]
-            for fut in futures:
-                fut.result()  # re-raise the first cell failure
-
-    # simulated schedule, grounded in the measured gemm walls; built
-    # serially because SimEngine submission order is its FIFO order
-    eng = SimEngine()
-    for i in range(q):
-        for j in range(q):
-            eng.add_resource(f"nic{i}.{j}")
-            eng.add_resource(f"cpu{i}.{j}")
-    flops_total = 0
-    for k in range(q):
-        for i in range(q):
-            for j in range(q):
-                flops, dt = stages[(i, j, k)]
-                flops_total += flops
-                nbytes = 0
-                if k != j:
-                    nbytes += ga.block(i, k).nbytes()
-                if k != i:
-                    nbytes += gb.block(k, j).nbytes()
-                comm = eng.submit(
-                    f"recv[{i}.{j}@{k}]", f"nic{i}.{j}",
-                    net.t_broadcast(nbytes, q - 1) if nbytes else 0.0,
-                    stream=f"nic{i}.{j}" if pipelined else f"p{i}.{j}",
-                    stage=k, kind="comm", bytes=nbytes,
-                )
-                eng.submit(
-                    f"gemm[{i}.{j}@{k}]", f"cpu{i}.{j}",
-                    dt, deps=[comm],
-                    stream=f"cpu{i}.{j}" if pipelined else f"p{i}.{j}",
-                    stage=k, kind="compute", flops=flops, measured=True,
-                )
-
-    return SummaResult(
-        c_blocks=tuple(tuple(row) for row in c_blocks),
-        timeline=eng.run(),
-        total_flops=flops_total,
-        pipelined=pipelined,
-        executed=True,
-        tracers=tracers or None,
-        ledger_peak_bytes=0 if ledger is None else ledger.peak_bytes,
-        ledger_overcommits=0 if ledger is None else ledger.overcommits,
     )

@@ -28,12 +28,15 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
+from ..core.chunks import ChunkGrid
+from ..core.executor import resolve_backend_name
 from ..sparse import generators
 from ..sparse.formats import CSRMatrix
 from ..sparse.io import canonical_csr, load_npz, read_matrix_market
 from ..sparse.suite import SUITE, build_matrix
+from ..spgemm.kernels import resolve_kernel
 
 __all__ = [
     "JobState",
@@ -172,6 +175,13 @@ class JobSpec:
         workers = int(payload.get("workers", 1))
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        # what the engine would refuse is refused here, before the job
+        # is priced, queued or given a slot
+        kernel, backend = payload.get("kernel"), payload.get("backend")
+        resolve_kernel(kernel)
+        if resolve_backend_name(backend, workers, False) == "serial" \
+                and workers > 1:
+            raise ValueError("the serial backend runs exactly one worker")
         grid = payload.get("grid")
         if grid is not None:
             grid = [int(x) for x in grid]
@@ -180,8 +190,7 @@ class JobSpec:
         return cls(
             a_spec=payload["a"], b_spec=payload["b"],
             tenant=str(payload.get("tenant", "default")),
-            kernel=payload.get("kernel"),
-            backend=payload.get("backend"),
+            kernel=kernel, backend=backend,
             workers=workers, grid=grid,
             return_result=bool(payload.get("return_result", False)),
             trace=bool(payload.get("trace", False)),
@@ -206,12 +215,11 @@ class JobRecord:
     finished_at: Optional[float] = None     # CRC'd, serialized, terminal
     cost_bytes: int = 0                # footprint admission charges
     priced: Optional[str] = None       # "ceiling" | "sampled" (docs/SERVING.md)
-    shard: Optional[int] = None        # device shard placement (shards > 1)
     result: Dict[str, Any] = field(default_factory=dict)
     cache_hits: Dict[str, bool] = field(default_factory=dict)
     chunks_done: int = 0
     chunks_total: int = 0
-    grid: Tuple[int, int] = (1, 1)     # (row_panels, col_panels) the run uses
+    grid: Optional[ChunkGrid] = None   # set when the job is prepared
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
@@ -256,8 +264,6 @@ class JobRecord:
                 "cost_bytes": self.cost_bytes,
                 "cache": dict(self.cache_hits),
             }
-            if self.shard is not None:
-                out["shard"] = self.shard
             if self.error is not None:
                 out["error"] = self.error
             if self.priced is not None:

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.governor.hostmem import HostMemoryGovernor
-from ..distributed.sharding import ShardPlacement
 from .jobs import JobRecord, JobState
 
 __all__ = ["TenantQuota", "FairQueue", "JobScheduler"]
@@ -135,13 +134,6 @@ class JobScheduler:
     and never raise.  ``on_event(record, event)`` is the thread-safe
     progress callback (events: ``admitted``, ``started`` are emitted
     here; the runner emits ``chunk`` and terminal events itself).
-
-    ``shards`` splits the worker slots into per-shard pools — N
-    simulated devices serving one job mix.  Each admitted job is placed
-    on the least-loaded shard (:class:`~repro.distributed.sharding.\
-    ShardPlacement`) and runs on that shard's pool; admission stays
-    global, so the shards still share one node host-memory ledger.
-    ``shards=1`` is exactly the previous single-pool scheduler.
     """
 
     def __init__(
@@ -154,15 +146,11 @@ class JobScheduler:
         default_quota: Optional[TenantQuota] = None,
         on_event: Optional[Callable[[JobRecord, Dict[str, Any]], None]] = None,
         tracer=None,
-        shards: int = 1,
     ) -> None:
         if slots < 1:
             raise ValueError("scheduler needs >= 1 slots")
-        if shards < 1:
-            raise ValueError("scheduler needs >= 1 shards")
         self._runner = runner
         self.slots = int(slots)
-        self.shards = int(shards)
         self.hostmem = HostMemoryGovernor(host_budget_bytes, tracer=tracer)
         self.quotas = dict(quotas or {})
         self.default_quota = default_quota or TenantQuota()
@@ -171,15 +159,8 @@ class JobScheduler:
         self._queue = FairQueue()
         self._running: Dict[int, JobRecord] = {}
         self._running_by_tenant: Dict[str, int] = {}
-        self.placement = ShardPlacement(self.shards)
-        per_shard = max(1, self.slots // self.shards)
-        self._pools = [
-            ThreadPoolExecutor(
-                max_workers=per_shard,
-                thread_name_prefix=f"serve-job-s{t}",
-            )
-            for t in range(self.shards)
-        ]
+        self._pool = ThreadPoolExecutor(
+            max_workers=self.slots, thread_name_prefix="serve-job")
         self._thread: Optional[threading.Thread] = None
         self._stopped = False
         self.submitted = 0
@@ -263,10 +244,8 @@ class JobScheduler:
                     self._queue.requeue_front(item)
                     self._cond.wait(0.05)
                     continue
-                shard = self.placement.pick(record.cost_bytes)
                 with record.lock:
                     record.state = JobState.ADMITTED
-                    record.shard = shard
                 self._running[record.job_id] = record
                 tenant = record.spec.tenant
                 self._running_by_tenant[tenant] = (
@@ -274,9 +253,8 @@ class JobScheduler:
                 )
             self._emit(record, {"event": "admitted",
                                 "job_id": record.job_id,
-                                "reserved_bytes": record.cost_bytes,
-                                "shard": shard})
-            self._pools[shard].submit(self._run_one, record)
+                                "reserved_bytes": record.cost_bytes})
+            self._pool.submit(self._run_one, record)
 
     def _dispatchable(self) -> bool:
         return len(self._queue) > 0 and len(self._running) < self.slots
@@ -291,8 +269,6 @@ class JobScheduler:
                 record.error = f"{type(exc).__name__}: {exc}"
         finally:
             self.hostmem.release(record.job_id)
-            if record.shard is not None:
-                self.placement.release(record.shard, record.cost_bytes)
             with self._cond:
                 self._running.pop(record.job_id, None)
                 tenant = record.spec.tenant
@@ -314,8 +290,6 @@ class JobScheduler:
         with self._cond:
             return {
                 "slots": self.slots,
-                "shards": self.shards,
-                "placement": self.placement.snapshot(),
                 "queued": len(self._queue),
                 "running": len(self._running),
                 "submitted": self.submitted,
@@ -323,9 +297,7 @@ class JobScheduler:
                 "completed": self.completed,
                 "failed": self.failed,
                 "host_budget_bytes": self.hostmem.budget_bytes,
-                "host_reserved_bytes": sum(
-                    self.hostmem._reserved.values()
-                ),
+                "host_reserved_bytes": self.hostmem.reserved_bytes(),
                 "host_peak_bytes": self.hostmem.peak_bytes,
                 "overcommits": self.hostmem.overcommits,
             }
@@ -348,5 +320,4 @@ class JobScheduler:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
-        for pool in self._pools:
-            pool.shutdown(wait=True)
+        self._pool.shutdown(wait=True)

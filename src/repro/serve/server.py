@@ -113,7 +113,6 @@ class ServerConfig:
     port: int = 0                      # 0 = ephemeral (reported at start)
     unix_socket: Optional[str] = None  # additionally serve on this path
     slots: int = 4                     # concurrent jobs on the pool
-    shards: int = 1                    # device shards jobs are placed on
     host_mem_bytes: int = DEFAULT_HOST_BUDGET
     cache_bytes: int = DEFAULT_CACHE_BYTES
     quotas: Dict[str, TenantQuota] = field(default_factory=dict)
@@ -135,7 +134,6 @@ class SpgemmServer:
             quotas=self.config.quotas,
             default_quota=self.config.default_quota,
             on_event=self._on_event,
-            shards=self.config.shards,
         )
         self._records: Dict[int, JobRecord] = {}
         self._retained: collections.deque = collections.deque()
@@ -204,19 +202,20 @@ class SpgemmServer:
                     f"operand shapes do not chain: {a.shape} x {b.shape}"
                 )
             products = int(product_prefix(a, b)[-1])
-            record.cost_bytes, record.priced = price_job(
-                a, b, products,
-                self.config.host_mem_bytes
-                // (CEILING_SHARE * self.config.slots),
-            )
             if spec.grid is not None:
                 rp, cp = spec.grid
             elif products < ONE_CHUNK_PRODUCTS:
                 rp, cp = 1, 1
             else:
                 rp, cp = min(4, max(1, a.n_rows // 256)), 1
-            record.grid = (rp, cp)
-            record.chunks_total = rp * cp
+            # refuses a grid finer than the operands (panel_boundaries)
+            record.grid = ChunkGrid.regular(a.n_rows, b.n_cols, rp, cp)
+            record.chunks_total = record.grid.num_chunks
+            record.cost_bytes, record.priced = price_job(
+                a, b, products,
+                self.config.host_mem_bytes
+                // (CEILING_SHARE * self.config.slots),
+            )
             self._leases[record.job_id] = tuple(leases)
             self._operands[record.job_id] = (a, b)
         except Exception:
@@ -260,7 +259,6 @@ class SpgemmServer:
             with record.lock:
                 record.state = JobState.RUNNING
                 record.started_at = time.monotonic()
-            grid = ChunkGrid.regular(a.n_rows, b.n_cols, *record.grid)
 
             def on_chunk(cid, stats):
                 with record.lock:
@@ -273,7 +271,7 @@ class SpgemmServer:
 
             t0 = time.perf_counter()
             profile, matrix = execute_chunk_grid(
-                a, b, grid,
+                a, b, record.grid,
                 workers=spec.workers,
                 backend=spec.backend,
                 assemble=True,
@@ -497,7 +495,8 @@ class SpgemmServer:
             spec = JobSpec.from_payload(payload)
         except Exception as exc:
             await self._respond(writer, 400, {
-                "error": f"{type(exc).__name__}: {exc}"
+                "state": JobState.REJECTED.value,
+                "error": f"{type(exc).__name__}: {exc}",
             })
             return
         stream = bool(payload.get("stream", False))

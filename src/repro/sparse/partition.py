@@ -156,7 +156,10 @@ def build_col_offsets(b: CSRMatrix, boundaries: Sequence[int]) -> np.ndarray:
     along the panel axis.
     """
     bounds = np.asarray(boundaries, dtype=INDEX_DTYPE)
-    if bounds[0] != 0 or bounds[-1] != b.n_cols or np.any(np.diff(bounds) <= 0):
+    # a matrix without columns is one empty panel, as panel_boundaries cuts it
+    no_cols = b.n_cols == 0 and bounds.size == 2
+    if bounds[0] != 0 or bounds[-1] != b.n_cols or (
+            np.any(np.diff(bounds) <= 0) and not no_cols):
         raise ValueError("boundaries must be strictly increasing from 0 to n_cols")
     num_panels = bounds.size - 1
 

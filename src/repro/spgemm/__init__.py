@@ -14,7 +14,6 @@ from .kernels import (
 from .native import native_available, native_build_error
 from .numeric import RowSlots, numeric_grouped, numeric_phase, place_rows
 from .reference import assert_same_product, spgemm_scipy
-from .rmerge import spgemm_rmerge
 from .rowanalysis import RowAnalysis, analyze_rows
 from .semiring import MAX_MIN, MIN_PLUS, OR_AND, PLUS_TIMES, Semiring, spgemm_semiring
 from .symbolic import symbolic_grouped, symbolic_row_nnz, symbolic_sort
@@ -48,7 +47,6 @@ __all__ = [
     "place_rows",
     "assert_same_product",
     "spgemm_scipy",
-    "spgemm_rmerge",
     "RowAnalysis",
     "analyze_rows",
     "MAX_MIN",

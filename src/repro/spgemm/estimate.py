@@ -17,9 +17,7 @@ tightens it.
 
 Downstream, :class:`~repro.core.chunks.GridSizing` spreads the per-row
 estimate over a chunk grid — the one place the planner, the governor's
-admission and re-split checks and the kernels' density hints read it —
-and :func:`~repro.core.planner.plan_autotuned` picks grid + kernel +
-hybrid ratio from it.
+admission and re-split checks and the kernels' density hints read it.
 """
 
 from __future__ import annotations
@@ -30,16 +28,13 @@ import numpy as np
 
 from ..sparse.formats import CSRMatrix
 from .flops import product_prefix
-from .groups import DENSE_THRESHOLD
-from .kernels import KernelSpec, accumulate
+from .kernels import accumulate
 from .native import native_available, native_count_rows
 
 __all__ = [
     "DEFAULT_SAMPLE_FRACTION",
     "RowNnzEstimate",
     "estimate_row_nnz",
-    "choose_kernel",
-    "hybrid_ratio_from_estimate",
 ]
 
 DEFAULT_SAMPLE_FRACTION = 0.05
@@ -191,37 +186,3 @@ def estimate_row_nnz(
     lo = np.minimum(_clamp(lo, ub, width), nnz)
     hi = np.maximum(hi, nnz)
     return RowNnzEstimate(nnz, lo, hi, ub, width, sampled, int(labels.size), seed)
-
-
-def choose_kernel(est: RowNnzEstimate) -> KernelSpec:
-    """Pick an accumulator kernel from the estimated output density.
-
-    The native C kernel dominates whenever the toolchain supports it.
-    Otherwise: mostly-dense estimated rows favor the dense accumulator,
-    mostly-sparse rows the vectorized ESC batch, and mixed workloads the
-    ``auto`` dense/ESC split.
-    """
-    if native_available():
-        return KernelSpec(kind="native")
-    active = est.ub > 0
-    if not active.any():
-        return KernelSpec(kind="esc")
-    density = est.row_nnz[active] / max(est.width, 1)
-    dense_frac = float((density >= DENSE_THRESHOLD).mean())
-    if dense_frac >= 0.5:
-        return KernelSpec(kind="dense")
-    if dense_frac <= 0.05:
-        return KernelSpec(kind="esc")
-    return KernelSpec(kind="auto")
-
-
-def hybrid_ratio_from_estimate(est: RowNnzEstimate, flops: int, cost) -> float:
-    """CPU/GPU hybrid split ratio from the estimated output size.
-
-    Feeds the estimated nnz (not the upper bound) into the cost model's
-    compression-ratio-scaled speedup S, returning the paper's optimal
-    GPU share S / (S + 1).
-    """
-    nnz_out = max(int(round(est.total_nnz)), 1)
-    speedup = cost.expected_gpu_speedup(max(int(flops), 1), nnz_out)
-    return float(np.clip(speedup / (speedup + 1.0), 0.0, 1.0))

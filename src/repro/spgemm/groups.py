@@ -80,8 +80,6 @@ def _bucket_of(work: np.ndarray) -> np.ndarray:
 def group_rows(
     work_per_row: np.ndarray,
     out_width: int,
-    *,
-    dense_threshold: float = DENSE_THRESHOLD,
 ) -> RowGrouping:
     """Bin rows by work size and accumulation method.
 
@@ -92,11 +90,10 @@ def group_rows(
         exact output nnz per row (numeric re-grouping).
     out_width:
         Number of columns of the output chunk — the dense accumulator's
-        buffer width, against which density is judged.
-    dense_threshold:
-        Rows with ``work >= dense_threshold * out_width`` use dense
-        accumulation (the paper: "dense accumulation for dense rows and the
-        hashmap methods for sparse rows").
+        buffer width, against which density is judged: rows with
+        ``work >= DENSE_THRESHOLD * out_width`` use dense accumulation
+        (the paper: "dense accumulation for dense rows and the hashmap
+        methods for sparse rows").
     """
     work = np.asarray(work_per_row, dtype=np.int64)
     if np.any(work < 0):
@@ -105,7 +102,7 @@ def group_rows(
     groups: List[RowGroup] = []
 
     active = work > 0
-    cutoff = max(1.0, dense_threshold * out_width)
+    cutoff = max(1.0, DENSE_THRESHOLD * out_width)
     dense_mask = active & (work >= cutoff)
     hash_mask = active & ~dense_mask
 

@@ -22,15 +22,13 @@ Kinds
             hash buckets for the rest (the original default).
 ``dense``   dense accumulation for every productive row.
 ``esc``     bhSPARSE-style expand/sort/compress, one batch per group.
-``merge``   BRMerge-style binary row merging.
 ``native``  runtime-compiled C Gustavson kernel (when available).
 ``auto``    ``native`` when the toolchain allows it, else dense rows to
             ``dense`` and the rest to ``esc``.
 
-``hash``/``dense``/``esc``/``native`` combine duplicate products in
-expansion (ascending ``k``) order and are mutually bit-identical for any
-float input; ``merge`` combines in tree order and matches exactly on
-integer-valued data, to rounding otherwise (see ``docs/KERNELS.md``).
+Every kind combines duplicate products in expansion (ascending ``k``)
+order, so all are mutually bit-identical for any float input (the
+identity contract, DESIGN.md Section 10).
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from .accumulators import (
     esc_accumulate_rows,
     hash_accumulate_rows,
 )
-from .brmerge import merge_accumulate_rows
 from .groups import (
     DENSE_THRESHOLD,
     RowGroup,
@@ -67,48 +64,38 @@ __all__ = [
 ]
 
 #: every accepted ``KernelSpec.kind`` / ``--kernel`` value
-KERNEL_KINDS = ("auto", "hash", "dense", "esc", "merge", "native")
+KERNEL_KINDS = ("auto", "hash", "dense", "esc", "native")
 
 #: group methods that produce values during the symbolic pass (their
 #: symbolic run is cached and the numeric pass only scatters it).
 #: ``native`` is not one: it counts, then fills the exact allocation.
-FUSED_METHODS = frozenset({"esc", "merge"})
+FUSED_METHODS = frozenset({"esc"})
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel choice for one chunk grid (or one multiplication).
 
-    ``kind`` selects the accumulator family (see module docstring);
-    ``dense_threshold`` tunes the dense/sparse split where the kind uses
-    one (``hash`` and compiler-less ``auto``).  The spec serializes to a
-    short string via :meth:`encode` so it can ride through spawn args to
-    process workers and into trace span attributes.
+    ``kind`` selects the accumulator family (see module docstring).  The
+    spec serializes to a short string via :meth:`encode` so it can ride
+    through spawn args to process workers and into trace span attributes.
     """
 
     kind: str = "auto"
-    dense_threshold: float = DENSE_THRESHOLD
 
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(
                 f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}"
             )
-        if not (self.dense_threshold >= 0.0):
-            raise ValueError("dense_threshold must be non-negative")
 
     def encode(self) -> str:
-        """Compact wire form, inverse of :meth:`parse`."""
-        if self.dense_threshold == DENSE_THRESHOLD:
-            return self.kind
-        return f"{self.kind}@{self.dense_threshold!r}"
+        """Wire form, inverse of :meth:`parse`."""
+        return self.kind
 
     @staticmethod
     def parse(text: str) -> "KernelSpec":
-        kind, sep, rest = text.strip().partition("@")
-        if not sep:
-            return KernelSpec(kind=kind)
-        return KernelSpec(kind=kind, dense_threshold=float(rest))
+        return KernelSpec(kind=text.strip())
 
     def resolved(self) -> "KernelSpec":
         """The concrete spec ``auto`` resolves to on this toolchain.
@@ -121,7 +108,7 @@ class KernelSpec:
         under one key.
         """
         if self.kind == "auto" and native_available():
-            return KernelSpec(kind="native", dense_threshold=self.dense_threshold)
+            return KernelSpec(kind="native")
         return self
 
 
@@ -154,7 +141,6 @@ ACCUMULATORS: Dict[str, Callable[..., RowResults]] = {
     "hash": hash_accumulate_rows,
     "dense": _dense_adapter,
     "esc": esc_accumulate_rows,
-    "merge": merge_accumulate_rows,
 }
 
 
@@ -206,16 +192,14 @@ def plan_groups(
                 f"kernel 'native' requested but unavailable: {native_build_error()}"
             )
         return _single_group(work, "native")
-    if kind in ("esc", "merge"):
+    if kind in ("esc", "dense"):
         return _single_group(work, kind)
     if kind == "hash":
         # the original spECK split: dense rows + power-of-two hash buckets
-        return group_rows(work, out_width, dense_threshold=spec.dense_threshold)
-    if kind == "dense":
-        return group_rows(work, out_width, dense_threshold=0.0)
+        return group_rows(work, out_width)
     # auto without a native toolchain: dense rows keep the dense
     # accumulator, everything else goes through one vectorized ESC batch
-    cutoff = max(1.0, spec.dense_threshold * out_width)
+    cutoff = max(1.0, DENSE_THRESHOLD * out_width)
     active = work > 0
     dense_rows = np.flatnonzero(active & (work >= cutoff))
     esc_rows = np.flatnonzero(active & (work < cutoff))

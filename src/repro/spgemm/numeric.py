@@ -124,7 +124,7 @@ def numeric_grouped(
 
     ``precomputed`` (parallel to ``grouping.groups``) supplies cached
     :class:`RowResults` for *fused* groups whose symbolic pass already
-    produced values (esc/merge kernels); those groups are only copied to
+    produced values (the esc kernel); those groups are only copied to
     their slots here instead of recomputed.  ``None`` entries run
     normally.  ``native`` groups fill their slots in place — no
     :class:`RowResults`, no copy.

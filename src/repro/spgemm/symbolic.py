@@ -11,7 +11,7 @@ Three interchangeable implementations:
     profiling path; batched over rows so peak memory is bounded.
 ``symbolic_grouped``
     the spECK-style path: per row group, one registered accumulator
-    (hash/dense/esc/merge) in a structure-only run.
+    (hash/dense/esc) in a structure-only run.
 ``symbolic_row_nnz``
     convenience dispatcher.
 """

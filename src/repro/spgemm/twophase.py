@@ -12,12 +12,12 @@ Pipeline of the three stages the paper describes:
 Which accumulator runs per group is decided by a
 :class:`~repro.spgemm.kernels.KernelSpec` (``--kernel`` on the CLI): the
 classic spECK split (dense rows dense, sparse rows hashed), the
-vectorized ESC or BRMerge batch kernels, or the compiled ``native``
+vectorized ESC batch kernel, or the compiled ``native``
 Gustavson kernel.  ``native`` runs the stages as the paper draws them:
 its symbolic stage is a count pass, the output is allocated once from
 the exact counts, and its numeric stage fills that allocation in place.
-The *fused* numpy kernels (esc/merge) produce values already during the
-symbolic pass; their results are cached and the numeric stage only
+The *fused* numpy kernel (esc) produces values already during the
+symbolic pass; its results are cached and the numeric stage only
 scatters them into the exact allocation, halving the work while keeping
 the two-phase structure (and its stats/spans) intact.
 
@@ -81,7 +81,7 @@ class TwoPhaseStats:
     # measured wall seconds per stage; -1 marks "not measured" (merged
     # stats of resplit subchunks, or records from before these fields).
     # For the native kernel symbolic = count pass and numeric = fill
-    # pass; for the fused numpy kernels (esc/merge) symbolic holds the
+    # pass; for the fused numpy kernel (esc) symbolic holds the
     # whole accumulation and numeric only the scatter.
     analysis_seconds: float = field(default=-1.0, compare=False)
     symbolic_seconds: float = field(default=-1.0, compare=False)
@@ -200,8 +200,8 @@ def spgemm_symbolic(
     sym_grouping = plan_groups(group_work, b.n_cols, spec)
 
     # stage 2: symbolic execution — exact nnz per output row.  The native
-    # kernel only counts.  Fused kernels (esc/merge) compute values in the
-    # same pass; their RowResults are cached so the numeric stage only has
+    # kernel only counts.  The fused kernel (esc) computes values in the
+    # same pass; its RowResults are cached so the numeric stage only has
     # to copy them into place.
     if fault_hook is not None:
         fault_hook("symbolic")

@@ -137,57 +137,3 @@ def plan_grid(a, b, node, *, safety=0.85, buffers=2, max_panels=64,
         if worst <= budget:
             return grid, worst, budget
     raise ValueError("no grid fits")
-
-
-def _report_for_grid(a, b, node, grid, estimate, *, safety, buffers):
-    resident = resident_input_bytes(a, b, grid.num_col_panels)
-    free = node.gpu.device_memory_bytes - resident
-    budget = int(free * safety) // max(buffers, 1)
-    if budget <= 0:
-        return None
-    worst = worst_chunk(a, b, grid, estimate)
-    if worst > budget:
-        return None
-    return grid, worst, budget
-
-
-def candidate_reports(a, b, node, estimate, *, safety=0.85, buffers=2,
-                      max_panels=64):
-    """The autotune shortlist, as ``(grid, worst, budget)`` triples."""
-    reports = []
-    shapes = set()
-
-    def add(report):
-        if report is None:
-            return
-        shape = (report[0].num_row_panels, report[0].num_col_panels)
-        if shape not in shapes:
-            shapes.add(shape)
-            reports.append(report)
-
-    add(plan_grid(a, b, node, safety=safety, buffers=buffers,
-                  max_panels=max_panels, estimate=estimate))
-    try:
-        ub = plan_grid(a, b, node, safety=safety, buffers=buffers,
-                       max_panels=max_panels)
-    except ValueError:
-        ub = None
-    add(ub)
-    # row-only ladder from the smallest fitting row count
-    r0 = None
-    for r in range(1, min(max_panels, a.n_rows) + 1):
-        grid = ChunkGrid.regular(a.n_rows, b.n_cols, r, 1)
-        report = _report_for_grid(a, b, node, grid, estimate,
-                                  safety=safety, buffers=buffers)
-        if report is not None:
-            r0 = r
-            add(report)
-            break
-    if r0 is not None:
-        for r in (2 * r0, 4 * r0):
-            if r > min(max_panels, a.n_rows):
-                continue
-            grid = ChunkGrid.regular(a.n_rows, b.n_cols, r, 1)
-            add(_report_for_grid(a, b, node, grid, estimate,
-                                 safety=safety, buffers=buffers))
-    return reports

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.core.executor import (
     resolve_backend_name,
 )
 from repro.core.executor.procworker import KILL_CHUNK_ENV, ORPHAN_POLL_SECONDS
+from repro.core.spill import Checkpoint
 from repro.sparse.generators import rmat
 
 PARALLEL_BACKENDS = ("thread", "process")
@@ -141,7 +143,7 @@ class TestThreeWayEquivalence:
 
         workers = 1 if backend == "serial" else 2
         execute_chunk_grid(a, a, grid, workers=workers, backend=backend,
-                           chunk_sink=sink)
+                           checkpoint=Checkpoint(SimpleNamespace(put=sink)))
         assert sorted(seen) == [
             (rp, cp)
             for rp in range(grid.num_row_panels)
@@ -208,7 +210,7 @@ class TestCrashCleanup:
 
         with pytest.raises(RuntimeError, match="sink boom"):
             execute_chunk_grid(a, a, grid, workers=2, backend="process",
-                               chunk_sink=sink)
+                               checkpoint=Checkpoint(SimpleNamespace(put=sink)))
         assert not leaked_shm()
 
     def test_normal_run_leaves_no_segments(self, problem):

@@ -45,7 +45,7 @@ needs_native = pytest.mark.skipif(
     reason=f"native kernel unavailable: {native_build_error()}",
 )
 
-KINDS = [k for k in ("native", "hash", "dense", "esc", "merge")
+KINDS = [k for k in ("native", "hash", "dense", "esc")
          if k != "native" or native_available()]
 BACKENDS = [("serial", 1), ("thread", 3)]
 

@@ -6,6 +6,7 @@ touch disjoint output regions and every kernel is deterministic.
 """
 
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro.core.executor import (
     split_by_flop_ratio,
     split_workers,
 )
+from repro.core.spill import Checkpoint
 from repro.sparse.generators import rmat
 
 
@@ -196,7 +198,8 @@ class TestStreaming:
             with lock:
                 seen.append((rp, cp))
 
-        execute_chunk_grid(a, a, grid, workers=4, chunk_sink=sink)
+        execute_chunk_grid(a, a, grid, workers=4,
+                           checkpoint=Checkpoint(SimpleNamespace(put=sink)))
         assert sorted(seen) == [
             (rp, cp)
             for rp in range(grid.num_row_panels)
@@ -210,10 +213,17 @@ class TestStreaming:
             raise RuntimeError("sink boom")
 
         with pytest.raises(RuntimeError, match="sink boom"):
-            execute_chunk_grid(a, a, grid, workers=4, chunk_sink=sink)
+            execute_chunk_grid(a, a, grid, workers=4,
+                               checkpoint=Checkpoint(SimpleNamespace(put=sink)))
 
 
 class TestValidation:
+    def test_chunk_sink_is_gone_not_ignored(self, problem):
+        """A store-backed checkpoint is the one way chunks stream out."""
+        a, grid = problem
+        with pytest.raises(TypeError, match="chunk_sink"):
+            execute_chunk_grid(a, a, grid, chunk_sink=lambda rp, cp, m: None)
+
     def test_rejects_bad_worker_count(self, problem):
         a, grid = problem
         with pytest.raises(ValueError, match="workers"):

@@ -107,42 +107,3 @@ class TestEstimatedPlanning:
 
     def test_footprint_helper_monotone(self):
         assert device_bytes_of(10, 100) < device_bytes_of(10, 10_000)
-
-
-class TestPlanAutotuned:
-    def test_autotune_bundles_consistent_choices(self):
-        from repro.core.planner import plan_autotuned
-
-        m = rmat(10, 8.0, seed=91)
-        node = v100_node(24 << 20)
-        at = plan_autotuned(m, m, node, seed=0)
-        assert at.report.estimated
-        assert at.grid is at.report.grid
-        assert 0.0 <= at.ratio <= 1.0
-        assert at.kernel.kind in ("native", "dense", "esc", "auto")
-        # same seed, same plan
-        again = plan_autotuned(m, m, node, seed=0)
-        assert again.grid.num_chunks == at.grid.num_chunks
-        assert again.ratio == at.ratio
-
-    def test_autotune_executes_identically(self):
-        """The tuned grid/kernel must not change the assembled product."""
-        import numpy as np
-
-        from repro.core.assemble import assemble_chunks
-        from repro.core.executor import execute_chunk_grid
-        from repro.core.planner import plan_autotuned, plan_grid
-
-        m = rmat(9, 8.0, seed=92)
-        node = v100_node(24 << 20)
-        default_grid = plan_grid(m, m, node).grid
-        at = plan_autotuned(m, m, node, seed=0)
-        _, base_out = execute_chunk_grid(m, m, default_grid, keep_outputs=True)
-        _, at_out = execute_chunk_grid(
-            m, m, at.grid, keep_outputs=True, kernel=at.kernel.encode()
-        )
-        c0 = assemble_chunks(base_out)
-        c1 = assemble_chunks(at_out)
-        assert np.array_equal(c0.row_offsets, c1.row_offsets)
-        assert np.array_equal(c0.col_ids, c1.col_ids)
-        assert np.array_equal(c0.data, c1.data)

@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.core.chunks as chunks_mod
@@ -32,14 +32,16 @@ from repro.core.chunks import (
 )
 from repro.core.executor import execute_chunk_grid
 from repro.core.governor import GovernorConfig
-from repro.core.planner import plan_autotuned, plan_grid, resident_input_bytes
+from repro.core.planner import plan_grid, resident_input_bytes
 from repro.device.specs import v100_node
+from repro.distributed.shard import ShardConfig, run_sharded
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import banded, rmat
 from repro.sparse.partition import panel_boundaries
 from repro.sparse.suite import build_matrix
 from repro.spgemm.estimate import estimate_row_nnz
 from repro.spgemm.flops import total_flops
+from tests.conftest import assert_equals_scipy_product
 from tests.core import planner_oracle as oracle
 
 
@@ -49,9 +51,9 @@ from tests.core import planner_oracle as oracle
 @st.composite
 def bounds(draw, n, regular):
     """Panel boundaries of ``[0, n)``: near-equal, or any strictly
-    increasing cut."""
+    increasing cut (``n == 0``: the one empty panel)."""
     if regular:
-        return panel_boundaries(n, draw(st.integers(1, min(n, 5))))
+        return panel_boundaries(n, draw(st.integers(1, min(max(n, 1), 5))))
     cuts = draw(st.sets(st.integers(1, n - 1), max_size=4)) if n > 1 else set()
     return np.array([0, *sorted(cuts), n], dtype=np.int64)
 
@@ -59,13 +61,15 @@ def bounds(draw, n, regular):
 @st.composite
 def problems(draw):
     """Rectangular ``A (m x k)``, ``B (k x n)`` and a grid over ``A x B``,
-    with empty rows and columns, all-empty operands and hub rows."""
-    m, k, n = (draw(st.integers(1, 24)) for _ in range(3))
+    with empty rows and columns, all-empty operands, hub rows, and
+    dimensions of 0, 1 and 2 (no rows, no columns, fewer rows than a
+    sharded run has shards)."""
+    m, k, n = (draw(st.integers(0, 24)) for _ in range(3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def operand(rows, cols):
         shape = draw(st.sampled_from(["empty", "sparse", "hub"]))
-        if shape == "empty":
+        if shape == "empty" or 0 in (rows, cols):
             return np.zeros((rows, cols), dtype=bool)
         mask = rng.random((rows, cols)) < draw(st.floats(0.02, 0.4))
         mask[rng.random(rows) < 0.3, :] = False   # empty rows
@@ -241,25 +245,6 @@ class TestPlansMatchOracle:
         assert report.estimated == estimated
         assert np.array_equal(report.flops, oracle.chunk_flops(m, m, grid))
 
-    @pytest.mark.parametrize("fraction", [0.5, 0.2])
-    def test_autotune_shortlist(self, operand, fraction):
-        """``plan_autotuned(trial=)`` offers the trial the oracle's
-        shortlist, in its order, and returns the trial's pick."""
-        m, est = operand
-        node = v100_node(device_for(m, fraction))
-        want = oracle.candidate_reports(m, m, node, est)
-        seen = []
-
-        def trial(grid, kernel):
-            seen.append(grid)
-            return -len(seen)  # the last one offered wins
-
-        plan = plan_autotuned(m, m, node, seed=0, trial=trial)
-        assert [(g.num_row_panels, g.num_col_panels) for g in seen] == [
-            (g.num_row_panels, g.num_col_panels) for g, _, _ in want]
-        assert plan.grid is seen[-1]
-        assert (plan.report.worst_chunk_bytes, plan.report.budget_bytes) == want[-1][1:]
-
     def test_estimate_chunks_matches_oracle(self, operand):
         m, est = operand
         grid = ChunkGrid.regular(m.n_rows, m.n_cols, 7, 5)
@@ -401,6 +386,36 @@ class TestEngineTakesFlops:
         other = GridSizing(m, m, ChunkGrid.regular(m.n_rows, m.n_cols, 2, 3))
         with pytest.raises(ValueError, match="sizing is of another grid"):
             execute_chunk_grid(m, m, grid, sizing=other)
+
+
+# ----------------------------------------------------------------------
+# default grids: every shape the kernels take, the planners take
+# ----------------------------------------------------------------------
+def shaped(m, k, n):
+    """A ``problems()`` example of dense ``m x k`` and ``k x n`` masks."""
+    return (np.ones((m, k), dtype=bool), np.ones((k, n), dtype=bool),
+            ChunkGrid.regular(m, n, 1, 1))
+
+
+class TestDefaultGridsTakeEveryShape:
+    @given(problem=problems())
+    @example(problem=shaped(0, 5, 4))    # no rows
+    @example(problem=shaped(5, 4, 0))    # no columns
+    @example(problem=shaped(0, 0, 0))
+    @example(problem=shaped(1, 5, 4))    # fewer rows than shards
+    @example(problem=shaped(2, 3, 1))
+    @settings(max_examples=40, deadline=None)
+    def test_entry_points_equal_scipy(self, problem):
+        """No grid is named: ``plan_grid`` plans one panel for an empty
+        dimension and ``run_sharded`` clamps its split to the rows and
+        columns that exist."""
+        a, b = from_mask(problem[0]), from_mask(problem[1])
+        assert_equals_scipy_product(run_out_of_core(a, b).matrix, a, b)
+        assert_equals_scipy_product(run_hybrid(a, b, workers=2).matrix, a, b)
+        for num_shards in (1, 2, 3):
+            res = run_sharded(a, b, ShardConfig(num_shards=num_shards))
+            assert_equals_scipy_product(res.matrix, a, b)
+            assert res.num_shards <= max(a.n_rows, 1)
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.core.assemble import assemble_chunks
 from repro.core.chunks import ChunkGrid
 from repro.core.executor import execute_chunk_grid
 from repro.core.spill import (
+    Checkpoint,
     DiskChunkStore,
     ManifestMismatch,
     RunManifest,
@@ -224,7 +225,7 @@ def test_disk_store_adopts_existing_chunks(problem, tmp_path):
     a, b, grid = problem
     first = DiskChunkStore(tmp_path / "chunks")
     _, outputs = execute_chunk_grid(a, b, grid, keep_outputs=True,
-                                    chunk_sink=first.put)
+                                    checkpoint=Checkpoint(first))
 
     adopted = DiskChunkStore(tmp_path / "chunks")
     assert adopted.grid_shape() == (grid.num_row_panels, grid.num_col_panels)

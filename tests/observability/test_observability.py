@@ -249,13 +249,13 @@ class TestChromeExport:
 
 class TestStoreTracing:
     def test_memory_store_spans_and_bytes_gauge(self, problem):
-        from repro.core.spill import MemoryChunkStore
+        from repro.core.spill import Checkpoint, MemoryChunkStore
 
         a, grid = problem
         tracer = Tracer()
         store = MemoryChunkStore(tracer=tracer)
-        execute_chunk_grid(a, a, grid, workers=2, chunk_sink=store.put,
-                           tracer=tracer)
+        execute_chunk_grid(a, a, grid, workers=2,
+                           checkpoint=Checkpoint(store), tracer=tracer)
         puts = [s for s in tracer.spans if s.name.startswith("store_put")]
         assert len(puts) == grid.num_chunks
         store.get(0, 0)
@@ -265,13 +265,14 @@ class TestStoreTracing:
         assert gauges[-1].values["held"] == store.nbytes()
 
     def test_disk_store_traced(self, problem, tmp_path):
-        from repro.core.spill import DiskChunkStore
+        from repro.core.spill import Checkpoint, DiskChunkStore
 
         a, grid = problem
         tracer = Tracer()
         store = DiskChunkStore(tmp_path / "chunks", tracer=tracer)
         try:
-            execute_chunk_grid(a, a, grid, chunk_sink=store.put, tracer=tracer)
+            execute_chunk_grid(a, a, grid, checkpoint=Checkpoint(store),
+                               tracer=tracer)
             store.get(0, 0)
             cats = {s.cat for s in tracer.spans}
             assert "store" in cats

@@ -248,79 +248,9 @@ class TestJobScheduler:
         accepted, reason = sched.submit(make_record())
         assert not accepted and "shut down" in reason
 
-
-class TestShardPlacement:
-    def test_least_loaded_pick_and_release(self):
-        from repro.distributed.sharding import ShardPlacement
-
-        p = ShardPlacement(3)
-        picks = [p.pick(100) for _ in range(3)]
-        assert sorted(picks) == [0, 1, 2]      # spreads before stacking
-        p.release(1, 100)
-        assert p.pick(100) == 1                # freed shard is least loaded
-        snap = p.snapshot()
-        assert snap["running"] == [1, 1, 1]
-        assert sum(snap["placed_total"]) == 4
-
-    def test_reserved_bytes_break_ties(self):
-        from repro.distributed.sharding import ShardPlacement
-
-        p = ShardPlacement(2)
-        assert p.pick(10_000) == 0
-        assert p.pick(100) == 1
-        p.release(0, 10_000)
-        p.release(1, 100)
-        # equal running counts: the lighter-history shard is irrelevant,
-        # reserved bytes are live state — both are zero again, so the
-        # lowest id wins deterministically
-        assert p.pick(0) == 0
-
-    def test_scheduler_places_jobs_across_shards(self):
-        seen = []
-        lock = threading.Lock()
-
-        def runner(record):
-            time.sleep(0.02)
-            with lock:
-                seen.append(record.shard)
-            with record.lock:
-                record.state = JobState.DONE
-
-        records = [make_record(cost=100) for _ in range(12)]
-        sched = run_scheduler(records, runner=runner, slots=6, shards=3,
-                              host_budget_bytes=1 << 20)
-        assert len(seen) == 12 and None not in seen
-        assert set(seen) == {0, 1, 2}          # every shard served jobs
-        stats = sched.stats()
-        assert stats["shards"] == 3
-        snap = stats["placement"]
-        assert snap["running"] == [0, 0, 0]    # everything released
-        assert sum(snap["placed_total"]) == 12
-
-    def test_admission_stays_global_across_shards(self):
-        # two 0.6-budget jobs on different shard pools must still never
-        # overlap: placement decides where, the one ledger decides when
-        overlap = {"now": 0, "peak": 0}
-        lock = threading.Lock()
-
-        def runner(record):
-            with lock:
-                overlap["now"] += 1
-                overlap["peak"] = max(overlap["peak"], overlap["now"])
-            time.sleep(0.03)
-            with lock:
-                overlap["now"] -= 1
-            with record.lock:
-                record.state = JobState.DONE
-
-        records = [make_record(cost=6_000) for _ in range(5)]
-        sched = run_scheduler(records, runner=runner, slots=4, shards=4,
-                              host_budget_bytes=10_000)
-        assert overlap["peak"] == 1
-        assert sched.stats()["overcommits"] == 0
-
-    def test_bad_shard_count(self):
-        with pytest.raises(ValueError):
-            JobScheduler(lambda r: None, host_budget_bytes=1 << 20,
-                         shards=0)
-
+    def test_one_pool_is_the_only_shape(self):
+        """The simulated device shards are gone, not ignored."""
+        with pytest.raises(TypeError, match="shards"):
+            JobScheduler(lambda r: None, host_budget_bytes=1 << 20, shards=1)
+        sched = JobScheduler(lambda r: None, host_budget_bytes=1 << 20)
+        assert not {"shards", "placement"} & set(sched.stats())

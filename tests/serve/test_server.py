@@ -233,6 +233,37 @@ class TestValidation:
         assert err.status == 400
         assert "do not chain" in err.payload["error"]
 
+    @pytest.mark.parametrize("refused", [
+        {"kernel": "bogus"},
+        {"kernel": "merge"},          # a removed kind is an unknown kind
+        {"kernel": "hash@0.25"},      # and so is the removed wire form
+        {"backend": "bogus"},
+        {"backend": "serial", "workers": 2},
+        {"grid": [1000, 1]},          # 256-row operands
+        {"grid": [1, 1000]},
+    ], ids=["kernel", "merge", "threshold", "backend", "serial-workers",
+            "grid-rows", "grid-cols"])
+    def test_what_the_engine_would_refuse_is_never_admitted(self, refused):
+        """400 and ``rejected`` at the door: no price, no queue entry, no
+        ledger reservation, no slot — and the server carries on."""
+        async def run(server, client):
+            with pytest.raises(ServeError) as exc_info:
+                await client.submit_job(job_payload(**refused))
+            after_refusal = await client.stats()
+            snap = await client.submit_job(job_payload())
+            return exc_info.value, after_refusal, snap
+
+        err, stats, snap = serve(run)
+        assert err.status == 400
+        assert err.payload["state"] == "rejected"
+        assert "ValueError" in err.payload["error"]
+        assert "priced" not in err.payload
+        scheduler = stats["scheduler"]
+        assert scheduler["submitted"] == scheduler["failed"] == 0
+        assert scheduler["host_peak_bytes"] == 0
+        assert stats["jobs_by_state"].get("failed", 0) == 0
+        assert snap["state"] == "done"
+
     def test_unknown_routes_404(self):
         async def run(server, client):
             with pytest.raises(ServeError) as exc_info:

@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.chunks import ChunkGrid, GridSizing
-from repro.device.kernels import default_cost_model
-from repro.device.specs import v100_node
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import banded, random_csr, rmat
 from repro.spgemm.estimate import (
     RowNnzEstimate,
-    choose_kernel,
     estimate_row_nnz,
-    hybrid_ratio_from_estimate,
 )
 from repro.spgemm.flops import flops_per_row, total_flops
 from repro.spgemm.native import native_available
@@ -213,34 +209,3 @@ class TestChunkEstimates:
         ce = GridSizing(a, a, grid, est)
         truth = float(true_row_nnz(a, a).sum())
         assert truth <= ce.nnz_hi.sum() + 1e-6
-
-
-class TestKernelAndRatioChoice:
-    def test_choose_kernel_returns_valid_spec(self):
-        a = rmat(9, 8.0, seed=6)
-        spec = choose_kernel(estimate_row_nnz(a, a, seed=0))
-        assert spec.kind in ("native", "dense", "esc", "auto")
-
-    def test_choose_kernel_prefers_dense_for_dense_output(self, monkeypatch):
-        import repro.spgemm.estimate as est_mod
-
-        monkeypatch.setattr(est_mod, "native_available", lambda: False)
-        n = 16
-        dense_a = random_csr(n, n, n * n, seed=8)  # fully dense input
-        est = estimate_row_nnz(dense_a, dense_a, seed=0)
-        assert choose_kernel(est).kind == "dense"
-
-    def test_choose_kernel_prefers_esc_for_sparse_output(self, monkeypatch):
-        import repro.spgemm.estimate as est_mod
-
-        monkeypatch.setattr(est_mod, "native_available", lambda: False)
-        a = banded(400, 2, seed=9)  # narrow band: very sparse output rows
-        est = estimate_row_nnz(a, a, seed=0)
-        assert choose_kernel(est).kind == "esc"
-
-    def test_hybrid_ratio_in_unit_interval(self):
-        a = rmat(9, 8.0, seed=10)
-        est = estimate_row_nnz(a, a, seed=0)
-        cost = default_cost_model(v100_node())
-        ratio = hybrid_ratio_from_estimate(est, total_flops(a, a), cost)
-        assert 0.0 <= ratio <= 1.0

@@ -16,7 +16,7 @@ class TestGroupRows:
 
     def test_dense_threshold(self):
         work = np.array([100, 5])
-        grouping = group_rows(work, out_width=160, dense_threshold=1 / 16)
+        grouping = group_rows(work, out_width=160)
         methods = {int(r): g.method for g in grouping for r in g.rows}
         assert methods[0] == "dense"   # 100 >= 160/16 = 10
         assert methods[1] == "hash"    # 5 < 10

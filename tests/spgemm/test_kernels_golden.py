@@ -1,6 +1,6 @@
 """Golden equivalence suite for the kernel-dispatch interface.
 
-Pins the cross-kernel contract documented in docs/KERNELS.md:
+Pins the cross-kernel identity contract (DESIGN.md Section 10):
 
 * every kernel produces the scipy product on a battery of adversarial
   inputs (empty rows, fully dense rows, single-column chunks,
@@ -8,13 +8,10 @@ Pins the cross-kernel contract documented in docs/KERNELS.md:
 * ``hash`` / ``dense`` / ``esc`` / ``native`` / ``auto`` combine
   duplicate products in the same ascending-``k`` expansion order and are
   therefore **bit-identical** to each other for arbitrary float inputs;
-* ``merge`` combines in pairwise-tree order — bit-identical to the rest
-  on integer-valued data (where float addition is exact), ``allclose``
-  otherwise;
 * the contract survives the execution engine: every backend x kernel
-  combination of :func:`execute_chunk_grid` (the reference kernels
-  ``dense`` and ``merge`` serially only) matches the serial ``hash``
-  run bitwise, including under injected chaos faults with retries.
+  combination of :func:`execute_chunk_grid` (the reference kernel
+  ``dense`` serially only) matches the serial ``hash`` run bitwise,
+  including under injected chaos faults with retries.
 """
 
 import numpy as np
@@ -46,7 +43,6 @@ ALL_KERNELS = [
     "hash",
     "dense",
     "esc",
-    "merge",
     pytest.param("native", marks=needs_native),
 ]
 
@@ -60,15 +56,15 @@ EXACT_KERNELS = [
 ]
 
 
-#: kernel x backend cases of the engine equivalence test.  `dense` and
-#: `merge` lose on every bench row and stay as paper-faithful reference
-#: kernels: one serial run each, not the whole backend product.
+#: kernel x backend cases of the engine equivalence test.  `dense`
+#: loses on every bench row and stays as a paper-faithful reference
+#: kernel: one serial run, not the whole backend product.
 ENGINE_CASES = [
     pytest.param(kernel, backend,
                  marks=needs_native if kernel == "native" else ())
     for kernel in ("hash", "esc", "native")
     for backend in ("serial", "thread", "process")
-] + [("dense", "serial"), ("merge", "serial")]
+] + [("dense", "serial")]
 
 
 def _with_integer_values(m: CSRMatrix) -> CSRMatrix:
@@ -137,7 +133,7 @@ class TestGoldenVsScipy:
     @pytest.mark.parametrize("kernel", ALL_KERNELS + ["auto"])
     def test_integer_data_bit_identical_to_scipy(self, ab, kernel):
         """On integer-valued data float addition is exact, so every
-        kernel — merge included — must match scipy *bitwise*."""
+        kernel must match scipy *bitwise*."""
         from repro.sparse.ops import drop_explicit_zeros
         from repro.spgemm.reference import spgemm_scipy
 
@@ -169,50 +165,46 @@ class TestCrossKernelBitIdentity:
                                           err_msg=kind)
             np.testing.assert_array_equal(ref.data, got.data, err_msg=kind)
 
-    def test_merge_allclose_on_floats(self, ab):
-        a, b = ab
-        ref = spgemm_twophase(a, b, kernel="hash").matrix
-        got = spgemm_twophase(a, b, kernel="merge").matrix
-        np.testing.assert_array_equal(ref.row_offsets, got.row_offsets)
-        np.testing.assert_array_equal(ref.col_ids, got.col_ids)
-        np.testing.assert_allclose(ref.data, got.data,
-                                   rtol=1e-10, atol=1e-12)
-
-    def test_merge_bit_identical_on_integers(self, ab):
-        a, b = ab
-        a, b = _with_integer_values(a), _with_integer_values(b)
-        ref = spgemm_twophase(a, b, kernel="hash").matrix
-        got = spgemm_twophase(a, b, kernel="merge").matrix
-        np.testing.assert_array_equal(ref.data, got.data)
-
 
 class TestKernelSpec:
     def test_defaults(self):
         spec = KernelSpec()
         assert spec.kind == "auto"
-        assert spec.dense_threshold > 0
+
+    def test_the_kinds(self):
+        assert KERNEL_KINDS == ("auto", "hash", "dense", "esc", "native")
 
     @pytest.mark.parametrize("kind", list(KERNEL_KINDS))
     def test_encode_parse_roundtrip(self, kind):
-        spec = KernelSpec(kind=kind, dense_threshold=0.125)
+        spec = KernelSpec(kind=kind)
         assert KernelSpec.parse(spec.encode()) == spec
 
-    def test_encode_default_threshold_is_bare_kind(self):
+    def test_wire_form_is_the_bare_kind(self):
         assert KernelSpec(kind="esc").encode() == "esc"
         assert KernelSpec.parse("esc") == KernelSpec(kind="esc")
 
     def test_resolve(self):
         assert resolve_kernel(None) == KernelSpec()
-        assert resolve_kernel("merge") == KernelSpec(kind="merge")
-        spec = KernelSpec(kind="hash", dense_threshold=0.25)
+        assert resolve_kernel("esc") == KernelSpec(kind="esc")
+        spec = KernelSpec(kind="hash")
         assert resolve_kernel(spec) is spec
         assert resolve_kernel(spec.encode()) == spec
 
     def test_rejects_unknown_kind(self):
+        """The removed ``merge`` kind and ``kind@threshold`` wire form
+        are refused like any other unknown kind, not ignored."""
         with pytest.raises(ValueError):
             KernelSpec(kind="gpu")
-        with pytest.raises(ValueError):
-            KernelSpec.parse("hash@nope")
+        m = rmat(4, 2.0, seed=1)
+        for wire in ("gpu", "merge", "hash@0.25", "hash@nope"):
+            with pytest.raises(ValueError, match="unknown kernel kind"):
+                resolve_kernel(wire)
+            with pytest.raises(ValueError, match="unknown kernel kind"):
+                spgemm_twophase(m, m, kernel=wire)
+
+    def test_spec_takes_no_threshold(self):
+        with pytest.raises(TypeError):
+            KernelSpec(kind="hash", dense_threshold=0.25)
 
     def test_stats_record_kernel(self):
         a = rmat(6, 4.0, seed=5)
@@ -229,7 +221,7 @@ class TestPlanGroups:
 
     def test_single_group_methods(self):
         work, width = self._work()
-        for kind in ("esc", "merge"):
+        for kind in ("esc", "dense"):
             g = plan_groups(work, width, KernelSpec(kind=kind))
             methods = {grp.method for grp in g.groups}
             assert methods <= {kind}
@@ -244,13 +236,12 @@ class TestPlanGroups:
 
     def test_hash_kind_splits_by_threshold(self):
         work = np.array([1, 1, 1000, 1000], dtype=np.int64)
-        g = plan_groups(work, 64, KernelSpec(kind="hash",
-                                             dense_threshold=0.5))
+        g = plan_groups(work, 64, KernelSpec(kind="hash"))
         assert {grp.method for grp in g.groups} == {"hash", "dense"}
 
     def test_fused_methods_are_fused(self):
         # native is not: its symbolic pass only counts
-        assert FUSED_METHODS == {"esc", "merge"}
+        assert FUSED_METHODS == {"esc"}
 
     @needs_native
     def test_auto_prefers_native(self):
@@ -272,8 +263,7 @@ class TestPlanGroups:
 
 class TestEngineKernelEquivalence:
     """The serial hash product is the golden answer; every backend x
-    kernel combination in :data:`ENGINE_CASES` must reproduce it bitwise
-    (merge to rounding: its tree order is not expansion order)."""
+    kernel combination in :data:`ENGINE_CASES` must reproduce it bitwise."""
 
     @pytest.fixture(scope="class")
     def setup(self):
@@ -283,17 +273,13 @@ class TestEngineKernelEquivalence:
                                        keep_outputs=True, kernel="hash")
         return a, grid, golden
 
-    def _assert_matches(self, golden, out, *, exact=True):
+    def _assert_matches(self, golden, out):
         for rp, row in enumerate(golden):
             for cp, g in enumerate(row):
                 o = out[rp][cp]
                 np.testing.assert_array_equal(g.row_offsets, o.row_offsets)
                 np.testing.assert_array_equal(g.col_ids, o.col_ids)
-                if exact:
-                    np.testing.assert_array_equal(g.data, o.data)
-                else:
-                    np.testing.assert_allclose(g.data, o.data,
-                                               rtol=1e-10, atol=1e-12)
+                np.testing.assert_array_equal(g.data, o.data)
 
     @pytest.mark.parametrize("kernel,backend", ENGINE_CASES)
     def test_backend_kernel_grid(self, setup, backend, kernel):
@@ -303,10 +289,10 @@ class TestEngineKernelEquivalence:
             a, a, grid, workers=workers, backend=backend,
             keep_outputs=True, kernel=kernel,
         )
-        self._assert_matches(golden, out, exact=kernel != "merge")
+        self._assert_matches(golden, out)
         assert all(c.kernel == kernel for c in profile.chunks)
 
-    @pytest.mark.parametrize("kernel", ["esc", "merge"])
+    @pytest.mark.parametrize("kernel", ["esc"])
     def test_chaos_faults_with_retry(self, setup, kernel):
         """An injected numeric-stage fault on the first attempt of chunk
         1 must be retried away without changing any output bit."""
@@ -317,4 +303,4 @@ class TestEngineKernelEquivalence:
                                              base_delay=0.001),
             faults=FaultInjector.from_string("numeric:raise:chunk=1:times=1"),
         )
-        self._assert_matches(golden, out, exact=kernel != "merge")
+        self._assert_matches(golden, out)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.sparse.generators import random_csr
 from repro.spgemm.groups import group_rows
+from repro.spgemm.kernels import KernelSpec, plan_groups
 from repro.spgemm.numeric import RowSlots, numeric_grouped, numeric_phase
 from repro.spgemm.symbolic import symbolic_row_nnz
 from tests.conftest import assert_equals_scipy_product
@@ -34,14 +35,16 @@ class TestNumericPhase:
         row_nnz = symbolic_row_nnz(a, a)
         default = numeric_phase(a, a, row_nnz)
         # force everything through the dense path
-        all_dense = group_rows(row_nnz, a.n_cols, dense_threshold=0.0)
+        all_dense = plan_groups(row_nnz, a.n_cols, KernelSpec(kind="dense"))
+        assert all(g.method == "dense" for g in all_dense)
         via_dense = numeric_grouped(a, a, row_nnz, all_dense)
         assert default == via_dense
 
     def test_all_hash_path(self, sample_matrix):
         a = sample_matrix
         row_nnz = symbolic_row_nnz(a, a)
-        all_hash = group_rows(row_nnz, a.n_cols, dense_threshold=2.0)
+        # judged against a width no row can fill a sixteenth of
+        all_hash = group_rows(row_nnz, 32 * a.n_cols)
         assert all(g.method == "hash" for g in all_hash)
         via_hash = numeric_grouped(a, a, row_nnz, all_hash)
         assert via_hash == numeric_phase(a, a, row_nnz)
