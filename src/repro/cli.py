@@ -261,6 +261,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_multiply(args) -> int:
+    if args.out is not None and not args.out.endswith((".npz", ".mtx")):
+        raise ValueError(f"output must be .npz or .mtx, got {args.out!r}")
     a = _load_matrix(args.a)
     b = _load_matrix(args.b) if args.b else a
     if args.device_mem is not None:
@@ -480,7 +482,12 @@ def _cmd_shard_worker(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as refusal:
+        # a typed refusal of the user's arguments: argparse's form, no traceback
+        print(f"repro {args.command}: error: {refusal}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

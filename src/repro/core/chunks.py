@@ -20,6 +20,7 @@ per-chunk workload statistics:
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence, Tuple
 
@@ -36,6 +37,7 @@ __all__ = [
     "ChunkStats",
     "ChunkProfile",
     "ProductTable",
+    "CutTable",
     "GridSizing",
     "chunk_flops",
     "flops_desc_order",
@@ -312,9 +314,9 @@ class ProductTable:
     *any* row range x panel is one subtraction.  Built from the paper's
     ``col_offset`` structure (Section III.D) in one pass over B and one
     :func:`~repro.spgemm.flops.product_prefix` per panel over
-    ``A.col_ids``; every grid sharing these ``col_bounds`` is then
-    answered without touching A or B again.  Holds ``(n_rows_A + 1) x c``
-    int64, never ``nnz_A x c``.
+    ``A.col_ids``: ``(n_rows_A + 1) x c`` int64, never ``nnz_A x c``.
+    Chunk counts come off a :class:`CutTable` instead; this is behind
+    row-level reads, estimated sizes and plans past that table's bound.
 
     ``estimate`` (a :class:`~repro.spgemm.estimate.RowNnzEstimate` of the
     same product) adds the sampled output sizes: a row's products split
@@ -354,25 +356,88 @@ class ProductTable:
             for ratio in (self.ratio, self.estimate.ratio_hi()))
 
 
+class CutTable:
+    """Product counts of ``A x B`` on sorted cut points of A's rows and
+    B's columns: one scan of each operand prices every grid on them.
+
+    ``cnt[k, q]``, the nnz of B row ``k`` between column cuts ``q`` and
+    ``q + 1``, is one :func:`build_col_offsets`; ``w[k]``, how often the
+    rows between two row cuts reference B row ``k``, one ``bincount`` of
+    their slice of ``A.col_ids``; ``w @ cnt`` counts that segment's cells
+    exactly.  Kept as 2-D prefix sums (a chunk is a four-corner
+    difference); the dense ``cnt`` lives only in here.  ``row_weight``
+    (per row of A: an estimate's ratio) adds the same sums with each
+    row's products weighted — float64, a rounding error of the table's
+    total off; zeros without one.
+    """
+
+    def __init__(self, a: CSRMatrix, b: CSRMatrix, row_cuts: np.ndarray,
+                 col_cuts: np.ndarray, row_weight: Optional[np.ndarray] = None):
+        if a.n_cols != b.n_rows:
+            raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
+        self.a, self.b, self.row_cuts, self.col_cuts = a, b, row_cuts, col_cuts
+        cnt = np.diff(build_col_offsets(b, col_cuts), axis=1)
+        if a.nnz * int(cnt.max(initial=0)) < 2 ** 53:
+            # no sum can pass the integers float64 holds: BLAS is exact
+            cnt = cnt.astype(np.float64)
+        ends = a.row_offsets[row_cuts]
+        cells = np.zeros((ends.size - 1, cnt.shape[1]), dtype=np.int64)
+        weighted = np.zeros(cells.shape)
+        if row_weight is not None:
+            per_elem = np.repeat(row_weight, a.row_nnz())
+        for s, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+            if hi == lo:
+                continue
+            k0 = a.col_ids[lo:hi].min()
+            cols = a.col_ids[lo:hi] - k0
+            w = np.bincount(cols).astype(cnt.dtype)
+            near = cnt[k0:k0 + w.size]  # the only B rows the segment references
+            cells[s] = w @ near
+            if row_weight is not None:
+                weighted[s] = np.bincount(cols, weights=per_elem[lo:hi]) @ near
+        self.prefix, self.weighted = (
+            np.pad(t.cumsum(0).cumsum(1), ((1, 0), (1, 0)))
+            for t in (cells, weighted))
+
+    def cells(self, grid: ChunkGrid, weighted: bool = False) -> np.ndarray:
+        """``(r, c)`` products per chunk of ``grid`` (``weighted``: the
+        weighted sums), whose boundaries must be cuts of the table."""
+        ri = np.searchsorted(self.row_cuts, grid.row_bounds)
+        ci = np.searchsorted(self.col_cuts, grid.col_bounds)
+        if not (np.array_equal(self.row_cuts[ri], grid.row_bounds)
+                and np.array_equal(self.col_cuts[ci], grid.col_bounds)):
+            raise ValueError("grid boundaries are not cuts of this table")
+        corners = (self.weighted if weighted else self.prefix)[np.ix_(ri, ci)]
+        return np.diff(np.diff(corners, axis=0), axis=1)
+
+    def sizing(self, grid: ChunkGrid) -> "GridSizing":
+        """The un-estimated sizing of ``grid``, no row-level table built."""
+        return GridSizing._new(grid, self.cells(grid), None, functools.partial(
+            ProductTable, self.a, self.b, grid.col_bounds))
+
+
 class GridSizing:
     """What one grid of ``C = A x B`` costs, chunk by chunk, before any
-    kernel runs — read off a :class:`ProductTable`, the paper's row
-    analysis (Fig. 3) summed once.
+    kernel runs — the paper's row analysis (Fig. 3) summed once.
 
     The planner prices candidate grids with it, the executor orders
     dispatch by its ``flops``, the governor admits on ``host_bytes`` and
     re-splits on ``device_bytes``, a re-split sizes its sub-panels
     with ``range_products``, kernels get ``density_hint``s, and a shard
-    takes its ``span``.  With an estimate on the table, ``nnz`` /
-    ``nnz_hi`` are the sampled sizes clamped to the hard ceiling
-    ``min(products, rows x width)``; without one they *are* that
-    ceiling, so the flops upper bound stays the ceiling of every number
-    here.  Chunk-indexed results are flat, in row-major chunk-id order.
+    takes its ``span``.  Chunk counts come off a :class:`CutTable`;
+    ``table``, the :class:`ProductTable` behind row-level reads and an
+    estimate's sizes, is built on first read — a default run makes none.
+    With an estimate, ``nnz`` / ``nnz_hi`` are the sampled sizes clamped
+    to the hard ceiling ``min(products, rows x width)``; without one they
+    *are* that ceiling, so the flops upper bound stays the ceiling of
+    every number here.  Chunk-indexed results are flat, row-major.
     """
 
     def __init__(self, a: CSRMatrix, b: CSRMatrix, grid: ChunkGrid,
                  estimate=None):
-        self._bind(ProductTable(a, b, grid.col_bounds, estimate), grid, 0)
+        cut = CutTable(a, b, grid.row_bounds, grid.col_bounds)
+        self._bind(grid, cut.cells(grid), estimate, functools.partial(
+            ProductTable, a, b, grid.col_bounds, estimate))
 
     @classmethod
     def over(cls, table: ProductTable, grid: ChunkGrid,
@@ -380,21 +445,32 @@ class GridSizing:
         """The sizing of ``grid`` over an existing table (whose column
         bounds are the grid's).  ``first_row`` is the table row of the
         grid's row 0 — nonzero for a :meth:`span`."""
+        products = np.diff(table.prefix[grid.row_bounds + first_row], axis=0)
+        return cls._new(grid, products, table.estimate, lambda: table, first_row)
+
+    @classmethod
+    def _new(cls, *args) -> "GridSizing":
         self = cls.__new__(cls)
-        self._bind(table, grid, first_row)
+        self._bind(*args)
         return self
 
-    def _bind(self, table: ProductTable, grid: ChunkGrid, first_row: int):
-        self.table, self.grid = table, grid
+    def _bind(self, grid: ChunkGrid, products: np.ndarray, estimate,
+              make_table, first_row: int = 0):
+        self.grid, self.estimate = grid, estimate
+        #: (r, c) exact intermediate products per chunk
+        self.products = products
+        self.panel_rows = np.diff(grid.row_bounds).astype(np.int64)
         #: table rows of the grid's row-panel boundaries
         self._cuts = grid.row_bounds + first_row
-        #: (r, c) exact intermediate products per chunk
-        self.products = np.diff(table.prefix[self._cuts], axis=0)
-        self.panel_rows = np.diff(grid.row_bounds).astype(np.int64)
+        self._make_table, self._table, self._lock = make_table, None, threading.Lock()
 
     @property
-    def estimated(self) -> bool:
-        return self.table.estimate is not None
+    def table(self) -> ProductTable:
+        """The row-level table, built on first read (lanes may race)."""
+        with self._lock:
+            if self._table is None:
+                self._table = self._make_table()
+            return self._table
 
     @property
     def flops(self) -> np.ndarray:
@@ -407,7 +483,7 @@ class GridSizing:
         # no chunk holds more nonzeros than its products, nor than its
         # dense extent
         ceiling = np.minimum(self.products, self.panel_rows[:, None] * widths)
-        if not self.estimated:
+        if self.estimate is None:
             return ceiling, ceiling
         nnz, nnz_hi = (np.diff(prefix[self._cuts], axis=0)
                        for prefix in self.table.nnz_prefixes)
@@ -443,7 +519,7 @@ class GridSizing:
     def device_bytes(self) -> np.ndarray:
         """Each chunk's device footprint: sized from the estimate when
         there is one (the OCEAN move), else :attr:`device_bytes_ub`."""
-        if not self.estimated:
+        if self.estimate is None:
             return self.device_bytes_ub
         return device_bytes_of(self.panel_rows[:, None], self._nnz_bound).ravel()
 
@@ -467,7 +543,7 @@ class GridSizing:
         """Estimated output nnz per row of one chunk (``None`` without an
         estimate): the chunk's exact per-row products scaled by the
         sampled per-row compression ratio."""
-        if not self.estimated:
+        if self.estimate is None:
             return None
         first, prefix = self._chunk_rows(cid)
         products = np.diff(prefix)
@@ -480,7 +556,8 @@ class GridSizing:
         same table."""
         rb = self.grid.row_bounds
         sub = ChunkGrid(rb[rp_lo:rp_hi + 1] - rb[rp_lo], self.grid.col_bounds)
-        return GridSizing.over(self.table, sub, int(self._cuts[rp_lo]))
+        return GridSizing._new(sub, self.products[rp_lo:rp_hi], self.estimate,
+                               lambda: self.table, int(self._cuts[rp_lo]))
 
 
 def chunk_flops(a: CSRMatrix, b: CSRMatrix, grid: ChunkGrid) -> np.ndarray:

@@ -285,7 +285,7 @@ class GridJob:
         if gov is None or gov.device_pool_bytes is None:
             return False
         fits = gov.fits(int(self.sizing.device_bytes[cid]))
-        if (fits and self.sizing.estimated
+        if (fits and self.sizing.estimate is not None
                 and not gov.fits(int(self.sizing.device_bytes_ub[cid]))):
             self.note_avoided_resplit(cid)
         return not fits

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from ..sparse.partition import panel_boundaries
 from .chunks import (
     BYTES_PER_ELEM,
     ChunkGrid,
+    CutTable,
     GridSizing,
     ProductTable,
     csr_bytes,
@@ -127,57 +128,92 @@ def _candidate_shapes(max_panels: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((r, c) for _, _, r, c in ranked)
 
 
+def _union_cuts(n: int, limit: int) -> np.ndarray:
+    """Every boundary of the splits of ``[0, n)`` into <= ``limit`` panels."""
+    return np.unique(np.concatenate(
+        [panel_boundaries(n, p) for p in range(1, min(limit, max(n, 1)) + 1)]))
+
+
 class _GridPricer:
     """Prices candidate grid shapes of one ``(A, B, node)`` problem.
 
-    Keeps one :class:`~repro.core.chunks.ProductTable` (carrying the
-    estimate, when there is one) per column count, so every candidate
-    sharing ``c`` costs O(r x c) and no further pass over A or B — the
-    paper's ``GetFlops`` computed once, not once per shape.
+    In rounds: one scan of each operand builds a ``CutTable`` over the
+    boundaries of every panel count up to the round's limit (two dozen
+    per axis at 8), and every ``(r, c)`` inside it costs O(r x c) — the
+    paper's ``GetFlops`` computed once, not once per shape.  A per-``c``
+    ``ProductTable`` prices only the candidates past :meth:`_cut_table`'s
+    bound and, with an estimate, those the cut table could not rule out.
     """
 
     def __init__(self, a: CSRMatrix, b: CSRMatrix, node: NodeSpec, *,
-                 safety: float, buffers: int, estimate=None):
+                 safety: float, buffers: int, max_panels: int, estimate=None):
         if not 0 < safety <= 1:
             raise ValueError("safety must be in (0, 1]")
+        for name, value in (("buffers", buffers), ("max_panels", max_panels)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         self.a, self.b = a, b
         self.device_memory = node.gpu.device_memory_bytes
-        self.safety, self.buffers = safety, buffers
+        self.safety, self.buffers, self.max_panels = safety, buffers, max_panels
         self.estimate = estimate
-        self._tables: Dict[int, ProductTable] = {}
+        self._table = functools.lru_cache(maxsize=None)(lambda c: ProductTable(
+            a, b, panel_boundaries(b.n_cols, c), estimate))
+        #: the widest round built, the panels it covers, may it widen
+        self._cut, self._covers, self._widens = None, 0, True
 
     def budget(self, c: int) -> int:
         """Per-chunk device bytes left once the inputs, B cut into ``c``
         column panels, are resident (<= 0: the inputs alone overflow)."""
         free = self.device_memory - resident_input_bytes(self.a, self.b, c)
-        return int(free * self.safety) // max(self.buffers, 1)
+        return int(free * self.safety) // self.buffers
 
-    def _table(self, c: int) -> ProductTable:
-        if c not in self._tables:
-            self._tables[c] = ProductTable(
-                self.a, self.b, panel_boundaries(self.b.n_cols, c),
-                self.estimate)
-        return self._tables[c]
+    def _cut_table(self, panels: int) -> Optional[CutTable]:
+        """The cut table covering ``panels`` panels per axis, or ``None``
+        past the bound.  Limits double from 8 (every shape up to 26 chunks)
+        to ``max_panels``; the bound comes from the operand shapes alone: a
+        round is built while its dense ``n_rows_B x buckets`` float64 table
+        is no larger than the operands' CSR bytes twice over — up to there
+        its reads cost no more than the per-``c`` tables' gathers."""
+        a, b = self.a, self.b
+        if panels > self._covers and self._widens:
+            limit = min(max(8, 1 << (panels - 1).bit_length()), self.max_panels)
+            rows, cols = _union_cuts(a.n_rows, limit), _union_cuts(b.n_cols, limit)
+            self._widens = 8 * b.n_rows * (cols.size - 1) <= 2 * (
+                csr_bytes(a.n_rows, a.nnz) + csr_bytes(b.n_rows, b.nnz))
+            if self._widens:
+                weight = None if self.estimate is None else self.estimate.ratio_hi()
+                self._cut, self._covers = CutTable(a, b, rows, cols, weight), limit
+        return self._cut if panels <= self._covers else None
+
+    def _floor_bytes(self, cut: CutTable, grid: ChunkGrid) -> int:
+        """A lower bound on ``grid``'s estimated worst chunk: the weighted
+        sums less their rounding (1e-9 of the total covers 10**7 terms)."""
+        ub = cut.sizing(grid)
+        floor = np.minimum(ub.nnz_hi, cut.cells(grid, weighted=True)
+                           - (1 + 1e-9 * cut.weighted[-1, -1]))
+        return int(device_bytes_of(
+            ub.panel_rows[:, None], np.ceil(floor.clip(0)).astype(np.int64)).max())
 
     def price(self, r: int, c: int) -> PlanReport:
         """The regular ``r x c`` grid with its worst chunk footprint: the
         flops upper bound, tightened by the pricer's estimate when it has
-        one (which only ever lowers a footprint)."""
-        table = self._table(c)
-        grid = ChunkGrid(panel_boundaries(self.a.n_rows, r), table.col_bounds)
-        sizing = GridSizing.over(table, grid)
+        one (only ever lower) — confirmed on the exact per-``c`` table, or
+        ruled out by the cut table: no ``sizing`` then, a lower bound."""
+        grid = ChunkGrid.regular(self.a.n_rows, self.b.n_cols, r, c)
+        cut, budget, sizing = self._cut_table(max(r, c)), self.budget(c), None
+        if cut is not None and self.estimate is None:
+            sizing = cut.sizing(grid)
+        elif cut is None or (worst := self._floor_bytes(cut, grid)) <= budget:
+            sizing = GridSizing.over(self._table(c), grid)
+        if sizing is not None:
+            worst = int(sizing.device_bytes.max())
         return PlanReport(
-            grid=grid,
-            worst_chunk_bytes=int(sizing.device_bytes.max()),
-            budget_bytes=self.budget(c),
-            device_memory=self.device_memory,
-            buffers=self.buffers,
-            safety=self.safety,
-            estimated=self.estimate is not None,
-            sizing=sizing,
-        )
+            grid=grid, worst_chunk_bytes=worst, budget_bytes=budget,
+            device_memory=self.device_memory, buffers=self.buffers,
+            safety=self.safety, estimated=self.estimate is not None,
+            sizing=sizing)
 
-    def first_fit(self, max_panels: int) -> PlanReport:
+    def first_fit(self) -> PlanReport:
         """The first shape of :func:`_candidate_shapes` that fits."""
         if self.budget(1) <= 0:  # and a finer column split only adds to it
             raise ValueError(
@@ -185,19 +221,19 @@ class _GridPricer:
                 f"{resident_input_bytes(self.a, self.b, 1)} bytes) exceed "
                 f"device memory ({self.device_memory} bytes)"
             )
-        last_report = None
         # an empty dimension is one (empty) panel, as panel_boundaries has it
         max_r, max_c = max(self.a.n_rows, 1), max(self.b.n_cols, 1)
-        for r, c in _candidate_shapes(max_panels):
+        for r, c in _candidate_shapes(self.max_panels):
             if r > max_r or c > max_c or self.budget(c) <= 0:
                 continue
-            last_report = self.price(r, c)
-            if last_report.fits:
-                return last_report
+            last = self.price(r, c)
+            if last.fits:
+                return last
         raise ValueError(
-            f"no grid up to {max_panels}x{max_panels} fits the device budget; "
-            f"last candidate: {last_report}"
-        )
+            f"no grid up to {self.max_panels}x{self.max_panels} fits the "
+            f"device budget; last candidate {last.grid.num_row_panels}x"
+            f"{last.grid.num_col_panels}: worst chunk {last.worst_chunk_bytes} "
+            f"bytes, budget {last.budget_bytes} bytes")
 
 
 def plan_grid(
@@ -223,6 +259,5 @@ def plan_grid(
     much coarser grid than the UB alone would (Section IV.B's complaint
     about loose bounds).
     """
-    pricer = _GridPricer(a, b, node, safety=safety, buffers=buffers,
-                         estimate=estimate)
-    return pricer.first_fit(max_panels)
+    return _GridPricer(a, b, node, safety=safety, buffers=buffers,
+                       max_panels=max_panels, estimate=estimate).first_fit()

@@ -163,7 +163,8 @@ def build_col_offsets(b: CSRMatrix, boundaries: Sequence[int]) -> np.ndarray:
         raise ValueError("boundaries must be strictly increasing from 0 to n_cols")
     num_panels = bounds.size - 1
 
-    panel_of_elem = np.searchsorted(bounds, b.col_ids, side="right") - 1
+    panel_of_col = np.repeat(np.arange(num_panels), np.diff(bounds))
+    panel_of_elem = panel_of_col[b.col_ids]
     rows = b.expand_row_ids()
     counts = np.bincount(
         rows * num_panels + panel_of_elem, minlength=b.n_rows * num_panels

@@ -1,5 +1,7 @@
 """Tests for panel-count planning."""
 
+import re
+
 import pytest
 
 from repro.core.chunks import device_bytes_of
@@ -61,6 +63,22 @@ class TestPlanGrid:
     def test_bad_safety(self, matrix):
         with pytest.raises(ValueError):
             plan_grid(matrix, matrix, v100_node(), safety=0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(buffers=0), dict(buffers=-3), dict(max_panels=0)], ids=str)
+    def test_nonsense_buffers_and_max_panels_are_refused(self, matrix, kwargs):
+        """Zero resident chunks is not a single-buffered plan, and no
+        panels is not "nothing fits"."""
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got"):
+            plan_grid(matrix, matrix, v100_node(64 << 20), **kwargs)
+
+    def test_no_fit_names_the_last_shape_not_its_boundaries(self, matrix):
+        with pytest.raises(ValueError) as refusal:
+            plan_grid(matrix, matrix, v100_node(1 << 20), max_panels=4)
+        assert re.fullmatch(
+            r"no grid up to 4x4 fits the device budget; last candidate 4x4: "
+            r"worst chunk \d+ bytes, budget \d+ bytes", str(refusal.value))
 
     def test_buffers_halve_budget(self, matrix):
         one = plan_grid(matrix, matrix, v100_node(64 << 20), buffers=1)

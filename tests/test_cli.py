@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,38 @@ class TestMultiply:
         assert main(["multiply", str(a_path), str(b_path),
                      "--device-mem", "16"]) == 0
 
+
+    @pytest.mark.parametrize("args,message", [
+        (["{b}"], r"dimension mismatch: A is \(300, 300\), B is \(200, 200\)"),
+        (["--device-mem", "0"], "no grid fits: the resident inputs"),
+        (["--mode", "hybrid", "--ratio", "1.5"], r"ratio must be in \[0, 1\]"),
+        (["--backend", "serial", "--workers", "2"],
+         "the serial backend runs exactly one worker"),
+    ], ids=["shapes", "device", "ratio", "backend"])
+    def test_a_typed_refusal_is_one_line_and_status_2(self, args, message,
+                                                      tmp_path, capsys):
+        """What the planner and the engine refuse about the user's
+        arguments reads like argparse's own refusals, not a traceback."""
+        a_path, b_path = tmp_path / "a.npz", tmp_path / "b.npz"
+        for path, n in ((a_path, "300"), (b_path, "200")):
+            main(["gen", "erdos-renyi", "--n", n, "--degree", "5", "--seed", "1",
+                  "--out", str(path)])
+        capsys.readouterr()
+        argv = [arg.format(b=b_path) for arg in args]
+        assert main(["multiply", str(a_path), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        assert re.fullmatch(f"repro multiply: error: {message}.*", line)
+
+    def test_a_bad_out_suffix_is_refused_before_loading(self, monkeypatch,
+                                                        capsys):
+        import repro.cli as cli
+
+        monkeypatch.setattr(cli, "_load_matrix", None)  # calling it fails
+        assert main(["multiply", "stokes", "--out", "c.txt"]) == 2
+        assert capsys.readouterr().err == (
+            "repro multiply: error: output must be .npz or .mtx, got 'c.txt'\n")
 
     @pytest.mark.parametrize("gen", [
         ["rmat", "--n", "4096", "--degree", "12", "--seed", "3"],
