@@ -40,7 +40,8 @@ from .sparse import generators
 from .sparse.formats import CSRMatrix
 from .sparse.io import load_npz, read_matrix_market, save_npz, write_matrix_market
 from .sparse.suite import SUITE
-from .spgemm.kernels import KERNEL_KINDS
+from .spgemm.kernels import KERNEL_KINDS, require_kernel
+from .spgemm.native import native_build_error
 
 __all__ = ["main", "build_parser"]
 
@@ -232,6 +233,9 @@ def _cmd_info(_args) -> int:
     from .experiments.table1 import run as table1_run
 
     print(f"repro {__version__} — out-of-core CPU-GPU SpGEMM reproduction")
+    why = native_build_error()
+    print("kernel: auto -> " + (
+        "native" if why is None else f"dense/esc (native unavailable: {why})"))
     print(table1_run())
     return 0
 
@@ -483,6 +487,8 @@ def _cmd_shard_worker(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "kernel", None) is not None:
+            require_kernel(args.kernel)  # refused before an operand is loaded
         return args.func(args)
     except ValueError as refusal:
         # a typed refusal of the user's arguments: argparse's form, no traceback

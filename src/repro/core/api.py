@@ -23,6 +23,7 @@ from typing import Optional, Sequence, Union
 from ..device.kernels import CostModel, default_cost_model
 from ..device.specs import NodeSpec, v100_node
 from ..sparse.formats import CSRMatrix
+from ..spgemm.kernels import require_kernel
 from ..spgemm.twophase import spgemm_twophase
 from .chunks import ChunkGrid, ChunkProfile, GridSizing
 from .executor import execute_chunk_grid, plan_hybrid_lanes
@@ -237,6 +238,7 @@ def run_out_of_core(
             "resume= keeps extending the manifest it resumes from; "
             "pass it or checkpoint=, not both"
         )
+    kernel = require_kernel(kernel)  # refused before anything is planned
     node = _resolve_node(node)
     sizing = None
     if grid is None and resume is None:

@@ -50,7 +50,7 @@ from ...observability import as_tracer
 from ...sparse.formats import CSRMatrix
 from ...sparse.ops import RowSliceCache, vstack
 from ...sparse.partition import PanelSet, partition_columns, partition_rows
-from ...spgemm.kernels import KernelSpec, resolve_kernel
+from ...spgemm.kernels import KernelSpec, require_kernel
 from ...spgemm.twophase import (
     SymbolicPhase,
     TwoPhaseStats,
@@ -865,7 +865,7 @@ def execute_chunk_grid(
     from .backends import make_backend  # deferred: backends import engine
 
     tracer = as_tracer(tracer)
-    kernel_spec = resolve_kernel(kernel)
+    kernel_spec = require_kernel(kernel)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if assemble and keep_outputs:

@@ -15,6 +15,9 @@ follows spECK [30] and Nagasaka et al. [28]):
     width, wasteful otherwise — exactly the trade-off the row grouping
     exploits.
 
+Every sum starts from -0.0, the additive identity, as the native SPA
+does: from +0.0 an entry whose products are all -0.0 comes back +0.0.
+
 Both are vectorized across all rows of a group.  The hash insertion runs
 the classic GPU trick in numpy: all pending products write their key to
 their probe slot (arbitrary winner), everyone re-reads the slot, products
@@ -196,7 +199,7 @@ def hash_accumulate_rows(
     total = int(table_off[-1])
 
     keys = np.full(total, -1, dtype=INDEX_DTYPE)
-    vals = np.zeros(total, dtype=VALUE_DTYPE) if with_values else None
+    vals = np.full(total, -0.0, dtype=VALUE_DTYPE) if with_values else None
 
     inserted_any = False
     for lo, hi in row_batches(products_per_row(sub, b), batch_products):
@@ -292,7 +295,7 @@ def esc_accumulate_rows(
         cols_parts.append((unique_key % width).astype(INDEX_DTYPE))
         if with_values:
             seg = np.cumsum(new) - 1  # segment id of every sorted product
-            sums = np.zeros(starts.size, dtype=VALUE_DTYPE)
+            sums = np.full(starts.size, -0.0, dtype=VALUE_DTYPE)
             np.add.at(sums, seg, prod_vals[order])
             vals_parts.append(sums)
 
@@ -346,7 +349,7 @@ def dense_accumulate_rows(
         touched = np.zeros((chunk_rows.size, width), dtype=bool)
         touched[prod_rows, prod_cols] = True
         if with_values:
-            acc = np.zeros((chunk_rows.size, width), dtype=VALUE_DTYPE)
+            acc = np.full((chunk_rows.size, width), -0.0, dtype=VALUE_DTYPE)
             np.add.at(acc, (prod_rows, prod_cols), prod_vals)
 
         # np.nonzero walks row-major, so columns come out ascending per row

@@ -57,6 +57,7 @@ __all__ = [
     "FUSED_METHODS",
     "KernelSpec",
     "resolve_kernel",
+    "require_kernel",
     "resolved_wire",
     "ACCUMULATORS",
     "accumulate",
@@ -121,6 +122,17 @@ def resolve_kernel(
     if isinstance(kernel, KernelSpec):
         return kernel
     return KernelSpec.parse(kernel)
+
+
+def require_kernel(kernel: Union[None, str, KernelSpec]) -> KernelSpec:
+    """:func:`resolve_kernel` where a run starts: an explicit ``native``
+    that cannot be built is refused (:class:`ValueError`) before anything
+    is loaded, planned or partitioned; ``auto`` degrades instead."""
+    spec = resolve_kernel(kernel)
+    if spec.kind == "native" and not native_available():
+        raise ValueError(
+            f"kernel 'native' requested but unavailable: {native_build_error()}")
+    return spec
 
 
 def resolved_wire(kernel: Union[None, str, KernelSpec] = None) -> str:

@@ -9,7 +9,8 @@ kernel kind; otherwise everything degrades to the numpy kernels.
 
 Two passes over a list of A row *ids* (nothing of A is copied), the
 paper's symbolic/numeric split: :func:`native_count_rows` returns exact
-per-row output nnz, the caller allocates the final CSR arrays once, and
+per-row output nnz (and, from the same sweep, each row's products — the
+row analysis), the caller allocates the final CSR arrays once, and
 :func:`native_fill_slots` writes every row into its slot — a per-row
 ``(start, count)`` in arrays the caller owns, column ids plus a
 ``shift`` — sorted without a comparison sort (see the kernel source).
@@ -22,10 +23,11 @@ and reused across calls.
 
 Bit-identity.  The SPA accumulates each output column's duplicates in
 ascending ``k`` order — exactly the expansion order every numpy
-accumulator uses — and the build pins ``-ffp-contract=off`` so the
-compiler cannot fuse ``a*b + s`` into an FMA.  The result is therefore
-bit-identical to the ``hash`` / ``dense`` / ``esc`` kernels for
-arbitrary float inputs.
+accumulator uses, from the same -0.0 start (the additive identity) —
+and the build pins ``-ffp-contract=off`` so the compiler cannot fuse
+``a*b + s`` into an FMA.  The result is therefore bit-identical to the
+``hash`` / ``dense`` / ``esc`` kernels for arbitrary float inputs (but
+for which NaN survives where two meet: DESIGN.md Section 10).
 
 Gating.  ``native_available()`` is the single capability probe: it
 requires cffi, a working ``cc``/``gcc``, and a successful compile of the
@@ -70,13 +72,13 @@ long long repro_spgemm_count(
     const long long *a_indptr, const long long *a_cols,
     const long long *b_indptr, const long long *b_cols,
     long long *mark, long long cap, long long *gen,
-    long long *counts);
+    long long *counts, long long *products);
 long long repro_spgemm_fill(
     long long n, const long long *rows,
     const long long *a_indptr, const long long *a_cols, const double *a_vals,
     const long long *b_indptr, const long long *b_cols, const double *b_vals,
     long long *mark, double *spa, long long *touched, long long *tmp,
-    long long cap, long long *gen,
+    unsigned long long *bits, long long cap, long long *gen,
     const long long *starts, const long long *counts, long long shift,
     long long out_cap, long long *out_cols, double *out_vals);
 long long repro_place_rows(
@@ -91,16 +93,17 @@ _SOURCE = r"""
 #include <string.h>
 
 typedef long long i64;
+typedef unsigned long long u64;
 
 /* Gustavson SpGEMM over a list of A row ids, as two passes that share
- * one per-thread scratch (`mark`, `spa`, `touched`, `tmp`: `cap` slots
- * each, cap >= the panel width).
+ * one per-thread scratch (`mark`, `spa`, `tmp`: `cap` slots each, cap >=
+ * the panel width; `touched`: cap + 1; `bits`: cap / 64 + 1 words).
  *
  * `mark[j] == g` means column j was touched by the row stamped g.  The
  * stamp `*gen` only ever grows, one per row across every call on the
  * scratch, so `mark` is cleared when the scratch is made and again only
- * if the stamp would run out.  `spa` needs no clearing at all: a slot is
- * (re)written on a row's first touch and read for touched columns only.
+ * if the stamp would run out.  Every `spa` slot is -0.0 and every `bits`
+ * word 0 between rows: whatever reads a row out puts them back.
  */
 static i64 open_stamps(i64 *mark, i64 cap, i64 *gen, i64 n) {
     if (*gen > LLONG_MAX - n - 1) {
@@ -110,23 +113,25 @@ static i64 open_stamps(i64 *mark, i64 cap, i64 *gen, i64 n) {
     return *gen;
 }
 
-/* pass 1: exact nnz of each listed output row; no values, no column
- * list, no sort */
+/* pass 1: exact nnz of each listed output row — no values, no column
+ * list, no sort — and, when `products` is given, the row's intermediate
+ * products (the row analysis: the B row lengths are the loop bounds) */
 i64 repro_spgemm_count(
     i64 n, const i64 *rows,
     const i64 *a_indptr, const i64 *a_cols,
     const i64 *b_indptr, const i64 *b_cols,
     i64 *mark, i64 cap, i64 *gen,
-    i64 *counts)
+    i64 *counts, i64 *products)
 {
     i64 g = open_stamps(mark, cap, gen, n);
     i64 total = 0;
     for (i64 i = 0; i < n; i++) {
         const i64 r = rows[i];
-        i64 t = 0;
+        i64 t = 0, work = 0;
         g++;
         for (i64 p = a_indptr[r]; p < a_indptr[r + 1]; p++) {
             const i64 k = a_cols[p];
+            work += b_indptr[k + 1] - b_indptr[k];
             for (i64 q = b_indptr[k]; q < b_indptr[k + 1]; q++) {
                 const i64 j = b_cols[q];
                 t += mark[j] != g;
@@ -134,6 +139,7 @@ i64 repro_spgemm_count(
             }
         }
         counts[i] = t;
+        if (products) products[i] = work;
         total += t;
     }
     *gen = g;
@@ -167,18 +173,20 @@ static i64 *radix_sort(i64 *x, i64 *tmp, i64 t, i64 lo, i64 hi) {
  *
  * Accumulation order per output column is ascending A-element order
  * (= ascending k), i.e. expansion order: `spa[j] += av * bv` runs once
- * per intermediate product in the order the products are enumerated.
+ * per intermediate product in the order the products are enumerated,
+ * from a slot holding -0.0, the additive identity (-0.0 + x is x bit
+ * for bit, default rounding mode): the first product is stored and the
+ * rest added with no branch on which it is (R-MAT rows: 73% are first).
  * Compile with -ffp-contract=off so this never becomes an FMA.
- *
- * The touched columns are put in order without a comparison sort:
- * insertion sort below 32 of them; a scan of mark[jmin..jmax] when that
- * range is at most 4x the touched count (hub rows); LSD radix otherwise.
+ * `touched[t] = j` is written before the column is known to be new,
+ * hence its spare slot: a row that has touched all cap columns keeps
+ * appending at cap.
  */
 i64 repro_spgemm_fill(
     i64 n, const i64 *rows,
     const i64 *a_indptr, const i64 *a_cols, const double *a_vals,
     const i64 *b_indptr, const i64 *b_cols, const double *b_vals,
-    i64 *mark, double *spa, i64 *touched, i64 *tmp,
+    i64 *mark, double *spa, i64 *touched, i64 *tmp, u64 *bits,
     i64 cap, i64 *gen,
     const i64 *starts, const i64 *counts, i64 shift,
     i64 out_cap, i64 *out_cols, double *out_vals)
@@ -194,30 +202,31 @@ i64 repro_spgemm_fill(
             const double av = a_vals[p];
             for (i64 q = b_indptr[k]; q < b_indptr[k + 1]; q++) {
                 const i64 j = b_cols[q];
-                if (mark[j] != g) {
-                    mark[j] = g;
-                    touched[t++] = j;
-                    spa[j] = av * b_vals[q];
-                } else {
-                    spa[j] += av * b_vals[q];
-                }
+                const i64 first = mark[j] != g;
+                mark[j] = g;
+                touched[t] = j;
+                t += first;
+                spa[j] += av * b_vals[q];
             }
         }
         const i64 at = starts[r];
         if (t != counts[r] || at < 0 || at > out_cap - t) {
+            for (i64 s = 0; s < t; s++) spa[touched[s]] = -0.0;
             *gen = g;
             return -(i + 1);
         }
         i64 *oc = out_cols + at;
         double *ov = out_vals + at;
+        const i64 *sorted = 0;  /* the touched list, once it is in order */
         if (t < 32) {
+            /* below 32 columns nothing else pays its set-up */
             for (i64 s = 1; s < t; s++) {
                 const i64 v = touched[s];
                 i64 u = s - 1;
                 while (u >= 0 && touched[u] > v) { touched[u + 1] = touched[u]; u--; }
                 touched[u + 1] = v;
             }
-            for (i64 s = 0; s < t; s++) { oc[s] = touched[s] + shift; ov[s] = spa[touched[s]]; }
+            sorted = touched;
         } else {
             i64 lo = touched[0], hi = touched[0];
             for (i64 s = 1; s < t; s++) {
@@ -225,15 +234,41 @@ i64 repro_spgemm_fill(
                 if (j < lo) lo = j;
                 if (j > hi) hi = j;
             }
-            if (hi - lo < 4 * t) {
-                i64 s = 0;
+            const i64 span = hi - lo;
+            i64 s = 0;
+            if (span < 2 * t) {
+                /* over half of [lo, hi] is touched (banded rows): scan
+                 * mark, no sort.  Each column goes to the next free slot
+                 * and stays only if touched; the last, hi, was, so no write
+                 * leaves the slot.  Banded fill (span 1.1t) 22 ms, 26 by
+                 * bitmap; the bitmap wins from 2t: 39 to 53 ms at 3.7t. */
                 for (i64 j = lo; j <= hi; j++) {
-                    if (mark[j] == g) { oc[s] = j + shift; ov[s] = spa[j]; s++; }
+                    oc[s] = j + shift; ov[s] = spa[j]; spa[j] = -0.0;
+                    s += mark[j] == g;
+                }
+            } else if ((span >> 6) <= t) {
+                /* at most a bitmap word per touched column (R-MAT rows):
+                 * a bit each, then the words of [lo, hi] in order by
+                 * count-trailing-zeros, cleared as read.  R-MAT fill 43
+                 * ms, 57 by radix.  Beyond, the walk is over empty words:
+                 * t = 64 in 4 M columns, 632 ms to radix's 48. */
+                for (i64 u = 0; u < t; u++) bits[touched[u] >> 6] |= 1ULL << (touched[u] & 63);
+                for (i64 w = lo >> 6; w <= hi >> 6; w++) {
+                    u64 word = bits[w];
+                    bits[w] = 0;
+                    for (; word; word &= word - 1) {
+                        const i64 j = (w << 6) + __builtin_ctzll(word);
+                        oc[s] = j + shift; ov[s] = spa[j]; spa[j] = -0.0;
+                        s++;
+                    }
                 }
             } else {
-                const i64 *sorted = radix_sort(touched, tmp, t, lo, hi);
-                for (i64 s = 0; s < t; s++) { oc[s] = sorted[s] + shift; ov[s] = spa[sorted[s]]; }
+                sorted = radix_sort(touched, tmp, t, lo, hi);
             }
+        }
+        for (i64 s = 0; sorted && s < t; s++) {
+            const i64 j = sorted[s];
+            oc[s] = j + shift; ov[s] = spa[j]; spa[j] = -0.0;
         }
         total += t;
     }
@@ -382,16 +417,18 @@ def native_build_error() -> Optional[str]:
 
 class _Scratch:
     """One thread's kernel scratch: ``cap`` slots each of ``mark``,
-    ``spa``, ``touched`` and the radix ``tmp``, plus the generation stamp
-    the C side advances (see the kernel source).  ``mark`` is zeroed here,
-    once; nothing else is ever cleared."""
+    ``spa`` and the radix ``tmp``, one more of ``touched``, the row bitmap
+    ``bits``, plus the generation stamp the C side advances (see the
+    kernel source).  ``mark`` is zeroed here, once; ``spa`` is all -0.0
+    and ``bits`` all zero here and after every row."""
 
     def __init__(self, cap: int) -> None:
         self.cap = cap
         self.mark = np.zeros(cap, dtype=np.int64)
-        self.spa = np.empty(cap, dtype=np.float64)
-        self.touched = np.empty(cap, dtype=np.int64)
+        self.spa = np.full(cap, -0.0, dtype=np.float64)
+        self.touched = np.empty(cap + 1, dtype=np.int64)
         self.tmp = np.empty(cap, dtype=np.int64)
+        self.bits = np.zeros(cap // 64 + 1, dtype=np.uint64)
         self.gen = np.zeros(1, dtype=np.int64)
 
 
@@ -409,9 +446,11 @@ def _scratch(width: int) -> _Scratch:
     return scratch
 
 
+_CTYPES = {"f": "double *", "i": "long long *", "u": "unsigned long long *"}
+
+
 def _ptr(ffi, arr: np.ndarray):
-    ctype = "double *" if arr.dtype == np.float64 else "long long *"
-    return ffi.cast(ctype, arr.ctypes.data)
+    return ffi.cast(_CTYPES[arr.dtype.kind], arr.ctypes.data)
 
 
 def _library():
@@ -434,15 +473,19 @@ def _enter(a: CSRMatrix, b: CSRMatrix, rows: np.ndarray):
     return ffi, lib, rows
 
 
-def native_count_rows(a: CSRMatrix, b: CSRMatrix, rows: np.ndarray) -> np.ndarray:
+def native_count_rows(a: CSRMatrix, b: CSRMatrix, rows: np.ndarray, *,
+                      return_products: bool = False):
     """Exact output nnz of the listed rows of ``A x B`` (the count pass).
 
-    ``rows`` are row ids of ``a`` — nothing of A is copied.  Raises
-    :class:`RuntimeError` when the kernel is unavailable — callers gate
-    on :func:`native_available`.
+    ``rows`` are row ids of ``a`` — nothing of A is copied.  With
+    ``return_products`` the result is ``(counts, products)``: each row's
+    intermediate products, the row analysis, from the same sweep.
+    Raises :class:`RuntimeError` when the kernel is unavailable — callers
+    gate on :func:`native_available`.
     """
     ffi, lib, rows = _enter(a, b, rows)
     counts = np.zeros(rows.size, dtype=np.int64)
+    products = np.zeros(rows.size, dtype=np.int64) if return_products else None
     s = _scratch(b.n_cols)
     lib.repro_spgemm_count(
         rows.size, _ptr(ffi, rows),
@@ -450,8 +493,9 @@ def native_count_rows(a: CSRMatrix, b: CSRMatrix, rows: np.ndarray) -> np.ndarra
         _ptr(ffi, b.row_offsets), _ptr(ffi, b.col_ids),
         _ptr(ffi, s.mark), s.cap, _ptr(ffi, s.gen),
         _ptr(ffi, counts),
+        ffi.NULL if products is None else _ptr(ffi, products),
     )
-    return counts
+    return (counts, products) if return_products else counts
 
 
 def _check_slots(n: int, starts: np.ndarray, counts: np.ndarray,
@@ -501,7 +545,7 @@ def native_fill_slots(
         _ptr(ffi, a.row_offsets), _ptr(ffi, a.col_ids), _ptr(ffi, a.data),
         _ptr(ffi, b.row_offsets), _ptr(ffi, b.col_ids), _ptr(ffi, b.data),
         _ptr(ffi, s.mark), _ptr(ffi, s.spa), _ptr(ffi, s.touched),
-        _ptr(ffi, s.tmp), s.cap, _ptr(ffi, s.gen),
+        _ptr(ffi, s.tmp), _ptr(ffi, s.bits), s.cap, _ptr(ffi, s.gen),
         _ptr(ffi, starts), _ptr(ffi, counts), int(shift),
         col_ids.size, _ptr(ffi, col_ids), _ptr(ffi, data),
     )

@@ -176,28 +176,35 @@ def spgemm_symbolic(
     elif slice_cache.matrix is not a:
         raise ValueError("slice_cache was built for a different matrix")
 
+    hint = None
+    if density_hint is not None:
+        hint = np.asarray(density_hint, dtype=np.int64)
+        if hint.shape != (a.n_rows,):
+            raise ValueError(
+                f"density_hint has shape {hint.shape}, expected {(a.n_rows,)}")
+    # the native count pass walks every product anyway: its one sweep is
+    # both stages, booked under stage 2; stage 1 keeps its hook and span
+    wire = spec.resolved().encode()
+    swept = wire == "native"
+
     # stage 1: row analysis (flops per row; the host receives this)
     if fault_hook is not None:
         fault_hook("analysis")
     t0 = time.perf_counter()
     with tracer.span(f"analysis[{trace_label}]", "analysis"):
-        analysis = analyze_rows(a, b)
+        analysis = None if swept else analyze_rows(a, b)
     analysis_seconds = time.perf_counter() - t0
-    work = analysis.flops // 2  # upper-bound products per row
 
-    # host: bin rows for dispatch — by estimated density when a hint is
-    # available (OCEAN-style), by upper-bound work otherwise.  The hint
-    # is clamped into [1, work] on productive rows so no row can drop
-    # out of (or join) the grouping by estimation error alone.
-    group_work = work
-    if density_hint is not None:
-        hint = np.asarray(density_hint, dtype=np.int64)
-        if hint.shape != work.shape:
-            raise ValueError(
-                f"density_hint has shape {hint.shape}, expected {work.shape}"
-            )
-        group_work = np.where(work > 0, np.clip(hint, 1, work), 0)
-    sym_grouping = plan_groups(group_work, b.n_cols, spec)
+    if not swept:
+        work = analysis.flops // 2  # upper-bound products per row
+        # host: bin rows for dispatch — by estimated density when a hint
+        # is available (OCEAN-style), by upper-bound work otherwise.  The
+        # hint is clamped into [1, work] on productive rows so no row can
+        # drop out of (or join) the grouping by estimation error alone.
+        group_work = work
+        if hint is not None:
+            group_work = np.where(work > 0, np.clip(hint, 1, work), 0)
+        sym_grouping = plan_groups(group_work, b.n_cols, spec)
 
     # stage 2: symbolic execution — exact nnz per output row.  The native
     # kernel only counts.  The fused kernel (esc) computes values in the
@@ -206,25 +213,30 @@ def spgemm_symbolic(
     if fault_hook is not None:
         fault_hook("symbolic")
     t0 = time.perf_counter()
-    row_nnz = np.zeros(a.n_rows, dtype=INDEX_DTYPE)
     fused = []  # [(RowGroup, RowResults)] in symbolic-group order
     with tracer.span(f"symbolic[{trace_label}]", "symbolic",
-                     kernels=sym_grouping.num_kernels(),
-                     kernel=spec.resolved().encode()):
-        for g in sym_grouping:
-            if len(g) == 0:
-                continue
-            if g.method == "native":
-                row_nnz[g.rows] = native_count_rows(a, b, g.rows)
-                continue
-            is_fused = g.method in FUSED_METHODS
-            res = accumulate(
-                g.method, a, b, g.rows, work[g.rows],
-                with_values=is_fused, slice_cache=slice_cache,
-            )
-            if is_fused:
-                fused.append((g, res))
-            row_nnz[g.rows] = res.counts
+                     kernels=1 if swept else sym_grouping.num_kernels(),
+                     kernel=wire):
+        if swept:
+            row_nnz, work = native_count_rows(
+                a, b, np.arange(a.n_rows, dtype=INDEX_DTYPE),
+                return_products=True)
+            analysis = RowAnalysis(flops=2 * work)
+            # one group whatever the hint says: the rows with a product
+            sym_grouping = plan_groups(work, b.n_cols, spec)
+        else:
+            row_nnz = np.zeros(a.n_rows, dtype=INDEX_DTYPE)
+            for g in sym_grouping:
+                if len(g) == 0:
+                    continue
+                is_fused = g.method in FUSED_METHODS
+                res = accumulate(
+                    g.method, a, b, g.rows, work[g.rows],
+                    with_values=is_fused, slice_cache=slice_cache,
+                )
+                if is_fused:
+                    fused.append((g, res))
+                row_nnz[g.rows] = res.counts
     symbolic_seconds = time.perf_counter() - t0
 
     return SymbolicPhase(

@@ -16,6 +16,8 @@ Pins the cross-kernel identity contract (DESIGN.md Section 10):
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.chunks import ChunkGrid
 from repro.core.executor import RetryPolicy, execute_chunk_grid
@@ -166,6 +168,100 @@ class TestCrossKernelBitIdentity:
             np.testing.assert_array_equal(ref.data, got.data, err_msg=kind)
 
 
+#: products that are all -0.0: a sum seeded with +0.0 answers +0.0
+NEGATIVE_ZEROS = {
+    "one_product": ([[-0.0]], [[1.0]]),
+    "two_products": ([[-0.0, -0.0]], [[1.0], [1.0]]),
+    "underflow": ([[-5e-324]], [[0.5]]),
+}
+
+
+def _stored(dense) -> CSRMatrix:
+    """Every cell of ``dense`` as a stored entry, zeros and their signs
+    included (``from_dense`` would drop them)."""
+    dense = np.asarray(dense, dtype=np.float64)
+    n, m = dense.shape
+    return CSRMatrix(n, m, np.arange(n + 1) * m, np.tile(np.arange(m), n),
+                     dense.ravel())
+
+
+class TestSignedZeros:
+    """The contract covers the sign of zero: an entry whose products are
+    all -0.0 is -0.0 from every kind, with and without the compiler."""
+
+    @pytest.mark.parametrize("kernel", EXACT_KERNELS)
+    @pytest.mark.parametrize("case", sorted(NEGATIVE_ZEROS))
+    def test_a_sum_of_negative_zeros_is_negative_zero(self, case, kernel):
+        a, b = map(_stored, NEGATIVE_ZEROS[case])
+        got = spgemm_twophase(a, b, kernel=kernel).matrix
+        assert got.col_ids.tolist() == [0]
+        assert got.data.view(np.uint64).tolist() == [0x8000000000000000]
+
+
+#: what a stored value may be: both zeros, both infinities, quiet NaNs of
+#: both signs and one with a payload, the smallest subnormals, a larger
+#: subnormal, values whose products overflow, and ordinary ones
+SPECIAL_VALUES = np.concatenate([
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000001234],
+             dtype=np.uint64).view(np.float64),
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 1e308, -1e308,
+     1.0, -1.0, 0.5, 3.0, -2.75, 1e-3, 7e5],
+])
+
+
+@st.composite
+def special_value_pairs(draw):
+    """Small rectangular ``A != B`` with stored values drawn from
+    :data:`SPECIAL_VALUES`, and up to two hub rows: a full A row (every B
+    row merged into one output row) and a long run in a B row."""
+    n, k, m = (draw(st.integers(1, 12)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    a_mask = rng.random((n, k)) < draw(st.floats(0.0, 0.6))
+    b_mask = rng.random((k, m)) < draw(st.floats(0.0, 0.6))
+    for _ in range(draw(st.integers(0, 2))):
+        a_mask[rng.integers(n), :] = True
+        b_mask[rng.integers(k), rng.integers(m):] = True
+
+    def stored(mask):
+        rows, cols = np.nonzero(mask)
+        offsets = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+        return CSRMatrix(*mask.shape, offsets, cols,
+                         rng.choice(SPECIAL_VALUES, size=rows.size))
+
+    return stored(a_mask), stored(b_mask)
+
+
+class TestSpecialValues:
+    """The contract on generated special values: every kind stores the
+    structure the reference does, and the same bits in every entry that
+    is not NaN in both.
+
+    The comparison is NaN-aware on purpose.  Where two *different* NaNs
+    are added the hardware keeps one operand's sign and payload, and
+    numpy's ``add.at`` and C's ``+=`` hand the operands over in different
+    orders — so which NaN survives is the one thing the contract leaves
+    unspecified (DESIGN.md Section 10).  That it is a NaN is not."""
+
+    @given(pair=special_value_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_same_structure_and_same_bits_where_not_nan(self, pair):
+        a, b = pair
+        with np.errstate(all="ignore"):  # inf - inf, 0 x inf, overflow: intended
+            # against native where there is one, else against hash
+            kinds = ["hash", "dense", "esc", "auto"]
+            if native_available():
+                kinds.insert(0, "native")
+            ref = spgemm_twophase(a, b, kernel=kinds[0]).matrix
+            for kind in kinds[1:]:
+                got = spgemm_twophase(a, b, kernel=kind).matrix
+                np.testing.assert_array_equal(got.row_offsets, ref.row_offsets, kind)
+                np.testing.assert_array_equal(got.col_ids, ref.col_ids, kind)
+                both_nan = np.isnan(got.data) & np.isnan(ref.data)
+                np.testing.assert_array_equal(
+                    got.data.view(np.uint64)[~both_nan],
+                    ref.data.view(np.uint64)[~both_nan], kind)
+
+
 class TestKernelSpec:
     def test_defaults(self):
         spec = KernelSpec()
@@ -259,6 +355,25 @@ class TestPlanGroups:
         # auto degrades to the numpy kernels instead of raising
         g = plan_groups(work, width, KernelSpec(kind="auto"))
         assert {grp.method for grp in g.groups} <= {"dense", "esc"}
+
+
+    def test_a_run_refuses_an_unbuildable_native_before_it_starts(
+            self, monkeypatch):
+        """Where a run resolves its kernel the refusal is a ValueError,
+        raised before anything is planned or partitioned."""
+        import repro.core.api as api
+        import repro.core.executor.engine as engine
+        from repro.spgemm import kernels as K
+
+        monkeypatch.setattr(K, "native_available", lambda: False)
+        monkeypatch.setattr(api, "plan_grid", None)           # calling it fails
+        monkeypatch.setattr(engine, "partition_rows", None)
+        a = rmat(5, 3.0, seed=3)
+        grid = ChunkGrid.regular(a.n_rows, a.n_cols, 2, 2)
+        for run in (lambda: api.run_out_of_core(a, a, kernel="native"),
+                    lambda: execute_chunk_grid(a, a, grid, kernel="native")):
+            with pytest.raises(ValueError, match="requested but unavailable"):
+                run()
 
 
 class TestEngineKernelEquivalence:

@@ -2,7 +2,9 @@
 
 The numpy ``hash`` accumulator is the reference throughout: the native
 kernel must reproduce it bit for bit (same stored structure, same
-float bits), whichever of its three row-finish branches a row takes.
+float bits), whichever of its four row finishes a row takes.  After
+every test here this thread's scratch must be as the kernel promises to
+leave it between rows: SPA all -0.0, bitmap all zero.
 """
 
 import sys
@@ -19,13 +21,16 @@ from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import random_csr
 from repro.spgemm import native
 from repro.spgemm.accumulators import hash_accumulate_rows
+from repro.spgemm.flops import product_prefix
 from repro.spgemm.native import (
     native_available,
     native_build_error,
     native_count_rows,
     native_fill_rows,
+    native_fill_slots,
 )
-from repro.spgemm.twophase import spgemm_twophase
+from repro.spgemm.rowanalysis import analyze_rows
+from repro.spgemm.twophase import spgemm_symbolic, spgemm_twophase
 from repro.spgemm.upperbound import row_upper_bound
 
 pytestmark = pytest.mark.skipif(
@@ -34,6 +39,43 @@ pytestmark = pytest.mark.skipif(
 )
 
 INT64_MAX = np.iinfo(np.int64).max
+NEGATIVE_ZERO = np.float64(-0.0).view(np.uint64)
+
+
+def assert_scratch_is_clean(scratch) -> None:
+    assert np.all(scratch.spa.view(np.uint64) == NEGATIVE_ZERO)
+    assert not scratch.bits.any()
+
+
+@pytest.fixture(autouse=True)
+def scratch_left_clean():
+    yield
+    scratch = getattr(native._LOCAL, "scratch", None)
+    if scratch is not None:
+        assert_scratch_is_clean(scratch)
+
+
+@pytest.fixture
+def exact_scratch(monkeypatch):
+    """``exact_scratch(cap)``: give this thread a fresh scratch of exactly
+    ``cap`` columns (the shared one is as wide as the widest test so far),
+    with sentinels around ``touched`` that must come back intact — or,
+    ``guarded=False``, as allocated, for AddressSanitizer to watch (CI)."""
+    guards = []
+
+    def install(cap: int, guarded: bool = True):
+        scratch = native._Scratch(cap)
+        assert scratch.touched.size == cap + 1  # the spare slot
+        if guarded:
+            fence = np.full(cap + 1 + 16, -7, dtype=np.int64)
+            scratch.touched = fence[8:8 + cap + 1]
+            guards.append((fence, cap))
+        monkeypatch.setattr(native._LOCAL, "scratch", scratch, raising=False)
+        return scratch
+
+    yield install
+    for fence, cap in guards:
+        assert np.all(fence[:8] == -7) and np.all(fence[8 + cap + 1:] == -7)
 
 
 def assert_same_bits(got: CSRMatrix, ref: CSRMatrix) -> None:
@@ -68,31 +110,55 @@ def finish_branch(touched: np.ndarray) -> str:
     t, span = touched.size, int(touched.max() - touched.min())
     if t < 32:
         return "insertion"
-    if span < 4 * t:
+    if span < 2 * t:
         return "scan"
+    if span >> 6 <= t:
+        return "bitmap"
     return f"radix{max(1, (span.bit_length() + 7) // 8)}"
+
+
+def row_touching(lo: int, hi: int, count: int, rng) -> np.ndarray:
+    """``count`` ascending columns of ``[lo, hi]``, both ends among them."""
+    inner = rng.choice(np.arange(lo + 1, hi), size=count - 2, replace=False)
+    return np.unique(np.concatenate([[lo, hi], inner]))
+
+
+def assert_row_is_hash(touched, width, rng, shift=0) -> None:
+    """One output row touching exactly ``touched`` (first a reversed half
+    of them, then all: unsorted, with duplicates), filled into a slot of
+    its own with ``shift``: hash's values, hash's columns plus shift."""
+    a, b = one_row_product([touched[::-1][: touched.size // 2], touched],
+                           width, rng)
+    ref = hash_accumulate_rows(a, b, np.arange(1), row_upper_bound(a, b))
+    cols = np.empty(touched.size, dtype=np.int64)
+    vals = np.empty(touched.size)
+    native_fill_slots(a, b, np.arange(1), np.zeros(1, dtype=np.int64),
+                      np.array([touched.size]), shift, cols, vals)
+    np.testing.assert_array_equal(cols, touched + shift)
+    np.testing.assert_array_equal(cols, ref.col_ids + shift)
+    np.testing.assert_array_equal(vals.view(np.int64), ref.values.view(np.int64))
 
 
 class TestFinishBranches:
     """One crafted output row per way of ordering the touched columns."""
 
     CASES = {
-        # name: (width, touched columns drawn from [lo, hi), count)
-        "insertion": (5000, (0, 5000), 31),
-        "scan": (4000, (1000, 1400), 300),      # hub row: range 400 <= 4 x 300
-        "radix1": (256, (0, 256), 40),          # span < 2**8
-        "radix2": (60000, (100, 60000), 100),   # span < 2**16
-        "radix3": (200000, (7, 200000), 50),    # span < 2**24
+        # name: (width, touched columns drawn from [lo, hi), count, finish)
+        "insertion": (5000, (0, 5000), 31, "insertion"),
+        "scan": (4000, (1000, 1400), 300, "scan"),   # hub row: range 400 < 2 x 300
+        "radix1": (256, (0, 256), 40, "bitmap"),     # 4 words for 40 columns
+        "radix2": (60000, (100, 60000), 100, "radix2"),   # 936 words for 100
+        "radix3": (200000, (7, 200000), 50, "radix3"),    # 3,125 words for 50
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_branch(self, name, make_rng):
-        width, (lo, hi), count = self.CASES[name]
+        width, (lo, hi), count, finish = self.CASES[name]
         rng = make_rng(name)
         touched = rng.choice(np.arange(lo, hi), size=count, replace=False)
         touched[:2] = (lo, hi - 1)  # pin the span
         touched = np.unique(touched)
-        assert finish_branch(touched) == name
+        assert finish_branch(touched) == finish
         # three overlapping B rows, the widest-ranging one last
         sets = [rng.permutation(touched)[: touched.size // 2],
                 rng.permutation(touched)[: touched.size // 3],
@@ -102,14 +168,60 @@ class TestFinishBranches:
         np.testing.assert_array_equal(got.col_ids, touched)
 
     def test_threshold_neighbours(self, make_rng):
-        """31 / 32 touched columns and spans of 4t - 1 / 4t sit on either
-        side of the two branch decisions."""
+        """Both sides of each decision: 31 / 32 touched columns; spans of
+        2t - 1 / 2t; ``span >> 6`` of t / t + 1 (the last pair is the
+        no-cliff pin: past one bitmap word per column the row goes to
+        radix, not to a walk over empty words)."""
         rng = make_rng("edges")
-        for count, span in ((31, 4000), (32, 127), (32, 128), (33, 4000)):
-            touched = np.unique(np.concatenate(
-                [[0, span], rng.choice(np.arange(1, span), count - 2, replace=False)]))
-            a, b = one_row_product([touched[::-1][: count // 2], touched], 4100, rng)
-            assert_native_is_hash(a, b)
+        for count, span, finish in (
+                (31, 4000, "insertion"), (32, 4000, "radix2"),
+                (40, 79, "scan"), (40, 80, "bitmap"),
+                (32, 64 * 32 + 63, "bitmap"), (32, 64 * 33, "radix2"),
+                (300, 64 * 300 + 63, "bitmap"), (300, 64 * 301, "radix2")):
+            touched = row_touching(5, 5 + span, count, rng)
+            assert finish_branch(touched) == finish
+            assert_row_is_hash(touched, 5 + span + 1, rng)
+
+    @pytest.mark.parametrize("shift", [0, 12345])
+    def test_bitmap_word_edges(self, shift, make_rng, exact_scratch):
+        """Bitmap rows whose first / last column is bit 0, 63 or 64 of
+        the bitmap, or sits in its last word — a partial one: the panel
+        is 37 columns past a multiple of 64 and the scratch exactly as
+        wide — written with and without a column shift."""
+        rng = make_rng("words")
+        width = 64 * 9 + 37
+        scratch = exact_scratch(width)
+        assert scratch.bits.size == 10
+        for lo, hi in ((0, 64), (0, 127), (63, 127), (63, 128), (64, 191),
+                       (0, width - 1), (63, width - 1), (64, width - 1),
+                       (width - 65, width - 1)):
+            touched = row_touching(lo, hi, 32, rng)
+            assert finish_branch(touched) == "bitmap"
+            assert_row_is_hash(touched, width, rng, shift)
+            assert_scratch_is_clean(scratch)
+
+    @pytest.mark.parametrize("finish,lo,hi,count", [
+        ("insertion", 3, 900, 20), ("scan", 3, 82, 60), ("radix2", 3, 4000, 40)])
+    def test_every_finish_shifts_and_resets(self, finish, lo, hi, count,
+                                            make_rng, exact_scratch):
+        rng = make_rng(finish)
+        scratch = exact_scratch(4001)
+        touched = row_touching(lo, hi, count, rng)
+        assert finish_branch(touched) == finish
+        assert_row_is_hash(touched, 4001, rng, shift=700)
+        assert_scratch_is_clean(scratch)
+
+    def test_a_row_touching_every_column_twice(self, make_rng, exact_scratch):
+        """The append is written before the column is known to be new: a
+        row that has touched all ``cap`` columns writes ``touched[cap]``
+        on every further product — the spare slot, and nothing past it."""
+        rng = make_rng("full")
+        for width, guarded in ((1, True), (31, True), (64, True),
+                               (200, True), (200, False)):
+            exact_scratch(width, guarded)  # insertion and scan finishes
+            a, b = one_row_product([np.arange(width)] * 3, width, rng)
+            got = assert_native_is_hash(a, b)
+            assert got.nnz == width
 
 
 class TestRowLists:
@@ -222,6 +334,78 @@ class TestProperty:
     @settings(max_examples=60, deadline=None)
     def test_native_is_hash_bit_for_bit(self, pair):
         assert_native_is_hash(*pair)
+
+
+class TestCountPassIsTheRowAnalysis:
+    """The count pass returns each row's products with its count, and the
+    native pipeline takes its row analysis from there."""
+
+    @given(pair=hubbed_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_products_and_pipeline_equal_the_separate_analysis(self, pair):
+        a, b = pair
+        rows = np.arange(a.n_rows)
+        counts, products = native_count_rows(a, b, rows, return_products=True)
+        np.testing.assert_array_equal(products, np.diff(product_prefix(a, b)))
+        np.testing.assert_array_equal(counts, native_count_rows(a, b, rows))
+
+        # the pipeline as it was: analyze_rows, group on it, count the group
+        analysis = analyze_rows(a, b)
+        productive = np.flatnonzero(analysis.flops > 0)
+        sym = spgemm_symbolic(a, b, kernel="native")
+        assert sym.analysis.flops.dtype == analysis.flops.dtype
+        np.testing.assert_array_equal(sym.analysis.flops, analysis.flops)
+        assert [g.method for g in sym.grouping] == (
+            ["native"] if productive.size else [])
+        for g in sym.grouping:
+            np.testing.assert_array_equal(g.rows, productive)
+        np.testing.assert_array_equal(sym.row_nnz, counts)
+        assert sym.row_nnz.dtype == np.int64
+
+        got = spgemm_twophase(a, b, kernel="native")
+        ref = spgemm_twophase(a, b, kernel="hash")
+        for field in ("flops", "nnz_out", "rows_out", "analysis_bytes",
+                      "symbolic_bytes", "output_bytes", "input_nnz"):
+            assert getattr(got.stats, field) == getattr(ref.stats, field), field
+        assert got.stats.symbolic_kernels == int(productive.size > 0)
+        assert got.stats.numeric_kernels == int(got.stats.nnz_out > 0)
+        for g in got.numeric_grouping:
+            np.testing.assert_array_equal(g.rows, np.flatnonzero(counts))
+
+    def test_rows_out_of_order_and_twice(self):
+        a = random_csr(30, 20, 120, seed=1)
+        b = random_csr(20, 25, 100, seed=2)
+        rows = np.array([7, 3, 3, 29, 0, 7, 12])
+        counts, products = native_count_rows(a, b, rows, return_products=True)
+        np.testing.assert_array_equal(products, np.diff(product_prefix(a, b))[rows])
+        np.testing.assert_array_equal(
+            counts, np.diff(spgemm_twophase(a, b, kernel="hash").matrix.row_offsets)[rows])
+
+    def test_a_default_run_analyses_no_chunk_separately(self, monkeypatch):
+        """``run_out_of_core`` defaults: no ``analyze_rows`` per chunk and
+        no ``product_prefix`` anywhere — the sweep is the analysis."""
+        import repro.core.chunks as chunks
+        import repro.spgemm.flops as flops
+        import repro.spgemm.twophase as twophase
+        from repro.core.api import run_out_of_core
+        from repro.core.chunks import csr_bytes
+        from repro.core.planner import default_device_bytes
+        from repro.device.specs import v100_node
+        from repro.sparse.generators import rmat
+
+        a = rmat(10, 14.0, seed=31)
+        node = v100_node(default_device_bytes(   # the CLI's default device
+            2 * csr_bytes(a.n_rows, a.nnz), a.n_rows,
+            2 * int(a.row_nnz()[a.col_ids].sum())))
+        ref = spgemm_twophase(a, a, kernel="hash").matrix
+        calls = []
+        for module, name in ((twophase, "analyze_rows"), (flops, "product_prefix"),
+                             (chunks, "product_prefix")):
+            monkeypatch.setattr(module, name,
+                                lambda *args, _name=name, **kw: calls.append(_name))
+        result = run_out_of_core(a, a, node)
+        assert result.profile.grid.num_chunks > 1 and calls == []
+        assert_same_bits(result.matrix, ref)
 
 
 class TestScratch:
@@ -337,6 +521,21 @@ class TestFillRefusesBadSlots:
         bad[10:] -= 1  # row 9's slot is one short
         with pytest.raises(RuntimeError, match="native kernel overflow: row 9 "):
             self._fill_guarded(a, bad, ref.nnz)
+
+    def test_a_refused_fill_leaves_the_scratch_reusable(self, problem):
+        """Row 9 is accumulated in full before it is refused; its sums
+        must not be there when the next row to touch those columns adds
+        its first product to them."""
+        a, ref = problem
+        scratch = native._scratch(a.n_cols)
+        stamp = int(scratch.gen[0])
+        bad = ref.row_offsets.copy()
+        bad[10:] -= 1
+        with pytest.raises(RuntimeError, match="row 9 "):
+            self._fill_guarded(a, bad, ref.nnz)
+        assert_scratch_is_clean(scratch)
+        assert scratch.gen[0] == stamp + 10  # one stamp a row, the refused one too
+        assert_same_bits(spgemm_twophase(a, a, kernel="native").matrix, ref)
 
     def test_row_smaller_than_its_slot(self, problem):
         a, ref = problem

@@ -44,6 +44,20 @@ class TestInfo:
         assert "repro" in out
 
 
+    def test_names_the_kernel_auto_resolves_to(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        why = cli.native_build_error()
+        assert main(["info"]) == 0
+        assert ("kernel: auto -> native\n" if why is None else
+                f"kernel: auto -> dense/esc (native unavailable: {why})\n"
+                ) in capsys.readouterr().out
+        monkeypatch.setattr(cli, "native_build_error", lambda: "no C compiler")
+        assert main(["info"]) == 0
+        assert ("kernel: auto -> dense/esc (native unavailable: no C compiler)\n"
+                in capsys.readouterr().out)
+
+
 class TestSuite:
     def test_lists_nine(self, capsys):
         assert main(["suite"]) == 0
@@ -149,6 +163,25 @@ class TestMultiply:
         assert main(["multiply", "stokes", "--out", "c.txt"]) == 2
         assert capsys.readouterr().err == (
             "repro multiply: error: output must be .npz or .mtx, got 'c.txt'\n")
+
+    @pytest.mark.parametrize("command", ["multiply", "trace"])
+    def test_an_unbuildable_native_is_refused_before_loading(
+            self, command, monkeypatch, capsys):
+        """``--kernel native`` on a host that cannot build it: one line
+        and status 2 before any operand is read, not a traceback out of
+        chunk 0 (``auto`` degrades; an explicit choice does not)."""
+        import repro.cli as cli
+        import repro.spgemm.kernels as kernels
+
+        monkeypatch.setattr(kernels, "native_available", lambda: False)
+        monkeypatch.setattr(kernels, "native_build_error",
+                            lambda: "no C compiler (cc/gcc/clang) on PATH")
+        monkeypatch.setattr(cli, "_load_matrix", None)  # calling it fails
+        assert main([command, "stokes", "--kernel", "native"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"repro {command}: error: kernel 'native' requested but "
+            "unavailable: no C compiler (cc/gcc/clang) on PATH\n")
 
     @pytest.mark.parametrize("gen", [
         ["rmat", "--n", "4096", "--degree", "12", "--seed", "3"],
