@@ -45,6 +45,11 @@ from .spgemm.native import native_build_error
 
 __all__ = ["main", "build_parser"]
 
+#: ``--kernel`` is checked by :func:`require_kernel` in :func:`main`, not
+#: by argparse, so a refused kind reads the same here as at every other
+#: entry point (API, served job, shard run)
+_KERNEL_METAVAR = "{" + ",".join(KERNEL_KINDS) + "}"
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -98,10 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="chunk executor backend (default: serial for "
                             "--workers 1, thread otherwise)")
-    p_mul.add_argument("--kernel", choices=list(KERNEL_KINDS), default=None,
-                       help="SpGEMM accumulator kernel (default: auto — "
-                            "native C when buildable, else a dense/esc "
-                            "split; see docs/KERNELS.md)")
+    p_mul.add_argument("--kernel", metavar=_KERNEL_METAVAR, default=None,
+                       help="SpGEMM kernel (default: auto — native C "
+                            "when buildable, else esc; see docs/KERNELS.md)")
     p_mul.add_argument("--retries", type=_positive_int, default=1,
                        metavar="N",
                        help="max attempts per chunk (default 1 = no retry)")
@@ -149,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
                       default=None,
                       help="chunk executor backend; process-backend worker "
                            "spans are merged into the exported trace")
-    p_tr.add_argument("--kernel", choices=list(KERNEL_KINDS), default=None,
-                      help="SpGEMM accumulator kernel (kernel and per-stage "
+    p_tr.add_argument("--kernel", metavar=_KERNEL_METAVAR, default=None,
+                      help="SpGEMM kernel (kernel and per-stage "
                            "throughput gauges land in the exported trace)")
     p_tr.add_argument("--window", type=_positive_int, default=None,
                       help="bounded in-flight window (default: 2 x workers)")
@@ -235,7 +239,7 @@ def _cmd_info(_args) -> int:
     print(f"repro {__version__} — out-of-core CPU-GPU SpGEMM reproduction")
     why = native_build_error()
     print("kernel: auto -> " + (
-        "native" if why is None else f"dense/esc (native unavailable: {why})"))
+        "native" if why is None else f"esc (native unavailable: {why})"))
     print(table1_run())
     return 0
 

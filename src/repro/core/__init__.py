@@ -45,7 +45,6 @@ from .spill import (
     RunManifest,
     SpillableChunkStore,
 )
-from .verify import verify_product, verify_run, verify_store
 from .schedule import build_async_schedule, build_sync_schedule
 
 __all__ = [
@@ -95,9 +94,6 @@ __all__ = [
     "MemoryChunkStore",
     "RunManifest",
     "SpillableChunkStore",
-    "verify_product",
-    "verify_run",
-    "verify_store",
     "build_async_schedule",
     "build_sync_schedule",
 ]

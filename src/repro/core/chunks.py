@@ -339,11 +339,6 @@ class ProductTable:
             self.prefix[:, p] = product_prefix(a, b, b_row_nnz, scratch=running)
 
     @functools.cached_property
-    def ratio(self) -> np.ndarray:
-        """The estimate's per-row compression ratio nnz / products."""
-        return self.estimate.ratio()
-
-    @functools.cached_property
     def nnz_prefixes(self) -> Tuple[np.ndarray, np.ndarray]:
         """Row prefixes of the estimated nnz (point, upper confidence)
         per column panel.  The sums accumulate row by row down the table
@@ -353,7 +348,7 @@ class ProductTable:
         zero = np.zeros((1, row_products.shape[1]))
         return tuple(
             np.concatenate([zero, np.cumsum(row_products * ratio[:, None], axis=0)])
-            for ratio in (self.ratio, self.estimate.ratio_hi()))
+            for ratio in (self.estimate.ratio(), self.estimate.ratio_hi()))
 
 
 class CutTable:
@@ -423,8 +418,7 @@ class GridSizing:
     The planner prices candidate grids with it, the executor orders
     dispatch by its ``flops``, the governor admits on ``host_bytes`` and
     re-splits on ``device_bytes``, a re-split sizes its sub-panels
-    with ``range_products``, kernels get ``density_hint``s, and a shard
-    takes its ``span``.  Chunk counts come off a :class:`CutTable`;
+    with ``range_products``, and a shard takes its ``span``.  Chunk counts come off a :class:`CutTable`;
     ``table``, the :class:`ProductTable` behind row-level reads and an
     estimate's sizes, is built on first read — a default run makes none.
     With an estimate, ``nnz`` / ``nnz_hi`` are the sampled sizes clamped
@@ -538,17 +532,6 @@ class GridSizing:
         """Products of rows ``[lo, hi)`` of chunk ``cid``'s row panel."""
         prefix = self._chunk_rows(cid)[1]
         return int(prefix[hi] - prefix[lo])
-
-    def density_hint(self, cid: int) -> Optional[np.ndarray]:
-        """Estimated output nnz per row of one chunk (``None`` without an
-        estimate): the chunk's exact per-row products scaled by the
-        sampled per-row compression ratio."""
-        if self.estimate is None:
-            return None
-        first, prefix = self._chunk_rows(cid)
-        products = np.diff(prefix)
-        ratio = self.table.ratio[first:first + products.size]
-        return np.minimum(np.ceil(ratio * products).astype(np.int64), products)
 
     def span(self, rp_lo: int, rp_hi: int) -> "GridSizing":
         """The sizing of row panels ``[rp_lo, rp_hi)`` as a grid of their

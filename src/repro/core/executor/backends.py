@@ -38,7 +38,6 @@ from functools import partial
 from typing import Callable, List, Sequence, Tuple
 
 from ...device.memory import DeviceOutOfMemory
-from ...sparse.ops import DEFAULT_CACHE_BYTES
 from ...sparse.shm import (
     SharedCSR,
     cleanup_segments,
@@ -287,7 +286,7 @@ class ProcessBackend:
                 for i, (_ids, lane_workers) in enumerate(lanes):
                     pools.append(ProcessLanePool(
                         ctx, lane_workers, lane_names[i], a_descs, b_descs,
-                        prefix, tracer.enabled, DEFAULT_CACHE_BYTES,
+                        prefix, tracer.enabled,
                         kernel_spec=job.kernel.encode(),
                         crash_budget=job.crash_budget,
                         faults_spec=faults_spec,

@@ -48,7 +48,7 @@ import numpy as np
 from ...device.memory import DeviceOutOfMemory
 from ...observability import as_tracer
 from ...sparse.formats import CSRMatrix
-from ...sparse.ops import RowSliceCache, vstack
+from ...sparse.ops import vstack
 from ...sparse.partition import PanelSet, partition_columns, partition_rows
 from ...spgemm.kernels import KernelSpec, require_kernel
 from ...spgemm.twophase import (
@@ -160,7 +160,7 @@ class _Counted(NamedTuple):
 
 class GridJob:
     """Backend-independent shared state of one ``execute_chunk_grid`` run:
-    the partitioned operands, per-row-panel slice caches, the stats/output
+    the partitioned operands, the stats/output
     slots keyed by chunk id, and the serialized sink."""
 
     def __init__(
@@ -208,7 +208,7 @@ class GridJob:
         #: what each chunk costs (``None``: nothing asked — an ungoverned
         #: run in natural order).  A governor that polices host or device
         #: memory reads its bounds here; with a sampled estimate on it,
-        #: estimated bytes gate both checks and kernels get density hints
+        #: estimated bytes gate both checks
         self.sizing = sizing
         # recovery bookkeeping: cumulative counters plus per-chunk
         # attempt numbers, shared by every lane thread
@@ -217,10 +217,6 @@ class GridJob:
                                "timeouts": 0, "resplits": 0, "stale": 0,
                                "avoided_resplits": 0}
         self._avoided_resplit_cids = set()
-        # all chunks of one row panel share one A-slice cache
-        self.caches = [
-            RowSliceCache(row_panels[rp]) for rp in range(grid.num_row_panels)
-        ]
         self.a_panel_bytes = [
             csr_bytes(row_panels[rp].n_rows, row_panels[rp].nnz)
             for rp in range(grid.num_row_panels)
@@ -308,17 +304,8 @@ class GridJob:
     # in-process chunk execution (serial + thread backends)
     # ------------------------------------------------------------------
     def _kernel_args(self, cid: int) -> dict:
-        rp, _cp = self.grid.panel_of(cid)
-        return dict(
-            kernel=self.kernel, slice_cache=self.caches[rp],
-            tracer=self.tracer, trace_label=str(cid),
-            fault_hook=self._stage_hook(cid),
-            # a dispatch hint (rows binned by estimated density instead
-            # of the upper bound): in-process backends only, and results
-            # are bit-identical either way
-            density_hint=(None if self.sizing is None
-                          else self.sizing.density_hint(cid)),
-        )
+        return dict(kernel=self.kernel, tracer=self.tracer,
+                    trace_label=str(cid), fault_hook=self._stage_hook(cid))
 
     def _timed(self, cid: int, body: Callable[[], object]):
         """``body()`` as one attempt of chunk ``cid`` — under the chunk
@@ -384,15 +371,6 @@ class GridJob:
         (matrix, st), elapsed = self._timed(cid, body)
         if counted is not None:
             elapsed += counted.seconds
-        tracer = self.tracer
-        if tracer.enabled and not resplit:
-            # cumulative per-row-panel slice-cache behaviour, sampled at
-            # each chunk completion (hit/miss/eviction counters + bytes)
-            cache = self.caches[rp]
-            tracer.gauge(f"slice_cache[{rp}]",
-                         hits=cache.hits, misses=cache.misses,
-                         evictions=cache.evictions,
-                         held_bytes=cache.held_bytes)
         return cid, st, matrix, elapsed
 
     def run(self, cid: int, resplit: bool = False) -> tuple:
@@ -762,8 +740,8 @@ def execute_chunk_grid(
     tracer:
         A :class:`repro.observability.Tracer` recording the full chunk
         lifecycle — queue wait, analysis/symbolic/numeric phases, sink
-        writes — plus lane queue-depth/occupancy and slice-cache
-        hit/miss/eviction gauges.  Under the process backend workers
+        writes — plus lane queue-depth/occupancy and per-stage
+        throughput gauges.  Under the process backend workers
         record spans locally and ship them back in the result
         descriptors for merging, so one trace still covers the whole
         pipeline.  Default is the no-op null tracer; tracing never
@@ -813,7 +791,7 @@ def execute_chunk_grid(
         results: re-split chunks reassemble bit-identically via row
         ``vstack``.
     kernel:
-        Accumulator family every chunk runs with — ``None`` (auto), a
+        Kernel every chunk runs with — ``None`` (auto), a
         wire string (``"esc"``), or a
         :class:`~repro.spgemm.kernels.KernelSpec`.  Threaded through
         every backend including process workers; results are identical
@@ -845,10 +823,8 @@ def execute_chunk_grid(
         :class:`~repro.spgemm.estimate.RowNnzEstimate` makes both checks
         consume *estimated* chunk bytes (the upper bound stays the
         ceiling; re-splits only the bound would have asked for are
-        counted as ``avoided_resplits``) and in-process backends pass
-        per-row density hints to kernel dispatch.  Purely a
-        sizing/dispatch refinement — results are bit-identical with or
-        without it.
+        counted as ``avoided_resplits``).  Purely a sizing refinement —
+        results are bit-identical with or without it.
 
     This function is re-entrant: all per-run state lives on the
     :class:`GridJob` (a fresh tracer/governor pair per call), cooperative

@@ -171,7 +171,6 @@ class ProcessLanePool:
         b_descs,
         out_prefix: str,
         trace_enabled: bool,
-        cache_max_bytes: Optional[int],
         *,
         kernel_spec: Optional[str] = None,
         crash_budget: int = 0,
@@ -211,8 +210,7 @@ class ProcessLanePool:
             step = min(step, heartbeat_interval / 2.0)
         self._poll_step = max(step, MIN_POLL_SECONDS)
         self._spawn_args = (a_descs, b_descs, out_prefix, trace_enabled,
-                            cache_max_bytes, kernel_spec, faults_spec,
-                            heartbeat_interval)
+                            kernel_spec, faults_spec, heartbeat_interval)
         self._serial = itertools.count()   # claim-slot allocator
         self._spawn_seq = itertools.count()  # unique worker naming
         self._free_slots: List[int] = []

@@ -1,8 +1,7 @@
 """Worker-process side of the process executor backend.
 
 Each worker attaches the shared-memory operand panels **once** at
-startup (zero-copy :class:`~repro.sparse.shm.SharedCSR` views), builds
-its own per-row-panel :class:`~repro.sparse.ops.RowSliceCache`, then
+startup (zero-copy :class:`~repro.sparse.shm.SharedCSR` views), then
 loops on the task queue running :func:`~repro.spgemm.twophase.\
 spgemm_twophase` per chunk.  The result chunk is written into a fresh
 per-chunk shared-memory segment sized exactly to the computed CSR (the
@@ -38,7 +37,6 @@ import time
 import traceback
 from typing import Dict, List, Optional, Tuple
 
-from ...sparse.ops import RowSliceCache
 from ...sparse.shm import SharedCSR, SharedCSRDescriptor, cleanup_segments
 
 __all__ = ["worker_main", "SpanBuffer"]
@@ -165,7 +163,6 @@ def worker_main(
     b_descs: List[SharedCSRDescriptor],
     out_prefix: str,
     trace_enabled: bool,
-    cache_max_bytes: Optional[int],
     kernel_spec: Optional[str] = None,
     faults_spec: Optional[str] = None,
     heartbeat_interval: Optional[float] = None,
@@ -213,8 +210,6 @@ def worker_main(
                 s = SharedCSR.attach(d)
                 attached.append(s)
                 col_panels.append(s.matrix)
-            caches = [RowSliceCache(p, max_bytes=cache_max_bytes)
-                      for p in row_panels]
         except BaseException:
             result_q.put(("init_err", worker_name, traceback.format_exc()))
             return
@@ -245,17 +240,10 @@ def worker_main(
                 t0 = time.perf_counter()
                 result = spgemm_twophase(
                     row_panels[rp], col_panels[cp], kernel=kernel,
-                    slice_cache=caches[rp],
                     tracer=buf, trace_label=str(cid),
                     fault_hook=injector.hook_for(cid),
                 )
                 elapsed = time.perf_counter() - t0
-                if buf is not None:
-                    cache = caches[rp]
-                    buf.gauge(f"slice_cache[{rp}]@{worker_name}",
-                              hits=cache.hits, misses=cache.misses,
-                              evictions=cache.evictions,
-                              held_bytes=cache.held_bytes)
 
                 # ship the chunk through a per-chunk shared segment sized
                 # to the exact CSR (symbolic counts), not through the pipe.

@@ -9,17 +9,17 @@ on int64: any matrix whose output would need offsets beyond ``INT32_MAX``
 raises :class:`IndexWidthError` before computing, exactly as a 32-bit API
 would overflow.
 
-The kernel itself is a dense-accumulation row-wise SpGEMM (Patwary et
-al.'s observation that dense arrays beat hash tables on multicore, also
-cited by the paper).
+Past the refusals it multiplies with the repo's own two-phase kernel
+(:func:`~repro.spgemm.twophase.spgemm_twophase`): what this baseline
+reproduces is the index-width limit, not MKL's accumulator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..sparse.formats import CSRMatrix, VALUE_DTYPE
-from ..spgemm.accumulators import dense_accumulate_rows
+from ..sparse.formats import CSRMatrix
+from ..spgemm.twophase import spgemm_twophase
 from ..spgemm.upperbound import row_upper_bound
 
 __all__ = ["IndexWidthError", "spgemm_mkl_like", "INT32_MAX"]
@@ -40,7 +40,7 @@ def _check_32bit(value: int, what: str) -> None:
 
 
 def spgemm_mkl_like(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
-    """Dense-accumulation SpGEMM constrained to 32-bit index arithmetic.
+    """SpGEMM constrained to 32-bit index arithmetic.
 
     Raises :class:`IndexWidthError` when inputs or the (upper bound of
     the) output exceed 32-bit offsets — before any numeric work, the way
@@ -56,15 +56,4 @@ def spgemm_mkl_like(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     ub_total = int(row_upper_bound(a, b).sum())
     _check_32bit(ub_total, "upper bound of nnz(C)")
 
-    rows = np.arange(a.n_rows, dtype=np.int64)
-    res = dense_accumulate_rows(a, b, rows, with_values=True)
-    row_offsets = np.zeros(a.n_rows + 1, dtype=np.int32)
-    np.cumsum(res.counts, out=row_offsets[1:])
-    return CSRMatrix(
-        a.n_rows,
-        b.n_cols,
-        row_offsets.astype(np.int64),  # widen at the boundary, as a caller
-        res.col_ids,                   # wrapping MKL would have to
-        np.asarray(res.values, dtype=VALUE_DTYPE),
-        check=False,
-    )
+    return spgemm_twophase(a, b).matrix

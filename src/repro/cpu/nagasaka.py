@@ -13,6 +13,16 @@ flops, per-range hash accumulation, int64 indices throughout (the reason
 the paper prefers it over MKL) — with the per-range work vectorized and
 ranges dispatched on a thread pool (numpy releases the GIL in its inner
 loops, so ranges do overlap).
+
+The per-range accumulator is a per-row open-addressing hash table sized
+from the upper bound (load factor <= 1/2), keyed by column id with linear
+probing, then sorted by column.  The insertion runs the classic GPU trick
+in numpy: all pending products write their key to their probe slot
+(arbitrary winner), everyone re-reads the slot, products whose key now
+matches accumulate there, the rest advance to the next slot.  Each
+iteration of the Python-level loop is one *probe step*, not one product,
+so the loop count is bounded by the probe-sequence length.  Sums start
+from -0.0, the additive identity, as the pipeline's kernels do.
 """
 
 from __future__ import annotations
@@ -23,10 +33,20 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..sparse.formats import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
-from ..spgemm.accumulators import hash_accumulate_rows
+from ..sparse.ops import take_rows
+from ..spgemm.accumulators import RowResults, empty_results
+from ..spgemm.expand import expand_products, products_per_row, row_batches
 from ..spgemm.flops import flops_per_row
 
 __all__ = ["balanced_row_ranges", "spgemm_nagasaka"]
+
+#: Knuth multiplicative hashing constant (2^32 / phi), as used by many
+#: GPU SpGEMM hash kernels.
+_HASH_MULT = np.int64(2654435761)
+
+#: hash accumulation expands intermediate products in row batches bounded
+#: by this many products, so peak memory is O(batch) instead of O(range)
+HASH_PRODUCT_BATCH = 1 << 22
 
 
 def balanced_row_ranges(
@@ -52,6 +72,131 @@ def balanced_row_ranges(
     cuts[0], cuts[-1] = 0, n
     cuts = np.unique(np.clip(cuts, 0, n))
     return [(int(cuts[i]), int(cuts[i + 1])) for i in range(len(cuts) - 1)]
+
+
+def _table_capacities(work: np.ndarray) -> np.ndarray:
+    """Power-of-two table sizes >= 2x the upper-bound work per row."""
+    need = np.maximum(2 * np.asarray(work, dtype=np.int64), 2)
+    exp = np.ceil(np.log2(need)).astype(np.int64)
+    return np.maximum(np.int64(1) << exp, 16)
+
+
+def _hash_insert(
+    keys: np.ndarray,
+    vals: Optional[np.ndarray],
+    table_off: np.ndarray,
+    caps: np.ndarray,
+    prod_rows: np.ndarray,
+    prod_cols: np.ndarray,
+    prod_vals: Optional[np.ndarray],
+) -> None:
+    """Insert one batch of products into the per-row open-addressing tables.
+
+    Per-row tables are disjoint, so batches that keep whole rows together
+    produce bit-identical tables to a single monolithic insertion: within a
+    row, products retire at the same probe step and accumulate in the same
+    order regardless of which other rows share the batch.
+    """
+    base = table_off[prod_rows]  # prod_rows are local (0..num group rows)
+    mask = caps[prod_rows] - 1
+    slot = base + ((prod_cols * _HASH_MULT) & mask)
+
+    pending = np.arange(prod_rows.size, dtype=INDEX_DTYPE)
+    max_steps = int(caps.max())
+    for _ in range(max_steps + 1):
+        if pending.size == 0:
+            break
+        s = slot[pending]
+        c = prod_cols[pending]
+        # claim empty slots (racing writes, numpy keeps the last writer —
+        # any single winner is equally correct)
+        empty = keys[s] == -1
+        if np.any(empty):
+            keys[s[empty]] = c[empty]
+        # products whose column now owns the slot accumulate and retire
+        won = keys[s] == c
+        if np.any(won):
+            if vals is not None:
+                np.add.at(vals, s[won], prod_vals[pending[won]])
+            pending = pending[~won]
+            slot_adv = slot[pending]
+        else:
+            slot_adv = s
+        if pending.size:
+            # linear probe within the row's table
+            b_off = table_off[prod_rows[pending]]
+            m = caps[prod_rows[pending]] - 1
+            slot[pending] = b_off + ((slot_adv - b_off + 1) & m)
+    else:
+        raise RuntimeError("hash table overflow: probe sequence exhausted")
+
+
+def _hash_accumulate_rows(
+    a: CSRMatrix,
+    b: CSRMatrix,
+    rows: np.ndarray,
+    work: np.ndarray,
+    *,
+    with_values: bool = True,
+    batch_products: int = HASH_PRODUCT_BATCH,
+) -> RowResults:
+    """Hash-accumulate the products of the given A rows.
+
+    Parameters
+    ----------
+    rows:
+        Row indices of ``A`` (the group), ascending.
+    work:
+        Upper-bound products per listed row (from row analysis); sizes the
+        per-row tables so the load factor never exceeds 1/2.
+    with_values:
+        False runs the *symbolic* variant — structure only, no value array.
+    batch_products:
+        Expansion is tiled over contiguous row ranges holding at most this
+        many intermediate products, bounding peak memory by the batch
+        instead of the whole group (a row above the budget still gets its
+        own batch).  The result is bit-identical for any batch size.
+    """
+    rows = np.asarray(rows, dtype=INDEX_DTYPE)
+    if rows.size == 0:
+        return empty_results(rows, with_values)
+    sub = take_rows(a, rows)
+
+    caps = _table_capacities(work)
+    table_off = np.zeros(rows.size + 1, dtype=INDEX_DTYPE)
+    np.cumsum(caps, out=table_off[1:])
+    total = int(table_off[-1])
+
+    keys = np.full(total, -1, dtype=INDEX_DTYPE)
+    vals = np.full(total, -0.0, dtype=VALUE_DTYPE) if with_values else None
+
+    inserted_any = False
+    for lo, hi in row_batches(products_per_row(sub, b), batch_products):
+        prod_rows, prod_cols, prod_vals = expand_products(sub, b, lo, hi)
+        if prod_rows.size == 0:
+            continue
+        inserted_any = True
+        _hash_insert(
+            keys, vals, table_off, caps, prod_rows, prod_cols,
+            prod_vals if with_values else None,
+        )
+    if not inserted_any:
+        return empty_results(rows, with_values)
+
+    # extract: valid slots per row, sorted by column id (the paper's
+    # post-insert sort producing CSR rows)
+    valid = keys != -1
+    slot_rows = np.repeat(np.arange(rows.size, dtype=INDEX_DTYPE), caps)
+    vr = slot_rows[valid]
+    vc = keys[valid]
+    order = np.lexsort((vc, vr))
+    counts = np.bincount(vr, minlength=rows.size).astype(INDEX_DTYPE)
+    return RowResults(
+        rows=rows,
+        counts=counts,
+        col_ids=vc[order],
+        values=vals[valid][order] if with_values else None,
+    )
 
 
 def spgemm_nagasaka(
@@ -82,7 +227,7 @@ def spgemm_nagasaka(
     def process(rng: Tuple[int, int]):
         lo, hi = rng
         rows = np.arange(lo, hi, dtype=INDEX_DTYPE)
-        return hash_accumulate_rows(a, b, rows, work[lo:hi], with_values=True)
+        return _hash_accumulate_rows(a, b, rows, work[lo:hi])
 
     if len(ranges) == 1:
         results = [process(ranges[0])]

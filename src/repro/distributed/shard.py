@@ -61,6 +61,7 @@ from ..observability import Tracer
 from ..observability.chrome import multi_tracer_events, timeline_events
 from ..sparse.formats import CSRMatrix
 from ..sparse.partition import panel_boundaries, partition_columns
+from ..spgemm.kernels import require_kernel
 from .sharding.transfers import (
     NetworkModel,
     measured_transfer_timeline,
@@ -414,6 +415,8 @@ def run_sharded(
     if a.n_cols != b.n_rows:
         raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
     cfg = config if config is not None else ShardConfig()
+    # refused here, once, before a shard is planned or a worker spawned
+    require_kernel(cfg.kernel)
     if grid is None:
         # two row panels a shard, clamped to the rows and columns that
         # exist (an empty dimension is one empty panel)

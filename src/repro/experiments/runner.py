@@ -177,7 +177,7 @@ def profile_for(
 ) -> ChunkProfile:
     """Plan the grid for ``node`` and execute/profile every chunk.
 
-    ``kernel`` selects the accumulator family (``None`` = auto).  Disk
+    ``kernel`` selects the kernel (``None`` = auto).  Disk
     caches storing these profiles must key on the *resolved* kernel wire
     form (:func:`repro.spgemm.kernels.resolved_wire`) — measured stage
     times are meaningless under a different kernel.

@@ -1,7 +1,7 @@
 """Pipeline tracing and observability.
 
-One :class:`Tracer` collects spans (queue wait, slice-cache activity,
-symbolic, numeric, sink/store writes) and gauges (lane queue depth,
+One :class:`Tracer` collects spans (queue wait, analysis, symbolic,
+numeric, sink/store writes) and gauges (lane queue depth,
 in-flight window occupancy, chunk-store bytes) from every layer of the
 out-of-core pipeline; :mod:`~repro.observability.chrome` exports the
 result as Chrome-trace-event JSON loadable in ``chrome://tracing`` /

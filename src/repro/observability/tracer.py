@@ -4,7 +4,7 @@ A :class:`Tracer` records *spans* (named intervals with a category and a
 lane/thread track) and *gauge samples* (named counter time series) from
 any thread; the chunk executor, the two-phase kernel, and the chunk
 stores all emit into one tracer, so a single trace shows where every
-chunk's time went: queue wait, slice-cache behaviour, symbolic, numeric,
+chunk's time went: queue wait, analysis, symbolic, numeric,
 sink/store writes, plus lane queue depth and in-flight window occupancy
 over time.
 

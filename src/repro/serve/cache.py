@@ -1,10 +1,8 @@
 """Content-addressed shared-memory operand cache.
 
-:class:`~repro.sparse.ops.RowSliceCache` caches row *slices* of one
-operand within one run; the job server needs the generalization across
-runs: many concurrent jobs naming the same operand (same suite entry,
-same generator spec, same uploaded matrix) should share **one**
-materialized copy.  :class:`OperandCache` keys whole CSR operands on
+Many concurrent jobs naming the same operand (same suite entry, same
+generator spec, same uploaded matrix) should share **one** materialized
+copy.  :class:`OperandCache` keys whole CSR operands on
 their content hash — SHA-256 over shape and the three CSR arrays — and
 stores each under a :class:`~repro.sparse.shm.SharedCSR` segment, so
 
@@ -22,8 +20,7 @@ the collision tests pin this.
 Eviction is byte-budget LRU over *unpinned* entries only: a job holds a
 :class:`OperandLease` (refcount pin) for the duration of its run, and a
 pinned segment is never unlinked no matter the pressure — eviction
-happens on release instead.  Like ``RowSliceCache``, the freshest entry
-survives even when it alone exceeds the budget (caching nothing would
+happens on release instead.  The freshest entry survives even when it alone exceeds the budget (caching nothing would
 make repeated single-operand workloads pay full price forever).
 
 A *spec alias* table maps canonical operand-spec strings (see

@@ -36,7 +36,7 @@ from ..sparse import generators
 from ..sparse.formats import CSRMatrix
 from ..sparse.io import canonical_csr, load_npz, read_matrix_market
 from ..sparse.suite import SUITE, build_matrix
-from ..spgemm.kernels import resolve_kernel
+from ..spgemm.kernels import require_kernel
 
 __all__ = [
     "JobState",
@@ -178,7 +178,7 @@ class JobSpec:
         # what the engine would refuse is refused here, before the job
         # is priced, queued or given a slot
         kernel, backend = payload.get("kernel"), payload.get("backend")
-        resolve_kernel(kernel)
+        require_kernel(kernel)
         if resolve_backend_name(backend, workers, False) == "serial" \
                 and workers > 1:
             raise ValueError("the serial backend runs exactly one worker")

@@ -7,9 +7,7 @@ All operations are vectorized.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,8 +24,6 @@ __all__ = [
     "drop_explicit_zeros",
     "extract_columns",
     "take_rows",
-    "RowSliceCache",
-    "DEFAULT_CACHE_BYTES",
     "row_stats",
 ]
 
@@ -178,95 +174,6 @@ def take_rows(a: CSRMatrix, rows: np.ndarray) -> CSRMatrix:
     return CSRMatrix(
         rows.size, a.n_cols, row_offsets, a.col_ids[src], a.data[src], check=False
     )
-
-
-#: default byte budget of one :class:`RowSliceCache` (64 MiB).  Slices
-#: are keyed per row panel, so the executor's total cache footprint is
-#: bounded by ``num_row_panels x DEFAULT_CACHE_BYTES``.
-DEFAULT_CACHE_BYTES = 64 << 20
-
-
-class RowSliceCache:
-    """Memoizing, thread-safe wrapper around :func:`take_rows` for one matrix.
-
-    The SpGEMM kernels slice the same A panel repeatedly: the symbolic and
-    numeric passes each gather their row groups, and every chunk of one row
-    panel re-derives groups from a different B panel that frequently
-    coincide (regular matrices produce identical groupings across column
-    panels).  Keying on the row-id bytes makes those repeats free.
-
-    The footprint is bounded two ways, both enforced LRU: ``max_entries``
-    caps the entry count and ``max_bytes`` caps the summed
-    :meth:`~repro.sparse.formats.CSRMatrix.nbytes` of the cached slices —
-    entry counts alone let a few huge slices grow the cache without bound
-    across a long chunk run.  The freshest entry always survives, even
-    when it alone exceeds the byte budget (otherwise a single oversized
-    slice would defeat memoization entirely).  ``hits`` / ``misses`` /
-    ``evictions`` counters and ``held_bytes`` feed the tracer's
-    slice-cache gauges.  A lock makes concurrent lookups from the
-    parallel chunk executor safe (a duplicated computation under a race
-    is benign — the slices are immutable and identical).
-    """
-
-    def __init__(self, matrix: CSRMatrix, max_entries: int = 64,
-                 max_bytes: Optional[int] = DEFAULT_CACHE_BYTES) -> None:
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive (or None: unbounded)")
-        self._matrix = matrix
-        self._max = max_entries
-        self._max_bytes = max_bytes
-        self._entries: "OrderedDict[bytes, CSRMatrix]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.held_bytes = 0
-
-    @property
-    def matrix(self) -> CSRMatrix:
-        return self._matrix
-
-    @property
-    def max_bytes(self) -> Optional[int]:
-        return self._max_bytes
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def _over_budget(self) -> bool:
-        if len(self._entries) > self._max:
-            return True
-        return (
-            self._max_bytes is not None
-            and self.held_bytes > self._max_bytes
-            and len(self._entries) > 1  # the freshest entry always survives
-        )
-
-    def take(self, rows: np.ndarray) -> CSRMatrix:
-        """``take_rows(matrix, rows)``, memoized on the row-id array."""
-        rows = np.asarray(rows, dtype=INDEX_DTYPE)
-        key = rows.tobytes()
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return cached
-        sub = take_rows(self._matrix, rows)  # computed outside the lock
-        with self._lock:
-            prev = self._entries.pop(key, None)
-            if prev is not None:  # raced with another thread; replace
-                self.held_bytes -= prev.nbytes()
-            self._entries[key] = sub
-            self.held_bytes += sub.nbytes()
-            self.misses += 1
-            while self._over_budget():
-                _, victim = self._entries.popitem(last=False)
-                self.held_bytes -= victim.nbytes()
-                self.evictions += 1
-        return sub
 
 
 def row_stats(a: CSRMatrix) -> dict:

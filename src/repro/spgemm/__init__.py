@@ -4,19 +4,17 @@ from .esc import spgemm_esc
 from .flops import compression_ratio, flops_per_row, total_flops
 from .gustavson import spgemm_gustavson
 from .kernels import (
-    ACCUMULATORS,
-    FUSED_METHODS,
     KERNEL_KINDS,
     KernelSpec,
     plan_groups,
     resolve_kernel,
 )
 from .native import native_available, native_build_error
-from .numeric import RowSlots, numeric_grouped, numeric_phase, place_rows
+from .numeric import RowSlots, numeric_grouped, place_rows
 from .reference import assert_same_product, spgemm_scipy
 from .rowanalysis import RowAnalysis, analyze_rows
 from .semiring import MAX_MIN, MIN_PLUS, OR_AND, PLUS_TIMES, Semiring, spgemm_semiring
-from .symbolic import symbolic_grouped, symbolic_row_nnz, symbolic_sort
+from .symbolic import symbolic_sort
 from .twophase import (
     SymbolicPhase,
     TwoPhaseResult,
@@ -33,8 +31,6 @@ __all__ = [
     "flops_per_row",
     "total_flops",
     "spgemm_gustavson",
-    "ACCUMULATORS",
-    "FUSED_METHODS",
     "KERNEL_KINDS",
     "KernelSpec",
     "plan_groups",
@@ -43,7 +39,6 @@ __all__ = [
     "native_build_error",
     "RowSlots",
     "numeric_grouped",
-    "numeric_phase",
     "place_rows",
     "assert_same_product",
     "spgemm_scipy",
@@ -55,8 +50,6 @@ __all__ = [
     "PLUS_TIMES",
     "Semiring",
     "spgemm_semiring",
-    "symbolic_grouped",
-    "symbolic_row_nnz",
     "symbolic_sort",
     "SymbolicPhase",
     "TwoPhaseResult",

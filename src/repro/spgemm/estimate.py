@@ -16,8 +16,8 @@ upper bound therefore remains a correctness ceiling; the estimate only
 tightens it.
 
 Downstream, :class:`~repro.core.chunks.GridSizing` spreads the per-row
-estimate over a chunk grid — the one place the planner, the governor's
-admission and re-split checks and the kernels' density hints read it.
+estimate over a chunk grid — the one place the planner and the
+governor's admission and re-split checks read it.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sparse.formats import CSRMatrix
+from .accumulators import esc_accumulate_rows
 from .flops import product_prefix
-from .kernels import accumulate
 from .native import native_available, native_count_rows
 
 __all__ = [
@@ -151,7 +151,7 @@ def estimate_row_nnz(
     if native_available():
         exact = native_count_rows(a, b, sampled)
     else:
-        exact = accumulate("esc", a, b, sampled, ub[sampled], with_values=False).counts
+        exact = esc_accumulate_rows(a, b, sampled, with_values=False).counts
     exact = exact.astype(np.float64)
     nnz[sampled] = exact
     lo[sampled] = exact

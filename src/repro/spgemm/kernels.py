@@ -1,83 +1,51 @@
-"""Unified kernel dispatch for the two-phase SpGEMM pipeline.
+"""Kernel choice for the two-phase SpGEMM pipeline.
 
-One small interface fronts every accumulator the repo knows about so new
-kernels (and new group-selection heuristics) plug in without touching the
-engine, the process workers, or the CLI:
-
-* :data:`ACCUMULATORS` — registry of the numpy group accumulators, all
-  sharing the signature ``fn(a, b, rows, work, *, with_values,
-  slice_cache)`` and returning
-  :class:`~repro.spgemm.accumulators.RowResults`.  ``native`` groups are
-  not in it: the pipeline runs them as a count pass and an in-place fill
-  pass (:mod:`repro.spgemm.native`), with no ``RowResults`` in between;
 * :class:`KernelSpec` — a frozen, string-codable kernel choice that
   crosses process boundaries as ``spec.encode()``;
-* :func:`plan_groups` — maps row-analysis statistics (upper-bound work or
-  exact counts) to a :class:`~repro.spgemm.groups.RowGrouping` whose
-  group methods name registry entries.
+* :func:`plan_groups` — the row grouping a spec implies: one group of
+  every row with work, run by the spec's resolved kernel.
 
 Kinds
 -----
-``hash``    spECK-style: dense accumulation for dense rows, power-of-two
-            hash buckets for the rest (the original default).
-``dense``   dense accumulation for every productive row.
-``esc``     bhSPARSE-style expand/sort/compress, one batch per group.
-``native``  runtime-compiled C Gustavson kernel (when available).
-``auto``    ``native`` when the toolchain allows it, else dense rows to
-            ``dense`` and the rest to ``esc``.
+``esc``     Liu & Vinter's expand/sort/compress in numpy
+            (:func:`~repro.spgemm.accumulators.esc_accumulate_rows`).
+``native``  runtime-compiled C Gustavson kernel (:mod:`repro.spgemm.native`):
+            a count pass, then an in-place fill pass.
+``auto``    ``native`` when the toolchain allows it, else ``esc``.
 
-Every kind combines duplicate products in expansion (ascending ``k``)
-order, so all are mutually bit-identical for any float input (the
-identity contract, DESIGN.md Section 10).
+Both kernels combine duplicate products in expansion (ascending ``k``)
+order, so they are bit-identical for any float input (the identity
+contract, DESIGN.md Section 10).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .accumulators import (
-    RowResults,
-    dense_accumulate_rows,
-    esc_accumulate_rows,
-    hash_accumulate_rows,
-)
-from .groups import (
-    DENSE_THRESHOLD,
-    RowGroup,
-    RowGrouping,
-    group_rows,
-)
+from .groups import RowGroup, RowGrouping
 from .native import native_available, native_build_error
 
 __all__ = [
     "KERNEL_KINDS",
-    "FUSED_METHODS",
     "KernelSpec",
     "resolve_kernel",
     "require_kernel",
     "resolved_wire",
-    "ACCUMULATORS",
-    "accumulate",
     "plan_groups",
 ]
 
 #: every accepted ``KernelSpec.kind`` / ``--kernel`` value
-KERNEL_KINDS = ("auto", "hash", "dense", "esc", "native")
-
-#: group methods that produce values during the symbolic pass (their
-#: symbolic run is cached and the numeric pass only scatters it).
-#: ``native`` is not one: it counts, then fills the exact allocation.
-FUSED_METHODS = frozenset({"esc"})
+KERNEL_KINDS = ("auto", "esc", "native")
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel choice for one chunk grid (or one multiplication).
 
-    ``kind`` selects the accumulator family (see module docstring).  The
+    ``kind`` selects the kernel (see module docstring).  The
     spec serializes to a short string via :meth:`encode` so it can ride
     through spawn args to process workers and into trace span attributes.
     """
@@ -102,15 +70,14 @@ class KernelSpec:
         """The concrete spec ``auto`` resolves to on this toolchain.
 
         ``auto`` is a *policy*, not a kernel: on a box with a C compiler
-        it runs the native Gustavson kernel; without one it runs the
-        dense/ESC split.  Artifacts keyed on the kernel (profile caches,
-        recorded :class:`~repro.core.chunks.ChunkStats`) must use the
-        resolved wire form, or timings from different kernels alias
-        under one key.
+        it runs the native Gustavson kernel; without one it runs ESC.
+        Artifacts keyed on the kernel (profile caches, recorded
+        :class:`~repro.core.chunks.ChunkStats`) must use the resolved
+        wire form, or timings from different kernels alias under one key.
         """
-        if self.kind == "auto" and native_available():
-            return KernelSpec(kind="native")
-        return self
+        if self.kind != "auto":
+            return self
+        return KernelSpec(kind="native" if native_available() else "esc")
 
 
 def resolve_kernel(
@@ -141,83 +108,18 @@ def resolved_wire(kernel: Union[None, str, KernelSpec] = None) -> str:
     return resolve_kernel(kernel).resolved().encode()
 
 
-def _dense_adapter(a, b, rows, work, *, with_values, slice_cache) -> RowResults:
-    del work  # dense buffers are sized by the output width alone
-    return dense_accumulate_rows(
-        a, b, rows, with_values=with_values, slice_cache=slice_cache
-    )
-
-
-#: group-method name -> accumulator, uniform signature
-ACCUMULATORS: Dict[str, Callable[..., RowResults]] = {
-    "hash": hash_accumulate_rows,
-    "dense": _dense_adapter,
-    "esc": esc_accumulate_rows,
-}
-
-
-def accumulate(
-    method: str,
-    a,
-    b,
-    rows: np.ndarray,
-    work: Optional[np.ndarray],
-    *,
-    with_values: bool,
-    slice_cache=None,
-) -> RowResults:
-    """Run one registered accumulator over one row group."""
-    try:
-        fn = ACCUMULATORS[method]
-    except KeyError:
-        raise ValueError(f"unknown accumulator method {method!r}") from None
-    return fn(a, b, rows, work, with_values=with_values, slice_cache=slice_cache)
-
-
-def _single_group(work: np.ndarray, method: str) -> RowGrouping:
-    rows = np.flatnonzero(work > 0)
-    groups = ()
-    if rows.size:
-        groups = (RowGroup(rows=rows, method=method, bucket=0),)
-    return RowGrouping(groups=groups, n_rows=work.size)
-
-
-def plan_groups(
-    work_per_row: np.ndarray,
-    out_width: int,
-    spec: KernelSpec,
-) -> RowGrouping:
-    """Derive the row grouping a :class:`KernelSpec` implies.
-
-    ``work_per_row`` is the upper-bound products per row before the
-    symbolic phase, or the exact output nnz per row before the numeric
-    phase — the same statistic :func:`~repro.spgemm.groups.group_rows`
-    consumes.  Rows with zero work are never grouped (their output rows
-    are empty).
-    """
+def plan_groups(work_per_row: np.ndarray, spec: KernelSpec) -> RowGrouping:
+    """The row grouping a :class:`KernelSpec` implies: every row with
+    work (upper-bound products before the symbolic phase, exact output
+    nnz before the numeric phase) in one group run by the resolved
+    kernel.  Rows with zero work are never grouped (their output rows
+    are empty)."""
     work = np.asarray(work_per_row, dtype=np.int64)
     kind = spec.resolved().kind
-
-    if kind == "native":
-        if not native_available():
-            raise RuntimeError(
-                f"kernel 'native' requested but unavailable: {native_build_error()}"
-            )
-        return _single_group(work, "native")
-    if kind in ("esc", "dense"):
-        return _single_group(work, kind)
-    if kind == "hash":
-        # the original spECK split: dense rows + power-of-two hash buckets
-        return group_rows(work, out_width)
-    # auto without a native toolchain: dense rows keep the dense
-    # accumulator, everything else goes through one vectorized ESC batch
-    cutoff = max(1.0, DENSE_THRESHOLD * out_width)
-    active = work > 0
-    dense_rows = np.flatnonzero(active & (work >= cutoff))
-    esc_rows = np.flatnonzero(active & (work < cutoff))
-    groups = []
-    if dense_rows.size:
-        groups.append(RowGroup(rows=dense_rows, method="dense", bucket=0))
-    if esc_rows.size:
-        groups.append(RowGroup(rows=esc_rows, method="esc", bucket=0))
-    return RowGrouping(groups=tuple(groups), n_rows=work.size)
+    if kind == "native" and not native_available():
+        raise RuntimeError(
+            f"kernel 'native' requested but unavailable: {native_build_error()}"
+        )
+    rows = np.flatnonzero(work > 0)
+    groups = (RowGroup(rows=rows, method=kind),) if rows.size else ()
+    return RowGrouping(groups=groups, n_rows=work.size)

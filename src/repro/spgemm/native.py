@@ -1,11 +1,11 @@
 """Optional runtime-compiled C Gustavson kernel (``native``).
 
-The pure-numpy accumulators are bounded by sort/scatter throughput
+The numpy ESC kernel is bounded by sort/scatter throughput
 (~50M products/s on one core); a row-major Gustavson sweep with a dense
 sparse-accumulator (SPA) has no such bound.  When a C compiler and
 :mod:`cffi` are available, this module compiles the kernel at runtime
 (ABI mode, no ``Python.h`` needed) and registers it as the ``native``
-kernel kind; otherwise everything degrades to the numpy kernels.
+kernel kind; otherwise everything degrades to the numpy ESC kernel.
 
 Two passes over a list of A row *ids* (nothing of A is copied), the
 paper's symbolic/numeric split: :func:`native_count_rows` returns exact
@@ -22,11 +22,11 @@ into slots under the same per-row refusal.  Scratch is kept per thread
 and reused across calls.
 
 Bit-identity.  The SPA accumulates each output column's duplicates in
-ascending ``k`` order — exactly the expansion order every numpy
+ascending ``k`` order — exactly the expansion order the numpy ESC
 accumulator uses, from the same -0.0 start (the additive identity) —
 and the build pins ``-ffp-contract=off`` so the compiler cannot fuse
 ``a*b + s`` into an FMA.  The result is therefore bit-identical to the
-``hash`` / ``dense`` / ``esc`` kernels for arbitrary float inputs (but
+``esc`` kernel for arbitrary float inputs (but
 for which NaN survives where two meet: DESIGN.md Section 10).
 
 Gating.  ``native_available()`` is the single capability probe: it

@@ -4,8 +4,8 @@
 of the number of non-zero elements in the output matrix, and thus, space
 allocation is now feasible."  Row groups are re-derived from the *exact*
 symbolic counts (the paper's second, global load-balancing pass), and each
-group's accumulator writes directly into its rows' slots of the shared
-output arrays — mirroring how the GPU kernels write disjoint ranges of one
+group's kernel writes directly into its rows' slots of the shared output
+arrays — mirroring how the GPU kernels write disjoint ranges of one
 pre-allocated buffer.
 
 Where a row lands is a :class:`RowSlots`: a per-row ``(start, count)`` in
@@ -25,12 +25,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..sparse.formats import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
-from ..sparse.ops import RowSliceCache
-from .accumulators import RowResults
-from .groups import RowGrouping, group_rows
+from .accumulators import RowResults, esc_accumulate_rows
+from .groups import RowGrouping
 from .native import native_available, native_fill_slots, native_place_rows
 
-__all__ = ["RowSlots", "place_rows", "numeric_grouped", "numeric_phase"]
+__all__ = ["RowSlots", "place_rows", "numeric_grouped"]
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,6 @@ def numeric_grouped(
     row_nnz: np.ndarray,
     grouping: RowGrouping,
     *,
-    slice_cache: Optional[RowSliceCache] = None,
     precomputed: Optional[Sequence[Optional[RowResults]]] = None,
     dest: Optional[RowSlots] = None,
 ) -> Optional[CSRMatrix]:
@@ -118,16 +116,14 @@ def numeric_grouped(
 
     ``row_nnz`` are the exact symbolic counts; they fix the output layout
     (``row_offsets``) before any group runs, so groups can fill their rows
-    independently and in any order.  Accumulators are dispatched by group
-    method through the kernel registry.  ``slice_cache`` memoizes
-    row-group gathers of ``a`` across passes and sibling chunks.
+    independently and in any order.  ``native`` groups fill their slots
+    in place — no :class:`RowResults`, no copy; ``esc`` groups are
+    accumulated and copied to their slots.
 
-    ``precomputed`` (parallel to ``grouping.groups``) supplies cached
-    :class:`RowResults` for *fused* groups whose symbolic pass already
-    produced values (the esc kernel); those groups are only copied to
-    their slots here instead of recomputed.  ``None`` entries run
-    normally.  ``native`` groups fill their slots in place — no
-    :class:`RowResults`, no copy.
+    ``precomputed`` (parallel to ``grouping.groups``) supplies the
+    :class:`RowResults` of ``esc`` groups whose symbolic pass already
+    produced values; those groups are only copied here instead of
+    recomputed.  ``None`` entries run normally.
 
     ``dest`` names slots in arrays the caller owns (one per row of ``a``,
     counts equal to ``row_nnz``); the rows are written there and ``None``
@@ -159,8 +155,6 @@ def numeric_grouped(
                 f"{int(row_nnz[r])}, the slot holds {int(dest.counts[r])}"
             )
 
-    from .kernels import accumulate  # deferred: kernels imports this module's peers
-
     if precomputed is not None and len(precomputed) != len(grouping.groups):
         raise ValueError("precomputed must align with grouping.groups")
 
@@ -174,15 +168,11 @@ def numeric_grouped(
                 native_fill_slots(a, b, g.rows, dest.starts, dest.counts,
                                   dest.shift, dest.col_ids, dest.data)
                 continue
-            # exact counts are the tightest possible table/buffer sizing
-            res = accumulate(
-                g.method, a, b, g.rows, row_nnz[g.rows],
-                with_values=True, slice_cache=slice_cache,
-            )
+            res = esc_accumulate_rows(a, b, g.rows)
         if not np.array_equal(res.counts, row_nnz[g.rows]):
             raise RuntimeError(
                 "numeric phase disagrees with symbolic counts — "
-                "accumulator inconsistency"
+                "kernel inconsistency"
             )
         place_rows(res.offsets(), res.col_ids, res.values, dest, rows=g.rows)
 
@@ -191,8 +181,3 @@ def numeric_grouped(
     return CSRMatrix(a.n_rows, b.n_cols, row_offsets, dest.col_ids, dest.data,
                      check=False)
 
-
-def numeric_phase(a: CSRMatrix, b: CSRMatrix, row_nnz: np.ndarray) -> CSRMatrix:
-    """Numeric phase with the standard exact-count re-grouping."""
-    grouping = group_rows(np.asarray(row_nnz), b.n_cols)
-    return numeric_grouped(a, b, row_nnz, grouping)

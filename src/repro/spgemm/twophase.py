@@ -9,17 +9,16 @@ Pipeline of the three stages the paper describes:
 3. **numeric execution** — rows re-grouped on exact counts ("global load
    balance again"), then one kernel per group computes values.
 
-Which accumulator runs per group is decided by a
+Which kernel runs is decided by a
 :class:`~repro.spgemm.kernels.KernelSpec` (``--kernel`` on the CLI): the
-classic spECK split (dense rows dense, sparse rows hashed), the
-vectorized ESC batch kernel, or the compiled ``native``
-Gustavson kernel.  ``native`` runs the stages as the paper draws them:
-its symbolic stage is a count pass, the output is allocated once from
-the exact counts, and its numeric stage fills that allocation in place.
-The *fused* numpy kernel (esc) produces values already during the
-symbolic pass; its results are cached and the numeric stage only
-scatters them into the exact allocation, halving the work while keeping
-the two-phase structure (and its stats/spans) intact.
+compiled ``native`` Gustavson kernel or the vectorized numpy ESC batch.
+``native`` runs the stages as the paper draws them: its symbolic stage
+is a count pass, the output is allocated once from the exact counts, and
+its numeric stage fills that allocation in place.  ESC is *fused*: it
+produces values already during the symbolic pass; its results are
+cached and the numeric stage only scatters them into the exact
+allocation, halving the work while keeping the two-phase structure (and
+its stats/spans) intact.
 
 The pipeline can be cut where the paper's Fig. 3 ships the exact nnz to
 the host: :func:`spgemm_symbolic` runs stages 1-2 and returns a
@@ -39,17 +38,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from ..sparse.codec import csr_nbytes
 from ..sparse.formats import CSRMatrix, INDEX_DTYPE
-from ..sparse.ops import RowSliceCache
-from .accumulators import RowResults
+from .accumulators import RowResults, esc_accumulate_rows
 from .flops import compression_ratio
-from .groups import RowGroup, RowGrouping
-from .kernels import FUSED_METHODS, KernelSpec, accumulate, plan_groups, resolve_kernel
+from .groups import RowGrouping
+from .kernels import KernelSpec, plan_groups, resolve_kernel
 from .native import native_count_rows
 from .numeric import RowSlots, numeric_grouped
 from .rowanalysis import RowAnalysis, analyze_rows
@@ -132,19 +130,18 @@ class SymbolicPhase:
     """One multiplication at the paper's D2H point (Fig. 3): analysis
     and symbolic stages done, exact ``row_nnz`` known, nothing of the
     output allocated yet.  Holds what :func:`spgemm_numeric` needs to
-    finish the same invocation — operands, cache, tracing and fault
-    context included — and may be finished more than once (a retry
-    re-fills the same slots)."""
+    finish the same invocation — operands, tracing and fault context
+    included — and may be finished more than once (a retry re-fills the
+    same slots)."""
 
     a: CSRMatrix
     b: CSRMatrix
     spec: KernelSpec
-    slice_cache: RowSliceCache
     analysis: RowAnalysis
     grouping: RowGrouping          # the symbolic stage's row groups
     row_nnz: np.ndarray            # exact nnz per output row
-    #: fused groups' values, computed during the symbolic pass
-    fused: Tuple[Tuple[RowGroup, RowResults], ...]
+    #: ESC's values, computed during the symbolic pass (``None``: native)
+    fused: Optional[RowResults]
     analysis_seconds: float
     symbolic_seconds: float
     tracer: object
@@ -157,11 +154,9 @@ def spgemm_symbolic(
     b: CSRMatrix,
     *,
     kernel: Union[None, str, KernelSpec] = None,
-    slice_cache: Optional[RowSliceCache] = None,
     tracer=None,
     trace_label: str = "",
     fault_hook=None,
-    density_hint: Optional[np.ndarray] = None,
 ) -> SymbolicPhase:
     """Stages 1-2 of :func:`spgemm_twophase` (same parameters): row
     analysis, then exact nnz per output row."""
@@ -171,17 +166,6 @@ def spgemm_symbolic(
     spec = resolve_kernel(kernel)
     if a.n_cols != b.n_rows:
         raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
-    if slice_cache is None:
-        slice_cache = RowSliceCache(a)
-    elif slice_cache.matrix is not a:
-        raise ValueError("slice_cache was built for a different matrix")
-
-    hint = None
-    if density_hint is not None:
-        hint = np.asarray(density_hint, dtype=np.int64)
-        if hint.shape != (a.n_rows,):
-            raise ValueError(
-                f"density_hint has shape {hint.shape}, expected {(a.n_rows,)}")
     # the native count pass walks every product anyway: its one sweep is
     # both stages, booked under stage 2; stage 1 keeps its hook and span
     wire = spec.resolved().encode()
@@ -194,26 +178,18 @@ def spgemm_symbolic(
     with tracer.span(f"analysis[{trace_label}]", "analysis"):
         analysis = None if swept else analyze_rows(a, b)
     analysis_seconds = time.perf_counter() - t0
-
     if not swept:
-        work = analysis.flops // 2  # upper-bound products per row
-        # host: bin rows for dispatch — by estimated density when a hint
-        # is available (OCEAN-style), by upper-bound work otherwise.  The
-        # hint is clamped into [1, work] on productive rows so no row can
-        # drop out of (or join) the grouping by estimation error alone.
-        group_work = work
-        if hint is not None:
-            group_work = np.where(work > 0, np.clip(hint, 1, work), 0)
-        sym_grouping = plan_groups(group_work, b.n_cols, spec)
+        # host: the rows with an upper-bound product form the one group
+        sym_grouping = plan_groups(analysis.flops // 2, spec)
 
     # stage 2: symbolic execution — exact nnz per output row.  The native
-    # kernel only counts.  The fused kernel (esc) computes values in the
-    # same pass; its RowResults are cached so the numeric stage only has
-    # to copy them into place.
+    # kernel only counts.  ESC computes values in the same pass; its
+    # RowResults are cached so the numeric stage only has to copy them
+    # into place.
     if fault_hook is not None:
         fault_hook("symbolic")
     t0 = time.perf_counter()
-    fused = []  # [(RowGroup, RowResults)] in symbolic-group order
+    fused = None
     with tracer.span(f"symbolic[{trace_label}]", "symbolic",
                      kernels=1 if swept else sym_grouping.num_kernels(),
                      kernel=wire):
@@ -222,26 +198,17 @@ def spgemm_symbolic(
                 a, b, np.arange(a.n_rows, dtype=INDEX_DTYPE),
                 return_products=True)
             analysis = RowAnalysis(flops=2 * work)
-            # one group whatever the hint says: the rows with a product
-            sym_grouping = plan_groups(work, b.n_cols, spec)
+            sym_grouping = plan_groups(work, spec)
         else:
             row_nnz = np.zeros(a.n_rows, dtype=INDEX_DTYPE)
             for g in sym_grouping:
-                if len(g) == 0:
-                    continue
-                is_fused = g.method in FUSED_METHODS
-                res = accumulate(
-                    g.method, a, b, g.rows, work[g.rows],
-                    with_values=is_fused, slice_cache=slice_cache,
-                )
-                if is_fused:
-                    fused.append((g, res))
-                row_nnz[g.rows] = res.counts
+                fused = esc_accumulate_rows(a, b, g.rows)
+                row_nnz[g.rows] = fused.counts
     symbolic_seconds = time.perf_counter() - t0
 
     return SymbolicPhase(
-        a=a, b=b, spec=spec, slice_cache=slice_cache, analysis=analysis,
-        grouping=sym_grouping, row_nnz=row_nnz, fused=tuple(fused),
+        a=a, b=b, spec=spec, analysis=analysis,
+        grouping=sym_grouping, row_nnz=row_nnz, fused=fused,
         analysis_seconds=analysis_seconds, symbolic_seconds=symbolic_seconds,
         tracer=tracer, trace_label=trace_label, fault_hook=fault_hook,
     )
@@ -265,17 +232,12 @@ def spgemm_numeric(
     # so stats and caches never alias timings from different kernels
     wire = spec.resolved().encode()
 
-    # host: re-group on exact counts (global load balance again) — only
-    # the rows whose values are *not* already cached need a new group
-    regroup_work = row_nnz.copy()
-    for g, _ in sym.fused:
-        regroup_work[g.rows] = 0
-    classic = plan_groups(regroup_work, b.n_cols, spec)
-    num_grouping = RowGrouping(
-        groups=tuple(g for g, _ in sym.fused) + classic.groups,
-        n_rows=a.n_rows,
-    )
-    precomputed = [res for _, res in sym.fused] + [None] * len(classic.groups)
+    # host: re-group on exact counts (global load balance again) — ESC's
+    # values are already cached under its symbolic group
+    if sym.fused is None:
+        num_grouping, precomputed = plan_groups(row_nnz, spec), None
+    else:
+        num_grouping, precomputed = sym.grouping, [sym.fused]
 
     # stage 3: numeric execution into the exact allocation
     if sym.fault_hook is not None:
@@ -285,8 +247,7 @@ def spgemm_numeric(
                      kernels=num_grouping.num_kernels(),
                      kernel=wire):
         c = numeric_grouped(
-            a, b, row_nnz, num_grouping,
-            slice_cache=sym.slice_cache, precomputed=precomputed, dest=dest,
+            a, b, row_nnz, num_grouping, precomputed=precomputed, dest=dest,
         )
     numeric_seconds = time.perf_counter() - t0
 
@@ -321,26 +282,18 @@ def spgemm_twophase(
     b: CSRMatrix,
     *,
     kernel: Union[None, str, KernelSpec] = None,
-    slice_cache: Optional[RowSliceCache] = None,
     tracer=None,
     trace_label: str = "",
     fault_hook=None,
-    density_hint: Optional[np.ndarray] = None,
 ) -> TwoPhaseResult:
     """Multiply ``A x B`` with the full three-stage kernel pipeline.
 
-    ``kernel`` selects the accumulator family — ``None``, a wire string
-    (``"esc"``, ``"hash@0.25"``), or a :class:`KernelSpec`.  The default
+    ``kernel`` selects the kernel — ``None``, a wire string (``"auto"``,
+    ``"esc"``, ``"native"``), or a :class:`KernelSpec`.  The default
     ``auto`` uses the compiled Gustavson kernel (count pass, exact
     allocation, in-place fill pass) when available and the vectorized
-    dense/ESC split otherwise.  All kernels produce the same
-    matrix; see :mod:`repro.spgemm.kernels` for the bit-identity contract.
-
-    ``slice_cache`` (a :class:`~repro.sparse.ops.RowSliceCache` over ``a``)
-    lets the symbolic and numeric passes — and sibling invocations sharing
-    the same A panel, as the out-of-core chunk executor arranges — reuse
-    row-group gathers instead of re-slicing A.  One is created locally when
-    not supplied.  The native kernel reads A by row id and never touches it.
+    ESC batch otherwise.  Both kernels produce the same matrix; see
+    :mod:`repro.spgemm.kernels` for the bit-identity contract.
 
     ``tracer`` (:mod:`repro.observability`) records the three phase
     boundaries as spans named ``analysis[label]`` / ``symbolic[label]`` /
@@ -354,18 +307,8 @@ def spgemm_twophase(
     called with the stage name (``analysis`` / ``symbolic`` / ``numeric``)
     at each stage entry; it may sleep, raise, or kill the process.  The
     default ``None`` costs nothing.
-
-    ``density_hint`` (optional, one estimated output nnz per row of
-    ``a`` — see :mod:`repro.spgemm.estimate`) refines the *symbolic*
-    row grouping: rows are binned by estimated density instead of the
-    loose flops upper bound, so a row the bound calls dense but the
-    estimate calls sparse stays on the sparse accumulator.  It is purely
-    a dispatch hint — hash-table/buffer sizing inside the accumulators
-    still uses the hard upper bound, and results are bit-identical with
-    or without it.
     """
     return spgemm_numeric(spgemm_symbolic(
-        a, b, kernel=kernel, slice_cache=slice_cache, tracer=tracer,
-        trace_label=trace_label, fault_hook=fault_hook,
-        density_hint=density_hint,
+        a, b, kernel=kernel, tracer=tracer, trace_label=trace_label,
+        fault_hook=fault_hook,
     ))

@@ -2,8 +2,9 @@
 
 Section IV.B of the paper discusses — and rejects — sizing device buffers
 from upper bounds: "the gap between upper bounds and the actual sizes are
-really large".  We implement the estimators anyway because (a) the hash
-accumulator sizes its per-row tables from them, and (b) the ablation bench
+really large".  We implement the estimators anyway because (a) the
+Nagasaka baseline's hash accumulator sizes its per-row tables from them,
+and (b) the ablation bench
 quantifies exactly how loose they are (the paper's argument).
 
 Two bounds are provided:

@@ -20,8 +20,8 @@ ChunkEstimates = namedtuple(
 
 def panel_row_products(a_panel, b_panel):
     """Per-row products of ``a_panel @ b_panel`` by a direct gather on
-    the sliced panels — what the governor's re-split and the density
-    hints ran per chunk before ``GridSizing`` (``core/memcheck.py``)."""
+    the sliced panels — what the governor's re-split ran per chunk
+    before ``GridSizing`` (``core/memcheck.py``)."""
     b_row_nnz = np.diff(b_panel.row_offsets)
     gathered = b_row_nnz[a_panel.col_ids]
     csum = np.concatenate([[0], np.cumsum(gathered, dtype=np.int64)])

@@ -175,9 +175,9 @@ class TestProcessTracing:
         numeric = [s for s in tracer.spans if s.cat == "numeric"]
         assert len(numeric) == grid.num_chunks
         assert all(s.end >= s.start >= 0.0 for s in tracer.spans)
-        # worker slice-cache gauges and parent shm occupancy gauges merged
+        # worker throughput gauges and parent shm occupancy gauges merged
         gauge_names = {g.name for g in tracer.gauges}
-        assert any(n.startswith("slice_cache[") for n in gauge_names)
+        assert any(n.startswith("throughput[") for n in gauge_names)
         assert any(n.startswith("shm[") for n in gauge_names)
 
     def test_tracing_does_not_change_results(self, problem, serial):

@@ -386,7 +386,7 @@ class TestWatchdogHeartbeats:
             ctx = resolve_mp_context(None)
             pool = ProcessLanePool(
                 ctx, 1, "lane0", [seg_a.descriptor], [seg_b.descriptor],
-                prefix, False, None, crash_budget=1,
+                prefix, False, crash_budget=1,
                 # the hang fault parks the worker mid-numeric so there
                 # is a window to freeze it; its heartbeat keeps beating
                 # until SIGSTOP stops the whole process

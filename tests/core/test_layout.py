@@ -45,7 +45,7 @@ needs_native = pytest.mark.skipif(
     reason=f"native kernel unavailable: {native_build_error()}",
 )
 
-KINDS = [k for k in ("native", "hash", "dense", "esc")
+KINDS = [k for k in ("native", "esc")
          if k != "native" or native_available()]
 BACKENDS = [("serial", 1), ("thread", 3)]
 
@@ -249,7 +249,7 @@ class Guarded:
 @pytest.fixture
 def problem():
     a = random_csr(25, 25, 150, seed=21)
-    ref = spgemm_twophase(a, a, kernel="hash").matrix
+    ref = spgemm_twophase(a, a, kernel="esc").matrix
     assert ref.nnz > 40 and ref.row_nnz().min() > 0
     return a, ref
 

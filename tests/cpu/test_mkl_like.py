@@ -38,7 +38,7 @@ class TestInt32Limitation:
         calls = []
         monkeypatch.setattr(mkl, "INT32_MAX", 10)
         monkeypatch.setattr(
-            mkl, "dense_accumulate_rows",
+            mkl, "spgemm_twophase",
             lambda *a, **k: calls.append(1),
         )
         with pytest.raises(mkl.IndexWidthError):

@@ -16,6 +16,7 @@ from repro.distributed.shard import (
     run_sharded,
 )
 from repro.sparse.generators import erdos_renyi, random_csr, rmat
+from repro.spgemm.native import native_available
 from tests.conftest import assert_equals_scipy_product
 
 
@@ -81,12 +82,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="mismatch"):
             run_sharded(a, a, ShardConfig(num_shards=2))
 
+    @pytest.mark.parametrize("transport", ["local", "socket"])
+    def test_unknown_kernel_is_refused_before_any_worker(
+            self, transport, monkeypatch):
+        """One ``ValueError`` at once, as ``run_out_of_core`` raises: no
+        shard is planned and no worker spawned (the autouse residue
+        check would see one left behind)."""
+        import repro.distributed.shard as shard
+
+        monkeypatch.setattr(shard, "plan_shards", None)  # calling it fails
+        a = random_csr(10, 10, 30, seed=1)
+        with pytest.raises(ValueError, match="unknown kernel kind 'bogus'"):
+            run_sharded(a, a, ShardConfig(num_shards=2, transport=transport,
+                                          kernel="bogus"))
+
 
 class TestBackendKernelGrid:
     """N-shard == 1-shard == scipy across the backend x kernel grid."""
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    @pytest.mark.parametrize("kernel", [None, "esc", "hash"])
+    @pytest.mark.parametrize("kernel", [None, "esc", pytest.param(
+        "native", marks=pytest.mark.skipif(not native_available(),
+                                           reason="native kernel unavailable"))])
     def test_bit_identical_across_grid(self, operands, backend, kernel):
         if backend == "process" and kernel is not None:
             pytest.skip("process x kernel covered by the default-kernel case")

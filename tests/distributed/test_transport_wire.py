@@ -283,7 +283,7 @@ class TestRunConfig:
 
     DEFAULTS = dict(workers=1, window=None, backend=None, kernel=None,
                     crash_budget=0)
-    EVERYTHING = dict(workers=3, window=5, backend="process", kernel="hash",
+    EVERYTHING = dict(workers=3, window=5, backend="process", kernel="esc",
                       crash_budget=2)
 
     @staticmethod

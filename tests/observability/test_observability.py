@@ -148,7 +148,7 @@ class TestExecutorTracing:
         tracer, _, _ = traced_run
         names = {g.name for g in tracer.gauges}
         assert any(n.startswith("lane[") for n in names)
-        assert any(n.startswith("slice_cache[") for n in names)
+        assert any(n.startswith("throughput[") for n in names)
 
     def test_untraced_run_default_has_no_tracer_state(self, problem):
         """The default (no tracer) path goes through the null tracer."""

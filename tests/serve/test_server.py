@@ -22,9 +22,9 @@ from repro.core.assemble import assemble_chunks
 from repro.core.chunks import ChunkGrid, csr_bytes
 from repro.core.executor import execute_chunk_grid
 from repro.core.governor.integrity import crc32_matrix
-from repro.core.verify import verify_product
 from repro.observability import validate_chrome_trace
 from repro.sparse.formats import CSRMatrix
+from repro.spgemm.reference import assert_same_product
 from repro.serve import (
     ServeClient,
     ServeError,
@@ -133,7 +133,7 @@ class TestEndToEnd:
                         np.asarray(arrays["data"]))
         a, b, expected = local_product()
         assert got == expected
-        assert verify_product(got, a, b)
+        assert_same_product(got, a, b)
 
     def test_wait_false_returns_queued_then_polls_to_done(self):
         async def run(server, client):
@@ -263,6 +263,29 @@ class TestValidation:
         assert scheduler["host_peak_bytes"] == 0
         assert stats["jobs_by_state"].get("failed", 0) == 0
         assert snap["state"] == "done"
+
+    def test_an_unbuildable_native_is_refused_at_submit(self, monkeypatch):
+        """On a host that cannot build the native kernel an explicit
+        ``native`` job is a 400 at the door, not a failure in the engine:
+        nothing is priced or queued."""
+        import repro.spgemm.kernels as kernels
+
+        monkeypatch.setattr(kernels, "native_available", lambda: False)
+        monkeypatch.setattr(kernels, "native_build_error",
+                            lambda: "disabled via REPRO_NATIVE=0")
+
+        async def run(server, client):
+            with pytest.raises(ServeError) as exc_info:
+                await client.submit_job(job_payload(kernel="native"))
+            return exc_info.value, await client.stats()
+
+        err, stats = serve(run)
+        assert err.status == 400
+        assert err.payload["state"] == "rejected"
+        assert "kernel 'native' requested but unavailable" in err.payload["error"]
+        assert "priced" not in err.payload
+        assert stats["scheduler"]["submitted"] == 0
+        assert stats["scheduler"]["host_peak_bytes"] == 0
 
     def test_unknown_routes_404(self):
         async def run(server, client):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import random_csr
 from repro.sparse.ops import (
-    RowSliceCache,
     add,
     drop_explicit_zeros,
     extract_columns,
@@ -164,107 +163,3 @@ class TestProperties:
         bounds = np.linspace(0, 20, panels + 1).astype(int)
         parts = [extract_columns(m, bounds[i], bounds[i + 1]) for i in range(panels)]
         assert hstack(parts) == m
-
-
-class TestRowSliceCache:
-    def test_matches_take_rows(self):
-        m = random_csr(20, 15, 70, seed=3)
-        cache = RowSliceCache(m)
-        rows = np.array([2, 7, 11])
-        assert cache.take(rows) == take_rows(m, rows)
-
-    def test_repeat_lookup_hits(self):
-        m = random_csr(20, 15, 70, seed=3)
-        cache = RowSliceCache(m)
-        rows = np.array([1, 4, 9])
-        first = cache.take(rows)
-        second = cache.take(rows.copy())  # distinct array, same bytes
-        assert first is second
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_distinct_keys_distinct_entries(self):
-        m = random_csr(20, 15, 70, seed=3)
-        cache = RowSliceCache(m)
-        cache.take(np.array([0, 1]))
-        cache.take(np.array([0, 2]))
-        assert len(cache) == 2 and cache.misses == 2
-
-    def test_lru_eviction_bounds_footprint(self):
-        m = random_csr(30, 10, 80, seed=5)
-        cache = RowSliceCache(m, max_entries=2)
-        for r in range(4):
-            cache.take(np.array([r]))
-        assert len(cache) == 2
-        # oldest entry was evicted: looking it up again is a miss
-        cache.take(np.array([0]))
-        assert cache.misses == 5
-
-    def test_matrix_property_and_validation(self):
-        m = random_csr(10, 10, 20, seed=1)
-        assert RowSliceCache(m).matrix is m
-        with pytest.raises(ValueError):
-            RowSliceCache(m, max_entries=0)
-        with pytest.raises(ValueError):
-            RowSliceCache(m, max_bytes=0)
-
-    def test_byte_budget_evicts_lru(self):
-        m = random_csr(30, 10, 120, seed=5)
-        one_slice = take_rows(m, np.array([0])).nbytes()
-        # room for roughly two single-row slices, never four
-        cache = RowSliceCache(m, max_bytes=2 * one_slice + 1)
-        for r in range(4):
-            cache.take(np.array([r]))
-        assert cache.evictions > 0
-        assert cache.held_bytes <= cache.max_bytes
-        # the oldest entry is gone: re-taking it misses
-        misses = cache.misses
-        cache.take(np.array([0]))
-        assert cache.misses == misses + 1
-
-    def test_freshest_entry_survives_oversized_budget(self):
-        """A slice bigger than the whole budget is still cached — evicting
-        it immediately would defeat memoization for large panels."""
-        m = random_csr(20, 10, 80, seed=6)
-        cache = RowSliceCache(m, max_bytes=1)
-        rows = np.arange(10)
-        first = cache.take(rows)
-        assert len(cache) == 1
-        assert cache.take(rows) is first  # still a hit
-        assert cache.hits == 1
-
-    def test_held_bytes_tracks_entries(self):
-        m = random_csr(20, 10, 80, seed=7)
-        cache = RowSliceCache(m, max_bytes=None)  # unbounded
-        assert cache.held_bytes == 0
-        s1 = cache.take(np.array([0, 1]))
-        s2 = cache.take(np.array([2, 3]))
-        assert cache.held_bytes == s1.nbytes() + s2.nbytes()
-        assert cache.evictions == 0
-
-    def test_entry_cap_counts_evictions(self):
-        m = random_csr(30, 10, 80, seed=5)
-        cache = RowSliceCache(m, max_entries=2)
-        for r in range(5):
-            cache.take(np.array([r]))
-        assert cache.evictions == 3
-        assert len(cache) == 2
-
-    def test_thread_safety_under_contention(self):
-        import threading
-
-        m = random_csr(40, 12, 150, seed=8)
-        cache = RowSliceCache(m, max_entries=8)
-        expected = {r: take_rows(m, np.array([r])) for r in range(10)}
-        failures = []
-
-        def worker():
-            for r in list(range(10)) * 20:
-                if cache.take(np.array([r])) != expected[r]:
-                    failures.append(r)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not failures

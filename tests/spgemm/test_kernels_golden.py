@@ -5,13 +5,12 @@ Pins the cross-kernel identity contract (DESIGN.md Section 10):
 * every kernel produces the scipy product on a battery of adversarial
   inputs (empty rows, fully dense rows, single-column chunks,
   duplicate-heavy expansions, rectangular shapes);
-* ``hash`` / ``dense`` / ``esc`` / ``native`` / ``auto`` combine
-  duplicate products in the same ascending-``k`` expansion order and are
-  therefore **bit-identical** to each other for arbitrary float inputs;
+* ``esc`` / ``native`` / ``auto`` combine duplicate products in the same
+  ascending-``k`` expansion order and are therefore **bit-identical** to
+  each other for arbitrary float inputs;
 * the contract survives the execution engine: every backend x kernel
-  combination of :func:`execute_chunk_grid` (the reference kernel
-  ``dense`` serially only) matches the serial ``hash`` run bitwise,
-  including under injected chaos faults with retries.
+  combination of :func:`execute_chunk_grid` matches the serial ``esc``
+  run bitwise, including under injected chaos faults with retries.
 """
 
 import numpy as np
@@ -24,13 +23,7 @@ from repro.core.executor import RetryPolicy, execute_chunk_grid
 from repro.core.executor.faults import FaultInjector
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import banded, random_csr, rmat
-from repro.spgemm.kernels import (
-    FUSED_METHODS,
-    KERNEL_KINDS,
-    KernelSpec,
-    plan_groups,
-    resolve_kernel,
-)
+from repro.spgemm.kernels import KERNEL_KINDS, KernelSpec, plan_groups, resolve_kernel
 from repro.spgemm.native import native_available, native_build_error
 from repro.spgemm.twophase import spgemm_twophase
 from tests.conftest import assert_equals_scipy_product
@@ -41,32 +34,19 @@ needs_native = pytest.mark.skipif(
 )
 
 #: every concrete kernel (auto exercised separately), native gated
-ALL_KERNELS = [
-    "hash",
-    "dense",
-    "esc",
-    pytest.param("native", marks=needs_native),
-]
+ALL_KERNELS = ["esc", pytest.param("native", marks=needs_native)]
 
 #: the expansion-order summation family: mutually bit-identical on floats
-EXACT_KERNELS = [
-    "hash",
-    "dense",
-    "esc",
-    "auto",
-    pytest.param("native", marks=needs_native),
-]
+EXACT_KERNELS = ["esc", "auto", pytest.param("native", marks=needs_native)]
 
 
-#: kernel x backend cases of the engine equivalence test.  `dense`
-#: loses on every bench row and stays as a paper-faithful reference
-#: kernel: one serial run, not the whole backend product.
+#: kernel x backend cases of the engine equivalence test
 ENGINE_CASES = [
     pytest.param(kernel, backend,
                  marks=needs_native if kernel == "native" else ())
-    for kernel in ("hash", "esc", "native")
+    for kernel in ("esc", "native")
     for backend in ("serial", "thread", "process")
-] + [("dense", "serial")]
+]
 
 
 def _with_integer_values(m: CSRMatrix) -> CSRMatrix:
@@ -87,8 +67,8 @@ def _empty_rows_matrix() -> CSRMatrix:
 
 
 def _dense_rows_matrix() -> CSRMatrix:
-    """A few fully dense rows on top of a sparse background: forces the
-    dense-row bucket and the widest possible accumulator rows."""
+    """A few fully dense rows on top of a sparse background: the widest
+    possible accumulator rows."""
     m = random_csr(30, 30, 90, seed=102)
     dense = m.to_dense()
     dense[3, :] = 1.25
@@ -152,11 +132,11 @@ class TestGoldenVsScipy:
 
 class TestCrossKernelBitIdentity:
     def test_exact_family_bit_identical_on_floats(self, ab):
-        """hash / dense / esc / native / auto share expansion-order
-        summation: byte-identical products for arbitrary floats."""
+        """esc / native / auto share expansion-order summation:
+        byte-identical products for arbitrary floats."""
         a, b = ab
-        ref = spgemm_twophase(a, b, kernel="hash").matrix
-        kinds = ["dense", "esc", "auto"]
+        ref = spgemm_twophase(a, b, kernel="esc").matrix
+        kinds = ["auto"]
         if native_available():
             kinds.append("native")
         for kind in kinds:
@@ -247,8 +227,8 @@ class TestSpecialValues:
     def test_same_structure_and_same_bits_where_not_nan(self, pair):
         a, b = pair
         with np.errstate(all="ignore"):  # inf - inf, 0 x inf, overflow: intended
-            # against native where there is one, else against hash
-            kinds = ["hash", "dense", "esc", "auto"]
+            # against native where there is one, else against esc
+            kinds = ["esc", "auto"]
             if native_available():
                 kinds.insert(0, "native")
             ref = spgemm_twophase(a, b, kernel=kinds[0]).matrix
@@ -268,7 +248,7 @@ class TestKernelSpec:
         assert spec.kind == "auto"
 
     def test_the_kinds(self):
-        assert KERNEL_KINDS == ("auto", "hash", "dense", "esc", "native")
+        assert KERNEL_KINDS == ("auto", "esc", "native")
 
     @pytest.mark.parametrize("kind", list(KERNEL_KINDS))
     def test_encode_parse_roundtrip(self, kind):
@@ -282,17 +262,18 @@ class TestKernelSpec:
     def test_resolve(self):
         assert resolve_kernel(None) == KernelSpec()
         assert resolve_kernel("esc") == KernelSpec(kind="esc")
-        spec = KernelSpec(kind="hash")
+        spec = KernelSpec(kind="native")
         assert resolve_kernel(spec) is spec
         assert resolve_kernel(spec.encode()) == spec
 
     def test_rejects_unknown_kind(self):
-        """The removed ``merge`` kind and ``kind@threshold`` wire form
-        are refused like any other unknown kind, not ignored."""
+        """The removed ``merge`` / ``hash`` / ``dense`` kinds and the
+        ``kind@threshold`` wire form are refused like any other unknown
+        kind, not ignored."""
         with pytest.raises(ValueError):
             KernelSpec(kind="gpu")
         m = rmat(4, 2.0, seed=1)
-        for wire in ("gpu", "merge", "hash@0.25", "hash@nope"):
+        for wire in ("gpu", "merge", "hash", "dense", "hash@0.25", "esc@nope"):
             with pytest.raises(ValueError, match="unknown kernel kind"):
                 resolve_kernel(wire)
             with pytest.raises(ValueError, match="unknown kernel kind"):
@@ -300,7 +281,7 @@ class TestKernelSpec:
 
     def test_spec_takes_no_threshold(self):
         with pytest.raises(TypeError):
-            KernelSpec(kind="hash", dense_threshold=0.25)
+            KernelSpec(kind="esc", dense_threshold=0.25)
 
     def test_stats_record_kernel(self):
         a = rmat(6, 4.0, seed=5)
@@ -311,51 +292,39 @@ class TestKernelSpec:
 
 
 class TestPlanGroups:
-    def _work(self, n=20, width=64):
+    def _work(self, n=20):
         rng = np.random.default_rng(9)
-        return rng.integers(0, 40, size=n).astype(np.int64), width
+        return rng.integers(0, 40, size=n).astype(np.int64)
 
     def test_single_group_methods(self):
-        work, width = self._work()
-        for kind in ("esc", "dense"):
-            g = plan_groups(work, width, KernelSpec(kind=kind))
+        work = self._work()
+        kinds = ["esc", "native"] if native_available() else ["esc"]
+        for kind in kinds:
+            g = plan_groups(work, KernelSpec(kind=kind))
+            assert len(g.groups) == 1
             methods = {grp.method for grp in g.groups}
             assert methods <= {kind}
             covered = np.concatenate([grp.rows for grp in g.groups])
             np.testing.assert_array_equal(
                 np.sort(covered), np.flatnonzero(work > 0))
 
-    def test_dense_kind_uses_dense_only(self):
-        work, width = self._work()
-        g = plan_groups(work, width, KernelSpec(kind="dense"))
-        assert {grp.method for grp in g.groups} == {"dense"}
-
-    def test_hash_kind_splits_by_threshold(self):
-        work = np.array([1, 1, 1000, 1000], dtype=np.int64)
-        g = plan_groups(work, 64, KernelSpec(kind="hash"))
-        assert {grp.method for grp in g.groups} == {"hash", "dense"}
-
-    def test_fused_methods_are_fused(self):
-        # native is not: its symbolic pass only counts
-        assert FUSED_METHODS == {"esc"}
-
     @needs_native
     def test_auto_prefers_native(self):
-        work, width = self._work()
-        g = plan_groups(work, width, KernelSpec(kind="auto"))
+        work = self._work()
+        g = plan_groups(work, KernelSpec(kind="auto"))
         assert {grp.method for grp in g.groups} == {"native"}
 
     def test_native_unavailable_raises(self, monkeypatch):
         from repro.spgemm import kernels as K
 
         monkeypatch.setattr(K, "native_available", lambda: False)
-        work, width = self._work()
+        work = self._work()
         with pytest.raises(RuntimeError, match="native"):
-            plan_groups(work, width, KernelSpec(kind="native"))
-        # auto degrades to the numpy kernels instead of raising
-        g = plan_groups(work, width, KernelSpec(kind="auto"))
-        assert {grp.method for grp in g.groups} <= {"dense", "esc"}
-
+            plan_groups(work, KernelSpec(kind="native"))
+        # auto degrades to one ESC group instead of raising
+        g = plan_groups(work, KernelSpec(kind="auto"))
+        assert [grp.method for grp in g.groups] == ["esc"]
+        np.testing.assert_array_equal(g.groups[0].rows, np.flatnonzero(work > 0))
 
     def test_a_run_refuses_an_unbuildable_native_before_it_starts(
             self, monkeypatch):
@@ -377,7 +346,7 @@ class TestPlanGroups:
 
 
 class TestEngineKernelEquivalence:
-    """The serial hash product is the golden answer; every backend x
+    """The serial esc product is the golden answer; every backend x
     kernel combination in :data:`ENGINE_CASES` must reproduce it bitwise."""
 
     @pytest.fixture(scope="class")
@@ -385,7 +354,7 @@ class TestEngineKernelEquivalence:
         a = rmat(8, 6.0, seed=77)
         grid = ChunkGrid.regular(a.n_rows, a.n_cols, 2, 2)
         _, golden = execute_chunk_grid(a, a, grid, workers=1,
-                                       keep_outputs=True, kernel="hash")
+                                       keep_outputs=True, kernel="esc")
         return a, grid, golden
 
     def _assert_matches(self, golden, out):

@@ -1,6 +1,6 @@
 """The compiled Gustavson kernel: count pass, in-place fill pass, scratch.
 
-The numpy ``hash`` accumulator is the reference throughout: the native
+The numpy ``esc`` accumulator is the reference throughout: the native
 kernel must reproduce it bit for bit (same stored structure, same
 float bits), whichever of its four row finishes a row takes.  After
 every test here this thread's scratch must be as the kernel promises to
@@ -20,7 +20,7 @@ from repro.core.executor import execute_chunk_grid
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import random_csr
 from repro.spgemm import native
-from repro.spgemm.accumulators import hash_accumulate_rows
+from repro.spgemm.accumulators import esc_accumulate_rows
 from repro.spgemm.flops import product_prefix
 from repro.spgemm.native import (
     native_available,
@@ -31,7 +31,6 @@ from repro.spgemm.native import (
 )
 from repro.spgemm.rowanalysis import analyze_rows
 from repro.spgemm.twophase import spgemm_symbolic, spgemm_twophase
-from repro.spgemm.upperbound import row_upper_bound
 
 pytestmark = pytest.mark.skipif(
     not native_available(),
@@ -85,9 +84,9 @@ def assert_same_bits(got: CSRMatrix, ref: CSRMatrix) -> None:
     np.testing.assert_array_equal(got.data.view(np.int64), ref.data.view(np.int64))
 
 
-def assert_native_is_hash(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
+def assert_native_is_esc(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     got = spgemm_twophase(a, b, kernel="native").matrix
-    assert_same_bits(got, spgemm_twophase(a, b, kernel="hash").matrix)
+    assert_same_bits(got, spgemm_twophase(a, b, kernel="esc").matrix)
     return got
 
 
@@ -123,13 +122,13 @@ def row_touching(lo: int, hi: int, count: int, rng) -> np.ndarray:
     return np.unique(np.concatenate([[lo, hi], inner]))
 
 
-def assert_row_is_hash(touched, width, rng, shift=0) -> None:
+def assert_row_is_esc(touched, width, rng, shift=0) -> None:
     """One output row touching exactly ``touched`` (first a reversed half
     of them, then all: unsorted, with duplicates), filled into a slot of
-    its own with ``shift``: hash's values, hash's columns plus shift."""
+    its own with ``shift``: esc's values, esc's columns plus shift."""
     a, b = one_row_product([touched[::-1][: touched.size // 2], touched],
                            width, rng)
-    ref = hash_accumulate_rows(a, b, np.arange(1), row_upper_bound(a, b))
+    ref = esc_accumulate_rows(a, b, np.arange(1))
     cols = np.empty(touched.size, dtype=np.int64)
     vals = np.empty(touched.size)
     native_fill_slots(a, b, np.arange(1), np.zeros(1, dtype=np.int64),
@@ -164,7 +163,7 @@ class TestFinishBranches:
                 rng.permutation(touched)[: touched.size // 3],
                 touched]
         a, b = one_row_product(sets, width, rng)
-        got = assert_native_is_hash(a, b)
+        got = assert_native_is_esc(a, b)
         np.testing.assert_array_equal(got.col_ids, touched)
 
     def test_threshold_neighbours(self, make_rng):
@@ -180,7 +179,7 @@ class TestFinishBranches:
                 (300, 64 * 300 + 63, "bitmap"), (300, 64 * 301, "radix2")):
             touched = row_touching(5, 5 + span, count, rng)
             assert finish_branch(touched) == finish
-            assert_row_is_hash(touched, 5 + span + 1, rng)
+            assert_row_is_esc(touched, 5 + span + 1, rng)
 
     @pytest.mark.parametrize("shift", [0, 12345])
     def test_bitmap_word_edges(self, shift, make_rng, exact_scratch):
@@ -197,7 +196,7 @@ class TestFinishBranches:
                        (width - 65, width - 1)):
             touched = row_touching(lo, hi, 32, rng)
             assert finish_branch(touched) == "bitmap"
-            assert_row_is_hash(touched, width, rng, shift)
+            assert_row_is_esc(touched, width, rng, shift)
             assert_scratch_is_clean(scratch)
 
     @pytest.mark.parametrize("finish,lo,hi,count", [
@@ -208,7 +207,7 @@ class TestFinishBranches:
         scratch = exact_scratch(4001)
         touched = row_touching(lo, hi, count, rng)
         assert finish_branch(touched) == finish
-        assert_row_is_hash(touched, 4001, rng, shift=700)
+        assert_row_is_esc(touched, 4001, rng, shift=700)
         assert_scratch_is_clean(scratch)
 
     def test_a_row_touching_every_column_twice(self, make_rng, exact_scratch):
@@ -220,7 +219,7 @@ class TestFinishBranches:
                                (200, True), (200, False)):
             exact_scratch(width, guarded)  # insertion and scan finishes
             a, b = one_row_product([np.arange(width)] * 3, width, rng)
-            got = assert_native_is_hash(a, b)
+            got = assert_native_is_esc(a, b)
             assert got.nnz == width
 
 
@@ -240,7 +239,7 @@ class TestRowLists:
             [0.0, 2.0, 0.0, 3.0],
         ]))
         rows = np.arange(4)
-        ref = hash_accumulate_rows(a, b, rows, row_upper_bound(a, b))
+        ref = esc_accumulate_rows(a, b, rows)
         assert ref.counts.tolist() == [3, 0, 0, 3]
         np.testing.assert_array_equal(native_count_rows(a, b, rows), ref.counts)
         col_ids, values = np.empty(6, dtype=np.int64), np.empty(6)
@@ -251,7 +250,7 @@ class TestRowLists:
     def test_subset_of_rows_fills_only_their_slots(self):
         a = random_csr(30, 20, 120, seed=1)
         b = random_csr(20, 25, 100, seed=2)
-        full = spgemm_twophase(a, b, kernel="hash").matrix
+        full = spgemm_twophase(a, b, kernel="esc").matrix
         rows = np.array([3, 4, 17, 29])
         col_ids = np.full(full.nnz, -1, dtype=np.int64)
         data = np.full(full.nnz, np.nan)
@@ -282,16 +281,16 @@ class TestNarrowPanels:
     def test_single_output_column(self):
         a = random_csr(40, 30, 200, seed=5)
         b = random_csr(30, 1, 20, seed=6)
-        assert_native_is_hash(a, b)
+        assert_native_is_esc(a, b)
 
     def test_inner_dimension_one(self):
         a = random_csr(40, 1, 25, seed=7)
         b = random_csr(1, 50, 45, seed=8)
-        assert_native_is_hash(a, b)
+        assert_native_is_esc(a, b)
 
     def test_one_by_one(self):
         a = CSRMatrix.from_dense(np.array([[3.0]]))
-        got = assert_native_is_hash(a, a)
+        got = assert_native_is_esc(a, a)
         assert got.data.tolist() == [9.0]
 
 
@@ -299,14 +298,14 @@ class TestStoredZeros:
     def test_explicit_zeros_are_entries(self):
         a = CSRMatrix(2, 2, [0, 2, 3], [0, 1, 1], [0.0, 2.0, 0.0])
         b = CSRMatrix(2, 3, [0, 2, 3], [0, 2, 1], [5.0, 0.0, 7.0])
-        got = assert_native_is_hash(a, b)
+        got = assert_native_is_esc(a, b)
         assert got.nnz == 4  # row 0: cols 0, 1, 2; row 1: col 1 — none pruned
         assert got.data.tolist() == [0.0, 14.0, 0.0, 0.0]
 
     def test_exact_cancellation_is_kept(self):
         a = CSRMatrix(1, 2, [0, 2], [0, 1], [1.0, -1.0])
         b = CSRMatrix(2, 2, [0, 2, 4], [0, 1, 0, 1], [0.25, 3.0, 0.25, 1.0])
-        got = assert_native_is_hash(a, b)
+        got = assert_native_is_esc(a, b)
         assert got.col_ids.tolist() == [0, 1]
         assert got.data.tolist() == [0.0, 2.0]
 
@@ -332,8 +331,8 @@ def hubbed_pairs(draw):
 class TestProperty:
     @given(pair=hubbed_pairs())
     @settings(max_examples=60, deadline=None)
-    def test_native_is_hash_bit_for_bit(self, pair):
-        assert_native_is_hash(*pair)
+    def test_native_is_esc_bit_for_bit(self, pair):
+        assert_native_is_esc(*pair)
 
 
 class TestCountPassIsTheRowAnalysis:
@@ -363,7 +362,7 @@ class TestCountPassIsTheRowAnalysis:
         assert sym.row_nnz.dtype == np.int64
 
         got = spgemm_twophase(a, b, kernel="native")
-        ref = spgemm_twophase(a, b, kernel="hash")
+        ref = spgemm_twophase(a, b, kernel="esc")
         for field in ("flops", "nnz_out", "rows_out", "analysis_bytes",
                       "symbolic_bytes", "output_bytes", "input_nnz"):
             assert getattr(got.stats, field) == getattr(ref.stats, field), field
@@ -379,7 +378,7 @@ class TestCountPassIsTheRowAnalysis:
         counts, products = native_count_rows(a, b, rows, return_products=True)
         np.testing.assert_array_equal(products, np.diff(product_prefix(a, b))[rows])
         np.testing.assert_array_equal(
-            counts, np.diff(spgemm_twophase(a, b, kernel="hash").matrix.row_offsets)[rows])
+            counts, np.diff(spgemm_twophase(a, b, kernel="esc").matrix.row_offsets)[rows])
 
     def test_a_default_run_analyses_no_chunk_separately(self, monkeypatch):
         """``run_out_of_core`` defaults: no ``analyze_rows`` per chunk and
@@ -397,7 +396,7 @@ class TestCountPassIsTheRowAnalysis:
         node = v100_node(default_device_bytes(   # the CLI's default device
             2 * csr_bytes(a.n_rows, a.nnz), a.n_rows,
             2 * int(a.row_nnz()[a.col_ids].sum())))
-        ref = spgemm_twophase(a, a, kernel="hash").matrix
+        ref = spgemm_twophase(a, a, kernel="esc").matrix
         calls = []
         for module, name in ((twophase, "analyze_rows"), (flops, "product_prefix"),
                              (chunks, "product_prefix")):
@@ -419,12 +418,12 @@ class TestScratch:
         narrow = random_csr(60, 9, 200, seed=12)
         left = random_csr(50, 60, 700, seed=13)
         for b in (wide, narrow, wide, narrow):
-            assert_native_is_hash(left, b)
+            assert_native_is_esc(left, b)
             assert native._scratch(b.n_cols) is scratch
 
     def test_scratch_regrows_for_a_wider_panel(self, scratch):
         wider = random_csr(20, scratch.cap + 1, 300, seed=14)
-        assert_native_is_hash(random_csr(10, 20, 60, seed=15), wider)
+        assert_native_is_esc(random_csr(10, 20, 60, seed=15), wider)
         assert native._scratch(1).cap == scratch.cap + 1
 
     @pytest.mark.parametrize("pass_", ["count", "fill"])
@@ -433,7 +432,7 @@ class TestScratch:
         restarts it.  ``mark`` is poisoned with the first stamp of the new
         epoch: without the clear, every column would look already touched."""
         a = random_csr(40, 40, 300, seed=16)
-        ref = spgemm_twophase(a, a, kernel="hash").matrix
+        ref = spgemm_twophase(a, a, kernel="esc").matrix
         scratch.mark[:] = 1
         scratch.gen[0] = INT64_MAX - 5
         if pass_ == "count":
@@ -459,7 +458,7 @@ class TestScratch:
         scratch serves both while the others run."""
         left = random_csr(80, 60, 1500, seed=18)
         wide, narrow = random_csr(60, 3000, 9000, seed=19), random_csr(60, 5, 150, seed=20)
-        refs = {id(b): spgemm_twophase(left, b, kernel="hash").matrix
+        refs = {id(b): spgemm_twophase(left, b, kernel="esc").matrix
                 for b in (wide, narrow)}
         jobs = [wide, narrow] * 24
         interval = sys.getswitchinterval()
@@ -480,7 +479,7 @@ class TestScratch:
         b = random_csr(301, 301, 4000, seed=23)
         grid = ChunkGrid.regular(a.n_rows, b.n_cols, 4, 3)
         _, golden = execute_chunk_grid(a, b, grid, workers=1,
-                                       keep_outputs=True, kernel="hash")
+                                       keep_outputs=True, kernel="esc")
         _, out = execute_chunk_grid(a, b, grid, workers=4, backend="thread",
                                     keep_outputs=True, kernel="native")
         for g_row, o_row in zip(golden, out):
@@ -494,7 +493,7 @@ class TestFillRefusesBadSlots:
     @pytest.fixture
     def problem(self):
         a = random_csr(25, 25, 150, seed=21)
-        ref = spgemm_twophase(a, a, kernel="hash").matrix
+        ref = spgemm_twophase(a, a, kernel="esc").matrix
         assert ref.nnz > 40 and np.diff(ref.row_offsets).min() > 0
         return a, ref
 

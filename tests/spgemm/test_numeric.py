@@ -4,62 +4,58 @@ import numpy as np
 import pytest
 
 from repro.sparse.generators import random_csr
-from repro.spgemm.groups import group_rows
 from repro.spgemm.kernels import KernelSpec, plan_groups
-from repro.spgemm.numeric import RowSlots, numeric_grouped, numeric_phase
-from repro.spgemm.symbolic import symbolic_row_nnz
+from repro.spgemm.numeric import RowSlots, numeric_grouped
+from repro.spgemm.symbolic import symbolic_sort
 from tests.conftest import assert_equals_scipy_product
+
+
+def numeric_phase(a, b, row_nnz, kernel="auto", **kw):
+    """The numeric stage on the exact counts, grouped as ``kernel`` plans."""
+    grouping = plan_groups(row_nnz, KernelSpec(kernel))
+    return numeric_grouped(a, b, row_nnz, grouping, **kw)
 
 
 class TestNumericPhase:
     def test_matches_scipy(self, sample_matrix):
         a = sample_matrix
-        row_nnz = symbolic_row_nnz(a, a)
+        row_nnz = symbolic_sort(a, a)
         c = numeric_phase(a, a, row_nnz)
         assert_equals_scipy_product(c, a, a)
 
     def test_rectangular(self):
         a = random_csr(10, 14, 35, seed=21)
         b = random_csr(14, 9, 30, seed=22)
-        c = numeric_phase(a, b, symbolic_row_nnz(a, b))
+        c = numeric_phase(a, b, symbolic_sort(a, b))
         assert_equals_scipy_product(c, a, b)
 
     def test_output_layout_fixed_by_counts(self, sample_matrix):
         a = sample_matrix
-        row_nnz = symbolic_row_nnz(a, a)
+        row_nnz = symbolic_sort(a, a)
         c = numeric_phase(a, a, row_nnz)
         np.testing.assert_array_equal(np.diff(c.row_offsets), row_nnz)
 
     def test_grouping_order_irrelevant(self, sample_matrix):
         a = sample_matrix
-        row_nnz = symbolic_row_nnz(a, a)
+        row_nnz = symbolic_sort(a, a)
         default = numeric_phase(a, a, row_nnz)
-        # force everything through the dense path
-        all_dense = plan_groups(row_nnz, a.n_cols, KernelSpec(kind="dense"))
-        assert all(g.method == "dense" for g in all_dense)
-        via_dense = numeric_grouped(a, a, row_nnz, all_dense)
-        assert default == via_dense
-
-    def test_all_hash_path(self, sample_matrix):
-        a = sample_matrix
-        row_nnz = symbolic_row_nnz(a, a)
-        # judged against a width no row can fill a sixteenth of
-        all_hash = group_rows(row_nnz, 32 * a.n_cols)
-        assert all(g.method == "hash" for g in all_hash)
-        via_hash = numeric_grouped(a, a, row_nnz, all_hash)
-        assert via_hash == numeric_phase(a, a, row_nnz)
+        # force everything through the numpy path
+        all_esc = plan_groups(row_nnz, KernelSpec(kind="esc"))
+        assert all(g.method == "esc" for g in all_esc)
+        via_esc = numeric_grouped(a, a, row_nnz, all_esc)
+        assert default == via_esc
 
     def test_destination_slots(self, sample_matrix):
         """The same rows written into a caller's arrays — behind an
         offset, column ids shifted — instead of a fresh allocation."""
         a = sample_matrix
-        row_nnz = symbolic_row_nnz(a, a)
+        row_nnz = symbolic_sort(a, a)
         ref = numeric_phase(a, a, row_nnz)
         pad = 5
         cols = np.full(ref.nnz + 2 * pad, -1, dtype=np.int64)
         vals = np.full(ref.nnz + 2 * pad, np.nan)
         dest = RowSlots(ref.row_offsets[:-1] + pad, row_nnz, 100, cols, vals)
-        grouping = group_rows(row_nnz, a.n_cols)
+        grouping = plan_groups(row_nnz, KernelSpec())
         assert numeric_grouped(a, a, row_nnz, grouping, dest=dest) is None
         np.testing.assert_array_equal(cols[pad:-pad], ref.col_ids + 100)
         np.testing.assert_array_equal(vals[pad:-pad], ref.data)
@@ -74,8 +70,8 @@ class TestNumericPhase:
 
     def test_inconsistent_counts_detected(self, sample_matrix):
         a = sample_matrix
-        row_nnz = symbolic_row_nnz(a, a).copy()
+        row_nnz = symbolic_sort(a, a).copy()
         nonzero = np.flatnonzero(row_nnz)
         row_nnz[nonzero[0]] += 1  # lie about one row
         with pytest.raises(RuntimeError, match="disagrees"):
-            numeric_phase(a, a, row_nnz)
+            numeric_phase(a, a, row_nnz, kernel="esc")

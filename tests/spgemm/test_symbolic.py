@@ -7,15 +7,9 @@ from hypothesis import strategies as st
 
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import random_csr
-from repro.spgemm.groups import group_rows
 from repro.spgemm.reference import spgemm_scipy
-from repro.spgemm.symbolic import (
-    row_batches,
-    symbolic_grouped,
-    symbolic_row_nnz,
-    symbolic_sort,
-)
-from repro.spgemm.upperbound import row_upper_bound
+from repro.spgemm.symbolic import row_batches, symbolic_sort
+from repro.spgemm.twophase import spgemm_symbolic
 
 
 def expected_row_nnz(a, b):
@@ -40,35 +34,36 @@ class TestSymbolicSort:
 
 
 class TestSymbolicGrouped:
+    """The pipeline's symbolic stage: one count per planned row group."""
+
     def test_matches_scipy(self, sample_matrix):
         a = sample_matrix
-        work = row_upper_bound(a, a)
-        grouping = group_rows(work, a.n_cols)
         np.testing.assert_array_equal(
-            symbolic_grouped(a, a, grouping, work), expected_row_nnz(a, a)
+            spgemm_symbolic(a, a, kernel="esc").row_nnz, expected_row_nnz(a, a)
         )
 
     def test_rectangular(self):
         a = random_csr(12, 8, 30, seed=1)
         b = random_csr(8, 20, 25, seed=2)
-        work = row_upper_bound(a, b)
-        grouping = group_rows(work, b.n_cols)
         np.testing.assert_array_equal(
-            symbolic_grouped(a, b, grouping, work), expected_row_nnz(a, b)
+            spgemm_symbolic(a, b, kernel="esc").row_nnz, expected_row_nnz(a, b)
         )
 
 
 class TestDispatcher:
+    """The oracle and the pipeline's stage count the same rows."""
+
+    METHODS = {
+        "sort": symbolic_sort,
+        "grouped": lambda a, b: spgemm_symbolic(a, b).row_nnz,
+    }
+
     @pytest.mark.parametrize("method", ["sort", "grouped"])
     def test_methods_agree(self, sample_matrix, method):
         np.testing.assert_array_equal(
-            symbolic_row_nnz(sample_matrix, sample_matrix, method=method),
+            self.METHODS[method](sample_matrix, sample_matrix),
             expected_row_nnz(sample_matrix, sample_matrix),
         )
-
-    def test_unknown_method(self, sample_matrix):
-        with pytest.raises(ValueError, match="unknown symbolic method"):
-            symbolic_row_nnz(sample_matrix, sample_matrix, method="bogus")
 
 
 class TestRowBatches:

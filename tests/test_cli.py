@@ -50,11 +50,11 @@ class TestInfo:
         why = cli.native_build_error()
         assert main(["info"]) == 0
         assert ("kernel: auto -> native\n" if why is None else
-                f"kernel: auto -> dense/esc (native unavailable: {why})\n"
+                f"kernel: auto -> esc (native unavailable: {why})\n"
                 ) in capsys.readouterr().out
         monkeypatch.setattr(cli, "native_build_error", lambda: "no C compiler")
         assert main(["info"]) == 0
-        assert ("kernel: auto -> dense/esc (native unavailable: no C compiler)\n"
+        assert ("kernel: auto -> esc (native unavailable: no C compiler)\n"
                 in capsys.readouterr().out)
 
 
