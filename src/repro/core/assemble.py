@@ -23,6 +23,7 @@ row counts, place each".
 
 from __future__ import annotations
 
+import threading
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -41,6 +42,9 @@ class OutputLayout:
     sum and the one allocation), then :meth:`slots` / :meth:`place` per
     chunk and :meth:`matrix`.  Filling or placing a chunk again rewrites
     the same slots with the same bytes, so a retried chunk is harmless.
+    A thread holding a chunk before the layout is sealed waits in
+    :meth:`wait_sealed`; :meth:`abandon` releases every such waiter with
+    an error when the layout will never be sealed.
     """
 
     def __init__(self, row_bounds, col_bounds) -> None:
@@ -57,6 +61,9 @@ class OutputLayout:
         self._counted = np.zeros((heights.size, num_col_panels), dtype=bool)
         self._starts: Optional[List[np.ndarray]] = None  # seal() fills it
         self._matrix: Optional[CSRMatrix] = None
+        # set by seal() or abandon(); wait_sealed() blocks on it
+        self._settled = threading.Event()
+        self._abandoned: Optional[BaseException] = None
 
     @classmethod
     def from_counts(
@@ -142,6 +149,23 @@ class OutputLayout:
             np.empty(nnz, dtype=INDEX_DTYPE), np.empty(nnz, dtype=VALUE_DTYPE),
             check=False,
         )
+        self._settled.set()
+
+    def abandon(self, cause: BaseException) -> None:
+        """The layout will not be sealed (its counting failed with
+        ``cause``): release every :meth:`wait_sealed`, now and later,
+        with an error."""
+        self._abandoned = cause
+        self._settled.set()
+
+    def wait_sealed(self) -> None:
+        """Block until :meth:`seal`; raise :class:`RuntimeError` (caused
+        by what :meth:`abandon` was given) if the layout was abandoned."""
+        self._settled.wait()
+        if self._abandoned is not None:
+            raise RuntimeError(
+                "the output layout was abandoned before it was sealed"
+            ) from self._abandoned
 
     def slots(self, row_panel: int, col_panel: int) -> RowSlots:
         """Chunk ``(row_panel, col_panel)``'s destination: per-row start

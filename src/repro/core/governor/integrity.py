@@ -26,9 +26,10 @@ from typing import Optional
 
 import numpy as np
 
-from ...sparse.codec import crc32_bytes, csr_buffers
+from ...sparse.codec import crc32_bytes, crc32_combine, csr_buffers
 
-__all__ = ["ChunkCorruption", "crc32_matrix", "crc32_bytes"]
+__all__ = ["ChunkCorruption", "crc32_matrix", "crc32_matrix_of_layout",
+           "crc32_bytes"]
 
 
 class ChunkCorruption(RuntimeError):
@@ -58,3 +59,12 @@ def crc32_matrix(matrix) -> int:
     in a fixed order, so the checksum of a stored chunk is reproducible
     from the in-memory matrix alone."""
     return crc32_bytes(np.asarray(matrix.shape, dtype=np.int64), *csr_buffers(matrix))
+
+
+def crc32_matrix_of_layout(shape, layout_crc: int, layout_nbytes: int) -> int:
+    """:func:`crc32_matrix` of a ``shape`` matrix whose three layout
+    buffers, back to back, have CRC32 ``layout_crc`` over
+    ``layout_nbytes`` bytes (a one-matrix frame's payload) — derived
+    from that one pass, the buffers are not read again."""
+    return crc32_combine(crc32_bytes(np.asarray(shape, dtype=np.int64)),
+                         layout_crc, layout_nbytes)

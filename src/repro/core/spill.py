@@ -64,6 +64,7 @@ __all__ = [
     "SpillableChunkStore",
     "RunManifest",
     "Checkpoint",
+    "LayoutCheckpoint",
     "ManifestMismatch",
     "operand_grid_hash",
 ]
@@ -686,3 +687,24 @@ class Checkpoint:
     def chunk(self, row_panel: int, col_panel: int) -> CSRMatrix:
         """A landed chunk, back from the store."""
         return self.store.get(row_panel, col_panel)
+
+
+class LayoutCheckpoint(Checkpoint):
+    """A checkpoint that keeps no chunk: each one lands straight at its
+    final address in an :class:`~repro.core.assemble.OutputLayout` that
+    several runs share — this run's row panel 0 is the layout's
+    ``first_row_panel``.  A chunk that arrives before the layout is
+    sealed waits for the seal; ``place`` refuses one whose rows differ
+    from the sealed counts.  Nothing is recorded, so nothing resumes."""
+
+    def __init__(self, layout, first_row_panel: int = 0) -> None:
+        super().__init__()
+        self.layout = layout
+        self.first_row_panel = first_row_panel
+
+    def land(self, stats: ChunkStats, matrix: CSRMatrix,
+             crc: Optional[int] = None) -> None:
+        self.layout.wait_sealed()
+        self.layout.place(self.first_row_panel + stats.row_panel,
+                          stats.col_panel, matrix)
+        self.completed[stats.chunk_id] = stats

@@ -17,7 +17,10 @@ row panels, so every chunk is computed from exactly the same
 the unsharded grid — sharding only changes *where* a chunk runs, never
 *what* it computes.  Reassembling the shard strips in row order is the
 same :func:`~repro.core.assemble.assemble_chunks` call the unsharded
-path uses.
+path uses.  A socket run with no checkpoint directory gathers C once
+instead: while the workers compute, the node counts every chunk's rows
+into one :class:`~repro.core.assemble.OutputLayout`, and each chunk
+that arrives is placed at its final address (DESIGN.md, Section 9).
 
 ``B`` is partitioned into column panels **once** and every shard reads
 the same panel objects (the in-process analog of SUMMA's stage
@@ -52,16 +55,17 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.assemble import assemble_chunks
+from ..core.assemble import OutputLayout, assemble_chunks
 from ..core.chunks import ChunkGrid, ChunkProfile, ChunkStats, GridSizing
 from ..core.executor import execute_chunk_grid
 from ..core.governor import Governor, GovernorConfig, HostMemoryGovernor
-from ..core.spill import Checkpoint, DiskChunkStore, MemoryChunkStore
+from ..core.spill import Checkpoint, DiskChunkStore, LayoutCheckpoint
 from ..observability import Tracer
 from ..observability.chrome import multi_tracer_events, timeline_events
 from ..sparse.formats import CSRMatrix
 from ..sparse.partition import panel_boundaries, partition_columns
 from ..spgemm.kernels import require_kernel
+from ..spgemm.twophase import spgemm_symbolic
 from .sharding.transfers import (
     NetworkModel,
     measured_transfer_timeline,
@@ -322,10 +326,11 @@ def plan_shards(grid: ChunkGrid, num_shards: int,
     ``flops`` is the per-chunk matrix from
     :func:`~repro.core.chunks.chunk_flops`; the cuts land at near-equal
     cumulative flops (LPT-style load balance on contiguous spans) so a
-    skewed (power-law) grid does not pile all the work on one shard.
-    Without it (or with all-zero flops) panels are split near-equally by
-    count.  Spans are always non-empty: ``num_shards`` is clamped to the
-    panel count.
+    skewed (power-law) grid does not pile all the work on one shard:
+    each cut goes on whichever side of the panel where the cumulative
+    flops cross its target is nearer the target.  Without it (or with
+    all-zero flops) panels are split near-equally by count.  Spans are
+    always non-empty: ``num_shards`` is clamped to the panel count.
     """
     parts = max(1, min(int(num_shards), grid.num_row_panels))
     n = grid.num_row_panels
@@ -336,7 +341,12 @@ def plan_shards(grid: ChunkGrid, num_shards: int,
         bounds = [0]
         for s in range(1, parts):
             target = total * s / parts
-            i = int(np.searchsorted(prefix, target, side="left")) + 1
+            # panel i is where the prefix reaches the target: cut after
+            # it, or before it when that lands nearer
+            i = int(np.searchsorted(prefix, target, side="left"))
+            before = float(prefix[i - 1]) if i else 0.0
+            if target - before >= prefix[i] - target:
+                i += 1
             i = max(i, bounds[-1] + 1)      # every span stays non-empty
             i = min(i, n - (parts - s))     # leave room for later spans
             bounds.append(i)
@@ -368,6 +378,24 @@ def _sub_grid(grid: ChunkGrid, span: ShardSpan) -> ChunkGrid:
             "requires a regular (panel_boundaries) grid"
         )
     return ChunkGrid(row_bounds=sub_bounds, col_bounds=grid.col_bounds)
+
+
+def _count_and_seal(layout: OutputLayout, a: CSRMatrix, b: CSRMatrix,
+                    grid: ChunkGrid, kernel, tracer) -> None:
+    """The node's count pass: every chunk's exact row counts — the
+    symbolic stage of (A row panel x B column panel) — into ``layout``,
+    then its one allocation; one span on ``tracer``."""
+    start = tracer.now()
+    col_panels = partition_columns(b, grid.num_col_panels)
+    rb = grid.row_bounds
+    for rp in range(grid.num_row_panels):
+        a_panel = a.row_slice(int(rb[rp]), int(rb[rp + 1]))
+        for cp in range(grid.num_col_panels):
+            layout.set_counts(rp, cp, spgemm_symbolic(
+                a_panel, col_panels[cp], kernel=kernel).row_nnz)
+    layout.seal()
+    tracer.add_span("count-C", "layout", start, tracer.now(),
+                    chunks=grid.num_chunks, bytes=layout.matrix().nbytes())
 
 
 def run_sharded(
@@ -410,7 +438,10 @@ def run_sharded(
     node: workers are stateless, so worker death costs only in-flight
     chunks and failover re-placement splices the already-received,
     CRC-verified chunks into a survivor's (or the local fallback's)
-    resume set — bit-identical to a run that never failed.
+    resume set — bit-identical to a run that never failed.  Without a
+    ``checkpoint_dir`` such a run lands each chunk straight in the
+    product (see module docs); if the node's count pass fails, every
+    shard fails with it.
     """
     if a.n_cols != b.n_rows:
         raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
@@ -463,6 +494,10 @@ def run_sharded(
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if ckpt_dir is not None:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
+    # a socket gather with nothing to keep on disk places every chunk
+    # at its final address as it arrives; the node counts C meanwhile
+    layout = (OutputLayout(grid.row_bounds, grid.col_bounds)
+              if use_socket and keep_output and ckpt_dir is None else None)
 
     records = [ShardRecord(shard_id=s.shard_id, rp_lo=s.rp_lo, rp_hi=s.rp_hi)
                for s in spans]
@@ -595,15 +630,16 @@ def run_sharded(
         a_shard = a.row_slice(int(rb[span.rp_lo]), int(rb[span.rp_hi]))
         sub = _sub_grid(grid, span)
         run_name = f"{name}.shard{t}" if name else f"shard{t}"
-        store = path = None
-        if ckpt_dir is not None:
-            store = DiskChunkStore(ckpt_dir / f"shard{t}.chunks")
-            path = ckpt_dir / f"shard{t}.manifest.json"
-        elif use_socket and keep_output:
-            store = MemoryChunkStore()  # received chunks wait here for assembly
-        checkpoint = Checkpoint.open(
-            a_shard, b, sub, store=store, path=path,
-            resume=resume and path is not None and path.exists())
+        if layout is not None:
+            checkpoint = LayoutCheckpoint(layout, span.rp_lo)
+        else:
+            store = path = None
+            if ckpt_dir is not None:
+                store = DiskChunkStore(ckpt_dir / f"shard{t}.chunks")
+                path = ckpt_dir / f"shard{t}.manifest.json"
+            checkpoint = Checkpoint.open(
+                a_shard, b, sub, store=store, path=path,
+                resume=resume and path is not None and path.exists())
         rec.resumed_chunks = checkpoint.resumed
         rec.corrupt_recomputed = checkpoint.dropped
 
@@ -614,14 +650,14 @@ def run_sharded(
         # the shard's own run computes what its checkpoint does not hold
         # yet — everything (local), nothing (a delivered socket span), or
         # the chunks a lost transport never delivered — and returns the
-        # whole strip
+        # whole strip (or, gathering into the layout, lands the rest there)
         profile, outputs = execute_chunk_grid(
             a_shard, b, sub,
             # the serial backend is single-worker by definition; a
             # lane-budget of N means "N per shard" only where a pool exists
             workers=1 if cfg.backend == "serial" else cfg.workers,
             window=cfg.window,
-            keep_outputs=keep_output,
+            keep_outputs=keep_output and layout is None,
             name=run_name,
             tracer=shard_tracer, backend=cfg.backend,
             retry=retry, crash_budget=crash_budget,
@@ -648,20 +684,29 @@ def run_sharded(
             failures[span.shard_id] = exc
 
     wall0 = time.perf_counter()
+    threads: List[threading.Thread] = []
     try:
-        if num_shards == 1:
+        if num_shards == 1 and layout is None:
             shard_guard(spans[0])
         else:
-            threads = [
-                threading.Thread(target=shard_guard, args=(s,),
-                                 name=f"shard{s.shard_id}")
-                for s in spans
-            ]
-            for th in threads:
+            for s in spans:
+                th = threading.Thread(target=shard_guard, args=(s,),
+                                      name=f"shard{s.shard_id}")
                 th.start()
-            for th in threads:
-                th.join()
+                threads.append(th)
+            if layout is not None:
+                # on this thread, while the workers compute
+                _count_and_seal(layout, a, b, grid, cfg.kernel, node_tracer)
+    except BaseException as exc:
+        if layout is None:
+            raise
+        # every shard holding a chunk for the layout fails with this
+        layout.abandon(exc)
+        if not isinstance(exc, Exception):
+            raise
     finally:
+        for th in threads:
+            th.join()
         if owns_pool:
             pool.close()
     wall = time.perf_counter() - wall0
@@ -693,7 +738,9 @@ def run_sharded(
     )
 
     matrix = None
-    if keep_output:
+    if layout is not None:
+        matrix = layout.matrix()
+    elif keep_output:
         outputs: List[List[Optional[CSRMatrix]]] = [
             [None] * grid.num_col_panels for _ in range(grid.num_row_panels)
         ]

@@ -10,8 +10,9 @@ strip over one of them:
   shard's *B-broadcast transfer wall* (what the alpha-beta model used
   to guess);
 * **chunk gather** — every finished chunk streams back as a CRC-stamped
-  frame, is checked end to end against the worker's CRC and lands in the
-  shard's :class:`~repro.core.spill.Checkpoint`; per-frame wire seconds
+  frame, is checked end to end against the worker's CRC (both checks
+  from one pass over its bytes) and lands in the shard's
+  :class:`~repro.core.spill.Checkpoint`; per-frame wire seconds
   accumulate into the shard's measured *C-gather wall*;
 * **liveness** — a :class:`~repro.core.governor.watchdog.HeartbeatLease`
   is renewed by every received frame (heartbeats and chunks alike) and
@@ -54,9 +55,11 @@ from dataclasses import dataclass, field
 from threading import Lock
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
+import numpy as np
+
 from ...core.chunks import ChunkStats
 from ...core.executor.faults import RetryPolicy
-from ...core.governor.integrity import crc32_matrix
+from ...core.governor.integrity import crc32_matrix, crc32_matrix_of_layout
 from ...core.governor.watchdog import HeartbeatLease
 from ...sparse.shm import cleanup_segments
 from .wire import (
@@ -488,6 +491,24 @@ def run_remote_span(
         return result
 
 
+#: a chunk frame's arrays when its payload is exactly the chunk's layout
+_CHUNK_LAYOUT = [("c_row_offsets", np.int64), ("c_col_ids", np.int64),
+                 ("c_data", np.float64)]
+
+
+def _chunk_crc(frame, matrix) -> int:
+    """The node-side ``crc32_matrix`` of a received chunk: derived from
+    the frame's payload CRC when the payload is exactly the chunk's three
+    layout buffers, computed from the matrix otherwise."""
+    arrays = frame.arrays
+    if ([(name, arr.dtype) for name, arr in arrays.items()] == _CHUNK_LAYOUT
+            and sum(arr.nbytes for arr in arrays.values())
+            == frame.payload_nbytes):
+        return crc32_matrix_of_layout(matrix.shape, frame.payload_crc,
+                                      frame.payload_nbytes)
+    return crc32_matrix(matrix)
+
+
 def _drive_once(worker, meta, run_arrays, checkpoint,
                 heartbeat_interval, lease_grace, result
                 ) -> Optional[Exception]:
@@ -524,7 +545,7 @@ def _drive_once(worker, meta, run_arrays, checkpoint,
             stats = ChunkStats.from_record(frame.meta["stats"])
             matrix = csr_from_arrays(frame.meta, frame.arrays, prefix="c_")
             crc = frame.meta.get("crc32")
-            actual = crc32_matrix(matrix)
+            actual = _chunk_crc(frame, matrix)
             if crc is not None and int(crc) != actual:
                 # a chunk that fails its end-to-end CRC poisons the
                 # stream: reconnect and let the worker recompute it

@@ -31,7 +31,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ...sparse import codec
-from ...sparse.codec import FrameError, csr_arrays, pack_frame
+from ...sparse.codec import FrameError, csr_arrays, frame_parts, pack_frame
 from ...sparse.formats import CSRMatrix
 
 __all__ = [
@@ -58,6 +58,9 @@ PROTOCOL_VERSION = 1
 #: once a frame has started arriving, the rest of it gets at least this
 #: long (seconds) however short the caller's idle-poll timeout is
 _MID_FRAME_TIMEOUT = 30.0
+
+#: the most a read allocates ahead of the bytes that arrived
+_RECV_BUFFER_CAP = 16 << 20
 
 
 class TransportError(RuntimeError):
@@ -90,46 +93,64 @@ class Frame:
     #: arrived — the measured wire time, excluding the wait for the
     #: peer to start sending (that wait is compute, not transfer)
     wire_seconds: float = 0.0
+    #: the payload's own CRC32 and length — the one pass over it, from
+    #: which the frame's CRC was derived (and a chunk's can be)
+    payload_crc: int = 0
+    payload_nbytes: int = 0
 
 
-def _recv_exact(sock: socket.socket, n: int, *, mid_frame: bool) -> bytearray:
-    """Read exactly ``n`` bytes; raise :class:`TransportClosed` on EOF,
-    reset, or a timeout once part of a frame has been consumed.  Memory
-    grows with what actually arrives, never with what a (possibly
-    corrupted) length field announced."""
-    chunks = []
-    remaining = n
-    while remaining > 0:
+def _recv_exact(sock: socket.socket, n: int, *, mid_frame: bool) -> np.ndarray:
+    """Read exactly ``n`` bytes, ``recv_into`` one buffer (writable:
+    decoded arrays alias it); raise :class:`TransportClosed` on EOF,
+    reset, or a timeout once part of a frame has been consumed.
+
+    Memory follows what actually arrives, never what a (possibly
+    corrupted) length field announced: the buffer starts at most
+    :data:`_RECV_BUFFER_CAP` bytes long and doubles only when the bytes
+    read so far fill it, so it never exceeds the larger of the cap and
+    twice the bytes arrived."""
+    buf = np.empty(min(n, _RECV_BUFFER_CAP), dtype=np.uint8)
+    got = 0
+    while got < n:
+        if got == buf.size:
+            grown = np.empty(min(n, 2 * got), dtype=np.uint8)
+            grown[:got] = buf
+            buf = grown
         try:
-            part = sock.recv(min(remaining, 1 << 20))
+            part = sock.recv_into(buf[got:])
         except socket.timeout as exc:
-            if not (mid_frame or chunks):
+            if not (mid_frame or got):
                 raise  # nothing consumed: the caller's idle poll
             # the bytes already read are gone — the stream is desynchronised
             raise TransportClosed(f"timed out mid-frame: {exc}") from exc
         except (ConnectionError, BrokenPipeError) as exc:
             raise TransportClosed(f"connection reset mid-read: {exc}") from exc
         if not part:
-            where = "mid-frame" if mid_frame or chunks else "between frames"
+            where = "mid-frame" if mid_frame or got else "between frames"
             raise TransportClosed(f"peer closed the connection {where}")
-        chunks.append(part)
-        remaining -= len(part)
-    return bytearray().join(chunks)  # writable: decoded arrays alias it
+        got += part
+    return buf
 
 
 def send_frame(sock: socket.socket, kind: str, meta: Optional[dict] = None,
-               arrays: Optional[Dict[str, np.ndarray]] = None) -> int:
+               arrays: Optional[Dict[str, np.ndarray]] = None, *,
+               payload_crc: Optional[int] = None) -> int:
     """Frame and send one message; returns the bytes put on the wire.
 
     ``sendall`` under the caller's send lock — frames from the
-    heartbeat thread and the chunk sink must never interleave.
+    heartbeat thread and the chunk sink must never interleave.  The
+    array parts go out as they are, never joined into one copy;
+    ``payload_crc`` is :func:`~repro.sparse.codec.frame_parts`'.
     """
-    frame = pack_frame(kind, meta, arrays)
+    prefix, header, *payload = frame_parts(kind, meta, arrays,
+                                           payload_crc=payload_crc)
     try:
-        sock.sendall(frame)
+        sock.sendall(prefix + header)
+        for part in payload:
+            sock.sendall(part)
     except (ConnectionError, BrokenPipeError, OSError) as exc:
         raise TransportClosed(f"send failed: {exc}") from exc
-    return len(frame)
+    return len(prefix) + len(header) + sum(part.nbytes for part in payload)
 
 
 def recv_frame(sock: socket.socket) -> Frame:
@@ -140,7 +161,8 @@ def recv_frame(sock: socket.socket) -> Frame:
     started arriving the read runs to completion, and a timeout from
     then on is a :class:`TransportClosed`.  The decoded arrays own
     their memory (they alias the receive buffer, which nothing else
-    holds).
+    holds).  The payload is read once for its CRC: the frame's check is
+    derived from that value, which the frame keeps as ``payload_crc``.
     """
     prefix = _recv_exact(sock, codec.FRAME_PREFIX.size, mid_frame=False)
     t0 = time.perf_counter()
@@ -155,12 +177,15 @@ def recv_frame(sock: socket.socket) -> Frame:
             payload = _recv_exact(sock, payload_len, mid_frame=True)
         finally:
             sock.settimeout(timeout)
-        kind, meta, arrays = codec.unpack_body(header, payload, crc)
+        payload_crc = codec.crc32_bytes(payload)
+        kind, meta, arrays = codec.unpack_body(header, payload, crc,
+                                               payload_crc=payload_crc)
     except FrameError as exc:
         raise FrameCorruption(str(exc)) from exc
     return Frame(kind=kind, meta=meta, arrays=arrays,
                  nbytes=len(prefix) + header_len + payload_len,
-                 wire_seconds=time.perf_counter() - t0)
+                 wire_seconds=time.perf_counter() - t0,
+                 payload_crc=payload_crc, payload_nbytes=payload_len)
 
 
 def csr_from_arrays(meta: dict, arrays: Dict[str, np.ndarray],

@@ -51,8 +51,9 @@ from ...core.chunks import ChunkGrid, ChunkStats
 from ...core.executor import execute_chunk_grid
 from ...core.executor.faults import NO_RETRY, RetryPolicy
 from ...core.governor import GovernorConfig
-from ...core.governor.integrity import crc32_matrix
+from ...core.governor.integrity import crc32_matrix_of_layout
 from ...core.spill import Checkpoint
+from ...sparse.codec import crc32_bytes, csr_nbytes
 from ...sparse.formats import CSRMatrix
 from .wire import (
     PROTOCOL_VERSION,
@@ -136,6 +137,9 @@ class _NodeCheckpoint(Checkpoint):
     run frame's ``skip`` list, and a chunk lands by going home — its CRC
     and one ``chunk`` frame.  A send failure raises out of the engine's
     sink stage, aborting the run — the node drives all recovery.
+
+    The chunk's buffers are read once, for the frame payload's CRC32;
+    the chunk CRC and the frame CRC are both derived from it.
     """
 
     def __init__(self, connection: "_Connection",
@@ -145,9 +149,12 @@ class _NodeCheckpoint(Checkpoint):
 
     def land(self, stats: ChunkStats, matrix: CSRMatrix) -> None:
         meta, arrays = csr_arrays(matrix, prefix="c_")
+        payload_crc = crc32_bytes(*arrays.values())
         meta["stats"] = stats.to_record()
-        meta["crc32"] = crc32_matrix(matrix)
-        self._connection.send_chunk("chunk", meta, arrays)
+        meta["crc32"] = crc32_matrix_of_layout(
+            matrix.shape, payload_crc, csr_nbytes(matrix.n_rows, matrix.nnz))
+        self._connection.send_chunk("chunk", meta, arrays,
+                                    payload_crc=payload_crc)
 
 
 class _Connection:
@@ -168,21 +175,22 @@ class _Connection:
         with self.send_lock:
             self._send_locked(kind, meta, arrays)
 
-    def _send_locked(self, kind, meta, arrays) -> None:
+    def _send_locked(self, kind, meta, arrays, payload_crc=None) -> None:
         if self.dead:
             raise TransportClosed("connection already marked dead")
         try:
-            send_frame(self.sock, kind, meta, arrays)
+            send_frame(self.sock, kind, meta, arrays, payload_crc=payload_crc)
         except (TransportError, OSError):
             self.dead = True
             raise
 
-    def send_chunk(self, kind: str, meta: dict, arrays) -> None:
+    def send_chunk(self, kind: str, meta: dict, arrays, *,
+                   payload_crc: int) -> None:
         with self.send_lock:
             self.chunks_sent += 1
             if self.sever_after and self.chunks_sent == self.sever_after:
                 self._sever(kind, meta, arrays)
-            self._send_locked(kind, meta, arrays)
+            self._send_locked(kind, meta, arrays, payload_crc)
 
     def _sever(self, kind, meta, arrays) -> None:
         """Chaos: put *half* a frame on the wire, then hard-close."""

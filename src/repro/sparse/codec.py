@@ -26,10 +26,20 @@ A matrix is framed as its three layout buffers (:func:`csr_arrays`), so
 the payload of a one-matrix frame *is* the layout.  Every decode
 failure is a typed :class:`FrameError`, never a raw ``struct`` /
 ``json`` / numpy error.
+
+**One CRC pass per byte.**  A carrier that already holds the payload's
+own CRC32 passes it as ``payload_crc``; the frame's CRC is then derived
+from it with :func:`crc32_combine` instead of reading the payload again.
+The value is the same either way.  The socket carrier does this for
+every frame, so a chunk's payload is read once per side for both of its
+checks: the frame CRC, and the end-to-end ``crc32_matrix`` value, which
+is the same payload behind the matrix's shape bytes.  A chunk file
+keeps the single rolling CRC.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -45,6 +55,7 @@ __all__ = [
     "FRAME_PREFIX",
     "FrameError",
     "crc32_bytes",
+    "crc32_combine",
     "csr_buffers",
     "csr_nbytes",
     "csr_from_buffer",
@@ -85,6 +96,48 @@ def crc32_bytes(*parts) -> int:
     for part in parts:
         crc = zlib.crc32(part, crc)
     return crc & 0xFFFFFFFF
+
+
+#: the CRC32 polynomial, bit-reversed as zlib stores it
+_CRC32_POLY = 0xEDB88320
+
+
+def _gf2_mult(a: int, b: int) -> int:
+    """``a x b`` modulo the CRC32 polynomial (bit-reversed operands)."""
+    m, p = 1 << 31, 0
+    while True:
+        if a & m:
+            p ^= b
+            if a & (m - 1) == 0:
+                return p
+        m >>= 1
+        b = (b >> 1) ^ _CRC32_POLY if b & 1 else b >> 1
+
+
+#: ``x^(2^k)`` modulo the polynomial, k = 0..31
+_X2N = [1 << 30]
+for _ in range(31):
+    _X2N.append(_gf2_mult(_X2N[-1], _X2N[-1]))
+
+
+@functools.lru_cache(maxsize=256)
+def _zeros_shift(nbytes: int) -> int:
+    """``x^(8 nbytes)``: the operator that appends ``nbytes`` zero bytes
+    to a CRC (cached: a chunk's two values share its payload length)."""
+    p, k = 1 << 31, 3
+    while nbytes:
+        if nbytes & 1:
+            p = _gf2_mult(_X2N[k & 31], p)
+        nbytes >>= 1
+        k += 1
+    return p
+
+
+def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
+    """CRC32 of ``a + b`` from ``crc1 = crc32(a)``, ``crc2 = crc32(b)``
+    and ``len2 = len(b)``, without the bytes — zlib's function of that
+    name (GF(2) shift of ``crc1`` past ``len2`` bytes)."""
+    return (_gf2_mult(_zeros_shift(len2), crc1) ^ crc2) & 0xFFFFFFFF
 
 
 # ----------------------------------------------------------------------
@@ -160,10 +213,13 @@ def csr_from_arrays(meta: dict, arrays: Dict[str, np.ndarray],
 # frame
 # ----------------------------------------------------------------------
 def frame_parts(kind: str, meta: Optional[dict] = None,
-                arrays: Optional[Dict[str, np.ndarray]] = None) -> List:
+                arrays: Optional[Dict[str, np.ndarray]] = None, *,
+                payload_crc: Optional[int] = None) -> List:
     """One frame as ``[prefix, header, array bytes...]`` — buffers to
     write in order.  The array parts alias the caller's arrays, so a
     carrier can hand them to ``writelines`` without a concatenated copy.
+    ``payload_crc``, the arrays' CRC32 back to back when the caller has
+    it, spares the second pass over them (module docstring).
     """
     manifest = []
     payload = []
@@ -176,9 +232,12 @@ def frame_parts(kind: str, meta: Optional[dict] = None,
         {"kind": kind, "meta": meta or {}, "arrays": manifest},
         separators=(",", ":"),
     ).encode("utf-8")
-    prefix = FRAME_PREFIX.pack(_MAGIC, len(header),
-                               sum(part.nbytes for part in payload),
-                               crc32_bytes(header, *payload))
+    payload_len = sum(part.nbytes for part in payload)
+    if payload_crc is None:
+        crc = crc32_bytes(header, *payload)
+    else:
+        crc = crc32_combine(crc32_bytes(header), payload_crc, payload_len)
+    prefix = FRAME_PREFIX.pack(_MAGIC, len(header), payload_len, crc)
     return [prefix, header, *payload]
 
 
@@ -206,14 +265,20 @@ def unpack_prefix(prefix) -> Tuple[int, int, int]:
     return header_len, payload_len, crc
 
 
-def unpack_body(header, payload, crc: int) -> Tuple[str, dict, Dict[str, np.ndarray]]:
+def unpack_body(header, payload, crc: int, *, payload_crc: Optional[int] = None
+                ) -> Tuple[str, dict, Dict[str, np.ndarray]]:
     """Verify and decode a frame's header and payload against the CRC
     its prefix recorded; returns ``(kind, meta, arrays)``.
+    ``payload_crc`` is the payload's own CRC32 when the carrier already
+    computed it: the frame's is derived from it, not re-read.
 
     The arrays are views over ``payload`` — writable when it is (a
     ``bytearray``) — except where an entry's offset is misaligned for
     its dtype, which is copied out."""
-    actual = crc32_bytes(header, payload)
+    if payload_crc is None:
+        actual = crc32_bytes(header, payload)
+    else:
+        actual = crc32_combine(crc32_bytes(header), payload_crc, len(payload))
     if actual != crc:
         raise FrameError(
             f"frame checksum mismatch (stored {crc:#010x}, "

@@ -61,6 +61,18 @@ class TestPlanShards:
         assert len(loads) == 3 and all(l > 0 for l in loads)
         assert max(loads) <= 2 * (sum(loads) // 3) + int(weights.max())
 
+    def test_cut_lands_on_the_nearer_side_of_the_target(self):
+        # the shard-socket grid's row-panel flops: cutting after the
+        # panel where the prefix crosses half (8.25 M | 4.12 M) is worse
+        # than cutting before it (5.53 M | 6.85 M)
+        weights = [5_527_328, 2_724_516, 2_752_718, 1_367_732]
+        grid = ChunkGrid.regular(40, 10, 4, 1)
+        flops = np.array(weights, dtype=np.int64).reshape(4, 1)
+        spans = plan_shards(grid, 2, flops)
+        assert [(s.rp_lo, s.rp_hi) for s in spans] == [(0, 1), (1, 4)]
+        loads = [sum(weights[s.rp_lo:s.rp_hi]) for s in spans]
+        assert max(loads) / (sum(weights) / 2) < 1.12
+
     def test_zero_flops_falls_back_to_panels(self):
         grid = self.grid()
         flops = np.zeros((grid.num_row_panels, grid.num_col_panels),

@@ -161,6 +161,55 @@ class TestStalledHeartbeat:
         assert_equals_scipy_product(res.matrix, a, b)
 
 
+class TestEndToEndChunkCheck:
+    def test_chunk_crc_mismatch_reconnects(self, operands, oracle,
+                                           monkeypatch):
+        """A worker sends one chunk frame whose frame CRC is valid but
+        whose chunk CRC (``meta["crc32"]``) is wrong: the node's end-to-end
+        check drops the stream, the span reconnects, the worker recomputes
+        the chunk, and the product is unchanged."""
+        from repro.core.executor import RetryPolicy
+        from repro.distributed.transport import worker as worker_mod
+
+        send_chunk = worker_mod._Connection.send_chunk
+        lied = []
+
+        def lying(self, kind, meta, arrays, *args, **kwargs):
+            if not lied:
+                lied.append(meta["crc32"])
+                meta = {**meta, "crc32": meta["crc32"] ^ 1}
+            return send_chunk(self, kind, meta, arrays, *args, **kwargs)
+
+        monkeypatch.setattr(worker_mod._Connection, "send_chunk", lying)
+        # the scripted peer: a shard worker in this process, so the patch
+        # reaches its send path
+        server = worker_mod.ShardWorker("tcp:127.0.0.1:0")
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        faults = []
+        reconnect = RetryPolicy(
+            max_attempts=4, base_delay=0.01,
+            retryable=lambda exc: faults.append(exc) or True)
+        pool = RemoteShardPool.connect([server.address])
+        try:
+            res = run_sharded(
+                a=operands[0], b=operands[1],
+                config=socket_config(num_shards=1, reconnect=reconnect),
+                worker_pool=pool)
+        finally:
+            pool.workers[0].request_shutdown()
+            pool.close()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert len(lied) == 1
+        assert [type(f).__name__ for f in faults] == ["FrameCorruption"]
+        assert "failed its end-to-end check" in str(faults[0])
+        assert res.records[0].reconnects == 1
+        assert res.records[0].failover == ""
+        assert res.matrix == oracle
+        assert_equals_scipy_product(res.matrix, *operands)
+
+
 class TestNodeSideLandingFailure:
     def test_full_disk_is_not_blamed_on_the_workers(self, operands, oracle,
                                                     tmp_path, monkeypatch):

@@ -84,6 +84,26 @@ class TestFrameRoundtrip:
             left.close()
             right.close()
 
+    def test_frame_larger_than_the_read_buffer(self, monkeypatch):
+        # the buffer doubles as the bytes fill it; the frame is intact
+        import threading
+
+        monkeypatch.setattr(wire, "_RECV_BUFFER_CAP", 1000)
+        x = np.arange(50_000, dtype=np.float64)
+        left, right = pair()
+        sender = threading.Thread(target=send_frame,
+                                  args=(left, "blob", {}, {"x": x}))
+        sender.start()
+        try:
+            frame = recv_frame(right)
+        finally:
+            sender.join(timeout=10.0)
+            left.close()
+            right.close()
+        assert not sender.is_alive()
+        assert np.array_equal(frame.arrays["x"], x)
+        assert frame.payload_nbytes == x.nbytes
+
     def test_wire_seconds_measured(self):
         left, right = pair()
         try:
@@ -93,6 +113,68 @@ class TestFrameRoundtrip:
         finally:
             left.close()
             right.close()
+
+
+def wire_bytes(send):
+    """Every byte ``send(sock)`` puts on a socket (the frames here fit
+    in the socket buffer)."""
+    left, right = pair()
+    try:
+        send(left)
+        left.close()
+        got = bytearray()
+        while True:
+            part = right.recv(1 << 16)
+            if not part:
+                return bytes(got)
+            got += part
+    finally:
+        right.close()
+
+
+class TestSendPathBytes:
+    """The send path writes frame parts unjoined and derives a chunk's
+    two CRCs from one pass: every message kind must still be the
+    ``pack_frame`` bytes, so ``bytes_sent`` / ``bytes_received`` repeat."""
+
+    def test_chunk_frame_of_the_worker(self):
+        from repro.core.chunks import ChunkStats
+        from repro.core.governor.integrity import crc32_matrix
+        from repro.distributed.transport.worker import (
+            _Connection,
+            _NodeCheckpoint,
+        )
+
+        mat = random_csr(30, 20, 90, seed=4)
+        stats = ChunkStats(chunk_id=3, row_panel=1, col_panel=1, rows=30,
+                           width=20, flops=180, a_panel_bytes=1,
+                           b_panel_bytes=2, input_nnz=3, nnz_out=mat.nnz,
+                           measured_seconds=0.5)
+        meta, arrays = csr_arrays(mat, prefix="c_")
+        meta["stats"] = stats.to_record()
+        meta["crc32"] = crc32_matrix(mat)
+        got = wire_bytes(
+            lambda sock: _NodeCheckpoint(_Connection(sock), {}).land(stats, mat))
+        assert got == pack_frame("chunk", meta, arrays)
+
+    @pytest.mark.parametrize("kind, meta, with_arrays", [
+        ("run", {"name": "shard0", "grid": {"row_bounds": [0, 30]},
+                 "skip": []}, True),
+        ("hb", {"counter": 12}, False),
+        ("done", {"wall_seconds": 0.25, "chunks": 4, "computed": 3}, False),
+    ])
+    def test_other_kinds(self, kind, meta, with_arrays):
+        arrays = None
+        if with_arrays:
+            a_meta, arrays = csr_arrays(random_csr(30, 25, 80, seed=6),
+                                        prefix="a_")
+            meta = {**meta, **a_meta}
+        want = pack_frame(kind, meta, arrays)
+        sent = []
+        got = wire_bytes(
+            lambda sock: sent.append(send_frame(sock, kind, meta, arrays)))
+        assert got == want
+        assert sent == [len(want)]
 
 
 class TestFrameFailures:
@@ -182,6 +264,26 @@ class TestFrameFailures:
         finally:
             left.close()
             right.close()
+
+    def test_announced_length_allocates_only_what_arrives(self):
+        # a plausible but lying length (1 GiB announced, 8 bytes sent):
+        # the read buffer stays at the cap, not at the announcement
+        import tracemalloc
+
+        left, right = pair()
+        header = b'{"kind":"blob"}'
+        left.sendall(struct.pack(">4sIQI", b"RSW1", len(header), 1 << 30, 0)
+                     + header + b"x" * 8)
+        left.close()
+        tracemalloc.start()
+        try:
+            with pytest.raises(TransportClosed, match="mid-frame"):
+                recv_frame(right)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            right.close()
+        assert peak < wire._RECV_BUFFER_CAP + (1 << 20)
 
     def test_manifest_overrun_detected(self):
         # header manifest claims more array bytes than the payload holds

@@ -21,7 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.chunks import ChunkGrid
-from repro.core.governor.integrity import ChunkCorruption, crc32_matrix
+from repro.core.governor.integrity import (
+    ChunkCorruption,
+    crc32_matrix,
+    crc32_matrix_of_layout,
+)
 from repro.core.spill import DiskChunkStore, operand_grid_hash
 from repro.distributed.transport.wire import (
     FrameCorruption,
@@ -34,10 +38,12 @@ from repro.sparse.codec import (
     FRAME_PREFIX,
     FrameError,
     crc32_bytes,
+    crc32_combine,
     csr_arrays,
     csr_buffers,
     csr_from_buffer,
     csr_nbytes,
+    frame_parts,
     pack_frame,
     unpack_frame,
 )
@@ -325,6 +331,40 @@ class TestGoldenFingerprints:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < mat.data.nbytes // 4
+
+
+class TestCrc32Combine:
+    """One pass per byte: both CRCs of a chunk frame are derived from its
+    payload's, and must be exactly the values a second pass would give."""
+
+    @given(st.binary(max_size=300), st.binary(max_size=3000))
+    @settings(max_examples=300, deadline=None)
+    def test_combine_is_the_crc_of_the_concatenation(self, a, b):
+        assert crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == \
+            zlib.crc32(a + b)
+
+    @pytest.mark.parametrize("len_b", [1 << 16, (1 << 20) + 7, 3 << 20])
+    def test_long_second_part(self, len_b):
+        a = b"head"
+        b = np.random.default_rng(len_b).bytes(len_b)
+        assert crc32_combine(zlib.crc32(a), zlib.crc32(b), len_b) == \
+            zlib.crc32(a + b)
+
+    @given(csr_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_crc_from_its_layout_crc(self, mat):
+        layout_crc = crc32_bytes(*csr_buffers(mat))
+        assert crc32_matrix_of_layout(
+            mat.shape, layout_crc, csr_nbytes(mat.n_rows, mat.nnz)
+        ) == crc32_matrix(mat)
+
+    @given(csr_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_frame_from_a_given_payload_crc_is_the_same_bytes(self, mat):
+        meta, arrays = csr_arrays(mat)
+        given_crc = crc32_bytes(*arrays.values())
+        parts = frame_parts("chunk", meta, arrays, payload_crc=given_crc)
+        assert b"".join(parts) == pack_frame("chunk", meta, arrays)
 
 
 def test_frame_header_is_the_documented_json():
