@@ -22,6 +22,7 @@ from typing import Optional, Sequence, Union
 
 from ..device.kernels import CostModel, default_cost_model
 from ..device.specs import NodeSpec, v100_node
+from ..observability import as_tracer
 from ..sparse.formats import CSRMatrix
 from ..spgemm.kernels import require_kernel
 from ..spgemm.twophase import spgemm_twophase
@@ -47,6 +48,19 @@ def _resolve_node(node: Optional[NodeSpec]) -> NodeSpec:
 
 def _resolve_cost(node: NodeSpec, cost: Optional[CostModel]) -> CostModel:
     return cost if cost is not None else default_cost_model(node)
+
+
+def _plan(a: CSRMatrix, b: CSRMatrix, node: NodeSpec, tracer):
+    """``plan_grid``'s grid and sizing, traced as one ``plan`` span that
+    carries the chosen ``row_panels × col_panels``."""
+    tracer = as_tracer(tracer)
+    start = tracer.now()
+    report = plan_grid(a, b, node)
+    grid = report.grid
+    tracer.add_span("plan_grid", "plan", start, tracer.now(),
+                    row_panels=grid.num_row_panels,
+                    col_panels=grid.num_col_panels)
+    return grid, report.sizing
 
 
 def spgemm(a: CSRMatrix, b: CSRMatrix, *, kernel=None) -> CSRMatrix:
@@ -202,7 +216,8 @@ def run_out_of_core(
     see :func:`~repro.core.executor.execute_chunk_grid`.
 
     ``tracer`` (:mod:`repro.observability`) records the real execution's
-    spans — queue wait, kernel phases, sink writes — for Chrome-trace
+    spans — the plan, the column partition, queue wait, kernel phases,
+    sink writes — for Chrome-trace
     export; results are unaffected.
 
     Fault tolerance and checkpoint/resume:
@@ -242,8 +257,7 @@ def run_out_of_core(
     node = _resolve_node(node)
     sizing = None
     if grid is None and resume is None:
-        report = plan_grid(a, b, node)
-        grid, sizing = report.grid, report.sizing
+        grid, sizing = _plan(a, b, node, tracer)
     ckpt = None
     if resume is not None or checkpoint is not None or chunk_store is not None:
         ckpt = Checkpoint.open(
@@ -312,8 +326,7 @@ def run_hybrid(
     node = _resolve_node(node)
     sizing = None
     if grid is None:
-        report = plan_grid(a, b, node)
-        grid, sizing = report.grid, report.sizing
+        grid, sizing = _plan(a, b, node, tracer)
     lanes = lane_names = None  # one lane, inline
     if workers > 1:
         if sizing is None:

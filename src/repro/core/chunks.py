@@ -371,7 +371,9 @@ class CutTable:
         if a.n_cols != b.n_rows:
             raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
         self.a, self.b, self.row_cuts, self.col_cuts = a, b, row_cuts, col_cuts
-        cnt = np.diff(build_col_offsets(b, col_cuts), axis=1)
+        # a B without columns is cut at [0] alone: no buckets, nothing to scan
+        cnt = (np.diff(build_col_offsets(b, col_cuts), axis=1) if col_cuts.size > 1
+               else np.zeros((b.n_rows, 0), dtype=np.int64))
         if a.nnz * int(cnt.max(initial=0)) < 2 ** 53:
             # no sum can pass the integers float64 holds: BLAS is exact
             cnt = cnt.astype(np.float64)

@@ -738,9 +738,11 @@ def execute_chunk_grid(
         appear exactly once.  ``lane_names`` labels the lanes in traces
         (default ``lane0``, ``lane1``, ...).
     tracer:
-        A :class:`repro.observability.Tracer` recording the full chunk
-        lifecycle — queue wait, analysis/symbolic/numeric phases, sink
-        writes — plus lane queue-depth/occupancy and per-stage
+        A :class:`repro.observability.Tracer` recording the column
+        partition (one ``partition`` span: panel count, bytes copied)
+        and the full chunk lifecycle — queue wait,
+        analysis/symbolic/numeric phases, sink writes — plus lane
+        queue-depth/occupancy and per-stage
         throughput gauges.  Under the process backend workers
         record spans locally and ship them back in the result
         descriptors for merging, so one trace still covers the whole
@@ -922,7 +924,14 @@ def execute_chunk_grid(
 
     row_panels: PanelSet = partition_rows(a, grid.num_row_panels)
     if col_panels is None:
+        start = tracer.now()
         col_panels = partition_columns(b, grid.num_col_panels)
+        if tracer.enabled:
+            tracer.add_span(
+                "partition_columns", "partition", start, tracer.now(),
+                panels=len(col_panels),
+                copy_bytes=sum(p.nbytes() for p in col_panels.panels
+                               if p is not b))
     if not np.array_equal(row_panels.boundaries, grid.row_bounds) or not np.array_equal(
         col_panels.boundaries, grid.col_bounds
     ):

@@ -12,18 +12,22 @@ The out-of-core framework needs ``A`` split into *row panels* and ``B`` into
   rolling per-row pointer marking where the next panel's elements begin —
   parallelized "in a prefix sum fashion".
 
-Three implementations are provided:
+Two schemes are provided:
 
 ``partition_columns_naive``
     the simplistic algorithm the paper describes first: for every panel,
     rescan every row from ``row_offsets[r]``.  Cost grows with
     ``num_panels × nnz``.
 ``build_col_offsets`` + ``partition_columns``
-    the optimized scheme: one vectorized pass computes, for every row, the
-    split points of all panels (this matrix *is* the paper's ``col_offset``
+    the optimized scheme: one pass computes, for every row, the split
+    points of all panels (this matrix *is* the paper's ``col_offset``
     structure — column ``p`` holds the pointer state after panel ``p`` is
-    consumed); panels are then gathered with prefix-sum address arithmetic
-    and no rescanning.
+    consumed); panels are then gathered by prefix-sum address arithmetic
+    and no rescanning.  The pass is one C sweep of B and each gather one
+    C copy, from the runtime-compiled library of
+    :mod:`repro.spgemm.native`; without it (no compiler, or
+    ``REPRO_NATIVE=0``) the same split and the same panel bytes come from
+    numpy, which is also the tests' reference.
 
 Both return panels whose column ids are renumbered to panel-local indices,
 which is what the in-core SpGEMM kernel consumes.
@@ -151,11 +155,15 @@ def build_col_offsets(b: CSRMatrix, boundaries: Sequence[int]) -> np.ndarray:
     the end of the row.  Row ``r``'s elements of panel ``p`` live in
     ``[S[r, p], S[r, p + 1])`` — no rescanning.
 
-    Built in one vectorized pass ("prefix sum fashion"): classify every
-    element into its panel, histogram per (row, panel), and prefix-sum
-    along the panel axis.
+    Built in one pass ("prefix sum fashion"): classify every element into
+    its panel, histogram per (row, panel), and prefix-sum along the panel
+    axis — one C sweep of ``b`` when the native library is available,
+    else numpy.  Both count, so they agree on unsorted rows too.
     """
-    bounds = np.asarray(boundaries, dtype=INDEX_DTYPE)
+    bounds = np.asarray(boundaries)
+    if bounds.ndim != 1 or bounds.size < 2 or bounds.dtype.kind not in "iu":
+        raise ValueError("boundaries must be one row of two or more integer cuts")
+    bounds = bounds.astype(INDEX_DTYPE, copy=False)
     # a matrix without columns is one empty panel, as panel_boundaries cuts it
     no_cols = b.n_cols == 0 and bounds.size == 2
     if bounds[0] != 0 or bounds[-1] != b.n_cols or (
@@ -163,6 +171,9 @@ def build_col_offsets(b: CSRMatrix, boundaries: Sequence[int]) -> np.ndarray:
         raise ValueError("boundaries must be strictly increasing from 0 to n_cols")
     num_panels = bounds.size - 1
 
+    from ..spgemm import native  # deferred: spgemm imports sparse
+    if native.native_available():
+        return native.native_col_offsets(b, bounds)
     panel_of_col = np.repeat(np.arange(num_panels), np.diff(bounds))
     panel_of_elem = panel_of_col[b.col_ids]
     rows = b.expand_row_ids()
@@ -183,6 +194,8 @@ def partition_columns(b: CSRMatrix, num_panels: int) -> PanelSet:
     Because rows are sorted by column id, each panel's elements occupy a
     contiguous sub-range of every row; the split matrix gives the ranges
     and one gather per panel copies them — total work O(nnz + rows·panels).
+    The gather is C when the native library is available, else numpy: the
+    same bytes either way.
 
     Precondition: ``b``'s column ids are strictly increasing within every
     row (:meth:`CSRMatrix.has_sorted_rows`).  The panels are built
@@ -197,23 +210,23 @@ def partition_columns(b: CSRMatrix, num_panels: int) -> PanelSet:
         return PanelSet(panels=(b,), boundaries=bounds, axis="cols")
     splits = build_col_offsets(b, bounds)
 
-    panels: List[CSRMatrix] = []
-    for p in range(num_panels):
-        lo = splits[:, p]
-        hi = splits[:, p + 1]
-        counts = hi - lo
-        row_offsets = np.zeros(b.n_rows + 1, dtype=INDEX_DTYPE)
-        np.cumsum(counts, out=row_offsets[1:])
-        nnz = int(row_offsets[-1])
-        # prefix-sum gather: element j of the panel comes from
-        # lo[row(j)] + (j - row_offsets[row(j)])
-        src = np.repeat(lo - row_offsets[:-1], counts) + np.arange(nnz, dtype=INDEX_DTYPE)
-        col_ids = b.col_ids[src] - bounds[p]
-        data = b.data[src]
-        panels.append(
-            CSRMatrix(
-                b.n_rows, int(bounds[p + 1] - bounds[p]),
-                row_offsets, col_ids, data, check=False,
-            )
-        )
-    return PanelSet(panels=tuple(panels), boundaries=bounds, axis="cols")
+    from ..spgemm import native  # deferred: spgemm imports sparse
+    if native.native_available():
+        arrays = native.native_col_panels(b, splits, bounds)
+    else:
+        arrays = []
+        for p in range(num_panels):
+            lo = splits[:, p]
+            counts = splits[:, p + 1] - lo
+            row_offsets = np.zeros(b.n_rows + 1, dtype=INDEX_DTYPE)
+            np.cumsum(counts, out=row_offsets[1:])
+            # prefix-sum gather: element j of the panel comes from
+            # lo[row(j)] + (j - row_offsets[row(j)])
+            src = np.repeat(lo - row_offsets[:-1], counts) + np.arange(
+                int(row_offsets[-1]), dtype=INDEX_DTYPE)
+            arrays.append((row_offsets, b.col_ids[src] - bounds[p], b.data[src]))
+    panels = tuple(
+        CSRMatrix(b.n_rows, int(bounds[p + 1] - bounds[p]), *arr, check=False)
+        for p, arr in enumerate(arrays)
+    )
+    return PanelSet(panels=panels, boundaries=bounds, axis="cols")

@@ -21,6 +21,10 @@ the difference.  :func:`native_place_rows` copies already-computed rows
 into slots under the same per-row refusal.  Scratch is kept per thread
 and reused across calls.
 
+The library also serves :mod:`repro.sparse.partition`: B's column split
+(the paper's ``col_offset``) is one sweep, :func:`native_col_offsets`,
+and each column panel one copy off it, :func:`native_col_panels`.
+
 Bit-identity.  The SPA accumulates each output column's duplicates in
 ascending ``k`` order — exactly the expansion order the numpy ESC
 accumulator uses, from the same -0.0 start (the additive identity) —
@@ -58,6 +62,8 @@ __all__ = [
     "native_fill_slots",
     "native_fill_rows",
     "native_place_rows",
+    "native_col_offsets",
+    "native_col_panels",
 ]
 
 #: environment switch: "0"/"off"/"false" disables the native kernel
@@ -86,6 +92,11 @@ long long repro_place_rows(
     const long long *src_cols, const double *src_vals,
     const long long *starts, const long long *counts, long long shift,
     long long out_cap, long long *out_cols, double *out_vals);
+void repro_col_split(long long n, long long panels, const long long *indptr,
+    const long long *cols, const long long *panel_of_col, long long *splits);
+long long repro_col_gather(long long n, const long long *splits, long long stride,
+    long long src_cap, const long long *cols, const double *vals, long long shift,
+    long long out_cap, long long *out_indptr, long long *out_cols, double *out_vals);
 """
 
 _SOURCE = r"""
@@ -304,6 +315,45 @@ i64 repro_place_rows(
         total += t;
     }
     return total;
+}
+
+/* the paper's col_offset structure (Section III.D) in one sweep of B:
+ * row r's line of the n x (panels + 1) split is a histogram of its
+ * elements' panels, prefix-summed from indptr[r].  It counts rather than
+ * walks, so an unsorted row splits as the numpy form splits it. */
+void repro_col_split(i64 n, i64 panels, const i64 *indptr, const i64 *cols,
+                     const i64 *panel_of_col, i64 *splits)
+{
+    for (i64 r = 0; r < n; r++, splits += panels + 1) {
+        memset(splits, 0, (size_t)(panels + 1) * sizeof(i64));
+        for (i64 q = indptr[r]; q < indptr[r + 1]; q++) splits[panel_of_col[cols[q]] + 1]++;
+        splits[0] = indptr[r];
+        for (i64 p = 0; p < panels; p++) splits[p + 1] += splits[p];
+    }
+}
+
+/* one column panel gathered off the split: its row r is B's
+ * [splits[0], splits[1]) at splits + r * stride, column ids less
+ * `shift`, and out_indptr is written as the rows land.  A range that is
+ * reversed, leaves B (src_cap) or overflows the panel (out_cap) returns
+ * -(r + 1) with nothing of row r written; otherwise the nnz written. */
+i64 repro_col_gather(
+    i64 n, const i64 *splits, i64 stride, i64 src_cap, const i64 *cols,
+    const double *vals, i64 shift,
+    i64 out_cap, i64 *out_indptr, i64 *out_cols, double *out_vals)
+{
+    i64 at = 0;
+    out_indptr[0] = 0;
+    for (i64 r = 0; r < n; r++, splits += stride) {
+        const i64 from = splits[0], t = splits[1] - from;
+        if (t < 0 || from < 0 || from > src_cap - t || at > out_cap - t)
+            return -(r + 1);
+        for (i64 s = 0; s < t; s++) out_cols[at + s] = cols[from + s] - shift;
+        memcpy(out_vals + at, vals + from, (size_t)t * sizeof(double));
+        at += t;
+        out_indptr[r + 1] = at;
+    }
+    return at;
 }
 """
 
@@ -605,3 +655,43 @@ def native_place_rows(
         col_ids.size, _ptr(ffi, col_ids), _ptr(ffi, data),
     )
     return -1 if code >= 0 else -code - 1
+
+
+def native_col_offsets(b: CSRMatrix, bounds: np.ndarray) -> np.ndarray:
+    """:func:`~repro.sparse.partition.build_col_offsets` of ``b`` at the
+    int64 cuts it validated, in one C sweep of ``b``."""
+    ffi, lib = _library()
+    panel_of_col = np.repeat(np.arange(bounds.size - 1, dtype=np.int64),
+                             np.diff(bounds))
+    if panel_of_col.size != b.n_cols:
+        raise ValueError("boundaries must cut [0, n_cols) into panels")
+    splits = np.empty((b.n_rows, bounds.size), dtype=np.int64)
+    lib.repro_col_split(b.n_rows, bounds.size - 1, *(
+        _ptr(ffi, x) for x in (b.row_offsets, b.col_ids, panel_of_col, splits)))
+    return splits
+
+
+def native_col_panels(b: CSRMatrix, splits: np.ndarray, bounds: np.ndarray):
+    """``(row_offsets, col_ids, data)`` of each column panel of ``b``:
+    row ``r`` of panel ``p`` is ``b``'s ``[splits[r, p], splits[r, p +
+    1])``, column ids less ``bounds[p]``, in arrays sized from the split.
+    A split whose ranges leave ``b`` or miss its own panel totals raises
+    :class:`RuntimeError`, with nothing written out of bounds."""
+    ffi, lib = _library()
+    if (splits.dtype != np.int64 or splits.shape != (b.n_rows, bounds.size)
+            or not splits.flags.c_contiguous):
+        raise ValueError(f"splits must be contiguous int64 of shape "
+                         f"({b.n_rows}, {bounds.size})")
+    panels = []
+    # the column sums may wrap; their differences are the exact panel nnz
+    for p, nnz in enumerate(np.diff(splits.sum(axis=0)).tolist()):
+        out = (np.empty(b.n_rows + 1, dtype=np.int64),
+               np.empty(nnz, dtype=np.int64), np.empty(nnz))
+        if lib.repro_col_gather(
+                b.n_rows, _ptr(ffi, splits) + p, bounds.size,
+                min(b.col_ids.size, b.data.size), _ptr(ffi, b.col_ids),
+                _ptr(ffi, b.data), int(bounds[p]), nnz,
+                *(_ptr(ffi, x) for x in out)) != nnz:
+            raise RuntimeError(f"column split of B is inconsistent at panel {p}")
+        panels.append(out)
+    return panels

@@ -144,6 +144,31 @@ class TestExecutorTracing:
             )
             assert chunks == list(range(grid.num_chunks)), cat
 
+    def test_partition_is_one_span(self, problem, traced_run):
+        from repro.sparse.partition import partition_columns
+
+        a, grid = problem
+        tracer, _, _ = traced_run
+        (span,) = tracer.spans_by_cat("partition")
+        panels = partition_columns(a, grid.num_col_panels).panels
+        assert span.args == {"panels": grid.num_col_panels,
+                             "copy_bytes": sum(p.nbytes() for p in panels)}
+
+    @pytest.mark.parametrize("run", ["run_out_of_core", "run_hybrid"])
+    def test_a_planned_run_traces_plan_and_partition_once(self, problem, run):
+        import repro.core.api as api
+
+        a, _ = problem
+        tracer = Tracer()
+        grid = getattr(api, run)(a, a, tracer=tracer).profile.grid
+        (plan,) = tracer.spans_by_cat("plan")
+        assert plan.args == {"row_panels": grid.num_row_panels,
+                             "col_panels": grid.num_col_panels}
+        (partition,) = tracer.spans_by_cat("partition")
+        assert partition.start >= plan.end
+        if grid.num_col_panels == 1:  # the panel is B itself: no copy
+            assert partition.args["copy_bytes"] == 0
+
     def test_gauges_sampled(self, traced_run):
         tracer, _, _ = traced_run
         names = {g.name for g in tracer.gauges}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.spgemm.native as native_mod
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import banded, random_csr, rmat
 from repro.sparse.ops import extract_columns, hstack, vstack
@@ -14,6 +15,16 @@ from repro.sparse.partition import (
     partition_columns,
     partition_columns_naive,
     partition_rows,
+)
+from repro.spgemm.native import (
+    native_available,
+    native_build_error,
+    native_col_panels,
+)
+
+needs_native = pytest.mark.skipif(
+    not native_available(),
+    reason=f"native kernel unavailable: {native_build_error()}",
 )
 
 
@@ -105,6 +116,17 @@ class TestColOffsets:
             build_col_offsets(sample_matrix, [1, sample_matrix.n_cols])
         with pytest.raises(ValueError, match="boundaries"):
             build_col_offsets(sample_matrix, [0, 5, 5, sample_matrix.n_cols])
+        # refused before any array is built, never truncated or misread
+        four = random_csr(3, 4, 6, seed=1)
+        for bad in ([], [0, 4.5], [[0, 4]]):
+            with pytest.raises(ValueError, match="boundaries"):
+                build_col_offsets(four, bad)
+        with pytest.raises(ValueError, match="boundaries"):
+            build_col_offsets(CSRMatrix.empty(3, 0), [0])
+
+    def test_no_columns_split_as_one_empty_panel(self):
+        splits = build_col_offsets(CSRMatrix.empty(3, 0), [0, 0])
+        assert splits.shape == (3, 2) and not splits.any()
 
 
 class TestProperties:
@@ -216,3 +238,84 @@ class TestDisorderedOperands:
             if panel.nnz:
                 assert 0 <= panel.col_ids.min()
                 assert panel.col_ids.max() < panel.n_cols
+
+
+def numpy_form(fn, *args):
+    """``fn(*args)`` with the native library hidden: the numpy split and
+    gather, the reference the C ones must reproduce."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(native_mod, "native_available", lambda: False)
+        return fn(*args)
+
+
+@st.composite
+def split_operands(draw):
+    """A B of every shape the split meets — disordered rows, random,
+    banded, empty rows, no rows, no columns — and a panel count from 1 to
+    its width."""
+    kind = draw(st.sampled_from(
+        ["disordered", "random", "banded", "empty_rows", "no_rows", "no_cols"]))
+    seed = draw(st.integers(0, 2**16))
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    if kind == "disordered":
+        shape, row_offsets, col_ids, data, _ = draw(disordered_csr())
+        b = CSRMatrix(*shape, row_offsets, col_ids, data)
+    elif kind == "random":
+        b = random_csr(rows, cols, draw(st.integers(0, rows * cols // 2)), seed=seed)
+    elif kind == "banded":
+        b = banded(rows, draw(st.integers(0, 5)), seed=seed, fill=0.6)
+    elif kind == "empty_rows":
+        dense = random_csr(rows, cols, rows * cols // 3, seed=seed).to_dense()
+        dense[np.random.default_rng(seed).random(rows) < 0.5] = 0.0
+        b = CSRMatrix.from_dense(dense)
+    elif kind == "no_rows":
+        b = CSRMatrix.empty(0, cols)
+    else:
+        b = CSRMatrix.empty(rows, 0)
+    return b, draw(st.integers(1, max(b.n_cols, 1)))
+
+
+@needs_native
+class TestNativeSplitAndGather:
+    @given(case=split_operands())
+    @settings(max_examples=300, deadline=None)
+    def test_native_equals_numpy(self, case):
+        b, num_panels = case
+        bounds = panel_boundaries(b.n_cols, num_panels)
+        splits = build_col_offsets(b, bounds)
+        want = numpy_form(build_col_offsets, b, bounds)
+        assert splits.dtype == want.dtype
+        np.testing.assert_array_equal(splits, want)
+        # one panel is B itself to the numpy form; the C gather of it
+        # must be B's own bytes
+        reference = (numpy_form(partition_columns, b, num_panels).panels
+                     if num_panels > 1 else (b,))
+        got = native_col_panels(b, splits, bounds)
+        assert len(got) == len(reference)
+        for arrays, ref in zip(got, reference):
+            for mine, theirs in zip(arrays, (ref.row_offsets, ref.col_ids, ref.data)):
+                assert mine.dtype == theirs.dtype
+                assert mine.tobytes() == theirs.tobytes()
+
+    def test_partition_columns_uses_the_native_gather(self, monkeypatch):
+        calls = []
+        real = native_mod.native_col_panels
+        monkeypatch.setattr(native_mod, "native_col_panels",
+                            lambda *args: calls.append(1) or real(*args))
+        m = random_csr(30, 20, 120, seed=3)
+        assert hstack(list(partition_columns(m, 4).panels)) == m
+        assert calls == [1]
+
+    def test_an_inconsistent_split_is_refused(self):
+        b = random_csr(6, 8, 20, seed=2)
+        bounds = panel_boundaries(8, 2)
+        splits = build_col_offsets(b, bounds)
+        past_b = splits.copy()
+        past_b[-1, 1:] = b.nnz + 5
+        reversed_range = splits.copy()
+        reversed_range[0, 1] = reversed_range[0, 0] - 1
+        for bad in (past_b, reversed_range):
+            with pytest.raises(RuntimeError, match="inconsistent"):
+                native_col_panels(b, bad, bounds)
+        with pytest.raises(ValueError, match="shape"):
+            native_col_panels(b, splits[:, :2].copy(), bounds)
