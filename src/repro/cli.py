@@ -41,7 +41,7 @@ from .sparse.formats import CSRMatrix
 from .sparse.io import load_npz, read_matrix_market, save_npz, write_matrix_market
 from .sparse.suite import SUITE
 from .spgemm.kernels import KERNEL_KINDS, require_kernel
-from .spgemm.native import native_build_error
+from .spgemm.native import native_build_error, native_crc32_error
 
 __all__ = ["main", "build_parser"]
 
@@ -240,6 +240,8 @@ def _cmd_info(_args) -> int:
     why = native_build_error()
     print("kernel: auto -> " + (
         "native" if why is None else f"esc (native unavailable: {why})"))
+    why = native_crc32_error()
+    print("crc32: " + ("native fold (pclmul)" if why is None else f"zlib ({why})"))
     print(table1_run())
     return 0
 

@@ -12,9 +12,12 @@ wrong answer.  ``ChunkCorruption`` is an ``Exception``, so the default
 retryable: the recovery for corrupt data is simply to recompute the
 chunk (chunks are deterministic, so the redo is bit-identical).
 
-CRC32 (:func:`zlib.crc32`) is deliberate: this is a *storage integrity*
-check against torn writes and media corruption, not an authenticity
-check.  The checksum is fed from the matrix's buffers in place
+CRC32 is deliberate: this is a *storage integrity* check against torn
+writes and media corruption, not an authenticity check.  It is zlib's
+CRC-32 — same polynomial, same values — by the native library's fold
+where the CPU has one, else by :func:`zlib.crc32`
+(:func:`repro.sparse.codec.crc32_bytes`).  The checksum is fed from the
+matrix's buffers in place
 (:func:`repro.sparse.codec.csr_buffers`), and the chunk file's frame
 carries a second CRC32 over its own bytes — see "Byte layout" in
 DESIGN.md for which carrier adds what.

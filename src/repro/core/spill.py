@@ -48,6 +48,7 @@ import numpy as np
 from ..observability import as_tracer
 from ..sparse.codec import (
     FrameError,
+    crc32_bytes,
     csr_arrays,
     csr_buffers,
     csr_from_arrays,
@@ -504,7 +505,7 @@ class RunManifest:
         of the manifest payload, excluding the CRC field itself."""
         body = json.dumps(payload, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
-        return zlib.crc32(body) & 0xFFFFFFFF
+        return crc32_bytes(body)
 
     # ------------------------------------------------------------------
     # identity

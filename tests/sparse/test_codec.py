@@ -11,13 +11,16 @@ deflated; its stream is damaged the same way, with the same outcome.
 """
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import tempfile
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.chunks import ChunkGrid
@@ -34,6 +37,7 @@ from repro.distributed.transport.wire import (
     recv_frame,
 )
 from repro.serve.cache import content_hash
+from repro.sparse import codec
 from repro.sparse.codec import (
     FRAME_PREFIX,
     FrameError,
@@ -50,6 +54,12 @@ from repro.sparse.codec import (
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import banded, random_csr, rmat
 from repro.sparse.shm import SharedCSR, run_prefix
+from repro.spgemm import native
+
+needs_native = pytest.mark.skipif(
+    native.native_crc32_error() is not None,
+    reason=f"native CRC32 fold unavailable: {native.native_crc32_error()}",
+)
 
 SPECIAL_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2e-308, 1.0]
 
@@ -365,6 +375,126 @@ class TestCrc32Combine:
         given_crc = crc32_bytes(*arrays.values())
         parts = frame_parts("chunk", meta, arrays, payload_crc=given_crc)
         assert b"".join(parts) == pack_frame("chunk", meta, arrays)
+
+    @pytest.mark.parametrize("crc1, crc2", [
+        (1 << 32, 2), (1 << 40, 2), (-1, 2), (1, 1 << 32), (1, -1)])
+    def test_crc_outside_32_bits_is_refused(self, crc1, crc2):
+        with pytest.raises(ValueError, match="32-bit"):
+            crc32_combine(crc1, crc2, 3)
+
+    def test_negative_length_is_refused_not_looped_on(self):
+        # in a child with a deadline: a shift loop that never ends must
+        # fail this test, not hang the suite
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.sparse.codec import crc32_combine\n"
+             "try:\n    crc32_combine(1, 2, -1)\n"
+             "except ValueError as exc:\n    print(exc)\n"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert "non-negative" in child.stdout, child.stderr
+
+
+# ----------------------------------------------------------------------
+# the CRC engines: the native fold and zlib give zlib.crc32's value
+# ----------------------------------------------------------------------
+@pytest.fixture(params=["zlib", pytest.param("fold", marks=needs_native)])
+def engine(request, monkeypatch):
+    """``crc32_bytes`` pinned to one engine: zlib as on a CPU without
+    PCLMULQDQ, or the fold for every part however short."""
+    if request.param == "zlib":
+        monkeypatch.setattr(native, "native_crc32_error",
+                            lambda: "CPU lacks pclmul")
+        monkeypatch.setattr(native, "native_crc32", None)  # calling it fails
+    else:
+        monkeypatch.setattr(codec, "_FOLD_MIN_BYTES", 0)
+    return request.param
+
+
+RNG_BYTES = np.random.default_rng(0xDEADBEEF).bytes((4 << 20) + 16)
+SEEDS = [0, 1, 0xDEADBEEF, 0xFFFFFFFF]
+
+
+@needs_native
+class TestCrc32Fold:
+    def test_every_short_length_at_every_offset(self):
+        buf = np.frombuffer(RNG_BYTES, dtype=np.uint8)
+        for offset in range(16):
+            for n in range(301):
+                view = buf[offset:offset + n]
+                # and a copy that ends where its allocation ends, so a
+                # read past it is an AddressSanitizer report
+                for part in (view, view.copy()):
+                    for seed in SEEDS:
+                        assert native.native_crc32(part, seed) == \
+                            zlib.crc32(part, seed), (offset, n, seed)
+
+    def test_random_lengths_up_to_4_mib(self):
+        rng = np.random.default_rng(0)
+        buf = np.frombuffer(RNG_BYTES, dtype=np.uint8)
+        for _ in range(40):
+            n = int(rng.integers(0, 4 << 20))
+            offset = int(rng.integers(0, 16))
+            seed = SEEDS[int(rng.integers(0, len(SEEDS)))]
+            part = buf[offset:offset + n]
+            assert native.native_crc32(part, seed) == zlib.crc32(part, seed)
+
+    def test_unsupported_cpu_gives_the_same_values(self, monkeypatch):
+        parts = [RNG_BYTES[:100], RNG_BYTES[100:(1 << 20) + 3],
+                 np.frombuffer(RNG_BYTES, dtype=np.float64, count=9000)]
+        folded = crc32_bytes(*parts)
+        monkeypatch.setattr(native, "native_crc32_error",
+                            lambda: "CPU lacks pclmul")
+        monkeypatch.setattr(native, "native_crc32", None)  # calling it fails
+        assert crc32_bytes(*parts) == folded == zlib.crc32(b"".join(
+            bytes(memoryview(p)) for p in parts))
+
+
+class TestCrc32Bytes:
+    @given(st.lists(st.integers(0, 9000), max_size=5), st.integers(0, 15))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_parts_are_one_rolling_crc(self, engine, sizes, offset):
+        buf = memoryview(RNG_BYTES)[offset:]
+        parts, at = [], 0
+        for size in sizes:
+            parts.append(buf[at:at + size])
+            at += size
+        assert crc32_bytes(*parts) == zlib.crc32(bytes(buf[:at]))
+
+    @pytest.mark.parametrize("dtype", ["<i8", "<f8", "<i4", "u1"])
+    @pytest.mark.parametrize("count", [0, 1, 511, 513, 9001])
+    def test_views_of_layout_dtypes(self, engine, dtype, count):
+        arr = np.frombuffer(RNG_BYTES, dtype=dtype, count=count + 3)
+        for view in (arr, arr[3:], arr[:count], arr[1:count + 1].reshape(1, -1)):
+            assert crc32_bytes(view) == zlib.crc32(view.tobytes())
+
+    def test_matrix_fingerprint(self, engine):
+        mat = random_csr(400, 300, 5000, seed=4)
+        want = zlib.crc32(np.asarray(mat.shape, dtype=np.int64).tobytes()
+                          + b"".join(b.tobytes() for b in csr_buffers(mat)))
+        assert crc32_matrix(mat) == want
+
+    @pytest.mark.parametrize("part, error", [
+        (np.arange(2000)[::2], ValueError),
+        (np.zeros((64, 128), order="F"), ValueError),
+        (np.zeros((2, 2), order="F"), ValueError),
+        ("not bytes", TypeError),
+        (7, TypeError),
+        ([1, 2, 3], TypeError),
+    ])
+    def test_refusals_are_zlibs(self, engine, part, error):
+        with pytest.raises(error):
+            zlib.crc32(part)
+        with pytest.raises(error):
+            crc32_bytes(part)
+        with pytest.raises(error):
+            crc32_bytes(b"head", part)
+
+    @pytest.mark.parametrize("scalar", [np.float64(2.5), np.int64(-3),
+                                        np.array(7)])
+    def test_zero_d_scalar_is_accepted(self, engine, scalar):
+        assert crc32_bytes(scalar) == zlib.crc32(scalar)
 
 
 def test_frame_header_is_the_documented_json():

@@ -57,6 +57,21 @@ class TestInfo:
         assert ("kernel: auto -> esc (native unavailable: no C compiler)\n"
                 in capsys.readouterr().out)
 
+    def test_names_the_crc32_engine(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        why = cli.native_crc32_error()
+        assert main(["info"]) == 0
+        assert ("crc32: native fold (pclmul)\n" if why is None else
+                f"crc32: zlib ({why})\n") in capsys.readouterr().out
+        for why in ("CPU lacks pclmul", "disabled via REPRO_NATIVE=0"):
+            monkeypatch.setattr(cli, "native_crc32_error", lambda: why)
+            assert main(["info"]) == 0
+            assert f"crc32: zlib ({why})\n" in capsys.readouterr().out
+        monkeypatch.setattr(cli, "native_crc32_error", lambda: None)
+        assert main(["info"]) == 0
+        assert "crc32: native fold (pclmul)\n" in capsys.readouterr().out
+
 
 class TestSuite:
     def test_lists_nine(self, capsys):
