@@ -9,8 +9,10 @@ next rung of the out-of-core ladder.  Two stores share one interface:
 ``DiskChunkStore``
     each chunk written to its own file as it "arrives" — one CRC'd
     frame of :mod:`repro.sparse.codec` (DESIGN.md, "Byte layout"),
-    deflated on its way to the disk as the ``.npz`` files it replaces
-    were — and re-loaded lazily; peak host memory stays at one chunk.
+    its index section deflated and its values raw, since deflate
+    shrinks float64 values by a few percent at a third of the speed of
+    the column ids — and re-loaded lazily; peak host memory stays at
+    one chunk.
     A store pointed at a directory that already holds chunk files
     *adopts* them — which is how a resumed run finds the chunks a
     previous (killed) run already produced.
@@ -47,13 +49,15 @@ import numpy as np
 
 from ..observability import as_tracer
 from ..sparse.codec import (
+    FRAME_PREFIX,
     FrameError,
     crc32_bytes,
     csr_arrays,
     csr_buffers,
     csr_from_arrays,
     frame_parts,
-    unpack_frame,
+    unpack_body,
+    unpack_prefix,
 )
 from ..sparse.formats import CSRMatrix
 from .chunks import ChunkGrid, ChunkStats
@@ -192,17 +196,60 @@ class MemoryChunkStore:
         self._counts.clear()
 
 
-class DiskChunkStore(MemoryChunkStore):
-    """Chunks spilled to per-chunk (deflated) frame files under a directory.
+#: bytes read per step while inflating a chunk file's leading stream;
+#: values read past the stream's end are copied once more than the rest
+_READ_STEP = 1 << 16
 
-    ``put`` writes and releases the chunk immediately; ``get`` re-loads.
+
+def _read_chunk(fh) -> CSRMatrix:
+    """The chunk in an open chunk file: its leading deflate stream
+    inflated, and whatever follows the stream taken as the rest of the
+    frame.  The frame's own checks decide validity — the lengths must
+    add up to the bytes present, the CRC covers header and payload — so
+    a file holding the whole frame in its stream reads the same way.
+    The payload is one buffer; the raw tail is read straight into it."""
+    inflate = zlib.decompressobj()
+    head = bytearray()
+    while not inflate.eof:
+        step = fh.read(_READ_STEP)
+        if not step:
+            raise FrameError("file ends inside its deflate stream")
+        head += inflate.decompress(step)
+    head += inflate.unused_data  # values read past the stream's end
+    header_len, payload_len, crc = unpack_prefix(head[:FRAME_PREFIX.size])
+    body = FRAME_PREFIX.size + header_len
+    present = len(head) + os.fstat(fh.fileno()).st_size - fh.tell()
+    if len(head) < body or present != body + payload_len:
+        raise FrameError(
+            f"frame lengths (header {header_len}, payload {payload_len}) "
+            f"do not add up to the {present} bytes present")
+    payload = bytearray(payload_len)
+    payload[:len(head) - body] = memoryview(head)[body:]
+    tail = memoryview(payload)[len(head) - body:]
+    if fh.readinto(tail) != len(tail):
+        raise FrameError("file shrank while it was read")
+    _, meta, arrays = unpack_body(memoryview(head)[FRAME_PREFIX.size:body],
+                                  payload, crc)
+    return csr_from_arrays(meta, arrays)
+
+
+class DiskChunkStore(MemoryChunkStore):
+    """Chunks spilled to per-chunk frame files under a directory.
+
+    A chunk file is its frame with the index section (prefix, header,
+    ``row_offsets``, ``col_ids``) deflated and the values raw after the
+    deflate stream.  ``put`` writes and releases the chunk immediately,
+    through a temporary file renamed into place, so a failed write
+    leaves the previous copy (or none); ``get`` re-loads.
     The directory is created on demand (a temporary one when not given)
     and removed by :meth:`close`.
 
     Chunk files already present in the directory are **adopted** (their
     panel coordinates parsed back from the filenames): a resumed run
     pointed at the previous run's spill directory serves the completed
-    chunks from disk and only writes the ones it recomputes.
+    chunks from disk and only writes the ones it recomputes.  A file
+    holding the whole frame deflated, as written before the values went
+    raw, reads through the same path.
     """
 
     def __init__(self, directory: Optional[os.PathLike] = None, *,
@@ -211,13 +258,17 @@ class DiskChunkStore(MemoryChunkStore):
         self._own_dir = directory is None
         self._dir = Path(directory) if directory else Path(tempfile.mkdtemp(prefix="repro-chunks-"))
         self._dir.mkdir(parents=True, exist_ok=True)
-        self._paths: Dict[Tuple[int, int], Path] = {}
+        # (row panel, col panel) -> (chunk file, its size in bytes)
+        self._files: Dict[Tuple[int, int], Tuple[Path, int]] = {}
+        self._disk_bytes = 0  # their sizes' sum, kept as files come and go
         for path in sorted(self._dir.glob("chunk_*_*.frame")):
             try:
                 rp, cp = map(int, path.stem.split("_")[1:3])
-            except ValueError:
-                continue  # not one of ours
-            self._paths[(rp, cp)] = path
+                size = path.stat().st_size
+            except (ValueError, OSError):
+                continue  # not one of ours, or gone
+            self._files[(rp, cp)] = (path, size)
+            self._disk_bytes += size
             self._grow_shape(rp, cp)
 
     @property
@@ -229,33 +280,42 @@ class DiskChunkStore(MemoryChunkStore):
         return self._dir / f"chunk_{row_panel}_{col_panel}.frame"
 
     def put(self, row_panel: int, col_panel: int, chunk: CSRMatrix) -> None:
+        key = (row_panel, col_panel)
         path = self._path(row_panel, col_panel)
+        tmp = path.with_name(path.name + ".tmp")  # outside the adoption glob
         with self._tracer.span(f"store_put[{row_panel},{col_panel}]", "store",
                                bytes=chunk.nbytes() if self._tracer.enabled else 0):
             # every chunk at rest carries its frame's CRC32, verified on
             # get(); distinct per-chunk file, so the write needs no lock.
-            # Deflated part by part: no joined copy of the chunk is made
+            # The index section is deflated part by part (no joined copy
+            # of the chunk is made); the values follow it as they are
+            *index, values = frame_parts("chunk", *csr_arrays(chunk))
             deflate = zlib.compressobj(zlib.Z_BEST_SPEED)
-            with open(path, "wb") as fh:
-                for part in frame_parts("chunk", *csr_arrays(chunk)):
-                    fh.write(deflate.compress(part))
-                fh.write(deflate.flush())
+            try:
+                with open(tmp, "wb") as fh:
+                    for part in index:
+                        fh.write(deflate.compress(part))
+                    fh.write(deflate.flush())
+                    fh.write(values)
+                    size = fh.tell()
+                os.replace(tmp, path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
             with self._lock:
-                self._paths[(row_panel, col_panel)] = path
+                _, before = self._files.get(key, (path, 0))
+                self._files[key] = (path, size)
+                self._disk_bytes += size - before
                 self._note_put(row_panel, col_panel, chunk)
         if self._tracer.enabled:
             self._tracer.gauge("chunk_store_bytes", held=self.nbytes())
 
     def get(self, row_panel: int, col_panel: int) -> CSRMatrix:
-        path = self._paths[(row_panel, col_panel)]
+        path, _ = self._files[(row_panel, col_panel)]
         with self._tracer.span(f"store_get[{row_panel},{col_panel}]", "store"):
             try:
-                inflate = zlib.decompressobj()
-                frame = inflate.decompress(path.read_bytes())
-                if not inflate.eof or inflate.unused_data:
-                    raise FrameError("file is not exactly one deflate stream")
-                _, meta, arrays = unpack_frame(frame)
-                return csr_from_arrays(meta, arrays)
+                with open(path, "rb") as fh:
+                    return _read_chunk(fh)
             except (FrameError, zlib.error, OSError) as exc:
                 # truncated / garbage / bit-flipped file -> typed
                 # corruption with the path and panel coords
@@ -266,22 +326,25 @@ class DiskChunkStore(MemoryChunkStore):
 
     def discard(self, row_panel: int, col_panel: int) -> None:
         with self._lock:
-            path = self._paths.pop((row_panel, col_panel), None)
+            path, size = self._files.pop((row_panel, col_panel), (None, 0))
+            self._disk_bytes -= size
             self._counts.pop((row_panel, col_panel), None)
         if path is not None:
             Path(path).unlink(missing_ok=True)
 
     def keys(self) -> Iterator[Tuple[int, int]]:
-        return iter(sorted(self._paths))
+        return iter(sorted(self._files))
 
     def nbytes(self) -> int:
-        """Bytes on disk (deflated)."""
-        return sum(p.stat().st_size for p in self._paths.values())
+        """Bytes on disk (index section deflated, values raw), counted
+        as files are written, adopted and discarded — no ``stat``."""
+        return self._disk_bytes
 
     def close(self) -> None:
-        for p in self._paths.values():
-            p.unlink(missing_ok=True)
-        self._paths.clear()
+        for path, _ in self._files.values():
+            path.unlink(missing_ok=True)
+        self._files.clear()
+        self._disk_bytes = 0
         self._counts.clear()
         if self._own_dir:
             try:
@@ -346,9 +409,16 @@ class SpillableChunkStore(MemoryChunkStore):
                 if not self._chunks:
                     break
                 key = max(self._chunks, key=lambda k: self._chunks[k].nbytes())
-                chunk = self._chunks.pop(key)
-                self._held_bytes -= chunk.nbytes()
+                chunk = self._chunks[key]
+            # written before it leaves memory: a failed write loses nothing
             self._disk_store().put(key[0], key[1], chunk)
+            with self._lock:
+                if self._chunks.get(key) is not chunk:
+                    # a put superseded it meanwhile: the copy just written is stale
+                    self._disk.discard(key[0], key[1])
+                    continue
+                del self._chunks[key]
+                self._held_bytes -= chunk.nbytes()
             freed += chunk.nbytes()
             self.spilled_bytes_total += chunk.nbytes()
         if freed and self._tracer.enabled:
@@ -376,7 +446,7 @@ class SpillableChunkStore(MemoryChunkStore):
         return iter(sorted({*self._chunks, *on_disk}))
 
     def nbytes(self) -> int:
-        """Total stored bytes: host memory plus (deflated) disk."""
+        """Total stored bytes: host memory plus disk."""
         disk = self._disk.nbytes() if self._disk is not None else 0
         return super().nbytes() + disk
 

@@ -312,7 +312,9 @@ def test_checkpoint_written_by_previous_commit_resumes(tmp_path):
     ``checkpoint_dir`` (``sharded/``, grid 4x2), both of ``a.npz``
     squared.  They resume here to the uninterrupted bytes — and a
     checkpoint written here has the same file names and the same
-    manifest keys, which is what lets that commit read it back."""
+    manifest keys.  That commit reads the manifests back; a chunk file
+    written here (index section deflated, values raw after the stream)
+    it refuses as corrupt and recomputes, so its C is still right."""
     import shutil
     from pathlib import Path
 

@@ -1,6 +1,9 @@
 """Tests for the chunk stores (host-side spill)."""
 
+import errno
+import os
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +16,47 @@ from repro.core.spill import (
     SpillableChunkStore,
 )
 from repro.device.specs import v100_node
+from repro.observability import Tracer
+from repro.sparse.codec import csr_arrays, csr_buffers, pack_frame
 from repro.sparse.generators import random_csr
 from repro.spgemm.reference import spgemm_scipy
 from repro.sparse.ops import drop_explicit_zeros
+
+
+def split_file(raw):
+    """A chunk file's inflated leading stream and the bytes after it."""
+    inflate = zlib.decompressobj()
+    head = inflate.decompress(raw)
+    assert inflate.eof
+    return head, inflate.unused_data
+
+
+def bit_identical(got, want):
+    return got.shape == want.shape and all(
+        g.tobytes() == w.tobytes()
+        for g, w in zip(csr_buffers(got), csr_buffers(want)))
+
+
+def full_disk_at(monkeypatch, call):
+    """Make the ``call``-th ``compress`` of every deflate stream raise
+    ``ENOSPC``, as a disk that fills up mid-write would."""
+    real = zlib.compressobj
+
+    class Filling:
+        def __init__(self, *args):
+            self._inner = real(*args)
+            self._calls = 0
+
+        def compress(self, data):
+            self._calls += 1
+            if self._calls == call:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return self._inner.compress(data)
+
+        def flush(self, *args):
+            return self._inner.flush(*args)
+
+    monkeypatch.setattr(zlib, "compressobj", Filling)
 
 
 @pytest.fixture(params=["memory", "disk"])
@@ -82,6 +123,87 @@ class TestDiskSpecifics:
         assert store.get(0, 0).nnz > 0
         store.close()
 
+    def test_file_is_deflated_index_then_raw_values(self, tmp_path):
+        store = DiskChunkStore(tmp_path / "chunks")
+        chunk = random_csr(30, 30, 200, seed=17)
+        store.put(0, 0, chunk)
+        raw = store._path(0, 0).read_bytes()
+        assert raw.endswith(chunk.data.tobytes())
+        head, tail = split_file(raw)
+        assert tail == chunk.data.tobytes()
+        assert head + tail == pack_frame("chunk", *csr_arrays(chunk))
+        store.close()
+
+    def test_whole_frame_deflated_file_still_reads(self, tmp_path):
+        # the layout written before the values went raw: one deflate
+        # stream holding the whole frame, nothing after it
+        store = DiskChunkStore(tmp_path / "chunks")
+        chunk = random_csr(30, 30, 200, seed=18)
+        store._path(2, 1).write_bytes(
+            zlib.compress(pack_frame("chunk", *csr_arrays(chunk)), 1))
+        adopted = DiskChunkStore(tmp_path / "chunks")
+        assert bit_identical(adopted.get(2, 1), chunk)
+        adopted.close()
+
+    def test_failed_put_leaves_no_file(self, tmp_path, monkeypatch):
+        store = DiskChunkStore(tmp_path / "chunks")
+        full_disk_at(monkeypatch, 3)
+        with pytest.raises(OSError, match="No space left"):
+            store.put(0, 0, random_csr(8, 8, 10, seed=19))
+        assert not list((tmp_path / "chunks").iterdir())
+        assert len(store) == 0 and len(DiskChunkStore(tmp_path / "chunks")) == 0
+
+    def test_failed_put_leaves_no_residue_in_own_directory(self, monkeypatch):
+        store = DiskChunkStore()
+        full_disk_at(monkeypatch, 3)
+        with pytest.raises(OSError):
+            store.put(0, 0, random_csr(8, 8, 10, seed=20))
+        store.close()
+        assert not store.directory.exists()
+
+    def test_failed_reput_keeps_the_previous_chunk(self, tmp_path, monkeypatch):
+        store = DiskChunkStore(tmp_path / "chunks")
+        first = random_csr(12, 12, 30, seed=21)
+        store.put(0, 0, first)
+        written = store._path(0, 0).read_bytes()
+        full_disk_at(monkeypatch, 3)
+        with pytest.raises(OSError):
+            store.put(0, 0, random_csr(12, 12, 30, seed=22))
+        assert store._path(0, 0).read_bytes() == written
+        assert bit_identical(store.get(0, 0), first)
+        assert [p.name for p in (tmp_path / "chunks").iterdir()] == ["chunk_0_0.frame"]
+        store.close()
+
+    def test_nbytes_is_the_files_sizes_without_stat(self, tmp_path, monkeypatch):
+        directory = tmp_path / "chunks"
+
+        def on_disk():
+            return sum(p.stat().st_size for p in directory.iterdir())
+
+        # traced: put samples nbytes() after every chunk
+        store = DiskChunkStore(directory, tracer=Tracer())
+        stats = []
+
+        def spy(real):
+            def stat(*args, **kwargs):
+                stats.append(args[0])
+                return real(*args, **kwargs)
+            return stat
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "stat", spy(Path.stat))
+            patch.setattr(os, "stat", spy(os.stat))
+            for key, seed in [((0, 0), 23), ((0, 1), 24), ((1, 0), 25)]:
+                store.put(*key, random_csr(20, 20, 60, seed=seed))
+            store.put(0, 0, random_csr(20, 20, 150, seed=26))  # re-put
+        assert stats == []
+        assert store.nbytes() == on_disk() > 0
+        store.discard(0, 1)
+        assert store.nbytes() == on_disk()
+        assert DiskChunkStore(directory).nbytes() == store.nbytes()  # adopted
+        store.close()
+        assert store.nbytes() == 0
+
 
 class TestIntegrity:
     """Every chunk at rest carries a CRC32; ``get`` raises a *typed*
@@ -110,33 +232,34 @@ class TestIntegrity:
             store.get(1, 2)
 
     def test_silent_bit_flip_caught_by_crc(self, tmp_path):
-        # same length, same header, one value bit flipped — only the
-        # checksum can tell the payload is not the chunk that was written
+        # same length, same header, one value bit flipped in the raw
+        # tail — only the checksum can tell the payload is not the chunk
+        # that was written
         store, path = self._stored(tmp_path)
-        raw = bytearray(zlib.decompress(path.read_bytes()))
+        raw = bytearray(path.read_bytes())
         raw[-1] ^= 0x01
-        path.write_bytes(zlib.compress(raw))
+        path.write_bytes(bytes(raw))
         with pytest.raises(ChunkCorruption, match="checksum mismatch"):
             store.get(1, 2)
 
     def test_bit_flip_in_the_deflate_stream_is_typed(self, tmp_path):
         store, path = self._stored(tmp_path)
         raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0x01
+        raw[(len(raw) - self.chunk.data.nbytes) // 2] ^= 0x01
         path.write_bytes(bytes(raw))
         with pytest.raises(ChunkCorruption):
             store.get(1, 2)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         # a valid frame followed by anything is not a chunk file, inside
-        # the deflate stream or after it
+        # the deflate stream or after the raw values
         store, path = self._stored(tmp_path)
-        intact = path.read_bytes()
-        path.write_bytes(zlib.compress(zlib.decompress(intact) + b"\0"))
+        head, tail = split_file(path.read_bytes())
+        path.write_bytes(zlib.compress(head + b"\0") + tail)
         with pytest.raises(ChunkCorruption, match="do not add up"):
             store.get(1, 2)
-        path.write_bytes(intact + b"\0")
-        with pytest.raises(ChunkCorruption, match="one deflate stream"):
+        path.write_bytes(zlib.compress(head) + tail + b"\0")
+        with pytest.raises(ChunkCorruption, match="do not add up"):
             store.get(1, 2)
 
     def test_structurally_invalid_chunk_rejected(self, tmp_path):
@@ -197,6 +320,48 @@ class TestSpillableStore:
         # served transparently from disk, bit-identical
         assert store.get(0, 1) == big
         assert store.get(0, 0) == small
+
+    def test_failed_spill_keeps_the_chunk_in_memory(self, tmp_path, monkeypatch):
+        store = SpillableChunkStore(tmp_path / "spill")
+        chunk = random_csr(40, 40, 400, seed=27)
+        store.put(0, 0, chunk)
+        before = store.held_bytes
+        full_disk_at(monkeypatch, 3)
+        with pytest.raises(OSError, match="No space left"):
+            store.spill(1)
+        assert bit_identical(store.get(0, 0), chunk)
+        assert store.held_bytes == before
+        assert store.spilled_bytes_total == 0
+        store.close()
+
+    @pytest.mark.parametrize("race", ["put", "discard"])
+    def test_spill_racing_a_put_or_discard(self, tmp_path, monkeypatch, race):
+        # the chunk changes while the spill is writing it: the newer
+        # state wins, and no stale copy of the old chunk stays on disk
+        store = SpillableChunkStore(tmp_path / "spill")
+        old = random_csr(40, 40, 400, seed=28)
+        new = random_csr(40, 40, 300, seed=29)
+        store.put(0, 0, old)
+        real_put = DiskChunkStore.put
+        raced = []
+
+        def racing_put(disk, rp, cp, chunk):
+            if not raced:  # the first write only: the retry spills `new`
+                raced.append(race)
+                if race == "put":
+                    store.put(rp, cp, new)
+                else:
+                    store.discard(rp, cp)
+            real_put(disk, rp, cp, chunk)
+
+        monkeypatch.setattr(DiskChunkStore, "put", racing_put)
+        store.spill(1)
+        if race == "put":
+            assert bit_identical(store.get(0, 0), new)
+        else:
+            assert list(store.keys()) == [] and store.held_bytes == 0
+            assert not list((tmp_path / "spill").glob("chunk_*"))
+        store.close()
 
     def test_put_replaces_stale_disk_copy(self, tmp_path):
         store = SpillableChunkStore(tmp_path / "spill")

@@ -6,8 +6,10 @@ empty rows, explicit zeros, nan/inf/denormals — comes back bit-identical
 from each carrier.  *Hardening*: bytes that are not exactly one intact
 frame (every truncation, every single-bit flip, hostile manifests)
 yield only the carrier's typed error — never a raw numpy / struct /
-json error, and never a matrix.  The chunk file holds its frame
-deflated; its stream is damaged the same way, with the same outcome.
+json error, and never a matrix.  The chunk file holds its frame as a
+deflate stream of the index section followed by the raw values; both
+parts of the file as written are damaged the same way, with the same
+outcome, and a flip among the raw values is the checksum's to catch.
 """
 
 import json
@@ -129,10 +131,26 @@ def store():
 
 
 def through_file(store, frame_bytes):
-    """Plant ``frame_bytes``, deflated as the store writes them, as
-    chunk (0, 0)'s file and read it back."""
+    """Plant ``frame_bytes``, wholly deflated as chunk files were before
+    their values went raw (a layout the store still reads), as chunk
+    (0, 0)'s file and read it back."""
     store._path(0, 0).write_bytes(zlib.compress(frame_bytes))
     return store.get(0, 0)
+
+
+def written_file(store, mat):
+    """Chunk (0, 0)'s file as ``put`` writes ``mat``: the deflated index
+    section, then the values."""
+    store.put(0, 0, mat)
+    return store._path(0, 0).read_bytes()
+
+
+def inflated_file(raw):
+    """A chunk file's leading stream inflated, then the bytes after it."""
+    inflate = zlib.decompressobj()
+    head = inflate.decompress(raw)
+    assert inflate.eof
+    return head + inflate.unused_data
 
 
 def chunk_frame(mat):
@@ -148,9 +166,8 @@ class TestRoundTrip:
     def test_every_carrier_is_bit_identical(self, store, mat):
         assert_bit_identical(through_shm(mat), mat)
         assert_bit_identical(through_socket(chunk_frame(mat)), mat)
-        store.put(0, 0, mat)
+        assert inflated_file(written_file(store, mat)) == chunk_frame(mat)
         assert_bit_identical(store.get(0, 0), mat)
-        assert zlib.decompress(store._path(0, 0).read_bytes()) == chunk_frame(mat)
 
     def test_one_matrix_frame_payload_is_the_layout(self):
         mat = special_matrix()
@@ -226,10 +243,11 @@ class TestHardening:
                 through_socket(bad)
 
     def test_damaged_deflate_stream_is_typed(self, store, frame):
-        # the disk carrier's own wrapper, over the file as written:
-        # every truncation and a trailing byte are typed; a single-bit
-        # flip is typed too, unless it lands on a redundant bit of the
-        # deflate encoding and still inflates to the intact frame
+        # the disk carrier's own wrapper, over a file holding the whole
+        # frame in its stream: every truncation and a trailing byte are
+        # typed; a single-bit flip is typed too, unless it lands on a
+        # redundant bit of the deflate encoding and still inflates to
+        # the intact frame
         written = zlib.compress(frame, zlib.Z_BEST_SPEED)
         intact = through_file(store, frame)
         for bad in [*(written[:n] for n in range(len(written))), written + b"\0"]:
@@ -242,6 +260,34 @@ class TestHardening:
             store._path(0, 0).write_bytes(bad)
             try:
                 assert_bit_identical(store.get(0, 0), intact)
+            except ChunkCorruption:
+                pass
+
+    @pytest.mark.parametrize("name", sorted(FUZZED))
+    def test_file_as_put_writes_it_is_typed(self, store, name):
+        # every truncation and a trailing byte are typed; the raw values
+        # after the stream have no redundant bits, so every flip among
+        # them is the checksum's to catch; a flip in the stream part is
+        # typed unless it lands on a redundant bit of the encoding
+        mat = FUZZED[name]()
+        written = written_file(store, mat)
+        values_from = 8 * (len(written) - mat.data.nbytes)
+        path = store._path(0, 0)
+        for bad in [*(written[:n] for n in range(len(written))), written + b"\0"]:
+            path.write_bytes(bad)
+            with pytest.raises(ChunkCorruption) as err:
+                store.get(0, 0)
+            assert (err.value.row_panel, err.value.col_panel) == (0, 0)
+        for bit in range(8 * len(written)):
+            bad = bytearray(written)
+            bad[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bad)
+            if bit >= values_from:
+                with pytest.raises(ChunkCorruption, match="checksum mismatch"):
+                    store.get(0, 0)
+                continue
+            try:
+                assert_bit_identical(store.get(0, 0), mat)
             except ChunkCorruption:
                 pass
 
