@@ -9,10 +9,8 @@ next rung of the out-of-core ladder.  Two stores share one interface:
 ``DiskChunkStore``
     each chunk written to its own file as it "arrives" — one CRC'd
     frame of :mod:`repro.sparse.codec` (DESIGN.md, "Byte layout"),
-    its index section deflated and its values raw, since deflate
-    shrinks float64 values by a few percent at a third of the speed of
-    the column ids — and re-loaded lazily; peak host memory stays at
-    one chunk.
+    the same bytes a socket carries — and re-loaded lazily; peak host
+    memory stays at one chunk.
     A store pointed at a directory that already holds chunk files
     *adopts* them — which is how a resumed run finds the chunks a
     previous (killed) run already produced.
@@ -28,9 +26,11 @@ ChunkStats` record of every completed chunk; every rewrite is atomic
 good manifest.  :class:`Checkpoint` pairs it with a store and is the one
 place their protocol is written down — how a finished chunk *lands*
 (store write, CRC, manifest mark, in that order, so the manifest never
-points at data that was not durably written) and how a resume is
+points at data whose write had not finished) and how a resume is
 verified — for the engine, the shard node and the remote worker alike
-(docs/FAULT_TOLERANCE.md, "Checkpoint and resume").
+(docs/FAULT_TOLERANCE.md, "Checkpoint and resume").  Nothing is
+fsynced: the order holds against a killed process, not a host crash,
+after which the page cache may have lost a renamed file's data.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ import numpy as np
 
 from ..observability import as_tracer
 from ..sparse.codec import (
+    _MAGIC,
     FRAME_PREFIX,
     FrameError,
     crc32_bytes,
@@ -57,6 +58,7 @@ from ..sparse.codec import (
     csr_from_arrays,
     frame_parts,
     unpack_body,
+    unpack_frame,
     unpack_prefix,
 )
 from ..sparse.formats import CSRMatrix
@@ -196,51 +198,48 @@ class MemoryChunkStore:
         self._counts.clear()
 
 
-#: bytes read per step while inflating a chunk file's leading stream;
-#: values read past the stream's end are copied once more than the rest
-_READ_STEP = 1 << 16
-
-
 def _read_chunk(fh) -> CSRMatrix:
-    """The chunk in an open chunk file: its leading deflate stream
-    inflated, and whatever follows the stream taken as the rest of the
-    frame.  The frame's own checks decide validity — the lengths must
-    add up to the bytes present, the CRC covers header and payload — so
-    a file holding the whole frame in its stream reads the same way.
-    The payload is one buffer; the raw tail is read straight into it."""
-    inflate = zlib.decompressobj()
-    head = bytearray()
-    while not inflate.eof:
-        step = fh.read(_READ_STEP)
-        if not step:
-            raise FrameError("file ends inside its deflate stream")
-        head += inflate.decompress(step)
-    head += inflate.unused_data  # values read past the stream's end
-    header_len, payload_len, crc = unpack_prefix(head[:FRAME_PREFIX.size])
-    body = FRAME_PREFIX.size + header_len
-    present = len(head) + os.fstat(fh.fileno()).st_size - fh.tell()
-    if len(head) < body or present != body + payload_len:
+    """The chunk in an open chunk file, which is its frame: magic and
+    lengths are checked against the file's size before anything is
+    allocated, then the payload is read into one buffer.  A file that
+    does not start with the magic (a zlib stream cannot) was deflated."""
+    prefix = fh.read(FRAME_PREFIX.size)
+    if not prefix.startswith(_MAGIC):
+        fh.seek(0)
+        return _read_deflated_chunk(fh)
+    header_len, payload_len, crc = unpack_prefix(prefix)
+    present = os.fstat(fh.fileno()).st_size
+    if FRAME_PREFIX.size + header_len + payload_len != present:
         raise FrameError(
             f"frame lengths (header {header_len}, payload {payload_len}) "
             f"do not add up to the {present} bytes present")
+    header = fh.read(header_len)
     payload = bytearray(payload_len)
-    payload[:len(head) - body] = memoryview(head)[body:]
-    tail = memoryview(payload)[len(head) - body:]
-    if fh.readinto(tail) != len(tail):
+    if len(header) != header_len or fh.readinto(payload) != payload_len:
         raise FrameError("file shrank while it was read")
-    _, meta, arrays = unpack_body(memoryview(head)[FRAME_PREFIX.size:body],
-                                  payload, crc)
+    _, meta, arrays = unpack_body(header, payload, crc)
+    return csr_from_arrays(meta, arrays)
+
+
+def _read_deflated_chunk(fh) -> CSRMatrix:
+    """The chunk in a file written before chunk files held their frame
+    raw: a deflate stream of the index section then the raw values, or
+    of the whole frame.  Inflated and joined, it must be one frame."""
+    inflate = zlib.decompressobj()
+    frame = inflate.decompress(fh.read())
+    if not inflate.eof:
+        raise FrameError("file ends inside its deflate stream")
+    _, meta, arrays = unpack_frame(frame + inflate.unused_data)
     return csr_from_arrays(meta, arrays)
 
 
 class DiskChunkStore(MemoryChunkStore):
     """Chunks spilled to per-chunk frame files under a directory.
 
-    A chunk file is its frame with the index section (prefix, header,
-    ``row_offsets``, ``col_ids``) deflated and the values raw after the
-    deflate stream.  ``put`` writes and releases the chunk immediately,
-    through a temporary file renamed into place, so a failed write
-    leaves the previous copy (or none); ``get`` re-loads.
+    A chunk file is its frame, byte for byte as a socket carries it.
+    ``put`` writes and releases the chunk immediately, through a
+    temporary file renamed into place, so a failed write leaves the
+    previous copy (or none); ``get`` re-loads.
     The directory is created on demand (a temporary one when not given)
     and removed by :meth:`close`.
 
@@ -248,8 +247,9 @@ class DiskChunkStore(MemoryChunkStore):
     panel coordinates parsed back from the filenames): a resumed run
     pointed at the previous run's spill directory serves the completed
     chunks from disk and only writes the ones it recomputes.  A file
-    holding the whole frame deflated, as written before the values went
-    raw, reads through the same path.
+    written deflated, as chunk files were before they held their frame
+    raw, still reads.  A temporary file left by a put that never reached
+    its rename is deleted on adoption.
     """
 
     def __init__(self, directory: Optional[os.PathLike] = None, *,
@@ -261,6 +261,8 @@ class DiskChunkStore(MemoryChunkStore):
         # (row panel, col panel) -> (chunk file, its size in bytes)
         self._files: Dict[Tuple[int, int], Tuple[Path, int]] = {}
         self._disk_bytes = 0  # their sizes' sum, kept as files come and go
+        for torn in self._dir.glob("chunk_*_*.frame.tmp"):
+            torn.unlink(missing_ok=True)  # a put killed before its rename
         for path in sorted(self._dir.glob("chunk_*_*.frame")):
             try:
                 rp, cp = map(int, path.stem.split("_")[1:3])
@@ -287,16 +289,11 @@ class DiskChunkStore(MemoryChunkStore):
                                bytes=chunk.nbytes() if self._tracer.enabled else 0):
             # every chunk at rest carries its frame's CRC32, verified on
             # get(); distinct per-chunk file, so the write needs no lock.
-            # The index section is deflated part by part (no joined copy
-            # of the chunk is made); the values follow it as they are
-            *index, values = frame_parts("chunk", *csr_arrays(chunk))
-            deflate = zlib.compressobj(zlib.Z_BEST_SPEED)
+            # The frame's parts alias the chunk: no joined copy is made
+            parts = frame_parts("chunk", *csr_arrays(chunk))
             try:
                 with open(tmp, "wb") as fh:
-                    for part in index:
-                        fh.write(deflate.compress(part))
-                    fh.write(deflate.flush())
-                    fh.write(values)
+                    fh.writelines(parts)
                     size = fh.tell()
                 os.replace(tmp, path)
             except BaseException:
@@ -336,8 +333,8 @@ class DiskChunkStore(MemoryChunkStore):
         return iter(sorted(self._files))
 
     def nbytes(self) -> int:
-        """Bytes on disk (index section deflated, values raw), counted
-        as files are written, adopted and discarded — no ``stat``."""
+        """Bytes on disk (each file its frame), counted as files are
+        written, adopted and discarded — no ``stat``."""
         return self._disk_bytes
 
     def close(self) -> None:
@@ -485,9 +482,10 @@ class RunManifest:
     """Incremental JSON checkpoint of one chunk-grid execution.
 
     Written and read back through a :class:`Checkpoint`, which calls
-    :meth:`mark_done` *after* each chunk's durable store write.  Every
-    update rewrites the file atomically, so the manifest on disk is
-    always a consistent prefix of the run.
+    :meth:`mark_done` *after* each chunk's store write.  Every update
+    rewrites the file atomically, so the manifest on disk is always a
+    consistent prefix of the run — if the process is killed; nothing is
+    fsynced, so not if the host crashes.
 
     Thread-safe: lane threads complete chunks concurrently (the executor
     additionally serializes landings, but the manifest does not rely on
@@ -539,6 +537,10 @@ class RunManifest:
                 f"manifest {path} is not valid JSON (truncated or "
                 f"corrupted): {exc}"
             ) from exc
+        if not isinstance(payload, dict):
+            raise ManifestMismatch(
+                f"manifest {path} holds a JSON {type(payload).__name__}, "
+                "not an object — refusing to resume from it")
         # integrity: the manifest carries a CRC32 over its own canonical
         # serialization; a bit-flip in stats or header must not be
         # silently resumed against.  Manifests written before the field
@@ -546,28 +548,39 @@ class RunManifest:
         recorded_crc = payload.pop("manifest_crc32", None)
         if recorded_crc is not None:
             actual = cls._payload_crc(payload)
-            if actual != int(recorded_crc):
+            if actual != recorded_crc:
                 raise ManifestMismatch(
                     f"manifest {path} failed its integrity check "
-                    f"(stored {int(recorded_crc):#010x}, recomputed "
-                    f"{actual:#010x}) — refusing to resume from it"
+                    f"(stored {recorded_crc!r}, recomputed {actual}) — "
+                    "refusing to resume from it"
                 )
         version = payload.get("version")
         if version != cls.VERSION:
             raise ManifestMismatch(
                 f"unsupported manifest version {version!r} in {path}"
             )
-        header = {k: payload[k] for k in (
-            "version", "run_id", "grid_hash", "num_chunks",
-            "row_bounds", "col_bounds", "store_dir",
-        )}
-        completed = {}
-        chunk_crcs = {}
-        for cid, record in payload.get("chunks", {}).items():
-            if record.get("crc32") is not None:
-                chunk_crcs[int(cid)] = int(record["crc32"])
-            completed[int(cid)] = ChunkStats.from_record(record)
-        return cls(path, header, completed, chunk_crcs)
+        try:
+            header = {k: payload[k] for k in (
+                "version", "run_id", "grid_hash", "num_chunks",
+                "row_bounds", "col_bounds", "store_dir",
+            )}
+            completed = {}
+            chunk_crcs = {}
+            for cid, record in payload.get("chunks", {}).items():
+                if record.get("crc32") is not None:
+                    chunk_crcs[int(cid)] = int(record["crc32"])
+                completed[int(cid)] = ChunkStats.from_record(record)
+            manifest = cls(path, header, completed, chunk_crcs)
+            if manifest.grid.num_chunks != manifest.num_chunks:
+                raise ValueError(f"{manifest.num_chunks} chunks recorded "
+                                 "for a grid of another size")
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            # valid JSON, but not the shape of a manifest
+            raise ManifestMismatch(
+                f"manifest {path} is malformed ({type(exc).__name__}: "
+                f"{exc}) — refusing to resume from it"
+            ) from exc
+        return manifest
 
     @staticmethod
     def _payload_crc(payload: dict) -> int:
@@ -745,8 +758,9 @@ class Checkpoint:
              crc: Optional[int] = None) -> None:
         """Take one finished chunk: store write, then the manifest mark
         (with the chunk's CRC — ``crc`` when the caller already computed
-        it), then ``completed`` — a crash between any two leaves the
-        manifest a subset of what is durably stored.  Callers serialize
+        it), then ``completed`` — a process killed between any two
+        leaves the manifest a subset of what is stored.  Nothing is
+        fsynced, so a host crash is not covered.  Callers serialize
         landings (the engine's sink lock; one connection per span)."""
         if self.store is not None:
             self.store.put(stats.row_panel, stats.col_panel, matrix)

@@ -7,6 +7,7 @@ run.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,36 @@ def test_manifest_rejects_unknown_version(problem, tmp_path):
     payload["version"] = 99
     path.write_text(json.dumps(payload))
     with pytest.raises(ManifestMismatch):
+        RunManifest.load(path)
+
+
+#: valid JSON that is not a manifest, made from a manifest's payload
+MALFORMED = {
+    "header only": lambda payload: {"version": 1},
+    "array": lambda payload: [payload],
+    "chunk records without their fields": lambda payload: {
+        **payload, "chunks": {cid: {"crc32": record["crc32"]}
+                              for cid, record in payload["chunks"].items()}},
+}
+
+
+def malform(path, defect):
+    """Rewrite the manifest at ``path`` with ``defect``, dropping its CRC
+    field as a manifest written before the field existed lacks it."""
+    payload = json.loads(path.read_text())
+    del payload["manifest_crc32"]
+    path.write_text(json.dumps(MALFORMED[defect](payload)))
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED))
+def test_manifest_with_a_structural_defect_is_refused(problem, tmp_path, defect):
+    a, b, grid = problem
+    path = tmp_path / "m.json"
+    manifest = RunManifest.create(path, a, b, grid)
+    profile, _ = execute_chunk_grid(a, b, grid)
+    manifest.mark_done(profile.chunks[0], crc32=1)
+    malform(path, defect)
+    with pytest.raises(ManifestMismatch, match=re.escape(str(path))):
         RunManifest.load(path)
 
 
@@ -313,8 +344,9 @@ def test_checkpoint_written_by_previous_commit_resumes(tmp_path):
     squared.  They resume here to the uninterrupted bytes — and a
     checkpoint written here has the same file names and the same
     manifest keys.  That commit reads the manifests back; a chunk file
-    written here (index section deflated, values raw after the stream)
-    it refuses as corrupt and recomputes, so its C is still right."""
+    written here (the frame raw) it refuses as corrupt and recomputes,
+    so its C is still right.  Its own chunk files, the whole frame in
+    one deflate stream, read here as they are."""
     import shutil
     from pathlib import Path
 
@@ -425,6 +457,25 @@ def test_cli_resume_after_partial_run(cli_matrix, tmp_path, capsys):
     assert f"resumed {k} chunks" in printed
     assert f"recomputed {full.num_chunks - k}" in printed
     assert RunManifest.load(manifest_path).is_complete
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED))
+def test_cli_refuses_a_malformed_manifest(cli_matrix, tmp_path, capsys, defect):
+    # the CLI's one-line refusal with status 2, not a traceback
+    from repro.cli import main
+
+    _, mat_path = cli_matrix
+    manifest = tmp_path / "run.manifest.json"
+    assert main(["run", str(mat_path), "--checkpoint", str(manifest),
+                 "--out", str(tmp_path / "c1.npz")]) == 0
+    malform(manifest, defect)
+    capsys.readouterr()
+    assert main(["run", str(mat_path), "--resume", str(manifest),
+                 "--out", str(tmp_path / "c2.npz")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("repro run: error: manifest ") and str(manifest) in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "c2.npz").exists()
 
 
 def test_cli_rejects_checkpoint_in_hybrid_mode(cli_matrix, tmp_path):

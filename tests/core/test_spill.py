@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import spill
 from repro.core.api import run_out_of_core
 from repro.core.chunks import ChunkGrid
 from repro.core.governor.integrity import ChunkCorruption
@@ -17,18 +18,18 @@ from repro.core.spill import (
 )
 from repro.device.specs import v100_node
 from repro.observability import Tracer
-from repro.sparse.codec import csr_arrays, csr_buffers, pack_frame
+from repro.sparse.codec import csr_arrays, csr_buffers, frame_parts, pack_frame
 from repro.sparse.generators import random_csr
 from repro.spgemm.reference import spgemm_scipy
 from repro.sparse.ops import drop_explicit_zeros
 
 
-def split_file(raw):
-    """A chunk file's inflated leading stream and the bytes after it."""
-    inflate = zlib.decompressobj()
-    head = inflate.decompress(raw)
-    assert inflate.eof
-    return head, inflate.unused_data
+def deflated_index_file(chunk):
+    """A chunk file as written before files held their frame raw: the
+    frame's index section (prefix, header, ``row_offsets``, ``col_ids``)
+    as one deflate stream, then the values."""
+    *index, values = frame_parts("chunk", *csr_arrays(chunk))
+    return zlib.compress(b"".join(index), zlib.Z_BEST_SPEED) + values.tobytes()
 
 
 def bit_identical(got, want):
@@ -38,25 +39,39 @@ def bit_identical(got, want):
 
 
 def full_disk_at(monkeypatch, call):
-    """Make the ``call``-th ``compress`` of every deflate stream raise
-    ``ENOSPC``, as a disk that fills up mid-write would."""
-    real = zlib.compressobj
+    """Make the ``call``-th buffer written to every file the spill store
+    opens for writing raise ``ENOSPC`` — the earlier ones reach the file —
+    as a disk that fills up mid-write would."""
 
     class Filling:
-        def __init__(self, *args):
-            self._inner = real(*args)
+        def __init__(self, fh):
+            self._fh = fh
             self._calls = 0
 
-        def compress(self, data):
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+        def __getattr__(self, name):
+            return getattr(self._fh, name)
+
+        def write(self, data):
             self._calls += 1
             if self._calls == call:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return self._inner.compress(data)
+            return self._fh.write(data)
 
-        def flush(self, *args):
-            return self._inner.flush(*args)
+        def writelines(self, parts):
+            for part in parts:
+                self.write(part)
 
-    monkeypatch.setattr(zlib, "compressobj", Filling)
+    def filling_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return Filling(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(spill, "open", filling_open, raising=False)
 
 
 @pytest.fixture(params=["memory", "disk"])
@@ -123,20 +138,28 @@ class TestDiskSpecifics:
         assert store.get(0, 0).nnz > 0
         store.close()
 
-    def test_file_is_deflated_index_then_raw_values(self, tmp_path):
+    def test_file_is_the_frame(self, tmp_path):
         store = DiskChunkStore(tmp_path / "chunks")
         chunk = random_csr(30, 30, 200, seed=17)
         store.put(0, 0, chunk)
-        raw = store._path(0, 0).read_bytes()
-        assert raw.endswith(chunk.data.tobytes())
-        head, tail = split_file(raw)
-        assert tail == chunk.data.tobytes()
-        assert head + tail == pack_frame("chunk", *csr_arrays(chunk))
+        frame = pack_frame("chunk", *csr_arrays(chunk))
+        assert store._path(0, 0).read_bytes() == frame
+        assert store.nbytes() == len(frame)
         store.close()
 
+    def test_deflated_index_file_still_reads(self, tmp_path):
+        # the layout written before files held their frame raw: the
+        # index section deflated, the values raw after the stream
+        store = DiskChunkStore(tmp_path / "chunks")
+        chunk = random_csr(30, 30, 200, seed=31)
+        store._path(2, 1).write_bytes(deflated_index_file(chunk))
+        adopted = DiskChunkStore(tmp_path / "chunks")
+        assert bit_identical(adopted.get(2, 1), chunk)
+        adopted.close()
+
     def test_whole_frame_deflated_file_still_reads(self, tmp_path):
-        # the layout written before the values went raw: one deflate
-        # stream holding the whole frame, nothing after it
+        # the layout before that: one deflate stream holding the whole
+        # frame, nothing after it
         store = DiskChunkStore(tmp_path / "chunks")
         chunk = random_csr(30, 30, 200, seed=18)
         store._path(2, 1).write_bytes(
@@ -144,6 +167,21 @@ class TestDiskSpecifics:
         adopted = DiskChunkStore(tmp_path / "chunks")
         assert bit_identical(adopted.get(2, 1), chunk)
         adopted.close()
+
+    def test_adoption_deletes_a_torn_temp_file(self, tmp_path):
+        # a put killed before its rename leaves chunk_R_C.frame.tmp: no
+        # adopting store reads it, so it is deleted, not left behind
+        directory = tmp_path / "chunks"
+        store = DiskChunkStore(directory)
+        chunk = random_csr(12, 12, 30, seed=30)
+        store.put(0, 0, chunk)
+        torn = directory / "chunk_0_1.frame.tmp"
+        torn.write_bytes(pack_frame("chunk", *csr_arrays(chunk))[:40])
+        adopted = DiskChunkStore(directory)
+        assert list(adopted.keys()) == [(0, 0)]
+        assert bit_identical(adopted.get(0, 0), chunk)
+        adopted.close()
+        assert not list(directory.iterdir())
 
     def test_failed_put_leaves_no_file(self, tmp_path, monkeypatch):
         store = DiskChunkStore(tmp_path / "chunks")
@@ -232,9 +270,8 @@ class TestIntegrity:
             store.get(1, 2)
 
     def test_silent_bit_flip_caught_by_crc(self, tmp_path):
-        # same length, same header, one value bit flipped in the raw
-        # tail — only the checksum can tell the payload is not the chunk
-        # that was written
+        # same length, same header, one value bit flipped — only the
+        # checksum can tell the payload is not the chunk that was written
         store, path = self._stored(tmp_path)
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0x01
@@ -243,24 +280,27 @@ class TestIntegrity:
             store.get(1, 2)
 
     def test_bit_flip_in_the_deflate_stream_is_typed(self, tmp_path):
+        # a file written with its index section deflated
         store, path = self._stored(tmp_path)
-        raw = bytearray(path.read_bytes())
+        raw = bytearray(deflated_index_file(self.chunk))
         raw[(len(raw) - self.chunk.data.nbytes) // 2] ^= 0x01
         path.write_bytes(bytes(raw))
         with pytest.raises(ChunkCorruption):
             store.get(1, 2)
 
     def test_trailing_bytes_rejected(self, tmp_path):
-        # a valid frame followed by anything is not a chunk file, inside
-        # the deflate stream or after the raw values
+        # a valid frame followed by anything is not a chunk file: after
+        # the raw frame, and in a deflated file inside the stream or
+        # after the values
         store, path = self._stored(tmp_path)
-        head, tail = split_file(path.read_bytes())
-        path.write_bytes(zlib.compress(head + b"\0") + tail)
-        with pytest.raises(ChunkCorruption, match="do not add up"):
-            store.get(1, 2)
-        path.write_bytes(zlib.compress(head) + tail + b"\0")
-        with pytest.raises(ChunkCorruption, match="do not add up"):
-            store.get(1, 2)
+        frame = path.read_bytes()
+        *index, values = frame_parts("chunk", *csr_arrays(self.chunk))
+        for bad in [frame + b"\0",
+                    zlib.compress(b"".join(index) + b"\0") + values.tobytes(),
+                    deflated_index_file(self.chunk) + b"\0"]:
+            path.write_bytes(bad)
+            with pytest.raises(ChunkCorruption, match="do not add up"):
+                store.get(1, 2)
 
     def test_structurally_invalid_chunk_rejected(self, tmp_path):
         # a well-formed frame (valid CRC) whose CSR breaks an invariant
@@ -270,7 +310,7 @@ class TestIntegrity:
         meta, arrays = csr_arrays(self.chunk)
         arrays["col_ids"] = arrays["col_ids"].copy()
         arrays["col_ids"][0] = 10_000  # column outside the matrix
-        path.write_bytes(zlib.compress(pack_frame("chunk", meta, arrays)))
+        path.write_bytes(pack_frame("chunk", meta, arrays))
         with pytest.raises(ChunkCorruption, match="validation"):
             store.get(1, 2)
 

@@ -6,10 +6,10 @@ empty rows, explicit zeros, nan/inf/denormals — comes back bit-identical
 from each carrier.  *Hardening*: bytes that are not exactly one intact
 frame (every truncation, every single-bit flip, hostile manifests)
 yield only the carrier's typed error — never a raw numpy / struct /
-json error, and never a matrix.  The chunk file holds its frame as a
-deflate stream of the index section followed by the raw values; both
-parts of the file as written are damaged the same way, with the same
-outcome, and a flip among the raw values is the checksum's to catch.
+json error, and never a matrix.  The chunk file is its frame byte for
+byte, so it is damaged the same way as the socket's bytes; the two
+deflated layouts chunk files were written in before still read back
+bit-identical, and their damage is typed too.
 """
 
 import json
@@ -130,27 +130,32 @@ def store():
         disk.close()
 
 
-def through_file(store, frame_bytes):
-    """Plant ``frame_bytes``, wholly deflated as chunk files were before
-    their values went raw (a layout the store still reads), as chunk
-    (0, 0)'s file and read it back."""
-    store._path(0, 0).write_bytes(zlib.compress(frame_bytes))
+def through_file(store, file_bytes):
+    """Plant ``file_bytes`` as chunk (0, 0)'s file and read it back."""
+    store._path(0, 0).write_bytes(file_bytes)
     return store.get(0, 0)
 
 
 def written_file(store, mat):
-    """Chunk (0, 0)'s file as ``put`` writes ``mat``: the deflated index
-    section, then the values."""
+    """Chunk (0, 0)'s file as ``put`` writes ``mat``."""
     store.put(0, 0, mat)
     return store._path(0, 0).read_bytes()
 
 
-def inflated_file(raw):
-    """A chunk file's leading stream inflated, then the bytes after it."""
-    inflate = zlib.decompressobj()
-    head = inflate.decompress(raw)
-    assert inflate.eof
-    return head + inflate.unused_data
+def deflated_index(frame, n_values):
+    """A chunk file as written before files held their frame raw: the
+    index section deflated, the ``n_values`` value bytes after it."""
+    cut = len(frame) - n_values
+    return zlib.compress(frame[:cut], zlib.Z_BEST_SPEED) + frame[cut:]
+
+
+def whole_frame_deflated(frame, n_values):
+    """A chunk file as written before that: the whole frame deflated."""
+    return zlib.compress(frame, zlib.Z_BEST_SPEED)
+
+
+#: the layouts chunk files were written in before, which still read
+DEFLATED_LAYOUTS = (deflated_index, whole_frame_deflated)
 
 
 def chunk_frame(mat):
@@ -166,8 +171,11 @@ class TestRoundTrip:
     def test_every_carrier_is_bit_identical(self, store, mat):
         assert_bit_identical(through_shm(mat), mat)
         assert_bit_identical(through_socket(chunk_frame(mat)), mat)
-        assert inflated_file(written_file(store, mat)) == chunk_frame(mat)
+        assert written_file(store, mat) == chunk_frame(mat)
         assert_bit_identical(store.get(0, 0), mat)
+        for deflated in DEFLATED_LAYOUTS:
+            assert_bit_identical(
+                through_file(store, deflated(chunk_frame(mat), mat.data.nbytes)), mat)
 
     def test_one_matrix_frame_payload_is_the_layout(self):
         mat = special_matrix()
@@ -243,53 +251,42 @@ class TestHardening:
                 through_socket(bad)
 
     def test_damaged_deflate_stream_is_typed(self, store, frame):
-        # the disk carrier's own wrapper, over a file holding the whole
-        # frame in its stream: every truncation and a trailing byte are
-        # typed; a single-bit flip is typed too, unless it lands on a
-        # redundant bit of the deflate encoding and still inflates to
-        # the intact frame
-        written = zlib.compress(frame, zlib.Z_BEST_SPEED)
+        # the disk carrier's own wrapper over a file in either deflated
+        # layout: every truncation and a trailing byte are typed; a
+        # single-bit flip is typed too, unless it lands on a redundant
+        # bit of the deflate encoding and still inflates to the intact
+        # frame
         intact = through_file(store, frame)
-        for bad in [*(written[:n] for n in range(len(written))), written + b"\0"]:
-            store._path(0, 0).write_bytes(bad)
-            with pytest.raises(ChunkCorruption):
-                store.get(0, 0)
-        for bit in range(8 * len(written)):
-            bad = bytearray(written)
-            bad[bit // 8] ^= 1 << (bit % 8)
-            store._path(0, 0).write_bytes(bad)
-            try:
-                assert_bit_identical(store.get(0, 0), intact)
-            except ChunkCorruption:
-                pass
+        n_values = unpack_frame(frame)[2]["data"].nbytes
+        for deflated in DEFLATED_LAYOUTS:
+            written = deflated(frame, n_values)
+            assert_bit_identical(through_file(store, written), intact)
+            for bad in [*(written[:n] for n in range(len(written))), written + b"\0"]:
+                with pytest.raises(ChunkCorruption):
+                    through_file(store, bad)
+            for bit in range(8 * len(written)):
+                bad = bytearray(written)
+                bad[bit // 8] ^= 1 << (bit % 8)
+                try:
+                    assert_bit_identical(through_file(store, bytes(bad)), intact)
+                except ChunkCorruption:
+                    pass
 
     @pytest.mark.parametrize("name", sorted(FUZZED))
     def test_file_as_put_writes_it_is_typed(self, store, name):
-        # every truncation and a trailing byte are typed; the raw values
-        # after the stream have no redundant bits, so every flip among
-        # them is the checksum's to catch; a flip in the stream part is
-        # typed unless it lands on a redundant bit of the encoding
-        mat = FUZZED[name]()
-        written = written_file(store, mat)
-        values_from = 8 * (len(written) - mat.data.nbytes)
-        path = store._path(0, 0)
-        for bad in [*(written[:n] for n in range(len(written))), written + b"\0"]:
-            path.write_bytes(bad)
-            with pytest.raises(ChunkCorruption) as err:
-                store.get(0, 0)
-            assert (err.value.row_panel, err.value.col_panel) == (0, 0)
+        # the file is the frame and has no redundant bits: every
+        # truncation, a trailing byte and every single-bit flip anywhere
+        # in it are typed, with the chunk's coordinates
+        written = written_file(store, FUZZED[name]())
+        damaged = [written[:n] for n in range(len(written))] + [written + b"\0"]
         for bit in range(8 * len(written)):
             bad = bytearray(written)
             bad[bit // 8] ^= 1 << (bit % 8)
-            path.write_bytes(bad)
-            if bit >= values_from:
-                with pytest.raises(ChunkCorruption, match="checksum mismatch"):
-                    store.get(0, 0)
-                continue
-            try:
-                assert_bit_identical(store.get(0, 0), mat)
-            except ChunkCorruption:
-                pass
+            damaged.append(bytes(bad))
+        for bad in damaged:
+            with pytest.raises(ChunkCorruption) as err:
+                through_file(store, bad)
+            assert (err.value.row_panel, err.value.col_panel) == (0, 0)
 
     def test_trailing_bytes_are_not_a_frame(self, frame):
         with pytest.raises(FrameError, match="do not add up"):
