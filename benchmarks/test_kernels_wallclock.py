@@ -10,7 +10,6 @@ import pytest
 from repro.cpu.nagasaka import spgemm_nagasaka
 from repro.sparse.generators import rmat
 from repro.sparse.partition import partition_columns, partition_columns_naive
-from repro.spgemm.esc import spgemm_esc
 from repro.spgemm.twophase import spgemm_twophase
 
 
@@ -28,9 +27,10 @@ def test_bench_twophase(benchmark, matrix):
 
 def test_bench_esc(benchmark, matrix):
     result = benchmark.pedantic(
-        lambda: spgemm_esc(matrix, matrix), rounds=3, iterations=1
+        lambda: spgemm_twophase(matrix, matrix, kernel="esc"), rounds=3,
+        iterations=1,
     )
-    assert result.nnz > 0
+    assert result.matrix.nnz > 0
 
 
 def test_bench_nagasaka_multicore(benchmark, matrix):

@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse.formats import CSRMatrix
+from ..spgemm.flops import total_flops
 from ..spgemm.twophase import spgemm_twophase
-from ..spgemm.upperbound import row_upper_bound
 
 __all__ = ["IndexWidthError", "spgemm_mkl_like", "INT32_MAX"]
 
@@ -53,7 +53,7 @@ def spgemm_mkl_like(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     _check_32bit(b.nnz, "nnz(B)")
     # an int32 row_offsets array overflows at total output nnz; the upper
     # bound is what an implementation must allocate against
-    ub_total = int(row_upper_bound(a, b).sum())
+    ub_total = total_flops(a, b) // 2
     _check_32bit(ub_total, "upper bound of nnz(C)")
 
     return spgemm_twophase(a, b).matrix

@@ -35,18 +35,14 @@ import numpy as np
 from ..sparse.formats import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.ops import take_rows
 from ..spgemm.accumulators import RowResults, empty_results
-from ..spgemm.expand import expand_products, products_per_row, row_batches
-from ..spgemm.flops import flops_per_row
+from ..spgemm.expand import PRODUCT_BATCH, expand_products, row_batches
+from ..spgemm.flops import flops_per_row, products_per_row
 
 __all__ = ["balanced_row_ranges", "spgemm_nagasaka"]
 
 #: Knuth multiplicative hashing constant (2^32 / phi), as used by many
 #: GPU SpGEMM hash kernels.
 _HASH_MULT = np.int64(2654435761)
-
-#: hash accumulation expands intermediate products in row batches bounded
-#: by this many products, so peak memory is O(batch) instead of O(range)
-HASH_PRODUCT_BATCH = 1 << 22
 
 
 def balanced_row_ranges(
@@ -138,7 +134,7 @@ def _hash_accumulate_rows(
     work: np.ndarray,
     *,
     with_values: bool = True,
-    batch_products: int = HASH_PRODUCT_BATCH,
+    batch_products: int = PRODUCT_BATCH,
 ) -> RowResults:
     """Hash-accumulate the products of the given A rows.
 

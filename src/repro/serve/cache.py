@@ -9,9 +9,9 @@ stores each under a :class:`~repro.sparse.shm.SharedCSR` segment, so
 * a repeated operand costs one dictionary lookup instead of a rebuild
   (suite construction, generator run, file parse, or JSON decode), and
 * every job's working view aliases the same shared mapping zero-copy —
-  N jobs referencing one operand hold one copy of its bytes, and the
-  process backend's per-run panel segments are carved from that single
-  mapping rather than N private heap copies.
+  N jobs referencing one operand hold one copy of its bytes.  (The
+  process backend still copies each run's row and column panels into
+  segments of their own, one ``SharedCSR.create`` per panel.)
 
 Same-shape/different-values matrices hash differently (values are part
 of the digest), so two jobs can never be served each other's operand —

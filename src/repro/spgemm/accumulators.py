@@ -20,13 +20,10 @@ import numpy as np
 
 from ..sparse.formats import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.ops import take_rows
-from .expand import expand_products, products_per_row, row_batches
+from .expand import PRODUCT_BATCH, expand_products, row_batches
+from .flops import products_per_row
 
 __all__ = ["RowResults", "empty_results", "esc_accumulate_rows"]
-
-#: ESC expands intermediate products in row batches bounded by this many
-#: products, so peak memory is O(batch) instead of O(group)
-PRODUCT_BATCH = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -79,6 +76,9 @@ def esc_accumulate_rows(
     intermediate product of the group at once, sort by the fused
     ``(row, column)`` key with one stable radix sort, and segment-reduce
     duplicate coordinates — no per-row Python loop anywhere on the path.
+    The key counts rows from the batch's first; a batch whose rows x
+    width would overflow int64 sorts on the two keys instead
+    (``np.lexsort``, stable too, so the order is the same).
 
     The stable sort preserves expansion order among equal keys, and the
     segment reduction uses ``np.add.at`` (strictly sequential in element
@@ -92,10 +92,8 @@ def esc_accumulate_rows(
     boundary).
     """
     rows = np.asarray(rows, dtype=INDEX_DTYPE)
-    if rows.size == 0:
-        return empty_results(rows, with_values)
-    width = np.int64(b.n_cols)
-    if width == 0:
+    width = int(b.n_cols)
+    if rows.size == 0 or width == 0:
         return empty_results(rows, with_values)
     sub = take_rows(a, rows)
 
@@ -106,19 +104,23 @@ def esc_accumulate_rows(
         prod_rows, prod_cols, prod_vals = expand_products(sub, b, lo, hi)
         if prod_rows.size == 0:
             continue
-        # fused sort key: one stable (radix) argsort replaces the lexsort
-        key = prod_rows * width + prod_cols
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        new = np.empty(key.size, dtype=bool)
+        prod_rows -= lo
+        new = np.empty(prod_rows.size, dtype=bool)
         new[0] = True
-        new[1:] = key[1:] != key[:-1]
+        if (hi - lo) * width <= 1 << 63:
+            # fused sort key: one stable (radix) argsort replaces the lexsort
+            key = prod_rows * width + prod_cols
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            new[1:] = key[1:] != key[:-1]
+        else:
+            order = np.lexsort((prod_cols, prod_rows))
+            r, c = prod_rows[order], prod_cols[order]
+            new[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
         starts = np.flatnonzero(new)
-        unique_key = key[starts]
-        counts += np.bincount(unique_key // width, minlength=rows.size).astype(
-            INDEX_DTYPE
-        )
-        cols_parts.append((unique_key % width).astype(INDEX_DTYPE))
+        first = order[starts]
+        counts[lo:hi] = np.bincount(prod_rows[first], minlength=hi - lo)
+        cols_parts.append(prod_cols[first])
         if with_values:
             seg = np.cumsum(new) - 1  # segment id of every sorted product
             sums = np.full(starts.size, -0.0, dtype=VALUE_DTYPE)

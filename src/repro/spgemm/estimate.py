@@ -1,7 +1,7 @@
 """OCEAN-style sampled estimation of SpGEMM output sizes.
 
-The flops upper bound (`upperbound.py`) is cheap but loose: PAPER.md
-Section IV.B rejects sizing from it because "the gap between upper
+The flops upper bound (`flops.products_per_row`) is cheap but loose:
+PAPER.md Section IV.B rejects sizing from it because "the gap between upper
 bounds and the actual sizes are really large".  OCEAN replaces the
 bound with a sampled estimate: pick k rows of A, compute their *exact*
 output nnz with the count kernel, and extrapolate the observed

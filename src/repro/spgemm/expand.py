@@ -3,12 +3,13 @@
 For ``C = A x B`` (row-row formulation), every nonzero ``A[i, k]`` scales row
 ``k`` of ``B``; expansion materializes all these *intermediate products* as
 three flat arrays ``(out_rows, out_cols, values)``.  ESC sorts them, the
-hash path inserts them into per-row tables, the dense path scatters them
-into dense row buffers — but the expansion itself is identical, so it lives
-here once, fully vectorized (no per-nonzero Python loops).
+hash baseline inserts them into per-row tables — but the expansion itself
+is identical, so it lives here once, fully vectorized (no per-nonzero
+Python loops).
 
-The number of products ``P`` equals ``flops / 2``; memory is ``O(P)``, which
-is exactly why the out-of-core framework bounds chunk flops.
+The number of products ``P`` equals ``flops / 2``; memory is ``O(P)``, so
+every caller expands in :func:`row_batches` of at most
+:data:`PRODUCT_BATCH` products.
 """
 
 from __future__ import annotations
@@ -18,46 +19,38 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from ..sparse.formats import CSRMatrix, INDEX_DTYPE
-from .flops import product_prefix
 
-__all__ = ["expand_products", "num_products", "products_per_row", "row_batches"]
+__all__ = ["PRODUCT_BATCH", "expand_products", "row_batches"]
 
-
-def num_products(a: CSRMatrix, b: CSRMatrix) -> int:
-    """Number of intermediate products of ``A x B`` (= flops / 2)."""
-    return int(product_prefix(a, b)[-1])
-
-
-def products_per_row(a: CSRMatrix, b: CSRMatrix) -> np.ndarray:
-    """Exact intermediate products of each A row (= flops(row) / 2).
-
-    One O(nnz) pass; this is what sizes expansion batches so peak memory
-    stays bounded no matter how the caller groups rows.
-    """
-    return np.diff(product_prefix(a, b))
+#: default cap on the intermediate products one batch expands at once
+PRODUCT_BATCH = 1 << 22
 
 
 def row_batches(products_per_row: np.ndarray, budget: int) -> Iterator[Tuple[int, int]]:
-    """Yield contiguous row ranges whose total products stay under ``budget``.
+    """Yield contiguous row ranges whose total products stay within ``budget``.
 
-    A single row exceeding the budget still gets its own batch (it cannot
-    be split by this phase — the out-of-core planner splits on columns for
-    that case).
+    A single row exceeding the budget still gets its own batch, together
+    with any zero-product rows before it (it cannot be split by this
+    phase — the out-of-core planner splits on columns for that case).
+    Each batch is found by two searches of the products prefix.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     n = products_per_row.size
+    prefix = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(products_per_row, out=prefix[1:])
+    total = int(prefix[-1])
     start = 0
-    acc = 0
-    for r in range(n):
-        p = int(products_per_row[r])
-        if acc and acc + p > budget:
-            yield start, r
-            start, acc = r, p
-        else:
-            acc += p
-    if start < n:
-        yield start, n
+    while start < n:
+        lo = prefix[start]
+        # past the zero-product rows and the first row with products ...
+        first = int(np.searchsorted(prefix, lo, side="right"))
+        # ... or as far as the budget reaches, whichever is further
+        fits = int(np.searchsorted(prefix, min(int(lo) + budget, total),
+                                   side="right")) - 1
+        stop = min(n, max(first, fits))
+        yield start, stop
+        start = stop
 
 
 def expand_products(

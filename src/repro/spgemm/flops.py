@@ -20,6 +20,7 @@ from ..sparse.formats import CSRMatrix
 
 __all__ = [
     "product_prefix",
+    "products_per_row",
     "flops_per_row",
     "total_flops",
     "compression_ratio",
@@ -53,10 +54,17 @@ def product_prefix(
     return scratch[a.row_offsets]
 
 
+def products_per_row(a: CSRMatrix, b: CSRMatrix) -> np.ndarray:
+    """Intermediate products of each row of ``A`` in ``A x B`` (int64):
+    the row analysis (Fig. 3 stage 1), and the per-row upper bound on
+    output nnz (every product a distinct column)."""
+    return np.diff(product_prefix(a, b))
+
+
 def flops_per_row(a: CSRMatrix, b: CSRMatrix) -> np.ndarray:
     """Flops contributed by each row of ``A`` in ``A x B`` (int64 array).
     A multiply-add counts as 2 flops."""
-    return 2 * np.diff(product_prefix(a, b))
+    return 2 * products_per_row(a, b)
 
 
 def total_flops(a: CSRMatrix, b: CSRMatrix) -> int:

@@ -1,9 +1,8 @@
 """Kernel choice for the two-phase SpGEMM pipeline.
 
-* :class:`KernelSpec` — a frozen, string-codable kernel choice that
-  crosses process boundaries as ``spec.encode()``;
-* :func:`plan_groups` — the row grouping a spec implies: one group of
-  every row with work, run by the spec's resolved kernel.
+:class:`KernelSpec` is a frozen, string-codable kernel choice that
+crosses process boundaries as ``spec.encode()``.  Every row with work
+runs under the spec's resolved kernel, in one launch per stage.
 
 Kinds
 -----
@@ -23,9 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
-from .groups import RowGroup, RowGrouping
 from .native import native_available, native_build_error
 
 __all__ = [
@@ -34,7 +30,6 @@ __all__ = [
     "resolve_kernel",
     "require_kernel",
     "resolved_wire",
-    "plan_groups",
 ]
 
 #: every accepted ``KernelSpec.kind`` / ``--kernel`` value
@@ -107,19 +102,3 @@ def resolved_wire(kernel: Union[None, str, KernelSpec] = None) -> str:
     kernel-dependent artifacts (e.g. on-disk chunk profiles)."""
     return resolve_kernel(kernel).resolved().encode()
 
-
-def plan_groups(work_per_row: np.ndarray, spec: KernelSpec) -> RowGrouping:
-    """The row grouping a :class:`KernelSpec` implies: every row with
-    work (upper-bound products before the symbolic phase, exact output
-    nnz before the numeric phase) in one group run by the resolved
-    kernel.  Rows with zero work are never grouped (their output rows
-    are empty)."""
-    work = np.asarray(work_per_row, dtype=np.int64)
-    kind = spec.resolved().kind
-    if kind == "native" and not native_available():
-        raise RuntimeError(
-            f"kernel 'native' requested but unavailable: {native_build_error()}"
-        )
-    rows = np.flatnonzero(work > 0)
-    groups = (RowGroup(rows=rows, method=kind),) if rows.size else ()
-    return RowGrouping(groups=groups, n_rows=work.size)

@@ -24,9 +24,8 @@ from typing import Callable
 import numpy as np
 
 from ..sparse.formats import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
-from .expand import expand_products
-from .symbolic import PRODUCT_BATCH, row_batches
-from .upperbound import row_upper_bound
+from .expand import PRODUCT_BATCH, expand_products, row_batches
+from .flops import products_per_row
 
 __all__ = [
     "Semiring",
@@ -82,11 +81,10 @@ def spgemm_semiring(
     if a.n_cols != b.n_rows:
         raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
 
-    ppr = row_upper_bound(a, b)
     out_offsets = np.zeros(a.n_rows + 1, dtype=INDEX_DTYPE)
     col_parts, val_parts = [], []
 
-    for lo, hi in row_batches(ppr, batch_products):
+    for lo, hi in row_batches(products_per_row(a, b), batch_products):
         rows, cols, _ = expand_products(a, b, lo, hi)
         if rows.size == 0:
             continue

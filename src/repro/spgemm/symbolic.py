@@ -15,22 +15,18 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse.formats import CSRMatrix, INDEX_DTYPE
-from .expand import expand_products, row_batches
-from .upperbound import row_upper_bound
+from .expand import PRODUCT_BATCH, expand_products, row_batches
+from .flops import products_per_row
 
-__all__ = ["row_batches", "symbolic_sort"]
-
-#: default cap on intermediate products materialized at once
-PRODUCT_BATCH = 1 << 23
+__all__ = ["symbolic_sort"]
 
 
 def symbolic_sort(
     a: CSRMatrix, b: CSRMatrix, *, batch_products: int = PRODUCT_BATCH
 ) -> np.ndarray:
     """Exact output-row nnz via expand + sort + unique (oracle path)."""
-    ppr = row_upper_bound(a, b)  # products per row
     out = np.zeros(a.n_rows, dtype=INDEX_DTYPE)
-    for lo, hi in row_batches(ppr, batch_products):
+    for lo, hi in row_batches(products_per_row(a, b), batch_products):
         rows, cols, _ = expand_products(a, b, lo, hi)
         if rows.size == 0:
             continue

@@ -2,21 +2,21 @@
 
 Pipeline of the three stages the paper describes:
 
-1. **row analysis** — flops per row of ``A`` (device kernel, result shipped
-   to the host so it can bin rows);
-2. **symbolic execution** — one kernel per row group computes exact output
-   nnz per row, enabling exact allocation;
-3. **numeric execution** — rows re-grouped on exact counts ("global load
-   balance again"), then one kernel per group computes values.
+1. **row analysis** — intermediate products per row of ``A`` (on the GPU
+   a device kernel whose result is shipped to the host to bin rows);
+2. **symbolic execution** — exact output nnz per row, enabling exact
+   allocation;
+3. **numeric execution** — values, written into that allocation.
 
-Which kernel runs is decided by a
+The host kernels bin nothing: every row with work runs under one kernel,
+one launch per stage.  Which kernel is decided by a
 :class:`~repro.spgemm.kernels.KernelSpec` (``--kernel`` on the CLI): the
 compiled ``native`` Gustavson kernel or the vectorized numpy ESC batch.
-``native`` runs the stages as the paper draws them: its symbolic stage
-is a count pass, the output is allocated once from the exact counts, and
-its numeric stage fills that allocation in place.  ESC is *fused*: it
-produces values already during the symbolic pass; its results are
-cached and the numeric stage only scatters them into the exact
+``native`` runs the stages as the paper draws them: its count pass is
+stages 1-2 in one sweep, the output is allocated once from the exact
+counts, and its fill pass writes that allocation in place.  ESC is
+*fused*: it produces values already during the symbolic pass; its
+results are kept and the numeric stage only copies them into the exact
 allocation, halving the work while keeping the two-phase structure (and
 its stats/spans) intact.
 
@@ -43,14 +43,12 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from ..sparse.codec import csr_nbytes
-from ..sparse.formats import CSRMatrix, INDEX_DTYPE
+from ..sparse.formats import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
 from .accumulators import RowResults, esc_accumulate_rows
-from .flops import compression_ratio
-from .groups import RowGrouping
-from .kernels import KernelSpec, plan_groups, resolve_kernel
-from .native import native_count_rows
-from .numeric import RowSlots, numeric_grouped
-from .rowanalysis import RowAnalysis, analyze_rows
+from .flops import compression_ratio, products_per_row
+from .kernels import KernelSpec, resolve_kernel
+from .native import native_count_rows, native_fill_slots
+from .numeric import RowSlots, place_rows
 
 __all__ = [
     "TwoPhaseStats",
@@ -96,9 +94,6 @@ class TwoPhaseResult:
     #: destination the caller supplied
     matrix: Optional[CSRMatrix]
     stats: TwoPhaseStats
-    analysis: RowAnalysis
-    symbolic_grouping: RowGrouping
-    numeric_grouping: RowGrouping
 
 
 def _stage_gauges(tracer, trace_label: str, stats: TwoPhaseStats) -> None:
@@ -137,8 +132,7 @@ class SymbolicPhase:
     a: CSRMatrix
     b: CSRMatrix
     spec: KernelSpec
-    analysis: RowAnalysis
-    grouping: RowGrouping          # the symbolic stage's row groups
+    flops: int                     # 2 x intermediate products (stage 1)
     row_nnz: np.ndarray            # exact nnz per output row
     #: ESC's values, computed during the symbolic pass (``None``: native)
     fused: Optional[RowResults]
@@ -171,44 +165,38 @@ def spgemm_symbolic(
     wire = spec.resolved().encode()
     swept = wire == "native"
 
-    # stage 1: row analysis (flops per row; the host receives this)
+    # stage 1: row analysis (products per row; the host receives this)
     if fault_hook is not None:
         fault_hook("analysis")
     t0 = time.perf_counter()
     with tracer.span(f"analysis[{trace_label}]", "analysis"):
-        analysis = None if swept else analyze_rows(a, b)
+        products = None if swept else products_per_row(a, b)
     analysis_seconds = time.perf_counter() - t0
-    if not swept:
-        # host: the rows with an upper-bound product form the one group
-        sym_grouping = plan_groups(analysis.flops // 2, spec)
 
     # stage 2: symbolic execution — exact nnz per output row.  The native
-    # kernel only counts.  ESC computes values in the same pass; its
-    # RowResults are cached so the numeric stage only has to copy them
-    # into place.
+    # kernel only counts.  ESC computes values in the same pass over the
+    # rows with products; its RowResults are kept so the numeric stage
+    # only has to copy them into place.
     if fault_hook is not None:
         fault_hook("symbolic")
     t0 = time.perf_counter()
     fused = None
     with tracer.span(f"symbolic[{trace_label}]", "symbolic",
-                     kernels=1 if swept else sym_grouping.num_kernels(),
+                     kernels=1 if swept else int(products.any()),
                      kernel=wire):
         if swept:
-            row_nnz, work = native_count_rows(
+            row_nnz, products = native_count_rows(
                 a, b, np.arange(a.n_rows, dtype=INDEX_DTYPE),
                 return_products=True)
-            analysis = RowAnalysis(flops=2 * work)
-            sym_grouping = plan_groups(work, spec)
         else:
+            fused = esc_accumulate_rows(a, b, np.flatnonzero(products))
             row_nnz = np.zeros(a.n_rows, dtype=INDEX_DTYPE)
-            for g in sym_grouping:
-                fused = esc_accumulate_rows(a, b, g.rows)
-                row_nnz[g.rows] = fused.counts
+            row_nnz[fused.rows] = fused.counts
     symbolic_seconds = time.perf_counter() - t0
 
     return SymbolicPhase(
-        a=a, b=b, spec=spec, analysis=analysis,
-        grouping=sym_grouping, row_nnz=row_nnz, fused=fused,
+        a=a, b=b, spec=spec, flops=2 * int(products.sum()),
+        row_nnz=row_nnz, fused=fused,
         analysis_seconds=analysis_seconds, symbolic_seconds=symbolic_seconds,
         tracer=tracer, trace_label=trace_label, fault_hook=fault_hook,
     )
@@ -226,41 +214,56 @@ def spgemm_numeric(
     and the kernels refuse any row that does not fit — and
     ``result.matrix`` is ``None``.  The stats are the same either way.
     """
-    a, b, spec, row_nnz = sym.a, sym.b, sym.spec, sym.row_nnz
+    a, b, row_nnz = sym.a, sym.b, sym.row_nnz
     tracer, trace_label = sym.tracer, sym.trace_label
     # record the *resolved* wire form ("auto" is a policy, not a kernel)
     # so stats and caches never alias timings from different kernels
-    wire = spec.resolved().encode()
-
-    # host: re-group on exact counts (global load balance again) — ESC's
-    # values are already cached under its symbolic group
-    if sym.fused is None:
-        num_grouping, precomputed = plan_groups(row_nnz, spec), None
-    else:
-        num_grouping, precomputed = sym.grouping, [sym.fused]
+    wire = sym.spec.resolved().encode()
+    nnz_out = int(row_nnz.sum())
+    if dest is not None:
+        if dest.counts.shape != row_nnz.shape:
+            raise ValueError("dest must hold one slot per row of A")
+        # the kernels check the rows they write; a row without output
+        # (symbolic count 0) must own an empty slot too
+        wrong = np.flatnonzero(dest.counts != row_nnz)
+        if wrong.size:
+            r = int(wrong[0])
+            raise RuntimeError(
+                f"row {r} does not fit its slot: the symbolic count is "
+                f"{int(row_nnz[r])}, the slot holds {int(dest.counts[r])}"
+            )
 
     # stage 3: numeric execution into the exact allocation
     if sym.fault_hook is not None:
         sym.fault_hook("numeric")
     t0 = time.perf_counter()
+    row_offsets = None
     with tracer.span(f"numeric[{trace_label}]", "numeric",
-                     kernels=num_grouping.num_kernels(),
-                     kernel=wire):
-        c = numeric_grouped(
-            a, b, row_nnz, num_grouping, precomputed=precomputed, dest=dest,
-        )
+                     kernels=int(nnz_out > 0), kernel=wire):
+        if dest is None:
+            row_offsets = np.zeros(a.n_rows + 1, dtype=INDEX_DTYPE)
+            np.cumsum(row_nnz, out=row_offsets[1:])
+            dest = RowSlots(row_offsets[:-1], row_nnz, 0,
+                            np.empty(nnz_out, dtype=INDEX_DTYPE),
+                            np.empty(nnz_out, dtype=VALUE_DTYPE))
+        if sym.fused is None:
+            # the kernel itself refuses a row that disagrees with its slot
+            native_fill_slots(a, b, np.flatnonzero(row_nnz), dest.starts,
+                              dest.counts, dest.shift, dest.col_ids, dest.data)
+        else:
+            f = sym.fused
+            place_rows(f.offsets(), f.col_ids, f.values, dest, rows=f.rows)
     numeric_seconds = time.perf_counter() - t0
 
-    nnz_out = int(row_nnz.sum())
     stats = TwoPhaseStats(
-        flops=sym.analysis.total_flops,
+        flops=sym.flops,
         nnz_out=nnz_out,
         rows_out=a.n_rows,
-        analysis_bytes=sym.analysis.transfer_bytes(),
+        analysis_bytes=8 * a.n_rows,  # one int64 of products per row
         symbolic_bytes=int(row_nnz.nbytes),
         output_bytes=csr_nbytes(a.n_rows, nnz_out),
-        symbolic_kernels=sym.grouping.num_kernels(),
-        numeric_kernels=num_grouping.num_kernels(),
+        symbolic_kernels=int(sym.flops > 0),
+        numeric_kernels=int(nnz_out > 0),
         input_nnz=a.nnz + b.nnz,
         kernel=wire,
         analysis_seconds=sym.analysis_seconds,
@@ -268,13 +271,9 @@ def spgemm_numeric(
         numeric_seconds=numeric_seconds,
     )
     _stage_gauges(tracer, trace_label, stats)
-    return TwoPhaseResult(
-        matrix=c,
-        stats=stats,
-        analysis=sym.analysis,
-        symbolic_grouping=sym.grouping,
-        numeric_grouping=num_grouping,
-    )
+    matrix = None if row_offsets is None else CSRMatrix(
+        a.n_rows, b.n_cols, row_offsets, dest.col_ids, dest.data, check=False)
+    return TwoPhaseResult(matrix=matrix, stats=stats)
 
 
 def spgemm_twophase(

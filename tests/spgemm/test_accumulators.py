@@ -11,7 +11,9 @@ from repro.sparse.generators import random_csr
 from repro.cpu.nagasaka import _hash_accumulate_rows as hash_accumulate_rows
 from repro.cpu.nagasaka import _table_capacities
 from repro.spgemm.accumulators import esc_accumulate_rows
-from repro.spgemm.upperbound import row_upper_bound
+from repro.spgemm.flops import products_per_row
+from repro.spgemm.gustavson import spgemm_gustavson
+from repro.spgemm.twophase import spgemm_twophase
 
 
 def reference_rows(a, b, rows):
@@ -37,7 +39,7 @@ class TestHashAccumulator:
     def test_matches_dense_product(self, ab):
         a, b = ab
         rows = np.arange(a.n_rows)
-        work = row_upper_bound(a, b)
+        work = products_per_row(a, b)
         res = hash_accumulate_rows(a, b, rows, work)
         counts, cols, vals = reference_rows(a, b, rows)
         np.testing.assert_array_equal(res.counts, counts)
@@ -47,7 +49,7 @@ class TestHashAccumulator:
     def test_subset_of_rows(self, ab):
         a, b = ab
         rows = np.array([1, 5, 9])
-        work = row_upper_bound(a, b)[rows]
+        work = products_per_row(a, b)[rows]
         res = hash_accumulate_rows(a, b, rows, work)
         counts, cols, vals = reference_rows(a, b, rows)
         np.testing.assert_array_equal(res.counts, counts)
@@ -56,7 +58,7 @@ class TestHashAccumulator:
     def test_columns_sorted_within_rows(self, ab):
         a, b = ab
         rows = np.arange(a.n_rows)
-        res = hash_accumulate_rows(a, b, rows, row_upper_bound(a, b))
+        res = hash_accumulate_rows(a, b, rows, products_per_row(a, b))
         offsets = res.offsets()
         for i in range(rows.size):
             seg = res.col_ids[offsets[i] : offsets[i + 1]]
@@ -65,7 +67,7 @@ class TestHashAccumulator:
     def test_symbolic_mode(self, ab):
         a, b = ab
         rows = np.arange(a.n_rows)
-        res = hash_accumulate_rows(a, b, rows, row_upper_bound(a, b), with_values=False)
+        res = hash_accumulate_rows(a, b, rows, products_per_row(a, b), with_values=False)
         assert res.values is None
         counts, _, _ = reference_rows(a, b, rows)
         np.testing.assert_array_equal(res.counts, counts)
@@ -92,7 +94,7 @@ class TestHashAccumulator:
     def test_offsets(self, ab):
         a, b = ab
         rows = np.arange(a.n_rows)
-        res = hash_accumulate_rows(a, b, rows, row_upper_bound(a, b))
+        res = hash_accumulate_rows(a, b, rows, products_per_row(a, b))
         off = res.offsets()
         assert off[0] == 0 and off[-1] == res.nnz
 
@@ -124,10 +126,24 @@ class TestEscAccumulator:
         a, b = ab
         rows = np.arange(a.n_rows)
         full = esc_accumulate_rows(a, b, rows, batch_products=1 << 30)
-        tiny = esc_accumulate_rows(a, b, rows, batch_products=1)
-        np.testing.assert_array_equal(full.counts, tiny.counts)
-        np.testing.assert_array_equal(full.col_ids, tiny.col_ids)
-        np.testing.assert_array_equal(full.values, tiny.values)  # bitwise
+        for budget in (1, 32):
+            tiny = esc_accumulate_rows(a, b, rows, batch_products=budget)
+            np.testing.assert_array_equal(full.counts, tiny.counts)
+            np.testing.assert_array_equal(full.col_ids, tiny.col_ids)
+            np.testing.assert_array_equal(full.values, tiny.values)  # bitwise
+
+    def test_key_past_int64(self):
+        """Rows x width beyond int64: the fused key would wrap negative,
+        so the batch sorts on (row, column) and gives Gustavson's answer."""
+        a = CSRMatrix(5, 2, np.arange(6), np.zeros(5, dtype=np.int64),
+                      np.arange(1.0, 6.0))
+        b = CSRMatrix(2, (1 << 62) + 1, np.array([0, 2, 2]), np.array([5, 9]),
+                      np.array([2.0, 3.0]))
+        got = spgemm_twophase(a, b, kernel="esc").matrix
+        ref = spgemm_gustavson(a, b)
+        np.testing.assert_array_equal(got.row_offsets, ref.row_offsets)
+        np.testing.assert_array_equal(got.col_ids, ref.col_ids)
+        np.testing.assert_array_equal(got.data, ref.data)
 
     def test_symbolic_mode(self, ab):
         a, b = ab
@@ -141,7 +157,7 @@ class TestEscAccumulator:
         a, b = ab
         rows = np.arange(a.n_rows)
         esc = esc_accumulate_rows(a, b, rows)
-        hashed = hash_accumulate_rows(a, b, rows, row_upper_bound(a, b))
+        hashed = hash_accumulate_rows(a, b, rows, products_per_row(a, b))
         np.testing.assert_array_equal(esc.counts, hashed.counts)
         np.testing.assert_array_equal(esc.col_ids, hashed.col_ids)
         np.testing.assert_array_equal(esc.values, hashed.values)  # bitwise
@@ -166,7 +182,7 @@ class TestProperties:
         b = random_csr(9, 7, 18, seed=seed + 1000)
         rows = np.arange(a.n_rows)
         esc = esc_accumulate_rows(a, b, rows)
-        hashed = hash_accumulate_rows(a, b, rows, row_upper_bound(a, b))
+        hashed = hash_accumulate_rows(a, b, rows, products_per_row(a, b))
         np.testing.assert_array_equal(esc.counts, hashed.counts)
         np.testing.assert_array_equal(esc.col_ids, hashed.col_ids)
         np.testing.assert_array_equal(esc.values, hashed.values)
@@ -189,7 +205,7 @@ class TestHashBatching:
     def test_numeric_bit_identical_across_batch_sizes(self, ab):
         a, b = ab
         rows = np.arange(a.n_rows)
-        work = row_upper_bound(a, b)
+        work = products_per_row(a, b)
         full = hash_accumulate_rows(a, b, rows, work, batch_products=1 << 30)
         tiny = hash_accumulate_rows(a, b, rows, work, batch_products=1)
         np.testing.assert_array_equal(full.counts, tiny.counts)
@@ -199,7 +215,7 @@ class TestHashBatching:
     def test_symbolic_bit_identical_across_batch_sizes(self, ab):
         a, b = ab
         rows = np.arange(a.n_rows)
-        work = row_upper_bound(a, b)
+        work = products_per_row(a, b)
         full = hash_accumulate_rows(
             a, b, rows, work, with_values=False, batch_products=1 << 30
         )

@@ -1,16 +1,21 @@
-"""Tests for Gustavson and ESC baselines, upper bounds, and the oracle."""
+"""Tests for Gustavson and ESC baselines, the upper bound, and the oracle."""
 
 import numpy as np
 import pytest
 
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import banded, random_csr
-from repro.spgemm.esc import spgemm_esc
+from repro.spgemm.accumulators import esc_accumulate_rows
+from repro.spgemm.flops import products_per_row
 from repro.spgemm.gustavson import spgemm_gustavson
 from repro.spgemm.reference import assert_same_product, spgemm_scipy
 from repro.spgemm.symbolic import symbolic_sort
-from repro.spgemm.upperbound import row_upper_bound, row_upper_bound_cols, tightness
+from repro.spgemm.twophase import spgemm_twophase
 from tests.conftest import assert_equals_scipy_product
+
+
+def esc(a, b):
+    return spgemm_twophase(a, b, kernel="esc").matrix
 
 
 class TestGustavson:
@@ -34,52 +39,45 @@ class TestGustavson:
 
 
 class TestESC:
+    """The numpy ESC kernel: ``spgemm_twophase(kernel="esc")``."""
+
     def test_matches_scipy(self, sample_matrix):
         assert_equals_scipy_product(
-            spgemm_esc(sample_matrix, sample_matrix), sample_matrix, sample_matrix
+            esc(sample_matrix, sample_matrix), sample_matrix, sample_matrix
         )
 
     def test_batched_same_as_unbatched(self, sample_matrix):
-        full = spgemm_esc(sample_matrix, sample_matrix)
-        tiny = spgemm_esc(sample_matrix, sample_matrix, batch_products=32)
-        assert full == tiny
+        a, rows = sample_matrix, np.arange(sample_matrix.n_rows)
+        full = esc_accumulate_rows(a, a, rows)
+        tiny = esc_accumulate_rows(a, a, rows, batch_products=32)
+        np.testing.assert_array_equal(full.col_ids, tiny.col_ids)
+        np.testing.assert_array_equal(full.values, tiny.values)
 
     def test_empty(self):
         a = CSRMatrix.empty(5, 5)
-        assert spgemm_esc(a, a).nnz == 0
+        assert esc(a, a).nnz == 0
 
     def test_dimension_mismatch(self):
         a = random_csr(4, 5, 8, seed=1)
         with pytest.raises(ValueError, match="mismatch"):
-            spgemm_esc(a, a)
+            esc(a, a)
 
 
 class TestUpperBound:
     def test_bound_dominates_actual(self, sample_matrix):
-        ub = row_upper_bound(sample_matrix, sample_matrix)
+        ub = products_per_row(sample_matrix, sample_matrix)
         actual = symbolic_sort(sample_matrix, sample_matrix)
         assert np.all(ub >= actual)
-
-    def test_cols_clamp(self):
-        a = CSRMatrix.from_dense(np.ones((2, 6)))
-        b = CSRMatrix.from_dense(np.ones((6, 3)))
-        ub = row_upper_bound(a, b)
-        clamped = row_upper_bound_cols(a, b)
-        assert np.all(ub == 18)
-        assert np.all(clamped == 3)
 
     def test_tightness_banded_vs_random(self):
         """The paper's Section IV.B observation: upper bounds are loose,
         and looser for matrices with collisions."""
+        def looseness(a):
+            return products_per_row(a, a).sum() / symbolic_sort(a, a).sum()
+
         band = banded(200, 4, seed=1)
         rand = random_csr(200, 200, 800, seed=2)
-        t_band = tightness(row_upper_bound(band, band), symbolic_sort(band, band))
-        t_rand = tightness(row_upper_bound(rand, rand), symbolic_sort(rand, rand))
-        assert t_band > t_rand >= 1.0
-
-    def test_tightness_edges(self):
-        assert tightness(np.array([0]), np.array([0])) == 1.0
-        assert tightness(np.array([5]), np.array([0])) == float("inf")
+        assert looseness(band) > looseness(rand) >= 1.0
 
 
 class TestReference:

@@ -23,7 +23,7 @@ from repro.core.executor import RetryPolicy, execute_chunk_grid
 from repro.core.executor.faults import FaultInjector
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import banded, random_csr, rmat
-from repro.spgemm.kernels import KERNEL_KINDS, KernelSpec, plan_groups, resolve_kernel
+from repro.spgemm.kernels import KERNEL_KINDS, KernelSpec, resolve_kernel
 from repro.spgemm.native import native_available, native_build_error
 from repro.spgemm.twophase import spgemm_twophase
 from tests.conftest import assert_equals_scipy_product
@@ -292,39 +292,35 @@ class TestKernelSpec:
 
 
 class TestPlanGroups:
-    def _work(self, n=20):
-        rng = np.random.default_rng(9)
-        return rng.integers(0, 40, size=n).astype(np.int64)
+    """Every row with work runs under the spec's resolved kernel, one
+    launch per stage."""
 
     def test_single_group_methods(self):
-        work = self._work()
+        a = rmat(6, 4.0, seed=9)
         kinds = ["esc", "native"] if native_available() else ["esc"]
         for kind in kinds:
-            g = plan_groups(work, KernelSpec(kind=kind))
-            assert len(g.groups) == 1
-            methods = {grp.method for grp in g.groups}
-            assert methods <= {kind}
-            covered = np.concatenate([grp.rows for grp in g.groups])
-            np.testing.assert_array_equal(
-                np.sort(covered), np.flatnonzero(work > 0))
+            stats = spgemm_twophase(a, a, kernel=KernelSpec(kind=kind)).stats
+            assert stats.kernel == kind
+            assert (stats.symbolic_kernels, stats.numeric_kernels) == (1, 1)
 
     @needs_native
     def test_auto_prefers_native(self):
-        work = self._work()
-        g = plan_groups(work, KernelSpec(kind="auto"))
-        assert {grp.method for grp in g.groups} == {"native"}
+        a = rmat(6, 4.0, seed=9)
+        assert KernelSpec(kind="auto").resolved().kind == "native"
+        assert spgemm_twophase(a, a, kernel="auto").stats.kernel == "native"
 
     def test_native_unavailable_raises(self, monkeypatch):
-        from repro.spgemm import kernels as K
+        from repro.spgemm import kernels, native, numeric
 
-        monkeypatch.setattr(K, "native_available", lambda: False)
-        work = self._work()
+        for module in (kernels, native, numeric):
+            monkeypatch.setattr(module, "native_available", lambda: False)
+        a = rmat(6, 4.0, seed=9)
         with pytest.raises(RuntimeError, match="native"):
-            plan_groups(work, KernelSpec(kind="native"))
-        # auto degrades to one ESC group instead of raising
-        g = plan_groups(work, KernelSpec(kind="auto"))
-        assert [grp.method for grp in g.groups] == ["esc"]
-        np.testing.assert_array_equal(g.groups[0].rows, np.flatnonzero(work > 0))
+            spgemm_twophase(a, a, kernel="native")
+        # auto degrades to ESC instead of raising
+        r = spgemm_twophase(a, a, kernel="auto")
+        assert r.stats.kernel == "esc"
+        assert_equals_scipy_product(r.matrix, a, a)
 
     def test_a_run_refuses_an_unbuildable_native_before_it_starts(
             self, monkeypatch):

@@ -7,6 +7,7 @@ every test here this thread's scratch must be as the kernel promises to
 leave it between rows: SPA all -0.0, bitmap all zero.
 """
 
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -29,7 +30,6 @@ from repro.spgemm.native import (
     native_fill_rows,
     native_fill_slots,
 )
-from repro.spgemm.rowanalysis import analyze_rows
 from repro.spgemm.twophase import spgemm_symbolic, spgemm_twophase
 
 pytestmark = pytest.mark.skipif(
@@ -348,28 +348,18 @@ class TestCountPassIsTheRowAnalysis:
         np.testing.assert_array_equal(products, np.diff(product_prefix(a, b)))
         np.testing.assert_array_equal(counts, native_count_rows(a, b, rows))
 
-        # the pipeline as it was: analyze_rows, group on it, count the group
-        analysis = analyze_rows(a, b)
-        productive = np.flatnonzero(analysis.flops > 0)
+        # the pipeline: its flops and counts come from the same sweep
         sym = spgemm_symbolic(a, b, kernel="native")
-        assert sym.analysis.flops.dtype == analysis.flops.dtype
-        np.testing.assert_array_equal(sym.analysis.flops, analysis.flops)
-        assert [g.method for g in sym.grouping] == (
-            ["native"] if productive.size else [])
-        for g in sym.grouping:
-            np.testing.assert_array_equal(g.rows, productive)
+        assert sym.flops == 2 * int(products.sum())
         np.testing.assert_array_equal(sym.row_nnz, counts)
         assert sym.row_nnz.dtype == np.int64
 
         got = spgemm_twophase(a, b, kernel="native")
         ref = spgemm_twophase(a, b, kernel="esc")
-        for field in ("flops", "nnz_out", "rows_out", "analysis_bytes",
-                      "symbolic_bytes", "output_bytes", "input_nnz"):
-            assert getattr(got.stats, field) == getattr(ref.stats, field), field
-        assert got.stats.symbolic_kernels == int(productive.size > 0)
+        assert got.stats == dataclasses.replace(ref.stats, kernel="native")
+        assert got.stats.analysis_bytes == 8 * a.n_rows
+        assert got.stats.symbolic_kernels == int(products.any())
         assert got.stats.numeric_kernels == int(got.stats.nnz_out > 0)
-        for g in got.numeric_grouping:
-            np.testing.assert_array_equal(g.rows, np.flatnonzero(counts))
 
     def test_rows_out_of_order_and_twice(self):
         a = random_csr(30, 20, 120, seed=1)
@@ -381,8 +371,8 @@ class TestCountPassIsTheRowAnalysis:
             counts, np.diff(spgemm_twophase(a, b, kernel="esc").matrix.row_offsets)[rows])
 
     def test_a_default_run_analyses_no_chunk_separately(self, monkeypatch):
-        """``run_out_of_core`` defaults: no ``analyze_rows`` per chunk and
-        no ``product_prefix`` anywhere — the sweep is the analysis."""
+        """``run_out_of_core`` defaults: no ``products_per_row`` per chunk
+        and no ``product_prefix`` anywhere — the sweep is the analysis."""
         import repro.core.chunks as chunks
         import repro.spgemm.flops as flops
         import repro.spgemm.twophase as twophase
@@ -398,7 +388,8 @@ class TestCountPassIsTheRowAnalysis:
             2 * int(a.row_nnz()[a.col_ids].sum())))
         ref = spgemm_twophase(a, a, kernel="esc").matrix
         calls = []
-        for module, name in ((twophase, "analyze_rows"), (flops, "product_prefix"),
+        for module, name in ((twophase, "products_per_row"),
+                             (flops, "product_prefix"),
                              (chunks, "product_prefix")):
             monkeypatch.setattr(module, name,
                                 lambda *args, _name=name, **kw: calls.append(_name))

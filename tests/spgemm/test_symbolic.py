@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import random_csr
 from repro.spgemm.reference import spgemm_scipy
-from repro.spgemm.symbolic import row_batches, symbolic_sort
+from repro.spgemm.expand import row_batches
+from repro.spgemm.symbolic import symbolic_sort
 from repro.spgemm.twophase import spgemm_symbolic
 
 
@@ -34,7 +35,7 @@ class TestSymbolicSort:
 
 
 class TestSymbolicGrouped:
-    """The pipeline's symbolic stage: one count per planned row group."""
+    """The pipeline's symbolic stage: one count over the rows with products."""
 
     def test_matches_scipy(self, sample_matrix):
         a = sample_matrix
@@ -94,10 +95,10 @@ class TestRowBatches:
             list(row_batches(np.array([1]), 0))
 
     @given(
-        ppr=st.lists(st.integers(0, 30), min_size=1, max_size=40),
+        ppr=st.lists(st.integers(0, 30) | st.just(0), min_size=1, max_size=40),
         budget=st.integers(1, 100),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_batches_partition_rows(self, ppr, budget):
         ppr = np.asarray(ppr, dtype=np.int64)
         batches = list(row_batches(ppr, budget))
@@ -106,7 +107,10 @@ class TestRowBatches:
         assert batches[-1][1] == ppr.size
         for (l0, h0), (l1, h1) in zip(batches, batches[1:]):
             assert h0 == l1
-        # budget respected unless a single row exceeds it
         for lo, hi in batches:
-            if hi - lo > 1:
-                assert ppr[lo:hi].sum() <= budget or ppr[lo:hi-1].sum() == 0
+            # within budget, or one over-budget row after zero-product rows
+            assert ppr[lo:hi].sum() <= budget or (
+                ppr[hi - 1] > budget and not ppr[lo:hi - 1].any())
+            # and as long as the budget allows
+            if hi < ppr.size:
+                assert ppr[lo:hi + 1].sum() > budget

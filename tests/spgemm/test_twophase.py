@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import banded, random_csr, rmat
-from repro.spgemm.flops import total_flops
+from repro.spgemm.flops import products_per_row, total_flops
 from repro.spgemm.twophase import spgemm_twophase
 from tests.conftest import assert_equals_scipy_product
 
@@ -61,9 +61,13 @@ class TestStats:
         assert r.stats.output_bytes == r.matrix.nbytes()
 
     def test_kernel_counts_match_groupings(self, result):
+        """One launch per stage over the rows with work, none without."""
         _, r = result
-        assert r.stats.symbolic_kernels == r.symbolic_grouping.num_kernels()
-        assert r.stats.numeric_kernels == r.numeric_grouping.num_kernels()
+        assert (r.stats.symbolic_kernels, r.stats.numeric_kernels) == (1, 1)
+        empty = CSRMatrix.empty(4, 4)
+        for kernel in ("auto", "esc"):
+            stats = spgemm_twophase(empty, empty, kernel=kernel).stats
+            assert (stats.symbolic_kernels, stats.numeric_kernels) == (0, 0)
 
     def test_input_nnz(self, result):
         a, r = result
@@ -78,9 +82,8 @@ class TestStats:
 
     def test_groupings_cover_productive_rows(self, result):
         a, r = result
-        flops_rows = np.flatnonzero(r.analysis.flops > 0)
-        coverage = r.symbolic_grouping.coverage()
-        assert np.all(coverage[flops_rows] >= 0)
+        np.testing.assert_array_equal(
+            np.diff(r.matrix.row_offsets) > 0, products_per_row(a, a) > 0)
 
 
 class TestFamilies:
