@@ -15,7 +15,7 @@ import numpy as np
 from ..device.specs import NodeSpec
 from ..sparse.formats import CSRMatrix, INDEX_DTYPE
 from ..sparse.ops import transpose
-from ..spgemm.twophase import spgemm_twophase
+from .graphs import multiply
 
 __all__ = ["aggregation_prolongator", "galerkin_product", "amg_hierarchy"]
 
@@ -35,22 +35,14 @@ def aggregation_prolongator(n_fine: int, agg_size: int) -> CSRMatrix:
     )
 
 
-def _multiply(a: CSRMatrix, b: CSRMatrix, node: Optional[NodeSpec]) -> CSRMatrix:
-    if node is None:
-        return spgemm_twophase(a, b).matrix
-    from ..core.api import run_out_of_core
-
-    return run_out_of_core(a, b, node).matrix
-
-
 def galerkin_product(
     a: CSRMatrix, p: CSRMatrix, *, node: Optional[NodeSpec] = None
 ) -> CSRMatrix:
     """The coarse operator ``Pᵀ · A · P``."""
     if a.n_cols != p.n_rows:
         raise ValueError(f"dimension mismatch: A {a.shape} vs P {p.shape}")
-    ap = _multiply(a, p, node)
-    return _multiply(transpose(p), ap, node)
+    ap = multiply(a, p, node)
+    return multiply(transpose(p), ap, node)
 
 
 def amg_hierarchy(

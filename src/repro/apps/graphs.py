@@ -2,23 +2,33 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
+from ..device.specs import NodeSpec
 from ..sparse.formats import CSRMatrix, INDEX_DTYPE
+from ..sparse.ops import add, keep_entries, transpose
+from ..spgemm.twophase import spgemm_twophase
 
-__all__ = ["symmetrize", "remove_diagonal", "to_unweighted", "hadamard_sum", "hadamard"]
+__all__ = [
+    "multiply", "symmetrize", "remove_diagonal", "to_unweighted",
+    "hadamard_sum", "hadamard",
+]
+
+
+def multiply(a: CSRMatrix, b: CSRMatrix, node: Optional[NodeSpec]) -> CSRMatrix:
+    """``A x B`` in core without a ``node``, else out of core on it."""
+    if node is None:
+        return spgemm_twophase(a, b).matrix
+    from ..core.api import run_out_of_core
+
+    return run_out_of_core(a, b, node).matrix
 
 
 def remove_diagonal(g: CSRMatrix) -> CSRMatrix:
     """Drop self-loops."""
-    keep = g.col_ids != g.expand_row_ids()
-    rows = g.expand_row_ids()[keep]
-    row_offsets = np.zeros(g.n_rows + 1, dtype=INDEX_DTYPE)
-    np.add.at(row_offsets, rows + 1, 1)
-    np.cumsum(row_offsets, out=row_offsets)
-    return CSRMatrix(
-        g.n_rows, g.n_cols, row_offsets, g.col_ids[keep], g.data[keep], check=False
-    )
+    return keep_entries(g, g.col_ids != g.expand_row_ids())
 
 
 def to_unweighted(g: CSRMatrix) -> CSRMatrix:
@@ -32,8 +42,6 @@ def to_unweighted(g: CSRMatrix) -> CSRMatrix:
 def symmetrize(g: CSRMatrix, *, unweighted: bool = True) -> CSRMatrix:
     """Undirected simple graph from a directed one: ``sign(G + Gᵀ)`` with
     the diagonal removed (when ``unweighted``), else ``G + Gᵀ``."""
-    from ..sparse.ops import add, transpose
-
     sym = remove_diagonal(add(g, transpose(g)))
     return to_unweighted(sym) if unweighted else sym
 

@@ -24,8 +24,7 @@ import numpy as np
 from ..device.specs import NodeSpec
 from ..sparse.formats import CSRMatrix, INDEX_DTYPE
 from ..sparse.ops import add, drop_explicit_zeros, transpose
-from ..spgemm.twophase import spgemm_twophase
-from .graphs import remove_diagonal
+from .graphs import multiply, remove_diagonal
 
 __all__ = ["MCLResult", "column_normalize", "markov_clustering"]
 
@@ -57,14 +56,6 @@ def _inflate(m: CSRMatrix, power: float, prune: float) -> CSRMatrix:
     )
     normalized = column_normalize(inflated)
     return drop_explicit_zeros(normalized, tol=prune)
-
-
-def _expand(m: CSRMatrix, node: Optional[NodeSpec]) -> CSRMatrix:
-    if node is None:
-        return spgemm_twophase(m, m).matrix
-    from ..core.api import run_out_of_core
-
-    return run_out_of_core(m, m, node).matrix
 
 
 def _components(structure: CSRMatrix) -> np.ndarray:
@@ -119,7 +110,7 @@ def markov_clustering(
     converged = False
     it = 0
     for it in range(1, max_iterations + 1):
-        expanded = _expand(m, node)
+        expanded = multiply(m, m, node)
         nxt = _inflate(expanded, inflation, prune)
         # convergence: structure stable and values stationary
         if nxt.shape == m.shape and np.array_equal(nxt.col_ids, m.col_ids) and np.array_equal(

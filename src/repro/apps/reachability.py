@@ -15,6 +15,7 @@ import numpy as np
 from ..sparse.formats import CSRMatrix, INDEX_DTYPE
 from ..sparse.ops import add, drop_explicit_zeros
 from ..spgemm.semiring import MIN_PLUS, OR_AND, spgemm_semiring
+from .graphs import remove_diagonal, to_unweighted
 
 __all__ = ["k_hop_reachability", "k_hop_distances", "bfs_levels"]
 
@@ -32,14 +33,16 @@ def _with_self_loops(a: CSRMatrix, value: float) -> CSRMatrix:
 def k_hop_reachability(graph: CSRMatrix, k: int) -> CSRMatrix:
     """0/1 matrix of pairs connected by a path of length <= ``k``.
 
-    Repeated squaring over (or, and): ``ceil(log2 k)`` SpGEMMs.
+    Repeated squaring over (or, and): ``ceil(log2 k)`` SpGEMMs.  The
+    diagonal is stored: every vertex reaches itself in zero hops.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    # closure under <=: include the diagonal so powers accumulate paths
-    reach = _with_self_loops(graph, 1.0)
-    reach = spgemm_semiring(reach, reach, OR_AND)  # now <= 2 hops
-    hops = 2
+    # one hop as a 0/1 matrix (a stored 0.0 is no edge under (or, and));
+    # the diagonal makes powers accumulate paths of every length <= hops
+    edges = to_unweighted(remove_diagonal(drop_explicit_zeros(graph)))
+    reach = _with_self_loops(edges, 1.0)
+    hops = 1
     while hops < k:
         reach = spgemm_semiring(reach, reach, OR_AND)
         hops *= 2
@@ -50,10 +53,10 @@ def k_hop_distances(graph: CSRMatrix, k: int) -> CSRMatrix:
     """Shortest-path distances using at most ``k`` edges, over (min, +).
 
     Stored entries are finite distances; absent pairs are unreachable
-    within ``k`` hops.  Distance 0 on the diagonal is stored explicitly?
-    No — (min,+) treats the additive zero (+inf) as absence, and the
-    0-weight self-loops used for the closure are pruned from the result
-    (a true 0 distance is only the diagonal).
+    within ``k`` hops.  The closure squares the graph with 0-weight
+    self-loops added; (min, +) stores those 0 distances (its zero is
+    +inf), so they, and any other 0 distance, are dropped from the
+    result.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -19,18 +19,9 @@ import numpy as np
 
 from ..device.specs import NodeSpec
 from ..sparse.formats import CSRMatrix
-from ..spgemm.twophase import spgemm_twophase
-from .graphs import hadamard, symmetrize
+from .graphs import hadamard, multiply, symmetrize
 
 __all__ = ["count_triangles", "triangles_per_vertex"]
-
-
-def _square(a: CSRMatrix, node: Optional[NodeSpec]) -> CSRMatrix:
-    if node is None:
-        return spgemm_twophase(a, a).matrix
-    from ..core.api import run_out_of_core
-
-    return run_out_of_core(a, a, node).matrix
 
 
 def count_triangles(
@@ -45,7 +36,7 @@ def count_triangles(
     already an undirected simple 0/1 adjacency matrix.
     """
     a = graph if assume_canonical else symmetrize(graph)
-    wedges = _square(a, node)
+    wedges = multiply(a, a, node)
     closed = hadamard(wedges, a)
     total = closed.data.sum()
     count = total / 6.0
@@ -65,7 +56,7 @@ def triangles_per_vertex(
 ) -> np.ndarray:
     """Triangles through each vertex (sums to ``3 x count_triangles``)."""
     a = graph if assume_canonical else symmetrize(graph)
-    wedges = _square(a, node)
+    wedges = multiply(a, a, node)
     closed = hadamard(wedges, a)
     per_vertex = np.zeros(a.n_rows)
     np.add.at(per_vertex, closed.expand_row_ids(), closed.data)

@@ -22,6 +22,7 @@ __all__ = [
     "hstack",
     "vstack",
     "drop_explicit_zeros",
+    "keep_entries",
     "extract_columns",
     "take_rows",
     "row_stats",
@@ -59,16 +60,20 @@ def add(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     return CSRMatrix(a.n_rows, a.n_cols, row_offsets, col_ids, out, check=False)
 
 
+def keep_entries(a: CSRMatrix, keep: np.ndarray) -> CSRMatrix:
+    """The stored entries where the boolean ``keep`` (one per entry) is
+    true, in their order, with the row offsets recounted."""
+    kept = np.zeros(a.nnz + 1, dtype=INDEX_DTYPE)
+    np.cumsum(keep, out=kept[1:])
+    return CSRMatrix(
+        a.n_rows, a.n_cols, kept[a.row_offsets], a.col_ids[keep], a.data[keep],
+        check=False,
+    )
+
+
 def drop_explicit_zeros(a: CSRMatrix, tol: float = 0.0) -> CSRMatrix:
     """Remove stored entries with ``|value| <= tol`` and recompute offsets."""
-    keep = np.abs(a.data) > tol
-    rows = a.expand_row_ids()[keep]
-    row_offsets = np.zeros(a.n_rows + 1, dtype=INDEX_DTYPE)
-    np.add.at(row_offsets, rows + 1, 1)
-    np.cumsum(row_offsets, out=row_offsets)
-    return CSRMatrix(
-        a.n_rows, a.n_cols, row_offsets, a.col_ids[keep], a.data[keep], check=False
-    )
+    return keep_entries(a, np.abs(a.data) > tol)
 
 
 def hstack(mats: Sequence[CSRMatrix]) -> CSRMatrix:

@@ -147,16 +147,16 @@ def matrix_features(
 ) -> MatrixFeatures:
     """Compute the Table II feature row for a suite matrix.
 
-    ``nnz(A^2)`` requires a symbolic pass; pass a prebuilt ``matrix`` to
-    skip regeneration.
+    ``nnz(A^2)`` is the pipeline's symbolic pass; pass a prebuilt
+    ``matrix`` to skip regeneration.
     """
     from ..spgemm.flops import total_flops
-    from ..spgemm.symbolic import symbolic_sort
+    from ..spgemm.twophase import spgemm_symbolic
 
     entry = _BY_NAME[name]
     a = matrix if matrix is not None else entry.build()
     flops = total_flops(a, a)
-    nnz_out = int(symbolic_sort(a, a).sum())
+    nnz_out = int(spgemm_symbolic(a, a).row_nnz.sum())
     return MatrixFeatures(
         name=entry.name,
         abbr=entry.abbr,

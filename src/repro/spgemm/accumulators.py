@@ -9,6 +9,8 @@ of equal keys.  With a compiler the ``native`` kernel
 
 Every sum starts from -0.0, the additive identity, as the native SPA
 does: from +0.0 an entry whose products are all -0.0 comes back +0.0.
+The algebra is a parameter (a :class:`~repro.spgemm.semiring.Semiring`,
+``PLUS_TIMES`` by default), so the semiring products run here too.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from ..sparse.formats import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.ops import take_rows
 from .expand import PRODUCT_BATCH, expand_products, row_batches
 from .flops import products_per_row
+from .semiring import PLUS_TIMES, Semiring
 
 __all__ = ["RowResults", "empty_results", "esc_accumulate_rows"]
 
@@ -69,6 +72,7 @@ def esc_accumulate_rows(
     *,
     with_values: bool = True,
     batch_products: int = PRODUCT_BATCH,
+    semiring: Semiring = PLUS_TIMES,
 ) -> RowResults:
     """ESC-accumulate the products of the given A rows in one batch.
 
@@ -86,6 +90,13 @@ def esc_accumulate_rows(
     duplicate products combine in expansion (ascending ``k``) order —
     bit-identical to the ``native`` kernel for any input.
 
+    ``semiring`` swaps the algebra: products are ``semiring.multiply``,
+    each entry's fold starts from ``semiring.zero`` and runs
+    ``semiring.add.at`` in that same order.  The default ``PLUS_TIMES``
+    (zero -0.0) is the ``(+, x)`` product above.  Entries equal to the
+    zero are kept; :func:`~repro.spgemm.semiring.spgemm_semiring` drops
+    them.
+
     Expansion is tiled over contiguous row ranges of at most
     ``batch_products`` products, bounding peak memory by the batch;
     tiling never changes the result (rows never straddle a batch
@@ -101,7 +112,8 @@ def esc_accumulate_rows(
     cols_parts = []
     vals_parts = []
     for lo, hi in row_batches(products_per_row(sub, b), batch_products):
-        prod_rows, prod_cols, prod_vals = expand_products(sub, b, lo, hi)
+        prod_rows, prod_cols, prod_vals = expand_products(
+            sub, b, lo, hi, multiply=semiring.multiply)
         if prod_rows.size == 0:
             continue
         prod_rows -= lo
@@ -123,8 +135,8 @@ def esc_accumulate_rows(
         cols_parts.append(prod_cols[first])
         if with_values:
             seg = np.cumsum(new) - 1  # segment id of every sorted product
-            sums = np.full(starts.size, -0.0, dtype=VALUE_DTYPE)
-            np.add.at(sums, seg, prod_vals[order])
+            sums = np.full(starts.size, semiring.zero, dtype=VALUE_DTYPE)
+            semiring.add.at(sums, seg, prod_vals[order])
             vals_parts.append(sums)
 
     col_ids = (

@@ -14,11 +14,11 @@ every caller expands in :func:`row_batches` of at most
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..sparse.formats import CSRMatrix, INDEX_DTYPE
+from ..sparse.formats import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
 
 __all__ = ["PRODUCT_BATCH", "expand_products", "row_batches"]
 
@@ -58,12 +58,16 @@ def expand_products(
     b: CSRMatrix,
     row_start: int = 0,
     row_stop: Optional[int] = None,
+    *,
+    multiply: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.multiply,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Materialize intermediate products of rows ``[row_start, row_stop)``.
 
     Returns ``(out_rows, out_cols, values)`` where ``out_rows`` are *global*
     row ids of A (ascending), ``out_cols`` are B column ids, and
-    ``values[p] = A[i, k] * B[k, j]``.  Products of one A row appear
+    ``values[p] = multiply(A[i, k], B[k, j])``, cast to float64 (a
+    boolean ``multiply`` would otherwise miss ``ufunc.at``'s fast path
+    downstream).  Products of one A row appear
     consecutively, ordered by the position of ``A[i, k]`` within the row
     and then by B's column order — i.e. deterministic.
 
@@ -82,7 +86,7 @@ def expand_products(
     a_vals = a.data[lo:hi]
     if a_cols.size == 0:
         empty_i = np.empty(0, dtype=INDEX_DTYPE)
-        return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64)
+        return empty_i, empty_i.copy(), np.empty(0, dtype=VALUE_DTYPE)
 
     counts = b.row_nnz()[a_cols]  # products per A element
     total = int(counts.sum())
@@ -103,5 +107,6 @@ def expand_products(
     src = np.repeat(starts - exclusive, counts) + np.arange(total, dtype=INDEX_DTYPE)
 
     out_cols = b.col_ids[src]
-    values = np.repeat(a_vals, counts) * b.data[src]
+    values = np.asarray(
+        multiply(np.repeat(a_vals, counts), b.data[src]), dtype=VALUE_DTYPE)
     return out_rows, out_cols, values

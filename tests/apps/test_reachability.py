@@ -24,6 +24,12 @@ class TestReachability:
         assert d[0, 2] == 1 and d[0, 1] == 1
         assert d[0, 3] == 0  # needs 3 hops
 
+    def test_one_hop_is_the_edges(self, path_graph):
+        # the graph itself plus the diagonal, as 0/1: no squaring at k = 1
+        d = k_hop_reachability(path_graph, 1).to_dense()
+        np.testing.assert_array_equal(d[0], [1, 1, 0, 0, 0])
+        np.testing.assert_array_equal(d, np.eye(5) + (path_graph.to_dense() != 0))
+
     def test_k_covers_at_least_k(self, path_graph):
         # repeated squaring may overshoot k, never undershoot
         r3 = k_hop_reachability(path_graph, 3)

@@ -62,6 +62,13 @@ class TestFeatures:
             assert f.flops >= 2 * f.nnz_out or f.compression_ratio >= 2.0
             assert f.compression_ratio >= 2.0
 
+    def test_nnz_out_matches_oracle(self, features):
+        # the pipeline's count against the expand + lexsort oracle
+        from repro.spgemm.symbolic import symbolic_sort
+
+        a = build_matrix("stokes")
+        assert features["stokes"].nnz_out == int(symbolic_sort(a, a).sum())
+
     def test_compression_ranking_matches_paper(self, features):
         """The paper's ordering: social < wiki < stokes < uk-2002 < nlp."""
         assert (
