@@ -15,6 +15,8 @@ import asyncio
 import json
 from typing import Any, AsyncIterator, Dict, Optional, Tuple
 
+from .body import MAX_BODY_BYTES, encode_json
+
 __all__ = ["ServeClient", "ServeError"]
 
 
@@ -37,15 +39,17 @@ class ServeClient:
         self.port = port
         self.unix_socket = unix_socket
 
-    async def _connect(self) -> Tuple[asyncio.StreamReader,
-                                      asyncio.StreamWriter]:
+    async def _connect(self, **stream_kw) -> Tuple[asyncio.StreamReader,
+                                                   asyncio.StreamWriter]:
         if self.unix_socket:
-            return await asyncio.open_unix_connection(self.unix_socket)
-        return await asyncio.open_connection(self.host, self.port)
+            return await asyncio.open_unix_connection(self.unix_socket,
+                                                      **stream_kw)
+        return await asyncio.open_connection(self.host, self.port,
+                                             **stream_kw)
 
     async def _send(self, writer: asyncio.StreamWriter, method: str,
                     path: str, payload: Optional[Dict[str, Any]]) -> None:
-        body = b"" if payload is None else json.dumps(payload).encode()
+        body = b"" if payload is None else encode_json(payload)
         head = (
             f"{method} {path} HTTP/1.1\r\n"
             f"Host: {self.host}\r\n"
@@ -121,7 +125,9 @@ class ServeClient:
         """Submit with ``stream=true`` and yield each NDJSON event."""
         payload = dict(payload)
         payload["stream"] = True
-        reader, writer = await self._connect()
+        # an event is one line, as long as a body may be; the wait-mode
+        # connections keep asyncio's limit, which paces their reads
+        reader, writer = await self._connect(limit=MAX_BODY_BYTES)
         try:
             await self._send(writer, "POST", "/v1/jobs", payload)
             status, headers = await self._read_head(reader)

@@ -172,6 +172,10 @@ class JobSpec:
             raise ValueError(f"unknown job fields: {sorted(extra)}")
         if "a" not in payload or "b" not in payload:
             raise ValueError("a job needs operands 'a' and 'b'")
+        for flag in ("return_result", "trace", "stream", "wait"):
+            if type(payload.get(flag, False)) is not bool:
+                raise ValueError(f"{flag} must be true or false, "
+                                 f"not {payload[flag]!r}")
         workers = int(payload.get("workers", 1))
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -192,8 +196,8 @@ class JobSpec:
             tenant=str(payload.get("tenant", "default")),
             kernel=kernel, backend=backend,
             workers=workers, grid=grid,
-            return_result=bool(payload.get("return_result", False)),
-            trace=bool(payload.get("trace", False)),
+            return_result=payload.get("return_result", False),
+            trace=payload.get("trace", False),
         )
 
 
@@ -212,7 +216,7 @@ class JobRecord:
     enqueued_at: Optional[float] = None     # prepared, handed to the queue
     started_at: Optional[float] = None      # admitted and on a slot thread
     engine_done_at: Optional[float] = None  # the product exists
-    finished_at: Optional[float] = None     # CRC'd, serialized, terminal
+    finished_at: Optional[float] = None     # CRC'd, terminal (not yet encoded)
     cost_bytes: int = 0                # footprint admission charges
     priced: Optional[str] = None       # "ceiling" | "sampled" (docs/SERVING.md)
     result: Dict[str, Any] = field(default_factory=dict)
@@ -233,8 +237,10 @@ class JobRecord:
         """Where :attr:`latency_seconds` went, as back-to-back intervals
         between the stamps (so they sum to it): ``prepare`` (operands
         resolved, job priced), ``queued`` (fair queue, admission, slot
-        pickup), ``engine`` (the multiply), ``finish`` (CRC, result
-        arrays, trace).  A job that died in the engine ends there."""
+        pickup), ``engine`` (the multiply), ``finish`` (CRC, trace
+        export).  A job that died in the engine ends there.  The body is
+        encoded after ``finished_at``, by the handler that writes it, so
+        its cost is the client's, not a stage's."""
         marks = (self.submitted_at, self.enqueued_at, self.started_at,
                  self.engine_done_at or self.finished_at, self.finished_at)
         if None in marks:
@@ -243,8 +249,9 @@ class JobRecord:
         return {n: t1 - t0 for n, t0, t1 in zip(names, marks, marks[1:])}
 
     def drop_payload(self) -> None:
-        """Release the result matrix and inline operand bodies (~1 MB a
-        job, all Python lists); the scalar record stays answerable."""
+        """Release the result matrix (the product's three arrays) and
+        the inline operand bodies (Python lists); the scalar record stays
+        answerable."""
         with self.lock:
             self.result.pop("matrix", None)
             for side in ("a_spec", "b_spec"):
@@ -253,7 +260,9 @@ class JobRecord:
                     setattr(self.spec, side, {"inline": None})
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-safe view for ``GET /v1/jobs/<id>`` and event payloads."""
+        """View for ``GET /v1/jobs/<id>`` and event payloads, as
+        :func:`~repro.serve.body.encode_json` writes it (a returned
+        product's arrays are ndarrays)."""
         with self.lock:
             out = {
                 "job_id": self.job_id,

@@ -47,6 +47,7 @@ from ..core.governor.integrity import crc32_matrix
 from ..observability import Tracer, tracer_events, write_chrome_trace
 from ..spgemm.estimate import estimate_row_nnz
 from ..spgemm.flops import product_prefix
+from .body import MAX_BODY_BYTES, encode_json
 from .cache import DEFAULT_CACHE_BYTES, OperandCache, OperandLease, content_hash
 from .jobs import JobRecord, JobSpec, JobState, canonical_spec, resolve_operand
 from .scheduler import DEFAULT_HOST_BUDGET, JobScheduler, TenantQuota
@@ -118,7 +119,7 @@ class ServerConfig:
     quotas: Dict[str, TenantQuota] = field(default_factory=dict)
     default_quota: TenantQuota = field(default_factory=TenantQuota)
     trace_dir: Optional[str] = None    # per-job Chrome traces land here
-    max_body_bytes: int = 256 << 20
+    max_body_bytes: int = MAX_BODY_BYTES
 
 
 class SpgemmServer:
@@ -290,11 +291,12 @@ class SpgemmServer:
                 "chunks": profile.grid.num_chunks,
             }
             if spec.return_result:
+                # the arrays themselves: encode_json writes them natively
                 result["matrix"] = {
                     "shape": list(matrix.shape),
-                    "row_offsets": matrix.row_offsets.tolist(),
-                    "col_ids": matrix.col_ids.tolist(),
-                    "data": matrix.data.tolist(),
+                    "row_offsets": matrix.row_offsets,
+                    "col_ids": matrix.col_ids,
+                    "data": matrix.data,
                 }
             if job_tracer is not None and self.config.trace_dir:
                 trace_dir = Path(self.config.trace_dir)
@@ -499,8 +501,8 @@ class SpgemmServer:
                 "error": f"{type(exc).__name__}: {exc}",
             })
             return
-        stream = bool(payload.get("stream", False))
-        wait = bool(payload.get("wait", True))
+        stream = payload.get("stream", False)
+        wait = payload.get("wait", True)
         record = JobRecord(spec=spec)
         self._records[record.job_id] = record
         if stream:
@@ -556,11 +558,11 @@ class SpgemmServer:
         writer.write(head.encode("latin-1"))
         queue = self._event_queues[record.job_id]
         try:
-            writer.write((json.dumps(first) + "\n").encode())
+            writer.write(encode_json(first) + b"\n")
             await writer.drain()
             while True:
                 event = await queue.get()
-                writer.write((json.dumps(event) + "\n").encode())
+                writer.write(encode_json(event) + b"\n")
                 await writer.drain()
                 if event.get("event") in ("done", "failed", "rejected"):
                     break
@@ -573,14 +575,15 @@ class SpgemmServer:
                   404: "Not Found", 408: "Request Timeout",
                   413: "Payload Too Large", 429: "Too Many Requests",
                   431: "Request Header Fields Too Large"}.get(status, "OK")
-        body = json.dumps(obj).encode()
+        body = encode_json(obj)
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
             "Connection: close\r\n\r\n"
         )
-        writer.write(head.encode("latin-1") + body)
+        writer.write(head.encode("latin-1"))
+        writer.write(body)
         try:
             await writer.drain()
         except ConnectionError:

@@ -26,7 +26,12 @@ The library also serves :mod:`repro.sparse.partition`: B's column split
 and each column panel one copy off it, :func:`native_col_panels`.
 And :mod:`repro.sparse.codec`: :func:`native_crc32` is zlib's CRC-32 by
 carry-less multiply, 6–13 GB/s to zlib's 1.8, on CPUs with PCLMULQDQ
-(:func:`native_crc32_error` asks); elsewhere the codec uses zlib.
+(:func:`native_crc32_error` asks); elsewhere the codec uses zlib.  And
+:mod:`repro.serve.body`: :func:`native_json` writes a float64 / int64
+array as the exact text of ``json.dumps(x.tolist())``, each float the
+shortest decimal that reads back as it (Schubfach, whose 128-bit power
+table :func:`_source` computes with exact integers) — about a tenth of
+the cost of ``float.__repr__``.
 
 Bit-identity.  The SPA accumulates each output column's duplicates in
 ascending ``k`` order — exactly the expansion order the numpy ESC
@@ -69,6 +74,7 @@ __all__ = [
     "native_col_panels",
     "native_crc32",
     "native_crc32_error",
+    "native_json",
 ]
 
 #: environment switch: "0"/"off"/"false" disables the native kernel
@@ -104,6 +110,8 @@ long long repro_col_gather(long long n, const long long *splits, long long strid
     long long out_cap, long long *out_indptr, long long *out_cols, double *out_vals);
 int repro_crc32_fast(void);
 unsigned repro_crc32(unsigned crc, const void *buf, long long n);
+long long repro_json_f64(const double *x, long long n, char *out);
+long long repro_json_i64(const long long *x, long long n, char *out);
 """
 
 _SOURCE = r"""
@@ -418,10 +426,184 @@ unsigned repro_crc32(unsigned crc, const unsigned char *p, i64 n) {
     }
     return ~crc;
 }
+
+/* json.dumps(x.tolist()) of a float64 / int64 array: "[" items joined by
+ * ", " "]".  A float is the shortest decimal that reads back as it (the
+ * one nearest x, ties to even), written as float.__repr__ writes it;
+ * non-finite values as json writes them.  The caller sizes `out`: 26
+ * bytes a float, 22 an int, 2 for the brackets. */
+POW10_TABLE
+
+static u64 mul64(u64 a, u64 b, u64 *lo) {
+#ifdef __SIZEOF_INT128__
+    const unsigned __int128 p = (unsigned __int128)a * b;
+    *lo = (u64)p;
+    return (u64)(p >> 64);
+#else
+    const u64 a0 = a & 0xFFFFFFFFu, a1 = a >> 32, b0 = b & 0xFFFFFFFFu, b1 = b >> 32;
+    const u64 p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    const u64 mid = (p00 >> 32) + (p01 & 0xFFFFFFFFu) + (p10 & 0xFFFFFFFFu);
+    *lo = (mid << 32) | (p00 & 0xFFFFFFFFu);
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+#endif
+}
+
+/* floor(g cp / 2^128), its last bit set when that drops a fraction */
+static u64 round_to_odd(const u64 *g, u64 cp) {
+    u64 x0, y0;
+    const u64 x1 = mul64(g[1], cp, &x0), y1 = mul64(g[0], cp, &y0);
+    const u64 z = y0 + x1;
+    return (y1 + (z < x1)) | (z > 1);
+}
+
+static int floor_shift(int x, int n) { return x >= 0 ? x >> n : ~(~x >> n); }
+
+/* x = c 2^q (finite, nonzero) as s 10^k with the fewest digits in s:
+ * Schubfach (Giulietti, 2020).  k is chosen so that s has 16 or 17
+ * digits; one digit fewer is tried first.  POW10[e - POW10_MIN] is
+ * floor(10^e 2^(127 - floor(log2 10^e))) + 1. */
+static int shortest(u64 bits, u64 *out) {
+    const u64 m = bits & ((1ULL << 52) - 1);
+    const int be = (int)(bits >> 52) & 0x7FF;
+    u64 c = m;
+    int q = -1074;
+    if (be) {
+        c |= 1ULL << 52;
+        q = be - 1075;
+        if (q <= 0 && q > -53 && !(c & ((1ULL << -q) - 1))) { *out = c >> -q; return 0; }
+    }
+    const int closer = m == 0 && be > 1;
+    const int k = floor_shift(q * 1262611 - (closer ? 524031 : 0), 22);
+    const int h = q + floor_shift(-k * 1741647, 19) + 1;
+    const u64 *g = POW10[-k - POW10_MIN];
+    const u64 odd = c & 1;
+    const u64 lower = round_to_odd(g, (4 * c - 2 + closer) << h) + odd;
+    const u64 vb = round_to_odd(g, (4 * c) << h);
+    const u64 upper = round_to_odd(g, (4 * c + 2) << h) - odd;
+    const u64 s = vb >> 2;
+    if (s >= 10) {
+        const u64 sp = s / 10;
+        const int up = lower <= 40 * sp, wp = 40 * sp + 40 <= upper;
+        if (up != wp) { *out = sp + wp; return k + 1; }
+    }
+    const int u = lower <= 4 * s, w = 4 * s + 4 <= upper;
+    if (u != w) { *out = s + w; return k; }
+    *out = s + (vb > 4 * s + 2 || (vb == 4 * s + 2 && (s & 1)));
+    return k;
+}
+
+/* the digits of v, most significant first, two a step; returns their
+ * count */
+static const char PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233"
+    "34353637383940414243444546474849505152535455565758596061626364656667"
+    "6869707172737475767778798081828384858687888990919293949596979899";
+static int put_digits(char *p, u64 v) {
+    char tmp[20], *e = tmp + 20;
+    for (; v >= 100; v /= 100) { e -= 2; memcpy(e, PAIRS + 2 * (v % 100), 2); }
+    if (v >= 10) { e -= 2; memcpy(e, PAIRS + 2 * v, 2); } else *--e = (char)('0' + v);
+    const int n = (int)(tmp + 20 - e);
+    memcpy(p, e, (size_t)n);
+    return n;
+}
+
+static char *put_f64(char *p, double x) {
+    u64 bits, s;
+    memcpy(&bits, &x, sizeof bits);
+    if ((bits >> 52 & 0x7FF) == 0x7FF) {
+        const char *t = bits << 12 ? "NaN" : bits >> 63 ? "-Infinity" : "Infinity";
+        const size_t n = strlen(t);
+        memcpy(p, t, n);
+        return p + n;
+    }
+    if (bits >> 63) *p++ = '-';
+    if (!(bits << 1)) { memcpy(p, "0.0", 3); return p + 3; }
+    int k = shortest(bits, &s);
+    for (; s % 10 == 0; s /= 10) k++;
+    char d[20];
+    const int n = put_digits(d, s), point = n + k;  /* x = 0.d 10^point */
+    if (point <= -4 || point > 16) {
+        int e = point - 1;
+        *p++ = d[0];
+        if (n > 1) { *p++ = '.'; memcpy(p, d + 1, (size_t)(n - 1)); p += n - 1; }
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        if (e < 0) e = -e;
+        if (e < 10) *p++ = '0';
+        return p + put_digits(p, (u64)e);
+    }
+    if (point <= 0) {
+        memcpy(p, "0.000", (size_t)(2 - point));
+        p += 2 - point;
+        memcpy(p, d, (size_t)n);
+        return p + n;
+    }
+    if (point < n) {
+        memcpy(p, d, (size_t)point);
+        p[point] = '.';
+        memcpy(p + point + 1, d + point, (size_t)(n - point));
+        return p + n + 1;
+    }
+    memcpy(p, d, (size_t)n);
+    memset(p + n, '0', (size_t)(point - n));
+    memcpy(p + point, ".0", 2);
+    return p + point + 2;
+}
+
+static char *put_i64(char *p, i64 v) {
+    if (v < 0) *p++ = '-';
+    return p + put_digits(p, v < 0 ? 0 - (u64)v : (u64)v);
+}
+
+i64 repro_json_f64(const double *x, i64 n, char *out) {
+    char *p = out;
+    *p++ = '[';
+    for (i64 i = 0; i < n; i++) {
+        if (i) { *p++ = ','; *p++ = ' '; }
+        p = put_f64(p, x[i]);
+    }
+    *p++ = ']';
+    return p - out;
+}
+
+i64 repro_json_i64(const i64 *x, i64 n, char *out) {
+    char *p = out;
+    *p++ = '[';
+    for (i64 i = 0; i < n; i++) {
+        if (i) { *p++ = ','; *p++ = ' '; }
+        p = put_i64(p, x[i]);
+    }
+    *p++ = ']';
+    return p - out;
+}
 """
 
 #: compile flags; -ffp-contract=off is load-bearing for bit-identity
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-std=c99", "-ffp-contract=off")
+
+#: the decimal exponents POW10 covers: -k for every k = floor(log10 2^q),
+#: or of 3/4 2^q, over the binary exponents q in [-1074, 971] of a double
+_POW10_MIN, _POW10_MAX = -292, 324
+
+
+def _source() -> str:
+    """The C source with the formatter's POW10 table written out: entry e
+    is floor(10^e 2^(127 - floor(log2 10^e))) + 1, by exact integers."""
+    table = []
+    p = 10 ** -_POW10_MIN
+    for _ in range(_POW10_MIN, 0):
+        table.append((1 << (127 + (p - 1).bit_length())) // p + 1)
+        p //= 10
+    for _ in range(_POW10_MAX + 1):
+        shift = 127 - (p.bit_length() - 1)
+        table.append((p << shift if shift >= 0 else p >> -shift) + 1)
+        p *= 10
+    rows = ",\n".join(f"{{0x{h[:16]}, 0x{h[16:]}}}"
+                       for h in (f"{g:032x}" for g in table))
+    return _SOURCE.replace(
+        "POW10_TABLE", f"#define POW10_MIN ({_POW10_MIN})\n"
+                       f"static const u64 POW10[][2] = {{\n{rows}}};")
+
 
 # process-wide probe state: (ffi, lib) when usable, error string when not
 _STATE: dict = {"checked": False, "ffi": None, "lib": None, "error": None}
@@ -448,8 +630,9 @@ def _compiler() -> Optional[str]:
 
 def _build_library(cc: str) -> Path:
     """Compile the kernel into the cache (keyed by source + flags)."""
+    source = _source()
     digest = hashlib.sha256(
-        (_SOURCE + "\0" + " ".join(_CFLAGS)).encode()
+        (source + "\0" + " ".join(_CFLAGS)).encode()
     ).hexdigest()[:16]
     cache = _cache_dir()
     so_path = cache / f"gustavson-{digest}.so"
@@ -457,7 +640,7 @@ def _build_library(cc: str) -> Path:
         return so_path
     cache.mkdir(parents=True, exist_ok=True)
     c_path = cache / f"gustavson-{digest}.c"
-    c_path.write_text(_SOURCE)
+    c_path.write_text(source)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(cache))
     os.close(fd)
     try:
@@ -774,3 +957,24 @@ def native_col_panels(b: CSRMatrix, splits: np.ndarray, bounds: np.ndarray):
             raise RuntimeError(f"column split of B is inconsistent at panel {p}")
         panels.append(out)
     return panels
+
+
+def native_json(arr: np.ndarray) -> bytearray:
+    """``json.dumps(arr.tolist()).encode()`` of a 1-D float64 or int64
+    array, written by the library's formatter into the buffer returned
+    (cut to length in place: the text is not copied)."""
+    ffi, lib = _library()
+    if arr.ndim != 1:
+        raise ValueError("the JSON formatter takes 1-D arrays")
+    if arr.dtype == np.float64:
+        fmt, ctype, width = lib.repro_json_f64, "double[]", 26
+    elif arr.dtype == np.int64:
+        fmt, ctype, width = lib.repro_json_i64, "long long[]", 22
+    else:
+        raise TypeError(f"no JSON formatter for {arr.dtype} arrays")
+    arr = np.ascontiguousarray(arr)
+    out = bytearray(width * arr.size + 2)
+    with ffi.from_buffer(ctype, arr) as src, ffi.from_buffer(out) as dst:
+        n = fmt(src, arr.size, dst)
+    del out[n:]
+    return out

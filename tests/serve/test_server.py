@@ -184,6 +184,58 @@ class TestStreaming:
         done = events[-1]
         assert done["result"]["nnz"] > 0
 
+    def test_a_done_event_longer_than_a_stream_buffer(self):
+        # 65,728 nnz: the done line is ~1.5 MB, past asyncio's 64 KiB
+        # default line limit
+        big = {"gen": {"family": "banded", "n": 2000, "bandwidth": 8}}
+        payload = {"a": big, "b": big, "return_result": True}
+
+        async def run(server, client):
+            events = [e async for e in client.stream_job(payload)]
+            return events[-1], await client.submit_job(payload)
+
+        done, waited = serve(run)
+        assert done["event"] == "done"
+        assert done["result"]["nnz"] == waited["result"]["nnz"] == 65_728
+        assert done["result"]["matrix"] == waited["result"]["matrix"]
+
+
+class TestJobFlags:
+    FLAGS = ("return_result", "trace", "stream", "wait")
+
+    @pytest.mark.parametrize("flag", FLAGS)
+    def test_only_json_booleans_are_flags(self, flag):
+        async def run(server, client):
+            refusals = []
+            for value in ("false", 0, "yes"):
+                with pytest.raises(ServeError) as err:
+                    await client.submit_job(job_payload(**{flag: value}))
+                refusals.append(err.value)
+            return refusals, len(server._records)
+
+        refusals, records = serve(run)
+        for err in refusals:
+            assert err.status == 400
+            assert f"{flag} must be true or false" in err.payload["error"]
+        assert records == 0
+
+    def test_true_and_false_are_accepted(self):
+        async def run(server, client):
+            snaps = [await client.submit_job(job_payload(
+                return_result=v, trace=v, stream=False, wait=True))
+                for v in (True, False)]
+            queued = await client.submit_job(job_payload(wait=False))
+            events = [e async for e in client.stream_job(job_payload())]
+            await drained(server)
+            return snaps, queued, events
+
+        (with_result, without), queued, events = serve(run)
+        assert with_result["state"] == without["state"] == "done"
+        assert "matrix" in with_result["result"]
+        assert "matrix" not in without["result"]
+        assert queued["event"] == "queued"
+        assert events[-1]["event"] == "done"
+
 
 class TestOperandUpload:
     def test_hash_spec_round_trip(self):
@@ -424,7 +476,6 @@ class TestRetention:
 
     def test_streamed_job_drops_its_payload(self):
         async def run(server, client):
-            # small enough for one NDJSON line of the stream client
             tiny = {"gen": {"family": "banded", "n": 32, "bandwidth": 4}}
             events = [e async for e in client.stream_job(
                 {"a": tiny, "b": tiny, "return_result": True})]
