@@ -1,4 +1,5 @@
-"""JSON bodies for the server and its client, formatted natively.
+"""JSON bodies for the server and its client, formatted and parsed
+natively.
 
 :func:`encode_json` returns ``json.dumps(obj).encode()`` byte for byte
 — ``json.dumps`` with an ndarray written as its ``.tolist()``.  What it
@@ -9,6 +10,19 @@ or more, is written by the native library's formatter
 (:func:`~repro.spgemm.native.native_json`); everything around such
 arrays, and everything else, by ``json.dumps``.  Without the native
 library the encoder *is* ``json.dumps``.
+
+:func:`decode_json` returns what ``json.loads`` returns, with the same
+float bits, and raises what it raises.  What it saves is the parse of
+the floats: one native scan
+(:func:`~repro.spgemm.native.native_json_arrays`) reads every numeric
+array of :data:`NATIVE_MIN_ITEMS` items or more, outside strings, that
+it can read exactly — all int64 or all floats, each float by
+Eisel–Lemire — and ``json.loads`` reads the rest of the body, each such
+array in it replaced by a ``NaN`` whose ``parse_constant`` hook hands
+back the array's ``.tolist()``.  A ``NaN`` elsewhere in the body, a BOM,
+a UTF-16/32 body, or any error on this path, and the body goes to
+``json.loads`` whole.  Without the native library the decoder *is*
+``json.loads``.
 """
 
 from __future__ import annotations
@@ -19,9 +33,9 @@ from typing import Any, Optional, Union
 
 import numpy as np
 
-from ..spgemm.native import native_available, native_json
+from ..spgemm.native import native_available, native_json, native_json_arrays
 
-__all__ = ["MAX_BODY_BYTES", "encode_json"]
+__all__ = ["MAX_BODY_BYTES", "decode_json", "encode_json"]
 
 #: the largest request body the server reads (``ServerConfig``'s default)
 #: and the longest NDJSON event line the client reads
@@ -123,3 +137,32 @@ def encode_json(obj: Any) -> bytes:
         if text is not None:
             return bytes(text)
     return _dumps(obj)
+
+
+def decode_json(raw: bytes) -> Any:
+    """``json.loads(raw)``, with the numeric arrays inside ``raw`` parsed
+    natively (see the module docstring)."""
+    # an array the scan reads holds NATIVE_MIN_ITEMS - 1 commas at least
+    if (raw.count(b",") < NATIVE_MIN_ITEMS - 1 or not native_available()
+            or json.detect_encoding(raw) != "utf-8"):
+        return json.loads(raw)
+    try:
+        arrays = native_json_arrays(raw, NATIVE_MIN_ITEMS)
+        if not arrays:
+            return json.loads(raw)
+        pieces, prev = [], 0
+        for start, end, _ in arrays:
+            pieces.append(raw[prev:start])
+            prev = end
+        pieces.append(raw[prev:])
+        lists = (arr.tolist() for _, _, arr in arrays)
+
+        def constant(name: str) -> Any:
+            return next(lists) if name == "NaN" else float(name)
+
+        obj = json.loads(b"NaN".join(pieces), parse_constant=constant)
+        if next(lists, None) is None:
+            return obj
+    except Exception:
+        pass
+    return json.loads(raw)

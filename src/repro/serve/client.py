@@ -12,10 +12,9 @@ Wait-mode submission (the default) resolves to the final job snapshot;
 from __future__ import annotations
 
 import asyncio
-import json
 from typing import Any, AsyncIterator, Dict, Optional, Tuple
 
-from .body import MAX_BODY_BYTES, encode_json
+from .body import MAX_BODY_BYTES, decode_json, encode_json
 
 __all__ = ["ServeClient", "ServeError"]
 
@@ -89,7 +88,7 @@ class ServeClient:
             length = int(headers.get("content-length", 0) or 0)
             raw = await reader.readexactly(length) if length \
                 else await reader.read()
-            obj = json.loads(raw or b"{}")
+            obj = decode_json(raw or b"{}")
         finally:
             writer.close()
             try:
@@ -135,14 +134,14 @@ class ServeClient:
                 length = int(headers.get("content-length", 0) or 0)
                 raw = await reader.readexactly(length) if length \
                     else await reader.read()
-                raise ServeError(status, json.loads(raw or b"{}"))
+                raise ServeError(status, decode_json(raw or b"{}"))
             while True:
                 line = await reader.readline()
                 if not line:
                     return
                 line = line.strip()
                 if line:
-                    yield json.loads(line)
+                    yield decode_json(line)
         finally:
             writer.close()
             try:

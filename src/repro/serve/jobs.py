@@ -176,9 +176,13 @@ class JobSpec:
             if type(payload.get(flag, False)) is not bool:
                 raise ValueError(f"{flag} must be true or false, "
                                  f"not {payload[flag]!r}")
-        workers = int(payload.get("workers", 1))
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        workers = payload.get("workers", 1)
+        if type(workers) is not int or workers < 1:
+            raise ValueError(f"workers must be an integer >= 1, "
+                             f"not {workers!r}")
+        tenant = payload.get("tenant", "default")
+        if type(tenant) is not str:
+            raise ValueError(f"tenant must be a string, not {tenant!r}")
         # what the engine would refuse is refused here, before the job
         # is priced, queued or given a slot
         kernel, backend = payload.get("kernel"), payload.get("backend")
@@ -187,13 +191,13 @@ class JobSpec:
                 and workers > 1:
             raise ValueError("the serial backend runs exactly one worker")
         grid = payload.get("grid")
-        if grid is not None:
-            grid = [int(x) for x in grid]
-            if len(grid) != 2 or min(grid) < 1:
-                raise ValueError("grid must be [row_panels, col_panels] >= 1")
+        if grid is not None and (
+                type(grid) is not list or len(grid) != 2
+                or any(type(x) is not int or x < 1 for x in grid)):
+            raise ValueError(f"grid must be [row_panels, col_panels], "
+                             f"integers >= 1, not {grid!r}")
         return cls(
-            a_spec=payload["a"], b_spec=payload["b"],
-            tenant=str(payload.get("tenant", "default")),
+            a_spec=payload["a"], b_spec=payload["b"], tenant=tenant,
             kernel=kernel, backend=backend,
             workers=workers, grid=grid,
             return_result=payload.get("return_result", False),

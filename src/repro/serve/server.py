@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import asyncio
 import collections
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,7 +46,7 @@ from ..core.governor.integrity import crc32_matrix
 from ..observability import Tracer, tracer_events, write_chrome_trace
 from ..spgemm.estimate import estimate_row_nnz
 from ..spgemm.flops import product_prefix
-from .body import MAX_BODY_BYTES, encode_json
+from .body import MAX_BODY_BYTES, decode_json, encode_json
 from .cache import DEFAULT_CACHE_BYTES, OperandCache, OperandLease, content_hash
 from .jobs import JobRecord, JobSpec, JobState, canonical_spec, resolve_operand
 from .scheduler import DEFAULT_HOST_BUDGET, JobScheduler, TenantQuota
@@ -473,7 +472,7 @@ class SpgemmServer:
     async def _post_operand(self, body: bytes,
                             writer: asyncio.StreamWriter) -> None:
         try:
-            payload = json.loads(body or b"{}")
+            payload = decode_json(body or b"{}")
             spec = payload["spec"] if "spec" in payload else payload
             lease, hit = await asyncio.get_running_loop().run_in_executor(
                 None, self._resolve_cached, spec
@@ -493,7 +492,7 @@ class SpgemmServer:
     async def _post_job(self, body: bytes,
                         writer: asyncio.StreamWriter) -> None:
         try:
-            payload = json.loads(body or b"{}")
+            payload = decode_json(body or b"{}")
             spec = JobSpec.from_payload(payload)
         except Exception as exc:
             await self._respond(writer, 400, {

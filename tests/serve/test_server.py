@@ -237,6 +237,42 @@ class TestJobFlags:
         assert events[-1]["event"] == "done"
 
 
+class TestJobFieldTypes:
+    """``workers``, ``grid`` and ``tenant`` are taken as JSON sends them:
+    integers are integers (``true`` is not), a grid is a two-item array
+    of them, a tenant is a string — nothing is coerced."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("workers", 2.7), ("workers", True), ("workers", "2"),
+        ("workers", None), ("workers", 0), ("grid", "12"),
+        ("grid", [1.9, "2"]), ("grid", [2.0, 1]), ("grid", [True, 1]),
+        ("grid", [2, 1, 1]), ("grid", {"0": 2, "1": 1}), ("grid", 2),
+        ("tenant", None), ("tenant", 5), ("tenant", ["t"]),
+    ], ids=repr)
+    def test_a_value_of_the_wrong_type_is_refused(self, field, value):
+        async def run(server, client):
+            with pytest.raises(ServeError) as err:
+                await client.submit_job(job_payload(**{field: value}))
+            return err.value, len(server._records)
+
+        err, records = serve(run)
+        assert err.status == 400
+        assert err.payload["state"] == "rejected"
+        assert f"{field} must be" in err.payload["error"]
+        assert records == 0
+
+    def test_integers_and_strings_are_accepted(self):
+        async def run(server, client):
+            snap = await client.submit_job(job_payload(
+                workers=2, grid=[1, 2], tenant="acme"))
+            return snap
+
+        snap = serve(run)
+        assert snap["state"] == "done"
+        assert snap["tenant"] == "acme"
+        assert snap["chunks_total"] == 2
+
+
 class TestOperandUpload:
     def test_hash_spec_round_trip(self):
         async def run(server, client):
@@ -698,7 +734,9 @@ class TestStages:
         assert all(seconds >= 0.0 for seconds in stages.values())
         assert abs(sum(stages.values()) - snap["latency_seconds"]) < 1e-3
         assert snap["priced"] == "ceiling"
-        assert stages["prepare"] < stages["engine"]
+        # a by-hash job's prepare materialises nothing: both operands
+        # come from the cache
+        assert snap["cache"] == {"a": True, "b": True}
         # the engine stage is the wall the result has always reported
         assert abs(stages["engine"] - snap["result"]["wall_seconds"]) < 1e-3
 
