@@ -686,7 +686,6 @@ def execute_chunk_grid(
     crash_budget: int = 0,
     faults=None,
     checkpoint=None,
-    degrade: bool = True,
     governor=None,
     kernel=None,
     chunk_events=None,
@@ -775,11 +774,6 @@ def execute_chunk_grid(
         needs its store).  With nothing left to compute the call
         partitions nothing and starts no backend.  Its store joins the
         governor's host-memory ledger.
-    degrade:
-        When the selected backend cannot be established (e.g. the
-        process pool fails to spawn), fall back process -> thread ->
-        serial with a :class:`BackendDegradedWarning` instead of
-        raising (default).  ``False`` propagates the failure.
     governor:
         A :class:`~repro.core.governor.Governor` (or
         :class:`~repro.core.governor.GovernorConfig`) policing the run:
@@ -990,7 +984,7 @@ def execute_chunk_grid(
     def lane_window(lane_workers: int) -> int:
         return default_window(lane_workers) if window is None else window
 
-    chain = DEGRADATION_CHAIN[backend_name] if degrade else (backend_name,)
+    chain = DEGRADATION_CHAIN[backend_name]
 
     def drain(landed: List[Optional[object]]) -> None:
         """One pass of every lane over the chunks ``landed`` does not

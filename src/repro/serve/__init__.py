@@ -7,10 +7,10 @@ schedules them through a shared bounded worker pool, and streams
 per-chunk completion events back to callers.  Two serving-layer
 performance mechanisms carry the throughput story:
 
-* the **content-addressed operand cache** (:mod:`.cache`) keys
-  shared-memory CSR segments on matrix content hash, so repeated
-  operands across jobs attach zero-copy instead of being re-materialized
-  per job;
+* the **content-addressed operand cache** (:mod:`.cache`) keys the
+  CSR matrices jobs build on their content hash, so repeated operands
+  across jobs share one object instead of being re-materialized per
+  job;
 * **priced admission + weighted fair queueing** (:mod:`.scheduler`)
   feeds each job's footprint — its output ceiling, or a sampled
   :func:`~repro.spgemm.estimate.estimate_row_nnz` total when that
@@ -23,7 +23,7 @@ performance mechanisms carry the throughput story:
 See ``docs/SERVING.md`` for the API and the tenancy/quota model.
 """
 
-from .cache import OperandCache, OperandLease, content_hash
+from .cache import OperandCache, content_hash
 from .client import ServeClient, ServeError
 from .jobs import JobRecord, JobSpec, JobState, canonical_spec, resolve_operand
 from .scheduler import FairQueue, JobScheduler, TenantQuota
@@ -33,7 +33,6 @@ __all__ = [
     "ServeClient",
     "ServeError",
     "OperandCache",
-    "OperandLease",
     "content_hash",
     "JobSpec",
     "JobRecord",

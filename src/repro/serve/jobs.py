@@ -240,9 +240,9 @@ class JobRecord:
     def stages(self) -> Optional[Dict[str, float]]:
         """Where :attr:`latency_seconds` went, as back-to-back intervals
         between the stamps (so they sum to it): ``prepare`` (operands
-        resolved, job priced), ``queued`` (fair queue, admission, slot
-        pickup), ``engine`` (the multiply), ``finish`` (CRC, trace
-        export).  A job that died in the engine ends there.  The body is
+        found in the cache or built, job priced), ``queued`` (fair
+        queue, admission, slot pickup), ``engine`` (the multiply),
+        ``finish`` (CRC, trace export).  A job that died in the engine ends there.  The body is
         encoded after ``finished_at``, by the handler that writes it, so
         its cost is the client's, not a stage's."""
         marks = (self.submitted_at, self.enqueued_at, self.started_at,

@@ -20,9 +20,10 @@ Request handling stays on the event loop; everything heavy — operand
 materialization, footprint estimation, the engine run itself — happens
 on worker threads (the scheduler's bounded pool for runs, the default
 executor for operand prep).  The engine is re-entrant (per-run tracer,
-governor, caches; thread-keyed deadlines; pid-guarded shm sweeps), so
-concurrent jobs are ordinary overlapping calls of
-:func:`~repro.core.executor.execute_chunk_grid`.
+governor, caches; thread-keyed deadlines), so concurrent jobs are
+ordinary overlapping calls of
+:func:`~repro.core.executor.execute_chunk_grid` on operands the job
+holds by reference from the cache (:mod:`.cache`).
 
 Every job's result carries the CRC32 fingerprint of the assembled
 product (:func:`~repro.core.governor.integrity.crc32_matrix`), so
@@ -47,7 +48,7 @@ from ..observability import Tracer, tracer_events, write_chrome_trace
 from ..spgemm.estimate import estimate_row_nnz
 from ..spgemm.flops import product_prefix
 from .body import MAX_BODY_BYTES, decode_json, encode_json
-from .cache import DEFAULT_CACHE_BYTES, OperandCache, OperandLease, content_hash
+from .cache import DEFAULT_CACHE_BYTES, OperandCache
 from .jobs import JobRecord, JobSpec, JobState, canonical_spec, resolve_operand
 from .scheduler import DEFAULT_HOST_BUDGET, JobScheduler, TenantQuota
 
@@ -126,7 +127,7 @@ class SpgemmServer:
 
     def __init__(self, config: Optional[ServerConfig] = None) -> None:
         self.config = config or ServerConfig()
-        self.cache = OperandCache(self.config.cache_bytes, run_id="serve")
+        self.cache = OperandCache(self.config.cache_bytes)
         self.scheduler = JobScheduler(
             self._run_job,
             slots=self.config.slots,
@@ -137,7 +138,6 @@ class SpgemmServer:
         )
         self._records: Dict[int, JobRecord] = {}
         self._retained: collections.deque = collections.deque()
-        self._leases: Dict[int, Tuple[OperandLease, ...]] = {}
         self._operands: Dict[int, Tuple[Any, Any]] = {}
         self._event_queues: Dict[int, asyncio.Queue] = {}
         self._done_events: Dict[int, asyncio.Event] = {}
@@ -173,7 +173,6 @@ class SpgemmServer:
             await srv.wait_closed()
         self._servers.clear()
         self.scheduler.stop()
-        self.cache.close()
         if self.config.unix_socket:
             Path(self.config.unix_socket).unlink(missing_ok=True)
 
@@ -181,73 +180,63 @@ class SpgemmServer:
     # job pipeline
     # ------------------------------------------------------------------
     def _prepare_job(self, spec: JobSpec, record: JobRecord) -> None:
-        """Materialize/lease both operands, price the job and pick its
-        grid — all from one product count.
+        """Resolve both operands, price the job and pick its grid — all
+        from one product count.
 
         Runs on an executor thread (generator runs, file parses, and
-        sampling are real CPU work).  Leases are held from here until
-        the job's terminal state, so a queued job's operands can never
-        be evicted under it."""
-        leases = []
+        sampling are real CPU work).  ``_operands`` holds the job's
+        ``(a, b)`` from here until its terminal state, so an operand
+        evicted from the cache's LRU meanwhile is still the one the job
+        runs on, and still found by its hash."""
         mats = []
-        try:
-            for side, op_spec in (("a", spec.a_spec), ("b", spec.b_spec)):
-                lease, hit = self._resolve_cached(op_spec)
-                leases.append(lease)
-                mats.append(lease.matrix)
-                record.cache_hits[side] = hit
-            a, b = mats
-            if a.n_cols != b.n_rows:
-                raise ValueError(
-                    f"operand shapes do not chain: {a.shape} x {b.shape}"
-                )
-            products = int(product_prefix(a, b)[-1])
-            if spec.grid is not None:
-                rp, cp = spec.grid
-            elif products < ONE_CHUNK_PRODUCTS:
-                rp, cp = 1, 1
-            else:
-                rp, cp = min(4, max(1, a.n_rows // 256)), 1
-            # refuses a grid finer than the operands (panel_boundaries)
-            record.grid = ChunkGrid.regular(a.n_rows, b.n_cols, rp, cp)
-            record.chunks_total = record.grid.num_chunks
-            record.cost_bytes, record.priced = price_job(
-                a, b, products,
-                self.config.host_mem_bytes
-                // (CEILING_SHARE * self.config.slots),
+        for side, op_spec in (("a", spec.a_spec), ("b", spec.b_spec)):
+            _, matrix, hit = self._resolve_cached(op_spec)
+            mats.append(matrix)
+            record.cache_hits[side] = hit
+        a, b = mats
+        if a.n_cols != b.n_rows:
+            raise ValueError(
+                f"operand shapes do not chain: {a.shape} x {b.shape}"
             )
-            self._leases[record.job_id] = tuple(leases)
-            self._operands[record.job_id] = (a, b)
-        except Exception:
-            for lease in leases:
-                lease.release()
-            raise
+        products = int(product_prefix(a, b)[-1])
+        if spec.grid is not None:
+            rp, cp = spec.grid
+        elif products < ONE_CHUNK_PRODUCTS:
+            rp, cp = 1, 1
+        else:
+            rp, cp = min(4, max(1, a.n_rows // 256)), 1
+        # refuses a grid finer than the operands (panel_boundaries)
+        record.grid = ChunkGrid.regular(a.n_rows, b.n_cols, rp, cp)
+        record.chunks_total = record.grid.num_chunks
+        record.cost_bytes, record.priced = price_job(
+            a, b, products,
+            self.config.host_mem_bytes // (CEILING_SHARE * self.config.slots),
+        )
+        self._operands[record.job_id] = (a, b)
 
     def _resolve_cached(self, op_spec: Dict[str, Any]):
-        """One operand spec -> (lease, cache_hit)."""
+        """One operand spec -> (key, matrix, cache_hit)."""
         if not isinstance(op_spec, dict):
             raise ValueError("operand spec must be a JSON object")
         if set(op_spec) == {"hash"}:
-            lease = self.cache.lease(op_spec["hash"], count=True)
-            if lease is None:
-                raise ValueError(
-                    f"operand {op_spec['hash'][:12]}... is not in the cache"
-                )
-            return lease, True
+            key = op_spec["hash"]
+            matrix = self.cache.get(key, count=True)
+            if matrix is None:
+                raise ValueError(f"operand {key[:12]}... is not in the cache")
+            return key, matrix, True
         spec_key = None
         if "inline" not in op_spec:
             # deterministic spec: try the alias fast path first
             spec_key = canonical_spec(op_spec)
             key = self.cache.lookup_alias(spec_key)
             if key is not None:
-                lease = self.cache.lease(key, count=True)
-                if lease is not None:
-                    return lease, True
-        matrix = resolve_operand(op_spec)
-        lease, hit = self.cache.get_or_put(matrix)
+                matrix = self.cache.get(key, count=True)
+                if matrix is not None:
+                    return key, matrix, True
+        key, matrix, hit = self.cache.get_or_put(resolve_operand(op_spec))
         if spec_key is not None:
-            self.cache.alias(spec_key, lease.key)
-        return lease, hit
+            self.cache.alias(spec_key, key)
+        return key, matrix, hit
 
     def _run_job(self, record: JobRecord) -> None:
         """Execute one admitted job on a scheduler pool thread."""
@@ -316,8 +305,6 @@ class SpgemmServer:
             self._emit(record, {"event": "failed", **record.snapshot()})
         finally:
             self._operands.pop(record.job_id, None)
-            for lease in self._leases.pop(record.job_id, ()):
-                lease.release()
 
     # ------------------------------------------------------------------
     # events (pool/scheduler threads -> event loop)
@@ -429,6 +416,9 @@ class SpgemmServer:
         for line in lines[1:]:
             key, _, value = line.partition(":")
             headers[key.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            raise _Refused(501, "Transfer-Encoding is not supported; "
+                                "send the body with a Content-Length")
         try:
             length = int(headers.get("content-length") or 0)
             if length < 0:
@@ -474,7 +464,8 @@ class SpgemmServer:
         try:
             payload = decode_json(body or b"{}")
             spec = payload["spec"] if "spec" in payload else payload
-            lease, hit = await asyncio.get_running_loop().run_in_executor(
+            loop = asyncio.get_running_loop()
+            key, matrix, hit = await loop.run_in_executor(
                 None, self._resolve_cached, spec
             )
         except Exception as exc:
@@ -482,12 +473,9 @@ class SpgemmServer:
                 "error": f"{type(exc).__name__}: {exc}"
             })
             return
-        try:
-            await self._respond(writer, 200, {
-                "hash": lease.key, "cached": hit, "nbytes": lease.nbytes,
-            })
-        finally:
-            lease.release()
+        await self._respond(writer, 200, {
+            "hash": key, "cached": hit, "nbytes": matrix.nbytes(),
+        })
 
     async def _post_job(self, body: bytes,
                         writer: asyncio.StreamWriter) -> None:
@@ -522,8 +510,6 @@ class SpgemmServer:
             record.enqueued_at = time.monotonic()
             accepted, reason = self.scheduler.submit(record)
             if not accepted:
-                for lease in self._leases.pop(record.job_id, ()):
-                    lease.release()
                 self._operands.pop(record.job_id, None)
                 await self._respond(writer, 429, record.snapshot())
                 return
@@ -573,7 +559,8 @@ class SpgemmServer:
         reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
                   404: "Not Found", 408: "Request Timeout",
                   413: "Payload Too Large", 429: "Too Many Requests",
-                  431: "Request Header Fields Too Large"}.get(status, "OK")
+                  431: "Request Header Fields Too Large",
+                  501: "Not Implemented"}.get(status, "OK")
         body = encode_json(obj)
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"

@@ -62,7 +62,8 @@ class CSRMatrix:
         carried along).  The paper assumes sorted rows (Section II.A).
     """
 
-    __slots__ = ("n_rows", "n_cols", "row_offsets", "col_ids", "data")
+    __slots__ = ("n_rows", "n_cols", "row_offsets", "col_ids", "data",
+                 "__weakref__")
 
     def __init__(
         self,

@@ -14,8 +14,8 @@ row analysis), the caller allocates the final CSR arrays once, and
 :func:`native_fill_slots` writes every row into its slot — a per-row
 ``(start, count)`` in arrays the caller owns, column ids plus a
 ``shift`` — sorted without a comparison sort (see the kernel source).
-The slot may be chunk-local (``start = c_indptr[r]``, ``shift = 0``:
-:func:`native_fill_rows`) or lie in the assembled product
+The slot may be chunk-local (``start = c_indptr[r]``, ``shift = 0``)
+or lie in the assembled product
 (:class:`repro.core.assemble.OutputLayout`); the kernel does not know
 the difference.  :func:`native_place_rows` copies already-computed rows
 into slots under the same per-row refusal.  Scratch is kept per thread
@@ -71,7 +71,6 @@ __all__ = [
     "native_build_error",
     "native_count_rows",
     "native_fill_slots",
-    "native_fill_rows",
     "native_place_rows",
     "native_col_offsets",
     "native_col_panels",
@@ -1012,22 +1011,6 @@ def native_fill_slots(
             f"native kernel overflow: row {int(rows[-code - 1])} does not "
             f"fit its slot"
         )
-
-
-def native_fill_rows(
-    a: CSRMatrix,
-    b: CSRMatrix,
-    rows: np.ndarray,
-    c_indptr: np.ndarray,
-    col_ids: np.ndarray,
-    data: np.ndarray,
-) -> None:
-    """:func:`native_fill_slots` for rows stored back to back: row ``r``
-    lands at ``col_ids/data[c_indptr[r]:c_indptr[r + 1]]`` (``c_indptr``:
-    one entry per row of ``a``, plus one — the slot checks refuse any
-    other shape or dtype)."""
-    native_fill_slots(a, b, rows, c_indptr[:-1], np.diff(c_indptr), 0,
-                      col_ids, data)
 
 
 def native_place_rows(

@@ -437,14 +437,6 @@ def test_degradation_chain(problem, baseline, monkeypatch, broken,
     assert tracer.counters("faults").get("degraded") == len(broken)
 
 
-def test_degrade_false_propagates(problem, monkeypatch):
-    _break_backends(monkeypatch, {"process"})
-    a, b, grid = problem
-    with pytest.raises(BackendUnavailable):
-        execute_chunk_grid(a, b, grid, workers=2, backend="process",
-                           keep_outputs=True, degrade=False)
-
-
 def test_serial_backend_unavailable_is_terminal(problem, monkeypatch):
     """Serial is the end of the chain — nothing left to degrade to."""
     _break_backends(monkeypatch, {"serial"})

@@ -1,6 +1,6 @@
-"""Tests for the content-addressed shared operand cache (repro.serve.cache)."""
+"""Tests for the content-addressed operand cache (repro.serve.cache)."""
 
-import glob
+import gc
 
 import numpy as np
 import pytest
@@ -12,10 +12,6 @@ from repro.core.governor.integrity import crc32_matrix
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import banded, random_csr
 from repro.serve.cache import OperandCache, content_hash
-
-
-def leaked(prefix):
-    return glob.glob(f"/dev/shm/{prefix}*")
 
 
 def tiny(seed, n=12, nnz=40):
@@ -53,110 +49,81 @@ class TestContentHash:
 
 class TestGetOrPut:
     def test_miss_then_hit(self):
-        with OperandCache(1 << 20, run_id="t") as cache:
-            m = tiny(4)
-            lease1, hit1 = cache.get_or_put(m)
-            lease2, hit2 = cache.get_or_put(m)
-            assert (hit1, hit2) == (False, True)
-            assert lease1.key == lease2.key
-            assert cache.hits == 1 and cache.misses == 1
-            lease1.release()
-            lease2.release()
+        cache = OperandCache(1 << 20)
+        m = tiny(4)
+        key1, got1, hit1 = cache.get_or_put(m)
+        key2, got2, hit2 = cache.get_or_put(m)
+        assert (hit1, hit2) == (False, True)
+        assert key1 == key2 == content_hash(m)
+        assert got1 is got2 is m
+        assert cache.hits == 1 and cache.misses == 1
 
     def test_same_shape_different_values_get_distinct_entries(self):
-        with OperandCache(1 << 20, run_id="t") as cache:
-            m = tiny(5)
-            other = CSRMatrix(m.n_rows, m.n_cols, m.row_offsets.copy(),
-                              m.col_ids.copy(), m.data + 1.0)
-            la, hit_a = cache.get_or_put(m)
-            lb, hit_b = cache.get_or_put(other)
-            assert not hit_b, "different values must not hit the same entry"
-            assert la.key != lb.key
-            np.testing.assert_array_equal(la.matrix.data, m.data)
-            np.testing.assert_array_equal(lb.matrix.data, other.data)
-            la.release()
-            lb.release()
-
-    def test_leased_matrix_is_zero_copy(self):
-        with OperandCache(1 << 20, run_id="t") as cache:
-            lease, _ = cache.get_or_put(tiny(6))
-            view = lease.matrix
-            assert view.data.base is not None
-            assert not view.data.flags.owndata
-            lease.release()
-
-    def test_lease_release_is_idempotent_and_context_managed(self):
-        with OperandCache(1 << 20, run_id="t") as cache:
-            lease, _ = cache.get_or_put(tiny(7))
-            with lease:
-                pass
-            lease.release()  # second release: no underflow
-            release = cache.lease(lease.key)
-            assert release is not None
-            release.release()
+        cache = OperandCache(1 << 20)
+        m = tiny(5)
+        other = CSRMatrix(m.n_rows, m.n_cols, m.row_offsets.copy(),
+                          m.col_ids.copy(), m.data + 1.0)
+        key_a, got_a, _ = cache.get_or_put(m)
+        key_b, got_b, hit_b = cache.get_or_put(other)
+        assert not hit_b, "different values must not hit the same entry"
+        assert key_a != key_b
+        np.testing.assert_array_equal(got_a.data, m.data)
+        np.testing.assert_array_equal(got_b.data, other.data)
 
     def test_uncounted_probe_does_not_skew_hit_rate(self):
-        with OperandCache(1 << 20, run_id="t") as cache:
-            assert cache.lease("0" * 64) is None
-            assert cache.misses == 0
-            assert cache.lease("0" * 64, count=True) is None
-            assert cache.misses == 1
+        cache = OperandCache(1 << 20)
+        assert cache.get("0" * 64) is None
+        assert cache.misses == 0
+        assert cache.get("0" * 64, count=True) is None
+        assert cache.misses == 1
 
 
 class TestEviction:
-    def test_pinned_entries_survive_budget_pressure(self):
-        m1, m2, m3 = tiny(10, n=64, nnz=400), tiny(11, n=64, nnz=400), \
-            tiny(12, n=64, nnz=400)
-        nbytes = (64 + 1) * 8 + 400 * 16
-        # budget fits ~1.5 operands: inserting three must evict, but
-        # never an entry a job still holds a lease on
-        with OperandCache(int(nbytes * 1.5), run_id="t") as cache:
-            l1, _ = cache.get_or_put(m1)
-            l2, _ = cache.get_or_put(m2)
-            l3, _ = cache.get_or_put(m3)
-            assert cache.held_bytes > cache.max_bytes
-            assert cache.evictions == 0
-            # every pinned matrix still reads back intact
-            np.testing.assert_array_equal(l1.matrix.data, m1.data)
-            np.testing.assert_array_equal(l2.matrix.data, m2.data)
-            np.testing.assert_array_equal(l3.matrix.data, m3.data)
-            # releasing the oldest lets pressure evict it (l3 stays: it
-            # is both pinned and freshest)
-            l1.release()
-            assert cache.evictions == 1
-            assert cache.lease(l1.key) is None
-            assert cache.lease(l2.key) is not None  # still pinned
-            l2.release()
-            l3.release()
+    def test_an_evicted_operand_still_held_is_found_and_shared(self):
+        """Eviction drops the cache's own reference, not the caller's:
+        while a job holds an evicted operand its hash still finds it and
+        a repeat of it is that object, not a second copy; once the last
+        reference goes, so does the entry."""
+        m1, m2 = tiny(10, n=64, nnz=400), tiny(11, n=64, nnz=400)
+        cache = OperandCache(m1.nbytes() + 1)  # room for one of the two
+        key, held, _ = cache.get_or_put(m1)
+        cache.get_or_put(m2)
+        assert cache.evictions == 1 and cache.stats()["entries"] == 1
+        assert cache.get(key) is held
+        equal = m1.copy()
+        again_key, again, hit = cache.get_or_put(equal)
+        assert (again_key, hit) == (key, True)
+        assert again is held
+        del m1, held, again
+        gc.collect()
+        assert cache.get(key, count=True) is None
+        _, rebuilt, hit = cache.get_or_put(equal)
+        assert rebuilt is equal and not hit
 
     def test_freshest_entry_survives_even_alone_over_budget(self):
         m = tiny(13, n=64, nnz=400)
-        with OperandCache(16, run_id="t") as cache:  # absurdly small
-            lease, _ = cache.get_or_put(m)
-            lease.release()
-            assert cache.stats()["entries"] == 1
-            again = cache.lease(content_hash(m))
-            assert again is not None
-            again.release()
+        cache = OperandCache(16)  # absurdly small
+        cache.get_or_put(m)
+        assert cache.stats()["entries"] == 1
+        assert cache.evictions == 0
+        assert cache.get(content_hash(m)) is m
 
     def test_eviction_drops_spec_aliases(self):
         big = tiny(14, n=64, nnz=400)
         small = tiny(15, n=8, nnz=10)
-        with OperandCache((8 + 1) * 8 + 10 * 16 + 8, run_id="t") as cache:
-            lease, _ = cache.get_or_put(big)
-            cache.alias('{"gen":1}', lease.key)
-            assert cache.lookup_alias('{"gen":1}') == lease.key
-            lease.release()
-            l2, _ = cache.get_or_put(small)  # evicts big
-            assert cache.lookup_alias('{"gen":1}') is None
-            l2.release()
+        cache = OperandCache((8 + 1) * 8 + 10 * 16 + 8)
+        key, _, _ = cache.get_or_put(big)
+        cache.alias('{"gen":1}', key)
+        assert cache.lookup_alias('{"gen":1}') == key
+        cache.get_or_put(small)  # evicts big
+        assert cache.lookup_alias('{"gen":1}') is None
 
 
 class TestSharedOperandResults:
     def test_two_jobs_sharing_one_cached_operand_bit_identical(self):
-        # the acceptance property: a run whose A operand is the cache's
-        # zero-copy view produces the byte-for-byte product of a run on
-        # the original private matrix
+        # the acceptance property: a run whose A operand came out of the
+        # cache produces the byte-for-byte product of a run on a private
+        # copy of the matrix
         a = random_csr(96, 96, 900, seed=20)
         b = random_csr(96, 96, 900, seed=21)
         grid = ChunkGrid.regular(a.n_rows, b.n_cols, 3, 1)
@@ -166,15 +133,13 @@ class TestSharedOperandResults:
                                             workers=1, keep_outputs=True)
             return assemble_chunks(outputs)
 
-        baseline = product(a, b)
-        with OperandCache(1 << 22, run_id="t") as cache:
-            lease_one, _ = cache.get_or_put(a)
-            lease_two, hit = cache.get_or_put(a)
-            assert hit
-            got_one = product(lease_one.matrix, b)
-            got_two = product(lease_two.matrix, b)
-            lease_one.release()
-            lease_two.release()
+        baseline = product(a.copy(), b)
+        cache = OperandCache(1 << 22)
+        _, one, _ = cache.get_or_put(a)
+        _, two, hit = cache.get_or_put(a)
+        assert hit
+        got_one = product(one, b)
+        got_two = product(two, b)
         for got in (got_one, got_two):
             assert got == baseline
             assert crc32_matrix(got) == crc32_matrix(baseline)
@@ -182,17 +147,6 @@ class TestSharedOperandResults:
 
 
 class TestLifecycle:
-    def test_close_unlinks_all_segments(self):
-        cache = OperandCache(1 << 20, run_id="t")
-        prefix = cache.prefix
-        lease, _ = cache.get_or_put(tiny(30))
-        assert leaked(prefix)
-        cache.close()
-        assert not leaked(prefix)
-        cache.close()  # idempotent
-        with pytest.raises(RuntimeError):
-            cache.get_or_put(tiny(31))
-
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
             OperandCache(0)

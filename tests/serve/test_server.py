@@ -395,6 +395,9 @@ class TestValidation:
             "negative": b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
             # EOF before the blank line, and before the promised body
             "truncated": b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 10\r\n",
+            # a body the server cannot size: refused, not read as empty
+            "chunked": b"POST /v1/jobs HTTP/1.1\r\nTransfer-Encoding: chunked"
+                       b"\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
         }
 
         async def run(server, client):
@@ -418,6 +421,9 @@ class TestValidation:
             head, _, body = replies[name].partition(b"\r\n\r\n")
             assert head.startswith(b"HTTP/1.1 400 "), replies[name]
             assert "Content-Length" in json.loads(body)["error"]
+        head, _, body = replies["chunked"].partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501 Not Implemented"), head
+        assert "Content-Length" in json.loads(body)["error"]
         assert replies["truncated"] == b""  # a clean close
 
 
@@ -579,13 +585,28 @@ class TestObservability:
             events = validate_chrome_trace(json.load(fh))
         assert events, "trace exported no events"
 
-    def test_server_stop_leaves_no_shm_segments(self):
-        async def run(server, client):
-            await client.submit_job(job_payload())
-            return server.cache.prefix
+    def test_served_jobs_leave_no_shm_segments_behind(self):
+        """The cache holds operands on the heap: a session that uploads
+        one and runs it on the thread and on the process backend leaves
+        ``/dev/shm`` as it found it while the server is still up, and
+        the two backends agree on the product."""
+        def segments():
+            return set(glob.glob("/dev/shm/repro-*"))
 
-        prefix = serve(run)
-        assert not glob.glob(f"/dev/shm/{prefix}*")
+        before = segments()
+
+        async def run(server, client):
+            key = (await client.upload_operand(A_SPEC))["hash"]
+            snaps = [await client.submit_job(job_payload(
+                a={"hash": key}, backend=backend, workers=2))
+                for backend in ("thread", "process")]
+            await drained(server)
+            return snaps, segments() - before
+
+        snaps, leftover = serve(run)
+        assert leftover == set()
+        assert [s["state"] for s in snaps] == ["done", "done"]
+        assert snaps[0]["result"]["crc32"] == snaps[1]["result"]["crc32"]
 
 
 # ----------------------------------------------------------------------

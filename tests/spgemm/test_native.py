@@ -27,7 +27,6 @@ from repro.spgemm.native import (
     native_available,
     native_build_error,
     native_count_rows,
-    native_fill_rows,
     native_fill_slots,
 )
 from repro.spgemm.twophase import spgemm_symbolic, spgemm_twophase
@@ -38,6 +37,13 @@ pytestmark = pytest.mark.skipif(
 )
 
 INT64_MAX = np.iinfo(np.int64).max
+
+
+def fill_rows(a, b, rows, c_indptr, col_ids, data):
+    """The fill pass into chunk-local slots: row ``r`` lands at
+    ``col_ids/data[c_indptr[r]:c_indptr[r + 1]]``."""
+    native_fill_slots(a, b, rows, c_indptr[:-1], np.diff(c_indptr), 0,
+                      col_ids, data)
 NEGATIVE_ZERO = np.float64(-0.0).view(np.uint64)
 
 
@@ -243,7 +249,7 @@ class TestRowLists:
         assert ref.counts.tolist() == [3, 0, 0, 3]
         np.testing.assert_array_equal(native_count_rows(a, b, rows), ref.counts)
         col_ids, values = np.empty(6, dtype=np.int64), np.empty(6)
-        native_fill_rows(a, b, rows, ref.offsets(), col_ids, values)
+        fill_rows(a, b, rows, ref.offsets(), col_ids, values)
         np.testing.assert_array_equal(col_ids, ref.col_ids)
         np.testing.assert_array_equal(values, ref.values)
 
@@ -254,7 +260,7 @@ class TestRowLists:
         rows = np.array([3, 4, 17, 29])
         col_ids = np.full(full.nnz, -1, dtype=np.int64)
         data = np.full(full.nnz, np.nan)
-        native_fill_rows(a, b, rows, full.row_offsets, col_ids, data)
+        fill_rows(a, b, rows, full.row_offsets, col_ids, data)
         mine = np.zeros(full.nnz, dtype=bool)
         for r in rows:
             mine[full.row_offsets[r]:full.row_offsets[r + 1]] = True
@@ -432,7 +438,7 @@ class TestScratch:
         else:
             col_ids = np.empty(ref.nnz, dtype=np.int64)
             data = np.empty(ref.nnz)
-            native_fill_rows(a, a, np.arange(a.n_rows), ref.row_offsets, col_ids, data)
+            fill_rows(a, a, np.arange(a.n_rows), ref.row_offsets, col_ids, data)
             np.testing.assert_array_equal(col_ids, ref.col_ids)
             np.testing.assert_array_equal(data, ref.data)
         assert scratch.gen[0] == a.n_rows  # restarted from 0, one stamp a row
@@ -495,8 +501,8 @@ class TestFillRefusesBadSlots:
         cols = np.full(nnz + 2 * pad, -7, dtype=np.int64)
         vals = np.full(nnz + 2 * pad, -7.0)
         try:
-            native_fill_rows(a, a, np.arange(a.n_rows), c_indptr,
-                             cols[pad:pad + nnz], vals[pad:pad + nnz])
+            fill_rows(a, a, np.arange(a.n_rows), c_indptr,
+                      cols[pad:pad + nnz], vals[pad:pad + nnz])
         finally:
             for arr in (cols, vals):
                 assert np.all(arr[:pad] == -7) and np.all(arr[pad + nnz:] == -7)
@@ -551,11 +557,11 @@ class TestFillRefusesBadSlots:
         rows = np.arange(a.n_rows)
         cols, vals = np.empty(ref.nnz, dtype=np.int64), np.empty(ref.nnz)
         with pytest.raises(ValueError):
-            native_fill_rows(a, a, rows, ref.row_offsets, cols.astype(np.int32), vals)
+            fill_rows(a, a, rows, ref.row_offsets, cols.astype(np.int32), vals)
         with pytest.raises(ValueError):
-            native_fill_rows(a, a, rows, ref.row_offsets, cols, vals[:-1])
+            fill_rows(a, a, rows, ref.row_offsets, cols, vals[:-1])
         with pytest.raises(ValueError):
-            native_fill_rows(a, a, rows, ref.row_offsets[:-1], cols, vals)
+            fill_rows(a, a, rows, ref.row_offsets[:-1], cols, vals)
         with pytest.raises(ValueError):
-            native_fill_rows(a, a, rows, ref.row_offsets,
-                             np.empty(2 * ref.nnz, dtype=np.int64)[::2], vals)
+            fill_rows(a, a, rows, ref.row_offsets,
+                      np.empty(2 * ref.nnz, dtype=np.int64)[::2], vals)
