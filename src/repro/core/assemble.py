@@ -19,12 +19,16 @@ produced by a fused or re-split kernel run — is *placed*
 (:meth:`OutputLayout.place`): one bounds-checked copy, every element
 touched once.  :func:`assemble_chunks` is "layout from the chunks' own
 row counts, place each".
+
+A layout with a ``sink`` holds no ``col_ids`` / ``data``: a row panel's
+slots live in a *strip* buffer until its last chunk is in, then the
+strip goes to the sink (DESIGN.md, "Disk runs write strips").
 """
 
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +51,7 @@ class OutputLayout:
     an error when the layout will never be sealed.
     """
 
-    def __init__(self, row_bounds, col_bounds) -> None:
+    def __init__(self, row_bounds, col_bounds, sink=None) -> None:
         self.row_bounds = np.asarray(row_bounds, dtype=INDEX_DTYPE)
         self.col_bounds = np.asarray(col_bounds, dtype=INDEX_DTYPE)
         heights = np.diff(self.row_bounds)
@@ -60,7 +64,12 @@ class OutputLayout:
         ]
         self._counted = np.zeros((heights.size, num_col_panels), dtype=bool)
         self._starts: Optional[List[np.ndarray]] = None  # seal() fills it
+        self.row_offsets: Optional[np.ndarray] = None     # and this
         self._matrix: Optional[CSRMatrix] = None
+        self.sink = sink
+        self._strips: Dict[int, tuple] = {}  # rp -> (first slot, col_ids, data)
+        self._filled = np.zeros_like(self._counted)
+        self._lock = threading.Lock()
         # set by seal() or abandon(); wait_sealed() blocks on it
         self._settled = threading.Event()
         self._abandoned: Optional[BaseException] = None
@@ -96,7 +105,7 @@ class OutputLayout:
 
     @property
     def sealed(self) -> bool:
-        return self._matrix is not None
+        return self._starts is not None
 
     def set_counts(self, row_panel: int, col_panel: int,
                    row_nnz: np.ndarray) -> None:
@@ -144,11 +153,15 @@ class OutputLayout:
                                  self.row_bounds[1:])
         ]
         nnz = int(row_offsets[-1])
-        self._matrix = CSRMatrix(
-            n_rows, int(self.col_bounds[-1]), row_offsets,
-            np.empty(nnz, dtype=INDEX_DTYPE), np.empty(nnz, dtype=VALUE_DTYPE),
-            check=False,
-        )
+        self.row_offsets = row_offsets
+        if self.sink is not None:
+            self.sink.open_strips(self)
+        else:
+            self._matrix = CSRMatrix(
+                n_rows, int(self.col_bounds[-1]), row_offsets,
+                np.empty(nnz, dtype=INDEX_DTYPE), np.empty(nnz, dtype=VALUE_DTYPE),
+                check=False,
+            )
         self._settled.set()
 
     def abandon(self, cause: BaseException) -> None:
@@ -172,13 +185,38 @@ class OutputLayout:
         and count in the output arrays, and the column shift."""
         if not self.sealed:
             raise RuntimeError("seal() the layout before asking for slots")
+        starts = self._starts[row_panel][col_panel]
+        if self.sink is None:
+            col_ids, data = self._matrix.col_ids, self._matrix.data
+        else:
+            with self._lock:  # a strip is allocated when first asked for
+                if row_panel not in self._strips:
+                    rows = self.row_bounds[row_panel:row_panel + 2]
+                    first, end = self.row_offsets[rows]
+                    self._strips[row_panel] = (
+                        first, np.empty(end - first, dtype=INDEX_DTYPE),
+                        np.empty(end - first, dtype=VALUE_DTYPE))
+                first, col_ids, data = self._strips[row_panel]
+            starts = starts - first
         return RowSlots(
-            starts=self._starts[row_panel][col_panel],
+            starts=starts,
             counts=self._counts[row_panel][col_panel],
             shift=int(self.col_bounds[col_panel]),
-            col_ids=self._matrix.col_ids,
-            data=self._matrix.data,
+            col_ids=col_ids,
+            data=data,
         )
+
+    def filled(self, row_panel: int, col_panel: int) -> None:
+        """A strip layout's chunk ``(row_panel, col_panel)`` is in its
+        slots: the row panel's last chunk (each counts once) hands the strip
+        to the sink; a failed write leaves it open for the retry to write."""
+        with self._lock:
+            self._filled[row_panel, col_panel] = True
+            strip = (self._strips.get(row_panel)
+                     if self._filled[row_panel].all() else None)
+        if strip is not None:
+            self.sink.write_strip(row_panel, *strip)
+            self._strips.pop(row_panel, None)
 
     def place(self, row_panel: int, col_panel: int, chunk: CSRMatrix) -> None:
         """Copy a finished chunk matrix into its slots, each element
@@ -203,8 +241,8 @@ class OutputLayout:
     def matrix(self) -> CSRMatrix:
         """The product, over the arrays the chunks were written into
         (complete once every chunk has been filled or placed)."""
-        if not self.sealed:
-            raise RuntimeError("seal() the layout before taking the matrix")
+        if self._matrix is None:
+            raise RuntimeError("seal() a sinkless layout before taking the matrix")
         return self._matrix
 
 

@@ -100,9 +100,10 @@ class SerialBackend:
 class _ThreadRunner:
     """Lane runner over a ``ThreadPoolExecutor``: attempts (whole or
     re-split) run on the pool's threads and post their outcome to a
-    queue ``next`` blocks on.  With a tracer, each attempt records a
-    ``queue_wait`` span (submit-to-start latency) on its worker's
-    track."""
+    queue ``next`` blocks on (in a strip run: in submission order, so the
+    chunks in flight stay a window apart).  With a tracer, each attempt
+    records a ``queue_wait`` span (submit-to-start latency) on its
+    worker's track."""
 
     def __init__(self, job: GridJob, pool: ThreadPoolExecutor,
                  lane: str) -> None:
@@ -110,20 +111,29 @@ class _ThreadRunner:
         self._pool = pool
         self._lane = lane
         self._finished: queue.SimpleQueue = queue.SimpleQueue()
+        strips = getattr(job.layout, "sink", None) is not None
+        self._in_order = deque() if strips else None
 
     def submit(self, cid: int, attempt: int, resplit: bool) -> None:
         tracer = self._job.tracer
-        self._pool.submit(self._run, cid, attempt, resplit,
-                          tracer.now() if tracer.enabled else None)
+        future = self._pool.submit(self._run, cid, attempt, resplit,
+                                   tracer.now() if tracer.enabled else None)
+        if self._in_order is not None:
+            self._in_order.append(future)
 
-    def _run(self, cid: int, attempt: int, resplit: bool, t_submit) -> None:
+    def _run(self, cid: int, attempt: int, resplit: bool, t_submit):
         if t_submit is not None:
             tracer = self._job.tracer
             tracer.add_span(f"queue_wait[{cid}]", "queue", t_submit,
                             tracer.now(), chunk=cid, lane=self._lane)
-        self._finished.put((cid, attempt, self._job.attempt(cid, resplit)))
+        outcome = (cid, attempt, self._job.attempt(cid, resplit))
+        if self._in_order is None:
+            self._finished.put(outcome)
+        return outcome
 
     def next(self):
+        if self._in_order is not None:
+            return self._in_order.popleft().result()
         return self._finished.get()
 
 

@@ -33,7 +33,8 @@ no chunk *objects* gets it filled in place: the lanes drain twice, a
 count pass (analysis + symbolic per chunk, exact row counts into an
 :class:`~repro.core.assemble.OutputLayout`) and, after the layout's one
 allocation, a fill pass (numeric per chunk, straight into its slots) —
-DESIGN.md, "Output layout".
+DESIGN.md, "Output layout".  A run into an empty disk store, its only
+sink, fills in place too, in strips (DESIGN.md, "Disk runs write strips").
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ from ..governor.watchdog import (
     check_deadline,
     disarm_deadline,
 )
+from ..spill import DiskChunkStore
 from .faults import (
     NO_RETRY,
     BackendDegradedWarning,
@@ -436,6 +438,8 @@ class GridJob:
                                   bytes=st.output_bytes):
                 if matrix is not None:
                     self.layout.place(rp, cp, matrix)
+                if self.layout.sink is not None:
+                    self.layout.filled(rp, cp)
         elif self.outputs is not None or self.checkpoint is not None:
             with self.tracer.span(f"sink[{cid}]", "sink", chunk=cid,
                                   bytes=st.output_bytes), self.sink_lock:
@@ -719,7 +723,9 @@ def execute_chunk_grid(
         returns the product itself, one :class:`CSRMatrix`.  With
         neither, chunks are not retained; a ``checkpoint`` over a store
         (e.g. a :class:`~repro.core.spill.DiskChunkStore`) is how they
-        stream out as they are produced.
+        stream out as they are produced — or, for an empty
+        ``DiskChunkStore`` and no manifest, host budget or process
+        backend, fill in place row-major, strip by strip, into its file.
 
         An assembled product is filled *in place* — counted over the
         whole grid, allocated once, every chunk's numeric stage writing
@@ -770,10 +776,9 @@ def execute_chunk_grid(
         stats spliced into the profile; every chunk computed here lands
         in it (``checkpoint.land``, serialized under the sink lock, in
         completion order); and when the call returns chunks or the product,
-        the skipped ones come back from it (``checkpoint.chunk`` — which
-        needs its store).  With nothing left to compute the call
-        partitions nothing and starts no backend.  Its store joins the
-        governor's host-memory ledger.
+        the skipped ones come back from its store.  With nothing left to
+        compute the call partitions nothing and starts no backend.  Its
+        store joins the governor's host-memory ledger.
     governor:
         A :class:`~repro.core.governor.Governor` (or
         :class:`~repro.core.governor.GovernorConfig`) policing the run:
@@ -889,10 +894,13 @@ def execute_chunk_grid(
         tracer.gauge("resume", **progress)
 
     gov = as_governor(governor)
-    # fill in place when nothing needs the chunks as objects
-    in_place = (assemble and checkpoint is None
-                and (gov is None or gov.hostmem is None)
-                and backend_name != "process")
+    # fill in place when nothing needs the chunks as objects: to return
+    # the product, or to write it in strips into an empty disk store
+    in_process = (gov is None or gov.hostmem is None) and backend_name != "process"
+    strips = (in_process and not (keep_outputs or assemble or skip)
+              and isinstance(getattr(checkpoint, "store", None), DiskChunkStore)
+              and checkpoint.manifest is None and not len(checkpoint.store))
+    in_place = in_process and (strips or (assemble and checkpoint is None))
     outputs: Optional[List[List[Optional[CSRMatrix]]]] = None
     if keep_outputs or (assemble and not in_place):
         outputs = [[None] * grid.num_col_panels
@@ -907,7 +915,7 @@ def execute_chunk_grid(
         if out is not None:
             for cid in skip:
                 rp, cp = grid.panel_of(cid)
-                out[rp][cp] = checkpoint.chunk(rp, cp)
+                out[rp][cp] = checkpoint.store.get(rp, cp)
             if assemble:
                 out = assemble_chunks(out)
         return profile, out
@@ -931,8 +939,9 @@ def execute_chunk_grid(
     ):
         raise ValueError("grid boundaries disagree with panel partitioning")
 
-    natural = backend_name == "serial" or (workers <= 1
-                                           and backend_name == "thread")
+    # a strip run goes row-major, so few strips are open at a time
+    natural = strips or backend_name == "serial" or (
+        workers <= 1 and backend_name == "thread")
     polices_memory = gov is not None and (
         gov.device_pool_bytes is not None or gov.hostmem is not None)
     if sizing is None and (polices_memory or (lanes is None and not natural)):
@@ -942,7 +951,7 @@ def execute_chunk_grid(
 
     if lanes is None:
         if natural:
-            lanes = [(list(range(num_chunks)), 1)]
+            lanes = [(list(range(num_chunks)), workers)]
         else:
             lanes = [(flops_desc_order(sizing.flops), workers)]
     else:
@@ -974,7 +983,8 @@ def execute_chunk_grid(
         retry=retry, faults=faults, checkpoint=checkpoint,
         crash_budget=crash_budget, governor=gov, sizing=sizing,
         kernel=kernel_spec, chunk_events=chunk_events,
-        layout=(OutputLayout(grid.row_bounds, grid.col_bounds)
+        layout=(OutputLayout(grid.row_bounds, grid.col_bounds,
+                             checkpoint.store if strips else None)
                 if in_place else None),
     )
 
@@ -1028,7 +1038,7 @@ def execute_chunk_grid(
     if missing:
         raise RuntimeError(f"chunks never completed: {missing[:4]}...")
     stats = job.stats_by_id
-    if in_place:
+    if in_place and assemble:
         return finish(stats, wall)[0], job.layout.matrix()
     # chunks + C is the chunk path's peak: the operand panels go first
     del job, row_panels, col_panels

@@ -13,7 +13,8 @@ next rung of the out-of-core ladder.  Two stores share one interface:
     memory stays at one chunk.
     A store pointed at a directory that already holds chunk files
     *adopts* them — which is how a resumed run finds the chunks a
-    previous (killed) run already produced.
+    previous (killed) run already produced.  Into an empty one, a run
+    writes C's strips.
 
 Both assemble into the full matrix on demand, and both are accepted by
 :func:`repro.core.api.run_out_of_core` via the ``chunk_store`` argument.
@@ -61,7 +62,8 @@ from ..sparse.codec import (
     unpack_frame,
     unpack_prefix,
 )
-from ..sparse.formats import CSRMatrix
+from ..sparse.formats import INDEX_DTYPE, VALUE_DTYPE, CSRMatrix
+from ..sparse.partition import partition_columns
 from .chunks import ChunkGrid, ChunkStats
 from .governor.integrity import ChunkCorruption, crc32_matrix
 
@@ -250,6 +252,11 @@ class DiskChunkStore(MemoryChunkStore):
     written deflated, as chunk files were before they held their frame
     raw, still reads.  A temporary file left by a put that never reached
     its rename is deleted on adoption.
+
+    A *strip run* into an empty store writes C into one file instead, a
+    row panel's strip at a time; :meth:`assemble` maps it, :meth:`get`
+    slices it, each once the strips' CRC32s check out.  Such a store takes
+    no :meth:`put`; adoption deletes the file (nothing records it).
     """
 
     def __init__(self, directory: Optional[os.PathLike] = None, *,
@@ -261,6 +268,10 @@ class DiskChunkStore(MemoryChunkStore):
         # (row panel, col panel) -> (chunk file, its size in bytes)
         self._files: Dict[Tuple[int, int], Tuple[Path, int]] = {}
         self._disk_bytes = 0  # their sizes' sum, kept as files come and go
+        self._layout = None  # a strip run's, and its strips written:
+        self._strips: Dict[int, Tuple[int, int, int]] = {}  # rp -> slots, CRC32
+        self._c_file = self._dir / "c.strips"
+        self._c_file.unlink(missing_ok=True)  # a strip run's, never closed
         for torn in self._dir.glob("chunk_*_*.frame.tmp"):
             torn.unlink(missing_ok=True)  # a put killed before its rename
         for path in sorted(self._dir.glob("chunk_*_*.frame")):
@@ -282,6 +293,8 @@ class DiskChunkStore(MemoryChunkStore):
         return self._dir / f"chunk_{row_panel}_{col_panel}.frame"
 
     def put(self, row_panel: int, col_panel: int, chunk: CSRMatrix) -> None:
+        if self._layout is not None:
+            raise RuntimeError("a strip run's store takes no chunk files")
         key = (row_panel, col_panel)
         path = self._path(row_panel, col_panel)
         tmp = path.with_name(path.name + ".tmp")  # outside the adoption glob
@@ -307,9 +320,53 @@ class DiskChunkStore(MemoryChunkStore):
         if self._tracer.enabled:
             self._tracer.gauge("chunk_store_bytes", held=self.nbytes())
 
+    def open_strips(self, layout) -> None:
+        """Size a strip run's file, C's ``col_ids | data``, by its ``layout``."""
+        self._disk_bytes = 16 * int(layout.row_offsets[-1])
+        with open(self._c_file, "wb") as fh:
+            fh.truncate(self._disk_bytes)
+        self._layout = layout
+        self._shape = (layout.row_bounds.size - 1, layout.col_bounds.size - 1)
+
+    def write_strip(self, row_panel: int, first: int, col_ids: np.ndarray,
+                    data: np.ndarray) -> None:
+        """Write a strip (C's slots from ``first`` on) and keep its CRC32."""
+        with self._tracer.span(f"store_strip[{row_panel}]", "store",
+                               bytes=col_ids.nbytes + data.nbytes):
+            with open(self._c_file, "r+b") as fh:
+                fh.seek(8 * first)
+                fh.write(col_ids)
+                fh.seek(self._disk_bytes // 2 + 8 * first)
+                fh.write(data)
+            self._strips[row_panel] = (first, first + col_ids.size,
+                                       crc32_bytes(col_ids, data))
+
+    def _mapped(self, row_panels) -> CSRMatrix:
+        """C, the file mapped copy-on-write, once ``row_panels`` pass their CRC32."""
+        layout, nnz = self._layout, self._disk_bytes // 16
+        try:  # (an empty file cannot be mapped)
+            both = (np.memmap(self._c_file, INDEX_DTYPE, "c", shape=(2, nnz))
+                    if nnz else np.empty((2, 0), dtype=INDEX_DTYPE))
+        except (OSError, ValueError) as exc:  # missing, or short
+            raise ChunkCorruption(f"C file unreadable: {exc}",
+                                  path=self._c_file) from exc
+        c = CSRMatrix(int(layout.row_bounds[-1]), int(layout.col_bounds[-1]),
+                      layout.row_offsets.copy(), both[0],
+                      both[1].view(VALUE_DTYPE), check=False)
+        for rp in row_panels:
+            first, end, crc = self._strips[rp]
+            if crc32_bytes(c.col_ids[first:end], c.data[first:end]) != crc:
+                raise ChunkCorruption(f"row panel {rp}'s strip fails its CRC32",
+                                      path=self._c_file, row_panel=rp)
+        return c
+
     def get(self, row_panel: int, col_panel: int) -> CSRMatrix:
-        path, _ = self._files[(row_panel, col_panel)]
         with self._tracer.span(f"store_get[{row_panel},{col_panel}]", "store"):
+            if self._layout is not None:
+                strip = self._mapped([row_panel]).row_slice(
+                    *self._layout.row_bounds[row_panel:row_panel + 2])
+                return partition_columns(strip, self._shape[1])[col_panel]
+            path, _ = self._files[(row_panel, col_panel)]
             try:
                 with open(path, "rb") as fh:
                     return _read_chunk(fh)
@@ -330,14 +387,28 @@ class DiskChunkStore(MemoryChunkStore):
             Path(path).unlink(missing_ok=True)
 
     def keys(self) -> Iterator[Tuple[int, int]]:
+        if self._layout is not None:  # the chunks of the strips written
+            return iter([(rp, cp) for rp in sorted(self._strips)
+                         for cp in range(self._shape[1])])
         return iter(sorted(self._files))
 
+    def assemble(self) -> CSRMatrix:
+        """The full output matrix (requires a complete grid).  After a
+        strip run, the file mapped: nothing read into a buffer or placed."""
+        if self._layout is None:
+            return super().assemble()
+        if len(self._strips) < self._shape[0]:
+            raise ValueError("incomplete chunk grid: a row panel has no strip")
+        return self._mapped(self._strips)
+
     def nbytes(self) -> int:
-        """Bytes on disk (each file its frame), counted as files are
-        written, adopted and discarded — no ``stat``."""
+        """Bytes on disk (each file its frame; a strip run's, C), counted
+        as files are written, adopted and discarded — no ``stat``."""
         return self._disk_bytes
 
     def close(self) -> None:
+        self._c_file.unlink(missing_ok=True)
+        self._layout, self._strips = None, {}
         for path, _ in self._files.values():
             path.unlink(missing_ok=True)
         self._files.clear()
@@ -381,14 +452,6 @@ class SpillableChunkStore(MemoryChunkStore):
             self._disk = DiskChunkStore(self._spill_directory,
                                         tracer=self._tracer)
         return self._disk
-
-    @property
-    def spill_directory(self) -> Optional[Path]:
-        """Where spilled chunks land (``None`` until the first spill
-        when no directory was configured)."""
-        if self._disk is not None:
-            return self._disk.directory
-        return Path(self._spill_directory) if self._spill_directory else None
 
     def put(self, row_panel: int, col_panel: int, chunk: CSRMatrix) -> None:
         super().put(row_panel, col_panel, chunk)
@@ -713,7 +776,7 @@ class Checkpoint:
     run may skip — what a resume verified, plus everything :meth:`land`
     has taken since.  :func:`~repro.core.executor.execute_chunk_grid`
     (``checkpoint=``) skips it, lands each chunk it computes and fetches
-    the skipped ones back through :meth:`chunk`; a shard node lands the
+    the skipped ones back from ``store``; a shard node lands the
     chunks its remote worker streams home through the same method.
     ``resumed`` / ``dropped`` count the recorded chunks a resume kept and
     the ones that failed its CRC gate (evicted; they recompute).
@@ -768,10 +831,6 @@ class Checkpoint:
             self.manifest.mark_done(
                 stats, crc32=crc32_matrix(matrix) if crc is None else crc)
         self.completed[stats.chunk_id] = stats
-
-    def chunk(self, row_panel: int, col_panel: int) -> CSRMatrix:
-        """A landed chunk, back from the store."""
-        return self.store.get(row_panel, col_panel)
 
 
 class LayoutCheckpoint(Checkpoint):

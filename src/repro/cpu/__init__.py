@@ -1,12 +1,8 @@
-"""CPU executors: the multicore baseline and the MKL-like comparator."""
+"""CPU executors: the multicore baseline."""
 
-from .mkl_like import INT32_MAX, IndexWidthError, spgemm_mkl_like
 from .nagasaka import balanced_row_ranges, spgemm_nagasaka
 
 __all__ = [
-    "INT32_MAX",
-    "IndexWidthError",
-    "spgemm_mkl_like",
     "balanced_row_ranges",
     "spgemm_nagasaka",
 ]

@@ -204,10 +204,6 @@ class ShardRecord:
     #: (degraded to in-process under a TransportDegradedWarning)
     failover: str = ""
 
-    @property
-    def transfer_seconds(self) -> float:
-        return self.bcast_seconds + self.gather_seconds
-
     def as_dict(self) -> dict:
         out = {
             "shard": self.shard_id,

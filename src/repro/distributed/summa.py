@@ -129,7 +129,6 @@ def sparse_summa(
     c_blocks: List[List[Optional[CSRMatrix]]] = [[None] * q for _ in range(q)]
     flops_total = 0
 
-    comm_ops: dict = {}
     for k in range(q):
         for i in range(q):
             for j in range(q):

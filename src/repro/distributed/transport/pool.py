@@ -65,7 +65,6 @@ from ...sparse.shm import cleanup_segments
 from .wire import (
     PROTOCOL_VERSION,
     FrameCorruption,
-    TransportClosed,
     TransportError,
     connect_address,
     csr_from_arrays,

@@ -15,7 +15,7 @@ We deliberately do *not* wrap :class:`scipy.sparse.csr_matrix`: the paper's
 partitioning and kernel code manipulates the raw arrays (rolling
 ``col_offset`` pointers, panel-local column renumbering, group-wise numeric
 writes), so the substrate must expose them first-class.  scipy is used only
-as a cross-checking oracle in :mod:`repro.spgemm.reference`.
+to convert to and from it, and as the test suite's cross-checking oracle.
 
 Indices are int64 throughout — the paper rejects MKL precisely because its
 32-bit ``row_offsets``/``col_ids`` cannot address large outputs.

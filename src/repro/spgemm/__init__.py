@@ -9,7 +9,6 @@ from .kernels import (
 )
 from .native import native_available, native_build_error
 from .numeric import RowSlots, place_rows
-from .reference import assert_same_product, spgemm_scipy
 from .semiring import MAX_MIN, MIN_PLUS, OR_AND, PLUS_TIMES, Semiring, spgemm_semiring
 from .symbolic import symbolic_sort
 from .twophase import (
@@ -34,8 +33,6 @@ __all__ = [
     "native_build_error",
     "RowSlots",
     "place_rows",
-    "assert_same_product",
-    "spgemm_scipy",
     "MAX_MIN",
     "MIN_PLUS",
     "OR_AND",

@@ -3,8 +3,8 @@
 The deliberately simple reference: per-row dict accumulation, Python loops
 and all.  Slow, but its correctness is self-evident, which makes it the
 oracle every vectorized kernel is tested against (the vectorized kernels
-are *also* cross-checked against scipy in :mod:`repro.spgemm.reference`,
-giving two independent oracles).
+are *also* cross-checked against scipy in the test suite, giving two
+independent oracles).
 """
 
 from __future__ import annotations

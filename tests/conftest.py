@@ -28,7 +28,7 @@ import pytest
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import banded, erdos_renyi, rmat
 from repro.sparse.ops import drop_explicit_zeros
-from repro.spgemm.reference import spgemm_scipy
+from tests.reference import spgemm_scipy
 
 DEFAULT_TEST_SEED = 20260806
 

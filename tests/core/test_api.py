@@ -12,7 +12,7 @@ from repro.core.api import (
 )
 from repro.sparse.generators import rmat
 from repro.sparse.ops import drop_explicit_zeros
-from repro.spgemm.reference import spgemm_scipy
+from tests.reference import spgemm_scipy
 from tests.conftest import assert_equals_scipy_product
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.assemble import assemble_chunks
 from repro.sparse.formats import CSRMatrix
-from repro.spgemm.reference import spgemm_scipy
+from tests.reference import spgemm_scipy
 from repro.sparse.ops import drop_explicit_zeros
 
 

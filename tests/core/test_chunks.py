@@ -6,7 +6,7 @@ import pytest
 from repro.core.chunks import ChunkGrid, ChunkProfile, chunk_flops, csr_bytes
 from repro.sparse.generators import random_csr
 from repro.spgemm.flops import total_flops
-from repro.spgemm.reference import spgemm_scipy
+from tests.reference import spgemm_scipy
 
 
 class TestGrid:

@@ -10,7 +10,9 @@ reads no clock.
 """
 
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from repro.core.chunks import ChunkGrid, csr_bytes
 from repro.core.executor import execute_chunk_grid
 from repro.core.governor import GovernorConfig
 from repro.core.planner import working_set_bytes
-from repro.core.spill import DiskChunkStore, MemoryChunkStore
+from repro.core.spill import Checkpoint, DiskChunkStore, MemoryChunkStore
 from repro.device.specs import v100_node
 from repro.observability import Tracer
 from repro.sparse.formats import CSRMatrix
@@ -448,6 +450,109 @@ class TestStoreAssemble:
             store.assemble()
         store.put(1, 1, outputs[1][1])
         assert_same_bytes(store.assemble(), oracle(outputs))
+
+
+# ----------------------------------------------------------------------
+# a strip run: the same C, written once into a disk store's file
+# ----------------------------------------------------------------------
+def strip_run(a, b, grid, **kwargs) -> CSRMatrix:
+    """C of a run whose only sink is an empty disk store, from the
+    store's ``assemble()`` and from its chunks' ``get()``; the store
+    must have written strips, not chunk files."""
+    with tempfile.TemporaryDirectory() as directory:
+        store = DiskChunkStore(directory)
+        execute_chunk_grid(a, b, grid, checkpoint=Checkpoint(store), **kwargs)
+        assert [p.name for p in Path(directory).iterdir()] == ["c.strips"]
+        c = store.assemble()
+        rows, cols = store.grid_shape()
+        chunks = [[store.get(i, j) for j in range(cols)] for i in range(rows)]
+        assert_same_bytes(assemble_chunks(chunks), c)
+        store.close()
+    return c
+
+
+class TestStripRunIsTheChunkPath:
+    @given(problem=problems().map(regular))
+    @settings(max_examples=60, deadline=None)
+    def test_every_kernel_and_backend(self, problem):
+        a_mask, b_mask, grid = problem
+        a, b = with_values(a_mask), with_values(b_mask)
+        for kind in KINDS:
+            _, outputs = execute_chunk_grid(a, b, grid, keep_outputs=True,
+                                            kernel=kind)
+            ref = assemble_chunks(outputs)
+            for backend, workers in [("serial", 1), ("thread", 2)]:
+                assert_same_bytes(strip_run(a, b, grid, kernel=kind,
+                                            backend=backend, workers=workers),
+                                  ref)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("panels", [(1, 1), (4, 1), (1, 3), (4, 3)])
+    def test_grids_and_a_rectangular_product(self, kind, panels):
+        a = random_csr(60, 45, 300, seed=11).to_scipy().toarray()
+        b = random_csr(45, 70, 280, seed=12).to_scipy().toarray()
+        a[15:30] = 0.0          # C's row panel 1 of 4 is empty,
+        b[:, :24] = 0.0         # and its column panel 0 of 3
+        a, b = (CSRMatrix.from_scipy(sp.csr_matrix(m)) for m in (a, b))
+        grid = ChunkGrid.regular(60, 70, *panels)
+        _, outputs = execute_chunk_grid(a, b, grid, keep_outputs=True, kernel=kind)
+        ref = assemble_chunks(outputs)
+        for backend, workers in [("serial", 1), ("thread", 2)]:
+            assert_same_bytes(strip_run(a, b, grid, kernel=kind,
+                                        backend=backend, workers=workers), ref)
+
+    def test_a_chunk_counts_once_and_a_failed_write_stays_open(self):
+        class Sink:
+            def __init__(self):
+                self.written, self.fail = [], True
+
+            def open_strips(self, layout):
+                pass
+
+            def write_strip(self, row_panel, first, col_ids, data):
+                if self.fail:
+                    self.fail = False
+                    raise OSError("disk full")
+                self.written.append((row_panel, int(first), col_ids.tolist()))
+
+        layout = OutputLayout([0, 1, 3], [0, 2, 4], Sink())
+        for rp, cp, row_nnz in [(0, 0, [1]), (0, 1, [2]), (1, 0, [1, 0]),
+                                (1, 1, [0, 1])]:
+            layout.set_counts(rp, cp, np.array(row_nnz))
+        layout.seal()
+        with pytest.raises(RuntimeError, match="sink"):
+            layout.matrix()
+        for cp, cols in [(0, [1]), (1, [0, 1])]:
+            slots = layout.slots(0, cp)
+            slots.col_ids[slots.starts[0]:][:len(cols)] = np.add(cols, slots.shift)
+        layout.filled(0, 0)
+        layout.filled(0, 0)                     # landed again: counts once
+        assert layout.sink.written == []
+        with pytest.raises(OSError):
+            layout.filled(0, 1)
+        layout.filled(0, 1)                     # the retry writes the strip
+        for cp, col in [(0, 1), (1, 2)]:
+            slots = layout.slots(1, cp)
+            slots.col_ids[slots.starts[cp]] = col
+            layout.filled(1, cp)
+        assert layout.sink.written == [(0, 0, [1, 2, 3]), (1, 3, [1, 2])]
+        assert layout._strips == {}
+
+    @needs_native  # the numpy kernels' own intermediates dwarf C
+    def test_the_heap_never_holds_c(self):
+        a = rmat(11, 14.0, seed=1)
+        grid = ChunkGrid.regular(a.n_rows, a.n_cols, 8, 2)
+        c_bytes = csr_bytes(a.n_rows, strip_run(a, a, grid).nnz)  # (and a warm-up)
+
+        def run():
+            with tempfile.TemporaryDirectory() as directory:
+                store = DiskChunkStore(directory)
+                execute_chunk_grid(a, a, grid, checkpoint=Checkpoint(store))
+                store.close()
+
+        peak = traced_peak(run)
+        # one strip of eight beside the operand panels, never C
+        assert peak < c_bytes / 2, (peak, c_bytes)
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,13 @@ import pytest
 
 from repro.core import spill
 from repro.core.api import run_out_of_core
+from repro.core.assemble import assemble_chunks
 from repro.core.chunks import ChunkGrid
+from repro.core.executor import RetryPolicy, execute_chunk_grid
+from repro.core.governor import GovernorConfig
 from repro.core.governor.integrity import ChunkCorruption
 from repro.core.spill import (
+    Checkpoint,
     DiskChunkStore,
     MemoryChunkStore,
     SpillableChunkStore,
@@ -19,8 +23,8 @@ from repro.core.spill import (
 from repro.device.specs import v100_node
 from repro.observability import Tracer
 from repro.sparse.codec import csr_arrays, csr_buffers, frame_parts, pack_frame
-from repro.sparse.generators import random_csr
-from repro.spgemm.reference import spgemm_scipy
+from repro.sparse.generators import random_csr, rmat
+from tests.reference import spgemm_scipy
 from repro.sparse.ops import drop_explicit_zeros
 
 
@@ -420,3 +424,180 @@ class TestSpillableStore:
         adopted = SpillableChunkStore(tmp_path / "spill")
         assert len(adopted) >= 1
         assert adopted.get(0, 0) == chunk
+
+
+class TestStripRuns:
+    """A run whose only sink is an empty disk store writes C once, strip
+    by strip, into one file; the store answers for it as for chunks."""
+
+    @staticmethod
+    def strip_run(tmp_path, grid=(3, 4), **kwargs):
+        """A strip run's store, and the chunk path's chunks of that C."""
+        a = rmat(8, 6.0, seed=5)
+        grid = ChunkGrid.regular(a.n_rows, a.n_cols, *grid)
+        _, outputs = execute_chunk_grid(a, a, grid, keep_outputs=True)
+        store = DiskChunkStore(tmp_path / "chunks")
+        execute_chunk_grid(a, a, grid, checkpoint=Checkpoint(store), **kwargs)
+        return store, outputs
+
+    def test_the_store_reports_the_runs_grid(self, tmp_path):
+        store, outputs = self.strip_run(tmp_path)
+        assert [p.name for p in store.directory.iterdir()] == ["c.strips"]
+        assert list(store.keys()) == [(i, j) for i in range(3) for j in range(4)]
+        assert len(store) == 12 and store.grid_shape() == (3, 4)
+        assert store.nbytes() == store._c_file.stat().st_size == 16 * sum(
+            c.nnz for row in outputs for c in row) > 0
+        store.close()
+
+    def test_get_slices_the_chunk_out_of_the_file(self, tmp_path):
+        store, outputs = self.strip_run(tmp_path)
+        for (rp, cp) in store.keys():
+            assert bit_identical(store.get(rp, cp), outputs[rp][cp])
+        with pytest.raises(KeyError):
+            store.get(3, 0)
+        store.close()
+
+    def test_put_is_refused(self, tmp_path):
+        store, outputs = self.strip_run(tmp_path)
+        with pytest.raises(RuntimeError, match="strip run"):
+            store.put(0, 0, outputs[0][0])
+        assert [p.name for p in store.directory.iterdir()] == ["c.strips"]
+        store.close()
+
+    def test_a_leftover_c_file_is_deleted_on_adoption(self, tmp_path):
+        # a strip run killed before close(): nothing records the file
+        store, _ = self.strip_run(tmp_path)
+        adopted = DiskChunkStore(tmp_path / "chunks")
+        assert len(adopted) == 0
+        assert not list((tmp_path / "chunks").iterdir())
+        adopted.close()
+
+    @pytest.mark.parametrize("where", ["col_ids", "data"])
+    def test_a_flipped_byte_is_corruption_naming_the_row_panel(self, tmp_path,
+                                                              where):
+        store, outputs = self.strip_run(tmp_path)
+        raw = bytearray(store._c_file.read_bytes())
+        # the last element of row panel 1's strip
+        at = int(store._strips[1][1]) - 1
+        if where == "data":
+            at += store.nbytes() // 16
+        raw[8 * at] ^= 0x01
+        store._c_file.write_bytes(bytes(raw))
+        for read in (store.assemble, lambda: store.get(1, 3)):
+            with pytest.raises(ChunkCorruption, match="row panel 1") as err:
+                read()
+            assert err.value.row_panel == 1
+        # the other strips still check out
+        assert bit_identical(store.get(0, 3), outputs[0][3])
+        store._c_file.write_bytes(bytes(raw[:-8]))     # and a short file
+        with pytest.raises(ChunkCorruption, match="unreadable"):
+            store.assemble()
+        store.close()
+
+    def test_close_leaves_the_directory_empty(self, tmp_path):
+        store, _ = self.strip_run(tmp_path)
+        c = store.assemble()                 # a mapping outlives the file
+        total = float(c.data.sum())
+        store.close()
+        assert not list((tmp_path / "chunks").iterdir())
+        assert float(c.data.sum()) == total
+        own = DiskChunkStore()
+        a = random_csr(30, 30, 90, seed=3)
+        execute_chunk_grid(a, a, ChunkGrid.regular(30, 30, 2, 2),
+                           checkpoint=Checkpoint(own))
+        own.close()
+        assert not own.directory.exists()
+
+    def test_the_assembled_product_is_a_private_copy(self, tmp_path):
+        store, outputs = self.strip_run(tmp_path)
+        c = store.assemble()
+        c.data[:] = 0.0
+        c.col_ids[:] = 0
+        again = store.assemble()
+        assert bit_identical(store.get(2, 1), outputs[2][1])
+        assert again.data.any()
+        store.close()
+
+    def test_the_chunk_file_path_stays_where_chunks_are_asked_for(self,
+                                                                  tmp_path):
+        a = random_csr(40, 40, 160, seed=2)
+        grid = ChunkGrid.regular(40, 40, 2, 3)
+
+        def files(store, checkpoint=None, **kwargs):
+            execute_chunk_grid(a, a, grid,
+                               checkpoint=checkpoint or Checkpoint(store),
+                               **kwargs)
+            names = sorted(p.name for p in store.directory.iterdir())
+            store.close()
+            return names
+
+        def new(name):
+            return DiskChunkStore(tmp_path / name)
+
+        chunk_files = sorted(f"chunk_{i}_{j}.frame"
+                             for i in range(2) for j in range(3))
+        assert files(new("s")) == ["c.strips"]
+        assert files(new("t"), backend="thread", workers=2) == ["c.strips"]
+        assert files(new("k"), keep_outputs=True) == chunk_files
+        assert files(new("p"), backend="process", workers=2) == chunk_files
+        assert files(new("g"), governor=GovernorConfig(
+            host_mem_budget_bytes=1 << 30)) == chunk_files
+        # a manifest records chunk files; a non-empty store keeps them
+        store = new("m")
+        assert files(store, Checkpoint.open(
+            a, a, grid, store=store, path=tmp_path / "run.json")) == chunk_files
+        store = new("n")
+        store.put(5, 5, random_csr(3, 3, 3, seed=1))
+        assert files(store) == chunk_files + ["chunk_5_5.frame"]
+
+    def test_strips_open_at_a_time(self, tmp_path, monkeypatch):
+        # row-major, in order: at most ceil(window / column panels) + 1.
+        # Strips open as chunks ask for slots and close only here, as the
+        # one being written leaves: the peak is seen at some write
+        most = []
+        real = DiskChunkStore.write_strip
+
+        def counting(store, row_panel, *strip):
+            most.append(len(store._layout._strips))
+            real(store, row_panel, *strip)
+
+        monkeypatch.setattr(DiskChunkStore, "write_strip", counting)
+        thread = dict(backend="thread", workers=2)
+        # a straggler: chunk 0 holds its strip open while the rest finish
+        late = dict(thread, faults="numeric:delay:chunk=0:delay=0.2")
+        for kwargs, window, cols in [({}, 1, 4), (thread, 4, 4),
+                                     (dict(thread, window=5), 5, 2),
+                                     (late, 4, 4), (dict(late, window=5), 5, 2)]:
+            del most[:]
+            store, outputs = self.strip_run(tmp_path, grid=(6, cols), **kwargs)
+            assert max(most) <= -(-window // cols) + 1, (kwargs, max(most))
+            assert_bit_identical_product(store, outputs)
+            store.close()
+
+    @pytest.mark.parametrize("faults", ["numeric:raise:chunk=5",
+                                        "sink:raise:chunk=7",
+                                        "numeric:oom:chunk=6",
+                                        "symbolic:oom:chunk=2"])
+    def test_retried_and_resplit_chunks_count_once(self, tmp_path,
+                                                   monkeypatch, faults):
+        written = []
+        real = DiskChunkStore.write_strip
+
+        def write_strip(store, row_panel, *strip):
+            written.append(row_panel)
+            if written.count(row_panel) == 1 and row_panel == 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            real(store, row_panel, *strip)
+
+        monkeypatch.setattr(DiskChunkStore, "write_strip", write_strip)
+        store, outputs = self.strip_run(
+            tmp_path, faults=faults,
+            retry=RetryPolicy(max_attempts=3, base_delay=0.0))
+        # row panel 1's first write failed: its last chunk landed again
+        assert sorted(written) == [0, 1, 1, 2]
+        assert_bit_identical_product(store, outputs)
+        store.close()
+
+
+def assert_bit_identical_product(store, outputs):
+    assert bit_identical(store.assemble(), assemble_chunks(outputs))

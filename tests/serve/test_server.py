@@ -24,7 +24,7 @@ from repro.core.executor import execute_chunk_grid
 from repro.core.governor.integrity import crc32_matrix
 from repro.observability import validate_chrome_trace
 from repro.sparse.formats import CSRMatrix
-from repro.spgemm.reference import assert_same_product
+from tests.reference import assert_same_product
 from repro.serve import (
     ServeClient,
     ServeError,

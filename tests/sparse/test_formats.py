@@ -223,7 +223,7 @@ class TestProperties:
 
 class TestMatmulOperator:
     def test_operator_matches_scipy(self, small_csr):
-        from repro.spgemm.reference import spgemm_scipy
+        from tests.reference import spgemm_scipy
         from repro.sparse.ops import drop_explicit_zeros
 
         product = small_csr @ small_csr

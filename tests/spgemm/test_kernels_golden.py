@@ -117,7 +117,7 @@ class TestGoldenVsScipy:
         """On integer-valued data float addition is exact, so every
         kernel must match scipy *bitwise*."""
         from repro.sparse.ops import drop_explicit_zeros
-        from repro.spgemm.reference import spgemm_scipy
+        from tests.reference import spgemm_scipy
 
         a, b = ab
         a, b = _with_integer_values(a), _with_integer_values(b)

@@ -118,7 +118,7 @@ class TestMultiply:
         assert "GFLOPS" in out
         c = load_npz(dst)
         # verify against scipy
-        from repro.spgemm.reference import spgemm_scipy
+        from tests.reference import spgemm_scipy
         from repro.sparse.ops import drop_explicit_zeros
 
         a = load_npz(src)
@@ -212,7 +212,7 @@ class TestMultiply:
         import repro.spgemm.symbolic as symbolic
         from repro.core.chunks import csr_bytes
         from repro.core.planner import working_set_bytes
-        from repro.spgemm.reference import spgemm_scipy
+        from tests.reference import spgemm_scipy
 
         src = tmp_path / "a.npz"
         main(["gen", *gen, "--out", str(src)])
