@@ -9,8 +9,9 @@ import pytest
 
 from repro.cpu.nagasaka import spgemm_nagasaka
 from repro.sparse.generators import rmat
-from repro.sparse.partition import partition_columns, partition_columns_naive
+from repro.sparse.partition import partition_columns
 from repro.spgemm.twophase import spgemm_twophase
+from tests.sparse.naive_partition import partition_columns_naive
 
 
 @pytest.fixture(scope="module")

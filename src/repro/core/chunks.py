@@ -30,6 +30,7 @@ from ..sparse.codec import csr_nbytes as csr_bytes  # the planners' name for it
 from ..sparse.formats import CSRMatrix
 from ..sparse.partition import build_col_offsets, panel_boundaries
 from ..spgemm.flops import compression_ratio, product_prefix
+from ..spgemm.native import native_available, native_cut_cells
 
 __all__ = [
     "STAT_FIELDS",
@@ -355,46 +356,20 @@ class CutTable:
     """Product counts of ``A x B`` on sorted cut points of A's rows and
     B's columns: one scan of each operand prices every grid on them.
 
-    ``cnt[k, q]``, the nnz of B row ``k`` between column cuts ``q`` and
-    ``q + 1``, is one :func:`build_col_offsets`; ``w[k]``, how often the
-    rows between two row cuts reference B row ``k``, one ``bincount`` of
-    their slice of ``A.col_ids``; ``w @ cnt`` counts that segment's cells
-    exactly.  Kept as 2-D prefix sums (a chunk is a four-corner
-    difference); the dense ``cnt`` lives only in here.  ``row_weight``
-    (per row of A: an estimate's ratio) adds the same sums with each
-    row's products weighted — float64, a rounding error of the table's
-    total off; zeros without one.
+    The cells are one sweep of the native library (``native_cut_cells``),
+    kept as 2-D prefix sums (a chunk is a four-corner difference).
+    ``row_weight`` (per row of A: an estimate's ratio) adds the same sums
+    with each row's products weighted — float64, a rounding error of the
+    table's total off; zeros without one.  Without the library there is
+    no cut table: counts come off a :class:`ProductTable`.
     """
 
     def __init__(self, a: CSRMatrix, b: CSRMatrix, row_cuts: np.ndarray,
                  col_cuts: np.ndarray, row_weight: Optional[np.ndarray] = None):
-        if a.n_cols != b.n_rows:
-            raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
         self.a, self.b, self.row_cuts, self.col_cuts = a, b, row_cuts, col_cuts
-        # a B without columns is cut at [0] alone: no buckets, nothing to scan
-        cnt = (np.diff(build_col_offsets(b, col_cuts), axis=1) if col_cuts.size > 1
-               else np.zeros((b.n_rows, 0), dtype=np.int64))
-        if a.nnz * int(cnt.max(initial=0)) < 2 ** 53:
-            # no sum can pass the integers float64 holds: BLAS is exact
-            cnt = cnt.astype(np.float64)
-        ends = a.row_offsets[row_cuts]
-        cells = np.zeros((ends.size - 1, cnt.shape[1]), dtype=np.int64)
-        weighted = np.zeros(cells.shape)
-        if row_weight is not None:
-            per_elem = np.repeat(row_weight, a.row_nnz())
-        for s, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
-            if hi == lo:
-                continue
-            k0 = a.col_ids[lo:hi].min()
-            cols = a.col_ids[lo:hi] - k0
-            w = np.bincount(cols).astype(cnt.dtype)
-            near = cnt[k0:k0 + w.size]  # the only B rows the segment references
-            cells[s] = w @ near
-            if row_weight is not None:
-                weighted[s] = np.bincount(cols, weights=per_elem[lo:hi]) @ near
         self.prefix, self.weighted = (
             np.pad(t.cumsum(0).cumsum(1), ((1, 0), (1, 0)))
-            for t in (cells, weighted))
+            for t in native_cut_cells(a, b, row_cuts, col_cuts, row_weight))
 
     def cells(self, grid: ChunkGrid, weighted: bool = False) -> np.ndarray:
         """``(r, c)`` products per chunk of ``grid`` (``weighted``: the
@@ -431,9 +406,15 @@ class GridSizing:
 
     def __init__(self, a: CSRMatrix, b: CSRMatrix, grid: ChunkGrid,
                  estimate=None):
-        cut = CutTable(a, b, grid.row_bounds, grid.col_bounds)
-        self._bind(grid, cut.cells(grid), estimate, functools.partial(
-            ProductTable, a, b, grid.col_bounds, estimate))
+        make_table = functools.partial(ProductTable, a, b, grid.col_bounds,
+                                       estimate)
+        if native_available():
+            cut = CutTable(a, b, grid.row_bounds, grid.col_bounds)
+            self._bind(grid, cut.cells(grid), estimate, make_table)
+        else:
+            table = make_table()
+            self._bind(grid, np.diff(table.prefix[grid.row_bounds], axis=0),
+                       estimate, lambda: table)
 
     @classmethod
     def over(cls, table: ProductTable, grid: ChunkGrid,

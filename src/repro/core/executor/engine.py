@@ -57,6 +57,7 @@ from ...spgemm.twophase import (
     TwoPhaseStats,
     spgemm_numeric,
     spgemm_symbolic,
+    spgemm_symbolic_empty,
     spgemm_twophase,
 )
 from ..assemble import OutputLayout, assemble_chunks
@@ -335,9 +336,16 @@ class GridJob:
             (matrix, st), seconds = self._timed(
                 cid, lambda: self._halve(cid, a_panel, b_panel, depth=1))
             return cid, _Counted(matrix.row_nnz(), None, matrix, st, seconds)
-        sym, seconds = self._timed(cid, lambda: spgemm_symbolic(
-            a_panel, b_panel, **self._kernel_args(cid)))
+        sym, seconds = self._timed(
+            cid, lambda: self._symbolic(cid, a_panel, b_panel))
         return cid, _Counted(sym.row_nnz, sym, None, None, seconds)
+
+    def _symbolic(self, cid: int, a_panel: CSRMatrix, b_panel: CSRMatrix):
+        """Stages 1-2 of chunk ``cid``: no kernel for a chunk the run's
+        sizing prices at zero products (Liu & Vinter's empty bin)."""
+        empty = self.sizing is not None and not self.sizing.products.flat[cid]
+        return (spgemm_symbolic_empty if empty else spgemm_symbolic)(
+            a_panel, b_panel, **self._kernel_args(cid))
 
     def run_chunk(
         self, cid: int, resplit: bool = False
@@ -361,8 +369,7 @@ class GridJob:
             if resplit:
                 return self._halve(cid, a_panel, b_panel, depth=1)
             if counted is None:
-                result = spgemm_twophase(a_panel, b_panel,
-                                         **self._kernel_args(cid))
+                result = spgemm_numeric(self._symbolic(cid, a_panel, b_panel))
             elif counted.symbolic is None:
                 return counted.matrix, counted.stats
             else:
@@ -824,8 +831,10 @@ def execute_chunk_grid(
         :class:`~repro.spgemm.estimate.RowNnzEstimate` makes both checks
         consume *estimated* chunk bytes (the upper bound stays the
         ceiling; re-splits only the bound would have asked for are
-        counted as ``avoided_resplits``).  Purely a sizing refinement —
-        results are bit-identical with or without it.
+        counted as ``avoided_resplits``).  A chunk it prices at zero
+        products runs no kernel in process (its hooks fire), so it must
+        be of this ``a`` and ``b``; results are then bit-identical with
+        or without it.
 
     This function is re-entrant: all per-run state lives on the
     :class:`GridJob` (a fresh tracer/governor pair per call), cooperative

@@ -24,6 +24,7 @@ import numpy as np
 from ..device.specs import NodeSpec
 from ..sparse.formats import CSRMatrix
 from ..sparse.partition import panel_boundaries
+from ..spgemm.native import native_available
 from .chunks import (
     BYTES_PER_ELEM,
     ChunkGrid,
@@ -169,13 +170,13 @@ class _GridPricer:
 
     def _cut_table(self, panels: int) -> Optional[CutTable]:
         """The cut table covering ``panels`` panels per axis, or ``None``
-        past the bound.  Limits double from 8 (every shape up to 26 chunks)
-        to ``max_panels``; the bound comes from the operand shapes alone: a
-        round is built while its dense ``n_rows_B x buckets`` float64 table
-        is no larger than the operands' CSR bytes twice over — up to there
-        its reads cost no more than the per-``c`` tables' gathers."""
+        past the bound or without the native library.  Limits double from 8
+        (every shape up to 26 chunks) to ``max_panels``; the bound is the
+        dense ``n_rows_B x buckets`` float64 table the cut table once was
+        against the operands' CSR bytes twice over — none is built now,
+        but the bound stays so that every plan stays what it was."""
         a, b = self.a, self.b
-        if panels > self._covers and self._widens:
+        if panels > self._covers and self._widens and native_available():
             limit = min(max(8, 1 << (panels - 1).bit_length()), self.max_panels)
             rows, cols = _union_cuts(a.n_rows, limit), _union_cuts(b.n_cols, limit)
             self._widens = 8 * b.n_rows * (cols.size - 1) <= 2 * (

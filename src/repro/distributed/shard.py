@@ -63,7 +63,7 @@ from ..core.spill import Checkpoint, DiskChunkStore, LayoutCheckpoint
 from ..observability import Tracer
 from ..observability.chrome import multi_tracer_events, timeline_events
 from ..sparse.formats import CSRMatrix
-from ..sparse.partition import panel_boundaries, partition_columns
+from ..sparse.partition import panel_boundaries, partition_columns, partition_rows
 from ..spgemm.kernels import require_kernel
 from ..spgemm.twophase import spgemm_symbolic
 from .sharding.transfers import (
@@ -379,13 +379,12 @@ def _sub_grid(grid: ChunkGrid, span: ShardSpan) -> ChunkGrid:
 def _count_and_seal(layout: OutputLayout, a: CSRMatrix, b: CSRMatrix,
                     grid: ChunkGrid, kernel, tracer) -> None:
     """The node's count pass: every chunk's exact row counts — the
-    symbolic stage of (A row panel x B column panel) — into ``layout``,
-    then its one allocation; one span on ``tracer``."""
+    symbolic stage of (A row panel x B column panel), the panels cut as
+    the shards' engines cut them (row panels are views of A) — into
+    ``layout``, then its one allocation; one span on ``tracer``."""
     start = tracer.now()
     col_panels = partition_columns(b, grid.num_col_panels)
-    rb = grid.row_bounds
-    for rp in range(grid.num_row_panels):
-        a_panel = a.row_slice(int(rb[rp]), int(rb[rp + 1]))
+    for rp, a_panel in enumerate(partition_rows(a, grid.num_row_panels).panels):
         for cp in range(grid.num_col_panels):
             layout.set_counts(rp, cp, spgemm_symbolic(
                 a_panel, col_panels[cp], kernel=kernel).row_nnz)

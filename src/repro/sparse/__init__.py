@@ -22,7 +22,6 @@ from .partition import (
     build_col_offsets,
     panel_boundaries,
     partition_columns,
-    partition_columns_naive,
     partition_rows,
 )
 
@@ -55,6 +54,5 @@ __all__ = [
     "build_col_offsets",
     "panel_boundaries",
     "partition_columns",
-    "partition_columns_naive",
     "partition_rows",
 ]

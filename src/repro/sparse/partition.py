@@ -4,20 +4,19 @@ The out-of-core framework needs ``A`` split into *row panels* and ``B`` into
 *column panels*:
 
 * Row panels are trivial under CSR — rows are stored contiguously, so a
-  panel is a slice of ``row_offsets`` plus a copy of the element range
-  (:meth:`CSRMatrix.row_slice`).
+  panel is a rebased slice of ``row_offsets`` over a view of the element
+  range (:func:`partition_rows`).
 * Column panels are the hard case: CSR cannot address a column range
   directly.  The paper uses a two-stage *count then fill* algorithm, and
   accelerates the scan with an auxiliary ``col_offset`` structure — a
   rolling per-row pointer marking where the next panel's elements begin —
   parallelized "in a prefix sum fashion".
 
-Two schemes are provided:
+The paper first describes a simplistic algorithm — for every panel,
+rescan every row from ``row_offsets[r]``, at a cost that grows with
+``num_panels × nnz`` — and replaces it (the tests keep it as a
+reference).  Here:
 
-``partition_columns_naive``
-    the simplistic algorithm the paper describes first: for every panel,
-    rescan every row from ``row_offsets[r]``.  Cost grows with
-    ``num_panels × nnz``.
 ``build_col_offsets`` + ``partition_columns``
     the optimized scheme: one pass computes, for every row, the split
     points of all panels (this matrix *is* the paper's ``col_offset``
@@ -29,23 +28,22 @@ Two schemes are provided:
     ``REPRO_NATIVE=0``) the same split and the same panel bytes come from
     numpy, which is also the tests' reference.
 
-Both return panels whose column ids are renumbered to panel-local indices,
+Column panels have their column ids renumbered to panel-local indices,
 which is what the in-core SpGEMM kernel consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .formats import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
+from .formats import CSRMatrix, INDEX_DTYPE
 
 __all__ = [
     "panel_boundaries",
     "partition_rows",
-    "partition_columns_naive",
     "build_col_offsets",
     "partition_columns",
     "PanelSet",
@@ -90,57 +88,21 @@ class PanelSet:
 
 
 def partition_rows(a: CSRMatrix, num_panels: int) -> PanelSet:
-    """Split ``A`` into contiguous row panels (paper: the easy direction)."""
+    """Split ``A`` into contiguous row panels (paper: the easy direction).
+
+    The panels are views of ``A``: each shares its ``col_ids`` and
+    ``data``, and its rebased ``row_offsets`` is the only new array
+    (:meth:`CSRMatrix.row_slice` copies)."""
     bounds = panel_boundaries(a.n_rows, num_panels)
+    ends = a.row_offsets[bounds]
     panels = tuple(
-        a.row_slice(int(bounds[i]), int(bounds[i + 1])) for i in range(num_panels)
+        CSRMatrix(int(bounds[i + 1] - bounds[i]), a.n_cols,
+                  a.row_offsets[bounds[i]:bounds[i + 1] + 1] - ends[i],
+                  a.col_ids[ends[i]:ends[i + 1]], a.data[ends[i]:ends[i + 1]],
+                  check=False)
+        for i in range(num_panels)
     )
     return PanelSet(panels=panels, boundaries=bounds, axis="rows")
-
-
-# ----------------------------------------------------------------------
-# column panels — naive rescan
-# ----------------------------------------------------------------------
-def partition_columns_naive(b: CSRMatrix, num_panels: int) -> PanelSet:
-    """Two-stage count/fill with full per-panel rescans (paper's baseline).
-
-    For each panel ``[start_col, end_col)`` every row is scanned from its
-    beginning; elements inside the column range are counted, then copied.
-    Kept deliberately close to the paper's description — the per-row scan
-    uses binary search rather than a linear walk so the test suite stays
-    fast, but the panel × row rescan structure (the inefficiency the
-    ``col_offset`` scheme removes) is preserved.
-    """
-    bounds = panel_boundaries(b.n_cols, num_panels)
-    panels: List[CSRMatrix] = []
-    for p in range(num_panels):
-        start_col, end_col = int(bounds[p]), int(bounds[p + 1])
-        # stage 1: count nnz of this panel per row
-        counts = np.zeros(b.n_rows, dtype=INDEX_DTYPE)
-        lo_idx = np.empty(b.n_rows, dtype=INDEX_DTYPE)
-        for r in range(b.n_rows):
-            lo, hi = b.row_offsets[r], b.row_offsets[r + 1]
-            row_cols = b.col_ids[lo:hi]
-            i0 = np.searchsorted(row_cols, start_col, side="left")
-            i1 = np.searchsorted(row_cols, end_col, side="left")
-            counts[r] = i1 - i0
-            lo_idx[r] = lo + i0
-        # stage 2: allocate, then fill
-        row_offsets = np.zeros(b.n_rows + 1, dtype=INDEX_DTYPE)
-        np.cumsum(counts, out=row_offsets[1:])
-        col_ids = np.empty(int(row_offsets[-1]), dtype=INDEX_DTYPE)
-        data = np.empty(int(row_offsets[-1]), dtype=VALUE_DTYPE)
-        for r in range(b.n_rows):
-            n = counts[r]
-            if n:
-                dst = row_offsets[r]
-                src = lo_idx[r]
-                col_ids[dst : dst + n] = b.col_ids[src : src + n] - start_col
-                data[dst : dst + n] = b.data[src : src + n]
-        panels.append(
-            CSRMatrix(b.n_rows, end_col - start_col, row_offsets, col_ids, data, check=False)
-        )
-    return PanelSet(panels=tuple(panels), boundaries=bounds, axis="cols")
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """SpGEMM kernels: the in-core substrate the out-of-core framework drives."""
 
 from .flops import compression_ratio, flops_per_row, products_per_row, total_flops
-from .gustavson import spgemm_gustavson
 from .kernels import (
     KERNEL_KINDS,
     KernelSpec,
@@ -10,7 +9,6 @@ from .kernels import (
 from .native import native_available, native_build_error
 from .numeric import RowSlots, place_rows
 from .semiring import MAX_MIN, MIN_PLUS, OR_AND, PLUS_TIMES, Semiring, spgemm_semiring
-from .symbolic import symbolic_sort
 from .twophase import (
     SymbolicPhase,
     TwoPhaseResult,
@@ -25,7 +23,6 @@ __all__ = [
     "flops_per_row",
     "products_per_row",
     "total_flops",
-    "spgemm_gustavson",
     "KERNEL_KINDS",
     "KernelSpec",
     "resolve_kernel",
@@ -39,7 +36,6 @@ __all__ = [
     "PLUS_TIMES",
     "Semiring",
     "spgemm_semiring",
-    "symbolic_sort",
     "SymbolicPhase",
     "TwoPhaseResult",
     "TwoPhaseStats",

@@ -55,6 +55,7 @@ __all__ = [
     "TwoPhaseResult",
     "SymbolicPhase",
     "spgemm_symbolic",
+    "spgemm_symbolic_empty",
     "spgemm_numeric",
     "spgemm_twophase",
 ]
@@ -202,6 +203,27 @@ def spgemm_symbolic(
     )
 
 
+def spgemm_symbolic_empty(a: CSRMatrix, b: CSRMatrix, *, kernel=None,
+                          tracer=None, trace_label: str = "",
+                          fault_hook=None) -> SymbolicPhase:
+    """:func:`spgemm_symbolic` of a product its caller knows has no
+    intermediate products (a chunk its grid's sizing prices at 0): the
+    stage hooks fire and the spans open, but no kernel runs — every row
+    count is 0, as a kernel would find."""
+    from ..observability import as_tracer  # deferred: avoid import cycles
+
+    tracer, spec, seconds = as_tracer(tracer), resolve_kernel(kernel), []
+    for stage, args in (("analysis", {}), ("symbolic", dict(
+            kernels=0, kernel=spec.resolved().encode()))):
+        if fault_hook is not None:
+            fault_hook(stage)
+        t0 = time.perf_counter()
+        with tracer.span(f"{stage}[{trace_label}]", stage, **args):
+            seconds.append(time.perf_counter() - t0)
+    return SymbolicPhase(a, b, spec, 0, np.zeros(a.n_rows, dtype=INDEX_DTYPE),
+                         None, *seconds, tracer, trace_label, fault_hook)
+
+
 def spgemm_numeric(
     sym: SymbolicPhase, dest: Optional[RowSlots] = None
 ) -> TwoPhaseResult:
@@ -246,7 +268,9 @@ def spgemm_numeric(
             dest = RowSlots(row_offsets[:-1], row_nnz, 0,
                             np.empty(nnz_out, dtype=INDEX_DTYPE),
                             np.empty(nnz_out, dtype=VALUE_DTYPE))
-        if sym.fused is None:
+        if not nnz_out:
+            pass  # no row has output: nothing to write, no kernel to run
+        elif sym.fused is None:
             # the kernel itself refuses a row that disagrees with its slot
             native_fill_slots(a, b, np.flatnonzero(row_nnz), dest.starts,
                               dest.counts, dest.shift, dest.col_ids, dest.data)

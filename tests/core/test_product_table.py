@@ -52,8 +52,16 @@ from repro.sparse.partition import panel_boundaries
 from repro.sparse.suite import build_matrix
 from repro.spgemm.estimate import estimate_row_nnz
 from repro.spgemm.flops import total_flops
+from repro.spgemm.native import native_available
 from tests.conftest import assert_equals_scipy_product
 from tests.core import planner_oracle as oracle
+
+
+#: the cut table is the native library's: without it the planner and
+#: every sizing count on per-``c`` product tables, so what is pinned about
+#: the cut table, and about which tables a run builds, holds only with it
+needs_native = pytest.mark.skipif(not native_available(),
+                                  reason="the cut table needs the native library")
 
 
 # ----------------------------------------------------------------------
@@ -351,6 +359,7 @@ class TestGeneratedPlansMatchOracle:
     def test_same_plan_or_same_refusal(self, **case):
         check_plan_matches_oracle(**case)
 
+    @needs_native
     @given(**CUT_CASE)
     @settings(max_examples=50, deadline=None)
     def test_cut_table_prices_every_grid_of_a_round(self, **case):
@@ -362,55 +371,96 @@ class TestGeneratedPlansMatchOracle:
     def test_soak_same_plan_or_same_refusal(self, **case):
         check_plan_matches_oracle(**case)
 
+    @needs_native
     @pytest.mark.soak
     @given(**CUT_CASE)
     @settings(max_examples=2000, deadline=None)
     def test_soak_cut_table_prices_every_grid_of_a_round(self, **case):
         check_cut_table_prices_every_grid(**case)
 
+    @needs_native
     def test_a_grid_off_the_cuts_is_refused(self):
         m = rmat(6, 4.0, seed=1)
         cut = CutTable(m, m, _union_cuts(64, 4), _union_cuts(64, 4))
         with pytest.raises(ValueError, match="not cuts of this table"):
             cut.cells(ChunkGrid.regular(64, 64, 5, 2))
 
-    def test_counts_that_could_pass_float64_are_summed_as_integers(
-            self, monkeypatch):
-        """BLAS counts only while ``nnz_A x (largest bucket of a B row)``
-        is below 2**53, the integers float64 holds; an operand past that
-        bound (here: one that claims to be) never becomes float64 and is
-        counted to the same cells."""
-        m = rmat(7, 6.0, seed=2)
-        cuts = _union_cuts(m.n_rows, 8)
-        grid = ChunkGrid.regular(m.n_rows, m.n_cols, 3, 5)
-        want = CutTable(m, m, cuts, cuts).cells(grid)
-        floats = []
-        real = chunks_mod.build_col_offsets
-        monkeypatch.setattr(chunks_mod, "build_col_offsets", lambda b, bounds: (
-            SpyOnAstype(real(b, bounds), floats)))
-        assert np.array_equal(CutTable(m, m, cuts, cuts).cells(grid), want)
-        assert floats == [np.float64]
-        monkeypatch.setattr(type(m), "nnz", property(lambda self: 2 ** 53))
-        assert np.array_equal(CutTable(m, m, cuts, cuts).cells(grid), want)
-        assert floats == [np.float64] and want.any()
-        assert float(2 ** 53) + 1 == float(2 ** 53)     # why the bound is there
+
+@st.composite
+def cut_problems(draw):
+    """Rectangular ``A``, ``B`` (masks with empty rows and columns) whose
+    B rows may hold their column ids in any order, 1 to 64 sorted row
+    cuts anywhere in ``[0, m]`` (empty segments included) and 1 to 64
+    column cuts from 0 to ``n`` (empty buckets included), and a weight
+    per row of A."""
+    m, k, n = (draw(st.integers(0, 80)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masks = []
+    for rows, cols in ((m, k), (k, n)):
+        mask = rng.random((rows, cols)) < draw(st.floats(0.0, 0.5))
+        mask[rng.random(rows) < 0.2, :] = False
+        mask[:, rng.random(cols) < 0.2] = False
+        masks.append(mask)
+    a = from_mask(masks[0])
+    b = from_mask(masks[1])
+    if draw(st.booleans()):   # each row of B in a random column order
+        order = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            lo + rng.permutation(hi - lo)
+            for lo, hi in zip(b.row_offsets[:-1], b.row_offsets[1:])])
+        b = CSRMatrix(k, n, b.row_offsets, b.col_ids[order], b.data[order],
+                      check=False)
+    row_cuts = np.array(sorted(draw(st.sets(
+        st.integers(0, m), min_size=1, max_size=min(64, m + 1)))), dtype=np.int64)
+    inner = draw(st.sets(st.integers(1, n - 1), max_size=62)) if n > 1 else set()
+    col_cuts = np.array(sorted({0, n} | inner), dtype=np.int64)
+    weight = rng.random(m) * draw(st.sampled_from([1.0, 1e6]))
+    return a, b, row_cuts, col_cuts, weight
 
 
-class SpyOnAstype(np.ndarray):
-    """An array that records the dtypes it (or what is derived from it)
-    is converted to."""
+class TestNativeCutTableEqualsNumpy:
+    """The cut table's one native sweep against ``w @ cnt`` in numpy:
+    ``cnt[k, q]``, B row ``k``'s elements in bucket ``q``, counted from
+    each element's column; ``w[s, k]``, how often segment ``s`` of A
+    references row ``k``."""
 
-    def __new__(cls, array, seen):
-        self = np.asarray(array).view(cls)
-        self.seen = seen
-        return self
+    @needs_native
+    @given(problem=cut_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_cells_and_weighted_sums(self, problem):
+        a, b, row_cuts, col_cuts, weight = problem
+        buckets = col_cuts.size - 1
+        cnt = np.zeros((b.n_rows, buckets), dtype=np.int64)
+        np.add.at(cnt, (b.expand_row_ids(),
+                        np.searchsorted(col_cuts, b.col_ids, side="right") - 1), 1)
+        rows = a.expand_row_ids()
+        seg = np.searchsorted(row_cuts, rows, side="right") - 1
+        inside = (seg >= 0) & (seg < row_cuts.size - 1)
+        w = np.zeros((row_cuts.size - 1, b.n_rows), dtype=np.int64)
+        ww = np.zeros(w.shape)
+        np.add.at(w, (seg[inside], a.col_ids[inside]), 1)
+        np.add.at(ww, (seg[inside], a.col_ids[inside]), weight[rows[inside]])
+        want = [np.pad(t.cumsum(0).cumsum(1), ((1, 0), (1, 0)))
+                for t in (w @ cnt, ww @ cnt)]
 
-    def __array_finalize__(self, parent):
-        self.seen = getattr(parent, "seen", None)
+        cut = CutTable(a, b, row_cuts, col_cuts, weight)
+        assert cut.prefix.dtype == np.int64
+        assert np.array_equal(cut.prefix, want[0])
+        # _floor_bytes's slack: 1 + 1e-9 of the table's weighted total
+        slack = 1 + 1e-9 * want[1][-1, -1]
+        assert np.all(np.abs(cut.weighted - want[1]) <= slack)
+        plain = CutTable(a, b, row_cuts, col_cuts)
+        assert np.array_equal(plain.prefix, want[0])
+        assert not plain.weighted.any()
 
-    def astype(self, dtype, *args, **kwargs):
-        self.seen.append(dtype)
-        return np.asarray(self).astype(dtype, *args, **kwargs)
+    @needs_native
+    def test_cuts_off_the_operands_are_refused(self):
+        m = rmat(6, 4.0, seed=1)
+        good = _union_cuts(64, 4)
+        for rows, cols in ((np.array([0, 65]), good), (np.array([3, 2]), good),
+                           (good, np.array([0, 32])), (good, np.array([1, 64])),
+                           (good, np.array([0, 40, 30, 64]))):
+            with pytest.raises(ValueError, match="cuts must be sorted"):
+                CutTable(m, m, rows, cols)
 
 
 # ----------------------------------------------------------------------
@@ -427,21 +477,22 @@ def guarded(request, monkeypatch):
          else rmat(11, 32.0, seed=5))
     node = v100_node(device_for(m, 0.3))
     scans = {"b_buckets": [], "a_prefixes": 0}
-    real_offsets, real_prefix = chunks_mod.build_col_offsets, chunks_mod.product_prefix
+    real_cells, real_prefix = chunks_mod.native_cut_cells, chunks_mod.product_prefix
 
-    def counting_offsets(b, boundaries):
-        scans["b_buckets"].append(len(boundaries) - 1)
-        return real_offsets(b, boundaries)
+    def counting_cells(a, b, row_cuts, col_cuts, row_weight=None):
+        scans["b_buckets"].append(len(col_cuts) - 1)
+        return real_cells(a, b, row_cuts, col_cuts, row_weight)
 
     def counting_prefix(*args, **kwargs):
         scans["a_prefixes"] += 1
         return real_prefix(*args, **kwargs)
 
-    monkeypatch.setattr(chunks_mod, "build_col_offsets", counting_offsets)
+    monkeypatch.setattr(chunks_mod, "native_cut_cells", counting_cells)
     monkeypatch.setattr(chunks_mod, "product_prefix", counting_prefix)
     return m, node, scans
 
 
+@needs_native
 class TestPlannerWorkIsBounded:
     def test_one_scan_of_b_per_column_count(self, guarded):
         """The parent's bound (one scan per column count), tightened: one
@@ -461,9 +512,9 @@ class TestPlannerWorkIsBounded:
     def test_suite_operands_plan_in_one_scan(self, monkeypatch):
         """The bench-shaped default plan: one round, one scan of B."""
         calls = []
-        real = chunks_mod.build_col_offsets
-        monkeypatch.setattr(chunks_mod, "build_col_offsets",
-                            lambda b, bounds: calls.append(1) or real(b, bounds))
+        real = chunks_mod.native_cut_cells
+        monkeypatch.setattr(chunks_mod, "native_cut_cells",
+                            lambda *args: calls.append(1) or real(*args))
         m = build_matrix("stokes")
         report = plan_grid(m, m, v100_node(device_for(m, 0.5)))
         assert report.grid.num_chunks > 1 and calls == [1]
@@ -480,10 +531,11 @@ class TestPlannerWorkIsBounded:
                 tracemalloc.stop()
 
         new_peak = peak(plan_grid)
-        # the widest round's dense tables — B's rows by its buckets,
-        # counted and prefix-summed (as many again as A's segments) —
-        # plus four nnz-sized scratch arrays of the scan: never
-        # n_rows_A x sum(c), never nnz_A x c
+        # the cut table's scratch — a few words per B row and two per B
+        # element — under what the widest round's dense tables took (B's
+        # rows by its buckets, counted and prefix-summed, plus four
+        # nnz-sized scratch arrays): never n_rows_A x sum(c), never
+        # nnz_A x c
         buckets = max(scans["b_buckets"])
         bound = 8 * (m.n_rows * 2 * buckets + 4 * m.nnz)
         assert new_peak <= bound
@@ -505,6 +557,7 @@ def tables_built(monkeypatch):
     return built
 
 
+@needs_native
 class TestRunReadsThePlannersTables:
     """A run builds a row-level table only when a reader asks for rows:
     ordering, both admissions and the re-split pre-check read chunk-level
@@ -575,6 +628,7 @@ class TestRunReadsThePlannersTables:
 
 
 class TestEngineTakesFlops:
+    @needs_native
     def test_given_flops_the_engine_derives_none(self, tables_built):
         """Ordering and both governor bounds come from the sizing passed
         in; ``run_hybrid`` hands over the plan's."""

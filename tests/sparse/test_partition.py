@@ -13,7 +13,6 @@ from repro.sparse.partition import (
     build_col_offsets,
     panel_boundaries,
     partition_columns,
-    partition_columns_naive,
     partition_rows,
 )
 from repro.spgemm.native import (
@@ -21,6 +20,7 @@ from repro.spgemm.native import (
     native_build_error,
     native_col_panels,
 )
+from tests.sparse.naive_partition import partition_columns_naive
 
 needs_native = pytest.mark.skipif(
     not native_available(),
@@ -59,6 +59,21 @@ class TestRowPanels:
 
     def test_axis_label(self, sample_matrix):
         assert partition_rows(sample_matrix, 2).axis == "rows"
+
+    def test_panels_are_views_of_a(self, sample_matrix):
+        """Each panel shares A's element arrays; only its rebased
+        ``row_offsets`` is new.  ``row_slice`` still copies."""
+        ps = partition_rows(sample_matrix, 3)
+        for panel, lo, hi in zip(ps.panels, ps.boundaries[:-1], ps.boundaries[1:]):
+            assert panel == sample_matrix.row_slice(int(lo), int(hi))
+            if panel.nnz:
+                assert np.shares_memory(panel.col_ids, sample_matrix.col_ids)
+                assert np.shares_memory(panel.data, sample_matrix.data)
+            assert not np.shares_memory(panel.row_offsets,
+                                        sample_matrix.row_offsets)
+            copy = sample_matrix.row_slice(int(lo), int(hi))
+            assert not np.shares_memory(copy.col_ids, sample_matrix.col_ids)
+            assert not np.shares_memory(copy.data, sample_matrix.data)
 
 
 class TestColumnPanels:

@@ -64,7 +64,7 @@ class TestFeatures:
 
     def test_nnz_out_matches_oracle(self, features):
         # the pipeline's count against the expand + lexsort oracle
-        from repro.spgemm.symbolic import symbolic_sort
+        from tests.reference import symbolic_sort
 
         a = build_matrix("stokes")
         assert features["stokes"].nnz_out == int(symbolic_sort(a, a).sum())

@@ -12,8 +12,8 @@ from repro.cpu.nagasaka import _hash_accumulate_rows as hash_accumulate_rows
 from repro.cpu.nagasaka import _table_capacities
 from repro.spgemm.accumulators import esc_accumulate_rows
 from repro.spgemm.flops import products_per_row
-from repro.spgemm.gustavson import spgemm_gustavson
 from repro.spgemm.twophase import spgemm_twophase
+from tests.reference import spgemm_gustavson
 
 
 def reference_rows(a, b, rows):

@@ -7,9 +7,12 @@ from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import banded, random_csr
 from repro.spgemm.accumulators import esc_accumulate_rows
 from repro.spgemm.flops import products_per_row
-from repro.spgemm.gustavson import spgemm_gustavson
-from tests.reference import assert_same_product, spgemm_scipy
-from repro.spgemm.symbolic import symbolic_sort
+from tests.reference import (
+    assert_same_product,
+    spgemm_gustavson,
+    spgemm_scipy,
+    symbolic_sort,
+)
 from repro.spgemm.twophase import spgemm_twophase
 from tests.conftest import assert_equals_scipy_product
 

@@ -7,9 +7,9 @@ import pytest
 
 from repro.sparse.generators import random_csr
 from repro.spgemm.numeric import RowSlots
-from repro.spgemm.symbolic import symbolic_sort
 from repro.spgemm.twophase import spgemm_numeric, spgemm_symbolic
 from tests.conftest import assert_equals_scipy_product
+from tests.reference import symbolic_sort
 
 
 def numeric_phase(a, b, kernel="auto", dest=None):

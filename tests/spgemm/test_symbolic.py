@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import random_csr
-from tests.reference import spgemm_scipy
+from tests.reference import spgemm_scipy, symbolic_sort
 from repro.spgemm.expand import row_batches
-from repro.spgemm.symbolic import symbolic_sort
 from repro.spgemm.twophase import spgemm_symbolic
 
 

@@ -209,7 +209,6 @@ class TestMultiply:
         the remaining working set" of ``A x A`` — the experiment runner's
         rule, to the byte — from the flop count alone."""
         import repro.cli as cli
-        import repro.spgemm.symbolic as symbolic
         from repro.core.chunks import csr_bytes
         from repro.core.planner import working_set_bytes
         from tests.reference import spgemm_scipy
@@ -226,7 +225,6 @@ class TestMultiply:
         sized = []
         monkeypatch.setattr(cli, "v100_node", lambda nbytes=None: (
             sized.append(nbytes), v100_node(nbytes))[1])
-        monkeypatch.setattr(symbolic, "symbolic_sort", None)  # calling it fails
         assert main(["multiply", str(src)]) == 0
         assert sized == [inputs + rest // 2]
 
