@@ -50,7 +50,7 @@ from ...device.memory import DeviceOutOfMemory
 from ...observability import as_tracer
 from ...sparse.formats import CSRMatrix
 from ...sparse.ops import vstack
-from ...sparse.partition import PanelSet, partition_columns, partition_rows
+from ...sparse.partition import check_bounds, partition_columns, partition_rows
 from ...spgemm.kernels import KernelSpec, require_kernel
 from ...spgemm.twophase import (
     SymbolicPhase,
@@ -169,8 +169,8 @@ class GridJob:
     def __init__(
         self,
         grid: ChunkGrid,
-        row_panels: PanelSet,
-        col_panels: PanelSet,
+        row_panels: Sequence[CSRMatrix],
+        col_panels: Sequence[CSRMatrix],
         *,
         outputs: Optional[List[List[Optional[CSRMatrix]]]],
         tracer,
@@ -213,12 +213,8 @@ class GridJob:
         #: memory reads its bounds here; with a sampled estimate on it,
         #: estimated bytes gate both checks
         self.sizing = sizing
-        # recovery bookkeeping: cumulative counters plus per-chunk
-        # attempt numbers, shared by every lane thread
+        # the chunks counted as avoided re-splits, shared by every lane
         self._fault_lock = threading.Lock()
-        self.fault_counters = {"retries": 0, "respawns": 0, "degraded": 0,
-                               "timeouts": 0, "resplits": 0, "stale": 0,
-                               "avoided_resplits": 0}
         self._avoided_resplit_cids = set()
         self.a_panel_bytes = [
             csr_bytes(row_panels[rp].n_rows, row_panels[rp].nnz)
@@ -296,8 +292,7 @@ class GridJob:
             if cid in self._avoided_resplit_cids:
                 return
             self._avoided_resplit_cids.add(cid)
-            self.fault_counters["avoided_resplits"] += 1
-            total = self.fault_counters["avoided_resplits"]
+            total = len(self._avoided_resplit_cids)
         tracer = self.tracer
         if tracer.enabled:
             tracer.bump("faults", avoided_resplits=1)
@@ -471,10 +466,8 @@ class GridJob:
     # ------------------------------------------------------------------
     def note(self, counter: str, name: str, cat: str, *,
              seconds: float = 0.0, **args) -> None:
-        """Record one recovery action: bump its ``fault_counters`` entry
-        and, when tracing, add its span and ``faults`` counter."""
-        with self._fault_lock:
-            self.fault_counters[counter] += 1
+        """Record one recovery action: when tracing, its span and its
+        ``faults`` counter."""
         tracer = self.tracer
         if tracer.enabled:
             now = tracer.now()
@@ -505,11 +498,8 @@ class GridJob:
                   lane=lane, worker=worker, kind=kind,
                   chunk=-1 if cid is None else cid,
                   exitcode=-1 if exitcode is None else exitcode)
-        if kind == "stale":
-            with self._fault_lock:
-                self.fault_counters["stale"] += 1
-            if self.tracer.enabled:
-                self.tracer.bump("faults", stale=1)
+        if kind == "stale" and self.tracer.enabled:
+            self.tracer.bump("faults", stale=1)
 
     def note_timeout(self, cid: int, attempt: int) -> None:
         """Record one chunk deadline expiry (cooperative or watchdog)."""
@@ -700,7 +690,7 @@ def execute_chunk_grid(
     governor=None,
     kernel=None,
     chunk_events=None,
-    col_panels: Optional[PanelSet] = None,
+    col_panels: Optional[Sequence[CSRMatrix]] = None,
     sizing: Optional[GridSizing] = None,
 ) -> Tuple[ChunkProfile, Union[None, List[List[CSRMatrix]], CSRMatrix]]:
     """Execute every chunk of ``C = A x B`` and profile it, concurrently.
@@ -811,17 +801,15 @@ def execute_chunk_grid(
         are swallowed.  The job server uses this to stream per-chunk
         completion events to callers.
     col_panels:
-        Optional pre-partitioned column panels of ``B`` (a
-        :class:`~repro.sparse.partition.PanelSet` from
-        :func:`~repro.sparse.partition.partition_columns` with the
-        grid's exact ``col_bounds``).  Column partitioning is the
-        expensive direction; a sharded run slicing ``A`` across N
-        concurrent sub-runs over the *same* ``B`` partitions it once
-        and hands every shard the same read-only panels — the
-        in-process analog of SUMMA's B broadcast (see
-        :mod:`repro.distributed.shard`).  Must describe this exact
-        ``b``; the bounds are validated, the content is the caller's
-        contract.  ``None`` (default) partitions here.
+        Optional column panels of ``B`` already cut at the grid's
+        ``col_bounds`` (``partition_columns(b, grid.col_bounds)``).
+        Column partitioning is the expensive direction; a sharded run
+        slicing ``A`` across N concurrent sub-runs over the *same* ``B``
+        partitions it once and hands every shard the same read-only
+        panels — the in-process analog of SUMMA's B broadcast (see
+        :mod:`repro.distributed.shard`).  Must be cut from this exact
+        ``b``; the panel widths are validated, the content is the
+        caller's contract.  ``None`` (default) partitions here.
     sizing:
         The grid's :class:`~repro.core.chunks.GridSizing` when the
         caller already holds it (a ``PlanReport.sizing``, a sharded
@@ -869,6 +857,9 @@ def execute_chunk_grid(
             "the serial backend runs exactly one worker; use "
             "backend='thread' or 'process' for workers > 1"
         )
+    # the grid's bounds are where A and B are cut, on every path below
+    check_bounds(grid.row_bounds, a.n_rows)
+    check_bounds(grid.col_bounds, b.n_cols)
     if sizing is not None and not (
             np.array_equal(sizing.grid.row_bounds, grid.row_bounds)
             and np.array_equal(sizing.grid.col_bounds, grid.col_bounds)):
@@ -933,20 +924,17 @@ def execute_chunk_grid(
         # nothing left to compute: partition nothing, start no backend
         return finish([skip[cid] for cid in range(num_chunks)], 0.0)
 
-    row_panels: PanelSet = partition_rows(a, grid.num_row_panels)
+    row_panels = partition_rows(a, grid.row_bounds)
     if col_panels is None:
         start = tracer.now()
-        col_panels = partition_columns(b, grid.num_col_panels)
+        col_panels = partition_columns(b, grid.col_bounds)
         if tracer.enabled:
             tracer.add_span(
                 "partition_columns", "partition", start, tracer.now(),
                 panels=len(col_panels),
-                copy_bytes=sum(p.nbytes() for p in col_panels.panels
-                               if p is not b))
-    if not np.array_equal(row_panels.boundaries, grid.row_bounds) or not np.array_equal(
-        col_panels.boundaries, grid.col_bounds
-    ):
-        raise ValueError("grid boundaries disagree with panel partitioning")
+                copy_bytes=sum(p.nbytes() for p in col_panels if p is not b))
+    elif [p.n_cols for p in col_panels] != np.diff(grid.col_bounds).tolist():
+        raise ValueError("col_panels are not cut at the grid's col_bounds")
 
     # a strip run goes row-major, so few strips are open at a time
     natural = strips or backend_name == "serial" or (

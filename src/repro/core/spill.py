@@ -365,7 +365,7 @@ class DiskChunkStore(MemoryChunkStore):
             if self._layout is not None:
                 strip = self._mapped([row_panel]).row_slice(
                     *self._layout.row_bounds[row_panel:row_panel + 2])
-                return partition_columns(strip, self._shape[1])[col_panel]
+                return partition_columns(strip, self._layout.col_bounds)[col_panel]
             path, _ = self._files[(row_panel, col_panel)]
             try:
                 with open(path, "rb") as fh:

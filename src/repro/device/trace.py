@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["TraceRecord", "Timeline"]
+__all__ = ["TraceRecord", "Timeline", "merge_intervals"]
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class TraceRecord:
         return self.end - self.start
 
 
-def _merge_intervals(intervals: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
+def merge_intervals(intervals: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
     """Union of possibly-overlapping intervals (for capacity > 1 resources)."""
     if not intervals:
         return []
@@ -63,7 +63,7 @@ class Timeline:
         return tuple(r for r in self.records if r.label.startswith(prefix))
 
     def busy_intervals(self, resource: str) -> List[Tuple[float, float]]:
-        return _merge_intervals(
+        return merge_intervals(
             [(r.start, r.end) for r in self.records if r.resource == resource and r.duration > 0]
         )
 
@@ -80,7 +80,7 @@ class Timeline:
         intervals: List[Tuple[float, float]] = []
         for d in directions:
             intervals.extend(self.busy_intervals(d))
-        merged = _merge_intervals(intervals)
+        merged = merge_intervals(intervals)
         span = self.makespan()
         return sum(hi - lo for lo, hi in merged) / span if span > 0 else 0.0
 

@@ -63,7 +63,8 @@ from ..core.spill import Checkpoint, DiskChunkStore, LayoutCheckpoint
 from ..observability import Tracer
 from ..observability.chrome import multi_tracer_events, timeline_events
 from ..sparse.formats import CSRMatrix
-from ..sparse.partition import panel_boundaries, partition_columns, partition_rows
+from ..sparse.partition import (
+    check_bounds, panel_boundaries, partition_columns, partition_rows)
 from ..spgemm.kernels import require_kernel
 from ..spgemm.twophase import spgemm_symbolic
 from .sharding.transfers import (
@@ -353,29 +354,6 @@ def plan_shards(grid: ChunkGrid, num_shards: int,
             for s in range(parts)]
 
 
-def _sub_grid(grid: ChunkGrid, span: ShardSpan) -> ChunkGrid:
-    """The shard's local grid: its row-bound slice rebased to 0.
-
-    Contiguous slices of a :func:`~repro.sparse.partition.\
-    panel_boundaries` split are themselves near-equal splits (the +1
-    remainder panels form a prefix), so the engine's own
-    ``partition_rows`` reproduces these bounds exactly — verified here
-    so an irregular custom grid fails loudly instead of deep inside the
-    engine."""
-    rb = grid.row_bounds
-    sub_bounds = (rb[span.rp_lo:span.rp_hi + 1] - rb[span.rp_lo]).copy()
-    n_rows = int(sub_bounds[-1])
-    if not np.array_equal(
-        sub_bounds, panel_boundaries(n_rows, span.num_row_panels)
-    ):
-        raise ValueError(
-            f"shard {span.shard_id}: row panels {span.rp_lo}..{span.rp_hi} "
-            "do not form a near-equal split of their row range — sharding "
-            "requires a regular (panel_boundaries) grid"
-        )
-    return ChunkGrid(row_bounds=sub_bounds, col_bounds=grid.col_bounds)
-
-
 def _count_and_seal(layout: OutputLayout, a: CSRMatrix, b: CSRMatrix,
                     grid: ChunkGrid, kernel, tracer) -> None:
     """The node's count pass: every chunk's exact row counts — the
@@ -383,8 +361,8 @@ def _count_and_seal(layout: OutputLayout, a: CSRMatrix, b: CSRMatrix,
     the shards' engines cut them (row panels are views of A) — into
     ``layout``, then its one allocation; one span on ``tracer``."""
     start = tracer.now()
-    col_panels = partition_columns(b, grid.num_col_panels)
-    for rp, a_panel in enumerate(partition_rows(a, grid.num_row_panels).panels):
+    col_panels = partition_columns(b, grid.col_bounds)
+    for rp, a_panel in enumerate(partition_rows(a, grid.row_bounds)):
         for cp in range(grid.num_col_panels):
             layout.set_counts(rp, cp, spgemm_symbolic(
                 a_panel, col_panels[cp], kernel=kernel).row_nnz)
@@ -449,7 +427,9 @@ def run_sharded(
         rp = max(1, min(a.n_rows, 2 * cfg.num_shards))
         cp = max(1, min(b.n_cols, 2))
         grid = ChunkGrid.regular(a.n_rows, b.n_cols, rp, cp)
-
+    # refused here, before a shard is planned, as every shard would
+    check_bounds(grid.row_bounds, a.n_rows)
+    check_bounds(grid.col_bounds, b.n_cols)
     sizing = GridSizing(a, b, grid)
     spans = plan_shards(grid, cfg.num_shards, sizing.flops)
     num_shards = len(spans)
@@ -484,7 +464,7 @@ def run_sharded(
     # A socket node ships B whole and partitions only for a span it has
     # to finish itself
     shared_col_panels = (None if use_socket
-                         else partition_columns(b, grid.num_col_panels))
+                         else partition_columns(b, grid.col_bounds))
 
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if ckpt_dir is not None:
@@ -623,7 +603,8 @@ def run_sharded(
         shard_tracer = Tracer(stream=f"shard{t}")
         tracers[f"shard{t}"] = shard_tracer
         a_shard = a.row_slice(int(rb[span.rp_lo]), int(rb[span.rp_hi]))
-        sub = _sub_grid(grid, span)
+        span_sizing = sizing.span(span.rp_lo, span.rp_hi)
+        sub = span_sizing.grid
         run_name = f"{name}.shard{t}" if name else f"shard{t}"
         if layout is not None:
             checkpoint = LayoutCheckpoint(layout, span.rp_lo)
@@ -661,7 +642,7 @@ def run_sharded(
             checkpoint=checkpoint,
             governor=make_governor(t), kernel=cfg.kernel,
             col_panels=shared_col_panels,
-            sizing=sizing.span(span.rp_lo, span.rp_hi),
+            sizing=span_sizing,
         )
         rec.wall_seconds = time.perf_counter() - t0
         shard_profiles[t] = profile

@@ -17,8 +17,9 @@ numeric vs. transfer.  This module computes the host-side analog from a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
+from ..device.trace import merge_intervals
 from .tracer import Span, Tracer
 
 __all__ = [
@@ -33,19 +34,6 @@ __all__ = [
 #: span categories that represent actual kernel work (utilization
 #: numerator); queue wait and store traffic are overhead categories
 COMPUTE_CATS = ("analysis", "symbolic", "numeric")
-
-
-def _merge(intervals: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    if not intervals:
-        return []
-    intervals.sort()
-    out = [intervals[0]]
-    for lo, hi in intervals[1:]:
-        if lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
 
 
 @dataclass(frozen=True)
@@ -71,7 +59,7 @@ def lane_utilization(tracer: Tracer,
             by_lane.setdefault(s.lane, []).append(s)
     usages = []
     for lane, spans in sorted(by_lane.items()):
-        merged = _merge([(s.start, s.end) for s in spans])
+        merged = merge_intervals([(s.start, s.end) for s in spans])
         usages.append(LaneUsage(
             lane=lane,
             busy_seconds=sum(hi - lo for lo, hi in merged),

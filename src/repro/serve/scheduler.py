@@ -230,16 +230,14 @@ class JobScheduler:
                 if item is None:
                     continue
                 record = item[2]
-                # jobs-keyed ledger: reserve the priced footprint.
-                # Non-blocking — the loop must keep serving other
-                # tenants — with the minimum-progress escape when the
-                # node is idle (ledger empty => may_wait=True returns
-                # immediately as a counted overcommit).
+                # jobs-keyed ledger: reserve the priced footprint,
+                # non-blocking while jobs run (the loop keeps serving
+                # other tenants).  An idle node's ledger is empty — a
+                # job releases before it leaves _running — so
+                # may_wait=True returns at once: the minimum-progress
+                # escape, a counted overcommit if it does not fit.
                 ok = self.hostmem.admit(record.job_id, record.cost_bytes,
-                                        may_wait=False)
-                if not ok and not self._running:
-                    ok = self.hostmem.admit(record.job_id, record.cost_bytes,
-                                            may_wait=True)
+                                        may_wait=not self._running)
                 if not ok:
                     self._queue.requeue_front(item)
                     self._cond.wait(0.05)

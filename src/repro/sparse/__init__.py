@@ -18,7 +18,6 @@ from .ops import (
 from .reordering import bandwidth, degree_order, permute_symmetric, rcm_order
 from .shm import SharedCSR, SharedCSRDescriptor
 from .partition import (
-    PanelSet,
     build_col_offsets,
     panel_boundaries,
     partition_columns,
@@ -50,7 +49,6 @@ __all__ = [
     "rcm_order",
     "SharedCSR",
     "SharedCSRDescriptor",
-    "PanelSet",
     "build_col_offsets",
     "panel_boundaries",
     "partition_columns",

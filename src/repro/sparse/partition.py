@@ -34,8 +34,7 @@ which is what the in-core SpGEMM kernel consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,7 +45,7 @@ __all__ = [
     "partition_rows",
     "build_col_offsets",
     "partition_columns",
-    "PanelSet",
+    "check_bounds",
 ]
 
 
@@ -69,40 +68,46 @@ def panel_boundaries(n: int, num_panels: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PanelSet:
-    """Panels of one matrix plus the boundaries they were cut at."""
-
-    panels: Tuple[CSRMatrix, ...]
-    boundaries: np.ndarray  # length num_panels + 1
-    axis: str  # "rows" or "cols"
-
-    def __len__(self) -> int:
-        return len(self.panels)
-
-    def __getitem__(self, i: int) -> CSRMatrix:
-        return self.panels[i]
-
-    def sizes(self) -> np.ndarray:
-        return np.diff(self.boundaries)
+def check_bounds(bounds, n: int) -> np.ndarray:
+    """``bounds`` as int64 cut points of ``[0, n)``: one row of two or
+    more integers strictly increasing from 0 to ``n`` (a dimension of
+    size 0 is one empty panel, ``[0, 0]``, as :func:`panel_boundaries`
+    cuts it).  Anything else raises :class:`ValueError`."""
+    bounds = np.asarray(bounds)
+    if bounds.ndim != 1 or bounds.size < 2 or bounds.dtype.kind not in "iu":
+        raise ValueError("boundaries must be one row of two or more integer cuts")
+    bounds = bounds.astype(INDEX_DTYPE, copy=False)
+    if bounds[0] != 0 or bounds[-1] != n or (
+            np.any(np.diff(bounds) <= 0) and not (n == 0 and bounds.size == 2)):
+        raise ValueError(f"boundaries must be strictly increasing from 0 to {n}")
+    return bounds
 
 
-def partition_rows(a: CSRMatrix, num_panels: int) -> PanelSet:
-    """Split ``A`` into contiguous row panels (paper: the easy direction).
+def _cuts(bounds: Union[int, Sequence[int]], n: int) -> np.ndarray:
+    """Checked cut points: ``bounds`` itself, or an int ``k`` as
+    :func:`panel_boundaries` ``(n, k)``."""
+    if isinstance(bounds, (int, np.integer)):
+        return panel_boundaries(n, int(bounds))
+    return check_bounds(bounds, n)
+
+
+def partition_rows(a: CSRMatrix, bounds: Union[int, Sequence[int]]
+                   ) -> Tuple[CSRMatrix, ...]:
+    """Split ``A`` into contiguous row panels at ``bounds`` (or into ``k``
+    near-equal ones) — the easy direction.
 
     The panels are views of ``A``: each shares its ``col_ids`` and
     ``data``, and its rebased ``row_offsets`` is the only new array
     (:meth:`CSRMatrix.row_slice` copies)."""
-    bounds = panel_boundaries(a.n_rows, num_panels)
+    bounds = _cuts(bounds, a.n_rows)
     ends = a.row_offsets[bounds]
-    panels = tuple(
+    return tuple(
         CSRMatrix(int(bounds[i + 1] - bounds[i]), a.n_cols,
                   a.row_offsets[bounds[i]:bounds[i + 1] + 1] - ends[i],
                   a.col_ids[ends[i]:ends[i + 1]], a.data[ends[i]:ends[i + 1]],
                   check=False)
-        for i in range(num_panels)
+        for i in range(bounds.size - 1)
     )
-    return PanelSet(panels=panels, boundaries=bounds, axis="rows")
 
 
 # ----------------------------------------------------------------------
@@ -122,15 +127,7 @@ def build_col_offsets(b: CSRMatrix, boundaries: Sequence[int]) -> np.ndarray:
     axis — one C sweep of ``b`` when the native library is available,
     else numpy.  Both count, so they agree on unsorted rows too.
     """
-    bounds = np.asarray(boundaries)
-    if bounds.ndim != 1 or bounds.size < 2 or bounds.dtype.kind not in "iu":
-        raise ValueError("boundaries must be one row of two or more integer cuts")
-    bounds = bounds.astype(INDEX_DTYPE, copy=False)
-    # a matrix without columns is one empty panel, as panel_boundaries cuts it
-    no_cols = b.n_cols == 0 and bounds.size == 2
-    if bounds[0] != 0 or bounds[-1] != b.n_cols or (
-            np.any(np.diff(bounds) <= 0) and not no_cols):
-        raise ValueError("boundaries must be strictly increasing from 0 to n_cols")
+    bounds = check_bounds(boundaries, b.n_cols)
     num_panels = bounds.size - 1
 
     from ..spgemm import native  # deferred: spgemm imports sparse
@@ -150,8 +147,10 @@ def build_col_offsets(b: CSRMatrix, boundaries: Sequence[int]) -> np.ndarray:
     return splits
 
 
-def partition_columns(b: CSRMatrix, num_panels: int) -> PanelSet:
-    """Optimized column partition using the ``col_offset`` split matrix.
+def partition_columns(b: CSRMatrix, bounds: Union[int, Sequence[int]]
+                      ) -> Tuple[CSRMatrix, ...]:
+    """Split ``B`` into column panels at ``bounds`` (or into ``k``
+    near-equal ones) using the ``col_offset`` split matrix.
 
     Because rows are sorted by column id, each panel's elements occupy a
     contiguous sub-range of every row; the split matrix gives the ranges
@@ -167,9 +166,10 @@ def partition_columns(b: CSRMatrix, num_panels: int) -> PanelSet:
 
     One panel *is* ``b``: the same object, no split matrix, no gather.
     """
-    bounds = panel_boundaries(b.n_cols, num_panels)
+    bounds = _cuts(bounds, b.n_cols)
+    num_panels = bounds.size - 1
     if num_panels == 1:
-        return PanelSet(panels=(b,), boundaries=bounds, axis="cols")
+        return (b,)
     splits = build_col_offsets(b, bounds)
 
     from ..spgemm import native  # deferred: spgemm imports sparse
@@ -187,8 +187,7 @@ def partition_columns(b: CSRMatrix, num_panels: int) -> PanelSet:
             src = np.repeat(lo - row_offsets[:-1], counts) + np.arange(
                 int(row_offsets[-1]), dtype=INDEX_DTYPE)
             arrays.append((row_offsets, b.col_ids[src] - bounds[p], b.data[src]))
-    panels = tuple(
+    return tuple(
         CSRMatrix(b.n_rows, int(bounds[p + 1] - bounds[p]), *arr, check=False)
         for p, arr in enumerate(arrays)
     )
-    return PanelSet(panels=panels, boundaries=bounds, axis="cols")

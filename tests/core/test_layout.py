@@ -75,20 +75,11 @@ def with_values(mask: np.ndarray) -> CSRMatrix:
     return CSRMatrix.from_scipy(sp.csr_matrix(mask * rng.uniform(0.5, 1.5, mask.shape)))
 
 
-def regular(problem):
-    """The engine partitions near-equally: keep the drawn panel counts
-    (up to 5 x 5), not the drawn cuts."""
-    a_mask, b_mask, grid = problem
-    return a_mask, b_mask, ChunkGrid.regular(
-        a_mask.shape[0], b_mask.shape[1],
-        grid.num_row_panels, grid.num_col_panels)
-
-
 # ----------------------------------------------------------------------
 # one property, one oracle
 # ----------------------------------------------------------------------
 class TestInPlaceIsTheChunkPathIsTheOracle:
-    @given(problem=problems().map(regular))
+    @given(problem=problems())
     @settings(max_examples=100, deadline=None)
     def test_every_kernel_and_backend(self, problem):
         a_mask, b_mask, grid = problem
@@ -472,7 +463,7 @@ def strip_run(a, b, grid, **kwargs) -> CSRMatrix:
 
 
 class TestStripRunIsTheChunkPath:
-    @given(problem=problems().map(regular))
+    @given(problem=problems())
     @settings(max_examples=60, deadline=None)
     def test_every_kernel_and_backend(self, problem):
         a_mask, b_mask, grid = problem

@@ -150,7 +150,7 @@ class TestExecutorTracing:
         a, grid = problem
         tracer, _, _ = traced_run
         (span,) = tracer.spans_by_cat("partition")
-        panels = partition_columns(a, grid.num_col_panels).panels
+        panels = partition_columns(a, grid.col_bounds)
         assert span.args == {"panels": grid.num_col_panels,
                              "copy_bytes": sum(p.nbytes() for p in panels)}
 

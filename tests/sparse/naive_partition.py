@@ -8,15 +8,15 @@ checks the optimized scheme against it, and
 ``benchmarks/test_kernels_wallclock.py`` times the two side by side.
 """
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.sparse.formats import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
-from repro.sparse.partition import PanelSet, panel_boundaries
+from repro.sparse.partition import panel_boundaries
 
 
-def partition_columns_naive(b: CSRMatrix, num_panels: int) -> PanelSet:
+def partition_columns_naive(b: CSRMatrix, num_panels: int) -> Tuple[CSRMatrix, ...]:
     """Two-stage count/fill with full per-panel rescans (paper's baseline).
 
     For each panel ``[start_col, end_col)`` every row is scanned from its
@@ -55,4 +55,4 @@ def partition_columns_naive(b: CSRMatrix, num_panels: int) -> PanelSet:
         panels.append(
             CSRMatrix(b.n_rows, end_col - start_col, row_offsets, col_ids, data, check=False)
         )
-    return PanelSet(panels=tuple(panels), boundaries=bounds, axis="cols")
+    return tuple(panels)

@@ -51,20 +51,25 @@ class TestRowPanels:
     def test_roundtrip(self, sample_matrix):
         ps = partition_rows(sample_matrix, 4)
         assert len(ps) == 4
-        assert vstack(list(ps.panels)) == sample_matrix
+        assert vstack(list(ps)) == sample_matrix
 
     def test_sizes(self, sample_matrix):
         ps = partition_rows(sample_matrix, 3)
-        assert ps.sizes().sum() == sample_matrix.n_rows
+        assert [p.n_rows for p in ps] == np.diff(
+            panel_boundaries(sample_matrix.n_rows, 3)).tolist()
 
     def test_axis_label(self, sample_matrix):
-        assert partition_rows(sample_matrix, 2).axis == "rows"
+        """The axis cut shows in the panels' shapes: row panels keep
+        every column of A."""
+        assert [p.n_cols for p in partition_rows(sample_matrix, 2)] == [
+            sample_matrix.n_cols] * 2
 
     def test_panels_are_views_of_a(self, sample_matrix):
         """Each panel shares A's element arrays; only its rebased
         ``row_offsets`` is new.  ``row_slice`` still copies."""
-        ps = partition_rows(sample_matrix, 3)
-        for panel, lo, hi in zip(ps.panels, ps.boundaries[:-1], ps.boundaries[1:]):
+        bounds = panel_boundaries(sample_matrix.n_rows, 3)
+        ps = partition_rows(sample_matrix, bounds)
+        for panel, lo, hi in zip(ps, bounds[:-1], bounds[1:]):
             assert panel == sample_matrix.row_slice(int(lo), int(hi))
             if panel.nnz:
                 assert np.shares_memory(panel.col_ids, sample_matrix.col_ids)
@@ -80,8 +85,8 @@ class TestColumnPanels:
     @pytest.mark.parametrize("num_panels", [1, 2, 3, 7])
     def test_optimized_matches_reference(self, sample_matrix, num_panels):
         ps = partition_columns(sample_matrix, num_panels)
-        bounds = ps.boundaries
-        for i, panel in enumerate(ps.panels):
+        bounds = panel_boundaries(sample_matrix.n_cols, num_panels)
+        for i, panel in enumerate(ps):
             ref = extract_columns(sample_matrix, int(bounds[i]), int(bounds[i + 1]))
             assert panel == ref
 
@@ -89,17 +94,17 @@ class TestColumnPanels:
     def test_naive_matches_optimized(self, sample_matrix, num_panels):
         fast = partition_columns(sample_matrix, num_panels)
         slow = partition_columns_naive(sample_matrix, num_panels)
-        np.testing.assert_array_equal(fast.boundaries, slow.boundaries)
-        for f, s in zip(fast.panels, slow.panels):
+        assert len(fast) == len(slow)
+        for f, s in zip(fast, slow):
             assert f == s
 
     def test_hstack_roundtrip(self, sample_matrix):
         ps = partition_columns(sample_matrix, 5)
-        assert hstack(list(ps.panels)) == sample_matrix
+        assert hstack(list(ps)) == sample_matrix
 
     def test_empty_matrix(self):
         ps = partition_columns(CSRMatrix.empty(4, 8), 2)
-        assert all(p.nnz == 0 for p in ps.panels)
+        assert all(p.nnz == 0 for p in ps)
 
 
 class TestColOffsets:
@@ -156,22 +161,21 @@ class TestProperties:
         m = random_csr(rows, cols, rows * 3, seed=seed)
         panels = data.draw(st.integers(1, cols))
         ps = partition_columns(m, panels)
-        assert hstack(list(ps.panels)) == m
+        assert hstack(list(ps)) == m
 
     @given(seed=st.integers(0, 200), panels=st.integers(1, 6))
     @settings(max_examples=25, deadline=None)
     def test_banded_partition_roundtrip(self, seed, panels):
         m = banded(40, 4, seed=seed, fill=0.6)
-        assert hstack(list(partition_columns(m, panels).panels)) == m
+        assert hstack(list(partition_columns(m, panels))) == m
 
 
 class TestOnePanel:
     def test_one_panel_is_the_matrix_itself(self, sample_matrix):
-        ps = partition_columns(sample_matrix, 1)
-        assert len(ps) == 1 and ps.axis == "cols"
-        assert ps.panels[0] is sample_matrix
-        np.testing.assert_array_equal(ps.boundaries,
-                                      [0, sample_matrix.n_cols])
+        (panel,) = partition_columns(sample_matrix, 1)
+        assert panel is sample_matrix
+        (panel,) = partition_columns(sample_matrix, [0, sample_matrix.n_cols])
+        assert panel is sample_matrix
 
     def test_one_panel_scans_nothing(self, sample_matrix, monkeypatch):
         import repro.sparse.partition as partition_mod
@@ -180,7 +184,7 @@ class TestOnePanel:
             raise AssertionError("one panel needs no split matrix")
 
         monkeypatch.setattr(partition_mod, "build_col_offsets", refuse)
-        assert partition_columns(sample_matrix, 1).panels[0] is sample_matrix
+        assert partition_columns(sample_matrix, 1)[0] is sample_matrix
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_one_panel_product_equals_two_panel_product(self, backend):
@@ -249,7 +253,7 @@ class TestDisorderedOperands:
             assert not raw.has_sorted_rows()
             return
         assert raw.has_sorted_rows()
-        for panel in partition_columns(m, panels).panels:
+        for panel in partition_columns(m, panels):
             if panel.nnz:
                 assert 0 <= panel.col_ids.min()
                 assert panel.col_ids.max() < panel.n_cols
@@ -303,7 +307,7 @@ class TestNativeSplitAndGather:
         np.testing.assert_array_equal(splits, want)
         # one panel is B itself to the numpy form; the C gather of it
         # must be B's own bytes
-        reference = (numpy_form(partition_columns, b, num_panels).panels
+        reference = (numpy_form(partition_columns, b, num_panels)
                      if num_panels > 1 else (b,))
         got = native_col_panels(b, splits, bounds)
         assert len(got) == len(reference)
@@ -318,7 +322,7 @@ class TestNativeSplitAndGather:
         monkeypatch.setattr(native_mod, "native_col_panels",
                             lambda *args: calls.append(1) or real(*args))
         m = random_csr(30, 20, 120, seed=3)
-        assert hstack(list(partition_columns(m, 4).panels)) == m
+        assert hstack(list(partition_columns(m, 4))) == m
         assert calls == [1]
 
     def test_an_inconsistent_split_is_refused(self):
@@ -334,3 +338,75 @@ class TestNativeSplitAndGather:
                 native_col_panels(b, bad, bounds)
         with pytest.raises(ValueError, match="shape"):
             native_col_panels(b, splits[:, :2].copy(), bounds)
+
+
+def arbitrary_cuts(draw, n):
+    """Strictly increasing cuts of ``[0, n)`` at any points (``[0, 0]``
+    for an empty dimension) — what a grid may carry besides
+    ``panel_boundaries``."""
+    inner = draw(st.sets(st.integers(1, n - 1), max_size=8)) if n > 1 else ()
+    return np.array([0, *sorted(inner), n], dtype=np.int64)
+
+
+@st.composite
+def cut_operands(draw):
+    """A B from :func:`split_operands` with cuts of its rows and columns."""
+    b, _ = draw(split_operands())
+    return b, arbitrary_cuts(draw, b.n_rows), arbitrary_cuts(draw, b.n_cols)
+
+
+def native_form(fn, *args):
+    return fn(*args)
+
+
+class TestArbitraryBounds:
+    """Panels cut where the bounds say, not only at near-equal splits."""
+
+    @pytest.mark.parametrize("form", [pytest.param(native_form, marks=needs_native),
+                                      numpy_form], ids=["native", "numpy"])
+    @given(case=cut_operands())
+    @settings(max_examples=150, deadline=None)
+    def test_panels_are_the_ranges_between_cuts(self, form, case):
+        b, row_cuts, col_cuts = case
+        rows = partition_rows(b, row_cuts)
+        assert len(rows) == row_cuts.size - 1
+        for panel, lo, hi in zip(rows, row_cuts[:-1], row_cuts[1:]):
+            assert panel == b.row_slice(int(lo), int(hi))
+        cols = form(partition_columns, b, col_cuts)
+        assert [p.n_cols for p in cols] == np.diff(col_cuts).tolist()
+        if b.has_sorted_rows():  # partition_columns' precondition
+            for panel, lo, hi in zip(cols, col_cuts[:-1], col_cuts[1:]):
+                assert panel == extract_columns(b, int(lo), int(hi))
+            assert hstack(list(cols)) == b
+
+    @needs_native
+    @given(case=cut_operands())
+    @settings(max_examples=150, deadline=None)
+    def test_native_equals_numpy_at_any_cuts(self, case):
+        b, _, col_cuts = case
+        np.testing.assert_array_equal(
+            build_col_offsets(b, col_cuts),
+            numpy_form(build_col_offsets, b, col_cuts))
+        for mine, ref in zip(partition_columns(b, col_cuts),
+                             numpy_form(partition_columns, b, col_cuts)):
+            for x, y in ((mine.row_offsets, ref.row_offsets),
+                         (mine.col_ids, ref.col_ids), (mine.data, ref.data)):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("form", [pytest.param(native_form, marks=needs_native),
+                                      numpy_form], ids=["native", "numpy"])
+    @pytest.mark.parametrize("bad", [
+        [0, 7, 3, 10], [1, 10], [0, 9], [0, 11], [0, 4, 4, 10], [10], [],
+        [0.0, 10.0]], ids=str)
+    def test_malformed_cuts_are_refused(self, form, bad):
+        m = random_csr(10, 10, 40, seed=1)
+        for cut in (partition_rows, partition_columns, build_col_offsets):
+            with pytest.raises(ValueError, match="boundaries"):
+                form(cut, m, bad)
+
+    def test_a_count_is_panel_boundaries(self, sample_matrix):
+        for k in (1, 3, np.int64(4)):
+            rows = partition_rows(sample_matrix, panel_boundaries(sample_matrix.n_rows, k))
+            assert partition_rows(sample_matrix, k) == rows
+            cols = partition_columns(sample_matrix, panel_boundaries(sample_matrix.n_cols, k))
+            assert partition_columns(sample_matrix, k) == cols
