@@ -64,8 +64,8 @@ def intermediate_bytes(count):
 
 def host_bytes_of(rows, count):
     """Host bytes of one chunk's output held as CSR, ``count`` bounding
-    (or estimating) its nnz — what host admission reserves.  Scalars or
-    arrays (arrays broadcast, pricing a whole grid at once)."""
+    its nnz — what host admission reserves.  Scalars or arrays (arrays
+    broadcast, pricing a whole grid at once)."""
     return csr_bytes(rows, count)
 
 
@@ -73,10 +73,9 @@ def device_bytes_of(rows, count):
     """Device bytes to produce one chunk beyond the resident input
     panels: intermediates over ``count`` products plus the worst-case
     output (every one of them a distinct nonzero) — Section IV.B's pool
-    bound.  ``count`` is the chunk's product count (the upper bound) or
-    an nnz ceiling from a sampled estimate.  The ``rows x 8`` analysis
-    result is not in it: the planner's ``safety`` margin covers that.
-    Scalars or arrays, like :func:`host_bytes_of`."""
+    bound, ``count`` being the chunk's product count.  The ``rows x 8``
+    analysis result is not in it: the planner's ``safety`` margin covers
+    that.  Scalars or arrays, like :func:`host_bytes_of`."""
     return intermediate_bytes(count) + host_bytes_of(rows, count)
 
 
@@ -317,19 +316,11 @@ class ProductTable:
     :func:`~repro.spgemm.flops.product_prefix` per panel over
     ``A.col_ids``: ``(n_rows_A + 1) x c`` int64, never ``nnz_A x c``.
     Chunk counts come off a :class:`CutTable` instead; this is behind
-    row-level reads, estimated sizes and plans past that table's bound.
-
-    ``estimate`` (a :class:`~repro.spgemm.estimate.RowNnzEstimate` of the
-    same product) adds the sampled output sizes: a row's products split
-    across column panels exactly, its estimated nnz proportionally —
-    ``ratio_i * products_i[p]`` — kept as two more ``(n_rows_A + 1, c)``
-    float64 prefix tables, built on first use.
+    row-level reads and plans past that table's bound.
     """
 
-    def __init__(self, a: CSRMatrix, b: CSRMatrix, col_bounds: np.ndarray,
-                 estimate=None):
+    def __init__(self, a: CSRMatrix, b: CSRMatrix, col_bounds: np.ndarray):
         self.col_bounds = np.asarray(col_bounds, dtype=np.int64)
-        self.estimate = estimate
         self.prefix = np.empty((a.n_rows + 1, self.col_bounds.size - 1),
                                dtype=np.int64)
         splits = build_col_offsets(b, self.col_bounds)
@@ -339,18 +330,6 @@ class ProductTable:
         for p, b_row_nnz in enumerate(per_panel):
             self.prefix[:, p] = product_prefix(a, b, b_row_nnz, scratch=running)
 
-    @functools.cached_property
-    def nnz_prefixes(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Row prefixes of the estimated nnz (point, upper confidence)
-        per column panel.  The sums accumulate row by row down the table
-        rather than element by element inside a chunk, so they can
-        differ from a direct per-chunk sum in the last digits."""
-        row_products = np.diff(self.prefix, axis=0)
-        zero = np.zeros((1, row_products.shape[1]))
-        return tuple(
-            np.concatenate([zero, np.cumsum(row_products * ratio[:, None], axis=0)])
-            for ratio in (self.estimate.ratio(), self.estimate.ratio_hi()))
-
 
 class CutTable:
     """Product counts of ``A x B`` on sorted cut points of A's rows and
@@ -358,33 +337,31 @@ class CutTable:
 
     The cells are one sweep of the native library (``native_cut_cells``),
     kept as 2-D prefix sums (a chunk is a four-corner difference).
-    ``row_weight`` (per row of A: an estimate's ratio) adds the same sums
-    with each row's products weighted — float64, a rounding error of the
-    table's total off; zeros without one.  Without the library there is
-    no cut table: counts come off a :class:`ProductTable`.
+    Without the library there is no cut table: counts come off a
+    :class:`ProductTable`.
     """
 
     def __init__(self, a: CSRMatrix, b: CSRMatrix, row_cuts: np.ndarray,
-                 col_cuts: np.ndarray, row_weight: Optional[np.ndarray] = None):
+                 col_cuts: np.ndarray):
         self.a, self.b, self.row_cuts, self.col_cuts = a, b, row_cuts, col_cuts
-        self.prefix, self.weighted = (
-            np.pad(t.cumsum(0).cumsum(1), ((1, 0), (1, 0)))
-            for t in native_cut_cells(a, b, row_cuts, col_cuts, row_weight))
+        self.prefix = np.pad(
+            native_cut_cells(a, b, row_cuts, col_cuts).cumsum(0).cumsum(1),
+            ((1, 0), (1, 0)))
 
-    def cells(self, grid: ChunkGrid, weighted: bool = False) -> np.ndarray:
-        """``(r, c)`` products per chunk of ``grid`` (``weighted``: the
-        weighted sums), whose boundaries must be cuts of the table."""
+    def cells(self, grid: ChunkGrid) -> np.ndarray:
+        """``(r, c)`` products per chunk of ``grid``, whose boundaries
+        must be cuts of the table."""
         ri = np.searchsorted(self.row_cuts, grid.row_bounds)
         ci = np.searchsorted(self.col_cuts, grid.col_bounds)
         if not (np.array_equal(self.row_cuts[ri], grid.row_bounds)
                 and np.array_equal(self.col_cuts[ci], grid.col_bounds)):
             raise ValueError("grid boundaries are not cuts of this table")
-        corners = (self.weighted if weighted else self.prefix)[np.ix_(ri, ci)]
+        corners = self.prefix[np.ix_(ri, ci)]
         return np.diff(np.diff(corners, axis=0), axis=1)
 
     def sizing(self, grid: ChunkGrid) -> "GridSizing":
-        """The un-estimated sizing of ``grid``, no row-level table built."""
-        return GridSizing._new(grid, self.cells(grid), None, functools.partial(
+        """The sizing of ``grid``, no row-level table built."""
+        return GridSizing._new(grid, self.cells(grid), functools.partial(
             ProductTable, self.a, self.b, grid.col_bounds))
 
 
@@ -395,26 +372,24 @@ class GridSizing:
     The planner prices candidate grids with it, the executor orders
     dispatch by its ``flops``, the governor admits on ``host_bytes`` and
     re-splits on ``device_bytes``, a re-split sizes its sub-panels
-    with ``range_products``, and a shard takes its ``span``.  Chunk counts come off a :class:`CutTable`;
-    ``table``, the :class:`ProductTable` behind row-level reads and an
-    estimate's sizes, is built on first read — a default run makes none.
-    With an estimate, ``nnz`` / ``nnz_hi`` are the sampled sizes clamped
-    to the hard ceiling ``min(products, rows x width)``; without one they
-    *are* that ceiling, so the flops upper bound stays the ceiling of
-    every number here.  Chunk-indexed results are flat, row-major.
+    with ``range_products``, and a shard takes its ``span``.  Chunk
+    counts come off a :class:`CutTable`; ``table``, the
+    :class:`ProductTable` behind row-level reads, is built on first read
+    — a default run makes none.  Every number here is sized from the
+    flops upper bound (Section IV.B): ``nnz`` is the ceiling
+    ``min(products, rows x width)``.  Chunk-indexed results are flat,
+    row-major.
     """
 
-    def __init__(self, a: CSRMatrix, b: CSRMatrix, grid: ChunkGrid,
-                 estimate=None):
-        make_table = functools.partial(ProductTable, a, b, grid.col_bounds,
-                                       estimate)
+    def __init__(self, a: CSRMatrix, b: CSRMatrix, grid: ChunkGrid):
+        make_table = functools.partial(ProductTable, a, b, grid.col_bounds)
         if native_available():
             cut = CutTable(a, b, grid.row_bounds, grid.col_bounds)
-            self._bind(grid, cut.cells(grid), estimate, make_table)
+            self._bind(grid, cut.cells(grid), make_table)
         else:
             table = make_table()
             self._bind(grid, np.diff(table.prefix[grid.row_bounds], axis=0),
-                       estimate, lambda: table)
+                       lambda: table)
 
     @classmethod
     def over(cls, table: ProductTable, grid: ChunkGrid,
@@ -423,7 +398,7 @@ class GridSizing:
         bounds are the grid's).  ``first_row`` is the table row of the
         grid's row 0 — nonzero for a :meth:`span`."""
         products = np.diff(table.prefix[grid.row_bounds + first_row], axis=0)
-        return cls._new(grid, products, table.estimate, lambda: table, first_row)
+        return cls._new(grid, products, lambda: table, first_row)
 
     @classmethod
     def _new(cls, *args) -> "GridSizing":
@@ -431,9 +406,9 @@ class GridSizing:
         self._bind(*args)
         return self
 
-    def _bind(self, grid: ChunkGrid, products: np.ndarray, estimate,
-              make_table, first_row: int = 0):
-        self.grid, self.estimate = grid, estimate
+    def _bind(self, grid: ChunkGrid, products: np.ndarray, make_table,
+              first_row: int = 0):
+        self.grid = grid
         #: (r, c) exact intermediate products per chunk
         self.products = products
         self.panel_rows = np.diff(grid.row_bounds).astype(np.int64)
@@ -455,50 +430,21 @@ class GridSizing:
         return 2 * self.products
 
     @functools.cached_property
-    def _nnz_pair(self) -> Tuple[np.ndarray, np.ndarray]:
-        widths = np.diff(self.grid.col_bounds).astype(np.int64)
-        # no chunk holds more nonzeros than its products, nor than its
-        # dense extent
-        ceiling = np.minimum(self.products, self.panel_rows[:, None] * widths)
-        if self.estimate is None:
-            return ceiling, ceiling
-        nnz, nnz_hi = (np.diff(prefix[self._cuts], axis=0)
-                       for prefix in self.table.nnz_prefixes)
-        nnz = np.minimum(nnz, ceiling)
-        return nnz, np.minimum(np.maximum(nnz_hi, nnz), ceiling)
-
-    @property
     def nnz(self) -> np.ndarray:
-        """``(r, c)`` output nnz per chunk, point estimate."""
-        return self._nnz_pair[0]
-
-    @property
-    def nnz_hi(self) -> np.ndarray:
-        """``(r, c)`` output nnz per chunk, the bound sizing reserves for
-        (upper confidence estimate, or the ceiling itself)."""
-        return self._nnz_pair[1]
-
-    @functools.cached_property
-    def _nnz_bound(self) -> np.ndarray:
-        return np.ceil(self.nnz_hi).astype(np.int64)
+        """``(r, c)`` bound on each chunk's output nnz: no chunk holds
+        more nonzeros than its products, nor than its dense extent."""
+        widths = np.diff(self.grid.col_bounds).astype(np.int64)
+        return np.minimum(self.products, self.panel_rows[:, None] * widths)
 
     @functools.cached_property
     def host_bytes(self) -> np.ndarray:
         """Bound on each chunk's output bytes held on the host."""
-        return host_bytes_of(self.panel_rows[:, None], self._nnz_bound).ravel()
-
-    @functools.cached_property
-    def device_bytes_ub(self) -> np.ndarray:
-        """Each chunk's device footprint sized from its product count."""
-        return device_bytes_of(self.panel_rows[:, None], self.products).ravel()
+        return host_bytes_of(self.panel_rows[:, None], self.nnz).ravel()
 
     @functools.cached_property
     def device_bytes(self) -> np.ndarray:
-        """Each chunk's device footprint: sized from the estimate when
-        there is one (the OCEAN move), else :attr:`device_bytes_ub`."""
-        if self.estimate is None:
-            return self.device_bytes_ub
-        return device_bytes_of(self.panel_rows[:, None], self._nnz_bound).ravel()
+        """Each chunk's device footprint sized from its product count."""
+        return device_bytes_of(self.panel_rows[:, None], self.products).ravel()
 
     def _chunk_rows(self, cid: int) -> Tuple[int, np.ndarray]:
         """Chunk ``cid``'s first table row and the prefix over its rows
@@ -522,7 +468,7 @@ class GridSizing:
         same table."""
         rb = self.grid.row_bounds
         sub = ChunkGrid(rb[rp_lo:rp_hi + 1] - rb[rp_lo], self.grid.col_bounds)
-        return GridSizing._new(sub, self.products[rp_lo:rp_hi], self.estimate,
+        return GridSizing._new(sub, self.products[rp_lo:rp_hi],
                                lambda: self.table, int(self._cuts[rp_lo]))
 
 

@@ -210,12 +210,8 @@ class GridJob:
         self.governor = governor
         #: what each chunk costs (``None``: nothing asked — an ungoverned
         #: run in natural order).  A governor that polices host or device
-        #: memory reads its bounds here; with a sampled estimate on it,
-        #: estimated bytes gate both checks
+        #: memory reads its bounds here
         self.sizing = sizing
-        # the chunks counted as avoided re-splits, shared by every lane
-        self._fault_lock = threading.Lock()
-        self._avoided_resplit_cids = set()
         self.a_panel_bytes = [
             csr_bytes(row_panels[rp].n_rows, row_panels[rp].nnz)
             for rp in range(grid.num_row_panels)
@@ -251,7 +247,7 @@ class GridJob:
         return hook
 
     def admit_host(self, cid: int, *, may_wait: bool) -> bool:
-        """Reserve chunk ``cid``'s estimated host output bytes under the
+        """Reserve chunk ``cid``'s bound on host output bytes under the
         governor's budget; ``True`` when dispatch may proceed."""
         gov = self.governor
         if gov is None or gov.hostmem is None:
@@ -267,36 +263,11 @@ class GridJob:
     def needs_resplit(self, cid: int) -> bool:
         """Would this chunk's working set overflow the device pool?
         (Pre-dispatch check; such chunks go straight to the re-split
-        path instead of being submitted whole.)
-
-        With a sampled estimate attached the check uses the *estimated*
-        footprint — chunks the loose flops upper bound would have
-        spuriously re-split run whole (counted as ``avoided_resplits``).
-        A genuinely overflowing kernel still raises
-        :class:`DeviceOutOfMemory` and recovers through the same
-        re-split path, so a wrong estimate costs a retry, not
-        correctness."""
+        path instead of being submitted whole.)"""
         gov = self.governor
         if gov is None or gov.device_pool_bytes is None:
             return False
-        fits = gov.fits(int(self.sizing.device_bytes[cid]))
-        if (fits and self.sizing.estimate is not None
-                and not gov.fits(int(self.sizing.device_bytes_ub[cid]))):
-            self.note_avoided_resplit(cid)
-        return not fits
-
-    def note_avoided_resplit(self, cid: int) -> None:
-        """Record one chunk the UB pre-check would have re-split but the
-        sampled estimate admitted whole (counted once per chunk)."""
-        with self._fault_lock:
-            if cid in self._avoided_resplit_cids:
-                return
-            self._avoided_resplit_cids.add(cid)
-            total = len(self._avoided_resplit_cids)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.bump("faults", avoided_resplits=1)
-            tracer.gauge("estimate", avoided_resplits=total)
+        return not gov.fits(int(self.sizing.device_bytes[cid]))
 
     # ------------------------------------------------------------------
     # in-process chunk execution (serial + thread backends)
@@ -511,8 +482,7 @@ class GridJob:
     # ------------------------------------------------------------------
     def _sub_fits(self, cid: int, lo: int, rows: int) -> bool:
         """Whether ``rows`` rows of chunk ``cid``'s row panel, from its
-        row ``lo``, fit the device pool (priced on their products: an
-        estimate says nothing of a sub-range)."""
+        row ``lo``, fit the device pool (priced on their products)."""
         gov = self.governor
         if gov is None or gov.device_pool_bytes is None:
             return True
@@ -815,11 +785,7 @@ def execute_chunk_grid(
         caller already holds it (a ``PlanReport.sizing``, a sharded
         run's ``span``): it orders dispatch and prices the governor's
         host admission and device pre-check, and is built here, once,
-        only if those need it.  One built over a
-        :class:`~repro.spgemm.estimate.RowNnzEstimate` makes both checks
-        consume *estimated* chunk bytes (the upper bound stays the
-        ceiling; re-splits only the bound would have asked for are
-        counted as ``avoided_resplits``).  A chunk it prices at zero
+        only if those need it.  A chunk it prices at zero
         products runs no kernel in process (its hooks fire), so it must
         be of this ``a`` and ``b``; results are then bit-identical with
         or without it.

@@ -59,9 +59,6 @@ class PlanReport:
     device_memory: int
     buffers: int
     safety: float
-    #: True when chunk footprints were sized from a sampled estimate
-    #: (UB-ceilinged) rather than the raw flops upper bound
-    estimated: bool = False
     #: the sizing of ``grid`` the plan was priced from — hand it to the
     #: run, so ordering, admission, re-splits and the hybrid/shard splits
     #: read the planner's tables instead of deriving their own
@@ -143,11 +140,11 @@ class _GridPricer:
     per axis at 8), and every ``(r, c)`` inside it costs O(r x c) — the
     paper's ``GetFlops`` computed once, not once per shape.  A per-``c``
     ``ProductTable`` prices only the candidates past :meth:`_cut_table`'s
-    bound and, with an estimate, those the cut table could not rule out.
+    bound, or all of them without the native library.
     """
 
     def __init__(self, a: CSRMatrix, b: CSRMatrix, node: NodeSpec, *,
-                 safety: float, buffers: int, max_panels: int, estimate=None):
+                 safety: float, buffers: int, max_panels: int):
         if not 0 < safety <= 1:
             raise ValueError("safety must be in (0, 1]")
         for name, value in (("buffers", buffers), ("max_panels", max_panels)):
@@ -156,9 +153,8 @@ class _GridPricer:
         self.a, self.b = a, b
         self.device_memory = node.gpu.device_memory_bytes
         self.safety, self.buffers, self.max_panels = safety, buffers, max_panels
-        self.estimate = estimate
         self._table = functools.lru_cache(maxsize=None)(lambda c: ProductTable(
-            a, b, panel_boundaries(b.n_cols, c), estimate))
+            a, b, panel_boundaries(b.n_cols, c)))
         #: the widest round built, the panels it covers, may it widen
         self._cut, self._covers, self._widens = None, 0, True
 
@@ -171,10 +167,11 @@ class _GridPricer:
     def _cut_table(self, panels: int) -> Optional[CutTable]:
         """The cut table covering ``panels`` panels per axis, or ``None``
         past the bound or without the native library.  Limits double from 8
-        (every shape up to 26 chunks) to ``max_panels``; the bound is the
-        dense ``n_rows_B x buckets`` float64 table the cut table once was
-        against the operands' CSR bytes twice over — none is built now,
-        but the bound stays so that every plan stays what it was."""
+        (every shape up to 26 chunks) to ``max_panels``.  Both tables give
+        the same exact counts, so the bound decides cost, not plans: it
+        keeps a round's dense cut table in proportion to the operands,
+        ``n_rows_B x buckets`` words within twice their CSR bytes.  Past
+        it, each column count gets its own ``(n_rows_A + 1) x c`` table."""
         a, b = self.a, self.b
         if panels > self._covers and self._widens and native_available():
             limit = min(max(8, 1 << (panels - 1).bit_length()), self.max_panels)
@@ -182,37 +179,20 @@ class _GridPricer:
             self._widens = 8 * b.n_rows * (cols.size - 1) <= 2 * (
                 csr_bytes(a.n_rows, a.nnz) + csr_bytes(b.n_rows, b.nnz))
             if self._widens:
-                weight = None if self.estimate is None else self.estimate.ratio_hi()
-                self._cut, self._covers = CutTable(a, b, rows, cols, weight), limit
+                self._cut, self._covers = CutTable(a, b, rows, cols), limit
         return self._cut if panels <= self._covers else None
 
-    def _floor_bytes(self, cut: CutTable, grid: ChunkGrid) -> int:
-        """A lower bound on ``grid``'s estimated worst chunk: the weighted
-        sums less their rounding (1e-9 of the total covers 10**7 terms)."""
-        ub = cut.sizing(grid)
-        floor = np.minimum(ub.nnz_hi, cut.cells(grid, weighted=True)
-                           - (1 + 1e-9 * cut.weighted[-1, -1]))
-        return int(device_bytes_of(
-            ub.panel_rows[:, None], np.ceil(floor.clip(0)).astype(np.int64)).max())
-
     def price(self, r: int, c: int) -> PlanReport:
-        """The regular ``r x c`` grid with its worst chunk footprint: the
-        flops upper bound, tightened by the pricer's estimate when it has
-        one (only ever lower) — confirmed on the exact per-``c`` table, or
-        ruled out by the cut table: no ``sizing`` then, a lower bound."""
+        """The regular ``r x c`` grid with its worst chunk footprint,
+        sized from the flops upper bound."""
         grid = ChunkGrid.regular(self.a.n_rows, self.b.n_cols, r, c)
-        cut, budget, sizing = self._cut_table(max(r, c)), self.budget(c), None
-        if cut is not None and self.estimate is None:
-            sizing = cut.sizing(grid)
-        elif cut is None or (worst := self._floor_bytes(cut, grid)) <= budget:
-            sizing = GridSizing.over(self._table(c), grid)
-        if sizing is not None:
-            worst = int(sizing.device_bytes.max())
+        cut = self._cut_table(max(r, c))
+        sizing = (GridSizing.over(self._table(c), grid) if cut is None
+                  else cut.sizing(grid))
         return PlanReport(
-            grid=grid, worst_chunk_bytes=worst, budget_bytes=budget,
-            device_memory=self.device_memory, buffers=self.buffers,
-            safety=self.safety, estimated=self.estimate is not None,
-            sizing=sizing)
+            grid=grid, worst_chunk_bytes=int(sizing.device_bytes.max()),
+            budget_bytes=self.budget(c), device_memory=self.device_memory,
+            buffers=self.buffers, safety=self.safety, sizing=sizing)
 
     def first_fit(self) -> PlanReport:
         """The first shape of :func:`_candidate_shapes` that fits."""
@@ -245,7 +225,6 @@ def plan_grid(
     safety: float = 0.85,
     buffers: int = 2,
     max_panels: int = 64,
-    estimate=None,
 ) -> PlanReport:
     """Smallest square-ish grid whose worst chunk fits the budget.
 
@@ -253,12 +232,6 @@ def plan_grid(
     asynchronous double-buffered pipeline).  Grids are tried in increasing
     total chunk count, preferring balanced (square) shapes; raises
     ``ValueError`` when even ``max_panels x max_panels`` does not fit.
-
-    ``estimate`` (a :class:`~repro.spgemm.estimate.RowNnzEstimate`)
-    switches chunk sizing to estimated footprints with the flops upper
-    bound as a hard ceiling — on high-compression matrices this admits a
-    much coarser grid than the UB alone would (Section IV.B's complaint
-    about loose bounds).
     """
     return _GridPricer(a, b, node, safety=safety, buffers=buffers,
-                       max_panels=max_panels, estimate=estimate).first_fit()
+                       max_panels=max_panels).first_fit()

@@ -63,7 +63,7 @@ from ..sparse.codec import (
     unpack_prefix,
 )
 from ..sparse.formats import INDEX_DTYPE, VALUE_DTYPE, CSRMatrix
-from ..sparse.partition import partition_columns
+from ..sparse.ops import extract_columns
 from .chunks import ChunkGrid, ChunkStats
 from .governor.integrity import ChunkCorruption, crc32_matrix
 
@@ -365,7 +365,8 @@ class DiskChunkStore(MemoryChunkStore):
             if self._layout is not None:
                 strip = self._mapped([row_panel]).row_slice(
                     *self._layout.row_bounds[row_panel:row_panel + 2])
-                return partition_columns(strip, self._layout.col_bounds)[col_panel]
+                return extract_columns(
+                    strip, *self._layout.col_bounds[col_panel:col_panel + 2])
             path, _ = self._files[(row_panel, col_panel)]
             try:
                 with open(path, "rb") as fh:

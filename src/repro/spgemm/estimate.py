@@ -15,9 +15,10 @@ always clamped to the hard per-row ceiling ``min(ub, n_cols)``.  The
 upper bound therefore remains a correctness ceiling; the estimate only
 tightens it.
 
-Downstream, :class:`~repro.core.chunks.GridSizing` spreads the per-row
-estimate over a chunk grid — the one place the planner and the
-governor's admission and re-split checks read it.
+Chunk sizing does not read it: the planner and the governor size every
+chunk from the flops upper bound, as the paper plans (Section IV.B).
+The job server prices an admission with it
+(:func:`repro.serve.server.price_job`).
 """
 
 from __future__ import annotations
@@ -85,13 +86,6 @@ class RowNnzEstimate:
     @property
     def total_nnz_hi(self) -> float:
         return float(self.row_nnz_hi.sum())
-
-    def ratio(self) -> np.ndarray:
-        """Estimated per-row compression ratio nnz/products in [0, 1]."""
-        return self.row_nnz / np.maximum(self.ub, 1)
-
-    def ratio_hi(self) -> np.ndarray:
-        return self.row_nnz_hi / np.maximum(self.ub, 1)
 
 
 def _clamp(values: np.ndarray, ub: np.ndarray, width: int) -> np.ndarray:

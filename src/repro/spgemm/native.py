@@ -115,10 +115,9 @@ long long repro_col_gather(long long n, const long long *splits, long long strid
     long long src_cap, const long long *cols, const double *vals, long long shift,
     long long out_cap, long long *out_indptr, long long *out_cols, double *out_vals);
 long long repro_cut_cells(long long n_a, long long nrc, const long long *row_cuts,
-    const long long *a_indptr, const long long *a_cols, const double *weight,
-    long long n_b, long long n_cols, const long long *b_indptr,
-    const long long *b_cols, long long ncc, const long long *col_cuts,
-    long long *work, double *wsum, long long *cells, double *weighted);
+    const long long *a_indptr, const long long *a_cols, long long n_b,
+    long long n_cols, const long long *b_indptr, const long long *b_cols,
+    long long ncc, const long long *col_cuts, long long *work, long long *cells);
 int repro_crc32_fast(void);
 unsigned repro_crc32(unsigned crc, const void *buf, long long n);
 long long repro_json_f64(const double *x, long long n, char *out);
@@ -389,17 +388,15 @@ i64 repro_col_gather(
  * pairs from runs + 2 at[k]; each segment of A's rows between row cuts
  * counts its references to each distinct B row (refs; seen lists them)
  * and adds count x runs to its line of cells (zeroed by the caller) — one
- * multiply-add per run of a distinct row, not per element.  With weight
- * (per row of A), wsum[k] sums the referencing rows' weights, and wsum x
- * runs goes into weighted.  Counts wrap past 2^63 as int64 would.  work:
- * n_cols + 3 n_b + 1 + 2 nnz(B) i64.  Cuts that are not sorted rows of A,
- * or columns of B from 0 to n_cols, return -1 with nothing written. */
+ * multiply-add per run of a distinct row, not per element.  Counts wrap
+ * past 2^63 as int64 would.  work: n_cols + 3 n_b + 1 + 2 nnz(B) i64.
+ * Cuts that are not sorted rows of A, or columns of B from 0 to n_cols,
+ * return -1 with nothing written. */
 i64 repro_cut_cells(
     i64 n_a, i64 nrc, const i64 *restrict rc, const i64 *restrict a_indptr,
-    const i64 *restrict a_cols, const double *restrict weight, i64 n_b,
-    i64 n_cols, const i64 *restrict b_indptr, const i64 *restrict b_cols,
-    i64 ncc, const i64 *restrict cc, i64 *restrict work,
-    double *restrict wsum, i64 *restrict cells, double *restrict weighted)
+    const i64 *restrict a_cols, i64 n_b, i64 n_cols,
+    const i64 *restrict b_indptr, const i64 *restrict b_cols, i64 ncc,
+    const i64 *restrict cc, i64 *restrict work, i64 *restrict cells)
 {
     i64 *bucket = work, *at = work + n_cols, *refs = at + n_b + 1;
     i64 *seen = refs + n_b, *runs = seen + n_b, m = 0, nb = ncc - 1;
@@ -413,7 +410,6 @@ i64 repro_cut_cells(
     for (i64 k = 0; k < n_b; k++) {
         at[k] = m;
         refs[k] = 0;
-        wsum[k] = 0.0;
         for (i64 q = b_indptr[k], end = b_indptr[k + 1], t; q < end; q = t, m++) {
             for (t = q + 1; t < end && bucket[b_cols[t]] == bucket[b_cols[q]]; t++) {}
             runs[2 * m] = bucket[b_cols[q]];
@@ -424,18 +420,13 @@ i64 repro_cut_cells(
     for (i64 s = 0; s < nrc - 1; s++) {
         i64 distinct = 0;
         for (i64 r = rc[s]; r < rc[s + 1]; r++)
-            for (i64 q = a_indptr[r]; q < a_indptr[r + 1]; q++) {
+            for (i64 q = a_indptr[r]; q < a_indptr[r + 1]; q++)
                 if (refs[a_cols[q]]++ == 0) seen[distinct++] = a_cols[q];
-                if (weight) wsum[a_cols[q]] += weight[r];
-            }
         for (i64 d = 0; d < distinct; d++) {
             const i64 k = seen[d], *run = runs + 2 * at[k], *stop = runs + 2 * at[k + 1];
             for (const i64 *j = run; j < stop; j += 2)
                 ((u64 *)cells)[s * nb + j[0]] += (u64)refs[k] * (u64)j[1];
-            for (const i64 *j = run; weight && j < stop; j += 2)
-                weighted[s * nb + j[0]] += wsum[k] * (double)j[1];
             refs[k] = 0;
-            wsum[k] = 0.0;
         }
     }
     return 0;
@@ -1170,33 +1161,24 @@ def native_col_panels(b: CSRMatrix, splits: np.ndarray, bounds: np.ndarray):
 
 
 def native_cut_cells(a: CSRMatrix, b: CSRMatrix, row_cuts: np.ndarray,
-                     col_cuts: np.ndarray, row_weight=None):
-    """``(cells, weighted)`` of ``A x B`` on sorted cuts of A's rows and
-    B's columns: ``cells[s, q]``, int64, is the products of rows
-    ``[row_cuts[s], row_cuts[s + 1])`` with columns ``[col_cuts[q],
-    col_cuts[q + 1])``; ``weighted``, float64, the same sums with each
-    product weighted by its A row's ``row_weight`` (zeros without one)."""
+                     col_cuts: np.ndarray) -> np.ndarray:
+    """The cells of ``A x B`` on sorted cuts of A's rows and B's columns:
+    ``cells[s, q]``, int64, is the products of rows ``[row_cuts[s],
+    row_cuts[s + 1])`` with columns ``[col_cuts[q], col_cuts[q + 1])``."""
     ffi, lib = _library()
     if a.n_cols != b.n_rows:
         raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
     rc, cc = (np.ascontiguousarray(x, dtype=np.int64) for x in (row_cuts, col_cuts))
     cells = np.zeros((max(rc.size - 1, 0), max(cc.size - 1, 0)), dtype=np.int64)
-    weighted, sums = np.zeros(cells.shape), np.empty(b.n_rows)
     work = np.empty(b.n_cols + 3 * b.n_rows + 1 + 2 * b.nnz, dtype=np.int64)
-    if row_weight is not None:
-        row_weight = np.ascontiguousarray(row_weight, dtype=np.float64)
-        if row_weight.shape != (a.n_rows,):
-            raise ValueError("row_weight must hold one weight per row of A")
     if lib.repro_cut_cells(
             a.n_rows, rc.size, _ptr(ffi, rc), _ptr(ffi, a.row_offsets),
-            _ptr(ffi, a.col_ids),
-            ffi.NULL if row_weight is None else _ptr(ffi, row_weight),
-            b.n_rows, b.n_cols, _ptr(ffi, b.row_offsets), _ptr(ffi, b.col_ids),
-            cc.size, _ptr(ffi, cc), _ptr(ffi, work), _ptr(ffi, sums),
-            _ptr(ffi, cells), _ptr(ffi, weighted)) < 0:
+            _ptr(ffi, a.col_ids), b.n_rows, b.n_cols, _ptr(ffi, b.row_offsets),
+            _ptr(ffi, b.col_ids), cc.size, _ptr(ffi, cc), _ptr(ffi, work),
+            _ptr(ffi, cells)) < 0:
         raise ValueError("cuts must be sorted rows of A, and columns of B "
                          "from 0 to n_cols")
-    return cells, weighted
+    return cells
 
 
 def native_json(arr: np.ndarray) -> bytearray:

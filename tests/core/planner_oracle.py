@@ -1,11 +1,9 @@
 """The per-candidate planner as it stood before the product table, kept
-verbatim as a test-only reference: every candidate grid re-runs
+as a test-only reference (verbatim, less its sampled-estimate path,
+which the planner no longer has): every candidate grid re-runs
 ``build_col_offsets`` on B, gathers an ``nnz_A x c`` matrix and sums it
 row panel by row panel in a Python loop.  ``test_product_table.py``
-requires the table-based planner and ``GridSizing`` to reproduce it.
-(``ChunkEstimates`` is the record ``estimate_chunks`` returned then.)"""
-
-from collections import namedtuple
+requires the table-based planner and ``GridSizing`` to reproduce it."""
 
 import numpy as np
 
@@ -13,9 +11,6 @@ from repro.core.chunks import BYTES_PER_ELEM, ChunkGrid, csr_bytes
 from repro.sparse.partition import build_col_offsets
 
 INTERMEDIATE_BYTES_PER_PRODUCT = 32
-
-ChunkEstimates = namedtuple(
-    "ChunkEstimates", "grid nnz nnz_hi products panel_rows")
 
 
 def panel_row_products(a_panel, b_panel):
@@ -42,49 +37,11 @@ def chunk_flops(a, b, grid):
     return 2 * out
 
 
-def estimate_chunks(a, b, grid, est):
-    row_bounds = grid.row_bounds
-    col_bounds = grid.col_bounds
-    n_r, n_c = grid.num_row_panels, grid.num_col_panels
-    splits = build_col_offsets(b, col_bounds)
-    per_row_per_panel = np.diff(splits, axis=1)  # (n_rows_B, C)
-    per_elem = per_row_per_panel[a.col_ids, :]  # (nnz_A, C)
-    row_ids = a.expand_row_ids()
-    ratio = est.ratio()[row_ids]
-    ratio_hi = est.ratio_hi()[row_ids]
-
-    nnz = np.zeros((n_r, n_c), dtype=np.float64)
-    nnz_hi = np.zeros((n_r, n_c), dtype=np.float64)
-    products = np.zeros((n_r, n_c), dtype=np.int64)
-    panel_rows = np.diff(row_bounds).astype(np.int64)
-    for rp in range(n_r):
-        e_lo = int(a.row_offsets[row_bounds[rp]])
-        e_hi = int(a.row_offsets[row_bounds[rp + 1]])
-        if e_hi == e_lo:
-            continue
-        block = per_elem[e_lo:e_hi, :]
-        products[rp, :] = block.sum(axis=0)
-        nnz[rp, :] = (block * ratio[e_lo:e_hi, None]).sum(axis=0)
-        nnz_hi[rp, :] = (block * ratio_hi[e_lo:e_hi, None]).sum(axis=0)
-
-    col_widths = np.diff(col_bounds).astype(np.int64)
-    dense_extent = panel_rows[:, None] * col_widths[None, :]
-    ceiling = np.minimum(products, dense_extent).astype(np.float64)
-    nnz = np.minimum(nnz, ceiling)
-    nnz_hi = np.minimum(np.maximum(nnz_hi, nnz), ceiling)
-    return ChunkEstimates(grid, nnz, nnz_hi, products, panel_rows)
-
-
 def chunk_footprint_bytes(rows, flops):
     products = flops // 2
     out_upper = csr_bytes(rows, products)
     intermediates = products * INTERMEDIATE_BYTES_PER_PRODUCT
     return intermediates + out_upper
-
-
-def estimated_chunk_footprint_bytes(rows, nnz_hi):
-    nnz = int(np.ceil(nnz_hi))
-    return nnz * INTERMEDIATE_BYTES_PER_PRODUCT + csr_bytes(rows, nnz)
 
 
 def resident_input_bytes(a, b, num_col_panels):
@@ -93,30 +50,18 @@ def resident_input_bytes(a, b, num_col_panels):
     return a_bytes + b_bytes
 
 
-def worst_chunk(a, b, grid, estimate=None):
+def worst_chunk(a, b, grid):
     flops = chunk_flops(a, b, grid)
-    chunk_est = None
-    if estimate is not None:
-        chunk_est = estimate_chunks(a, b, grid, estimate)
     worst = 0
     for rp in range(grid.num_row_panels):
         rows = int(grid.row_bounds[rp + 1] - grid.row_bounds[rp])
         for cp in range(grid.num_col_panels):
             footprint = chunk_footprint_bytes(rows, int(flops[rp, cp]))
-            if chunk_est is not None:
-                # the estimate only ever *tightens* the upper bound
-                footprint = min(
-                    footprint,
-                    estimated_chunk_footprint_bytes(
-                        rows, float(chunk_est.nnz_hi[rp, cp])
-                    ),
-                )
             worst = max(worst, footprint)
     return worst
 
 
-def plan_grid(a, b, node, *, safety=0.85, buffers=2, max_panels=64,
-              estimate=None):
+def plan_grid(a, b, node, *, safety=0.85, buffers=2, max_panels=64):
     """``(grid, worst_chunk_bytes, budget_bytes)`` of the first fit."""
     candidates = sorted(
         (r * c, abs(r - c), r, c)
@@ -133,7 +78,7 @@ def plan_grid(a, b, node, *, safety=0.85, buffers=2, max_panels=64,
         if budget <= 0:
             continue
         grid = ChunkGrid.regular(a.n_rows, b.n_cols, r, c)
-        worst = worst_chunk(a, b, grid, estimate)
+        worst = worst_chunk(a, b, grid)
         if worst <= budget:
             return grid, worst, budget
     raise ValueError("no grid fits")

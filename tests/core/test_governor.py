@@ -490,27 +490,20 @@ class TestPlannerAndGovernorAgree:
             m, m, report.grid, sizing=report.sizing, tracer=tracer,
             governor=Governor(GovernorConfig(device_pool_bytes=pool)))
         assert profile.total_flops == int(report.flops.sum())
-        split = {int(s.name[len("resplit["):-1]) for s in tracer.spans
-                 if s.name.startswith("resplit[")}
-        return split, tracer.counters("faults").get("avoided_resplits", 0)
+        return {int(s.name[len("resplit["):-1]) for s in tracer.spans
+                if s.name.startswith("resplit[")}
 
     @pytest.mark.parametrize("make", PLANNED)
-    @pytest.mark.parametrize("estimated", [False, True], ids=["ub", "est"])
-    def test_the_plans_worst_chunk_is_the_governors(self, make, estimated):
-        from repro.spgemm.estimate import estimate_row_nnz
-
+    def test_the_plans_worst_chunk_is_the_governors(self, make):
         m, node = make()
-        est = estimate_row_nnz(m, m, seed=0) if estimated else None
-        report = plan_grid(m, m, node, estimate=est)
+        report = plan_grid(m, m, node)
         sizing, worst = report.sizing, report.worst_chunk_bytes
         assert worst == sizing.device_bytes.max() <= report.budget_bytes
         for pool in (worst, worst - 1):
-            split, avoided = self.resplit_chunks(m, report, pool)
             over = sizing.device_bytes > pool
-            assert split == set(over.nonzero()[0].tolist()), pool
+            assert self.resplit_chunks(m, report, pool) == set(
+                over.nonzero()[0].tolist()), pool
             assert over.any() == (pool < worst)
-            # chunks only the loose bound would have split
-            assert avoided == int((~over & (sizing.device_bytes_ub > pool)).sum())
 
 
 # ----------------------------------------------------------------------
@@ -578,62 +571,6 @@ class TestStaleDeath:
         )
         assert_outputs_identical(outputs, baseline)
         assert leaked_shm() == []
-
-
-# ----------------------------------------------------------------------
-# Estimation-gated device pre-check (avoided re-splits)
-# ----------------------------------------------------------------------
-class TestEstimatedPrecheck:
-    """A sampled estimate between the true footprint and the UB lets
-    chunks that *would* have been spuriously re-split run whole."""
-
-    def _sizing(self, problem):
-        from repro.spgemm.estimate import estimate_row_nnz
-
-        a, b, grid = problem
-        return GridSizing(a, b, grid, estimate_row_nnz(a, b, seed=0))
-
-    def test_pool_between_estimate_and_ub_avoids_resplits(self, problem,
-                                                          baseline):
-        a, b, grid = problem
-        sizing = self._sizing(problem)
-        ub_dev, est_dev = sizing.device_bytes_ub, sizing.device_bytes
-        assert est_dev.max() < ub_dev.max(), "fixture must compress"
-        # pool admits every estimated footprint but not every UB one
-        pool = int(est_dev.max())
-        assert (ub_dev > pool).any()
-        gov = Governor(GovernorConfig(device_pool_bytes=pool))
-        tracer = Tracer()
-        _, outputs = execute_chunk_grid(
-            a, b, grid, keep_outputs=True, retry=FAST_RETRY,
-            tracer=tracer, governor=gov, sizing=sizing,
-        )
-        assert_outputs_identical(outputs, baseline)
-        faults = tracer.counters("faults")
-        assert faults.get("resplits", 0) == 0
-        assert faults.get("avoided_resplits", 0) >= 1
-
-    def test_pool_below_estimate_still_resplits(self, problem, baseline):
-        sizing = self._sizing(problem)
-        a, b, grid = problem
-        pool = max(int(sizing.device_bytes.max()) // 2, 256)
-        gov = Governor(GovernorConfig(device_pool_bytes=pool))
-        tracer = Tracer()
-        _, outputs = execute_chunk_grid(
-            a, b, grid, keep_outputs=True, retry=FAST_RETRY,
-            tracer=tracer, governor=gov, sizing=sizing,
-        )
-        assert_outputs_identical(outputs, baseline)
-        assert tracer.counters("faults").get("resplits", 0) >= 1
-
-    def test_estimated_run_is_bit_identical_without_governor(self, problem,
-                                                             baseline):
-        """Density hints refine dispatch only — never the product."""
-        a, b, grid = problem
-        _, outputs = execute_chunk_grid(
-            a, b, grid, keep_outputs=True, sizing=self._sizing(problem),
-        )
-        assert_outputs_identical(outputs, baseline)
 
 
 class TestHeartbeatLease:

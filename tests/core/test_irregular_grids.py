@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 import repro.core.executor.engine as engine
+import repro.core.spill as spill
+import repro.sparse.partition as partition
 from repro.core.api import run_out_of_core
 from repro.core.assemble import assemble_chunks
 from repro.core.chunks import ChunkGrid, GridSizing
@@ -123,6 +125,33 @@ class TestEveryPathIsTheProduct:
                     assert_same_bytes(store.get(rp, cp),
                                       chunk_of(ref, grid, rp, cp))
             assert_same_bytes(store.assemble(), ref)
+        finally:
+            store.close()
+
+    def test_strip_get_cuts_only_its_panel(self, case, tmp_path, monkeypatch):
+        """``get`` on a strip run cuts its one column panel off the strip:
+        nothing partitions the strip, and each ``get`` equals the chunk
+        ``keep_outputs`` returns."""
+        a, b, grid, _ = case
+        _, outputs = execute_chunk_grid(a, b, grid, keep_outputs=True)
+        store = DiskChunkStore(tmp_path / "chunks")
+        try:
+            run_out_of_core(a, b, grid=grid, chunk_store=store,
+                            keep_output=False)
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("partitioned a strip to get one chunk")
+            monkeypatch.setattr(partition, "partition_columns", refuse)
+            monkeypatch.setattr(engine, "partition_columns", refuse)
+            cuts = []
+            monkeypatch.setattr(spill, "extract_columns", lambda m, lo, hi: (
+                cuts.append((int(lo), int(hi))) or extract_columns(m, lo, hi)))
+            cb = grid.col_bounds.tolist()
+            for rp in range(grid.num_row_panels):
+                for cp in range(grid.num_col_panels):
+                    del cuts[:]
+                    assert_same_bytes(store.get(rp, cp), outputs[rp][cp])
+                    assert cuts == [(cb[cp], cb[cp + 1])]
         finally:
             store.close()
 

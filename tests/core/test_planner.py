@@ -85,43 +85,3 @@ class TestPlanGrid:
         two = plan_grid(matrix, matrix, v100_node(64 << 20), buffers=2)
         assert two.budget_bytes <= one.budget_bytes
         assert two.grid.num_chunks >= one.grid.num_chunks
-
-
-class TestEstimatedPlanning:
-    """plan_grid with a sampled estimate: coarser grids, UB still a ceiling."""
-
-    def _est(self, m):
-        from repro.spgemm.estimate import estimate_row_nnz
-
-        return estimate_row_nnz(m, m, seed=0)
-
-    def test_estimate_never_coarsens_past_ub_ceiling(self):
-        """Estimated worst-chunk bytes are capped by the UB footprint of
-        the same grid, whatever grid the estimate admits."""
-        from tests.core import planner_oracle as oracle
-
-        m = rmat(10, 8.0, seed=91)
-        est = self._est(m)
-        for device in (16 << 20, 24 << 20, 1 << 30):
-            report = plan_grid(m, m, v100_node(device), estimate=est)
-            ub_worst = oracle.worst_chunk(m, m, report.grid)
-            assert report.worst_chunk_bytes <= ub_worst
-            assert report.worst_chunk_bytes == oracle.worst_chunk(
-                m, m, report.grid, est)
-
-    def test_estimated_grid_no_finer_than_ub_grid(self):
-        m = rmat(11, 8.0, seed=91)
-        node = v100_node(24 << 20)
-        ub_report = plan_grid(m, m, node)
-        est_report = plan_grid(m, m, node, estimate=self._est(m))
-        assert est_report.grid.num_chunks <= ub_report.grid.num_chunks
-        assert est_report.estimated
-        assert not ub_report.estimated
-
-    def test_estimated_worst_chunk_fits_budget(self):
-        m = rmat(10, 8.0, seed=91)
-        report = plan_grid(m, m, v100_node(24 << 20), estimate=self._est(m))
-        assert report.worst_chunk_bytes <= report.budget_bytes
-
-    def test_footprint_helper_monotone(self):
-        assert device_bytes_of(10, 100) < device_bytes_of(10, 10_000)

@@ -8,10 +8,10 @@ boundaries lie in one set of cuts from one scan of each operand,
 the governor and the shards.  Contracts pinned here: the sizing equals
 independent arithmetic on generated operands and grids (scipy's pattern
 product, a direct gather on sliced panels, the scalar byte formulas);
-``plan_grid`` and the estimated sizing reproduce the per-candidate
-implementation they replaced (kept verbatim in ``planner_oracle.py``),
-on the suite operands and on generated ones; an un-estimated plan scans
-B once per round and A never row by row, without ever materialising
+``plan_grid`` reproduces the per-candidate implementation it replaced
+(kept in ``planner_oracle.py``), on the suite operands and on generated
+ones; a plan scans B once per round and A never row by row, without
+ever materialising
 ``nnz_A x c``; and a run builds a row-level table only when a reader
 asks for rows.
 """
@@ -38,7 +38,6 @@ from repro.core.chunks import (
 from repro.core.executor import execute_chunk_grid
 from repro.core.governor import GovernorConfig
 from repro.core.planner import (
-    _candidate_shapes,
     _union_cuts,
     plan_grid,
     resident_input_bytes,
@@ -50,7 +49,6 @@ from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import banded, rmat
 from repro.sparse.partition import panel_boundaries
 from repro.sparse.suite import build_matrix
-from repro.spgemm.estimate import estimate_row_nnz
 from repro.spgemm.flops import total_flops
 from repro.spgemm.native import native_available
 from tests.conftest import assert_equals_scipy_product
@@ -124,49 +122,32 @@ class TestTableEqualsBruteForce:
         assert flops.dtype == np.int64
         assert np.array_equal(flops, 2 * rectangle_sums(pattern, grid))
 
-    @given(problem=problems())
-    @settings(max_examples=100, deadline=None)
-    def test_estimate_chunks_matches_per_chunk_sums(self, problem):
-        a_mask, b_mask, grid = problem
-        a, b = from_mask(a_mask), from_mask(b_mask)
-        est = estimate_row_nnz(a, b, seed=0)
-        assert_chunk_estimates_match(GridSizing(a, b, grid, est),
-                                     oracle.estimate_chunks(a, b, grid, est))
-
-    @given(problem=problems(), estimated=st.booleans(), data=st.data())
+    @given(problem=problems(), data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_sizing_equals_independent_arithmetic(self, problem, estimated,
-                                                  data):
+    def test_sizing_equals_independent_arithmetic(self, problem, data):
         """Everything a reader takes from the sizing, against arithmetic
         that shares no code with it."""
         a_mask, b_mask, grid = problem
         a, b = from_mask(a_mask), from_mask(b_mask)
-        est = estimate_row_nnz(a, b, seed=0) if estimated else None
-        sizing = GridSizing(a, b, grid, est)
+        sizing = GridSizing(a, b, grid)
         pattern = (sp.csr_matrix(a_mask.astype(np.int64))
                    @ sp.csr_matrix(b_mask.astype(np.int64))).toarray()
         assert np.array_equal(sizing.flops, 2 * rectangle_sums(pattern, grid))
 
-        # the upper bound is the ceiling of every estimate
+        # the nnz bound is the ceiling: products, or the dense extent
         rows, widths = np.diff(grid.row_bounds), np.diff(grid.col_bounds)
         ceiling = np.minimum(sizing.products, rows[:, None] * widths[None, :])
-        assert np.all(sizing.nnz <= sizing.nnz_hi)
-        assert np.all(sizing.nnz_hi <= ceiling)
-        if not estimated:
-            assert np.array_equal(sizing.nnz_hi, ceiling)
+        assert np.array_equal(sizing.nnz, ceiling)
 
         # bytes: the scalar formulas, chunk by chunk
         INTERMEDIATE = oracle.INTERMEDIATE_BYTES_PER_PRODUCT
         for cid in range(grid.num_chunks):
             rp, cp = grid.panel_of(cid)
-            n, bound = int(rows[rp]), int(np.ceil(sizing.nnz_hi[rp, cp]))
+            n, bound = int(rows[rp]), int(sizing.nnz[rp, cp])
             products = int(sizing.products[rp, cp])
             assert sizing.host_bytes[cid] == csr_bytes(n, bound)
-            assert sizing.device_bytes_ub[cid] == (
-                products * INTERMEDIATE + csr_bytes(n, products))
             assert sizing.device_bytes[cid] == (
-                bound * INTERMEDIATE + csr_bytes(n, bound) if estimated
-                else sizing.device_bytes_ub[cid])
+                products * INTERMEDIATE + csr_bytes(n, products))
 
         # rows of one chunk, and any sub-range of them: a direct gather
         # on the sliced panels
@@ -190,38 +171,11 @@ class TestTableEqualsBruteForce:
         assert np.array_equal(span.grid.row_bounds,
                               grid.row_bounds[lo_p:hi_p + 1] - s0)
         assert np.array_equal(span.flops, alone.flops)
-        assert np.array_equal(span.device_bytes_ub, alone.device_bytes_ub)
-        if not estimated:
-            assert np.array_equal(span.host_bytes, alone.host_bytes)
-        else:  # the span keeps the whole product's estimate, row for row
-            width = grid.num_col_panels
-            assert np.array_equal(
-                span.host_bytes, sizing.host_bytes[lo_p * width:hi_p * width])
+        assert np.array_equal(span.device_bytes, alone.device_bytes)
+        assert np.array_equal(span.host_bytes, alone.host_bytes)
         for local in range(span.grid.num_chunks):
             assert np.array_equal(span.row_products(local),
                                   alone.row_products(local))
-
-
-def assert_chunk_estimates_match(new, old):
-    """Counts are integers and must be equal.  The two float sums changed
-    order — per row down a prefix table, then one subtraction, instead of
-    per element inside the chunk — so they agree to a rounding error of
-    the prefix they were cut from: 1e-12, relative to the column total.
-    (Bytes are ``ceil`` of those sums: where a sum is an integer but for
-    rounding noise — every row sampled — old and new may sit one nnz
-    apart, so bytes are checked against the new sums, not the old bytes.)
-    """
-    assert np.array_equal(new.products, old.products)
-    assert np.array_equal(new.panel_rows, old.panel_rows)
-    atol = 1e-12 * np.maximum(old.products.sum(axis=0), 1)
-    for field in ("nnz", "nnz_hi"):
-        got, want = getattr(new, field), getattr(old, field)
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + atol), field
-    # the vectorised byte formulae against the per-chunk loop they replaced
-    sized = [(int(new.panel_rows[rp]), int(np.ceil(new.nnz_hi[rp, cp])))
-             for rp, cp in map(new.grid.panel_of, range(new.grid.num_chunks))]
-    assert new.host_bytes.tolist() == [csr_bytes(*s) for s in sized]
-    assert new.device_bytes.tolist() == [device_bytes_of(*s) for s in sized]
 
 
 # ----------------------------------------------------------------------
@@ -229,8 +183,7 @@ def assert_chunk_estimates_match(new, old):
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module", params=["stokes", "uk-2002", "wiki0206"])
 def operand(request):
-    m = build_matrix(request.param)
-    return m, estimate_row_nnz(m, m, seed=0)
+    return build_matrix(request.param)
 
 
 def device_for(a, fraction, b=None) -> int:
@@ -244,54 +197,33 @@ def device_for(a, fraction, b=None) -> int:
 class TestPlansMatchOracle:
     @pytest.mark.parametrize("fraction", [0.5, 0.2])
     @pytest.mark.parametrize("buffers", [1, 2])
-    @pytest.mark.parametrize("estimated", [False, True])
     def test_same_grid_worst_chunk_and_budget(self, operand, fraction,
-                                              buffers, estimated):
-        m, est = operand
+                                              buffers):
+        m = operand
         node = v100_node(device_for(m, fraction))
-        kwargs = dict(buffers=buffers, estimate=est if estimated else None)
-        grid, worst, budget = oracle.plan_grid(m, m, node, **kwargs)
-        report = plan_grid(m, m, node, **kwargs)
+        grid, worst, budget = oracle.plan_grid(m, m, node, buffers=buffers)
+        report = plan_grid(m, m, node, buffers=buffers)
         assert np.array_equal(report.grid.row_bounds, grid.row_bounds)
         assert np.array_equal(report.grid.col_bounds, grid.col_bounds)
         assert report.worst_chunk_bytes == worst
         assert report.budget_bytes == budget
-        assert report.estimated == estimated
         assert np.array_equal(report.flops, oracle.chunk_flops(m, m, grid))
-
-    def test_estimate_chunks_matches_oracle(self, operand):
-        m, est = operand
-        grid = ChunkGrid.regular(m.n_rows, m.n_cols, 7, 5)
-        assert_chunk_estimates_match(GridSizing(m, m, grid, est),
-                                     oracle.estimate_chunks(m, m, grid, est))
 
 
 # ----------------------------------------------------------------------
 # generated operands: plans are the per-candidate planner's, and every
 # grid inside a round is priced exactly by its cut table
 # ----------------------------------------------------------------------
-#: footprint of one output nonzero: what the rounding of an estimated
-#: sum (``ceil`` of a float that is an integer but for its last digits —
-#: every row sampled, i.e. tiny operands) can move a chunk by
-ONE_NNZ = int(device_bytes_of(0, 1))
-
-
-def check_plan_matches_oracle(problem, fraction, buffers, estimated):
+def check_plan_matches_oracle(problem, fraction, buffers):
     """Same grid, worst chunk and budget as the per-candidate planner,
-    or both refuse.  Two exceptions.  An empty dimension: ``plan_grid``
-    plans its one empty panel, which the verbatim oracle — it refuses
-    every such operand — predates.  An estimate: its float sums
-    accumulate in another order than the oracle's (module docstring of
-    ``planner_oracle``; DESIGN.md Section 8 "What is exact"), so each
-    worst chunk may sit one nnz either side of the oracle's — the plan
-    must be a first fit of the oracle's prices to within that."""
+    or both refuse — but for an empty dimension: ``plan_grid`` plans its
+    one empty panel, which the oracle — it refuses every such operand —
+    predates."""
     a, b = from_mask(problem[0]), from_mask(problem[1])
     node = v100_node(device_for(a, fraction, b))
-    est = estimate_row_nnz(a, b, seed=0) if estimated else None
-    kwargs = dict(buffers=buffers, estimate=est)
     if 0 in (a.n_rows, b.n_cols):
         try:
-            report = plan_grid(a, b, node, **kwargs)
+            report = plan_grid(a, b, node, buffers=buffers)
         except ValueError as refusal:
             assert "no grid" in str(refusal)
             return
@@ -300,36 +232,18 @@ def check_plan_matches_oracle(problem, fraction, buffers, estimated):
         assert b.n_cols > 0 or report.grid.num_col_panels == 1
         return
     try:
-        report = plan_grid(a, b, node, **kwargs)
+        report = plan_grid(a, b, node, buffers=buffers)
     except ValueError as refusal:
         assert "no grid" in str(refusal)
         report = None
-    if not estimated:
-        try:
-            grid, worst, budget = oracle.plan_grid(a, b, node, **kwargs)
-        except ValueError:
-            assert report is None
-            return
-        assert np.array_equal(report.grid.row_bounds, grid.row_bounds)
-        assert np.array_equal(report.grid.col_bounds, grid.col_bounds)
-        assert (report.worst_chunk_bytes, report.budget_bytes) == (worst, budget)
+    try:
+        grid, worst, budget = oracle.plan_grid(a, b, node, buffers=buffers)
+    except ValueError:
+        assert report is None
         return
-    taken = report and (report.grid.num_row_panels, report.grid.num_col_panels)
-    for r, c in _candidate_shapes(64):
-        budget = int((node.gpu.device_memory_bytes
-                      - oracle.resident_input_bytes(a, b, c)) * 0.85) // buffers
-        if r > a.n_rows or c > b.n_cols or budget <= 0:
-            continue
-        grid = ChunkGrid.regular(a.n_rows, b.n_cols, r, c)
-        worst = oracle.worst_chunk(a, b, grid, est)
-        if (r, c) == taken:
-            assert abs(report.worst_chunk_bytes - worst) <= ONE_NNZ
-            assert report.budget_bytes == budget and report.fits
-            assert np.array_equal(report.grid.row_bounds, grid.row_bounds)
-            assert np.array_equal(report.grid.col_bounds, grid.col_bounds)
-            return
-        assert worst > budget - ONE_NNZ, f"passed over {r}x{c}, which fits"
-    assert report is None
+    assert np.array_equal(report.grid.row_bounds, grid.row_bounds)
+    assert np.array_equal(report.grid.col_bounds, grid.col_bounds)
+    assert (report.worst_chunk_bytes, report.budget_bytes) == (worst, budget)
 
 
 def check_cut_table_prices_every_grid(problem, limit):
@@ -349,7 +263,7 @@ def check_cut_table_prices_every_grid(problem, limit):
 
 
 PLAN_CASE = dict(problem=problems(), fraction=st.floats(0.0, 1.0),
-                 buffers=st.sampled_from([1, 2]), estimated=st.booleans())
+                 buffers=st.sampled_from([1, 2]))
 CUT_CASE = dict(problem=problems(), limit=st.sampled_from([3, 8]))
 
 
@@ -391,8 +305,7 @@ def cut_problems(draw):
     """Rectangular ``A``, ``B`` (masks with empty rows and columns) whose
     B rows may hold their column ids in any order, 1 to 64 sorted row
     cuts anywhere in ``[0, m]`` (empty segments included) and 1 to 64
-    column cuts from 0 to ``n`` (empty buckets included), and a weight
-    per row of A."""
+    column cuts from 0 to ``n`` (empty buckets included)."""
     m, k, n = (draw(st.integers(0, 80)) for _ in range(3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     masks = []
@@ -413,8 +326,7 @@ def cut_problems(draw):
         st.integers(0, m), min_size=1, max_size=min(64, m + 1)))), dtype=np.int64)
     inner = draw(st.sets(st.integers(1, n - 1), max_size=62)) if n > 1 else set()
     col_cuts = np.array(sorted({0, n} | inner), dtype=np.int64)
-    weight = rng.random(m) * draw(st.sampled_from([1.0, 1e6]))
-    return a, b, row_cuts, col_cuts, weight
+    return a, b, row_cuts, col_cuts
 
 
 class TestNativeCutTableEqualsNumpy:
@@ -426,31 +338,21 @@ class TestNativeCutTableEqualsNumpy:
     @needs_native
     @given(problem=cut_problems())
     @settings(max_examples=300, deadline=None)
-    def test_cells_and_weighted_sums(self, problem):
-        a, b, row_cuts, col_cuts, weight = problem
+    def test_cells_equal_the_numpy_product(self, problem):
+        a, b, row_cuts, col_cuts = problem
         buckets = col_cuts.size - 1
         cnt = np.zeros((b.n_rows, buckets), dtype=np.int64)
         np.add.at(cnt, (b.expand_row_ids(),
                         np.searchsorted(col_cuts, b.col_ids, side="right") - 1), 1)
-        rows = a.expand_row_ids()
-        seg = np.searchsorted(row_cuts, rows, side="right") - 1
+        seg = np.searchsorted(row_cuts, a.expand_row_ids(), side="right") - 1
         inside = (seg >= 0) & (seg < row_cuts.size - 1)
         w = np.zeros((row_cuts.size - 1, b.n_rows), dtype=np.int64)
-        ww = np.zeros(w.shape)
         np.add.at(w, (seg[inside], a.col_ids[inside]), 1)
-        np.add.at(ww, (seg[inside], a.col_ids[inside]), weight[rows[inside]])
-        want = [np.pad(t.cumsum(0).cumsum(1), ((1, 0), (1, 0)))
-                for t in (w @ cnt, ww @ cnt)]
 
-        cut = CutTable(a, b, row_cuts, col_cuts, weight)
+        cut = CutTable(a, b, row_cuts, col_cuts)
         assert cut.prefix.dtype == np.int64
-        assert np.array_equal(cut.prefix, want[0])
-        # _floor_bytes's slack: 1 + 1e-9 of the table's weighted total
-        slack = 1 + 1e-9 * want[1][-1, -1]
-        assert np.all(np.abs(cut.weighted - want[1]) <= slack)
-        plain = CutTable(a, b, row_cuts, col_cuts)
-        assert np.array_equal(plain.prefix, want[0])
-        assert not plain.weighted.any()
+        assert np.array_equal(cut.prefix,
+                              np.pad((w @ cnt).cumsum(0).cumsum(1), ((1, 0), (1, 0))))
 
     @needs_native
     def test_cuts_off_the_operands_are_refused(self):
@@ -479,9 +381,9 @@ def guarded(request, monkeypatch):
     scans = {"b_buckets": [], "a_prefixes": 0}
     real_cells, real_prefix = chunks_mod.native_cut_cells, chunks_mod.product_prefix
 
-    def counting_cells(a, b, row_cuts, col_cuts, row_weight=None):
+    def counting_cells(a, b, row_cuts, col_cuts):
         scans["b_buckets"].append(len(col_cuts) - 1)
-        return real_cells(a, b, row_cuts, col_cuts, row_weight)
+        return real_cells(a, b, row_cuts, col_cuts)
 
     def counting_prefix(*args, **kwargs):
         scans["a_prefixes"] += 1
@@ -549,9 +451,9 @@ def tables_built(monkeypatch):
     built = []
     real = ProductTable.__init__
 
-    def counting(self, a, b, col_bounds, estimate=None):
+    def counting(self, a, b, col_bounds):
         built.append(len(col_bounds) - 1)
-        real(self, a, b, col_bounds, estimate)
+        real(self, a, b, col_bounds)
 
     monkeypatch.setattr(ProductTable, "__init__", counting)
     return built
@@ -561,42 +463,35 @@ def tables_built(monkeypatch):
 class TestRunReadsThePlannersTables:
     """A run builds a row-level table only when a reader asks for rows:
     ordering, both admissions and the re-split pre-check read chunk-level
-    numbers; the governor's re-split and estimated dispatch hints read
-    rows, off one table of the run's column count."""
+    numbers; the governor's re-split reads rows, off one table of the
+    run's column count."""
 
     LIMITS = dict(host_mem_budget_bytes=1 << 30)
 
     @pytest.fixture(scope="class")
     def planned(self):
-        m = rmat(10, 24.0, seed=5)    # plans 4 x 13; estimated, 2 x 2
-        return m, v100_node(device_for(m, 0.3)), estimate_row_nnz(m, m, seed=0)
+        m = rmat(10, 24.0, seed=5)    # plans 4 x 13
+        return m, v100_node(device_for(m, 0.3))
 
-    def test_governed_estimated_grid_run_builds_no_table(self, planned,
-                                                         tables_built):
-        """The weighted cut table rules candidates out without a table;
-        only a candidate it could not rule out is confirmed on its exact
-        per-c table — fewer than the one per column count visited — and
-        the run reads that one."""
-        m, node, est = planned
-        report = plan_grid(m, m, node, estimate=est)
-        by_planner = list(tables_built)
-        c = report.grid.num_col_panels
-        assert c > 1                                     # several c were visited
-        assert by_planner[-1] == c and len(by_planner) < c
-        assert len(by_planner) == len(set(by_planner))   # each at most once
-        # the governed, hinted run reads the plan's table and builds none
+    def test_governed_grid_run_builds_no_table(self, planned, tables_built):
+        """The cut table prices every candidate without a row-level
+        table, and the governed run that reads the plan's sizing builds
+        none either."""
+        m, node = planned
+        report = plan_grid(m, m, node)
+        assert report.grid.num_col_panels > 1            # several c were visited
         gov = GovernorConfig(device_pool_bytes=report.worst_chunk_bytes,
                              **self.LIMITS)
         profile, _ = execute_chunk_grid(
             m, m, report.grid, sizing=report.sizing, governor=gov,
             workers=2, backend="thread")
-        assert tables_built == by_planner
+        assert tables_built == []
         assert [c.flops for c in profile.chunks] == report.flops.ravel().tolist()
 
     def test_governed_run_out_of_core_builds_the_planners_tables(
             self, planned, tables_built):
         """... which are none: every chunk fits, nothing reads rows."""
-        m, node, _ = planned
+        m, node = planned
         report = plan_grid(m, m, node)
         gov = GovernorConfig(device_pool_bytes=report.worst_chunk_bytes,
                              **self.LIMITS)
@@ -605,7 +500,7 @@ class TestRunReadsThePlannersTables:
 
     def test_ungoverned_serial_run_builds_no_sizing(self, planned,
                                                     tables_built):
-        m, node, _ = planned
+        m, node = planned
         execute_chunk_grid(m, m, ChunkGrid.regular(m.n_rows, m.n_cols, 3, 2))
         run_out_of_core(m, m, node)
         assert tables_built == []
@@ -615,7 +510,7 @@ class TestRunReadsThePlannersTables:
             self, planned, tables_built, backend, workers):
         """A pool under the worst chunks re-splits several of them; all
         size their sub-panels off one table of the run's column count."""
-        m, node, _ = planned
+        m, node = planned
         report = plan_grid(m, m, node)
         pool = int(np.sort(report.sizing.device_bytes)[-3]) - 1
         gov = GovernorConfig(device_pool_bytes=pool, **self.LIMITS)
@@ -697,9 +592,8 @@ class TestRefusals:
             chunk_flops(a, b, grid)
         with pytest.raises(ValueError, match=message):
             plan_grid(a, b, v100_node(1 << 30))
-        est = estimate_row_nnz(a, from_mask(np.ones((40, 10), dtype=bool)))
         with pytest.raises(ValueError, match=message):
-            GridSizing(a, b, grid, est)
+            GridSizing(a, b, grid)
 
     def test_inputs_larger_than_device_says_so(self):
         m = rmat(10, 8.0, seed=91)

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.chunks import ChunkGrid, GridSizing
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import banded, random_csr, rmat
 from repro.spgemm.estimate import (
     RowNnzEstimate,
     estimate_row_nnz,
 )
-from repro.spgemm.flops import flops_per_row, total_flops
 from repro.spgemm.native import native_available
 from repro.spgemm.twophase import spgemm_twophase
 
@@ -106,13 +104,6 @@ class TestEstimatorBounds:
         with pytest.raises(ValueError, match="sample_fraction"):
             estimate_row_nnz(a, a, sample_fraction=1.5)
 
-    def test_ratio_in_unit_interval(self):
-        a = rmat(9, 8.0, seed=1)
-        est = estimate_row_nnz(a, a, seed=0)
-        assert np.all(est.ratio() >= 0.0)
-        assert np.all(est.ratio() <= 1.0 + 1e-9)
-        assert np.all(est.ratio_hi() <= 1.0 + 1e-9)
-
 
 def hub_pair(seed):
     """Rectangular A != B with a few hub rows in each."""
@@ -151,61 +142,3 @@ class TestCountKernel:
             np.testing.assert_array_equal(getattr(native, field),
                                           getattr(esc, field), err_msg=field)
         assert native.strata == esc.strata
-
-
-class TestChunkEstimates:
-    def test_chunk_totals_consistent(self):
-        a = rmat(9, 8.0, seed=2)
-        est = estimate_row_nnz(a, a, seed=0)
-        grid = ChunkGrid.regular(a.n_rows, a.n_cols, 3, 4)
-        ce = GridSizing(a, a, grid, est)
-        # products split exactly; estimates split proportionally
-        assert int(ce.products.sum()) == total_flops(a, a) // 2
-        assert ce.nnz.sum() <= est.total_nnz + 1e-6
-        assert np.all(ce.nnz_hi >= ce.nnz - 1e-9)
-
-    def test_chunk_hi_respects_dense_extent_and_products(self):
-        a = rmat(9, 8.0, seed=2)
-        est = estimate_row_nnz(a, a, seed=0)
-        grid = ChunkGrid.regular(a.n_rows, a.n_cols, 4, 4)
-        ce = GridSizing(a, a, grid, est)
-        rows = np.diff(grid.row_bounds).astype(np.int64)
-        cols = np.diff(grid.col_bounds).astype(np.int64)
-        dense = rows[:, None] * cols[None, :]
-        assert np.all(ce.nnz_hi <= np.minimum(ce.products, dense) + 1e-9)
-
-    def test_estimated_bytes_below_upper_bound_bytes(self):
-        """The whole point: estimated footprints undercut UB footprints
-        on a compressing matrix."""
-        from repro.core.chunks import csr_bytes, device_bytes_of
-
-        a = rmat(11, 8.0, seed=3)
-        est = estimate_row_nnz(a, a, seed=0)
-        grid = ChunkGrid.regular(a.n_rows, a.n_cols, 2, 2)
-        ce = GridSizing(a, a, grid, est)
-        rows = np.diff(grid.row_bounds).astype(np.int64)
-        cols = np.diff(grid.col_bounds).astype(np.int64)
-        dense = rows[:, None] * cols[None, :]
-        ub_nnz = np.minimum(ce.products, dense)
-        est_dev = ce.device_bytes
-        est_host = ce.host_bytes
-        cid = 0
-        ub_dev = np.empty_like(est_dev)
-        ub_host = np.empty_like(est_host)
-        for rp in range(grid.num_row_panels):
-            for cp in range(grid.num_col_panels):
-                ub_dev[cid] = device_bytes_of(int(rows[rp]), int(ce.products[rp, cp]))
-                ub_host[cid] = csr_bytes(int(rows[rp]), int(ub_nnz[rp, cp]))
-                cid += 1
-        assert np.all(est_dev <= ub_dev)
-        assert np.all(est_host <= ub_host)
-        # strict improvement in aggregate on an RMAT output
-        assert est_dev.sum() < ub_dev.sum()
-
-    def test_true_chunk_nnz_within_hi_in_aggregate(self):
-        a = banded(300, 5, seed=4)
-        est = estimate_row_nnz(a, a, seed=0)
-        grid = ChunkGrid.regular(a.n_rows, a.n_cols, 3, 3)
-        ce = GridSizing(a, a, grid, est)
-        truth = float(true_row_nnz(a, a).sum())
-        assert truth <= ce.nnz_hi.sum() + 1e-6
